@@ -224,9 +224,10 @@ impl BrisaCore {
     }
 
     /// Rough memory footprint of the dissemination state in bytes (inline
-    /// struct plus tracked heap: the delivery ledger, repair timelines,
-    /// buffer handles and link table). Summed across nodes by the
-    /// scale-mode bytes-per-node accounting.
+    /// struct plus owned heap at its allocated capacity: the delivery
+    /// ledger, repair timelines, the retransmission buffer's record ring,
+    /// the link table, the candidate set and this node's own path). Summed
+    /// across nodes by the scale-mode bytes-per-node accounting.
     pub fn approx_state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.stats.delivery.approx_bytes()
@@ -235,8 +236,10 @@ impl BrisaCore {
             + (self.stats.soft_repair_delays_us.capacity()
                 + self.stats.hard_repair_delays_us.capacity())
                 * std::mem::size_of::<u64>()
-            + self.buffer.len() * 2 * std::mem::size_of::<usize>()
-            + self.links.degree() * 3 * std::mem::size_of::<NodeId>()
+            + self.buffer.approx_heap_bytes()
+            + self.links.approx_heap_bytes()
+            + self.candidates.approx_heap_bytes()
+            + self.cycle.approx_heap_bytes()
     }
 
     /// Link state (parents, children, activation flags).
@@ -251,7 +254,7 @@ impl BrisaCore {
 
     /// Current children (the node's degree in the emerged structure).
     pub fn children(&self) -> Vec<NodeId> {
-        self.links.children()
+        self.links.children().collect()
     }
 
     /// Depth of this node in the emerged structure (hops from the source),
@@ -279,8 +282,11 @@ impl BrisaCore {
 
     /// An overlay neighbor disappeared (failure detected by the PSS). If the
     /// neighbor was a parent, the repair procedure of Section II-F runs.
-    pub fn on_neighbor_down(&mut self, now: SimTime, peer: NodeId) -> Vec<BrisaAction> {
-        let mut actions = Vec::new();
+    ///
+    /// Like every entry point that can emit traffic, this *appends* to the
+    /// caller-owned `actions`: the embedding stack reuses one vector across
+    /// calls, so a steady-state message costs no allocation for it.
+    pub fn on_neighbor_down(&mut self, now: SimTime, peer: NodeId, actions: &mut Vec<BrisaAction>) {
         self.candidates.remove(peer);
         let was_parent = self.links.neighbor_down(peer);
         if was_parent && !self.is_source {
@@ -288,10 +294,9 @@ impl BrisaCore {
             if self.links.parent_count() == 0 {
                 self.stats.orphaned.push(now);
                 self.tel_orphaned(now, peer);
-                self.start_repair(now, &mut actions);
+                self.start_repair(now, actions);
             }
         }
-        actions
     }
 
     // ------------------------------------------------------------------
@@ -300,7 +305,7 @@ impl BrisaCore {
 
     /// Publishes the next stream message (source only). The first call
     /// doubles as the bootstrap flood that seeds the structure.
-    pub fn publish(&mut self, now: SimTime, payload_bytes: usize) -> Vec<BrisaAction> {
+    pub fn publish(&mut self, now: SimTime, payload_bytes: usize, actions: &mut Vec<BrisaAction>) {
         assert!(self.is_source, "only the source publishes stream messages");
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -309,44 +314,30 @@ impl BrisaCore {
         self.note_delivered(seq);
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(seq, |h| h.max(seq)));
         self.last_data_at = Some(now);
-        // One allocation for the message; every recipient shares it.
-        let data = Arc::new(DataMsg {
-            seq,
-            payload_bytes,
-            guard: self.cycle.outgoing_guard(self.me),
-            sender_uptime_secs: self.uptime_secs(now),
-            sender_load: self.links.degree().min(u16::MAX as usize) as u16,
-        });
-        self.buffer.insert(data.clone());
-        let mut actions = vec![BrisaAction::Deliver { seq }];
-        for peer in self.links.outbound_active() {
-            actions.push(BrisaAction::Send {
-                to: peer,
-                msg: BrisaMsg::Data(data.clone()),
-            });
-        }
-        actions
+        self.buffer.insert(seq, payload_bytes);
+        actions.push(BrisaAction::Deliver { seq });
+        self.relay(now, seq, payload_bytes, None, actions);
     }
 
     // ------------------------------------------------------------------
     // Message handling
     // ------------------------------------------------------------------
 
-    /// Handles a BRISA message from `from`. `telemetry` provides link
-    /// measurements (RTT from the PSS keep-alives) for the delay-aware
-    /// strategy.
+    /// Handles a BRISA message from `from`, appending what it causes to
+    /// `actions`. `telemetry` provides link measurements (RTT from the PSS
+    /// keep-alives) for the delay-aware strategy.
     pub fn handle(
         &mut self,
         now: SimTime,
         from: NodeId,
         msg: BrisaMsg,
         telemetry: &dyn NeighborTelemetry,
-    ) -> Vec<BrisaAction> {
+        actions: &mut Vec<BrisaAction>,
+    ) {
         match msg {
-            BrisaMsg::Data(data) => self.handle_data(now, from, data, telemetry),
+            BrisaMsg::Data(data) => self.handle_data(now, from, data, telemetry, actions),
             BrisaMsg::Deactivate { symmetric } => {
                 self.links.deactivate_outbound(from);
-                let mut actions = Vec::new();
                 // A symmetric deactivation means the sender also stopped
                 // relaying to us. If we considered it a parent, that
                 // parenthood is dead — clinging to it would starve this
@@ -358,10 +349,9 @@ impl BrisaCore {
                     if self.links.parent_count() == 0 {
                         self.stats.orphaned.push(now);
                         self.tel_orphaned(now, from);
-                        self.start_repair(now, &mut actions);
+                        self.start_repair(now, actions);
                     }
                 }
-                actions
             }
             BrisaMsg::Activate => {
                 self.links.reactivate_outbound(from);
@@ -390,38 +380,24 @@ impl BrisaCore {
                 // message to it — the child wedges on a parent that is
                 // healthy but link-less towards it (the dominant residual
                 // wedge class after mass crashes: stale asymmetric views).
-                let mut actions = Vec::new();
                 let has_upstream = self.is_source
                     || (self.links.parent_count() > 0 && self.pending_repair.is_none());
                 let latest = (has_upstream && self.links.is_neighbor(from))
-                    .then(|| {
-                        self.buffer
-                            .highest_seq()
-                            .and_then(|s| self.buffer.get(s))
-                            .map(|m| (m.seq, m.payload_bytes))
-                    })
+                    .then(|| self.buffer.highest_seq().and_then(|s| self.buffer.get(s)))
                     .flatten();
-                if let Some((seq, payload_bytes)) = latest {
-                    let guard = self.cycle.outgoing_guard(self.me);
+                if let Some(m) = latest {
                     actions.push(BrisaAction::Send {
                         to: from,
-                        msg: BrisaMsg::data(DataMsg {
-                            seq,
-                            payload_bytes,
-                            guard,
-                            sender_uptime_secs: self.uptime_secs(now),
-                            sender_load: self.links.degree().min(u16::MAX as usize) as u16,
-                        }),
+                        msg: BrisaMsg::data(self.data_msg(now, m.seq, m.payload_bytes)),
                     });
                 }
-                actions
             }
-            BrisaMsg::ReactivationOrder => self.handle_reactivation_order(now, from),
-            BrisaMsg::DepthUpdate { depth } => self.handle_depth_update(from, depth),
+            BrisaMsg::ReactivationOrder => self.handle_reactivation_order(now, from, actions),
+            BrisaMsg::DepthUpdate { depth } => self.handle_depth_update(from, depth, actions),
             BrisaMsg::Retransmit { from_seq, to_seq } => {
-                self.handle_retransmit(now, from, from_seq, to_seq)
+                self.handle_retransmit(now, from, from_seq, to_seq, actions)
             }
-            BrisaMsg::Edge { highest } => self.handle_edge(now, from, highest),
+            BrisaMsg::Edge { highest } => self.handle_edge(now, from, highest, actions),
         }
     }
 
@@ -430,10 +406,15 @@ impl BrisaCore {
     /// so the regular rate-limited retransmission path can close it — this
     /// is how a message lost at the stream's tail (which no later data ever
     /// reveals) gets repaired.
-    fn handle_edge(&mut self, now: SimTime, from: NodeId, highest: u64) -> Vec<BrisaAction> {
-        let mut actions = Vec::new();
+    fn handle_edge(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        highest: u64,
+        actions: &mut Vec<BrisaAction>,
+    ) {
         if self.is_source {
-            return actions;
+            return;
         }
         // A node that has never delivered anchors exactly like the data
         // path: only what an upstream buffer could still serve is treated
@@ -446,9 +427,8 @@ impl BrisaCore {
             .highest_seq_seen
             .is_some_and(|h| self.next_expected <= h);
         if known_gap && self.pending_repair.is_none() {
-            self.request_gap(now, from, &mut actions);
+            self.request_gap(now, from, actions);
         }
-        actions
     }
 
     fn handle_data(
@@ -457,16 +437,17 @@ impl BrisaCore {
         from: NodeId,
         data: Arc<DataMsg>,
         telemetry: &dyn NeighborTelemetry,
-    ) -> Vec<BrisaAction> {
-        let mut actions = Vec::new();
-        // The sender is (re)observed as a parent candidate.
-        self.candidates.observe(
-            from,
-            now,
-            telemetry.rtt(from),
-            data.sender_uptime_secs,
-            data.sender_load,
-        );
+        actions: &mut Vec<BrisaAction>,
+    ) {
+        // The sender is (re)observed as a parent candidate. Only the
+        // delay-aware strategy ever ranks by RTT, so only it pays for the
+        // membership layer's lookup.
+        let rtt = match self.cfg.strategy {
+            ParentStrategy::DelayAware => telemetry.rtt(from),
+            _ => None,
+        };
+        self.candidates
+            .observe(from, now, rtt, data.sender_uptime_secs, data.sender_load);
         // A node that has never delivered anything anchors its contiguous
         // prefix one buffer window below the first message it sees: a
         // joiner arriving mid-stream must not treat history that is long
@@ -486,14 +467,14 @@ impl BrisaCore {
             if self.pending_repair.is_some() {
                 self.stats.messages_recovered += 1;
             }
-            self.buffer.insert(data.clone());
+            self.buffer.insert(data.seq, data.payload_bytes);
             self.note_delivered(data.seq);
         }
 
         if self.is_source {
             // The source never needs inbound stream traffic.
-            self.deactivate(now, from, &mut actions);
-            return actions;
+            self.deactivate(now, from, actions);
+            return;
         }
 
         // Steady-state loss recovery: a sequence number ahead of the
@@ -504,7 +485,7 @@ impl BrisaCore {
         // While a repair is pending, the adoption path issues the request
         // instead.
         if self.next_expected < data.seq && self.pending_repair.is_none() {
-            self.request_gap(now, from, &mut actions);
+            self.request_gap(now, from, actions);
         }
 
         // Parent machinery.
@@ -517,25 +498,25 @@ impl BrisaCore {
             // rule is that the child simply moves one level further down.
             let cycle_detected = matches!(
                 (&self.cycle, &data.guard),
-                (CycleState::Path(_), crate::cycle::CycleGuard::Path(p)) if p.contains(&self.me)
+                (CycleState::Path(_), CycleGuard::Path(p)) if p.contains(&self.me)
             );
             if !cycle_detected {
-                self.update_position(&data.guard, &mut actions);
+                self.update_position(&data.guard, actions);
             } else {
-                self.deactivate(now, from, &mut actions);
+                self.deactivate(now, from, actions);
                 if self.links.parent_count() == 0 {
                     self.stats.orphaned.push(now);
                     self.tel_orphaned(now, from);
-                    self.start_repair(now, &mut actions);
+                    self.start_repair(now, actions);
                 }
             }
         } else if adoptable && self.links.parent_count() < self.cfg.mode.target_parents() {
             // A free parent slot: adopt this sender.
-            self.adopt(now, from, &mut actions);
-            self.update_position(&data.guard, &mut actions);
+            self.adopt(now, from, actions);
+            self.update_position(&data.guard, actions);
         } else if !adoptable {
             // The sender cannot be a parent; stop it from relaying to us.
-            self.deactivate(now, from, &mut actions);
+            self.deactivate(now, from, actions);
         } else if data.seq == 0 || self.pending_repair.is_some() {
             // Duplicate of the bootstrap flood (or a reception while a repair
             // is in progress): run the parent selection strategy over the
@@ -543,7 +524,7 @@ impl BrisaCore {
             // switches are confined to structure-formation time; switching an
             // established tree on in-flight (possibly stale) path metadata
             // can stitch a cycle out of two concurrent switches.
-            self.consider_replacement(now, from, &data.guard, &mut actions);
+            self.consider_replacement(now, from, &data.guard, actions);
         } else if first && self.parents_stale(now) {
             // A *first* reception from a surplus sender while no parent has
             // delivered anything for PARENT_STALE_AFTER: the incumbent
@@ -563,7 +544,7 @@ impl BrisaCore {
             // so concurrent switches cannot stitch a cycle); otherwise
             // leave the link active and let a genuine duplicate prune it
             // later.
-            self.adopt_fresh_feeder(now, from, &data.guard, &mut actions);
+            self.adopt_fresh_feeder(now, from, &data.guard, actions);
         } else if !first {
             // Steady-state duplicate: keep the incumbent parents and silence
             // the surplus sender. Deactivation is *duplicate-triggered*
@@ -577,7 +558,7 @@ impl BrisaCore {
             let symmetric = self.cfg.symmetric_deactivation
                 && self.cfg.strategy == ParentStrategy::FirstComeFirstPicked
                 && self.cfg.mode.is_tree();
-            self.deactivate_flagged(now, from, symmetric, &mut actions);
+            self.deactivate_flagged(now, from, symmetric, actions);
             if symmetric {
                 self.links.deactivate_outbound(from);
             }
@@ -586,17 +567,20 @@ impl BrisaCore {
         // Relay the payload once, to every outbound-active neighbor except
         // the sender, carrying our own position metadata.
         if first && !self.cycle.is_unset() {
-            self.relay(now, &data, Some(from), &mut actions);
+            self.relay(now, data.seq, data.payload_bytes, Some(from), actions);
         }
-        actions
     }
 
-    fn handle_reactivation_order(&mut self, now: SimTime, from: NodeId) -> Vec<BrisaAction> {
-        let mut actions = Vec::new();
+    fn handle_reactivation_order(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        actions: &mut Vec<BrisaAction>,
+    ) {
         if self.is_source {
-            return actions;
+            return;
         }
-        let children = self.links.children();
+        let children: Vec<NodeId> = self.links.children().collect();
         let alternatives: Vec<NodeId> = self
             .links
             .neighbors()
@@ -635,7 +619,7 @@ impl BrisaCore {
             }
             self.cycle.reset();
             self.links.reactivate_all_inbound();
-            for n in self.links.neighbors().collect::<Vec<_>>() {
+            for n in self.links.neighbors() {
                 self.stats.activations_sent += 1;
                 actions.push(BrisaAction::Send {
                     to: n,
@@ -650,21 +634,18 @@ impl BrisaCore {
                 });
             }
         }
-        actions
     }
 
-    fn handle_depth_update(&mut self, from: NodeId, depth: u32) -> Vec<BrisaAction> {
-        let mut actions = Vec::new();
+    fn handle_depth_update(&mut self, from: NodeId, depth: u32, actions: &mut Vec<BrisaAction>) {
         if self.cfg.mode.is_tree() || !self.links.is_parent(from) {
-            return actions;
+            return;
         }
-        let changed = self
+        if self
             .cycle
-            .position_after(self.me, &crate::cycle::CycleGuard::Depth(depth));
-        if changed {
-            self.push_depth_update(&mut actions);
+            .position_after(self.me, &CycleGuard::Depth(depth))
+        {
+            self.push_depth_update(actions);
         }
-        actions
     }
 
     fn handle_retransmit(
@@ -673,48 +654,39 @@ impl BrisaCore {
         from: NodeId,
         from_seq: u64,
         to_seq: u64,
-    ) -> Vec<BrisaAction> {
-        let mut actions = Vec::new();
+        actions: &mut Vec<BrisaAction>,
+    ) {
         let missing = self.buffer.range(from_seq, to_seq);
-        let guard = self.cycle.outgoing_guard(self.me);
-        let uptime = self.uptime_secs(now);
-        let load = self.links.degree().min(u16::MAX as usize) as u16;
-        for m in missing {
+        for m in &missing {
             self.stats.retransmissions_served += 1;
             self.tel.retransmits_served.inc();
             actions.push(BrisaAction::Send {
                 to: from,
-                msg: BrisaMsg::data(DataMsg {
-                    seq: m.seq,
-                    payload_bytes: m.payload_bytes,
-                    guard: guard.clone(),
-                    sender_uptime_secs: uptime,
-                    sender_load: load,
-                }),
+                msg: BrisaMsg::data(self.data_msg(now, m.seq, m.payload_bytes)),
             });
         }
-        if !actions.is_empty() {
+        if !missing.is_empty() {
             self.tel_event(
                 now,
                 TelEventKind::RetransmitServed,
                 from.0 as u64,
-                actions.len() as u64,
+                missing.len() as u64,
             );
         }
-        actions
     }
 
-    /// Builds the shared message this node relays for `data`: same sequence
-    /// and payload, but carrying *this* node's position metadata. Allocated
-    /// once and `Arc`-cloned per recipient.
-    fn relayed_copy(&self, now: SimTime, data: &DataMsg) -> Arc<DataMsg> {
-        Arc::new(DataMsg {
-            seq: data.seq,
-            payload_bytes: data.payload_bytes,
+    /// The message this node sends for stream message `seq`: the payload
+    /// as received, the metadata this node's own — its position, uptime
+    /// and load. The guard shares the node's path, so building the message
+    /// copies no path.
+    fn data_msg(&self, now: SimTime, seq: u64, payload_bytes: usize) -> DataMsg {
+        DataMsg {
+            seq,
+            payload_bytes,
             guard: self.cycle.outgoing_guard(self.me),
             sender_uptime_secs: self.uptime_secs(now),
             sender_load: self.links.degree().min(u16::MAX as usize) as u16,
-        })
+        }
     }
 
     // ------------------------------------------------------------------
@@ -909,7 +881,6 @@ impl BrisaCore {
         symmetric: bool,
         actions: &mut Vec<BrisaAction>,
     ) {
-        let was_parent = self.links.is_parent(peer);
         self.links.deactivate_inbound(peer);
         self.stats.deactivations_sent += 1;
         self.tel.deactivations.inc();
@@ -921,7 +892,6 @@ impl BrisaCore {
             to: peer,
             msg: BrisaMsg::Deactivate { symmetric },
         });
-        let _ = was_parent;
         self.check_construction(now);
     }
 
@@ -1032,7 +1002,7 @@ impl BrisaCore {
     /// any non-child neighbor can take over, hard repair (flood fallback plus
     /// re-activation orders) otherwise.
     fn start_repair(&mut self, now: SimTime, actions: &mut Vec<BrisaAction>) {
-        let children = self.links.children();
+        let children: Vec<NodeId> = self.links.children().collect();
         let non_children: Vec<NodeId> = self
             .links
             .neighbors()
@@ -1061,7 +1031,7 @@ impl BrisaCore {
     fn hard_repair_actions(&mut self, actions: &mut Vec<BrisaAction>) {
         self.cycle.reset();
         self.links.reactivate_all_inbound();
-        for n in self.links.neighbors().collect::<Vec<_>>() {
+        for n in self.links.neighbors() {
             self.stats.activations_sent += 1;
             actions.push(BrisaAction::Send {
                 to: n,
@@ -1086,8 +1056,7 @@ impl BrisaCore {
     /// are re-attempted every [`HARD_REPAIR_RETRY`] while the node remains
     /// orphaned, e.g. when the overlay itself is still being repaired by the
     /// PSS.
-    pub fn repair_tick(&mut self, now: SimTime) -> Vec<BrisaAction> {
-        let mut actions = Vec::new();
+    pub fn repair_tick(&mut self, now: SimTime, actions: &mut Vec<BrisaAction>) {
         // Stream-edge advertisement: once the data path has gone quiet
         // (the stream's tail, or an outage), tell the children where the
         // edge is, so a hole *after* their last reception — invisible to
@@ -1126,16 +1095,16 @@ impl BrisaCore {
                     .highest_seq_seen
                     .is_some_and(|h| self.next_expected <= h)
                 {
-                    self.request_gap(now, parent, &mut actions);
+                    self.request_gap(now, parent, actions);
                 }
             }
         }
         let Some((started, kind)) = self.pending_repair else {
-            return actions;
+            return;
         };
         if self.links.parent_count() > 0 || self.is_source {
             self.pending_repair = None;
-            return actions;
+            return;
         }
         let since_last = self
             .last_repair_attempt
@@ -1146,34 +1115,41 @@ impl BrisaCore {
                 if now.saturating_since(started) >= SOFT_REPAIR_TIMEOUT {
                     self.pending_repair = Some((started, RepairKind::Hard));
                     self.last_repair_attempt = Some(now);
-                    self.hard_repair_actions(&mut actions);
+                    self.hard_repair_actions(actions);
                 }
             }
             RepairKind::Hard => {
                 if since_last >= HARD_REPAIR_RETRY {
                     self.last_repair_attempt = Some(now);
-                    self.hard_repair_actions(&mut actions);
+                    self.hard_repair_actions(actions);
                 }
             }
         }
-        actions
     }
 
+    /// Sends stream message `seq` to every outbound-active neighbor except
+    /// `exclude`, carrying this node's own position metadata. The copy is
+    /// built once, on the first recipient, and shared by all of them — so
+    /// an interior node allocates exactly one message and a leaf, which has
+    /// nobody to relay to, none.
     fn relay(
-        &mut self,
+        &self,
         now: SimTime,
-        data: &DataMsg,
+        seq: u64,
+        payload_bytes: usize,
         exclude: Option<NodeId>,
         actions: &mut Vec<BrisaAction>,
     ) {
-        let copy = self.relayed_copy(now, data);
+        let mut shared: Option<Arc<DataMsg>> = None;
         for peer in self.links.outbound_active() {
             if Some(peer) == exclude {
                 continue;
             }
+            let copy =
+                shared.get_or_insert_with(|| Arc::new(self.data_msg(now, seq, payload_bytes)));
             actions.push(BrisaAction::Send {
                 to: peer,
-                msg: BrisaMsg::Data(copy.clone()),
+                msg: BrisaMsg::Data(Arc::clone(copy)),
             });
         }
     }
@@ -1196,6 +1172,14 @@ mod tests {
     use crate::parent::NoTelemetry;
     use brisa_simnet::SimDuration;
     use std::collections::{HashMap, VecDeque};
+
+    /// Runs one core entry point against a fresh action vector and returns
+    /// what it appended.
+    fn acts(f: impl FnOnce(&mut Vec<BrisaAction>)) -> Vec<BrisaAction> {
+        let mut actions = Vec::new();
+        f(&mut actions);
+        actions
+    }
 
     /// Instant-delivery harness driving a set of BrisaCore instances over a
     /// fixed topology (no membership protocol involved).
@@ -1239,11 +1223,8 @@ mod tests {
 
         fn publish(&mut self, payload: usize) {
             self.now += self.hop_delay;
-            let actions = self
-                .nodes
-                .get_mut(&NodeId(0))
-                .unwrap()
-                .publish(self.now, payload);
+            let source = self.nodes.get_mut(&NodeId(0)).unwrap();
+            let actions = acts(|a| source.publish(self.now, payload, a));
             self.enqueue(NodeId(0), actions);
             self.drain();
         }
@@ -1265,11 +1246,8 @@ mod tests {
                 if !self.nodes.contains_key(&to) {
                     continue; // crashed node
                 }
-                let actions =
-                    self.nodes
-                        .get_mut(&to)
-                        .unwrap()
-                        .handle(self.now, from, msg, &NoTelemetry);
+                let node = self.nodes.get_mut(&to).unwrap();
+                let actions = acts(|a| node.handle(self.now, from, msg, &NoTelemetry, a));
                 self.enqueue(to, actions);
             }
         }
@@ -1281,7 +1259,7 @@ mod tests {
             for s in survivors {
                 let node = self.nodes.get_mut(&s).unwrap();
                 if node.links().is_neighbor(id) {
-                    let actions = node.on_neighbor_down(self.now, id);
+                    let actions = acts(|a| node.on_neighbor_down(self.now, id, a));
                     self.enqueue(s, actions);
                 }
             }
@@ -1433,19 +1411,22 @@ mod tests {
         source.mark_source();
         source.note_started(SimTime::ZERO);
         source.on_neighbor_up(NodeId(1));
-        let _ = source.publish(SimTime::from_millis(1), 10);
-        let actions = source.handle(
-            SimTime::from_millis(5),
-            NodeId(1),
-            BrisaMsg::data(DataMsg {
-                seq: 0,
-                payload_bytes: 10,
-                guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)]),
-                sender_uptime_secs: 0,
-                sender_load: 0,
-            }),
-            &NoTelemetry,
-        );
+        let _ = acts(|a| source.publish(SimTime::from_millis(1), 10, a));
+        let actions = acts(|a| {
+            source.handle(
+                SimTime::from_millis(5),
+                NodeId(1),
+                BrisaMsg::data(DataMsg {
+                    seq: 0,
+                    payload_bytes: 10,
+                    guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()),
+                    sender_uptime_secs: 0,
+                    sender_load: 0,
+                }),
+                &NoTelemetry,
+                a,
+            )
+        });
         assert!(actions.iter().any(|a| matches!(
             a,
             BrisaAction::Send {
@@ -1469,11 +1450,12 @@ mod tests {
         let msg = BrisaMsg::data(DataMsg {
             seq: 0,
             payload_bytes: 10,
-            guard: CycleGuard::Path(vec![NodeId(0), NodeId(5), NodeId(1)]),
+            guard: CycleGuard::Path(vec![NodeId(0), NodeId(5), NodeId(1)].into()),
             sender_uptime_secs: 0,
             sender_load: 0,
         });
-        let actions = core.handle(SimTime::from_millis(1), NodeId(1), msg, &NoTelemetry);
+        let actions =
+            acts(|a| core.handle(SimTime::from_millis(1), NodeId(1), msg, &NoTelemetry, a));
         assert!(core.parents().is_empty());
         assert!(actions.iter().any(|a| matches!(
             a,
@@ -1497,27 +1479,33 @@ mod tests {
             BrisaMsg::data(DataMsg {
                 seq: 0,
                 payload_bytes: 10,
-                guard: CycleGuard::Path(from_path),
+                guard: CycleGuard::Path(from_path.into()),
                 sender_uptime_secs: 0,
                 sender_load: 0,
             })
         };
-        let a1 = core.handle(
-            SimTime::from_millis(1),
-            NodeId(1),
-            data(vec![NodeId(0), NodeId(1)]),
-            &NoTelemetry,
-        );
+        let a1 = acts(|a| {
+            core.handle(
+                SimTime::from_millis(1),
+                NodeId(1),
+                data(vec![NodeId(0), NodeId(1)]),
+                &NoTelemetry,
+                a,
+            )
+        });
         assert_eq!(core.parents(), vec![NodeId(1)]);
         assert!(a1
             .iter()
             .any(|a| matches!(a, BrisaAction::Deliver { seq: 0 })));
-        let a2 = core.handle(
-            SimTime::from_millis(2),
-            NodeId(2),
-            data(vec![NodeId(0), NodeId(2)]),
-            &NoTelemetry,
-        );
+        let a2 = acts(|a| {
+            core.handle(
+                SimTime::from_millis(2),
+                NodeId(2),
+                data(vec![NodeId(0), NodeId(2)]),
+                &NoTelemetry,
+                a,
+            )
+        });
         // First-come keeps node 1; node 2 is deactivated, and thanks to the
         // symmetric optimisation we also stop relaying to node 2.
         assert_eq!(core.parents(), vec![NodeId(1)]);
@@ -1553,24 +1541,30 @@ mod tests {
             BrisaMsg::data(DataMsg {
                 seq: 0,
                 payload_bytes: 10,
-                guard: CycleGuard::Path(path),
+                guard: CycleGuard::Path(path.into()),
                 sender_uptime_secs: 0,
                 sender_load: 0,
             })
         };
-        core.handle(
-            SimTime::from_millis(1),
-            NodeId(1),
-            data(vec![NodeId(0), NodeId(1)]),
-            &Rtt,
-        );
+        acts(|a| {
+            core.handle(
+                SimTime::from_millis(1),
+                NodeId(1),
+                data(vec![NodeId(0), NodeId(1)]),
+                &Rtt,
+                a,
+            )
+        });
         assert_eq!(core.parents(), vec![NodeId(1)]);
-        let actions = core.handle(
-            SimTime::from_millis(2),
-            NodeId(2),
-            data(vec![NodeId(0), NodeId(2)]),
-            &Rtt,
-        );
+        let actions = acts(|a| {
+            core.handle(
+                SimTime::from_millis(2),
+                NodeId(2),
+                data(vec![NodeId(0), NodeId(2)]),
+                &Rtt,
+                a,
+            )
+        });
         // The slower first parent is displaced by the faster duplicate sender.
         assert_eq!(core.parents(), vec![NodeId(2)]);
         assert!(actions.iter().any(|a| matches!(
@@ -1677,7 +1671,7 @@ mod tests {
             BrisaMsg::data(DataMsg {
                 seq,
                 payload_bytes: 10,
-                guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)]),
+                guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()),
                 sender_uptime_secs: 0,
                 sender_load: 0,
             })
@@ -1695,30 +1689,34 @@ mod tests {
                 .collect()
         };
         // Seq 0 delivered in order: no gap, no request.
-        let a0 = core.handle(SimTime::from_millis(1), NodeId(1), data(0), &NoTelemetry);
+        let a0 =
+            acts(|a| core.handle(SimTime::from_millis(1), NodeId(1), data(0), &NoTelemetry, a));
         assert!(retransmits(&a0).is_empty());
         // Seq 3 arrives: 1 and 2 are missing -> one request covering the gap.
-        let a3 = core.handle(SimTime::from_millis(5), NodeId(1), data(3), &NoTelemetry);
+        let a3 =
+            acts(|a| core.handle(SimTime::from_millis(5), NodeId(1), data(3), &NoTelemetry, a));
         assert_eq!(retransmits(&a3), vec![(1, 3)]);
         assert_eq!(core.stats().gap_retransmit_requests, 1);
         // Another newer message within the retry window: rate-limited.
-        let a4 = core.handle(SimTime::from_millis(9), NodeId(1), data(4), &NoTelemetry);
+        let a4 =
+            acts(|a| core.handle(SimTime::from_millis(9), NodeId(1), data(4), &NoTelemetry, a));
         assert!(retransmits(&a4).is_empty());
         // The gap persists: the maintenance tick re-requests from the
         // parent once the backed-off retry interval (doubled after the
         // first fruitless attempt) has elapsed.
-        let early = core.repair_tick(SimTime::from_millis(5) + GAP_RETRY);
+        let early = acts(|a| core.repair_tick(SimTime::from_millis(5) + GAP_RETRY, a));
         assert!(
             retransmits(&early).is_empty(),
             "the second attempt backs off beyond the base interval"
         );
-        let tick = core.repair_tick(SimTime::from_millis(5) + GAP_RETRY * 2);
+        let tick = acts(|a| core.repair_tick(SimTime::from_millis(5) + GAP_RETRY * 2, a));
         assert_eq!(retransmits(&tick), vec![(1, 4)]);
         // The retransmitted messages close the gap; the detector goes quiet.
         for seq in [1, 2] {
-            let _ = core.handle(SimTime::from_secs(2), NodeId(1), data(seq), &NoTelemetry);
+            let _ =
+                acts(|a| core.handle(SimTime::from_secs(2), NodeId(1), data(seq), &NoTelemetry, a));
         }
-        let quiet = core.repair_tick(SimTime::from_secs(10));
+        let quiet = acts(|a| core.repair_tick(SimTime::from_secs(10), a));
         assert!(retransmits(&quiet).is_empty());
         assert_eq!(core.stats().delivered, 5);
         assert_eq!(core.stats().gap_retransmit_requests, 2);
@@ -1734,22 +1732,25 @@ mod tests {
         core.note_started(SimTime::ZERO);
         core.on_neighbor_up(NodeId(1));
         for seq in 0..3 {
-            let _ = core.handle(
-                SimTime::from_millis(seq * 10),
-                NodeId(1),
-                BrisaMsg::data(DataMsg {
-                    seq,
-                    payload_bytes: 10,
-                    guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)]),
-                    sender_uptime_secs: 0,
-                    sender_load: 0,
-                }),
-                &NoTelemetry,
-            );
+            let _ = acts(|a| {
+                core.handle(
+                    SimTime::from_millis(seq * 10),
+                    NodeId(1),
+                    BrisaMsg::data(DataMsg {
+                        seq,
+                        payload_bytes: 10,
+                        guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()),
+                        sender_uptime_secs: 0,
+                        sender_load: 0,
+                    }),
+                    &NoTelemetry,
+                    a,
+                )
+            });
         }
         // Seq 3 (the stream's last message) was lost on our link; nothing
         // reveals it, so the repair tick alone requests nothing.
-        let blind = core.repair_tick(SimTime::from_secs(5));
+        let blind = acts(|a| core.repair_tick(SimTime::from_secs(5), a));
         assert!(
             !blind.iter().any(|a| matches!(
                 a,
@@ -1761,12 +1762,15 @@ mod tests {
             "no known gap yet — the tail hole is invisible"
         );
         // The parent's edge advertisement makes the hole a known gap.
-        let revealed = core.handle(
-            SimTime::from_secs(6),
-            NodeId(1),
-            BrisaMsg::Edge { highest: 3 },
-            &NoTelemetry,
-        );
+        let revealed = acts(|a| {
+            core.handle(
+                SimTime::from_secs(6),
+                NodeId(1),
+                BrisaMsg::Edge { highest: 3 },
+                &NoTelemetry,
+                a,
+            )
+        });
         let requested: Vec<(u64, u64)> = revealed
             .iter()
             .filter_map(|a| match a {
@@ -1779,24 +1783,30 @@ mod tests {
             .collect();
         assert_eq!(requested, vec![(3, 3)]);
         // A caught-up node ignores further advertisements.
-        let _ = core.handle(
-            SimTime::from_secs(7),
-            NodeId(1),
-            BrisaMsg::data(DataMsg {
-                seq: 3,
-                payload_bytes: 10,
-                guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)]),
-                sender_uptime_secs: 0,
-                sender_load: 0,
-            }),
-            &NoTelemetry,
-        );
-        let settled = core.handle(
-            SimTime::from_secs(20),
-            NodeId(1),
-            BrisaMsg::Edge { highest: 3 },
-            &NoTelemetry,
-        );
+        let _ = acts(|a| {
+            core.handle(
+                SimTime::from_secs(7),
+                NodeId(1),
+                BrisaMsg::data(DataMsg {
+                    seq: 3,
+                    payload_bytes: 10,
+                    guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()),
+                    sender_uptime_secs: 0,
+                    sender_load: 0,
+                }),
+                &NoTelemetry,
+                a,
+            )
+        });
+        let settled = acts(|a| {
+            core.handle(
+                SimTime::from_secs(20),
+                NodeId(1),
+                BrisaMsg::Edge { highest: 3 },
+                &NoTelemetry,
+                a,
+            )
+        });
         assert!(settled.is_empty(), "caught up — nothing to request");
         assert_eq!(core.stats().delivered, 4);
     }
@@ -1811,7 +1821,7 @@ mod tests {
         source.mark_source();
         source.note_started(SimTime::ZERO);
         source.on_neighbor_up(NodeId(1));
-        let _ = source.publish(SimTime::from_millis(100), 10);
+        let _ = acts(|a| source.publish(SimTime::from_millis(100), 10, a));
         let edges = |actions: &[BrisaAction]| -> Vec<u64> {
             actions
                 .iter()
@@ -1825,10 +1835,10 @@ mod tests {
                 .collect()
         };
         // Mid-stream (data just moved): silent.
-        let busy = source.repair_tick(SimTime::from_millis(200));
+        let busy = acts(|a| source.repair_tick(SimTime::from_millis(200), a));
         assert!(edges(&busy).is_empty(), "data is flowing — no edge chatter");
         // Quiet past the threshold: the edge goes out to every child.
-        let quiet = source.repair_tick(SimTime::from_millis(100) + EDGE_QUIET_AFTER);
+        let quiet = acts(|a| source.repair_tick(SimTime::from_millis(100) + EDGE_QUIET_AFTER, a));
         assert_eq!(edges(&quiet), vec![0]);
     }
 
@@ -1840,17 +1850,20 @@ mod tests {
         source.note_started(SimTime::ZERO);
         source.on_neighbor_up(NodeId(1));
         for i in 0..4 {
-            let _ = source.publish(SimTime::from_millis(i), 10);
+            let _ = acts(|a| source.publish(SimTime::from_millis(i), 10, a));
         }
-        let served = source.handle(
-            SimTime::from_secs(1),
-            NodeId(1),
-            BrisaMsg::Retransmit {
-                from_seq: 1,
-                to_seq: 2,
-            },
-            &NoTelemetry,
-        );
+        let served = acts(|a| {
+            source.handle(
+                SimTime::from_secs(1),
+                NodeId(1),
+                BrisaMsg::Retransmit {
+                    from_seq: 1,
+                    to_seq: 2,
+                },
+                &NoTelemetry,
+                a,
+            )
+        });
         let seqs: Vec<u64> = served
             .iter()
             .filter_map(|a| match a {
@@ -1876,23 +1889,29 @@ mod tests {
             BrisaMsg::data(DataMsg {
                 seq: 0,
                 payload_bytes: 10,
-                guard: CycleGuard::Path(path),
+                guard: CycleGuard::Path(path.into()),
                 sender_uptime_secs: uptime,
                 sender_load: 0,
             })
         };
-        core.handle(
-            SimTime::from_millis(1),
-            NodeId(1),
-            data(vec![NodeId(0), NodeId(1)], 10),
-            &NoTelemetry,
-        );
-        core.handle(
-            SimTime::from_millis(2),
-            NodeId(2),
-            data(vec![NodeId(0), NodeId(2)], 500),
-            &NoTelemetry,
-        );
+        acts(|a| {
+            core.handle(
+                SimTime::from_millis(1),
+                NodeId(1),
+                data(vec![NodeId(0), NodeId(1)], 10),
+                &NoTelemetry,
+                a,
+            )
+        });
+        acts(|a| {
+            core.handle(
+                SimTime::from_millis(2),
+                NodeId(2),
+                data(vec![NodeId(0), NodeId(2)], 500),
+                &NoTelemetry,
+                a,
+            )
+        });
         assert_eq!(core.parents(), vec![NodeId(2)], "older sender wins");
     }
 
@@ -1910,15 +1929,18 @@ mod tests {
             sender_uptime_secs: 0,
             sender_load: 0,
         });
-        let _ = core.handle(SimTime::from_millis(1), NodeId(1), d, &NoTelemetry);
+        let _ = acts(|a| core.handle(SimTime::from_millis(1), NodeId(1), d, &NoTelemetry, a));
         assert_eq!(core.depth(), Some(2));
         // The parent moves deeper and tells us.
-        let actions = core.handle(
-            SimTime::from_millis(3),
-            NodeId(1),
-            BrisaMsg::DepthUpdate { depth: 4 },
-            &NoTelemetry,
-        );
+        let actions = acts(|a| {
+            core.handle(
+                SimTime::from_millis(3),
+                NodeId(1),
+                BrisaMsg::DepthUpdate { depth: 4 },
+                &NoTelemetry,
+                a,
+            )
+        });
         assert_eq!(core.depth(), Some(5));
         assert!(actions.iter().any(|a| matches!(
             a,
@@ -1936,19 +1958,25 @@ mod tests {
         core.note_started(SimTime::ZERO);
         core.on_neighbor_up(NodeId(1));
         core.on_neighbor_up(NodeId(2));
-        let _ = core.handle(
-            SimTime::from_millis(1),
-            NodeId(2),
-            BrisaMsg::Deactivate { symmetric: false },
-            &NoTelemetry,
-        );
+        let _ = acts(|a| {
+            core.handle(
+                SimTime::from_millis(1),
+                NodeId(2),
+                BrisaMsg::Deactivate { symmetric: false },
+                &NoTelemetry,
+                a,
+            )
+        });
         assert!(!core.links().is_outbound_active(NodeId(2)));
-        let _ = core.handle(
-            SimTime::from_millis(2),
-            NodeId(2),
-            BrisaMsg::Activate,
-            &NoTelemetry,
-        );
+        let _ = acts(|a| {
+            core.handle(
+                SimTime::from_millis(2),
+                NodeId(2),
+                BrisaMsg::Activate,
+                &NoTelemetry,
+                a,
+            )
+        });
         assert!(core.links().is_outbound_active(NodeId(2)));
     }
 

@@ -22,13 +22,20 @@
 
 use brisa_simnet::NodeId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Metadata attached to every stream message for cycle prevention.
+///
+/// Cloning is cheap in both modes: the path is a shared slice, because a
+/// node attaches the *same* path — its own position — to every message it
+/// relays until that position changes, so the guard of a relayed copy is a
+/// reference-count bump on the node's [`CycleState`] rather than a fresh
+/// vector per message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CycleGuard {
     /// Identifiers of the nodes traversed from the source (exclusive of the
     /// receiver), most recent last. Used in tree mode.
-    Path(Vec<NodeId>),
+    Path(Arc<[NodeId]>),
     /// Depth of the *sender* in the DAG (the source is at depth 0).
     Depth(u32),
 }
@@ -60,8 +67,9 @@ impl CycleGuard {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CycleState {
     /// Tree mode: the path from the source to this node (inclusive of this
-    /// node), unknown until the first message is received.
-    Path(Option<Vec<NodeId>>),
+    /// node), unknown until the first message is received. Shared with the
+    /// guards of the messages this node relays.
+    Path(Option<Arc<[NodeId]>>),
     /// DAG mode: this node's depth, unknown until the first message is
     /// received.
     Depth(Option<u32>),
@@ -97,7 +105,7 @@ impl CycleState {
     /// path `[me]` in tree mode, depth 0 in DAG mode.
     pub fn set_root(&mut self, me: NodeId) {
         match self {
-            CycleState::Path(p) => *p = Some(vec![me]),
+            CycleState::Path(p) => *p = Some(Arc::from([me])),
             CycleState::Depth(d) => *d = Some(0),
         }
     }
@@ -130,11 +138,17 @@ impl CycleState {
     pub fn position_after(&mut self, me: NodeId, guard: &CycleGuard) -> bool {
         match (self, guard) {
             (CycleState::Path(my_path), CycleGuard::Path(path)) => {
-                let mut new_path = path.clone();
-                new_path.push(me);
-                let changed = my_path.as_ref() != Some(&new_path);
-                *my_path = Some(new_path);
-                changed
+                // Steady state: the parent's path did not move, so neither
+                // did ours. Compared in place; a new path is built only
+                // when the position really changes.
+                let unchanged = my_path
+                    .as_deref()
+                    .and_then(<[NodeId]>::split_last)
+                    .is_some_and(|(last, prefix)| *last == me && prefix == &path[..]);
+                if !unchanged {
+                    *my_path = Some(path.iter().copied().chain([me]).collect());
+                }
+                !unchanged
             }
             (CycleState::Depth(my_depth), CycleGuard::Depth(sender_depth)) => {
                 let new_depth = sender_depth + 1;
@@ -159,10 +173,21 @@ impl CycleState {
     /// The guard this node must attach to messages it relays.
     pub fn outgoing_guard(&self, me: NodeId) -> CycleGuard {
         match self {
-            CycleState::Path(Some(p)) => CycleGuard::Path(p.clone()),
-            CycleState::Path(None) => CycleGuard::Path(vec![me]),
+            CycleState::Path(Some(p)) => CycleGuard::Path(Arc::clone(p)),
+            CycleState::Path(None) => CycleGuard::Path(Arc::from([me])),
             CycleState::Depth(Some(d)) => CycleGuard::Depth(*d),
             CycleState::Depth(None) => CycleGuard::Depth(0),
+        }
+    }
+
+    /// Heap bytes of the node's own path (the shared slice and its two
+    /// reference counts); nothing in DAG mode.
+    pub fn approx_heap_bytes(&self) -> usize {
+        match self {
+            CycleState::Path(Some(p)) => {
+                2 * std::mem::size_of::<usize>() + std::mem::size_of_val::<[NodeId]>(p)
+            }
+            _ => 0,
         }
     }
 
@@ -252,7 +277,7 @@ mod tests {
     #[test]
     fn path_guard_rejects_nodes_on_the_path() {
         let st = CycleState::tree();
-        let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3), NodeId(7)]);
+        let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3), NodeId(7)].into());
         assert!(
             !st.permits(NodeId(3), &guard),
             "node on the path is rejected"
@@ -267,16 +292,41 @@ mod tests {
     fn path_position_appends_self() {
         let mut st = CycleState::tree();
         assert!(st.is_unset());
-        let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3)]);
+        let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3)].into());
         let changed = st.position_after(NodeId(9), &guard);
         assert!(changed);
         assert_eq!(st.position(), Some(2));
         assert_eq!(
             st.outgoing_guard(NodeId(9)),
-            CycleGuard::Path(vec![NodeId(0), NodeId(3), NodeId(9)])
+            CycleGuard::Path(vec![NodeId(0), NodeId(3), NodeId(9)].into())
         );
         // Same position again: no change reported.
         assert!(!st.position_after(NodeId(9), &guard));
+    }
+
+    #[test]
+    fn unchanged_position_keeps_the_shared_path() {
+        let me = NodeId(9);
+        let path_of = |st: &CycleState| match st.outgoing_guard(me) {
+            CycleGuard::Path(p) => p,
+            CycleGuard::Depth(_) => unreachable!("tree state emits path guards"),
+        };
+        let mut st = CycleState::tree();
+        let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3)].into());
+        st.position_after(me, &guard);
+        let before = path_of(&st);
+        // The steady state: same parent path, so the node's path — the one
+        // allocation every relayed guard shares — is left in place.
+        assert!(!st.position_after(me, &guard));
+        assert!(Arc::ptr_eq(&before, &path_of(&st)));
+        // A shorter, longer or different parent path moves the node.
+        for other in [vec![NodeId(0)], vec![NodeId(0), NodeId(3), NodeId(4)]] {
+            assert!(st.position_after(me, &CycleGuard::Path(other.clone().into())));
+            assert_eq!(path_of(&st)[..other.len()], other[..]);
+            assert_eq!(path_of(&st).last(), Some(&me));
+        }
+        assert!(st.position_after(me, &CycleGuard::Path(vec![NodeId(1)].into())));
+        assert_eq!(&*path_of(&st), [NodeId(1), me]);
     }
 
     #[test]
@@ -320,13 +370,16 @@ mod tests {
     #[test]
     fn reset_forgets_position() {
         let mut st = CycleState::tree();
-        st.position_after(NodeId(4), &CycleGuard::Path(vec![NodeId(0)]));
+        st.position_after(NodeId(4), &CycleGuard::Path(vec![NodeId(0)].into()));
         assert!(!st.is_unset());
         st.reset();
         assert!(st.is_unset());
         assert_eq!(st.position(), None);
         // After a reset any candidate is acceptable again (hard repair).
-        assert!(!st.permits(NodeId(4), &CycleGuard::Path(vec![NodeId(0), NodeId(4)])));
+        assert!(!st.permits(
+            NodeId(4),
+            &CycleGuard::Path(vec![NodeId(0), NodeId(4)].into())
+        ));
         // Path mode stays exact even after reset: the check is on the
         // incoming path, which still contains us.
         let mut dag = CycleState::dag();
@@ -337,7 +390,7 @@ mod tests {
 
     #[test]
     fn guards_report_sizes_and_hops() {
-        let p = CycleGuard::Path(vec![NodeId(0), NodeId(1), NodeId(2)]);
+        let p = CycleGuard::Path(vec![NodeId(0), NodeId(1), NodeId(2)].into());
         assert_eq!(p.wire_size(), 1 + 2 + 3 * NodeId::WIRE_SIZE);
         assert_eq!(p.hops(), 3);
         let d = CycleGuard::Depth(9);
@@ -350,7 +403,7 @@ mod tests {
         let t = CycleState::tree();
         assert_eq!(
             t.outgoing_guard(NodeId(5)),
-            CycleGuard::Path(vec![NodeId(5)])
+            CycleGuard::Path(vec![NodeId(5)].into())
         );
         let d = CycleState::dag();
         assert_eq!(d.outgoing_guard(NodeId(5)), CycleGuard::Depth(0));
@@ -395,6 +448,6 @@ mod tests {
         let mut t2 = CycleState::tree();
         assert!(!t2.position_after(NodeId(0), &CycleGuard::Depth(1)));
         let d = CycleState::dag();
-        assert!(!d.permits(NodeId(0), &CycleGuard::Path(vec![])));
+        assert!(!d.permits(NodeId(0), &CycleGuard::Path(Arc::from([]))));
     }
 }

@@ -68,7 +68,7 @@ pub mod parent;
 pub mod stats;
 
 pub use crate::core::{BrisaCore, RepairKind, HARD_REPAIR_RETRY, SOFT_REPAIR_TIMEOUT};
-pub use buffer::MessageBuffer;
+pub use buffer::{BufferedMsg, MessageBuffer};
 pub use config::{BrisaConfig, DeliveryTracking, ParentStrategy, StructureMode};
 pub use cycle::{BloomMembership, CycleGuard, CycleState};
 pub use delivery::DeliveryLog;

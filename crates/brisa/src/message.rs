@@ -172,7 +172,7 @@ mod tests {
         let path_guard = BrisaMsg::data(data(
             0,
             1024,
-            CycleGuard::Path(vec![NodeId(0), NodeId(1), NodeId(2)]),
+            CycleGuard::Path(vec![NodeId(0), NodeId(1), NodeId(2)].into()),
         ));
         // A 3-hop path guard (kind + count + entries) replaces the 5-byte
         // depth guard (kind + u32).

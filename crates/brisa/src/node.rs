@@ -45,6 +45,10 @@ pub struct BrisaNode {
     hpv: HyParView,
     core: BrisaCore,
     contact: Option<NodeId>,
+    /// What the core asked for during the current call; filled by the core,
+    /// drained into the simulator context, empty between calls. Owned here
+    /// so a message does not allocate a fresh vector.
+    actions: Vec<BrisaAction>,
 }
 
 impl BrisaNode {
@@ -60,6 +64,7 @@ impl BrisaNode {
             hpv: HyParView::new(id, hpv_cfg),
             core: BrisaCore::new(id, brisa_cfg),
             contact,
+            actions: Vec::new(),
         }
     }
 
@@ -82,8 +87,9 @@ impl BrisaNode {
     /// (source only). Call through [`brisa_simnet::Network::invoke`] so the
     /// resulting sends are routed through the simulator.
     pub fn publish(&mut self, ctx: &mut Context<'_, StackMsg>, payload_bytes: usize) {
-        let actions = self.core.publish(ctx.now(), payload_bytes);
-        self.apply_brisa_actions(ctx, actions);
+        self.core
+            .publish(ctx.now(), payload_bytes, &mut self.actions);
+        self.apply_brisa_actions(ctx);
     }
 
     fn apply_hpv_outs(&mut self, ctx: &mut Context<'_, StackMsg>, outs: Vec<HpvOut>) {
@@ -95,15 +101,15 @@ impl BrisaNode {
                 HpvOut::CloseConnection(peer) => ctx.close_connection(peer),
                 HpvOut::NeighborUp(peer) => self.core.on_neighbor_up(peer),
                 HpvOut::NeighborDown(peer) => {
-                    let actions = self.core.on_neighbor_down(now, peer);
-                    self.apply_brisa_actions(ctx, actions);
+                    self.core.on_neighbor_down(now, peer, &mut self.actions);
+                    self.apply_brisa_actions(ctx);
                 }
             }
         }
     }
 
-    fn apply_brisa_actions(&mut self, ctx: &mut Context<'_, StackMsg>, actions: Vec<BrisaAction>) {
-        for action in actions {
+    fn apply_brisa_actions(&mut self, ctx: &mut Context<'_, StackMsg>) {
+        for action in self.actions.drain(..) {
             match action {
                 BrisaAction::Send { to, msg } => ctx.send(to, StackMsg::Brisa(msg)),
                 BrisaAction::Deliver { .. } => {
@@ -151,8 +157,9 @@ impl Protocol for BrisaNode {
                 self.apply_hpv_outs(ctx, outs);
             }
             StackMsg::Brisa(m) => {
-                let actions = self.core.handle(ctx.now(), from, m, &&self.hpv);
-                self.apply_brisa_actions(ctx, actions);
+                self.core
+                    .handle(ctx.now(), from, m, &&self.hpv, &mut self.actions);
+                self.apply_brisa_actions(ctx);
             }
         }
     }
@@ -187,8 +194,8 @@ impl Protocol for BrisaNode {
                 ctx.set_timer(period, TimerTag::of_kind(TIMER_KEEPALIVE));
             }
             TIMER_REPAIR => {
-                let actions = self.core.repair_tick(ctx.now());
-                self.apply_brisa_actions(ctx, actions);
+                self.core.repair_tick(ctx.now(), &mut self.actions);
+                self.apply_brisa_actions(ctx);
                 ctx.set_timer(
                     self.core.config().repair_tick_period,
                     TimerTag::of_kind(TIMER_REPAIR),
@@ -205,7 +212,9 @@ impl Protocol for BrisaNode {
     }
 
     fn approx_state_bytes(&self) -> usize {
-        self.hpv.approx_bytes() + self.core.approx_state_bytes()
+        self.hpv.approx_bytes()
+            + self.core.approx_state_bytes()
+            + self.actions.capacity() * std::mem::size_of::<BrisaAction>()
     }
 }
 

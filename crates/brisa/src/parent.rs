@@ -8,7 +8,6 @@
 
 use crate::config::ParentStrategy;
 use brisa_simnet::{NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Everything a node knows about one potential parent.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,7 +16,9 @@ pub struct ParentCandidate {
     pub node: NodeId,
     /// When this candidate first delivered a stream message.
     pub first_heard: SimTime,
-    /// Round-trip time measured by the PSS keep-alives, if available.
+    /// Round-trip time measured by the PSS keep-alives, if available. Only
+    /// the delay-aware strategy ranks by it, so only a node configured with
+    /// that strategy looks it up; under the others it stays `None`.
     pub rtt: Option<SimDuration>,
     /// Uptime advertised by the candidate on its data messages (seconds).
     pub uptime_secs: u32,
@@ -49,16 +50,22 @@ impl NeighborTelemetry for &brisa_membership::HyParView {
     }
 }
 
-/// The set of parent candidates a node currently knows about.
+/// The set of parent candidates a node currently knows about: one entry
+/// per sender ever heard from and not since lost, a handful in practice,
+/// kept sorted by [`NodeId`] in a small vector.
 #[derive(Debug, Default)]
 pub struct CandidateSet {
-    candidates: HashMap<NodeId, ParentCandidate>,
+    candidates: Vec<ParentCandidate>,
 }
 
 impl CandidateSet {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn slot(&self, node: NodeId) -> Result<usize, usize> {
+        self.candidates.binary_search_by_key(&node, |c| c.node)
     }
 
     /// Records (or refreshes) a candidate observed at `now`.
@@ -70,25 +77,31 @@ impl CandidateSet {
         uptime_secs: u32,
         load: u16,
     ) {
-        self.candidates
-            .entry(node)
-            .and_modify(|c| {
+        match self.slot(node) {
+            Ok(i) => {
+                let c = &mut self.candidates[i];
                 c.rtt = rtt.or(c.rtt);
                 c.uptime_secs = uptime_secs;
                 c.load = load;
-            })
-            .or_insert(ParentCandidate {
-                node,
-                first_heard: now,
-                rtt,
-                uptime_secs,
-                load,
-            });
+            }
+            Err(i) => self.candidates.insert(
+                i,
+                ParentCandidate {
+                    node,
+                    first_heard: now,
+                    rtt,
+                    uptime_secs,
+                    load,
+                },
+            ),
+        }
     }
 
     /// Removes a candidate (e.g. because the neighbor failed).
     pub fn remove(&mut self, node: NodeId) {
-        self.candidates.remove(&node);
+        if let Ok(i) = self.slot(node) {
+            self.candidates.remove(i);
+        }
     }
 
     /// Forgets every candidate (hard repair).
@@ -98,7 +111,7 @@ impl CandidateSet {
 
     /// The candidate entry for `node`, if present.
     pub fn get(&self, node: NodeId) -> Option<&ParentCandidate> {
-        self.candidates.get(&node)
+        self.slot(node).ok().map(|i| &self.candidates[i])
     }
 
     /// Number of known candidates.
@@ -111,9 +124,14 @@ impl CandidateSet {
         self.candidates.is_empty()
     }
 
-    /// All candidates, in unspecified order.
+    /// All candidates, in ascending identifier order.
     pub fn iter(&self) -> impl Iterator<Item = &ParentCandidate> {
-        self.candidates.values()
+        self.candidates.iter()
+    }
+
+    /// Heap bytes the set occupies at its allocated capacity.
+    pub fn approx_heap_bytes(&self) -> usize {
+        self.candidates.capacity() * std::mem::size_of::<ParentCandidate>()
     }
 
     /// Ranks `eligible` candidates according to `strategy` and returns up to
@@ -125,10 +143,8 @@ impl CandidateSet {
         eligible: &[NodeId],
         count: usize,
     ) -> Vec<NodeId> {
-        let mut pool: Vec<&ParentCandidate> = eligible
-            .iter()
-            .filter_map(|n| self.candidates.get(n))
-            .collect();
+        let mut pool: Vec<&ParentCandidate> =
+            eligible.iter().filter_map(|&n| self.get(n)).collect();
         match strategy {
             ParentStrategy::FirstComeFirstPicked => {
                 pool.sort_by_key(|c| (c.first_heard, c.node));
@@ -160,6 +176,73 @@ impl CandidateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The hash-map bookkeeping this module replaced, kept as the
+    /// differential oracle for `observe` / `remove`.
+    #[derive(Default)]
+    struct MapCandidatesModel {
+        candidates: HashMap<NodeId, ParentCandidate>,
+    }
+
+    impl MapCandidatesModel {
+        fn observe(
+            &mut self,
+            node: NodeId,
+            now: SimTime,
+            rtt: Option<SimDuration>,
+            uptime_secs: u32,
+            load: u16,
+        ) {
+            self.candidates
+                .entry(node)
+                .and_modify(|c| {
+                    c.rtt = rtt.or(c.rtt);
+                    c.uptime_secs = uptime_secs;
+                    c.load = load;
+                })
+                .or_insert(ParentCandidate {
+                    node,
+                    first_heard: now,
+                    rtt,
+                    uptime_secs,
+                    load,
+                });
+        }
+    }
+
+    proptest! {
+        /// The vector-backed set holds exactly the entries the hash map
+        /// held after any observe/remove sequence, so `select` — a pure
+        /// function of those entries — ranks identically.
+        #[test]
+        fn vector_set_matches_the_hash_map(
+            ops in proptest::collection::vec(
+                (0u8..5, 0u32..9, (0u64..50, 0u32..4), 0u16..3),
+                1..80,
+            ),
+        ) {
+            let mut new = CandidateSet::new();
+            let mut old = MapCandidatesModel::default();
+            for (step, (op, node, (rtt_ms, uptime), load)) in ops.into_iter().enumerate() {
+                let node = NodeId(node);
+                if op == 0 {
+                    new.remove(node);
+                    old.candidates.remove(&node);
+                } else {
+                    let now = SimTime::from_millis(step as u64 / 3);
+                    let rtt = (rtt_ms % 3 != 0).then(|| SimDuration::from_millis(rtt_ms));
+                    new.observe(node, now, rtt, uptime, load);
+                    old.observe(node, now, rtt, uptime, load);
+                }
+                prop_assert_eq!(new.len(), old.candidates.len());
+                for probe in (0..9).map(NodeId) {
+                    prop_assert_eq!(new.get(probe), old.candidates.get(&probe));
+                }
+            }
+        }
+    }
 
     fn set() -> CandidateSet {
         let mut s = CandidateSet::new();

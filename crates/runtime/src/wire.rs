@@ -34,6 +34,7 @@ use brisa::{BrisaMsg, CycleGuard, DataMsg, StackMsg};
 use brisa_membership::{CyclonMsg, Descriptor, HpvMsg};
 use brisa_simnet::NodeId;
 use std::fmt;
+use std::sync::Arc;
 
 /// Version byte carried by every frame.
 pub const WIRE_VERSION: u8 = 1;
@@ -399,9 +400,22 @@ fn write_guard(w: &mut Writer<'_>, guard: &CycleGuard) {
     }
 }
 
+/// Decodes a hop list straight into the shared slice a
+/// [`CycleGuard::Path`] holds. The hops are taken as one block — which
+/// bounds the count by the bytes actually present — so the collect is a
+/// single exact-size allocation.
+fn read_path(r: &mut Reader<'_>) -> Result<Arc<[NodeId]>, WireError> {
+    let count = r.u16()? as usize;
+    let hops = r.take(count * NodeId::WIRE_SIZE)?;
+    Ok(hops
+        .chunks_exact(NodeId::WIRE_SIZE)
+        .map(|h| NodeId(u32::from_le_bytes([h[0], h[1], h[2], h[3]])))
+        .collect())
+}
+
 fn read_guard(r: &mut Reader<'_>) -> Result<CycleGuard, WireError> {
     match r.u8()? {
-        guard_kind::PATH => Ok(CycleGuard::Path(read_nodes(r)?)),
+        guard_kind::PATH => Ok(CycleGuard::Path(read_path(r)?)),
         guard_kind::DEPTH => Ok(CycleGuard::Depth(r.u32()?)),
         _ => Err(WireError::Corrupt("unknown cycle-guard kind")),
     }
@@ -639,7 +653,7 @@ mod tests {
             StackMsg::Brisa(BrisaMsg::data(DataMsg {
                 seq: 42,
                 payload_bytes: 1024,
-                guard: CycleGuard::Path(vec![NodeId(0), NodeId(5)]),
+                guard: CycleGuard::Path(vec![NodeId(0), NodeId(5)].into()),
                 sender_uptime_secs: 17,
                 sender_load: 3,
             })),
@@ -671,7 +685,7 @@ mod tests {
         v.push(StackMsg::Brisa(BrisaMsg::data(DataMsg {
             seq: 1,
             payload_bytes: 3,
-            guard: CycleGuard::Path(vec![]),
+            guard: CycleGuard::Path(Arc::from([])),
             sender_uptime_secs: 1,
             sender_load: 1,
         })));

@@ -80,7 +80,7 @@ impl DisseminationProtocol for BrisaNode {
             first_delivery: stats.delivery.iter_times().collect(),
             parents: core.parents(),
             depth: core.depth(),
-            degree: core.children().len(),
+            degree: core.links().degree(),
             construction_time: stats.construction_time(),
             repairs: RepairTelemetry {
                 soft_repairs: stats.soft_repairs,

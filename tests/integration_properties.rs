@@ -162,7 +162,7 @@ proptest! {
         let mut dag = CycleState::dag();
         for h in &hops {
             let path: Vec<NodeId> = (100..=100 + *h % 5).map(NodeId).collect();
-            tree.position_after(me, &CycleGuard::Path(path));
+            tree.position_after(me, &CycleGuard::Path(path.into()));
             dag.position_after(me, &CycleGuard::Depth(*h));
         }
         match tree.outgoing_guard(me) {

@@ -139,9 +139,12 @@ fn mass_crash_survivors_recover() {
 
 /// The memory-footprint regression bound: in scale mode a node costs a
 /// bounded number of accounted bytes, independent of how many messages the
-/// stream carried. The pin includes ~40 % headroom over the measured value;
-/// a regression that reintroduces per-message per-node state (delivery
-/// maps, per-second bandwidth buckets) blows through it immediately.
+/// stream carried. A regression that reintroduces per-message per-node
+/// state (delivery maps, per-second bandwidth buckets) blows through the
+/// pin immediately. The accounted figure counts every allocation a node
+/// owns at its capacity (delivery bitmap, retransmission record ring, link
+/// table, candidate vector, own path, reused action vector, HyParView
+/// views): 5.1–6.2 kB across these scenarios.
 #[test]
 fn scale_mode_bytes_per_node_stays_bounded() {
     let sc = BrisaScenario {
@@ -152,7 +155,7 @@ fn scale_mode_bytes_per_node_stays_bounded() {
     let s = r.streaming.as_ref().unwrap();
     let per_node = s.footprint.bytes_per_node();
     assert!(
-        per_node < 6000.0,
+        per_node < 7000.0,
         "scale-mode footprint regressed: {per_node:.0} bytes/node \
          (total {} over {} nodes)",
         s.footprint.total_bytes(),
@@ -167,7 +170,7 @@ fn scale_mode_bytes_per_node_stays_bounded() {
         let r = run(&sc, SchedulerKind::TimingWheel);
         let s = r.streaming.as_ref().unwrap_or_else(|| panic!("{label}"));
         assert!(
-            s.footprint.bytes_per_node() < 6000.0,
+            s.footprint.bytes_per_node() < 7000.0,
             "{label}: {:.0} bytes/node",
             s.footprint.bytes_per_node()
         );
