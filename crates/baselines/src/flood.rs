@@ -11,8 +11,9 @@
 //! standalone baseline (the `flood` series of Figure 9).
 
 use crate::common::DeliveryStats;
-use brisa_membership::{HpvMsg, HpvOut, HyParView, HyParViewConfig};
-use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag, WireSize};
+use brisa_membership::{HpvMsg, HpvSink, HyParView, HyParViewConfig};
+use brisa_simnet::{Command, Context, NodeId, Protocol, SimDuration, TimerTag, WireSize};
+use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -85,20 +86,50 @@ impl FloodNode {
         }
     }
 
-    fn apply_hpv(&mut self, ctx: &mut Context<'_, FloodMsg>, outs: Vec<HpvOut>) {
-        for out in outs {
-            match out {
-                HpvOut::Send { to, msg } => ctx.send(to, FloodMsg::Hpv(msg)),
-                HpvOut::OpenConnection(p) => ctx.open_connection(p),
-                HpvOut::CloseConnection(p) => ctx.close_connection(p),
-                HpvOut::NeighborUp(p) => {
-                    self.neighbors.insert(p);
-                }
-                HpvOut::NeighborDown(p) => {
-                    self.neighbors.remove(&p);
-                }
-            }
-        }
+    /// Runs one membership-layer call with its effects wired into the
+    /// simulator context and the neighbor set.
+    fn with_hpv(
+        &mut self,
+        ctx: &mut Context<'_, FloodMsg>,
+        call: impl FnOnce(&mut HyParView, &mut SmallRng, &mut FloodSink<'_>),
+    ) {
+        let (rng, commands) = ctx.rng_and_commands();
+        let mut sink = FloodSink {
+            commands,
+            neighbors: &mut self.neighbors,
+        };
+        call(&mut self.hpv, rng, &mut sink);
+    }
+}
+
+/// HyParView's effects as the flooding stack executes them.
+struct FloodSink<'a> {
+    commands: &'a mut Vec<Command<FloodMsg>>,
+    neighbors: &'a mut BTreeSet<NodeId>,
+}
+
+impl HpvSink for FloodSink<'_> {
+    fn send(&mut self, to: NodeId, msg: HpvMsg) {
+        self.commands.push(Command::Send {
+            to,
+            msg: FloodMsg::Hpv(msg),
+        });
+    }
+
+    fn open_connection(&mut self, peer: NodeId) {
+        self.commands.push(Command::OpenConnection { peer });
+    }
+
+    fn close_connection(&mut self, peer: NodeId) {
+        self.commands.push(Command::CloseConnection { peer });
+    }
+
+    fn neighbor_up(&mut self, peer: NodeId) {
+        self.neighbors.insert(peer);
+    }
+
+    fn neighbor_down(&mut self, peer: NodeId) {
+        self.neighbors.remove(&peer);
     }
 }
 
@@ -107,8 +138,8 @@ impl Protocol for FloodNode {
 
     fn on_start(&mut self, ctx: &mut Context<'_, FloodMsg>) {
         if let Some(contact) = self.contact {
-            let outs = self.hpv.join(ctx.now(), contact);
-            self.apply_hpv(ctx, outs);
+            let now = ctx.now();
+            self.with_hpv(ctx, |hpv, _, sink| hpv.join(now, contact, sink));
         }
         let shuffle = self.hpv.config().shuffle_period;
         let keepalive = self.hpv.config().keepalive_period;
@@ -122,8 +153,7 @@ impl Protocol for FloodNode {
         match msg {
             FloodMsg::Hpv(m) => {
                 let now = ctx.now();
-                let outs = self.hpv.handle(now, from, m, ctx.rng());
-                self.apply_hpv(ctx, outs);
+                self.with_hpv(ctx, |hpv, rng, sink| hpv.handle(now, from, m, rng, sink));
             }
             FloodMsg::Data { seq, payload_bytes } => {
                 if self.stats.record(seq, ctx.now()) {
@@ -140,14 +170,13 @@ impl Protocol for FloodNode {
     fn on_timer(&mut self, ctx: &mut Context<'_, FloodMsg>, tag: TimerTag) {
         match tag.kind {
             TIMER_SHUFFLE => {
-                let outs = self.hpv.shuffle_tick(ctx.rng());
-                self.apply_hpv(ctx, outs);
+                self.with_hpv(ctx, |hpv, rng, sink| hpv.shuffle_tick(rng, sink));
                 let p = self.hpv.config().shuffle_period;
                 ctx.set_timer(p, TimerTag::of_kind(TIMER_SHUFFLE));
             }
             TIMER_KEEPALIVE => {
-                let outs = self.hpv.keepalive_tick(ctx.now());
-                self.apply_hpv(ctx, outs);
+                let now = ctx.now();
+                self.with_hpv(ctx, |hpv, _, sink| hpv.keepalive_tick(now, sink));
                 let p = self.hpv.config().keepalive_period;
                 ctx.set_timer(p, TimerTag::of_kind(TIMER_KEEPALIVE));
             }
@@ -157,8 +186,7 @@ impl Protocol for FloodNode {
 
     fn on_link_down(&mut self, ctx: &mut Context<'_, FloodMsg>, peer: NodeId) {
         let now = ctx.now();
-        let outs = self.hpv.link_down(now, peer, ctx.rng());
-        self.apply_hpv(ctx, outs);
+        self.with_hpv(ctx, |hpv, rng, sink| hpv.link_down(now, peer, rng, sink));
     }
 }
 

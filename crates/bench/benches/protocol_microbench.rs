@@ -1,11 +1,15 @@
 //! Criterion micro-benchmarks of the hot protocol paths: HyParView message
-//! handling and the BRISA data-path decision (duplicate detection + parent
-//! selection + relay fan-out), at structure-formation time and in the
-//! steady state of an emerged tree.
+//! handling (shuffle, keep-alive round trip, keep-alive tick), the
+//! simulator's FIFO link-clock stamp, and the BRISA data-path decision
+//! (duplicate detection + parent selection + relay fan-out), at
+//! structure-formation time and in the steady state of an emerged tree.
 
 use brisa::{BrisaConfig, BrisaCore, BrisaMsg, CycleGuard, DataMsg, DeliveryTracking, NoTelemetry};
-use brisa_membership::{HpvMsg, HyParView, HyParViewConfig};
-use brisa_simnet::{NodeId, SimTime};
+use brisa_membership::{HpvMsg, HpvOut, HyParView, HyParViewConfig};
+use brisa_simnet::latency::FixedLatency;
+use brisa_simnet::{
+    Context, Network, NetworkConfig, NodeId, Protocol, SimDuration, SimTime, TimerTag,
+};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -18,30 +22,161 @@ fn bench_hyparview_shuffle(c: &mut Criterion) {
         let mut out = Vec::new();
         for i in 1..=8u32 {
             // Populate the views through the public message interface.
-            out.extend(node.handle(
+            node.handle(
                 SimTime::ZERO,
                 NodeId(i),
                 HpvMsg::Neighbor {
                     high_priority: true,
                 },
                 &mut rng,
-            ));
+                &mut out,
+            );
         }
         for i in 100..160u32 {
-            let _ = node.handle(
+            node.handle(
                 SimTime::ZERO,
                 NodeId(1),
                 HpvMsg::ShuffleReply {
                     nodes: vec![NodeId(i)],
                 },
                 &mut rng,
+                &mut out,
             );
         }
         b.iter(|| {
-            let outs = node.shuffle_tick(&mut rng);
-            std::hint::black_box(outs)
+            out.clear();
+            node.shuffle_tick(&mut rng, &mut out);
+            std::hint::black_box(&out);
         });
     });
+}
+
+/// Keep-alive rounds per timed sample.
+const KEEPALIVE_ROUNDS: u64 = 1_000;
+
+/// The overlay's background hum: node 0 probes its four neighbors, each
+/// acknowledges, node 0 records the round-trip times — one tick, four
+/// `KeepAlive`s and four `KeepAliveAck`s per round, which is most of what a
+/// `sim-scale` run executes. The tick-only case never sees an
+/// acknowledgement, so every tick also sweeps a full table of stale probes.
+fn bench_hyparview_keepalive(c: &mut Criterion) {
+    let cfg = HyParViewConfig::with_active_size(4);
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mut out: Vec<HpvOut> = Vec::with_capacity(16);
+    let connected = |rng: &mut SmallRng, out: &mut Vec<HpvOut>| {
+        let mut hub = HyParView::new(NodeId(0), cfg.clone());
+        let mut spokes = Vec::new();
+        let neighbor = HpvMsg::Neighbor {
+            high_priority: true,
+        };
+        for i in 1..=4u32 {
+            hub.handle(SimTime::ZERO, NodeId(i), neighbor.clone(), rng, out);
+            let mut spoke = HyParView::new(NodeId(i), cfg.clone());
+            spoke.handle(SimTime::ZERO, NodeId(0), neighbor.clone(), rng, out);
+            spokes.push(spoke);
+        }
+        out.clear();
+        (hub, spokes)
+    };
+    let period = cfg.keepalive_period;
+
+    let (mut hub, mut spokes) = connected(&mut rng, &mut out);
+    let mut now = SimTime::ZERO;
+    let mut probes: Vec<HpvOut> = Vec::with_capacity(8);
+    c.bench_function(
+        &format!("hyparview_keepalive_roundtrip_x{KEEPALIVE_ROUNDS}"),
+        |b| {
+            b.iter(|| {
+                for _ in 0..KEEPALIVE_ROUNDS {
+                    now += period;
+                    probes.clear();
+                    hub.keepalive_tick(now, &mut probes);
+                    for probe in probes.drain(..) {
+                        let HpvOut::Send { to, msg } = probe else {
+                            unreachable!("a tick only sends");
+                        };
+                        out.clear();
+                        spokes[to.index() - 1].handle(now, NodeId(0), msg, &mut rng, &mut out);
+                        let Some(HpvOut::Send { msg: ack, .. }) = out.pop() else {
+                            unreachable!("a neighbor acknowledges");
+                        };
+                        let arrival = now + SimDuration::from_millis(2);
+                        hub.handle(arrival, to, ack, &mut rng, &mut out);
+                    }
+                }
+                std::hint::black_box(hub.rtt_to(NodeId(1)));
+            });
+        },
+    );
+
+    let (mut hub, _) = connected(&mut rng, &mut out);
+    let mut now = SimTime::ZERO;
+    c.bench_function(
+        &format!("hyparview_keepalive_tick_x{KEEPALIVE_ROUNDS}"),
+        |b| {
+            b.iter(|| {
+                for _ in 0..KEEPALIVE_ROUNDS {
+                    now += period;
+                    out.clear();
+                    hub.keepalive_tick(now, &mut out);
+                    std::hint::black_box(&out);
+                }
+            });
+        },
+    );
+}
+
+/// A node that does nothing: the simulator's own send path is the subject.
+struct Quiet;
+
+impl Protocol for Quiet {
+    type Message = ();
+    fn on_start(&mut self, _ctx: &mut Context<'_, ()>) {}
+    fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
+    fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _tag: TimerTag) {}
+}
+
+/// Sends per timed sample of the FIFO-stamp case.
+const STAMP_SENDS: u32 = 10_000;
+
+/// One send through `Network` — meter, latency draw, FIFO stamp, queue push,
+/// pop, delivery to a no-op node — from a sender that has, over its life,
+/// messaged 4, 64 or 4 096 distinct destinations and now talks to four of
+/// them. The history is the variable: a clock table that remembers every
+/// destination makes each stamp a search through all of it (the contact
+/// node of a 5 000-node overlay is the 4 096 case); clocks that expire with
+/// their messages make the three cases cost the same.
+fn bench_simnet_fifo_stamp(c: &mut Criterion) {
+    for history in [4u32, 64, 4096] {
+        let mut net: Network<Quiet> = Network::new(
+            NetworkConfig::default(),
+            Box::new(FixedLatency::new(SimDuration::from_millis(1))),
+        );
+        let sender = net.add_node(|_| Quiet);
+        let dests: Vec<NodeId> = (0..history).map(|_| net.add_node(|_| Quiet)).collect();
+        net.run_for(SimDuration::from_millis(1));
+        net.invoke(sender, |_, ctx| {
+            for &d in &dests {
+                ctx.send(d, ());
+            }
+        });
+        net.run_for(SimDuration::from_millis(10));
+        // Recent peers spread across the id range, as a view's members are.
+        let recent: Vec<NodeId> = (0..4).map(|k| dests[(k * history / 4) as usize]).collect();
+        let id = format!("simnet_fifo_stamp_history{history}_x{STAMP_SENDS}");
+        c.bench_function(&id, |b| {
+            b.iter(|| {
+                for i in 0..STAMP_SENDS {
+                    let to = recent[(i % 4) as usize];
+                    net.invoke(sender, |_, ctx| ctx.send(to, ()));
+                    if i % 4 == 3 {
+                        net.run_for(SimDuration::from_millis(2));
+                    }
+                }
+                std::hint::black_box(net.stats().messages_delivered);
+            });
+        });
+    }
 }
 
 fn bench_brisa_data_path(c: &mut Criterion) {
@@ -191,6 +326,7 @@ fn bench_brisa_steady_state(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_hyparview_shuffle, bench_brisa_data_path, bench_brisa_steady_state
+    targets = bench_hyparview_shuffle, bench_hyparview_keepalive, bench_simnet_fifo_stamp,
+        bench_brisa_data_path, bench_brisa_steady_state
 }
 criterion_main!(benches);

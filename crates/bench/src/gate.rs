@@ -687,6 +687,25 @@ mod tests {
     }
 
     #[test]
+    fn footprint_columns_are_recorded_not_gated() {
+        // `bytes_per_node` moves whenever the accounting or a layout does
+        // (down, when the FIFO link clocks stopped outliving their
+        // messages); the trajectory records it, the gate must not trip on
+        // it in either direction.
+        let row = |bytes: u32| {
+            format!(
+                r#"{{"rows": [{{"scenario": "a", "nodes": 100, "wall_secs": 2.0,
+                    "delivery_rate": 1.0, "bytes_per_node": {bytes}}}]}}"#
+            )
+        };
+        for fresh in [4447, 6200] {
+            let r = gate(&row(5127), &row(fresh));
+            assert!(r.passed(), "{}", r.render());
+            assert_eq!(r.checks, 2, "wall + delivery only");
+        }
+    }
+
+    #[test]
     fn rows_match_by_identity_not_index() {
         // Fresh artifact has the rows reversed plus an extra row; the "a"
         // row regressed its wall-clock.

@@ -9,8 +9,9 @@
 use crate::config::BrisaConfig;
 use crate::core::BrisaCore;
 use crate::message::{BrisaAction, BrisaMsg};
-use brisa_membership::{HpvMsg, HpvOut, HyParView, HyParViewConfig};
-use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag, WireSize};
+use brisa_membership::{HpvMsg, HpvSink, HyParView, HyParViewConfig};
+use brisa_simnet::{Command, Context, NodeId, Protocol, SimDuration, SimTime, TimerTag, WireSize};
+use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// Timer family used for the periodic HyParView passive-view shuffle.
@@ -92,32 +93,82 @@ impl BrisaNode {
         self.apply_brisa_actions(ctx);
     }
 
-    fn apply_hpv_outs(&mut self, ctx: &mut Context<'_, StackMsg>, outs: Vec<HpvOut>) {
+    /// Runs one membership-layer call with its effects wired straight into
+    /// the simulator context and the dissemination core, in the order the
+    /// membership layer produces them.
+    fn with_hpv(
+        &mut self,
+        ctx: &mut Context<'_, StackMsg>,
+        call: impl FnOnce(&mut HyParView, &mut SmallRng, &mut StackSink<'_>),
+    ) {
         let now = ctx.now();
-        for out in outs {
-            match out {
-                HpvOut::Send { to, msg } => ctx.send(to, StackMsg::Hpv(msg)),
-                HpvOut::OpenConnection(peer) => ctx.open_connection(peer),
-                HpvOut::CloseConnection(peer) => ctx.close_connection(peer),
-                HpvOut::NeighborUp(peer) => self.core.on_neighbor_up(peer),
-                HpvOut::NeighborDown(peer) => {
-                    self.core.on_neighbor_down(now, peer, &mut self.actions);
-                    self.apply_brisa_actions(ctx);
-                }
-            }
-        }
+        let (rng, commands) = ctx.rng_and_commands();
+        let mut sink = StackSink {
+            now,
+            commands,
+            core: &mut self.core,
+            actions: &mut self.actions,
+        };
+        call(&mut self.hpv, rng, &mut sink);
     }
 
     fn apply_brisa_actions(&mut self, ctx: &mut Context<'_, StackMsg>) {
-        for action in self.actions.drain(..) {
-            match action {
-                BrisaAction::Send { to, msg } => ctx.send(to, StackMsg::Brisa(msg)),
-                BrisaAction::Deliver { .. } => {
-                    // Delivery bookkeeping lives in the core's statistics;
-                    // nothing to do at the stack level.
-                }
+        drain_actions(&mut self.actions, ctx.rng_and_commands().1);
+    }
+}
+
+/// Turns what the core asked for into simulator commands.
+fn drain_actions(actions: &mut Vec<BrisaAction>, commands: &mut Vec<Command<StackMsg>>) {
+    for action in actions.drain(..) {
+        match action {
+            BrisaAction::Send { to, msg } => commands.push(Command::Send {
+                to,
+                msg: StackMsg::Brisa(msg),
+            }),
+            BrisaAction::Deliver { .. } => {
+                // Delivery bookkeeping lives in the core's statistics;
+                // nothing to do at the stack level.
             }
         }
+    }
+}
+
+/// The stack's side of HyParView's effect seam: membership traffic and
+/// connection management become simulator commands, view changes feed the
+/// BRISA link table — each at the moment HyParView emits it, so a
+/// `NeighborDown`'s repair traffic goes out between the membership messages
+/// around it exactly as it always has. Sound because the core's neighbor
+/// callbacks never read the membership layer.
+struct StackSink<'a> {
+    now: SimTime,
+    commands: &'a mut Vec<Command<StackMsg>>,
+    core: &'a mut BrisaCore,
+    actions: &'a mut Vec<BrisaAction>,
+}
+
+impl HpvSink for StackSink<'_> {
+    fn send(&mut self, to: NodeId, msg: HpvMsg) {
+        self.commands.push(Command::Send {
+            to,
+            msg: StackMsg::Hpv(msg),
+        });
+    }
+
+    fn open_connection(&mut self, peer: NodeId) {
+        self.commands.push(Command::OpenConnection { peer });
+    }
+
+    fn close_connection(&mut self, peer: NodeId) {
+        self.commands.push(Command::CloseConnection { peer });
+    }
+
+    fn neighbor_up(&mut self, peer: NodeId) {
+        self.core.on_neighbor_up(peer);
+    }
+
+    fn neighbor_down(&mut self, peer: NodeId) {
+        self.core.on_neighbor_down(self.now, peer, self.actions);
+        drain_actions(self.actions, self.commands);
     }
 }
 
@@ -131,8 +182,7 @@ impl Protocol for BrisaNode {
         self.hpv.set_telemetry(ctx.telemetry());
         self.core.note_started(ctx.now());
         if let Some(contact) = self.contact {
-            let outs = self.hpv.join(ctx.now(), contact);
-            self.apply_hpv_outs(ctx, outs);
+            self.with_hpv(ctx, |hpv, _, sink| hpv.join(sink.now, contact, sink));
         }
         // Periodic maintenance timers, de-synchronised across nodes.
         let shuffle_period = self.hpv.config().shuffle_period;
@@ -152,9 +202,9 @@ impl Protocol for BrisaNode {
     fn on_message(&mut self, ctx: &mut Context<'_, StackMsg>, from: NodeId, msg: StackMsg) {
         match msg {
             StackMsg::Hpv(m) => {
-                let now = ctx.now();
-                let outs = self.hpv.handle(now, from, m, ctx.rng());
-                self.apply_hpv_outs(ctx, outs);
+                self.with_hpv(ctx, |hpv, rng, sink| {
+                    hpv.handle(sink.now, from, m, rng, sink)
+                });
             }
             StackMsg::Brisa(m) => {
                 self.core
@@ -168,8 +218,7 @@ impl Protocol for BrisaNode {
         match tag.kind {
             TIMER_SHUFFLE => {
                 self.hpv.note_shuffle(ctx.now());
-                let outs = self.hpv.shuffle_tick(ctx.rng());
-                self.apply_hpv_outs(ctx, outs);
+                self.with_hpv(ctx, |hpv, rng, sink| hpv.shuffle_tick(rng, sink));
                 let period = self.hpv.config().shuffle_period;
                 ctx.set_timer(period, TimerTag::of_kind(TIMER_SHUFFLE));
             }
@@ -184,12 +233,10 @@ impl Protocol for BrisaNode {
                 // ever connected retains passive entries to recover with.
                 if self.hpv.active_view().is_empty() && self.hpv.passive_view().is_empty() {
                     if let Some(contact) = self.contact {
-                        let outs = self.hpv.join(ctx.now(), contact);
-                        self.apply_hpv_outs(ctx, outs);
+                        self.with_hpv(ctx, |hpv, _, sink| hpv.join(sink.now, contact, sink));
                     }
                 }
-                let outs = self.hpv.keepalive_tick(ctx.now());
-                self.apply_hpv_outs(ctx, outs);
+                self.with_hpv(ctx, |hpv, _, sink| hpv.keepalive_tick(sink.now, sink));
                 let period = self.hpv.config().keepalive_period;
                 ctx.set_timer(period, TimerTag::of_kind(TIMER_KEEPALIVE));
             }
@@ -206,9 +253,9 @@ impl Protocol for BrisaNode {
     }
 
     fn on_link_down(&mut self, ctx: &mut Context<'_, StackMsg>, peer: NodeId) {
-        let now = ctx.now();
-        let outs = self.hpv.link_down(now, peer, ctx.rng());
-        self.apply_hpv_outs(ctx, outs);
+        self.with_hpv(ctx, |hpv, rng, sink| {
+            hpv.link_down(sink.now, peer, rng, sink)
+        });
     }
 
     fn approx_state_bytes(&self) -> usize {
@@ -362,6 +409,33 @@ mod tests {
             repairs >= 1,
             "at least one orphan repaired its connectivity"
         );
+    }
+
+    #[test]
+    fn fifo_link_clocks_stay_bounded_by_what_is_in_flight() {
+        // Everyone joins through node 0, which therefore messages all 499
+        // others at least once; a clock per destination ever messaged would
+        // leave it a 499-entry table (and the network tens of thousands).
+        let (mut net, ids) = build(
+            500,
+            HyParViewConfig::with_active_size(4),
+            BrisaConfig::default(),
+        );
+        net.run_until(SimTime::from_secs(60));
+        let clocks = net.link_clock_entries();
+        assert!(
+            clocks.len() <= ids.len() * 16,
+            "{} link clocks tracked for {} nodes",
+            clocks.len(),
+            ids.len()
+        );
+        let mut per_sender = vec![0usize; ids.len()];
+        for (sender, _, _) in clocks {
+            per_sender[sender.index()] += 1;
+        }
+        let (contact, widest) = (per_sender[0], per_sender.iter().max().unwrap());
+        assert!(contact <= 64, "the contact node tracks {contact} clocks");
+        assert!(*widest <= 64, "some sender tracks {widest} clocks");
     }
 
     #[test]

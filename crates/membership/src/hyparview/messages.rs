@@ -82,11 +82,30 @@ impl WireSize for HpvMsg {
     }
 }
 
-/// Effects produced by the HyParView state machine.
+/// Where the HyParView state machine puts its effects.
 ///
-/// The state machine is sans-IO: handling an input returns a list of these
-/// effects, which the embedding protocol stack translates into simulator
-/// commands (or, in a real deployment, into socket operations).
+/// The state machine is sans-IO: handling an input calls these methods, in
+/// the order the effects must take place, and the embedding protocol stack
+/// translates each into a simulator command (or, in a real deployment, a
+/// socket operation) or a notification to the layer above. Handing effects
+/// over one by one, instead of returning a list, is what keeps a keep-alive
+/// free of heap allocations.
+pub trait HpvSink {
+    /// Send `msg` to `to`.
+    fn send(&mut self, to: NodeId, msg: HpvMsg);
+    /// Open a monitored connection to `peer` (failure detection).
+    fn open_connection(&mut self, peer: NodeId);
+    /// Close the monitored connection to `peer`.
+    fn close_connection(&mut self, peer: NodeId);
+    /// `peer` entered the active view.
+    fn neighbor_up(&mut self, peer: NodeId);
+    /// `peer` left the active view.
+    fn neighbor_down(&mut self, peer: NodeId);
+}
+
+/// One recorded effect of the HyParView state machine: what a
+/// `Vec<HpvOut>` used as an [`HpvSink`] collects, for tests and tools that
+/// want to look at the effects instead of executing them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HpvOut {
     /// Send `msg` to `to`.
@@ -104,6 +123,24 @@ pub enum HpvOut {
     NeighborUp(NodeId),
     /// `peer` left the active view.
     NeighborDown(NodeId),
+}
+
+impl HpvSink for Vec<HpvOut> {
+    fn send(&mut self, to: NodeId, msg: HpvMsg) {
+        self.push(HpvOut::Send { to, msg });
+    }
+    fn open_connection(&mut self, peer: NodeId) {
+        self.push(HpvOut::OpenConnection(peer));
+    }
+    fn close_connection(&mut self, peer: NodeId) {
+        self.push(HpvOut::CloseConnection(peer));
+    }
+    fn neighbor_up(&mut self, peer: NodeId) {
+        self.push(HpvOut::NeighborUp(peer));
+    }
+    fn neighbor_down(&mut self, peer: NodeId) {
+        self.push(HpvOut::NeighborDown(peer));
+    }
 }
 
 #[cfg(test)]

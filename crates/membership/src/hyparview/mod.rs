@@ -7,27 +7,38 @@
 //! replacement nodes. The active view only changes reactively — upon
 //! failures or joins — which is the stability property BRISA builds on.
 //!
-//! This implementation is a sans-IO state machine: every input returns a
-//! list of [`HpvOut`] effects that the embedding protocol stack executes.
+//! This implementation is a sans-IO state machine: every input hands its
+//! effects, in order, to an [`HpvSink`] the embedding protocol stack
+//! supplies — the stack's own adapter over its simulator context, or a
+//! plain `Vec<HpvOut>` in tests.
 //! It includes the *expansion factor* extension described in Section II-A of
 //! the BRISA paper: the active view may grow up to
 //! `active_size * expansion_factor` before additions force evictions, and
 //! evictions in that band do not trigger replacements, which avoids the
 //! chain reactions otherwise caused by bootstrap join storms.
+//!
+//! Keep-alives are the overlay's background hum — a handful per node per
+//! period, most of what a large simulation executes — so everything they
+//! touch is a small vector searched linearly and nothing on their path
+//! allocates or hashes: the per-peer records (`rtt`, `neighbor_since`), the
+//! outstanding probes and the pending neighbor requests are each bounded by
+//! the active view (or three periods of probes). Only a shuffle allocates,
+//! for the samples it puts on the wire.
 
 mod config;
 mod messages;
+#[cfg(test)]
+mod oracle;
 
 pub use config::HyParViewConfig;
-pub use messages::{HpvMsg, HpvOut, HPV_HEADER_BYTES};
+pub use messages::{HpvMsg, HpvOut, HpvSink, HPV_HEADER_BYTES};
 
 use crate::view::BoundedView;
 use brisa_simnet::{NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
-use std::collections::{HashMap, HashSet};
 
 /// Counters describing membership activity, used by the evaluation harness.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HpvStats {
     /// Joins this node served as contact or forwarded.
     pub joins_seen: u64,
@@ -44,6 +55,28 @@ pub struct HpvStats {
     pub half_open_rejections: u64,
 }
 
+/// What keep-alives and view changes have recorded about one peer. A record
+/// exists while either field is set: `since` follows active-view membership
+/// exactly; `rtt` is written by any acknowledged probe — including one whose
+/// peer left the view while the probe was in flight — and dropped with the
+/// record when the peer next leaves the active view.
+#[derive(Debug, Clone, Copy)]
+struct PeerRecord {
+    peer: NodeId,
+    /// When the peer entered the active view, while it is in it.
+    since: Option<SimTime>,
+    /// Last measured round-trip time.
+    rtt: Option<SimDuration>,
+}
+
+/// An outstanding keep-alive probe.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    nonce: u64,
+    peer: NodeId,
+    sent_at: SimTime,
+}
+
 /// The HyParView membership state machine for one node.
 #[derive(Debug)]
 pub struct HyParView {
@@ -51,14 +84,13 @@ pub struct HyParView {
     cfg: HyParViewConfig,
     active: BoundedView,
     passive: BoundedView,
-    /// Round-trip times measured through keep-alive probes.
-    rtt: HashMap<NodeId, SimDuration>,
-    /// When each current neighbor entered the active view.
-    neighbor_since: HashMap<NodeId, SimTime>,
-    /// Outstanding keep-alive probes: nonce -> (peer, send time).
-    pending_probes: HashMap<u64, (NodeId, SimTime)>,
+    /// Per-peer measurements, a view's worth of records.
+    peers: Vec<PeerRecord>,
+    /// Outstanding keep-alive probes: a view's worth, three periods' worth
+    /// at most when acknowledgements are being lost.
+    pending_probes: Vec<Probe>,
     /// Passive nodes we have asked to become neighbors and are waiting on.
-    pending_neighbor: HashSet<NodeId>,
+    pending_neighbor: Vec<NodeId>,
     next_nonce: u64,
     last_shuffle_sample: Vec<NodeId>,
     stats: HpvStats,
@@ -87,10 +119,9 @@ impl HyParView {
             cfg,
             active,
             passive,
-            rtt: HashMap::new(),
-            neighbor_since: HashMap::new(),
-            pending_probes: HashMap::new(),
-            pending_neighbor: HashSet::new(),
+            peers: Vec::new(),
+            pending_probes: Vec::new(),
+            pending_neighbor: Vec::new(),
             next_nonce: 0,
             last_shuffle_sample: Vec::new(),
             stats: HpvStats::default(),
@@ -153,31 +184,50 @@ impl HyParView {
         self.active.contains(peer)
     }
 
+    fn record(&self, peer: NodeId) -> Option<&PeerRecord> {
+        self.peers.iter().find(|r| r.peer == peer)
+    }
+
+    /// The record of `peer`, created empty if there is none.
+    fn record_mut(&mut self, peer: NodeId) -> &mut PeerRecord {
+        let pos = match self.peers.iter().position(|r| r.peer == peer) {
+            Some(pos) => pos,
+            None => {
+                self.peers.push(PeerRecord {
+                    peer,
+                    since: None,
+                    rtt: None,
+                });
+                self.peers.len() - 1
+            }
+        };
+        &mut self.peers[pos]
+    }
+
     /// Last measured round-trip time to `peer`, if a keep-alive probe has
     /// completed.
     pub fn rtt_to(&self, peer: NodeId) -> Option<SimDuration> {
-        self.rtt.get(&peer).copied()
+        self.record(peer).and_then(|r| r.rtt)
     }
 
     /// Time at which `peer` became a neighbor, if it currently is one.
     pub fn neighbor_since(&self, peer: NodeId) -> Option<SimTime> {
-        self.neighbor_since.get(&peer).copied()
+        self.record(peer).and_then(|r| r.since)
     }
 
-    /// Rough memory footprint of this membership state machine in bytes
-    /// (inline struct plus tracked heap), the HyParView term of the
-    /// scale-mode bytes-per-node accounting.
+    /// Memory footprint of this membership state machine in bytes: the
+    /// inline struct plus every owned vector at its capacity. The HyParView
+    /// term of the scale-mode bytes-per-node accounting.
     pub fn approx_bytes(&self) -> usize {
-        // Rounded-up hash-map entry cost including control-byte overhead.
-        const MAP_ENTRY: usize = 48;
-        std::mem::size_of::<Self>()
-            + (self.active.len() + self.passive.len() + self.last_shuffle_sample.len())
-                * std::mem::size_of::<NodeId>()
-            + (self.rtt.len()
-                + self.neighbor_since.len()
-                + self.pending_probes.len()
-                + self.pending_neighbor.len())
-                * MAP_ENTRY
+        use std::mem::size_of;
+        size_of::<Self>()
+            + (self.active.allocated()
+                + self.passive.allocated()
+                + self.last_shuffle_sample.capacity()
+                + self.pending_neighbor.capacity())
+                * size_of::<NodeId>()
+            + self.peers.capacity() * size_of::<PeerRecord>()
+            + self.pending_probes.capacity() * size_of::<Probe>()
     }
 
     /// Membership activity counters.
@@ -188,14 +238,9 @@ impl HyParView {
     /// Joins the overlay through `contact`. The contact is optimistically
     /// added to the active view; the `Join` message triggers `ForwardJoin`
     /// random walks that advertise this node across the overlay.
-    pub fn join(&mut self, now: SimTime, contact: NodeId) -> Vec<HpvOut> {
-        let mut out = Vec::new();
-        self.add_active(contact, now, &mut out);
-        out.push(HpvOut::Send {
-            to: contact,
-            msg: HpvMsg::Join,
-        });
-        out
+    pub fn join(&mut self, now: SimTime, contact: NodeId, out: &mut impl HpvSink) {
+        self.add_active(contact, now, out);
+        out.send(contact, HpvMsg::Join);
     }
 
     /// Handles a protocol message from `from`.
@@ -205,33 +250,31 @@ impl HyParView {
         from: NodeId,
         msg: HpvMsg,
         rng: &mut SmallRng,
-    ) -> Vec<HpvOut> {
-        let mut out = Vec::new();
+        out: &mut impl HpvSink,
+    ) {
         match msg {
-            HpvMsg::Join => self.on_join(now, from, &mut out),
+            HpvMsg::Join => self.on_join(now, from, out),
             HpvMsg::ForwardJoin { new_node, ttl } => {
-                self.on_forward_join(now, from, new_node, ttl, rng, &mut out)
+                self.on_forward_join(now, from, new_node, ttl, rng, out)
             }
-            HpvMsg::Neighbor { high_priority } => {
-                self.on_neighbor(now, from, high_priority, &mut out)
-            }
+            HpvMsg::Neighbor { high_priority } => self.on_neighbor(now, from, high_priority, out),
             HpvMsg::NeighborReply { accepted } => {
-                self.on_neighbor_reply(now, from, accepted, rng, &mut out)
+                self.on_neighbor_reply(now, from, accepted, rng, out)
             }
-            HpvMsg::Disconnect => self.on_disconnect(now, from, rng, &mut out),
+            HpvMsg::Disconnect => self.on_disconnect(now, from, rng, out),
             HpvMsg::Shuffle { origin, nodes, ttl } => {
-                self.on_shuffle(from, origin, nodes, ttl, rng, &mut out)
+                self.on_shuffle(from, origin, nodes, ttl, rng, out)
             }
             HpvMsg::ShuffleReply { nodes } => {
-                let sent = std::mem::take(&mut self.last_shuffle_sample);
+                let mut sent = std::mem::take(&mut self.last_shuffle_sample);
                 self.integrate_passive(&nodes, &sent, rng);
+                // Consumed, but the buffer serves the next shuffle.
+                sent.clear();
+                self.last_shuffle_sample = sent;
             }
             HpvMsg::KeepAlive { nonce } => {
                 if self.active.contains(from) {
-                    out.push(HpvOut::Send {
-                        to: from,
-                        msg: HpvMsg::KeepAliveAck { nonce },
-                    });
+                    out.send(from, HpvMsg::KeepAliveAck { nonce });
                 } else {
                     // A probe from a node that is not a neighbor reveals a
                     // half-open link: the prober holds us in its active view
@@ -245,100 +288,104 @@ impl HyParView {
                     // Reply Disconnect so the prober drops the dead edge and
                     // promotes a replacement from its passive view.
                     self.stats.half_open_rejections += 1;
-                    out.push(HpvOut::Send {
-                        to: from,
-                        msg: HpvMsg::Disconnect,
-                    });
+                    out.send(from, HpvMsg::Disconnect);
                 }
             }
             HpvMsg::KeepAliveAck { nonce } => {
-                if let Some((peer, sent_at)) = self.pending_probes.remove(&nonce) {
-                    if peer == from {
-                        self.rtt.insert(peer, now.saturating_since(sent_at));
+                if let Some(pos) = self.pending_probes.iter().position(|p| p.nonce == nonce) {
+                    let probe = self.pending_probes.swap_remove(pos);
+                    if probe.peer == from {
+                        self.record_mut(from).rtt = Some(now.saturating_since(probe.sent_at));
                     }
                 }
             }
         }
-        out
     }
 
     /// Reacts to connection-level failure detection for `peer`: the peer is
     /// dropped from both views and, if the active view fell below its target
     /// size, a passive node is promoted (reactive repair).
-    pub fn link_down(&mut self, now: SimTime, peer: NodeId, rng: &mut SmallRng) -> Vec<HpvOut> {
-        let mut out = Vec::new();
+    pub fn link_down(
+        &mut self,
+        now: SimTime,
+        peer: NodeId,
+        rng: &mut SmallRng,
+        out: &mut impl HpvSink,
+    ) {
         self.passive.remove(peer);
-        self.pending_neighbor.remove(&peer);
+        self.pending_neighbor.retain(|&p| p != peer);
         if self.active.contains(peer) {
-            self.remove_active(peer, false, &mut out);
-            self.maybe_promote(now, rng, &mut out);
+            self.remove_active(peer, false, out);
+            self.maybe_promote(now, rng, out);
         }
-        out
     }
 
     /// Periodic keep-alive tick: probes every active-view member. The
     /// resulting acknowledgements update [`HyParView::rtt_to`].
-    pub fn keepalive_tick(&mut self, now: SimTime) -> Vec<HpvOut> {
-        let mut out = Vec::new();
+    pub fn keepalive_tick(&mut self, now: SimTime, out: &mut impl HpvSink) {
         // Drop probes that never got an acknowledgement (the probe or its
         // ack was lost on the wire, or the peer is gone): without this the
         // table grows by one entry per unanswered probe for the lifetime of
         // the node. Three periods is far beyond any plausible RTT.
         let stale_after = self.cfg.keepalive_period * 3;
         self.pending_probes
-            .retain(|_, (_, sent_at)| now.saturating_since(*sent_at) < stale_after);
-        let members: Vec<NodeId> = self.active.iter().collect();
-        for peer in members {
+            .retain(|p| now.saturating_since(p.sent_at) < stale_after);
+        for &peer in self.active.as_slice() {
             let nonce = self.next_nonce;
             self.next_nonce += 1;
-            self.pending_probes.insert(nonce, (peer, now));
-            out.push(HpvOut::Send {
-                to: peer,
-                msg: HpvMsg::KeepAlive { nonce },
+            self.pending_probes.push(Probe {
+                nonce,
+                peer,
+                sent_at: now,
             });
+            out.send(peer, HpvMsg::KeepAlive { nonce });
         }
-        out
     }
 
     /// Periodic passive-view shuffle tick.
-    pub fn shuffle_tick(&mut self, rng: &mut SmallRng) -> Vec<HpvOut> {
-        let mut out = Vec::new();
+    pub fn shuffle_tick(&mut self, rng: &mut SmallRng, out: &mut impl HpvSink) {
         let Some(target) = self.active.random(rng) else {
-            return out;
+            return;
         };
-        let mut sample = vec![self.me];
-        sample.extend(self.active.sample(rng, self.cfg.shuffle_active));
-        sample.extend(self.passive.sample(rng, self.cfg.shuffle_passive));
+        // The one allocation of a shuffle: the vector that goes on the wire
+        // (both samples are shuffled in its tail).
+        let mut sample = Vec::with_capacity(1 + self.active.len() + self.passive.len());
+        sample.push(self.me);
+        self.active
+            .sample_into(rng, self.cfg.shuffle_active, &mut sample);
+        self.passive
+            .sample_into(rng, self.cfg.shuffle_passive, &mut sample);
         sample.dedup();
-        self.last_shuffle_sample = sample.clone();
+        self.last_shuffle_sample.clear();
+        self.last_shuffle_sample.extend_from_slice(&sample);
         self.stats.shuffles_started += 1;
-        out.push(HpvOut::Send {
-            to: target,
-            msg: HpvMsg::Shuffle {
+        out.send(
+            target,
+            HpvMsg::Shuffle {
                 origin: self.me,
                 nodes: sample,
                 ttl: self.cfg.shuffle_ttl,
             },
-        });
-        out
+        );
     }
 
     // ------------------------------------------------------------------
     // Message handlers
     // ------------------------------------------------------------------
 
-    fn on_join(&mut self, now: SimTime, new_node: NodeId, out: &mut Vec<HpvOut>) {
+    fn on_join(&mut self, now: SimTime, new_node: NodeId, out: &mut impl HpvSink) {
         self.stats.joins_seen += 1;
         self.add_active(new_node, now, out);
-        let others: Vec<NodeId> = self.active.iter().filter(|&n| n != new_node).collect();
-        for n in others {
-            out.push(HpvOut::Send {
-                to: n,
-                msg: HpvMsg::ForwardJoin {
-                    new_node,
-                    ttl: self.cfg.arwl,
-                },
-            });
+        for &n in self.active.as_slice() {
+            if n != new_node {
+                out.send(
+                    n,
+                    HpvMsg::ForwardJoin {
+                        new_node,
+                        ttl: self.cfg.arwl,
+                    },
+                );
+            }
         }
     }
 
@@ -349,22 +396,14 @@ impl HyParView {
         new_node: NodeId,
         ttl: u8,
         rng: &mut SmallRng,
-        out: &mut Vec<HpvOut>,
+        out: &mut impl HpvSink,
     ) {
         self.stats.joins_seen += 1;
         if new_node == self.me {
             return;
         }
         if ttl == 0 || self.active.len() <= 1 {
-            if !self.active.contains(new_node) {
-                self.add_active(new_node, now, out);
-                out.push(HpvOut::Send {
-                    to: new_node,
-                    msg: HpvMsg::Neighbor {
-                        high_priority: true,
-                    },
-                });
-            }
+            self.adopt_joiner(now, new_node, out);
             return;
         }
         if ttl == self.cfg.prwl {
@@ -372,24 +411,27 @@ impl HyParView {
         }
         let exclude = [sender, new_node, self.me];
         match self.active.random_excluding(rng, &exclude) {
-            Some(next) => out.push(HpvOut::Send {
-                to: next,
-                msg: HpvMsg::ForwardJoin {
+            Some(next) => out.send(
+                next,
+                HpvMsg::ForwardJoin {
                     new_node,
                     ttl: ttl - 1,
                 },
-            }),
-            None => {
-                if !self.active.contains(new_node) {
-                    self.add_active(new_node, now, out);
-                    out.push(HpvOut::Send {
-                        to: new_node,
-                        msg: HpvMsg::Neighbor {
-                            high_priority: true,
-                        },
-                    });
-                }
-            }
+            ),
+            None => self.adopt_joiner(now, new_node, out),
+        }
+    }
+
+    /// End of a `ForwardJoin` walk: take the joiner as a neighbor.
+    fn adopt_joiner(&mut self, now: SimTime, new_node: NodeId, out: &mut impl HpvSink) {
+        if !self.active.contains(new_node) {
+            self.add_active(new_node, now, out);
+            out.send(
+                new_node,
+                HpvMsg::Neighbor {
+                    high_priority: true,
+                },
+            );
         }
     }
 
@@ -398,21 +440,15 @@ impl HyParView {
         now: SimTime,
         from: NodeId,
         high_priority: bool,
-        out: &mut Vec<HpvOut>,
+        out: &mut impl HpvSink,
     ) {
-        if high_priority || self.active.len() < self.cfg.max_active() {
+        let accepted = high_priority || self.active.len() < self.cfg.max_active();
+        if accepted {
             self.add_active(from, now, out);
-            out.push(HpvOut::Send {
-                to: from,
-                msg: HpvMsg::NeighborReply { accepted: true },
-            });
         } else {
             self.stats.neighbor_rejections += 1;
-            out.push(HpvOut::Send {
-                to: from,
-                msg: HpvMsg::NeighborReply { accepted: false },
-            });
         }
+        out.send(from, HpvMsg::NeighborReply { accepted });
     }
 
     fn on_neighbor_reply(
@@ -421,9 +457,9 @@ impl HyParView {
         from: NodeId,
         accepted: bool,
         rng: &mut SmallRng,
-        out: &mut Vec<HpvOut>,
+        out: &mut impl HpvSink,
     ) {
-        self.pending_neighbor.remove(&from);
+        self.pending_neighbor.retain(|&p| p != from);
         if accepted {
             self.add_active(from, now, out);
         } else {
@@ -440,7 +476,7 @@ impl HyParView {
         now: SimTime,
         from: NodeId,
         rng: &mut SmallRng,
-        out: &mut Vec<HpvOut>,
+        out: &mut impl HpvSink,
     ) {
         if self.active.contains(from) {
             self.remove_active(from, true, out);
@@ -457,16 +493,13 @@ impl HyParView {
         nodes: Vec<NodeId>,
         ttl: u8,
         rng: &mut SmallRng,
-        out: &mut Vec<HpvOut>,
+        out: &mut impl HpvSink,
     ) {
         let ttl = ttl.saturating_sub(1);
         if ttl > 0 && self.active.len() > 1 {
             let exclude = [sender, origin, self.me];
             if let Some(next) = self.active.random_excluding(rng, &exclude) {
-                out.push(HpvOut::Send {
-                    to: next,
-                    msg: HpvMsg::Shuffle { origin, nodes, ttl },
-                });
+                out.send(next, HpvMsg::Shuffle { origin, nodes, ttl });
                 return;
             }
         }
@@ -474,10 +507,7 @@ impl HyParView {
         // view and integrate the received sample.
         if origin != self.me {
             let reply = self.passive.sample(rng, nodes.len().max(1));
-            out.push(HpvOut::Send {
-                to: origin,
-                msg: HpvMsg::ShuffleReply { nodes: reply },
-            });
+            out.send(origin, HpvMsg::ShuffleReply { nodes: reply });
         }
         self.integrate_passive(&nodes, &[], rng);
     }
@@ -486,7 +516,7 @@ impl HyParView {
     // View maintenance
     // ------------------------------------------------------------------
 
-    fn add_active(&mut self, peer: NodeId, now: SimTime, out: &mut Vec<HpvOut>) -> bool {
+    fn add_active(&mut self, peer: NodeId, now: SimTime, out: &mut impl HpvSink) -> bool {
         if peer == self.me || self.active.contains(peer) {
             return false;
         }
@@ -498,26 +528,22 @@ impl HyParView {
             let idx = (self.stats.evictions as usize) % self.active.len();
             let victim = self.active.as_slice()[idx];
             self.stats.evictions += 1;
-            out.push(HpvOut::Send {
-                to: victim,
-                msg: HpvMsg::Disconnect,
-            });
+            out.send(victim, HpvMsg::Disconnect);
             self.remove_active(victim, true, out);
         }
         self.passive.remove(peer);
         self.active.push_unbounded(peer);
-        self.neighbor_since.insert(peer, now);
-        out.push(HpvOut::OpenConnection(peer));
-        out.push(HpvOut::NeighborUp(peer));
+        self.record_mut(peer).since = Some(now);
+        out.open_connection(peer);
+        out.neighbor_up(peer);
         true
     }
 
-    fn remove_active(&mut self, peer: NodeId, to_passive: bool, out: &mut Vec<HpvOut>) {
+    fn remove_active(&mut self, peer: NodeId, to_passive: bool, out: &mut impl HpvSink) {
         if self.active.remove(peer) {
-            self.neighbor_since.remove(&peer);
-            self.rtt.remove(&peer);
-            out.push(HpvOut::CloseConnection(peer));
-            out.push(HpvOut::NeighborDown(peer));
+            self.peers.retain(|r| r.peer != peer);
+            out.close_connection(peer);
+            out.neighbor_down(peer);
             if to_passive {
                 self.passive.push_unique(peer);
             }
@@ -556,7 +582,7 @@ impl HyParView {
     }
 
     /// Promotes a passive node if the active view is below its target size.
-    fn maybe_promote(&mut self, now: SimTime, rng: &mut SmallRng, out: &mut Vec<HpvOut>) {
+    fn maybe_promote(&mut self, now: SimTime, rng: &mut SmallRng, out: &mut impl HpvSink) {
         self.maybe_promote_excluding(now, rng, &[], out);
     }
 
@@ -568,32 +594,32 @@ impl HyParView {
         _now: SimTime,
         rng: &mut SmallRng,
         extra: &[NodeId],
-        out: &mut Vec<HpvOut>,
+        out: &mut impl HpvSink,
     ) {
         if self.active.len() >= self.cfg.active_size {
             return;
         }
-        let mut pending: Vec<NodeId> = self.pending_neighbor.iter().copied().collect();
-        pending.extend_from_slice(extra);
-        let candidate = self.passive.random_excluding(rng, &pending);
+        let pending = &self.pending_neighbor;
+        let candidate = self
+            .passive
+            .random_where(rng, |n| !pending.contains(&n) && !extra.contains(&n));
         if let Some(candidate) = candidate {
             self.passive.remove(candidate);
-            self.pending_neighbor.insert(candidate);
+            self.pending_neighbor.push(candidate);
             self.stats.promotions += 1;
             let high_priority = self.active.is_empty();
-            out.push(HpvOut::OpenConnection(candidate));
-            out.push(HpvOut::Send {
-                to: candidate,
-                msg: HpvMsg::Neighbor { high_priority },
-            });
+            out.open_connection(candidate);
+            out.send(candidate, HpvMsg::Neighbor { high_priority });
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::HashHyParView;
     use super::*;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
     use std::collections::{HashMap, VecDeque};
 
     /// A tiny in-memory harness that runs a set of HyParView instances to
@@ -633,7 +659,11 @@ mod tests {
             // the bootstrap of the paper's experiments.
             let ids: Vec<NodeId> = (0..self.nodes.len() as u32).map(NodeId).collect();
             for &id in ids.iter().skip(1) {
-                let outs = self.nodes.get_mut(&id).unwrap().join(self.now, NodeId(0));
+                let mut outs = Vec::new();
+                self.nodes
+                    .get_mut(&id)
+                    .unwrap()
+                    .join(self.now, NodeId(0), &mut outs);
                 self.enqueue(id, outs);
                 self.drain();
             }
@@ -644,10 +674,9 @@ mod tests {
             while let Some((from, to, msg)) = self.queue.pop_front() {
                 steps += 1;
                 assert!(steps < 1_000_000, "harness did not quiesce");
-                let outs = {
-                    let node = self.nodes.get_mut(&to).unwrap();
-                    node.handle(self.now, from, msg, &mut self.rng)
-                };
+                let mut outs = Vec::new();
+                let node = self.nodes.get_mut(&to).unwrap();
+                node.handle(self.now, from, msg, &mut self.rng, &mut outs);
                 self.enqueue(to, outs);
             }
         }
@@ -719,10 +748,12 @@ mod tests {
         for _ in 0..5 {
             let ids: Vec<NodeId> = h.nodes.keys().copied().collect();
             for id in ids {
-                let outs = {
-                    let mut rng = SmallRng::seed_from_u64(id.0 as u64);
-                    h.nodes.get_mut(&id).unwrap().shuffle_tick(&mut rng)
-                };
+                let mut outs = Vec::new();
+                let mut rng = SmallRng::seed_from_u64(id.0 as u64);
+                h.nodes
+                    .get_mut(&id)
+                    .unwrap()
+                    .shuffle_tick(&mut rng, &mut outs);
                 h.enqueue(id, outs);
                 h.drain();
             }
@@ -760,11 +791,11 @@ mod tests {
         let failed = h.nodes[&id].active_view()[0];
         let before = h.nodes[&id].active_view().len();
         let mut rng = SmallRng::seed_from_u64(3);
-        let outs = h
-            .nodes
+        let mut outs = Vec::new();
+        h.nodes
             .get_mut(&id)
             .unwrap()
-            .link_down(SimTime::from_secs(1), failed, &mut rng);
+            .link_down(SimTime::from_secs(1), failed, &mut rng, &mut outs);
         assert!(!h.nodes[&id].is_neighbor(failed));
         // A Neighbor request to a passive candidate must have been issued
         // when the view dropped below target.
@@ -792,21 +823,23 @@ mod tests {
     fn keepalive_measures_rtt() {
         let mut h = Harness::new(2, HyParViewConfig::default());
         h.join_all();
-        let outs = h
-            .nodes
+        let mut outs = Vec::new();
+        h.nodes
             .get_mut(&NodeId(0))
             .unwrap()
-            .keepalive_tick(SimTime::from_secs(1));
+            .keepalive_tick(SimTime::from_secs(1), &mut outs);
         // Manually deliver with a later "now" to simulate network delay.
         let mut replies = Vec::new();
         for o in outs {
             if let HpvOut::Send { to, msg } = o {
                 let mut rng = SmallRng::seed_from_u64(1);
-                let r = h.nodes.get_mut(&to).unwrap().handle(
+                let mut r = Vec::new();
+                h.nodes.get_mut(&to).unwrap().handle(
                     SimTime::from_millis(1005),
                     NodeId(0),
                     msg,
                     &mut rng,
+                    &mut r,
                 );
                 replies.extend(r.into_iter().map(|o| (to, o)));
             }
@@ -820,6 +853,7 @@ mod tests {
                     from,
                     msg,
                     &mut rng,
+                    &mut Vec::new(),
                 );
             }
         }
@@ -837,24 +871,30 @@ mod tests {
         let a = NodeId(0);
         let b = NodeId(1);
         // A adds B unilaterally (as an optimistic join/handshake would).
-        let _ = h.nodes.get_mut(&a).unwrap().join(SimTime::ZERO, b);
+        h.nodes
+            .get_mut(&a)
+            .unwrap()
+            .join(SimTime::ZERO, b, &mut Vec::new());
         assert!(h.nodes[&a].active_view().contains(&b));
         assert!(!h.nodes[&b].active_view().contains(&a));
         // A probes; B (which never integrated A) must reject, not ack.
-        let probes = h
-            .nodes
+        let mut probes = Vec::new();
+        h.nodes
             .get_mut(&a)
             .unwrap()
-            .keepalive_tick(SimTime::from_secs(1));
+            .keepalive_tick(SimTime::from_secs(1), &mut probes);
         let mut disconnects = 0;
         for o in probes {
             if let HpvOut::Send { to, msg } = o {
                 assert_eq!(to, b);
-                let replies =
-                    h.nodes
-                        .get_mut(&b)
-                        .unwrap()
-                        .handle(SimTime::from_secs(1), a, msg, &mut rng);
+                let mut replies = Vec::new();
+                h.nodes.get_mut(&b).unwrap().handle(
+                    SimTime::from_secs(1),
+                    a,
+                    msg,
+                    &mut rng,
+                    &mut replies,
+                );
                 for r in replies {
                     if let HpvOut::Send { to, msg } = r {
                         assert_eq!(to, a);
@@ -869,6 +909,7 @@ mod tests {
                             b,
                             msg,
                             &mut rng,
+                            &mut Vec::new(),
                         );
                     }
                 }
@@ -903,11 +944,13 @@ mod tests {
             })
             .expect("promotion attempt");
         // The candidate rejects; A must try the other one.
-        let retry = a.handle(
+        let mut retry = Vec::new();
+        a.handle(
             SimTime::from_secs(1),
             first,
             HpvMsg::NeighborReply { accepted: false },
             &mut rng,
+            &mut retry,
         );
         let second = retry
             .iter()
@@ -959,7 +1002,14 @@ mod tests {
         }
         node.add_passive(NodeId(99), &mut rng);
         // Dropping from 4 (expansion band) to 3: no promotion.
-        let outs = node.handle(SimTime::ZERO, NodeId(1), HpvMsg::Disconnect, &mut rng);
+        let mut outs = Vec::new();
+        node.handle(
+            SimTime::ZERO,
+            NodeId(1),
+            HpvMsg::Disconnect,
+            &mut rng,
+            &mut outs,
+        );
         assert!(
             !outs.iter().any(|o| matches!(
                 o,
@@ -971,8 +1021,10 @@ mod tests {
             "no replacement while in the expansion band"
         );
         // Drop to 2 then to 1 (< target 2): promotion must fire.
-        let _ = node.handle(SimTime::ZERO, NodeId(2), HpvMsg::Disconnect, &mut rng);
-        let outs = node.handle(SimTime::ZERO, NodeId(3), HpvMsg::Disconnect, &mut rng);
+        outs.clear();
+        for peer in [NodeId(2), NodeId(3)] {
+            node.handle(SimTime::ZERO, peer, HpvMsg::Disconnect, &mut rng, &mut outs);
+        }
         assert!(
             outs.iter().any(|o| matches!(
                 o,
@@ -993,7 +1045,8 @@ mod tests {
         let mut out = Vec::new();
         node.add_active(NodeId(1), SimTime::ZERO, &mut out);
         node.add_active(NodeId(2), SimTime::ZERO, &mut out);
-        let outs = node.handle(
+        let mut outs = Vec::new();
+        node.handle(
             SimTime::ZERO,
             NodeId(1),
             HpvMsg::ForwardJoin {
@@ -1001,6 +1054,7 @@ mod tests {
                 ttl: 0,
             },
             &mut rng,
+            &mut outs,
         );
         assert!(node.is_neighbor(NodeId(9)));
         assert!(outs.iter().any(|o| matches!(
@@ -1023,7 +1077,8 @@ mod tests {
         node.add_active(NodeId(1), SimTime::ZERO, &mut out);
         node.add_active(NodeId(2), SimTime::ZERO, &mut out);
         node.add_active(NodeId(3), SimTime::ZERO, &mut out);
-        let outs = node.handle(
+        let mut outs = Vec::new();
+        node.handle(
             SimTime::ZERO,
             NodeId(1),
             HpvMsg::ForwardJoin {
@@ -1031,6 +1086,7 @@ mod tests {
                 ttl: 3,
             },
             &mut rng,
+            &mut outs,
         );
         assert!(
             node.passive_view().contains(&NodeId(9)),
@@ -1059,14 +1115,16 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let mut out = Vec::new();
         node.add_active(NodeId(1), SimTime::ZERO, &mut out);
-        let _ = node.shuffle_tick(&mut rng);
-        let outs = node.handle(
+        node.shuffle_tick(&mut rng, &mut Vec::new());
+        let mut outs = Vec::new();
+        node.handle(
             SimTime::ZERO,
             NodeId(1),
             HpvMsg::ShuffleReply {
                 nodes: vec![NodeId(7), NodeId(8), NodeId(1), NodeId(0)],
             },
             &mut rng,
+            &mut outs,
         );
         assert!(outs.is_empty());
         assert!(node.passive_view().contains(&NodeId(7)));
@@ -1079,5 +1137,179 @@ mod tests {
             !node.passive_view().contains(&NodeId(1)),
             "neighbors never enter passive"
         );
+    }
+
+    /// One scripted input to a single HyParView instance.
+    #[derive(Debug, Clone)]
+    enum Input {
+        Join(u32),
+        Msg(u32, HpvMsg),
+        /// Acknowledge the `k`-th probe still outstanding (modulo their
+        /// number), from its peer or — `true` — from somebody else.
+        Ack(usize, bool),
+        LinkDown(u32),
+        KeepaliveTick,
+        ShuffleTick,
+        Advance(u64),
+    }
+
+    fn input_strategy() -> impl Strategy<Value = Input> {
+        let peer = || 1u32..20;
+        let nodes = || proptest::collection::vec(0u32..40, 0..6);
+        prop_oneof![
+            1 => peer().prop_map(Input::Join),
+            2 => peer().prop_map(|p| Input::Msg(p, HpvMsg::Join)),
+            3 => (peer(), 1u32..40, 0u8..7).prop_map(|(p, n, ttl)| Input::Msg(
+                p,
+                HpvMsg::ForwardJoin { new_node: NodeId(n), ttl },
+            )),
+            3 => (peer(), any::<bool>())
+                .prop_map(|(p, high_priority)| Input::Msg(p, HpvMsg::Neighbor { high_priority })),
+            3 => (peer(), any::<bool>())
+                .prop_map(|(p, accepted)| Input::Msg(p, HpvMsg::NeighborReply { accepted })),
+            3 => peer().prop_map(|p| Input::Msg(p, HpvMsg::Disconnect)),
+            2 => (peer(), 0u32..40, nodes(), 0u8..5).prop_map(|(p, o, n, ttl)| Input::Msg(
+                p,
+                HpvMsg::Shuffle {
+                    origin: NodeId(o),
+                    nodes: n.into_iter().map(NodeId).collect(),
+                    ttl,
+                },
+            )),
+            2 => (peer(), nodes()).prop_map(|(p, n)| Input::Msg(
+                p,
+                HpvMsg::ShuffleReply { nodes: n.into_iter().map(NodeId).collect() },
+            )),
+            2 => (peer(), 0u64..64).prop_map(|(p, nonce)| Input::Msg(p, HpvMsg::KeepAlive { nonce })),
+            1 => (peer(), 0u64..64)
+                .prop_map(|(p, nonce)| Input::Msg(p, HpvMsg::KeepAliveAck { nonce })),
+            6 => (0usize..32, any::<bool>()).prop_map(|(k, wrong)| Input::Ack(k, wrong)),
+            3 => peer().prop_map(Input::LinkDown),
+            4 => Just(Input::KeepaliveTick),
+            2 => Just(Input::ShuffleTick),
+            4 => prop_oneof![0u64..5_000, 500_000u64..3_000_000].prop_map(Input::Advance),
+        ]
+    }
+
+    /// Feeds `inputs` to a vector-backed node and returns everything it
+    /// emitted. With `oracle`, the hash-table implementation runs in
+    /// lockstep on an identically seeded RNG and every effect, view, table
+    /// lookup, counter and RNG draw is compared after every input.
+    fn run_inputs(inputs: &[Input], cfg: &HyParViewConfig, oracle: bool) -> Vec<HpvOut> {
+        let me = NodeId(0);
+        let mut new = HyParView::new(me, cfg.clone());
+        let mut old = oracle.then(|| HashHyParView::new(me, cfg.clone()));
+        let (mut new_rng, mut old_rng) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+        let mut now = SimTime::ZERO;
+        let mut probes: Vec<(NodeId, u64)> = Vec::new();
+        let mut all = Vec::new();
+        for input in inputs {
+            let mut outs = Vec::new();
+            let expected = match input.clone() {
+                Input::Join(c) => {
+                    new.join(now, NodeId(c), &mut outs);
+                    old.as_mut().map(|o| o.join(now, NodeId(c)))
+                }
+                Input::Msg(from, msg) => {
+                    new.handle(now, NodeId(from), msg.clone(), &mut new_rng, &mut outs);
+                    old.as_mut()
+                        .map(|o| o.handle(now, NodeId(from), msg, &mut old_rng))
+                }
+                Input::Ack(k, wrong) => {
+                    if probes.is_empty() {
+                        continue;
+                    }
+                    let (peer, nonce) = probes.swap_remove(k % probes.len());
+                    let from = if wrong { NodeId(peer.0 + 1) } else { peer };
+                    let msg = HpvMsg::KeepAliveAck { nonce };
+                    new.handle(now, from, msg.clone(), &mut new_rng, &mut outs);
+                    old.as_mut().map(|o| o.handle(now, from, msg, &mut old_rng))
+                }
+                Input::LinkDown(p) => {
+                    new.link_down(now, NodeId(p), &mut new_rng, &mut outs);
+                    old.as_mut()
+                        .map(|o| o.link_down(now, NodeId(p), &mut old_rng))
+                }
+                Input::KeepaliveTick => {
+                    new.keepalive_tick(now, &mut outs);
+                    old.as_mut().map(|o| o.keepalive_tick(now))
+                }
+                Input::ShuffleTick => {
+                    new.shuffle_tick(&mut new_rng, &mut outs);
+                    old.as_mut().map(|o| o.shuffle_tick(&mut old_rng))
+                }
+                Input::Advance(us) => {
+                    now += SimDuration::from_micros(us);
+                    continue;
+                }
+            };
+            for o in &outs {
+                if let HpvOut::Send {
+                    to,
+                    msg: HpvMsg::KeepAlive { nonce },
+                } = o
+                {
+                    probes.push((*to, *nonce));
+                }
+            }
+            if let (Some(old), Some(expected)) = (&old, expected) {
+                assert_eq!(outs, expected, "effects of {input:?}");
+                assert_eq!(new.active_view(), old.active_view());
+                assert_eq!(new.passive_view(), old.passive_view());
+                assert_eq!(new.stats(), old.stats());
+                for p in (0..41).map(NodeId) {
+                    assert_eq!(new.rtt_to(p), old.rtt_to(p), "rtt to {p}");
+                    assert_eq!(new.neighbor_since(p), old.neighbor_since(p));
+                    assert_eq!(new.is_neighbor(p), old.is_neighbor(p));
+                }
+            }
+            all.extend(outs);
+        }
+        if old.is_some() {
+            assert_eq!(
+                new_rng.next_u64(),
+                old_rng.next_u64(),
+                "RNG streams diverged"
+            );
+        }
+        // The tables stay bounded by what is live, not by the history.
+        assert!(new.pending_probes.len() <= 3 * cfg.max_active() + probes.len());
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The vector-backed state machine is the hash-table one: same
+        /// effects in the same order, same views, same measurements, same
+        /// RNG consumption, for arbitrary well-formed input sequences —
+        /// including acknowledgements that arrive after their peer left the
+        /// view, from the wrong sender, or never.
+        #[test]
+        fn vector_tables_match_the_hash_table_oracle(
+            inputs in proptest::collection::vec(input_strategy(), 1..250),
+            active_size in 1usize..4,
+            passive_size in 2usize..8,
+        ) {
+            let cfg = HyParViewConfig {
+                passive_size,
+                ..HyParViewConfig::with_active_size(active_size)
+            };
+            run_inputs(&inputs, &cfg, true);
+        }
+
+        /// Two runs of one input sequence in one process emit identical
+        /// effect sequences: nothing on any path iterates a randomly seeded
+        /// hash table (the pending-neighbor set used to be one).
+        #[test]
+        fn same_inputs_same_outputs_within_one_process(
+            inputs in proptest::collection::vec(input_strategy(), 1..250),
+        ) {
+            let cfg = HyParViewConfig {
+                passive_size: 4,
+                ..HyParViewConfig::with_active_size(2)
+            };
+            prop_assert_eq!(run_inputs(&inputs, &cfg, false), run_inputs(&inputs, &cfg, false));
+        }
     }
 }

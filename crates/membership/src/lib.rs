@@ -21,5 +21,7 @@ pub mod hyparview;
 pub mod view;
 
 pub use cyclon::{Cyclon, CyclonConfig, CyclonMsg, CyclonOut, Descriptor};
-pub use hyparview::{HpvMsg, HpvOut, HpvStats, HyParView, HyParViewConfig, HPV_HEADER_BYTES};
+pub use hyparview::{
+    HpvMsg, HpvOut, HpvSink, HpvStats, HyParView, HyParViewConfig, HPV_HEADER_BYTES,
+};
 pub use view::BoundedView;

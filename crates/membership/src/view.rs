@@ -7,7 +7,7 @@
 use brisa_simnet::NodeId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// A bounded, duplicate-free set of node identifiers with uniform random
 /// sampling helpers.
@@ -29,6 +29,12 @@ impl BoundedView {
     /// Maximum number of entries the view may hold.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Entries the view has storage allocated for (at least `capacity`;
+    /// the footprint accounting books this, not `len`).
+    pub fn allocated(&self) -> usize {
+        self.nodes.capacity()
     }
 
     /// Current number of entries.
@@ -98,13 +104,25 @@ impl BoundedView {
 
     /// A uniformly random entry different from every element of `exclude`.
     pub fn random_excluding(&self, rng: &mut SmallRng, exclude: &[NodeId]) -> Option<NodeId> {
-        let candidates: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .copied()
-            .filter(|n| !exclude.contains(n))
-            .collect();
-        candidates.choose(rng).copied()
+        self.random_where(rng, |n| !exclude.contains(&n))
+    }
+
+    /// A uniformly random entry among those `keep` accepts. Counts, then
+    /// walks to the drawn rank, instead of collecting the candidates: the
+    /// draw is the one [`SliceRandom::choose`] would make over the collected
+    /// slice — a single `next_u64() % count`, and none at all when nothing
+    /// qualifies — so the node's RNG stream is the same either way.
+    pub fn random_where(
+        &self,
+        rng: &mut SmallRng,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> Option<NodeId> {
+        let candidates = || self.nodes.iter().copied().filter(|&n| keep(n));
+        let count = candidates().count();
+        if count == 0 {
+            return None;
+        }
+        candidates().nth((rng.next_u64() % count as u64) as usize)
     }
 
     /// A uniformly random sample of up to `n` distinct entries.
@@ -113,6 +131,17 @@ impl BoundedView {
         shuffled.shuffle(rng);
         shuffled.truncate(n);
         shuffled
+    }
+
+    /// Appends what [`Self::sample`] would return to `out`, shuffling in
+    /// `out`'s own tail instead of a scratch copy (same draws, same picks):
+    /// with `out` reserved up front, building a shuffle message is one
+    /// allocation.
+    pub fn sample_into(&self, rng: &mut SmallRng, n: usize, out: &mut Vec<NodeId>) {
+        let start = out.len();
+        out.extend_from_slice(&self.nodes);
+        out[start..].shuffle(rng);
+        out.truncate(start + n.min(self.nodes.len()));
     }
 
     /// All entries, in unspecified order.
@@ -199,6 +228,22 @@ mod tests {
     }
 
     #[test]
+    fn sample_into_appends_exactly_what_sample_returns() {
+        let mut v = BoundedView::new(10);
+        for i in 0..7 {
+            v.push_unique(NodeId(i));
+        }
+        let (mut a, mut b) = (rng(), rng());
+        for n in [0, 1, 3, 7, 12] {
+            let mut out = vec![NodeId(99)];
+            v.sample_into(&mut a, n, &mut out);
+            assert_eq!(out[0], NodeId(99));
+            assert_eq!(out[1..], v.sample(&mut b, n)[..]);
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
     fn random_excluding_avoids_excluded() {
         let mut v = BoundedView::new(3);
         v.push_unique(NodeId(1));
@@ -209,6 +254,49 @@ mod tests {
             assert_eq!(pick, NodeId(2));
         }
         assert_eq!(v.random_excluding(&mut r, &[NodeId(1), NodeId(2)]), None);
+    }
+
+    #[test]
+    fn random_where_draws_exactly_like_choose_over_the_collected_candidates() {
+        // The pre-vector implementation, kept as the oracle: HyParView and
+        // every fingerprint downstream ride on this RNG stream.
+        fn collected(v: &BoundedView, rng: &mut SmallRng, exclude: &[NodeId]) -> Option<NodeId> {
+            let candidates: Vec<NodeId> = v
+                .nodes
+                .iter()
+                .copied()
+                .filter(|n| !exclude.contains(n))
+                .collect();
+            candidates.choose(rng).copied()
+        }
+        let mut v = BoundedView::new(8);
+        for i in [5, 1, 7, 3, 2, 9] {
+            v.push_unique(NodeId(i));
+        }
+        let excludes: [&[NodeId]; 5] = [
+            &[],
+            &[NodeId(1)],
+            &[NodeId(5), NodeId(9), NodeId(4)],
+            &[NodeId(5), NodeId(1), NodeId(7), NodeId(3), NodeId(2)],
+            &[
+                NodeId(5),
+                NodeId(1),
+                NodeId(7),
+                NodeId(3),
+                NodeId(2),
+                NodeId(9),
+            ],
+        ];
+        let (mut new_rng, mut old_rng) = (rng(), rng());
+        for round in 0..200 {
+            let exclude = excludes[round % excludes.len()];
+            assert_eq!(
+                v.random_excluding(&mut new_rng, exclude),
+                collected(&v, &mut old_rng, exclude)
+            );
+            // Same number of draws, including none when nothing qualifies.
+            assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+        }
     }
 
     #[test]

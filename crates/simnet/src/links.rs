@@ -13,16 +13,19 @@
 //! * [`PerLink`] — a generic map `(sender, dest) -> T` stored as one small
 //!   sorted vector per sender plus the same reverse-index shape, so all
 //!   state involving a crashed node can be dropped in O(degree · log
-//!   degree), in place. The FIFO link clocks ([`LinkClocks`] =
-//!   `PerLink<SimTime>`) and the fault layer's per-link draw counters
-//!   (`PerLink<u64>`) are both instances.
+//!   degree), in place. The fault layer's per-link draw counters
+//!   (`PerLink<u64>`) are its one user: the n-th draw on a link is a PRF of
+//!   n, so those entries must persist.
+//! * [`LinkClocks`] — the FIFO link clocks, which need not: a clock is
+//!   dropped the moment it can no longer delay a send, so a sender's table
+//!   is its handful of in-flight links.
 //!
 //! Iteration order over any of these structures is fully deterministic
 //! (sorted by `NodeId`), matching the old `BTreeSet` order — required by the
 //! determinism contract (`run_matrix` parallel ≡ sequential).
 
 use crate::node::NodeId;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 fn ensure_len<T: Default>(v: &mut Vec<T>, index: usize) {
     if v.len() <= index {
@@ -208,6 +211,7 @@ impl<T> PerLink<T> {
 
     /// Capacity of `sender`'s entry vector (test hook: asserts that crash
     /// pruning clears in place rather than reallocating).
+    #[cfg(test)]
     pub fn slot_capacity(&self, sender: NodeId) -> usize {
         self.by_sender
             .get(sender.index())
@@ -215,28 +219,8 @@ impl<T> PerLink<T> {
             .unwrap_or(0)
     }
 
-    /// Bytes of memory the per-link vectors occupy (capacities, not
-    /// lengths).
-    pub fn approx_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(NodeId, T)>();
-        let id = std::mem::size_of::<NodeId>();
-        let vec = std::mem::size_of::<Vec<NodeId>>();
-        std::mem::size_of::<Self>()
-            + (self.by_sender.capacity() + self.senders_of.capacity()) * vec
-            + self
-                .by_sender
-                .iter()
-                .map(|v| v.capacity() * entry)
-                .sum::<usize>()
-            + self
-                .senders_of
-                .iter()
-                .map(|v| v.capacity() * id)
-                .sum::<usize>()
-    }
-
     /// Every `(sender, dest, value)` triple, in `(sender, dest)` order.
-    /// Diagnostic hook for the online invariant checkers.
+    #[cfg(test)]
     pub fn entries(&self) -> impl Iterator<Item = (NodeId, NodeId, &T)> + '_ {
         self.by_sender
             .iter()
@@ -245,10 +229,102 @@ impl<T> PerLink<T> {
     }
 }
 
-/// Per-sender FIFO clocks towards every destination the sender has
-/// messaged: the time the last message on the directed link is scheduled to
-/// arrive.
-pub(crate) type LinkClocks = PerLink<SimTime>;
+/// Per-sender FIFO clocks: for each directed link with a message still in
+/// flight, the time the last message on it is scheduled to arrive.
+///
+/// A clock is only ever read as `deliver_at < clock`, every `deliver_at` is
+/// at or after the send instant, and simulated time never goes back — so a
+/// clock at or before `now` can never bump a send again and forgetting it is
+/// unobservable. [`LinkClocks::stamp`] drops such clocks from the sender's
+/// vector as it passes over them, which bounds the vector by the sender's
+/// in-flight links (a view's worth) instead of every destination it ever
+/// messaged.
+#[derive(Debug, Default)]
+pub(crate) struct LinkClocks {
+    /// `by_sender[sender]` = `(dest, clock)` in first-send order.
+    by_sender: Vec<Vec<(NodeId, SimTime)>>,
+}
+
+impl LinkClocks {
+    /// Schedules a message sent by `sender` at `now` that the latency and
+    /// fault layers would deliver to `dest` at `deliver_at` (≥ `now`):
+    /// returns the FIFO-respecting arrival time — one microsecond after the
+    /// link's previous arrival if `deliver_at` would overtake it — and
+    /// records it as the link's clock. Expired clocks of `sender` are
+    /// dropped in the same pass.
+    pub fn stamp(
+        &mut self,
+        sender: NodeId,
+        dest: NodeId,
+        now: SimTime,
+        mut deliver_at: SimTime,
+    ) -> SimTime {
+        debug_assert!(
+            deliver_at >= now,
+            "a message cannot arrive before it is sent"
+        );
+        ensure_len(&mut self.by_sender, sender.index());
+        let clocks = &mut self.by_sender[sender.index()];
+        let mut found = false;
+        clocks.retain_mut(|(d, clock)| {
+            if *d == dest {
+                if deliver_at < *clock {
+                    deliver_at = *clock + SimDuration::from_micros(1);
+                }
+                *clock = deliver_at;
+                found = true;
+                true
+            } else {
+                *clock > now
+            }
+        });
+        if !found {
+            clocks.push((dest, deliver_at));
+        }
+        deliver_at
+    }
+
+    /// Forgets the clocks of `sender`, in place; called when it crashes (it
+    /// will never send again). Clocks *towards* a crashed node need no
+    /// pruning: they are never consulted again — sends to a dead
+    /// destination skip the FIFO stamp — and expire like any other.
+    pub fn clear(&mut self, sender: NodeId) {
+        if let Some(clocks) = self.by_sender.get_mut(sender.index()) {
+            clocks.clear();
+        }
+    }
+
+    /// Number of clocks currently tracked (expired ones included until
+    /// their sender's next send).
+    pub fn tracked_links(&self) -> usize {
+        self.by_sender.iter().map(Vec::len).sum()
+    }
+
+    /// Bytes of memory the clock vectors occupy (capacities, not lengths).
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.by_sender.capacity() * std::mem::size_of::<Vec<(NodeId, SimTime)>>()
+            + self
+                .by_sender
+                .iter()
+                .map(|v| v.capacity() * std::mem::size_of::<(NodeId, SimTime)>())
+                .sum::<usize>()
+    }
+
+    /// Every tracked `(sender, dest, clock)`, in `(sender, dest)` order.
+    /// Diagnostic hook for the online invariant checkers and the sharded ≡
+    /// sequential state dump.
+    pub fn entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
+        let mut all: Vec<(NodeId, NodeId, SimTime)> = self
+            .by_sender
+            .iter()
+            .enumerate()
+            .flat_map(|(s, clocks)| clocks.iter().map(move |&(d, t)| (NodeId(s as u32), d, t)))
+            .collect();
+        all.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        all
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -288,8 +364,8 @@ mod tests {
     }
 
     #[test]
-    fn link_clocks_entry_and_prune_in_place() {
-        let mut clocks = LinkClocks::default();
+    fn per_link_entry_and_prune_in_place() {
+        let mut clocks: PerLink<SimTime> = PerLink::default();
         *clocks.entry(NodeId(0), NodeId(1)) = SimTime::from_millis(5);
         *clocks.entry(NodeId(0), NodeId(2)) = SimTime::from_millis(7);
         *clocks.entry(NodeId(1), NodeId(0)) = SimTime::from_millis(9);
@@ -326,6 +402,149 @@ mod tests {
         *map.entry(NodeId(0), NodeId(1)) = 1;
         let triples: Vec<(u32, u32, u64)> = map.entries().map(|(s, d, v)| (s.0, d.0, *v)).collect();
         assert_eq!(triples, vec![(0, 1, 1), (0, 3, 3), (2, 0, 20)]);
+    }
+
+    /// The FIFO rule as it was before clocks expired: one persistent clock
+    /// per directed link ever used, pruned in both directions on a crash.
+    /// Kept as the differential oracle for [`LinkClocks::stamp`].
+    #[derive(Default)]
+    struct PersistentClocks(PerLink<SimTime>);
+
+    impl PersistentClocks {
+        fn stamp(&mut self, sender: NodeId, dest: NodeId, mut deliver_at: SimTime) -> SimTime {
+            let clock = self.0.entry(sender, dest);
+            if deliver_at < *clock {
+                deliver_at = *clock + SimDuration::from_micros(1);
+            }
+            *clock = deliver_at;
+            deliver_at
+        }
+    }
+
+    #[test]
+    fn stamp_bumps_overtaking_sends_and_forgets_expired_clocks() {
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        let us = SimTime::from_micros;
+        let mut clocks = LinkClocks::default();
+        assert_eq!(clocks.stamp(a, b, us(0), us(100)), us(100));
+        // Overtaking the in-flight message: one microsecond behind it, and
+        // the chain continues from the bumped arrival.
+        assert_eq!(clocks.stamp(a, b, us(10), us(50)), us(101));
+        assert_eq!(clocks.stamp(a, b, us(10), us(101)), us(101));
+        assert_eq!(clocks.stamp(a, b, us(10), us(10)), us(102));
+        assert_eq!(clocks.stamp(a, c, us(20), us(30)), us(30));
+        assert_eq!(clocks.entries(), vec![(a, b, us(102)), (a, c, us(30))]);
+        // At t = 102 both clocks have expired (strict comparison): a send
+        // to a third destination sweeps them out.
+        assert_eq!(clocks.stamp(a, NodeId(3), us(102), us(150)), us(150));
+        assert_eq!(clocks.entries(), vec![(a, NodeId(3), us(150))]);
+        // Other senders are untouched by a's sweep and by a's crash.
+        assert_eq!(clocks.stamp(b, a, us(102), us(103)), us(103));
+        clocks.clear(a);
+        assert_eq!(clocks.entries(), vec![(b, a, us(103))]);
+        assert_eq!(clocks.tracked_links(), 1);
+    }
+
+    /// One scripted step against the FIFO clocks.
+    #[derive(Debug, Clone, Copy)]
+    enum ClockOp {
+        /// `(sender, dest, latency µs)`; latency 0 arrives at the send
+        /// instant, the case an expired-at-birth clock must survive.
+        Send(u32, u32, u64),
+        /// A same-instant burst to one destination with shrinking
+        /// latencies: every send after the first overtakes, walking the
+        /// `+1 µs` chain.
+        Burst(u32, u32, u8),
+        /// Simulated time advances by this many microseconds.
+        Advance(u64),
+        Crash(u32),
+    }
+
+    /// The expiring table and its oracle, driven in lockstep.
+    struct Both {
+        new: LinkClocks,
+        old: PersistentClocks,
+        alive: [bool; 12],
+    }
+
+    impl Default for Both {
+        fn default() -> Self {
+            Both {
+                new: LinkClocks::default(),
+                old: PersistentClocks::default(),
+                alive: [true; 12],
+            }
+        }
+    }
+
+    impl Both {
+        fn send(&mut self, now: SimTime, s: u32, d: u32, latency: u64) {
+            // Exactly the drivers' guard: dead senders never run, dead
+            // destinations skip the stamp.
+            if !self.alive[s as usize] || !self.alive[d as usize] {
+                return;
+            }
+            let (s, d) = (NodeId(s), NodeId(d));
+            let at = now + SimDuration::from_micros(latency);
+            assert_eq!(self.new.stamp(s, d, now, at), self.old.stamp(s, d, at));
+            // After a send, everything the sender still tracks besides the
+            // stamped link can bind a later send.
+            for &(_, dest, clock) in self.new.entries().iter().filter(|e| e.0 == s) {
+                assert!(dest == d || clock > now, "expired clock survived a sweep");
+            }
+        }
+    }
+
+    fn clock_op_strategy() -> impl Strategy<Value = ClockOp> {
+        prop_oneof![
+            6 => (0u32..12, 0u32..12, prop_oneof![Just(0u64), 0u64..400])
+                .prop_map(|(s, d, l)| ClockOp::Send(s, d, l)),
+            1 => (0u32..12, 0u32..12, 2u8..12).prop_map(|(s, d, n)| ClockOp::Burst(s, d, n)),
+            3 => prop_oneof![Just(0u64), Just(1u64), 0u64..300].prop_map(ClockOp::Advance),
+            1 => (0u32..12).prop_map(ClockOp::Crash),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Expiry is unobservable: over arbitrary send histories with
+        /// non-decreasing time, zero latencies, same-instant bursts and
+        /// interleaved crashes, `stamp` returns exactly the arrival time
+        /// the persistent table did, for every send — while never tracking
+        /// a clock that has been expired for a whole send of its sender.
+        #[test]
+        fn stamp_matches_the_persistent_clock_table(
+            ops in proptest::collection::vec(clock_op_strategy(), 1..200),
+        ) {
+            let mut both = Both::default();
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    ClockOp::Send(s, d, l) => both.send(now, s, d, l),
+                    ClockOp::Burst(s, d, n) => {
+                        for k in (0..n as u64).rev() {
+                            both.send(now, s, d, k * 7);
+                        }
+                    }
+                    ClockOp::Advance(us) => now += SimDuration::from_micros(us),
+                    ClockOp::Crash(n) => {
+                        both.alive[n as usize] = false;
+                        both.new.clear(NodeId(n));
+                        both.old.0.prune(NodeId(n));
+                    }
+                }
+                // What survives is a subset of the persistent table with
+                // identical clocks, in `(sender, dest)` order.
+                let tracked = both.new.entries();
+                prop_assert!(tracked.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+                for (s, d, clock) in tracked {
+                    if both.alive[d.index()] {
+                        prop_assert_eq!(clock, *both.old.0.entry(s, d));
+                    }
+                }
+            }
+        }
     }
 
     /// Checks every structural invariant tying the forward vectors to the

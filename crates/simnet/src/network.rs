@@ -132,8 +132,8 @@ pub struct Network<P: Protocol> {
     /// reverse index), iterated in fixed `NodeId` order so the simulation is
     /// bit-identical no matter which thread runs it.
     connections: Adjacency,
-    /// Per directed pair, the time the last message is scheduled to arrive
-    /// (used to enforce FIFO ordering); pruned in place when a node crashes.
+    /// Per directed pair with a message in flight, the time the last one is
+    /// scheduled to arrive (used to enforce FIFO ordering).
     link_clock: LinkClocks,
     stats: NetStats,
     /// Fault-injection layer, consulted between command drain and delivery
@@ -470,20 +470,16 @@ impl<P: Protocol> Network<P> {
         // fault-layer draw counters so long churn runs do not accumulate
         // state for dead nodes.
         self.connections.clear_outgoing(node);
-        self.link_clock.prune(node);
+        self.link_clock.clear(node);
         self.faults.prune(node);
     }
 
-    /// Number of directed FIFO link clocks currently tracked. Exposed so
-    /// tests can assert that crash pruning keeps the table bounded.
+    /// Number of directed FIFO link clocks currently tracked: the links
+    /// with a message in flight, plus clocks that expired since their
+    /// sender last sent (a sender drops those on its next send). Exposed so
+    /// tests can assert the table stays bounded by what is live.
     pub fn tracked_link_clocks(&self) -> usize {
         self.link_clock.tracked_links()
-    }
-
-    /// Capacity of `sender`'s link-clock storage. Test hook: asserts that
-    /// crash pruning clears in place instead of reallocating.
-    pub fn link_clock_capacity(&self, sender: NodeId) -> usize {
-        self.link_clock.slot_capacity(sender)
     }
 
     /// Snapshot of every tracked FIFO link clock as `(sender, dest, last
@@ -491,10 +487,7 @@ impl<P: Protocol> Network<P> {
     /// the online invariant checkers (per-link clocks must be monotone over
     /// a run).
     pub fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        self.link_clock
-            .entries()
-            .map(|(s, d, t)| (s, d, *t))
-            .collect()
+        self.link_clock.entries()
     }
 
     /// Takes the recorded scheduler operation trace. Empty unless
@@ -563,19 +556,13 @@ impl<P: Protocol> Network<P> {
                             }
                         }
                     }
-                    // FIFO clocks are only tracked towards live destinations:
+                    // FIFO clocks are only kept towards live destinations:
                     // a delivery to a dead node is dropped on arrival, so its
-                    // ordering is irrelevant — and re-inserting a clock that
-                    // `process_crash` just pruned would leak one entry per
-                    // (sender, dead peer) pair for the rest of the run. The
-                    // failure-detection window, where senders still relay to
-                    // a crashed peer, hits exactly this path.
+                    // ordering is irrelevant. The failure-detection window,
+                    // where senders still relay to a crashed peer, hits
+                    // exactly this path.
                     if self.config.fifo_links && self.is_alive(to) {
-                        let clock = self.link_clock.entry(origin, to);
-                        if deliver_at < *clock {
-                            deliver_at = *clock + SimDuration::from_micros(1);
-                        }
-                        *clock = deliver_at;
+                        deliver_at = self.link_clock.stamp(origin, to, self.now, deliver_at);
                     }
                     let prio = self.lane_key(origin);
                     self.queue.push(
@@ -923,30 +910,28 @@ mod tests {
         let b = net.add_node(move |_| Pinger::new(Some(a)));
         let c = net.add_node(move |_| Pinger::new(Some(a)));
         net.run_until(SimTime::from_secs(1));
-        // a<->b and a<->c exchanged messages: 4 directed clocks tracked.
+        // a<->b and a<->c exchanged messages: 4 directed clocks, all long
+        // expired, none swept yet — no sender has sent since.
         assert_eq!(net.tracked_link_clocks(), 4);
-        let a_capacity = net.link_clock_capacity(a);
-        let b_capacity = net.link_clock_capacity(b);
-        assert!(a_capacity >= 2 && b_capacity >= 1);
+        // a's next send sweeps its expired clocks; only the link with a
+        // message in flight stays tracked.
+        let links = |net: &Network<Pinger>| -> Vec<(NodeId, NodeId)> {
+            let clocks = net.link_clock_entries();
+            clocks.iter().map(|&(s, d, _)| (s, d)).collect()
+        };
+        net.invoke(a, |_p, ctx| ctx.send(c, Ping(9)));
+        assert_eq!(links(&net), vec![(a, c), (b, a), (c, a)]);
         net.crash(b);
         net.run_until(SimTime::from_secs(2));
-        // Everything involving b is gone; a<->c remains.
-        assert_eq!(net.tracked_link_clocks(), 2);
-        // Pruning clears in place: neither the crashed sender's slot nor the
-        // slots it was removed from were reallocated.
-        assert_eq!(
-            net.link_clock_capacity(b),
-            b_capacity,
-            "the crashed sender's clock vector is cleared, not replaced"
-        );
-        assert_eq!(net.link_clock_capacity(a), a_capacity);
+        // The crashed sender's clocks are gone; a -> c and c -> a remain.
+        assert_eq!(links(&net), vec![(a, c), (c, a)]);
         // Senders that have not yet detected the failure keep relaying to
-        // the dead peer; those sends must not resurrect the pruned clocks.
+        // the dead peer; those sends skip the FIFO stamp altogether.
         net.invoke(a, |_p, ctx| ctx.send(b, Ping(9)));
         net.run_until(SimTime::from_secs(3));
         assert_eq!(
-            net.tracked_link_clocks(),
-            2,
+            links(&net),
+            vec![(a, c), (c, a)],
             "sends to a dead peer leave no clock behind"
         );
         net.crash(a);

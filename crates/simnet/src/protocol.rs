@@ -171,6 +171,15 @@ impl<'a, M> Context<'a, M> {
         self.rng
     }
 
+    /// The node's RNG and the command buffer, borrowed together: for a
+    /// callee that draws randomness while an adapter of the caller's turns
+    /// its effects into commands (a sans-IO layer writing into a sink, as
+    /// HyParView does). Pushing a [`Command`] here is exactly what
+    /// [`Context::send`] and its siblings do.
+    pub fn rng_and_commands(&mut self) -> (&mut SmallRng, &mut Vec<Command<M>>) {
+        (self.rng, self.commands)
+    }
+
     /// The run's telemetry handle (disabled unless the driver attached
     /// one). Protocols may clone it and resolve metric handles; they must
     /// never branch on it in a way that alters protocol behaviour.
@@ -228,6 +237,8 @@ mod tests {
         ctx.open_connection(NodeId(2));
         ctx.close_connection(NodeId(2));
         let _ = ctx.rng();
+        let (_rng, raw) = ctx.rng_and_commands();
+        assert_eq!(raw.len(), 4, "the same buffer the helpers push into");
         assert_eq!(commands.len(), 4);
         assert!(matches!(
             commands[0],

@@ -336,11 +336,7 @@ impl<P: Protocol> ShardCore<P> {
                         }
                     }
                     if self.config.fifo_links && self.is_alive(to) {
-                        let clock = self.link_clock.entry(origin, to);
-                        if deliver_at < *clock {
-                            deliver_at = *clock + SimDuration::from_micros(1);
-                        }
-                        *clock = deliver_at;
+                        deliver_at = self.link_clock.stamp(origin, to, self.now, deliver_at);
                     }
                     let prio = self.lane_key(origin);
                     let kind = EventKind::Deliver {
@@ -844,7 +840,7 @@ where
         for core in &mut self.cores {
             core.set_alive(victim, false);
             core.connections.clear_outgoing(victim);
-            core.link_clock.prune(victim);
+            core.link_clock.clear(victim);
             core.faults.prune(victim);
         }
     }
@@ -904,7 +900,7 @@ where
         let mut all: Vec<(NodeId, NodeId, SimTime)> = self
             .cores
             .iter()
-            .flat_map(|c| c.link_clock.entries().map(|(s, d, t)| (s, d, *t)))
+            .flat_map(|c| c.link_clock.entries())
             .collect();
         all.sort_unstable_by_key(|&(s, d, _)| (s, d));
         all

@@ -18,13 +18,29 @@
 //! per 64 messages, and under `DeliveryTracking::Full` 8 bytes per message —
 //! and the window sits between two of its doublings.
 //!
+//! The control plane underneath has a budget too — keep-alives are most of
+//! what a large overlay executes — and the second half of this file counts
+//! it on a warmed-up `HyParView` (views populated, every small vector grown
+//! to its working size) and through a whole `BrisaNode` callback:
+//!
+//! * `KeepAlive`, `KeepAliveAck`, `keepalive_tick`, a forwarded
+//!   `ForwardJoin`, `Neighbor` / `NeighborReply`, `Disconnect` (with or
+//!   without a promotion), a forwarded `Shuffle`, `ShuffleReply`: 0;
+//! * `shuffle_tick`: exactly 1, the vector the `Shuffle` carries;
+//! * a `Shuffle` at the end of its walk: exactly 1, the vector the
+//!   `ShuffleReply` carries.
+//!
 //! The counter is per thread, so the test harness's own threads do not
 //! leak into a measurement.
 
 use brisa::{
-    BrisaAction, BrisaConfig, BrisaCore, BrisaMsg, CycleGuard, DataMsg, NoTelemetry, ParentStrategy,
+    BrisaAction, BrisaConfig, BrisaCore, BrisaMsg, BrisaNode, CycleGuard, DataMsg, NoTelemetry,
+    ParentStrategy, StackMsg, TIMER_KEEPALIVE,
 };
-use brisa_simnet::{NodeId, SimTime};
+use brisa_membership::{HpvMsg, HpvSink, HyParView, HyParViewConfig};
+use brisa_simnet::{Command, Context, NodeId, Protocol, SimDuration, SimTime, TimerTag};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -212,4 +228,258 @@ fn a_duplicate_allocates_nothing() {
         assert_eq!(n, 0, "{label}: duplicate from a surplus sender");
         assert_eq!(core.stats().duplicates, 2);
     }
+}
+
+// ---------------------------------------------------------------------
+// The control plane
+// ---------------------------------------------------------------------
+
+/// A sink that executes nothing and allocates nothing: it keeps the last
+/// message (so a test can answer it) and counts the rest.
+#[derive(Default)]
+struct Tally {
+    sends: usize,
+    last: Option<(NodeId, HpvMsg)>,
+    view_changes: usize,
+}
+
+impl HpvSink for Tally {
+    fn send(&mut self, to: NodeId, msg: HpvMsg) {
+        self.sends += 1;
+        self.last = Some((to, msg));
+    }
+    fn open_connection(&mut self, _peer: NodeId) {}
+    fn close_connection(&mut self, _peer: NodeId) {}
+    fn neighbor_up(&mut self, _peer: NodeId) {
+        self.view_changes += 1;
+    }
+    fn neighbor_down(&mut self, _peer: NodeId) {
+        self.view_changes += 1;
+    }
+}
+
+fn secs(s: u64) -> SimTime {
+    SimTime::from_secs(s)
+}
+
+/// Node 0 with neighbors 1–5 (one above the target of 4, inside the
+/// expansion band), a full passive view, and every per-peer vector grown
+/// by a few rounds of ordinary life: keep-alives answered and unanswered,
+/// a neighbor gained and lost, a promotion requested and refused.
+fn warmed_up_hyparview() -> (HyParView, SmallRng) {
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut node = HyParView::new(NodeId(0), HyParViewConfig::with_active_size(4));
+    let mut sink = Tally::default();
+    let neighbor = HpvMsg::Neighbor {
+        high_priority: true,
+    };
+    for peer in (1..=7).map(NodeId) {
+        node.handle(secs(0), peer, neighbor.clone(), &mut rng, &mut sink);
+    }
+    for peer in (100..140).map(NodeId) {
+        let nodes = vec![peer];
+        node.handle(
+            secs(0),
+            NodeId(1),
+            HpvMsg::ShuffleReply { nodes },
+            &mut rng,
+            &mut sink,
+        );
+    }
+    // Down to three neighbors: the Disconnects below the target each ask a
+    // passive node to step in; refuse them all so the requests stay pending
+    // and the retry path has run.
+    for peer in (4..=7).map(NodeId) {
+        node.handle(secs(1), peer, HpvMsg::Disconnect, &mut rng, &mut sink);
+        if let Some((candidate, HpvMsg::Neighbor { .. })) = sink.last.take() {
+            let no = HpvMsg::NeighborReply { accepted: false };
+            node.handle(secs(1), candidate, no, &mut rng, &mut sink);
+        }
+    }
+    for peer in (4..=5).map(NodeId) {
+        node.handle(secs(2), peer, neighbor.clone(), &mut rng, &mut sink);
+    }
+    // Keep-alive rounds: two unanswered (the probe table reaches its
+    // three-period ceiling), then answered ones.
+    for round in 0..6u64 {
+        node.keepalive_tick(secs(10 + 2 * round), &mut sink);
+        if round >= 2 {
+            let (peer, probe) = sink.last.take().expect("a probe was sent");
+            if let HpvMsg::KeepAlive { nonce } = probe {
+                let ack = HpvMsg::KeepAliveAck { nonce };
+                node.handle(secs(10 + 2 * round), peer, ack, &mut rng, &mut sink);
+            }
+        }
+    }
+    node.shuffle_tick(&mut rng, &mut sink);
+    // Top the reservoir back up after the promotions drew from it.
+    for peer in (200..210).map(NodeId) {
+        let nodes = vec![peer];
+        node.handle(
+            secs(22),
+            NodeId(1),
+            HpvMsg::ShuffleReply { nodes },
+            &mut rng,
+            &mut sink,
+        );
+    }
+    assert_eq!(node.active_view().len(), 5);
+    assert_eq!(node.passive_view().len(), node.config().passive_size);
+    (node, rng)
+}
+
+/// Allocations of one `handle` call on a fresh copy of the warmed-up node
+/// (message construction, the sender's cost, stays outside the count), and
+/// the sink as the call left it.
+fn handle_cost(from: NodeId, msg: HpvMsg) -> (u64, Tally, HyParView) {
+    let (mut node, mut rng) = warmed_up_hyparview();
+    let mut sink = Tally::default();
+    let n = allocations_during(|| node.handle(secs(30), from, msg, &mut rng, &mut sink));
+    (n, sink, node)
+}
+
+#[test]
+fn keepalives_allocate_nothing() {
+    let (n, sink, _) = handle_cost(NodeId(1), HpvMsg::KeepAlive { nonce: 7 });
+    assert_eq!(
+        (n, sink.sends),
+        (0, 1),
+        "probe from a neighbor: acknowledged"
+    );
+    let (n, sink, _) = handle_cost(NodeId(99), HpvMsg::KeepAlive { nonce: 7 });
+    assert_eq!((n, sink.sends), (0, 1), "probe from a stranger: Disconnect");
+
+    let (mut node, mut rng) = warmed_up_hyparview();
+    let mut sink = Tally::default();
+    let n = allocations_during(|| node.keepalive_tick(secs(30), &mut sink));
+    assert_eq!((n, sink.sends), (0, 5), "one probe per neighbor");
+    let (peer, probe) = sink.last.take().unwrap();
+    let HpvMsg::KeepAlive { nonce } = probe else {
+        panic!("{probe:?}");
+    };
+    let ack = HpvMsg::KeepAliveAck { nonce };
+    let n = allocations_during(|| node.handle(secs(31), peer, ack, &mut rng, &mut sink));
+    assert_eq!(n, 0, "acknowledgement");
+    assert_eq!(node.rtt_to(peer), Some(SimDuration::from_secs(1)));
+}
+
+#[test]
+fn view_maintenance_allocates_nothing() {
+    let walk = HpvMsg::ForwardJoin {
+        new_node: NodeId(50),
+        ttl: 3,
+    };
+    let (n, sink, node) = handle_cost(NodeId(1), walk);
+    assert_eq!((n, sink.sends, sink.view_changes), (0, 1, 0), "forwarded");
+    assert!(node.passive_view().contains(&NodeId(50)), "ttl == prwl");
+
+    let ask = HpvMsg::Neighbor {
+        high_priority: false,
+    };
+    let (n, sink, node) = handle_cost(NodeId(60), ask);
+    assert_eq!((n, sink.view_changes), (0, 1), "Neighbor accepted");
+    assert!(node.is_neighbor(NodeId(60)));
+
+    let yes = HpvMsg::NeighborReply { accepted: true };
+    let (n, _, node) = handle_cost(NodeId(61), yes);
+    assert_eq!(n, 0, "NeighborReply accepted");
+    assert!(node.is_neighbor(NodeId(61)));
+
+    // 5 -> 4 neighbors stays at the target: no replacement is sought.
+    let (n, sink, _) = handle_cost(NodeId(1), HpvMsg::Disconnect);
+    assert_eq!((n, sink.sends, sink.view_changes), (0, 0, 1));
+    // 4 -> 3 falls below it: a passive node is asked in, still in place.
+    let (mut node, mut rng) = warmed_up_hyparview();
+    let mut sink = Tally::default();
+    node.handle(secs(30), NodeId(1), HpvMsg::Disconnect, &mut rng, &mut sink);
+    let n = allocations_during(|| {
+        node.handle(secs(30), NodeId(2), HpvMsg::Disconnect, &mut rng, &mut sink)
+    });
+    assert_eq!(n, 0, "Disconnect with promotion");
+    assert!(matches!(sink.last, Some((_, HpvMsg::Neighbor { .. }))));
+    let no = HpvMsg::NeighborReply { accepted: false };
+    let (candidate, _) = sink.last.take().unwrap();
+    let n = allocations_during(|| node.handle(secs(30), candidate, no, &mut rng, &mut sink));
+    assert_eq!(n, 0, "NeighborReply refused, next candidate asked");
+    assert!(matches!(sink.last, Some((_, HpvMsg::Neighbor { .. }))));
+}
+
+#[test]
+fn a_shuffle_allocates_only_what_goes_on_the_wire() {
+    let (mut node, mut rng) = warmed_up_hyparview();
+    let mut sink = Tally::default();
+    let n = allocations_during(|| node.shuffle_tick(&mut rng, &mut sink));
+    assert_eq!(n, 1, "shuffle_tick: the Shuffle's node list");
+    let Some((_, HpvMsg::Shuffle { nodes, .. })) = sink.last.take() else {
+        panic!("no shuffle sent");
+    };
+    assert_eq!(nodes.len(), 1 + 3 + 4, "self + active + passive samples");
+
+    let walking = |ttl| HpvMsg::Shuffle {
+        origin: NodeId(70),
+        nodes: vec![NodeId(70), NodeId(71), NodeId(72)],
+        ttl,
+    };
+    let (n, sink, _) = handle_cost(NodeId(1), walking(3));
+    assert_eq!(n, 0, "Shuffle mid-walk: forwarded as it came");
+    assert!(matches!(
+        sink.last,
+        Some((_, HpvMsg::Shuffle { ttl: 2, .. }))
+    ));
+    let (n, sink, _) = handle_cost(NodeId(1), walking(1));
+    assert_eq!(
+        n, 1,
+        "Shuffle at the end of its walk: the reply's node list"
+    );
+    assert!(matches!(
+        sink.last,
+        Some((NodeId(70), HpvMsg::ShuffleReply { .. }))
+    ));
+
+    let reply = HpvMsg::ShuffleReply {
+        nodes: vec![NodeId(80), NodeId(81), NodeId(82)],
+    };
+    let (n, _, node) = handle_cost(NodeId(1), reply);
+    assert_eq!(n, 0, "ShuffleReply");
+    assert!(node.passive_view().contains(&NodeId(80)));
+}
+
+#[test]
+fn a_whole_stack_callback_allocates_nothing_for_a_keepalive() {
+    // The same budget one level up: `BrisaNode` hands HyParView a sink over
+    // the simulator's command buffer, so a probe costs the node nothing but
+    // the command it pushes into storage the driver already owns.
+    let hpv = HyParViewConfig::with_active_size(4);
+    let mut node = BrisaNode::new(NodeId(0), hpv, BrisaConfig::default(), None);
+    let mut rng = SmallRng::seed_from_u64(5);
+    let mut commands: Vec<Command<StackMsg>> = Vec::with_capacity(64);
+    let mut deliver = |node: &mut BrisaNode, at: SimTime, from: NodeId, msg: HpvMsg| {
+        commands.clear();
+        let mut ctx = Context::external(at, NodeId(0), &mut rng, &mut commands);
+        let n = allocations_during(|| node.on_message(&mut ctx, from, StackMsg::Hpv(msg)));
+        (n, commands.len())
+    };
+    let neighbor = HpvMsg::Neighbor {
+        high_priority: true,
+    };
+    for peer in (1..=4).map(NodeId) {
+        deliver(&mut node, secs(0), peer, neighbor.clone());
+    }
+    let probe = HpvMsg::KeepAlive { nonce: 1 };
+    assert_eq!(deliver(&mut node, secs(1), NodeId(2), probe), (0, 1));
+
+    let mut tick = |node: &mut BrisaNode, at: SimTime| {
+        commands.clear();
+        let mut ctx = Context::external(at, NodeId(0), &mut rng, &mut commands);
+        let tag = TimerTag::of_kind(TIMER_KEEPALIVE);
+        let n = allocations_during(|| node.on_timer(&mut ctx, tag));
+        (n, commands.len())
+    };
+    // Nobody answers: the probe table grows to its three-period ceiling,
+    // after which a tick drops as many stale probes as it adds.
+    for round in 1..=4 {
+        tick(&mut node, secs(2 * round));
+    }
+    // Four probes plus the re-armed timer.
+    assert_eq!(tick(&mut node, secs(10)), (0, 5));
 }

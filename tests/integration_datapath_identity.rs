@@ -13,12 +13,21 @@
 //! change because of a representation refactor. A deliberate protocol
 //! change re-records them: a failing run prints the whole table in source
 //! form.
+//!
+//! A second table pins the rows a control-plane representation change puts
+//! at risk — HyParView through `baselines::flood`, Cyclon over
+//! `BoundedView` through `SimpleGossip`, the FIFO link clocks fed by the
+//! fault layer's `Routed::Deliver(at)` heal floor (1 % loss + a `Delay`
+//! partition), and the sharded driver — recorded on the commit *before*
+//! the expire-on-touch link clocks and the hash-free HyParView.
 
 use brisa::{BrisaNode, ParentStrategy, StructureMode};
+use brisa_baselines::{FloodNode, GossipConfig, SimpleGossipNode};
+use brisa_membership::HyParViewConfig;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
-    BrisaScenario, BrisaStackConfig, ChurnSpec, FaultSpec, IntoRunSpec, Runner, SchedulerKind,
-    StreamSpec,
+    BaselineScenario, BrisaScenario, BrisaStackConfig, ChurnSpec, DisseminationProtocol, FaultSpec,
+    IntoRunSpec, PartitionPhase, RunSpec, Runner, SchedulerKind, StreamSpec,
 };
 
 const MODES: [StructureMode; 2] = [StructureMode::Tree, StructureMode::Dag { parents: 2 }];
@@ -76,11 +85,121 @@ fn run(sc: &BrisaScenario, scheduler: SchedulerKind) -> u64 {
         hpv: sc.hyparview_config(),
         brisa: sc.brisa_config(),
     };
-    let mut spec = sc.run_spec();
+    run_spec::<BrisaNode>(&cfg, sc.run_spec(), scheduler)
+}
+
+fn run_spec<P>(cfg: &P::Config, mut spec: RunSpec, scheduler: SchedulerKind) -> u64
+where
+    P: DisseminationProtocol + Send,
+    P::Message: Send,
+{
     spec.scheduler = scheduler;
-    let fingerprint = Runner::<BrisaNode>::new(&cfg, &spec).run().fingerprint();
+    let fingerprint = Runner::<P>::new(cfg, &spec).run().fingerprint();
     assert!(fingerprint.contains(":d"), "fingerprint is vacuous");
     fnv1a64(fingerprint.as_bytes())
+}
+
+/// Runs `one` under both schedulers, asserts they agree, returns the hash.
+fn both_schedulers(label: &str, one: impl Fn(SchedulerKind) -> u64) -> u64 {
+    let wheel = one(SchedulerKind::TimingWheel);
+    let heap = one(SchedulerKind::BinaryHeap);
+    assert_eq!(wheel, heap, "{label}: schedulers diverged");
+    wheel
+}
+
+/// The control-plane rows, in `CONTROL_PLANE_PINNED` order.
+fn control_plane_rows() -> [(&'static str, u64); 4] {
+    let baseline = BaselineScenario {
+        churn: Some(ChurnSpec {
+            rate_percent: 0.5,
+            interval: SimDuration::from_secs(5),
+            duration: SimDuration::from_secs(30),
+        }),
+        stream: StreamSpec::short(40, 1024),
+        ..BaselineScenario::small_test(200)
+    };
+    let flood_cfg = HyParViewConfig::with_active_size(baseline.view_size);
+    let gossip_cfg = GossipConfig::default().for_system_size(baseline.nodes as usize);
+    let tree = ParentStrategy::FirstComeFirstPicked;
+    // Cross-cut traffic is held until the heal: every held message's
+    // arrival is the fault layer's floor, not `now + latency`, and the
+    // burst released at one instant walks the FIFO `+1 µs` bump chain.
+    let held = BrisaScenario {
+        faults: FaultSpec {
+            loss_rate: 0.01,
+            partition: Some(PartitionPhase::delay(
+                0.2,
+                SimDuration::from_secs(2),
+                SimDuration::from_secs(4),
+            )),
+            ..FaultSpec::default()
+        },
+        ..scenario(StructureMode::Tree, tree, false)
+    };
+    let churned = scenario(StructureMode::Tree, tree, true);
+    let stack = |sc: &BrisaScenario| BrisaStackConfig {
+        hpv: sc.hyparview_config(),
+        brisa: sc.brisa_config(),
+    };
+    [
+        (
+            "flood over HyParView, churn",
+            both_schedulers("flood", |k| {
+                run_spec::<FloodNode>(&flood_cfg, baseline.run_spec(), k)
+            }),
+        ),
+        (
+            "SimpleGossip over Cyclon, churn",
+            both_schedulers("gossip", |k| {
+                run_spec::<SimpleGossipNode>(&gossip_cfg, baseline.run_spec(), k)
+            }),
+        ),
+        (
+            "BRISA tree, 1 % loss + Delay partition",
+            both_schedulers("held", |k| run(&held, k)),
+        ),
+        (
+            "BRISA tree, churn + loss, shards(2)",
+            both_schedulers("sharded", |k| {
+                let mut spec = churned.run_spec();
+                spec.shards = 2;
+                run_spec::<BrisaNode>(&stack(&churned), spec, k)
+            }),
+        ),
+    ]
+}
+
+/// Recorded on a82ec39, the parent of the control-plane rewrite.
+const CONTROL_PLANE_PINNED: [u64; 4] = [
+    0x4cfc736859c564ee, // flood over HyParView, churn
+    0x5ddd496a25448b70, // SimpleGossip over Cyclon, churn
+    0x56c715ee2eca79af, // BRISA tree, 1 % loss + Delay partition
+    0xe70dccd5c4d17f0c, // BRISA tree, churn + loss, shards(2)
+];
+
+#[test]
+fn control_plane_decisions_match_the_pinned_hashes() {
+    let rows = control_plane_rows();
+    let actual: Vec<u64> = rows.iter().map(|&(_, h)| h).collect();
+    if actual != CONTROL_PLANE_PINNED {
+        let mut table = String::from("const CONTROL_PLANE_PINNED: [u64; 4] = [\n");
+        for (label, hash) in rows {
+            table.push_str(&format!("    {hash:#018x}, // {label}\n"));
+        }
+        table.push_str("];");
+        panic!("the control plane decided something differently; this build produces\n{table}");
+    }
+    // The sharded row is the sequential churn + loss cell of the matrix
+    // above: one scenario, two drivers, one pinned hash.
+    assert_eq!(CONTROL_PLANE_PINNED[3], PINNED[0][0][1]);
+    let mut distinct = actual.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(
+        distinct.len(),
+        4,
+        "two control-plane rows pinned the same run"
+    );
 }
 
 #[test]

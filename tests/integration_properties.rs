@@ -197,7 +197,7 @@ proptest! {
                 4 => HpvMsg::Disconnect,
                 _ => HpvMsg::ShuffleReply { nodes: vec![NodeId(peer + 200), NodeId(0)] },
             };
-            let _ = node.handle(SimTime::ZERO, NodeId(peer), msg, &mut rng);
+            node.handle(SimTime::ZERO, NodeId(peer), msg, &mut rng, &mut Vec::new());
             prop_assert!(node.active_view().len() <= cfg.max_active());
             prop_assert!(node.passive_view().len() <= cfg.passive_size);
             prop_assert!(!node.active_view().contains(&NodeId(0)), "no self loops");
