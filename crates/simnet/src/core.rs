@@ -1,0 +1,532 @@
+//! The event-processing core: how one simulation event is handled, written
+//! once.
+//!
+//! A [`Core`] owns a set of nodes (instances of a type implementing
+//! [`Protocol`]) with their event queue, link state, fault layer and
+//! bandwidth meter, and processes events in `(time, priority)` order. It
+//! is parameterised only by a [`Placement`]: which node ids this core owns
+//! and where an event for a node it does not own goes. The sequential
+//! [`crate::Network`] is one core that owns everything ([`Whole`]); the
+//! sharded [`crate::ShardedNetwork`] is `k` cores with
+//! [`crate::shard::Strided`] placement plus the epoch loop of
+//! [`crate::shard`].
+//!
+//! The hot path is built on dense, index-addressed state (see
+//! [`crate::sched`] for the timing-wheel event queue and [`crate::links`]
+//! for the adjacency/link-clock vectors); the steady-state event loop does
+//! not allocate per event. Under [`Whole`] every ownership test is a
+//! constant, so the outbox and the relay pushes compile away.
+
+use std::sync::Arc;
+
+use crate::bandwidth::{BandwidthMeter, Direction};
+use crate::event::{EventKind, EventQueue};
+use crate::faults::{FaultLayer, Routed};
+use crate::latency::LatencyModel;
+use crate::links::{ensure_len, Adjacency, LinkClocks};
+use crate::network::{event_record_size, Footprint, NetStats, NetworkConfig};
+use crate::node::NodeId;
+use crate::protocol::{Command, Context, Protocol, WireSize};
+use crate::time::SimTime;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+/// Which node ids one event-processing core owns, and where the rest live.
+///
+/// Two implementations exist: [`Whole`] (the sequential simulator) and
+/// [`crate::Strided`] (one shard of the sharded simulator).
+pub trait Placement: Copy + Send + 'static {
+    /// True if a simulation with this placement always has exactly one
+    /// core, which lets the compiler drop the multi-core machinery.
+    const SOLE: bool;
+
+    /// True if the core with this placement owns `id`.
+    fn owns(self, id: NodeId) -> bool;
+
+    /// Index of an owned `id` in the core's dense node vector.
+    fn local(self, id: NodeId) -> usize;
+
+    /// Index, among the cores of one simulation, of the core that owns
+    /// `id`.
+    fn home(self, id: NodeId) -> usize;
+}
+
+/// The placement that owns every id: local index = id, nothing is remote.
+#[derive(Debug, Clone, Copy)]
+pub struct Whole;
+
+impl Placement for Whole {
+    const SOLE: bool = true;
+
+    #[inline(always)]
+    fn owns(self, _id: NodeId) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn local(self, id: NodeId) -> usize {
+        id.index()
+    }
+
+    #[inline(always)]
+    fn home(self, _id: NodeId) -> usize {
+        0
+    }
+}
+
+/// What one core hands another: an event for a node the sender does not
+/// own, or an adjacency mirror notification (every mutation of an edge
+/// whose endpoints live on different cores is replayed on the other
+/// endpoint's core, so `incoming_of` and `clear_outgoing` stay exact).
+pub(crate) enum Relay<M> {
+    Event {
+        time: SimTime,
+        prio: u64,
+        kind: EventKind<M>,
+    },
+    Open {
+        owner: NodeId,
+        peer: NodeId,
+    },
+    Close {
+        owner: NodeId,
+        peer: NodeId,
+    },
+}
+
+struct NodeSlot<P> {
+    proto: P,
+    rng: SmallRng,
+    alive: bool,
+    started: bool,
+    /// Per-node cause counter for lane-key event priorities: the n-th event
+    /// *caused* by this node gets priority `(id << 32) | n`. Together with
+    /// the event time this forms a globally unique key that depends only on
+    /// the node's own processing history — not on global push order — which
+    /// is what makes a sharded run's event order identical to the
+    /// sequential one. Every draw for a lane happens on the core that owns
+    /// it.
+    lane_seq: u32,
+}
+
+/// One event-processing core (see the module docs).
+pub(crate) struct Core<P: Protocol, Pl> {
+    place: Pl,
+    pub config: NetworkConfig,
+    pub latency: Arc<dyn LatencyModel>,
+    pub now: SimTime,
+    pub queue: EventQueue<P::Message>,
+    /// Owned nodes, dense at `place.local(id)`. A node's liveness is its
+    /// slot's flag.
+    nodes: Vec<NodeSlot<P>>,
+    /// Replica of the liveness flags of the nodes *other* cores own,
+    /// indexed by id (a send asks about its destination); always empty
+    /// under [`Whole`]. Liveness flips only where all cores of a
+    /// simulation can be flipped together — in the boundary drain — so
+    /// reads are stable and identical on every core.
+    remote_alive: Vec<bool>,
+    pub bandwidth: BandwidthMeter,
+    /// Open connections as per-node sorted adjacency vectors (plus a
+    /// reverse index) over the global id space, iterated in fixed `NodeId`
+    /// order so the simulation is bit-identical no matter which thread
+    /// runs it. Out-lists of owned nodes are authoritative; edges with a
+    /// remote endpoint are mirrored onto that endpoint's core.
+    connections: Adjacency,
+    /// Per directed pair with a message in flight, the time the last one is
+    /// scheduled to arrive (used to enforce FIFO ordering). A sender's
+    /// clocks live only on its owner.
+    pub link_clock: LinkClocks,
+    pub stats: NetStats,
+    /// Fault-injection layer, consulted between command drain and delivery
+    /// scheduling. Inert by default (one branch per send). Draw counters
+    /// are per directed link and only bumped on the sender's core, so the
+    /// replicas of a sharded simulation never disagree on a draw.
+    pub faults: FaultLayer,
+    command_buf: Vec<Command<P::Message>>,
+    /// Reused buffer for the peers notified by `apply_crash`.
+    crash_buf: Vec<NodeId>,
+    /// Relays for the other cores, indexed by [`Placement::home`]; always
+    /// empty under [`Whole`].
+    pub outbox: Vec<Vec<Relay<P::Message>>>,
+}
+
+impl<P: Protocol, Pl: Placement> Core<P, Pl> {
+    /// Creates one of the `cores` cores of a simulation.
+    pub fn new(
+        place: Pl,
+        cores: usize,
+        config: &NetworkConfig,
+        latency: Arc<dyn LatencyModel>,
+    ) -> Self {
+        Core {
+            place,
+            config: config.clone(),
+            latency,
+            now: SimTime::ZERO,
+            queue: EventQueue::new(config.scheduler, config.trace_events),
+            nodes: Vec::new(),
+            remote_alive: Vec::new(),
+            bandwidth: BandwidthMeter::with_mode(config.meter),
+            connections: Adjacency::default(),
+            link_clock: LinkClocks::default(),
+            stats: NetStats::default(),
+            faults: FaultLayer::new(config.seed, config.faults.clone()),
+            command_buf: Vec::new(),
+            crash_buf: Vec::new(),
+            outbox: (0..cores).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    pub fn place(&self) -> Pl {
+        self.place
+    }
+
+    /// Nodes ever added to this core.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// True if `id` — owned or not — exists and has not crashed.
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        if self.place.owns(id) {
+            self.nodes
+                .get(self.place.local(id))
+                .is_some_and(|n| n.alive)
+        } else {
+            self.remote_alive.get(id.index()).is_some_and(|&a| a)
+        }
+    }
+
+    /// True if the owned node `id` is alive and its `on_start` has run.
+    pub fn is_started(&self, id: NodeId) -> bool {
+        self.is_alive(id) && self.nodes[self.place.local(id)].started
+    }
+
+    /// Protocol state of an owned node.
+    pub fn node(&self, id: NodeId) -> Option<&P> {
+        self.nodes.get(self.place.local(id)).map(|n| &n.proto)
+    }
+
+    /// Registers a node another core owns.
+    pub fn register_remote(&mut self, id: NodeId) {
+        ensure_len(&mut self.remote_alive, id.index());
+        self.remote_alive[id.index()] = true;
+    }
+
+    /// Registers the next node this core owns: `on_start` runs at `start`,
+    /// its RNG stream is seeded with `seed`.
+    pub fn register(
+        &mut self,
+        id: NodeId,
+        start: SimTime,
+        seed: u64,
+        build: impl FnOnce(NodeId) -> P,
+    ) {
+        assert_eq!(
+            self.place.local(id),
+            self.nodes.len(),
+            "node ids must be added densely"
+        );
+        self.nodes.push(NodeSlot {
+            proto: build(id),
+            rng: SmallRng::seed_from_u64(seed),
+            alive: true,
+            started: false,
+            lane_seq: 0,
+        });
+        self.bandwidth.ensure(id);
+        let prio = self.lane_key(id);
+        self.queue.push(start, prio, EventKind::Start { node: id });
+    }
+
+    /// Draws the next lane-key priority for an event caused by the owned
+    /// node `lane`: its id in the high 32 bits, its cause counter in the
+    /// low 32. A lane never added (a crash requested for an unknown id)
+    /// gets counter 0 — such events are ignored at processing time anyway.
+    pub fn lane_key(&mut self, lane: NodeId) -> u64 {
+        debug_assert!(self.place.owns(lane));
+        let hi = (lane.0 as u64) << 32;
+        match self.nodes.get_mut(self.place.local(lane)) {
+            Some(slot) => {
+                let key = hi | slot.lane_seq as u64;
+                slot.lane_seq = slot.lane_seq.wrapping_add(1);
+                key
+            }
+            None => hi,
+        }
+    }
+
+    /// Schedules an event for `target` on whichever core owns it.
+    fn push_for(&mut self, target: NodeId, time: SimTime, prio: u64, kind: EventKind<P::Message>) {
+        if self.place.owns(target) {
+            self.queue.push(time, prio, kind);
+        } else {
+            self.outbox[self.place.home(target)].push(Relay::Event { time, prio, kind });
+        }
+    }
+
+    /// Tells `peer`'s core about a change to an edge towards it.
+    fn mirror(&mut self, peer: NodeId, relay: Relay<P::Message>) {
+        if !self.place.owns(peer) {
+            self.outbox[self.place.home(peer)].push(relay);
+        }
+    }
+
+    /// Applies what another core relayed here.
+    pub fn apply_relay(&mut self, relay: Relay<P::Message>) {
+        match relay {
+            Relay::Event { time, prio, kind } => self.queue.push(time, prio, kind),
+            Relay::Open { owner, peer } => self.connections.insert(owner, peer),
+            Relay::Close { owner, peer } => self.connections.remove(owner, peer),
+        }
+    }
+
+    /// Processes every queued event up to and including `deadline`, then
+    /// sets the clock to it.
+    pub fn run_to(&mut self, deadline: SimTime) {
+        while let Some(t) = self.queue.peek_time() {
+            if t > deadline {
+                break;
+            }
+            let ev = self.queue.pop().expect("peeked event must exist");
+            self.now = ev.time;
+            self.stats.events_processed += 1;
+            self.process(ev.item);
+        }
+        if self.now < deadline {
+            self.now = deadline;
+        }
+    }
+
+    pub fn process(&mut self, kind: EventKind<P::Message>) {
+        match kind {
+            EventKind::Start { node } => {
+                if !self.is_alive(node) {
+                    return;
+                }
+                self.nodes[self.place.local(node)].started = true;
+                self.dispatch(node, |proto, ctx| proto.on_start(ctx));
+            }
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                size,
+            } => {
+                if !self.is_started(to) {
+                    self.stats.messages_dropped += 1;
+                    return;
+                }
+                self.bandwidth
+                    .record(to, Direction::Download, size, self.now);
+                self.stats.messages_delivered += 1;
+                self.dispatch(to, |proto, ctx| proto.on_message(ctx, from, msg));
+            }
+            EventKind::Timer { node, tag } => {
+                if !self.is_alive(node) {
+                    return;
+                }
+                self.dispatch(node, |proto, ctx| proto.on_timer(ctx, tag));
+            }
+            EventKind::LinkDown { node, peer } => {
+                // Only notify if the connection is still considered open.
+                if !self.is_alive(node) || !self.connections.contains(node, peer) {
+                    return;
+                }
+                self.connections.remove(node, peer);
+                self.mirror(peer, Relay::Close { owner: node, peer });
+                self.dispatch(node, |proto, ctx| proto.on_link_down(ctx, peer));
+            }
+            // A crash is only ever requested for the current instant,
+            // between two runs, so a simulation with several cores meets
+            // this event in its boundary drain, which applies it to all of
+            // them; here it reaches the one core there is.
+            EventKind::Crash { node } => self.apply_crash(node),
+        }
+    }
+
+    /// Applies the crash of `victim` (fail-stop) to this core. Every core
+    /// of a simulation applies it, at the same point of the event order.
+    pub fn apply_crash(&mut self, victim: NodeId) {
+        if !self.is_alive(victim) {
+            return;
+        }
+        if self.place.owns(victim) {
+            self.nodes[self.place.local(victim)].alive = false;
+            // Peers with an open connection to the crashed node detect the
+            // failure after the detection delay. The owner's reverse
+            // adjacency index (every remote edge towards the victim was
+            // mirrored here) yields them directly in O(degree); the buffer
+            // is reused across crashes.
+            let detect_at = self.now + self.config.failure_detection_delay;
+            let mut notified = std::mem::take(&mut self.crash_buf);
+            notified.clear();
+            notified.extend_from_slice(self.connections.incoming_of(victim));
+            for &owner in &notified {
+                // The crashed node is the lane: `incoming_of` yields owners
+                // in ascending id order, so these draws are a deterministic
+                // function of the crash itself.
+                let prio = self.lane_key(victim);
+                let down = EventKind::LinkDown {
+                    node: owner,
+                    peer: victim,
+                };
+                self.push_for(owner, detect_at, prio, down);
+            }
+            self.crash_buf = notified;
+        } else {
+            self.remote_alive[victim.index()] = false;
+        }
+        // Drop the crashed node's own connections, FIFO link clocks and
+        // fault-layer draw counters so long churn runs do not accumulate
+        // state for dead nodes.
+        self.connections.clear_outgoing(victim);
+        self.link_clock.clear(victim);
+        self.faults.prune(victim);
+    }
+
+    /// Runs `f` against the owned node `id` and applies the commands it
+    /// issues.
+    pub fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
+        let slot = &mut self.nodes[self.place.local(id)];
+        let mut commands = std::mem::take(&mut self.command_buf);
+        commands.clear();
+        {
+            let mut ctx = Context {
+                now: self.now,
+                id,
+                rng: &mut slot.rng,
+                commands: &mut commands,
+                telemetry: &self.config.telemetry,
+            };
+            f(&mut slot.proto, &mut ctx);
+        }
+        let drained = self.apply_commands(id, commands);
+        self.command_buf = drained;
+    }
+
+    /// Applies the commands a callback issued. Commands are consumed by
+    /// value: a `Send` moves its message straight into the event queue, so
+    /// fanning a payload out to many peers costs whatever the protocol paid
+    /// to build each message (an `Arc` clone for BRISA data) and nothing
+    /// more. Returns the emptied vector for reuse.
+    fn apply_commands(
+        &mut self,
+        origin: NodeId,
+        mut commands: Vec<Command<P::Message>>,
+    ) -> Vec<Command<P::Message>> {
+        for cmd in commands.drain(..) {
+            match cmd {
+                Command::Send { to, msg } => {
+                    let size = msg.wire_size();
+                    self.stats.messages_sent += 1;
+                    self.bandwidth
+                        .record(origin, Direction::Upload, size, self.now);
+                    let latency = {
+                        let rng = &mut self.nodes[self.place.local(origin)].rng;
+                        self.latency.sample(origin, to, rng)
+                    };
+                    // The fault layer sits between command drain and
+                    // delivery scheduling. The sender has already paid the
+                    // upload bandwidth: a lost message went onto the wire,
+                    // it just never arrives. Loss/jitter draws come from the
+                    // layer's own per-link split-seed PRF, so the node RNG
+                    // stream above is identical with or without faults.
+                    let mut deliver_at = self.now + latency;
+                    if !self.faults.is_inert() {
+                        match self.faults.route(origin, to, self.now, latency) {
+                            Routed::Deliver(at) => deliver_at = at,
+                            Routed::LostToFaults => {
+                                self.stats.messages_lost_to_faults += 1;
+                                continue;
+                            }
+                            Routed::CutByPartition => {
+                                self.stats.messages_cut_by_partition += 1;
+                                continue;
+                            }
+                        }
+                    }
+                    // FIFO clocks are only kept towards live destinations:
+                    // a delivery to a dead node is dropped on arrival, so its
+                    // ordering is irrelevant. The failure-detection window,
+                    // where senders still relay to a crashed peer, hits
+                    // exactly this path.
+                    if self.config.fifo_links && self.is_alive(to) {
+                        deliver_at = self.link_clock.stamp(origin, to, self.now, deliver_at);
+                    }
+                    let prio = self.lane_key(origin);
+                    let deliver = EventKind::Deliver {
+                        from: origin,
+                        to,
+                        msg,
+                        size,
+                    };
+                    self.push_for(to, deliver_at, prio, deliver);
+                }
+                Command::SetTimer { delay, tag } => {
+                    let prio = self.lane_key(origin);
+                    self.queue.push(
+                        self.now + delay,
+                        prio,
+                        EventKind::Timer { node: origin, tag },
+                    );
+                }
+                Command::OpenConnection { peer } => {
+                    self.connections.insert(origin, peer);
+                    self.mirror(
+                        peer,
+                        Relay::Open {
+                            owner: origin,
+                            peer,
+                        },
+                    );
+                    // Connecting to a node that is already dead — or across
+                    // an active partition cut, whose handshake traffic is
+                    // blackholed — fails after the detection delay, like a
+                    // TCP connect timeout.
+                    if !self.is_alive(peer)
+                        || (!self.faults.is_inert() && self.faults.is_cut(self.now, origin, peer))
+                    {
+                        let prio = self.lane_key(origin);
+                        self.queue.push(
+                            self.now + self.config.failure_detection_delay,
+                            prio,
+                            EventKind::LinkDown { node: origin, peer },
+                        );
+                    }
+                }
+                Command::CloseConnection { peer } => {
+                    self.connections.remove(origin, peer);
+                    self.mirror(
+                        peer,
+                        Relay::Close {
+                            owner: origin,
+                            peer,
+                        },
+                    );
+                }
+            }
+        }
+        commands
+    }
+
+    /// This core's share of the simulation's [`Footprint`].
+    pub fn footprint(&self) -> Footprint {
+        let slot_overhead = std::mem::size_of::<NodeSlot<P>>() - std::mem::size_of::<P>();
+        Footprint {
+            nodes: self.nodes.len(),
+            node_state_bytes: self
+                .nodes
+                .iter()
+                .map(|n| n.proto.approx_state_bytes() + slot_overhead)
+                .sum::<usize>()
+                + self.remote_alive.capacity(),
+            // Each pending entry carries the event record plus its
+            // `(time, prio, sequence)` sort key.
+            queue_bytes: self.queue.len() * (event_record_size::<P>() + 24),
+            adjacency_bytes: self.connections.approx_bytes(),
+            link_clock_bytes: self.link_clock.approx_bytes(),
+            bandwidth_bytes: self.bandwidth.approx_bytes(),
+        }
+    }
+}

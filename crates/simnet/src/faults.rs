@@ -236,6 +236,12 @@ impl FaultLayer {
         self.inert
     }
 
+    /// The live profile's latency multiplier (it scales the sharded
+    /// simulator's lookahead when it compresses latencies).
+    pub fn latency_factor(&self) -> f64 {
+        self.link.latency_factor
+    }
+
     /// Replaces the live per-link profile.
     pub fn set_link_faults(&mut self, link: LinkFaults) {
         self.link = link;

@@ -21,7 +21,10 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// A model producing the one-way latency of a message from `src` to `dst`.
-pub trait LatencyModel: Send {
+///
+/// `Send + Sync`: the shards of a sharded simulation sample one shared
+/// model, each under its own nodes' RNGs.
+pub trait LatencyModel: Send + Sync {
     /// Samples the latency for one message transmission.
     fn sample(&self, src: NodeId, dst: NodeId, rng: &mut SmallRng) -> SimDuration;
 
@@ -36,7 +39,7 @@ pub trait LatencyModel: Send {
     /// latency is ever smaller. The sharded driver sizes its epoch window
     /// from this bound (conservative parallel DES lookahead), so a model
     /// that cannot promise one must return [`SimDuration::ZERO`] — which
-    /// restricts it to the sequential driver.
+    /// restricts it to a single shard.
     fn min_latency(&self) -> SimDuration {
         SimDuration::ZERO
     }

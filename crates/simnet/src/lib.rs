@@ -51,6 +51,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bandwidth;
+mod core;
 mod event;
 pub mod faults;
 pub mod latency;
@@ -63,13 +64,14 @@ pub mod seed;
 mod shard;
 mod time;
 
+pub use crate::core::{Placement, Whole};
 pub use bandwidth::{BandwidthMeter, Direction, MeterMode, NodeBandwidth};
 pub use event::TimerTag;
 pub use faults::{FaultConfig, FaultPrf, LinkFaults, PartitionMode, PartitionSpec};
 pub use latency::LatencyModel;
-pub use network::{event_record_size, Footprint, NetStats, Network, NetworkConfig};
+pub use network::{event_record_size, Driver, Footprint, NetStats, Network, NetworkConfig};
 pub use node::NodeId;
 pub use protocol::{Command, Context, Protocol, WireSize};
 pub use sched::{SchedulerKind, TraceOp};
-pub use shard::ShardedNetwork;
+pub use shard::{ShardedNetwork, Strided};
 pub use time::{SimDuration, SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};

@@ -27,7 +27,7 @@
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 
-fn ensure_len<T: Default>(v: &mut Vec<T>, index: usize) {
+pub(crate) fn ensure_len<T: Default>(v: &mut Vec<T>, index: usize) {
     if v.len() <= index {
         v.resize_with(index + 1, T::default);
     }

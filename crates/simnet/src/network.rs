@@ -1,24 +1,17 @@
-//! The simulation driver.
-//!
-//! A [`Network`] owns every node (an instance of a type implementing
-//! [`Protocol`]), the event queue, the latency model and the bandwidth
-//! meter, and advances simulated time by processing events in order.
-//!
-//! Runs are fully deterministic: the same seed, latency model and sequence
-//! of `add_node` / `schedule_crash` calls produce bit-identical executions.
-//!
-//! The hot path is built on dense, index-addressed state (see
-//! [`crate::sched`] for the timing-wheel event queue and [`crate::links`]
-//! for the adjacency/link-clock vectors); the steady-state event loop does
-//! not allocate per event.
+//! The simulation driver: configuration, counters and the one set of entry
+//! points ([`Driver`]) shared by the sequential [`Network`] and the sharded
+//! [`crate::ShardedNetwork`]. How an event is processed lives in
+//! [`crate::core`]; how several cores advance together, in [`crate::shard`].
 
-use crate::bandwidth::{BandwidthMeter, Direction, MeterMode};
-use crate::event::{EventKind, EventQueue};
-use crate::faults::{FaultConfig, FaultLayer, LinkFaults, PartitionSpec, Routed};
+use std::sync::Arc;
+
+use crate::bandwidth::{BandwidthMeter, MeterMode};
+use crate::core::{Core, Placement, Whole};
+use crate::event::EventKind;
+use crate::faults::{FaultConfig, LinkFaults, PartitionSpec};
 use crate::latency::LatencyModel;
-use crate::links::{Adjacency, LinkClocks};
 use crate::node::NodeId;
-use crate::protocol::{Command, Context, Protocol, WireSize};
+use crate::protocol::{Context, Protocol};
 use crate::sched::{SchedulerKind, TraceOp};
 use crate::seed::split_mix64;
 use crate::time::{SimDuration, SimTime};
@@ -100,74 +93,94 @@ pub struct NetStats {
     pub events_processed: u64,
 }
 
-struct NodeSlot<P> {
-    proto: P,
-    rng: SmallRng,
-    alive: bool,
-    started: bool,
-    /// Per-node cause counter for lane-key event priorities: the n-th event
-    /// *caused* by this node gets priority `(id << 32) | n`. Together with
-    /// the event time this forms a globally unique key that depends only on
-    /// the node's own processing history — not on global push order — which
-    /// is what makes the sharded driver's event order identical to the
-    /// sequential one.
-    lane_seq: u32,
-}
-
-/// The discrete-event network simulator.
-pub struct Network<P: Protocol> {
-    config: NetworkConfig,
-    latency: Box<dyn LatencyModel>,
-    now: SimTime,
-    queue: EventQueue<P::Message>,
-    nodes: Vec<NodeSlot<P>>,
+/// A deterministic discrete-event simulation: one or more event-processing
+/// cores behind one set of entry points.
+///
+/// Two instantiations exist. [`Network`] is a single core that owns every
+/// node. [`crate::ShardedNetwork`] partitions the nodes across `k` cores and
+/// runs them on worker threads in lock-step epochs; with the same
+/// configuration and seed it is bit-identical to [`Network`] in every
+/// observable — stats, per-node state, FIFO clocks, bandwidth.
+///
+/// Nodes are added, invoked and crashed between `run_until` calls, at the
+/// current instant. Runs are fully deterministic: the same seed, latency
+/// model and sequence of calls produce bit-identical executions.
+pub struct Driver<P: Protocol, Pl: Placement> {
+    /// One core per placement instance; between two runs their clocks
+    /// agree.
+    pub(crate) cores: Cores<Core<P, Pl>>,
     master_rng: SmallRng,
     /// Dedicated RNG for reference-latency queries ([`Self::typical_latency`]).
     /// Derived once from the master seed, *not* from `master_rng`: drawing
     /// reference latencies must never reorder the seeds of nodes added
     /// afterwards.
     reference_rng: SmallRng,
-    bandwidth: BandwidthMeter,
-    /// Open connections as per-node sorted adjacency vectors (plus a
-    /// reverse index), iterated in fixed `NodeId` order so the simulation is
-    /// bit-identical no matter which thread runs it.
-    connections: Adjacency,
-    /// Per directed pair with a message in flight, the time the last one is
-    /// scheduled to arrive (used to enforce FIFO ordering).
-    link_clock: LinkClocks,
-    stats: NetStats,
-    /// Fault-injection layer, consulted between command drain and delivery
-    /// scheduling. Inert by default (one branch per send).
-    faults: FaultLayer,
-    command_buf: Vec<Command<P::Message>>,
-    /// Reused buffer for the peers notified by `process_crash`.
-    crash_buf: Vec<NodeId>,
 }
 
-impl<P: Protocol> Network<P> {
+/// The cores of one simulation, as a slice. A single core is held inline,
+/// so the sequential simulator makes exactly the heap allocations it made
+/// when it was a type of its own: the node vector's growth is the largest
+/// reallocation of a run, and whether glibc extends it in place hangs on
+/// what was allocated just before it (measured: `sim-stream` peak RSS
+/// 108.8 MB with the core inline, 125.0 MB with it in a one-element `Vec`).
+pub(crate) enum Cores<C> {
+    One(C),
+    Many(Vec<C>),
+}
+
+impl<C> std::ops::Deref for Cores<C> {
+    type Target = [C];
+
+    fn deref(&self) -> &[C] {
+        match self {
+            Cores::One(core) => std::slice::from_ref(core),
+            Cores::Many(cores) => cores,
+        }
+    }
+}
+
+impl<C> std::ops::DerefMut for Cores<C> {
+    fn deref_mut(&mut self) -> &mut [C] {
+        match self {
+            Cores::One(core) => std::slice::from_mut(core),
+            Cores::Many(cores) => cores,
+        }
+    }
+}
+
+/// The sequential discrete-event network simulator: one core that owns
+/// every node and the whole event queue, run on the calling thread.
+pub type Network<P> = Driver<P, Whole>;
+
+impl<P: Protocol> Driver<P, Whole> {
     /// Creates a network with the given configuration and latency model.
     pub fn new(config: NetworkConfig, latency: Box<dyn LatencyModel>) -> Self {
-        let master_rng = SmallRng::seed_from_u64(config.seed);
-        let reference_rng = SmallRng::seed_from_u64(split_mix64(config.seed, 0x0DD5_EED5));
-        let queue = EventQueue::new(config.scheduler, config.trace_events);
-        let faults = FaultLayer::new(config.seed, config.faults.clone());
-        let bandwidth = BandwidthMeter::with_mode(config.meter);
-        Network {
-            config,
-            latency,
-            now: SimTime::ZERO,
-            queue,
-            nodes: Vec::new(),
-            master_rng,
-            reference_rng,
-            bandwidth,
-            connections: Adjacency::default(),
-            link_clock: LinkClocks::default(),
-            stats: NetStats::default(),
-            faults,
-            command_buf: Vec::new(),
-            crash_buf: Vec::new(),
+        Self::with_placements(config, latency.into(), vec![Whole])
+    }
+}
+
+impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
+    /// Creates a simulation with one core per placement.
+    pub(crate) fn with_placements(
+        config: NetworkConfig,
+        latency: Arc<dyn LatencyModel>,
+        placements: Vec<Pl>,
+    ) -> Self {
+        let count = placements.len();
+        let core = |place| Core::new(place, count, &config, Arc::clone(&latency));
+        Driver {
+            master_rng: SmallRng::seed_from_u64(config.seed),
+            reference_rng: SmallRng::seed_from_u64(split_mix64(config.seed, 0x0DD5_EED5)),
+            cores: match placements[..] {
+                [place] => Cores::One(core(place)),
+                _ => Cores::Many(placements.into_iter().map(core).collect()),
+            },
         }
+    }
+
+    /// The core that owns `id`.
+    fn home(&self, id: NodeId) -> usize {
+        self.cores[0].place().home(id)
     }
 
     /// Replaces the live per-link fault profile (loss rate, jitter, latency
@@ -175,57 +188,74 @@ impl<P: Protocol> Network<P> {
     /// Experiment harnesses use this to switch faults on at a scheduled
     /// point of the run (e.g. stream start).
     pub fn set_link_faults(&mut self, link: LinkFaults) {
-        self.faults.set_link_faults(link);
+        for core in self.cores.iter_mut() {
+            core.faults.set_link_faults(link.clone());
+        }
     }
 
     /// Installs a timed partition at runtime, in addition to any configured
     /// through [`NetworkConfig::faults`]. The window may start immediately;
     /// it must not lie entirely in the past.
     pub fn add_partition(&mut self, spec: PartitionSpec) {
-        assert!(spec.end > self.now, "partition healed in the past");
-        self.config.telemetry.event(
-            self.now.as_micros(),
+        assert!(spec.end > self.now(), "partition healed in the past");
+        self.cores[0].config.telemetry.event(
+            self.now().as_micros(),
             u32::MAX,
             TelEventKind::PartitionApply,
             spec.start.as_micros(),
             spec.end.as_micros(),
         );
-        self.faults.add_partition(spec);
+        for core in self.cores.iter_mut() {
+            core.faults.add_partition(spec.clone());
+        }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.cores[0].now
     }
 
-    /// Simulator-level statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    /// Simulator-level statistics, summed over the cores.
+    pub fn stats(&self) -> NetStats {
+        let mut total = NetStats::default();
+        for core in self.cores.iter() {
+            total.messages_sent += core.stats.messages_sent;
+            total.messages_delivered += core.stats.messages_delivered;
+            total.messages_dropped += core.stats.messages_dropped;
+            total.messages_lost_to_faults += core.stats.messages_lost_to_faults;
+            total.messages_cut_by_partition += core.stats.messages_cut_by_partition;
+            total.events_processed += core.stats.events_processed;
+        }
+        total
     }
 
-    /// The bandwidth meter.
-    pub fn bandwidth(&self) -> &BandwidthMeter {
-        &self.bandwidth
+    /// The bandwidth meter. Each node's counters live entirely on the core
+    /// that owns it (uploads are recorded sender-side, downloads
+    /// destination-side), so the merge over cores is a disjoint union.
+    pub fn bandwidth(&self) -> BandwidthMeter {
+        let mut merged = BandwidthMeter::with_mode(self.cores[0].config.meter);
+        for core in self.cores.iter() {
+            merged.absorb(&core.bandwidth);
+        }
+        merged
     }
 
     /// Number of nodes ever added (dead or alive).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.cores.iter().map(Core::node_count).sum()
     }
 
     /// True if `id` exists and has not crashed.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes.get(id.index()).map(|n| n.alive).unwrap_or(false)
+        self.cores[self.home(id)].is_alive(id)
     }
 
     /// Iterator over the identifiers of all live nodes, in ascending order.
     /// Allocation-free; prefer this over [`Self::alive_ids`] in hot loops.
     pub fn alive_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .map(|(i, _)| NodeId(i as u32))
+        (0..self.node_count() as u32)
+            .map(NodeId)
+            .filter(|&id| self.is_alive(id))
     }
 
     /// Identifiers of all live nodes, collected into a fresh vector.
@@ -235,89 +265,41 @@ impl<P: Protocol> Network<P> {
 
     /// Immutable access to the protocol state of `id`.
     pub fn node(&self, id: NodeId) -> Option<&P> {
-        self.nodes.get(id.index()).map(|n| &n.proto)
-    }
-
-    /// Mutable access to the protocol state of `id`. Intended for experiment
-    /// harnesses (e.g. to inject an application-level publish); protocol
-    /// logic itself should only run through simulator callbacks.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.nodes.get_mut(id.index()).map(|n| &mut n.proto)
+        self.cores[self.home(id)].node(id)
     }
 
     /// Adds a node immediately. The builder receives the identifier the node
     /// will use; the node's `on_start` runs at the current simulation time.
     pub fn add_node(&mut self, build: impl FnOnce(NodeId) -> P) -> NodeId {
-        self.add_node_at(self.now, build)
+        self.add_node_at(self.now(), build)
     }
 
     /// Adds a node whose `on_start` runs at `start` (which must not be in
-    /// the past).
+    /// the past). Seeds are drawn from the master RNG in global add order,
+    /// so a node's RNG stream does not depend on which core owns it.
     pub fn add_node_at(&mut self, start: SimTime, build: impl FnOnce(NodeId) -> P) -> NodeId {
-        assert!(start >= self.now, "cannot start a node in the past");
-        let id = NodeId(self.nodes.len() as u32);
+        assert!(start >= self.now(), "cannot start a node in the past");
+        let id = NodeId(self.node_count() as u32);
         let seed: u64 = self.master_rng.gen();
-        self.add_node_with_seed(id, start, seed, build);
+        let owner = self.home(id);
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            if c != owner {
+                core.register_remote(id);
+            }
+        }
+        self.cores[owner].register(id, start, seed, build);
         id
     }
 
-    /// Adds a node with an explicit identifier and RNG seed. This is the
-    /// seam the sharded driver uses: it draws seeds from its own master RNG
-    /// in global `add_node` order and hands each shard the `(id, seed)`
-    /// pair, so per-node streams match the sequential run exactly.
-    pub(crate) fn add_node_with_seed(
-        &mut self,
-        id: NodeId,
-        start: SimTime,
-        seed: u64,
-        build: impl FnOnce(NodeId) -> P,
-    ) {
-        assert_eq!(
-            id.index(),
-            self.nodes.len(),
-            "node ids must be added densely"
-        );
-        self.nodes.push(NodeSlot {
-            proto: build(id),
-            rng: SmallRng::seed_from_u64(seed),
-            alive: true,
-            started: false,
-            lane_seq: 0,
-        });
-        self.bandwidth.ensure(id);
-        let prio = self.lane_key(id);
-        self.queue.push(start, prio, EventKind::Start { node: id });
-    }
-
-    /// Draws the next lane-key priority for an event caused by `lane`: the
-    /// causing node's id in the high 32 bits, its cause counter in the low
-    /// 32. Unknown lanes (e.g. a crash scheduled for a node never added)
-    /// get counter 0 — such events are ignored at processing time anyway.
-    fn lane_key(&mut self, lane: NodeId) -> u64 {
-        let hi = (lane.0 as u64) << 32;
-        match self.nodes.get_mut(lane.index()) {
-            Some(slot) => {
-                let key = hi | slot.lane_seq as u64;
-                slot.lane_seq = slot.lane_seq.wrapping_add(1);
-                key
-            }
-            None => hi,
-        }
-    }
-
-    /// Crashes `id` immediately (fail-stop). Connected peers learn about it
-    /// after the configured failure-detection delay.
+    /// Crashes `id` at the current instant (fail-stop): the node stays alive
+    /// (and invokable) until the next run processes that instant. Connected
+    /// peers learn about it after the configured failure-detection delay.
     pub fn crash(&mut self, id: NodeId) {
-        let at = self.now;
-        let prio = self.lane_key(id);
-        self.queue.push(at, prio, EventKind::Crash { node: id });
-    }
-
-    /// Schedules a crash of `id` at time `at`.
-    pub fn schedule_crash(&mut self, id: NodeId, at: SimTime) {
-        assert!(at >= self.now, "cannot schedule a crash in the past");
-        let prio = self.lane_key(id);
-        self.queue.push(at, prio, EventKind::Crash { node: id });
+        let owner = self.home(id);
+        let core = &mut self.cores[owner];
+        let prio = core.lane_key(id);
+        core.queue
+            .push(core.now, prio, EventKind::Crash { node: id });
     }
 
     /// Runs an application-level closure against a node *through the
@@ -327,151 +309,101 @@ impl<P: Protocol> Network<P> {
     /// `on_start` has not yet run (a node that has not joined cannot
     /// originate traffic, exactly like `Deliver` refuses them input).
     pub fn invoke(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
-        if !self.is_alive(id) || !self.nodes[id.index()].started {
+        let owner = self.home(id);
+        if !self.cores[owner].is_started(id) {
             return;
         }
-        self.dispatch(id, f);
+        self.cores[owner].dispatch(id, f);
+        self.route_outboxes();
     }
 
-    /// Processes events until the queue is empty or `deadline` is reached.
-    /// Returns the time of the last processed event.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
+    /// Hands every relay waiting in a core's outbox to the core it is for.
+    /// For the single-threaded stretches of a run, where the driver holds
+    /// all cores; during epochs the cores exchange relays themselves.
+    pub(crate) fn route_outboxes(&mut self) {
+        for from in 0..self.cores.len() {
+            for to in 0..self.cores.len() {
+                if self.cores[from].outbox[to].is_empty() {
+                    continue;
+                }
+                for relay in std::mem::take(&mut self.cores[from].outbox[to]) {
+                    self.cores[to].apply_relay(relay);
+                }
             }
-            let ev = self.queue.pop().expect("peeked event must exist");
-            self.now = ev.time;
-            self.stats.events_processed += 1;
-            self.process(ev.item);
         }
-        if self.now < deadline {
-            self.now = deadline;
+    }
+
+    /// Processes events until the queues are empty or `deadline` is reached,
+    /// then sets the clock to `deadline`. Returns the new current time.
+    ///
+    /// # Panics
+    ///
+    /// With more than one core, if the effective lookahead is below 1 µs
+    /// (see [`crate::ShardedNetwork`]).
+    pub fn run_until(&mut self, deadline: SimTime) -> SimTime
+    where
+        P: Send,
+        P::Message: Send,
+    {
+        // One core needs no epochs: it is the plain event loop, on the
+        // calling thread, whatever its placement type.
+        if Pl::SOLE || self.cores.len() == 1 {
+            self.cores[0].run_to(deadline);
+        } else {
+            self.run_epochs_until(deadline);
         }
         self.publish_telemetry();
-        self.now
+        self.now()
     }
 
     /// Runs for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) -> SimTime {
-        let deadline = self.now + d;
+    pub fn run_for(&mut self, d: SimDuration) -> SimTime
+    where
+        P: Send,
+        P::Message: Send,
+    {
+        let deadline = self.now() + d;
         self.run_until(deadline)
     }
 
-    /// Runs until no events remain or `max` is reached. Useful for letting a
-    /// dissemination quiesce.
-    pub fn run_to_quiescence(&mut self, max: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > max {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event must exist");
-            self.now = ev.time;
-            self.stats.events_processed += 1;
-            self.process(ev.item);
-        }
-        self.publish_telemetry();
-        self.now
-    }
-
     /// Publishes simulator health to an attached telemetry registry, once
-    /// per `run_*` call. Out-of-band by construction: it only *reads*
+    /// per `run_*` call — with several cores, also one occupancy census
+    /// record per core. Out-of-band by construction: it only *reads*
     /// simulator state, so enabled and disabled runs stay bit-identical.
     fn publish_telemetry(&self) {
-        let tel = &self.config.telemetry;
+        let tel = &self.cores[0].config.telemetry;
         if !tel.is_enabled() {
             return;
         }
+        let stats = self.stats();
         tel.gauge("sim.sched_occupancy")
-            .set(self.queue.len() as u64);
+            .set(self.pending_events() as u64);
         tel.gauge("sim.events_processed")
-            .set(self.stats.events_processed);
+            .set(stats.events_processed);
         tel.gauge("sim.messages_delivered")
-            .set(self.stats.messages_delivered);
-        tel.gauge("sim.now_us").set(self.now.as_micros());
+            .set(stats.messages_delivered);
+        tel.gauge("sim.now_us").set(self.now().as_micros());
+        if self.cores.len() == 1 {
+            return;
+        }
+        tel.gauge("sim.shards").set(self.cores.len() as u64);
+        for (s, core) in self.cores.iter().enumerate() {
+            // Reuses the reactor's queue-census taxonomy: `node` is the
+            // shard index, `a` its queue occupancy, `b` events processed.
+            tel.event_on_shard(
+                s,
+                self.now().as_micros(),
+                s as u32,
+                TelEventKind::WriteQueueDepth,
+                core.queue.len() as u64,
+                core.stats.events_processed,
+            );
+        }
     }
 
     /// Number of pending events (mostly useful in tests).
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn process(&mut self, kind: EventKind<P::Message>) {
-        match kind {
-            EventKind::Start { node } => {
-                if !self.is_alive(node) {
-                    return;
-                }
-                self.nodes[node.index()].started = true;
-                self.dispatch(node, |proto, ctx| proto.on_start(ctx));
-            }
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                size,
-            } => {
-                if !self.is_alive(to) || !self.nodes[to.index()].started {
-                    self.stats.messages_dropped += 1;
-                    return;
-                }
-                self.bandwidth
-                    .record(to, Direction::Download, size, self.now);
-                self.stats.messages_delivered += 1;
-                self.dispatch(to, |proto, ctx| proto.on_message(ctx, from, msg));
-            }
-            EventKind::Timer { node, tag } => {
-                if !self.is_alive(node) {
-                    return;
-                }
-                self.dispatch(node, |proto, ctx| proto.on_timer(ctx, tag));
-            }
-            EventKind::LinkDown { node, peer } => {
-                // Only notify if the connection is still considered open.
-                if !self.is_alive(node) || !self.connections.contains(node, peer) {
-                    return;
-                }
-                self.connections.remove(node, peer);
-                self.dispatch(node, |proto, ctx| proto.on_link_down(ctx, peer));
-            }
-            EventKind::Crash { node } => self.process_crash(node),
-        }
-    }
-
-    fn process_crash(&mut self, node: NodeId) {
-        if !self.is_alive(node) {
-            return;
-        }
-        self.nodes[node.index()].alive = false;
-        // Peers with an open connection to the crashed node detect the
-        // failure after the detection delay. The reverse adjacency index
-        // yields them directly in O(degree); the buffer is reused across
-        // crashes.
-        let detect_at = self.now + self.config.failure_detection_delay;
-        self.crash_buf.clear();
-        self.crash_buf
-            .extend_from_slice(self.connections.incoming_of(node));
-        for i in 0..self.crash_buf.len() {
-            let owner = self.crash_buf[i];
-            // The crashed node is the lane: `incoming_of` yields owners in
-            // ascending id order, so these draws are a deterministic
-            // function of the crash itself.
-            let prio = self.lane_key(node);
-            self.queue.push(
-                detect_at,
-                prio,
-                EventKind::LinkDown {
-                    node: owner,
-                    peer: node,
-                },
-            );
-        }
-        // Drop the crashed node's own connections, FIFO link clocks and
-        // fault-layer draw counters so long churn runs do not accumulate
-        // state for dead nodes.
-        self.connections.clear_outgoing(node);
-        self.link_clock.clear(node);
-        self.faults.prune(node);
+        self.cores.iter().map(|c| c.queue.len()).sum()
     }
 
     /// Number of directed FIFO link clocks currently tracked: the links
@@ -479,155 +411,51 @@ impl<P: Protocol> Network<P> {
     /// sender last sent (a sender drops those on its next send). Exposed so
     /// tests can assert the table stays bounded by what is live.
     pub fn tracked_link_clocks(&self) -> usize {
-        self.link_clock.tracked_links()
+        self.cores
+            .iter()
+            .map(|c| c.link_clock.tracked_links())
+            .sum()
     }
 
     /// Snapshot of every tracked FIFO link clock as `(sender, dest, last
     /// scheduled arrival)`, in `(sender, dest)` order. Diagnostic hook for
     /// the online invariant checkers (per-link clocks must be monotone over
-    /// a run).
+    /// a run). A sender's clocks live only on the core that owns it.
     pub fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        self.link_clock.entries()
+        let mut all: Vec<_> = self
+            .cores
+            .iter()
+            .flat_map(|c| c.link_clock.entries())
+            .collect();
+        if self.cores.len() > 1 {
+            all.sort_unstable_by_key(|&(sender, dest, _)| (sender, dest));
+        }
+        all
     }
 
     /// Takes the recorded scheduler operation trace. Empty unless
-    /// [`NetworkConfig::trace_events`] was set; intended for benches that
-    /// replay real workloads through a scheduler in isolation.
+    /// [`NetworkConfig::trace_events`] was set (which needs a single
+    /// core: several queues have no one interleaved trace); intended for
+    /// benches that replay real workloads through a scheduler in isolation.
     pub fn take_event_trace(&mut self) -> Vec<TraceOp> {
-        self.queue.take_trace()
-    }
-
-    fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
-        let slot = &mut self.nodes[id.index()];
-        let mut commands = std::mem::take(&mut self.command_buf);
-        commands.clear();
-        {
-            let mut ctx = Context {
-                now: self.now,
-                id,
-                rng: &mut slot.rng,
-                commands: &mut commands,
-                telemetry: &self.config.telemetry,
-            };
-            f(&mut slot.proto, &mut ctx);
-        }
-        let drained = self.apply_commands(id, commands);
-        self.command_buf = drained;
-    }
-
-    /// Applies the commands a callback issued. Commands are consumed by
-    /// value: a `Send` moves its message straight into the event queue, so
-    /// fanning a payload out to many peers costs whatever the protocol paid
-    /// to build each message (an `Arc` clone for BRISA data) and nothing
-    /// more. Returns the emptied vector for reuse.
-    fn apply_commands(
-        &mut self,
-        origin: NodeId,
-        mut commands: Vec<Command<P::Message>>,
-    ) -> Vec<Command<P::Message>> {
-        for cmd in commands.drain(..) {
-            match cmd {
-                Command::Send { to, msg } => {
-                    let size = msg.wire_size();
-                    self.stats.messages_sent += 1;
-                    self.bandwidth
-                        .record(origin, Direction::Upload, size, self.now);
-                    let latency = {
-                        let rng = &mut self.nodes[origin.index()].rng;
-                        self.latency.sample(origin, to, rng)
-                    };
-                    // The fault layer sits between command drain and
-                    // delivery scheduling. The sender has already paid the
-                    // upload bandwidth: a lost message went onto the wire,
-                    // it just never arrives. Loss/jitter draws come from the
-                    // layer's own per-link split-seed PRF, so the node RNG
-                    // stream above is identical with or without faults.
-                    let mut deliver_at = self.now + latency;
-                    if !self.faults.is_inert() {
-                        match self.faults.route(origin, to, self.now, latency) {
-                            Routed::Deliver(at) => deliver_at = at,
-                            Routed::LostToFaults => {
-                                self.stats.messages_lost_to_faults += 1;
-                                continue;
-                            }
-                            Routed::CutByPartition => {
-                                self.stats.messages_cut_by_partition += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    // FIFO clocks are only kept towards live destinations:
-                    // a delivery to a dead node is dropped on arrival, so its
-                    // ordering is irrelevant. The failure-detection window,
-                    // where senders still relay to a crashed peer, hits
-                    // exactly this path.
-                    if self.config.fifo_links && self.is_alive(to) {
-                        deliver_at = self.link_clock.stamp(origin, to, self.now, deliver_at);
-                    }
-                    let prio = self.lane_key(origin);
-                    self.queue.push(
-                        deliver_at,
-                        prio,
-                        EventKind::Deliver {
-                            from: origin,
-                            to,
-                            msg,
-                            size,
-                        },
-                    );
-                }
-                Command::SetTimer { delay, tag } => {
-                    let prio = self.lane_key(origin);
-                    self.queue.push(
-                        self.now + delay,
-                        prio,
-                        EventKind::Timer { node: origin, tag },
-                    );
-                }
-                Command::OpenConnection { peer } => {
-                    self.connections.insert(origin, peer);
-                    // Connecting to a node that is already dead — or across
-                    // an active partition cut, whose handshake traffic is
-                    // blackholed — fails after the detection delay, like a
-                    // TCP connect timeout.
-                    if !self.is_alive(peer)
-                        || (!self.faults.is_inert() && self.faults.is_cut(self.now, origin, peer))
-                    {
-                        let prio = self.lane_key(origin);
-                        self.queue.push(
-                            self.now + self.config.failure_detection_delay,
-                            prio,
-                            EventKind::LinkDown { node: origin, peer },
-                        );
-                    }
-                }
-                Command::CloseConnection { peer } => {
-                    self.connections.remove(origin, peer);
-                }
-            }
-        }
-        commands
+        self.cores[0].queue.take_trace()
     }
 
     /// The accounting-based memory footprint of the simulation right now
     /// (see [`Footprint`]). O(nodes); intended for end-of-run sampling by
     /// the scale benches, not for the event loop.
     pub fn footprint(&self) -> Footprint {
-        let slot_overhead = std::mem::size_of::<NodeSlot<P>>() - std::mem::size_of::<P>();
-        Footprint {
-            nodes: self.nodes.len(),
-            node_state_bytes: self
-                .nodes
-                .iter()
-                .map(|n| n.proto.approx_state_bytes() + slot_overhead)
-                .sum(),
-            // Each pending entry carries the event record plus its
-            // `(time, prio, sequence)` sort key.
-            queue_bytes: self.queue.len() * (event_record_size::<P>() + 24),
-            adjacency_bytes: self.connections.approx_bytes(),
-            link_clock_bytes: self.link_clock.approx_bytes(),
-            bandwidth_bytes: self.bandwidth.approx_bytes(),
+        let mut total = Footprint::default();
+        for core in self.cores.iter() {
+            let f = core.footprint();
+            total.nodes += f.nodes;
+            total.node_state_bytes += f.node_state_bytes;
+            total.queue_bytes += f.queue_bytes;
+            total.adjacency_bytes += f.adjacency_bytes;
+            total.link_clock_bytes += f.link_clock_bytes;
+            total.bandwidth_bytes += f.bandwidth_bytes;
         }
+        total
     }
 
     /// One-way "typical" latency between a pair according to the latency
@@ -637,8 +465,9 @@ impl<P: Protocol> Network<P> {
     /// seed), never from the master RNG: calling this must not reorder the
     /// seeds of nodes added afterwards.
     pub fn typical_latency(&mut self, src: NodeId, dst: NodeId) -> SimDuration {
-        let rng = &mut self.reference_rng;
-        self.latency.typical(src, dst, rng)
+        self.cores[0]
+            .latency
+            .typical(src, dst, &mut self.reference_rng)
     }
 }
 
@@ -698,6 +527,7 @@ mod tests {
     use super::*;
     use crate::event::TimerTag;
     use crate::latency::FixedLatency;
+    use crate::protocol::WireSize;
 
     /// A tiny ping protocol used to exercise the simulator.
     #[derive(Debug)]

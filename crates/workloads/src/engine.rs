@@ -13,10 +13,10 @@
 //!    phase bandwidth and point-to-point reference latencies.
 //!
 //! [`Runner`] implements that pipeline once, generically over any
-//! [`DisseminationProtocol`] and over both simulation drivers — the
-//! sequential [`Network`] and the epoch-sharded
-//! [`ShardedNetwork`], which produce
-//! bit-identical results. The per-protocol knowledge (how to build a node,
+//! [`DisseminationProtocol`] and over both instances of the simulation
+//! driver — the sequential [`Network`] and the epoch-sharded
+//! [`ShardedNetwork`], which produce bit-identical results. The
+//! per-protocol knowledge (how to build a node,
 //! how to publish, which metrics the node exposes) lives in the trait
 //! implementations in [`crate::protocols`]; the protocol-specific result
 //! types of [`crate::brisa_run`] and [`crate::baseline_runs`] are thin
@@ -32,7 +32,7 @@
 //! assert!(result.delivery_rate() > 0.99);
 //! ```
 
-use crate::invariants::{InvariantCtx, InvariantSuite, NetQuery};
+use crate::invariants::{InvariantCtx, InvariantSuite};
 use crate::result::{split_bandwidth, PhaseBandwidth};
 use crate::spec::{
     BaselineScenario, BrisaScenario, ChurnEvent, ChurnSpec, FaultSpec, ResultMode, ScaleEvent,
@@ -40,8 +40,9 @@ use crate::spec::{
 };
 use brisa_metrics::LatencyHistogram;
 use brisa_simnet::{
-    BandwidthMeter, Context, Footprint, LinkFaults, MeterMode, NetStats, Network, NetworkConfig,
-    NodeId, PartitionSpec, Protocol, SchedulerKind, ShardedNetwork, SimDuration, SimTime, TraceOp,
+    Context, Driver, Footprint, LinkFaults, MeterMode, Network, NetworkConfig, NodeId,
+    PartitionSpec, Placement, Protocol, SchedulerKind, ShardedNetwork, SimDuration, SimTime,
+    TraceOp,
 };
 use brisa_telemetry::Telemetry;
 use rand::rngs::SmallRng;
@@ -202,8 +203,8 @@ pub struct RunSpec {
     /// against. Both produce bit-identical runs.
     pub scheduler: SchedulerKind,
     /// Record the scheduler push/pop trace of the run (bench-only; see
-    /// [`EngineResult::event_trace`]). Sequential driver only — the
-    /// sharded driver refuses it.
+    /// [`EngineResult::event_trace`]). Needs `shards == 1` — several
+    /// queues have no one trace, and the sharded driver refuses it.
     pub trace_events: bool,
     /// Scheduled large-scale incidents (flash crowds, mass crashes),
     /// relative to stream start.
@@ -403,21 +404,6 @@ pub struct StreamingSummary {
     pub footprint: Footprint,
 }
 
-impl StreamingSummary {
-    /// Folds another partial summary's counters into this one. Every field
-    /// is a sum (the histogram merge is bucket-wise addition), so merging
-    /// per-shard partials in any fixed order equals one global fold.
-    fn merge_counters(&mut self, other: &StreamingSummary) {
-        self.eligible += other.eligible;
-        self.complete += other.complete;
-        self.got += other.got;
-        self.expected += other.expected;
-        self.delivered_total += other.delivered_total;
-        self.duplicates_total += other.duplicates_total;
-        self.latency.merge(&other.latency);
-    }
-}
-
 /// The protocol-agnostic outcome of one run.
 #[derive(Debug, Clone)]
 pub struct EngineResult {
@@ -584,137 +570,6 @@ enum FaultAction {
     StartPartition(PartitionSpec),
 }
 
-/// The simulation driver behind one run: the sequential [`Network`] or the
-/// epoch-sharded [`ShardedNetwork`]. The pipeline is written once against
-/// this enum; both drivers produce bit-identical results (pinned by the
-/// shard-equivalence tests), so the choice is pure mechanics — who advances
-/// the clock — never behaviour.
-// One instance exists per run, on the driving stack frame — the variant
-// size gap costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum Sim<P: DisseminationProtocol> {
-    Single(Network<P>),
-    Sharded(ShardedNetwork<P>),
-}
-
-/// Applies one expression to whichever driver is inside.
-macro_rules! on_sim {
-    ($self:expr, $net:ident => $e:expr) => {
-        match $self {
-            Sim::Single($net) => $e,
-            Sim::Sharded($net) => $e,
-        }
-    };
-}
-
-impl<P: DisseminationProtocol + Send> Sim<P>
-where
-    P::Message: Send,
-{
-    fn now(&self) -> SimTime {
-        on_sim!(self, n => n.now())
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        on_sim!(self, n => { n.run_until(deadline); })
-    }
-
-    fn run_for(&mut self, d: SimDuration) {
-        on_sim!(self, n => { n.run_for(d); })
-    }
-
-    fn add_node(&mut self, build: impl FnOnce(NodeId) -> P) -> NodeId {
-        on_sim!(self, n => n.add_node(build))
-    }
-
-    fn add_node_at(&mut self, at: SimTime, build: impl FnOnce(NodeId) -> P) -> NodeId {
-        on_sim!(self, n => n.add_node_at(at, build))
-    }
-
-    fn invoke(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
-        on_sim!(self, n => n.invoke(id, f))
-    }
-
-    fn crash(&mut self, id: NodeId) {
-        on_sim!(self, n => n.crash(id))
-    }
-
-    fn is_alive(&self, id: NodeId) -> bool {
-        on_sim!(self, n => n.is_alive(id))
-    }
-
-    fn alive_iter(&self) -> Box<dyn Iterator<Item = NodeId> + '_> {
-        match self {
-            Sim::Single(n) => Box::new(n.alive_iter()),
-            Sim::Sharded(n) => Box::new(n.alive_iter()),
-        }
-    }
-
-    fn alive_ids(&self) -> Vec<NodeId> {
-        on_sim!(self, n => n.alive_ids())
-    }
-
-    fn node(&self, id: NodeId) -> Option<&P> {
-        on_sim!(self, n => n.node(id))
-    }
-
-    fn set_link_faults(&mut self, link: LinkFaults) {
-        on_sim!(self, n => n.set_link_faults(link))
-    }
-
-    fn add_partition(&mut self, spec: PartitionSpec) {
-        on_sim!(self, n => n.add_partition(spec))
-    }
-
-    /// Merged simulator counters (owned: the sharded driver sums across
-    /// shards on demand).
-    fn stats(&self) -> NetStats {
-        match self {
-            Sim::Single(n) => n.stats().clone(),
-            Sim::Sharded(n) => n.stats(),
-        }
-    }
-
-    /// Merged bandwidth meter (owned, for the same reason as `stats`).
-    fn bandwidth(&self) -> BandwidthMeter {
-        match self {
-            Sim::Single(n) => n.bandwidth().clone(),
-            Sim::Sharded(n) => n.bandwidth(),
-        }
-    }
-
-    fn footprint(&self) -> Footprint {
-        on_sim!(self, n => n.footprint())
-    }
-
-    fn take_event_trace(&mut self) -> Vec<TraceOp> {
-        match self {
-            // The sharded driver refuses trace_events at construction.
-            Sim::Single(n) => n.take_event_trace(),
-            Sim::Sharded(_) => Vec::new(),
-        }
-    }
-
-    fn typical_latency(&mut self, src: NodeId, dst: NodeId) -> SimDuration {
-        on_sim!(self, n => n.typical_latency(src, dst))
-    }
-
-    /// The driver as the read-only view invariants check against.
-    fn query(&self) -> &dyn NetQuery {
-        match self {
-            Sim::Single(n) => n,
-            Sim::Sharded(n) => n,
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            Sim::Single(_) => 1,
-            Sim::Sharded(n) => n.shards(),
-        }
-    }
-}
-
 /// Builder-style entry point for one experiment run: the single bootstrap →
 /// schedule → drive → collect pipeline behind every figure and table.
 ///
@@ -724,10 +579,11 @@ where
 ///
 /// let sc = BrisaScenario::small_test(16);
 /// let cfg = BrisaStackConfig { hpv: sc.hyparview_config(), brisa: sc.brisa_config() };
+/// let mut spec = sc.run_spec();
+/// spec.shards = 2;
 /// let mut suite = InvariantSuite::standard(Some(1));
-/// let result = Runner::<BrisaNode>::new(&cfg, &sc.run_spec())
+/// let result = Runner::<BrisaNode>::new(&cfg, &spec)
 ///     .invariants(&mut suite)
-///     .shards(2)
 ///     .run();
 /// suite.assert_clean();
 /// assert!(result.completeness() > 0.99);
@@ -737,20 +593,16 @@ pub struct Runner<'a, P: DisseminationProtocol> {
     spec: &'a RunSpec,
     invariants: Option<&'a mut InvariantSuite>,
     telemetry: Telemetry,
-    shards: usize,
 }
 
 impl<'a, P: DisseminationProtocol> Runner<'a, P> {
     /// Starts a run description from a protocol configuration and a spec.
-    /// The shard count is taken from [`RunSpec::shards`] unless overridden
-    /// by [`Runner::shards`].
     pub fn new(cfg: &'a P::Config, spec: &'a RunSpec) -> Self {
         Runner {
             cfg,
             spec,
             invariants: None,
             telemetry: Telemetry::disabled(),
-            shards: spec.shards.max(1),
         }
     }
 
@@ -773,29 +625,13 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         self
     }
 
-    /// Partitions the simulation across `n` worker shards, overriding
-    /// [`RunSpec::shards`]. `1` selects the sequential driver; any other
-    /// count produces the bit-identical result (asserted by the
-    /// shard-equivalence property tests).
-    pub fn shards(mut self, n: usize) -> Self {
-        assert!(n >= 1, "at least one shard");
-        self.shards = n;
-        self
-    }
-
     /// Runs the experiment to completion.
     pub fn run(self) -> EngineResult
     where
         P: Send,
         P::Message: Send,
     {
-        let Runner {
-            cfg,
-            spec,
-            mut invariants,
-            telemetry,
-            shards,
-        } = self;
+        let spec = self.spec;
         debug_assert_eq!(
             spec.stream_start(),
             SimTime::ZERO + spec.bootstrap + FIRST_PUBLISH_DELAY,
@@ -811,21 +647,29 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                 ResultMode::Classic => MeterMode::PerSecond,
                 ResultMode::Streaming => MeterMode::TotalsOnly,
             },
-            telemetry,
+            telemetry: self.telemetry.clone(),
             ..Default::default()
         };
-        let mut sim: Sim<P> = if shards > 1 {
-            Sim::Sharded(ShardedNetwork::new(
-                net_config,
-                spec.testbed.latency_model_shared(spec.seed),
-                shards,
-            ))
+        let latency = spec.testbed.latency_model(spec.seed);
+        if spec.shards > 1 {
+            self.run_on(ShardedNetwork::new(net_config, latency.into(), spec.shards))
         } else {
-            Sim::Single(Network::new(
-                net_config,
-                spec.testbed.latency_model(spec.seed),
-            ))
-        };
+            self.run_on(Network::new(net_config, latency))
+        }
+    }
+
+    /// The pipeline, over either instance of the simulation driver.
+    fn run_on<Pl: Placement>(self, mut sim: Driver<P, Pl>) -> EngineResult
+    where
+        P: Send,
+        P::Message: Send,
+    {
+        let Runner {
+            cfg,
+            spec,
+            mut invariants,
+            ..
+        } = self;
         let mut harness_rng = SmallRng::seed_from_u64(spec.seed ^ 0x5EED);
 
         // --- Phase 1: bootstrap. Node 0 is the source and contact point;
@@ -925,7 +769,7 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         // overlay (with the source as contact, that wedges the whole
         // stream). Spreading contacts is also what a real deployment's join
         // service does.
-        let random_contact = |sim: &Sim<P>, buf: &mut Vec<NodeId>, rng: &mut SmallRng| {
+        let random_contact = |sim: &Driver<P, Pl>, buf: &mut Vec<NodeId>, rng: &mut SmallRng| {
             buf.clear();
             buf.extend(sim.alive_iter());
             buf.choose(rng).copied().unwrap_or(source)
@@ -1070,36 +914,23 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                 (outcomes, None)
             }
             ResultMode::Streaming => {
-                // Fold one partial summary per shard (by owner shard,
-                // `id % k`), then merge the partials in shard order. Every
-                // counter is a sum and the histogram merge is bucket-wise
-                // addition, so the merged result is identical to the
-                // sequential single fold — while the accumulation stays
-                // shard-local, mirroring where the nodes live.
-                let k = sim.shard_count();
-                let mut partials: Vec<StreamingSummary> =
-                    (0..k).map(|_| StreamingSummary::default()).collect();
+                let mut summary = StreamingSummary::default();
                 for id in sim.alive_iter() {
                     let sr = sim
                         .node(id)
                         .expect("alive node exists")
                         .scale_report(&publish_times);
-                    let part = &mut partials[id.0 as usize % k];
-                    part.delivered_total += sr.delivered;
-                    part.duplicates_total += sr.duplicates;
-                    part.latency.merge(&sr.latency);
+                    summary.delivered_total += sr.delivered;
+                    summary.duplicates_total += sr.duplicates;
+                    summary.latency.merge(&sr.latency);
                     if id != source && id.0 < spec.nodes {
-                        part.eligible += 1;
-                        part.got += sr.delivered.min(total_messages);
-                        part.expected += total_messages;
+                        summary.eligible += 1;
+                        summary.got += sr.delivered.min(total_messages);
+                        summary.expected += total_messages;
                         if sr.delivered >= total_messages {
-                            part.complete += 1;
+                            summary.complete += 1;
                         }
                     }
-                }
-                let mut summary = StreamingSummary::default();
-                for part in &partials {
-                    summary.merge_counters(part);
                 }
                 let meter = sim.bandwidth();
                 summary.uploaded_bytes = meter.total_uploaded();
@@ -1132,14 +963,12 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
 /// report clones the node's delivery record, so each invariant rebuilding
 /// its own would multiply that cost) and hand the suite the driver's
 /// read-only view.
-fn check_invariants<P: DisseminationProtocol + Send>(
+fn check_invariants<P: DisseminationProtocol, Pl: Placement>(
     suite: &mut InvariantSuite,
-    sim: &Sim<P>,
+    sim: &Driver<P, Pl>,
     published: u64,
     source: NodeId,
-) where
-    P::Message: Send,
-{
+) {
     if suite.is_empty() {
         return;
     }
@@ -1152,49 +981,5 @@ fn check_invariants<P: DisseminationProtocol + Send>(
         published,
         source,
     };
-    suite.run_checks(sim.query(), &reports, &ctx);
-}
-
-/// Runs one experiment to completion. Deprecated shim over [`Runner`].
-#[deprecated(note = "use `Runner::new(cfg, spec).run()`")]
-pub fn run_experiment<P>(cfg: &P::Config, spec: &RunSpec) -> EngineResult
-where
-    P: DisseminationProtocol + Send,
-    P::Message: Send,
-{
-    Runner::<P>::new(cfg, spec).run()
-}
-
-/// Runs one experiment with an online [`InvariantSuite`]. Deprecated shim
-/// over [`Runner`].
-#[deprecated(note = "use `Runner::new(cfg, spec).invariants(suite).run()`")]
-pub fn run_experiment_checked<P>(
-    cfg: &P::Config,
-    spec: &RunSpec,
-    invariants: &mut InvariantSuite,
-) -> EngineResult
-where
-    P: DisseminationProtocol + Send,
-    P::Message: Send,
-{
-    Runner::<P>::new(cfg, spec).invariants(invariants).run()
-}
-
-/// Runs one experiment with invariants and a telemetry handle. Deprecated
-/// shim over [`Runner`].
-#[deprecated(note = "use `Runner::new(cfg, spec).invariants(suite).telemetry(handle).run()`")]
-pub fn run_experiment_with_telemetry<P>(
-    cfg: &P::Config,
-    spec: &RunSpec,
-    invariants: &mut InvariantSuite,
-    telemetry: &Telemetry,
-) -> EngineResult
-where
-    P: DisseminationProtocol + Send,
-    P::Message: Send,
-{
-    Runner::<P>::new(cfg, spec)
-        .invariants(invariants)
-        .telemetry(telemetry)
-        .run()
+    suite.run_checks(sim, &reports, &ctx);
 }

@@ -16,11 +16,11 @@
 //! recorded, not panicked, so a harness can assert
 //! [`InvariantSuite::assert_clean`] or inspect them selectively.
 //!
-//! Invariants see the simulation through the driver-agnostic [`NetQuery`]
-//! view (liveness and FIFO link clocks), which both the sequential
-//! [`Network`] and the sharded [`brisa_simnet::ShardedNetwork`] implement —
-//! the suite itself is not generic over the protocol, so one suite type
-//! serves every stack in the harness.
+//! Invariants see the simulation through the object-safe [`NetQuery`] view
+//! (liveness and FIFO link clocks) of the simulation [`Driver`] — the
+//! suite itself is not generic over the protocol or the driver's placement,
+//! so one suite type serves every stack in the harness, sequential or
+//! sharded.
 //!
 //! Three invariants ship with the harness, all protocol-generic (they look
 //! only at [`NodeReport`]s and the [`NetQuery`] view):
@@ -35,13 +35,11 @@
 //!   simulator is monotone non-decreasing across checks.
 
 use crate::engine::NodeReport;
-use brisa_simnet::{Network, NodeId, Protocol, ShardedNetwork, SimTime};
+use brisa_simnet::{Driver, NodeId, Placement, Protocol, SimTime};
 use std::collections::HashMap;
 
 /// The read-only view of a simulation driver that invariants check
-/// against: node liveness and the simulator's FIFO link clocks. Both
-/// drivers implement it, so a suite never cares whether the run is
-/// sequential or sharded.
+/// against: node liveness and the simulator's FIFO link clocks.
 pub trait NetQuery {
     /// True if the node exists and has not crashed.
     fn is_alive(&self, id: NodeId) -> bool;
@@ -51,26 +49,13 @@ pub trait NetQuery {
     fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)>;
 }
 
-impl<P: Protocol> NetQuery for Network<P> {
+impl<P: Protocol, Pl: Placement> NetQuery for Driver<P, Pl> {
     fn is_alive(&self, id: NodeId) -> bool {
-        Network::is_alive(self, id)
+        Driver::is_alive(self, id)
     }
 
     fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        Network::link_clock_entries(self)
-    }
-}
-
-impl<P: Protocol + Send> NetQuery for ShardedNetwork<P>
-where
-    P::Message: Send,
-{
-    fn is_alive(&self, id: NodeId) -> bool {
-        ShardedNetwork::is_alive(self, id)
-    }
-
-    fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        ShardedNetwork::link_clock_entries(self)
+        Driver::link_clock_entries(self)
     }
 }
 

@@ -51,8 +51,6 @@ pub use engine::{
     completeness_of, delivery_rate_of, BuildCtx, DisseminationProtocol, EngineResult, IntoRunSpec,
     NodeOutcome, NodeReport, RepairTelemetry, RunSpec, Runner, ScaleNodeReport, StreamingSummary,
 };
-#[allow(deprecated)]
-pub use engine::{run_experiment, run_experiment_checked, run_experiment_with_telemetry};
 pub use invariants::{
     check_delivery_report, DeliveryInvariant, Invariant, InvariantCtx, InvariantSuite,
     InvariantViolation, LinkClockInvariant, NetQuery, TreeValidityInvariant,

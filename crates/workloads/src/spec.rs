@@ -11,7 +11,6 @@ use brisa_membership::HyParViewConfig;
 use brisa_simnet::latency::{ClusterLatency, LatencyModel, PlanetLabLatency};
 use brisa_simnet::{LinkFaults, NodeId, PartitionMode, PartitionSpec, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Delay between the end of the bootstrap window and the first stream
 /// injection. Public because scale-mode delivery tracking derives the
@@ -33,16 +32,6 @@ impl Testbed {
         match self {
             Testbed::Cluster => Box::new(ClusterLatency::default()),
             Testbed::PlanetLab => Box::new(PlanetLabLatency::new(seed, 40.0, 0.7, 0.2)),
-        }
-    }
-
-    /// Builds the same latency model behind a shareable handle, as the
-    /// sharded driver needs (every worker shard samples link latencies).
-    /// Both testbed models are stateless, hence `Sync`.
-    pub fn latency_model_shared(self, seed: u64) -> Arc<dyn LatencyModel + Send + Sync> {
-        match self {
-            Testbed::Cluster => Arc::new(ClusterLatency::default()),
-            Testbed::PlanetLab => Arc::new(PlanetLabLatency::new(seed, 40.0, 0.7, 0.2)),
         }
     }
 }

@@ -284,8 +284,8 @@ proptest! {
             let sequential = Runner::<brisa::BrisaNode>::new(&cfg, &spec).run().fingerprint();
             prop_assert!(sequential.contains(":d"), "fingerprint is vacuous");
             for shards in [1usize, 2, 3, 7, 16] {
+                spec.shards = shards;
                 let sharded = Runner::<brisa::BrisaNode>::new(&cfg, &spec)
-                    .shards(shards)
                     .run()
                     .fingerprint();
                 prop_assert_eq!(
