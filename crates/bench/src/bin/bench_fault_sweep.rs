@@ -1,7 +1,7 @@
 //! Fault sweep: BRISA's reliability under adversarial network conditions.
 //!
 //! Two sweeps, both driven through the generic engine with the full online
-//! invariant suite active and both schedulers asserted equivalent:
+//! invariant suite active:
 //!
 //! 1. **loss** — delivery rate and recovery traffic vs. per-link Bernoulli
 //!    loss (0 % control to 5 %), at the paper's streaming rate. The
@@ -12,9 +12,8 @@
 //!    delivery rate, worst island reconnect time (first post-heal
 //!    delivery) and worst catch-up time (island fully recovered).
 //!
-//! Every cell runs on both schedulers; the run fingerprints must agree
-//! bit-for-bit and every run must pass the online invariant checker —
-//! adversity is exactly where scheduler/fault-layer bugs would hide.
+//! Every run must pass the online invariant checker — adversity is exactly
+//! where fault-layer bugs would hide.
 //!
 //! Results go to `BENCH_PR3.json` (override with `BRISA_BENCH_OUT`); the
 //! schema is documented in DESIGN.md. CI uploads the file as an artifact.
@@ -22,33 +21,21 @@
 use brisa::BrisaNode;
 use brisa_bench::{banner, run_matrix, BrisaScenario, BrisaStackConfig, EngineResult, Scale};
 use brisa_simnet::{SimDuration, SimTime};
-use brisa_workloads::{scenarios, IntoRunSpec, InvariantSuite, Runner, SchedulerKind};
+use brisa_workloads::{scenarios, IntoRunSpec, InvariantSuite, Runner};
 use std::fmt::Write as _;
 
-/// Runs one cell under both schedulers with the online invariant suite,
-/// asserts equivalence and cleanliness, and returns the timing-wheel run.
+/// Runs one cell with the online invariant suite and asserts cleanliness.
 fn run_checked_cell(sc: &BrisaScenario) -> EngineResult {
     let cfg = BrisaStackConfig {
         hpv: sc.hyparview_config(),
         brisa: sc.brisa_config(),
     };
-    let mut results = Vec::new();
-    for scheduler in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-        let mut spec = sc.run_spec();
-        spec.scheduler = scheduler;
-        let mut suite = InvariantSuite::standard(Some(sc.brisa_config().mode.target_parents()));
-        let r = Runner::<BrisaNode>::new(&cfg, &spec)
-            .invariants(&mut suite)
-            .run();
-        suite.assert_clean();
-        results.push(r);
-    }
-    assert_eq!(
-        results[0].fingerprint(),
-        results[1].fingerprint(),
-        "schedulers diverged under faults"
-    );
-    results.swap_remove(0)
+    let mut suite = InvariantSuite::standard(Some(sc.brisa_config().mode.target_parents()));
+    let result = Runner::<BrisaNode>::new(&cfg, &sc.run_spec())
+        .invariants(&mut suite)
+        .run();
+    suite.assert_clean();
+    result
 }
 
 struct LossRow {
@@ -219,7 +206,7 @@ fn main() {
   "schema": "brisa-bench-pr3/v1",
   "generated_by": "bench_fault_sweep",
   "scale": "{scale:?}",
-  "invariants": {{"suite": ["no-duplicate-delivery", "tree-validity", "link-clock-monotonicity"], "violations": 0, "schedulers": ["TimingWheel", "BinaryHeap"]}},
+  "invariants": {{"suite": ["no-duplicate-delivery", "tree-validity", "link-clock-monotonicity"], "violations": 0}},
   "loss_sweep": [
 {loss_json}
   ],

@@ -24,7 +24,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultLayer, Routed};
 use crate::latency::LatencyModel;
 use crate::links::{ensure_len, Adjacency, LinkClocks};
-use crate::network::{event_record_size, Footprint, NetStats, NetworkConfig};
+use crate::network::{Footprint, NetStats, NetworkConfig};
 use crate::node::NodeId;
 use crate::protocol::{Command, Context, Protocol, WireSize};
 use crate::time::SimTime;
@@ -163,7 +163,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
             config: config.clone(),
             latency,
             now: SimTime::ZERO,
-            queue: EventQueue::new(config.scheduler, config.trace_events),
+            queue: EventQueue::new(),
             nodes: Vec::new(),
             remote_alive: Vec::new(),
             bandwidth: BandwidthMeter::with_mode(config.meter),
@@ -521,9 +521,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                 .map(|n| n.proto.approx_state_bytes() + slot_overhead)
                 .sum::<usize>()
                 + self.remote_alive.capacity(),
-            // Each pending entry carries the event record plus its
-            // `(time, prio, sequence)` sort key.
-            queue_bytes: self.queue.len() * (event_record_size::<P>() + 24),
+            queue_bytes: self.queue.allocated_bytes(),
             adjacency_bytes: self.connections.approx_bytes(),
             link_clock_bytes: self.link_clock.approx_bytes(),
             bandwidth_bytes: self.bandwidth.approx_bytes(),

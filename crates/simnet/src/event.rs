@@ -8,14 +8,10 @@
 //! priority leaves equal. This is what lets a sharded run reproduce the
 //! sequential event order bit-for-bit.
 //!
-//! The queue is a thin dispatcher over the two scheduler implementations in
-//! [`crate::sched`]: the timing wheel (default hot path) and the binary heap
-//! (reference/baseline). Both produce the same total order; which one runs
-//! is selected by [`SchedulerKind`] in the network configuration.
+//! The queue is the timing wheel of [`crate::sched`], keyed by that order.
 
 use crate::node::NodeId;
-use crate::sched::{Entry, HeapScheduler, SchedulerKind, TimingWheel, TraceOp};
-use crate::time::SimTime;
+use crate::sched::TimingWheel;
 
 /// A tag identifying a timer set by a protocol.
 ///
@@ -65,92 +61,13 @@ pub(crate) enum EventKind<M> {
     Crash { node: NodeId },
 }
 
-// One `QueueImpl` exists per simulation, so the size difference between the
-// wheel (inline bitmap + cursor header) and the heap is irrelevant — while
-// boxing the wheel would put an extra pointer chase on every push/pop of
-// the hot path.
-#[allow(clippy::large_enum_variant)]
-enum QueueImpl<M> {
-    Wheel(TimingWheel<EventKind<M>>),
-    Heap(HeapScheduler<EventKind<M>>),
-}
-
-/// A deterministic priority queue of simulation events.
-pub(crate) struct EventQueue<M> {
-    queue: QueueImpl<M>,
-    /// When tracing is enabled, every push/pop is recorded so benches can
-    /// replay the exact operation sequence through a scheduler in isolation.
-    trace: Option<Vec<TraceOp>>,
-}
-
-impl<M> EventQueue<M> {
-    pub fn new(kind: SchedulerKind, trace_events: bool) -> Self {
-        EventQueue {
-            queue: match kind {
-                SchedulerKind::TimingWheel => QueueImpl::Wheel(TimingWheel::new()),
-                SchedulerKind::BinaryHeap => QueueImpl::Heap(HeapScheduler::new()),
-            },
-            trace: trace_events.then(Vec::new),
-        }
-    }
-
-    /// Schedules `kind` at absolute time `time` with lane-key priority
-    /// `prio` (same-instant events pop in ascending `(prio, seq)` order).
-    pub fn push(&mut self, time: SimTime, prio: u64, kind: EventKind<M>) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceOp::Push(time));
-        }
-        match &mut self.queue {
-            QueueImpl::Wheel(w) => w.push_prio(time, prio, kind),
-            QueueImpl::Heap(h) => h.push_prio(time, prio, kind),
-        }
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<Entry<EventKind<M>>> {
-        let popped = match &mut self.queue {
-            QueueImpl::Wheel(w) => w.pop(),
-            QueueImpl::Heap(h) => h.pop(),
-        };
-        if popped.is_some() {
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceOp::Pop);
-            }
-        }
-        popped
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.queue {
-            QueueImpl::Wheel(w) => w.peek_time(),
-            QueueImpl::Heap(h) => h.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.queue {
-            QueueImpl::Wheel(w) => w.len(),
-            QueueImpl::Heap(h) => h.len(),
-        }
-    }
-
-    /// True if no events are pending.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Takes the recorded operation trace (empty when tracing is disabled).
-    pub fn take_trace(&mut self) -> Vec<TraceOp> {
-        self.trace.take().unwrap_or_default()
-    }
-}
+/// The deterministic priority queue of simulation events.
+pub(crate) type EventQueue<M> = TimingWheel<EventKind<M>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimTime;
 
     fn timer(node: u32) -> EventKind<()> {
         EventKind::Timer {
@@ -159,72 +76,43 @@ mod tests {
         }
     }
 
-    fn queue(kind: SchedulerKind) -> EventQueue<()> {
-        EventQueue::new(kind, false)
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for kind in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-            let mut q = queue(kind);
-            q.push(SimTime::from_millis(30), 0, timer(3));
-            q.push(SimTime::from_millis(10), 0, timer(1));
-            q.push(SimTime::from_millis(20), 0, timer(2));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| e.time.as_micros())
-                .collect();
-            assert_eq!(order, vec![10_000, 20_000, 30_000]);
-        }
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.push(SimTime::from_millis(30), 0, timer(3));
+        q.push(SimTime::from_millis(10), 0, timer(1));
+        q.push(SimTime::from_millis(20), 0, timer(2));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.time.as_micros())
+            .collect();
+        assert_eq!(order, vec![10_000, 20_000, 30_000]);
     }
 
     #[test]
     fn same_time_pops_in_insertion_order() {
-        for kind in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-            let mut q = queue(kind);
-            let t = SimTime::from_millis(5);
-            for i in 0..10u32 {
-                q.push(t, 0, timer(i));
-            }
-            let nodes: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.item {
-                    EventKind::Timer { node, .. } => node.0,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(nodes, (0..10).collect::<Vec<_>>());
+        let mut q: EventQueue<()> = EventQueue::new();
+        let t = SimTime::from_millis(5);
+        for i in 0..10u32 {
+            q.push(t, 0, timer(i));
         }
+        let nodes: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.item {
+                EventKind::Timer { node, .. } => node.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(nodes, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_and_len() {
-        let mut q = queue(SchedulerKind::default());
-        assert!(q.is_empty());
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_secs(1), 0, timer(0));
         q.push(SimTime::from_secs(2), 0, timer(1));
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-    }
-
-    #[test]
-    fn trace_records_operations() {
-        let mut q: EventQueue<()> = EventQueue::new(SchedulerKind::default(), true);
-        q.push(SimTime::from_millis(1), 0, timer(0));
-        q.push(SimTime::from_millis(2), 0, timer(1));
-        q.pop();
-        let trace = q.take_trace();
-        assert_eq!(
-            trace,
-            vec![
-                TraceOp::Push(SimTime::from_millis(1)),
-                TraceOp::Push(SimTime::from_millis(2)),
-                TraceOp::Pop,
-            ]
-        );
-        // Untraced queues return an empty trace.
-        let mut untraced = queue(SchedulerKind::default());
-        untraced.push(SimTime::from_millis(1), 0, timer(0));
-        assert!(untraced.take_trace().is_empty());
     }
 
     #[test]

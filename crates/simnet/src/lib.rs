@@ -59,7 +59,7 @@ mod links;
 mod network;
 mod node;
 mod protocol;
-pub mod sched;
+mod sched;
 pub mod seed;
 mod shard;
 mod time;
@@ -69,9 +69,9 @@ pub use bandwidth::{BandwidthMeter, Direction, MeterMode, NodeBandwidth};
 pub use event::TimerTag;
 pub use faults::{FaultConfig, FaultPrf, LinkFaults, PartitionMode, PartitionSpec};
 pub use latency::LatencyModel;
-pub use network::{event_record_size, Driver, Footprint, NetStats, Network, NetworkConfig};
+pub use network::{Driver, Footprint, NetStats, Network, NetworkConfig};
 pub use node::NodeId;
 pub use protocol::{Command, Context, Protocol, WireSize};
-pub use sched::{SchedulerKind, TraceOp};
+pub use sched::SchedulerKind;
 pub use shard::{ShardedNetwork, Strided};
 pub use time::{SimDuration, SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};

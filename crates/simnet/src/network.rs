@@ -12,7 +12,6 @@ use crate::faults::{FaultConfig, LinkFaults, PartitionSpec};
 use crate::latency::LatencyModel;
 use crate::node::NodeId;
 use crate::protocol::{Context, Protocol};
-use crate::sched::{SchedulerKind, TraceOp};
 use crate::seed::split_mix64;
 use crate::time::{SimDuration, SimTime};
 use brisa_telemetry::{EventKind as TelEventKind, Telemetry};
@@ -31,15 +30,6 @@ pub struct NetworkConfig {
     /// Enforce FIFO ordering on each directed link (messages between the
     /// same pair never overtake each other), as TCP connections do.
     pub fifo_links: bool,
-    /// Which event-queue implementation to use. The timing wheel is the
-    /// default; the binary heap is kept as the reference baseline for
-    /// benches and equivalence tests. Both produce bit-identical runs.
-    pub scheduler: SchedulerKind,
-    /// Record every scheduler push/pop so benches can replay the exact
-    /// operation sequence through a queue in isolation (see
-    /// [`Network::take_event_trace`]). Off by default; costs one branch per
-    /// operation when off.
-    pub trace_events: bool,
     /// Deterministic fault injection (per-link loss, latency degradation,
     /// timed partitions). Inert by default, in which case the fault layer
     /// costs a single branch per message and the run is bit-identical to
@@ -64,8 +54,6 @@ impl Default for NetworkConfig {
             seed: 0xB215A,
             failure_detection_delay: SimDuration::from_millis(200),
             fifo_links: true,
-            scheduler: SchedulerKind::default(),
-            trace_events: false,
             faults: FaultConfig::default(),
             meter: MeterMode::default(),
             telemetry: Telemetry::disabled(),
@@ -433,14 +421,6 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
         all
     }
 
-    /// Takes the recorded scheduler operation trace. Empty unless
-    /// [`NetworkConfig::trace_events`] was set (which needs a single
-    /// core: several queues have no one interleaved trace); intended for
-    /// benches that replay real workloads through a scheduler in isolation.
-    pub fn take_event_trace(&mut self) -> Vec<TraceOp> {
-        self.cores[0].queue.take_trace()
-    }
-
     /// The accounting-based memory footprint of the simulation right now
     /// (see [`Footprint`]). O(nodes); intended for end-of-run sampling by
     /// the scale benches, not for the event loop.
@@ -471,13 +451,6 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
     }
 }
 
-/// Size in bytes of one in-queue event record for protocol `P` (the
-/// payload the schedulers actually move). Exposed for benches that replay
-/// scheduler traces with realistically sized entries.
-pub fn event_record_size<P: Protocol>() -> usize {
-    std::mem::size_of::<EventKind<P::Message>>()
-}
-
 /// Accounting-based memory footprint of a simulation, split by component.
 ///
 /// This is the "peak RSS proxy" of the scale benches: instead of asking the
@@ -492,7 +465,8 @@ pub struct Footprint {
     /// Sum of the per-node protocol-state estimates plus the slot overhead
     /// (RNG, flags).
     pub node_state_bytes: usize,
-    /// Pending event records in the scheduler.
+    /// What the event queue holds from the allocator (its buckets and
+    /// lists at capacity, not just the pending entries).
     pub queue_bytes: usize,
     /// Connection table (adjacency vectors + reverse index).
     pub adjacency_bytes: usize,
@@ -815,38 +789,47 @@ mod tests {
         );
     }
 
+    /// The absolute event order of a small run with sampled latencies and
+    /// a crash, as the timing wheel and the binary heap it replaced both
+    /// produced it (recorded on 2bcadee, where the two were compared).
     #[test]
     fn schedulers_run_identically() {
-        let run = |scheduler: SchedulerKind| {
-            let mut net: Network<Pinger> = Network::new(
-                NetworkConfig {
-                    scheduler,
-                    ..Default::default()
-                },
-                Box::new(crate::latency::ClusterLatency::default()),
-            );
-            let a = net.add_node(|_| Pinger::new(None));
-            let b = net.add_node(move |_| Pinger::new(Some(a)));
-            let c = net.add_node(move |_| Pinger::new(Some(a)));
-            net.run_until(SimTime::from_millis(500));
-            net.crash(b);
-            net.run_until(SimTime::from_secs(2));
-            (
-                net.stats().clone(),
-                net.node(a).unwrap().received.clone(),
-                net.node(c).unwrap().received.clone(),
-            )
-        };
-        let (wheel_stats, wheel_a, wheel_c) = run(SchedulerKind::TimingWheel);
-        let (heap_stats, heap_a, heap_c) = run(SchedulerKind::BinaryHeap);
-        assert_eq!(wheel_stats.events_processed, heap_stats.events_processed);
-        assert_eq!(
-            wheel_stats.messages_delivered,
-            heap_stats.messages_delivered
+        let mut net: Network<Pinger> = Network::new(
+            NetworkConfig::default(),
+            Box::new(crate::latency::ClusterLatency::default()),
         );
+        let a = net.add_node(|_| Pinger::new(None));
+        let b = net.add_node(move |_| Pinger::new(Some(a)));
+        let c = net.add_node(move |_| Pinger::new(Some(a)));
+        net.run_until(SimTime::from_millis(500));
+        net.crash(b);
+        net.run_until(SimTime::from_secs(2));
+        let stats = net.stats();
+        assert_eq!(stats.events_processed, 10);
+        assert_eq!(stats.messages_delivered, 4);
         assert_eq!(
-            format!("{wheel_a:?}{wheel_c:?}"),
-            format!("{heap_a:?}{heap_c:?}")
+            format!(
+                "{:?} {:?}",
+                net.node(a).unwrap().received,
+                net.node(c).unwrap().received
+            ),
+            "[(NodeId(1), 1, SimTime(337)), (NodeId(2), 1, SimTime(344))] \
+             [(NodeId(0), 2, SimTime(631))]"
+        );
+    }
+
+    #[test]
+    fn footprint_books_what_the_queue_holds() {
+        let mut net = fixed_net(10);
+        let a = net.add_node(|_| Pinger::new(None));
+        for _ in 0..200 {
+            net.add_node(move |_| Pinger::new(Some(a)));
+        }
+        net.run_until(SimTime::from_millis(5));
+        assert!(net.pending_events() > 0);
+        assert_eq!(
+            net.footprint().queue_bytes,
+            net.cores[0].queue.allocated_bytes()
         );
     }
 
@@ -1042,27 +1025,5 @@ mod tests {
             vec![a],
             "the blackholed handshake times out like a dead-peer connect"
         );
-    }
-
-    #[test]
-    fn event_trace_capture() {
-        let mut net: Network<Pinger> = Network::new(
-            NetworkConfig {
-                trace_events: true,
-                ..Default::default()
-            },
-            Box::new(FixedLatency::new(SimDuration::from_millis(1))),
-        );
-        let a = net.add_node(|_| Pinger::new(None));
-        let _b = net.add_node(move |_| Pinger::new(Some(a)));
-        net.run_until(SimTime::from_secs(1));
-        let trace = net.take_event_trace();
-        let pushes = trace
-            .iter()
-            .filter(|op| matches!(op, TraceOp::Push(_)))
-            .count();
-        let pops = trace.iter().filter(|op| matches!(op, TraceOp::Pop)).count();
-        assert_eq!(pops as u64, net.stats().events_processed);
-        assert!(pushes >= pops);
     }
 }

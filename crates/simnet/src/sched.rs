@@ -1,4 +1,4 @@
-//! Event schedulers: the timing-wheel hot path and the binary-heap reference.
+//! The event scheduler: a two-level timing wheel.
 //!
 //! The simulator totally orders events by `(time, prio, seq)`: an explicit
 //! 64-bit priority supplied by the caller breaks same-instant ties first,
@@ -7,57 +7,27 @@
 //! event's *cause* (the lane key: causing node × per-node cause counter),
 //! which makes the total order independent of the order pushes happen to
 //! arrive in — the property the sharded driver relies on for bit-identical
-//! sharded ≡ sequential runs. Callers that do not care (plain `push`) get
-//! priority 0 and therefore plain insertion order, as before.
-//! Two interchangeable implementations provide that order:
+//! sharded ≡ sequential runs.
 //!
-//! * [`TimingWheel`] — a two-level hierarchical timing wheel / calendar
-//!   queue: near-future events go into a cache-resident circular array of
-//!   fine time buckets (O(1) insertion, amortised O(1) + per-bucket sort
-//!   extraction), further events into a coarse second level whose slots are
-//!   scattered into the fine wheel on demand, and everything beyond that
-//!   into an unsorted far list partitioned lazily. This is the default used
-//!   by [`Network`](crate::Network).
-//! * [`HeapScheduler`] — the classic `BinaryHeap` priority queue (O(log n)
-//!   per operation). Kept as the reference implementation: equivalence tests
-//!   drive both in lockstep, and `bench_engine_wallclock` measures the wheel
-//!   against it.
-//!
-//! Both pop entries in exactly the same order for any interleaving of pushes
-//! and pops (guarded by unit tests here and a proptest in
-//! `tests/integration_properties.rs`).
+//! [`TimingWheel`] is the one queue that provides that order: near-future
+//! events go into a cache-resident circular array of fine time buckets
+//! (O(1) insertion, amortised O(1) + per-bucket sort extraction), further
+//! events into a coarse second level whose slots are scattered into the
+//! fine wheel on demand, and everything beyond that into an unsorted far
+//! list partitioned lazily. The classic `BinaryHeap` priority queue it
+//! replaced survives in this module's tests as the oracle the wheel is
+//! driven against in lockstep (a unit test and a proptest).
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Selects the scheduler implementation a [`Network`](crate::Network) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The name `benchmark/`'s banner prints (`SchedulerKind::default()`). The
+/// timing wheel is the only scheduler; delete this with the next
+/// `benchmark` PR.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// The timing-wheel / calendar queue (default, hot path).
+    /// The timing-wheel / calendar queue.
+    #[default]
     TimingWheel,
-    /// The `BinaryHeap` reference implementation (baseline for benches and
-    /// equivalence tests).
-    BinaryHeap,
-}
-
-impl Default for SchedulerKind {
-    /// The timing wheel, unless the `BRISA_SCHEDULER` environment variable
-    /// selects the heap (`heap` / `binary_heap`). The override exists so an
-    /// entire test suite or experiment batch can be re-run on the reference
-    /// scheduler without code changes (CI runs one such leg to keep the
-    /// legacy path honest); it is read once per process, so a run never
-    /// mixes defaults. Code that pins a specific scheduler (equivalence
-    /// tests, benches) sets the field explicitly and is unaffected.
-    fn default() -> Self {
-        static KIND: std::sync::OnceLock<SchedulerKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("BRISA_SCHEDULER").as_deref() {
-            Ok("heap") | Ok("binary_heap") | Ok("binary-heap") | Ok("BinaryHeap") => {
-                SchedulerKind::BinaryHeap
-            }
-            _ => SchedulerKind::TimingWheel,
-        })
-    }
 }
 
 /// A scheduled entry: the payload plus its total-order key
@@ -66,25 +36,15 @@ impl Default for SchedulerKind {
 pub struct Entry<T> {
     /// Absolute scheduled time.
     pub time: SimTime,
-    /// Caller-supplied priority (first tie-breaker within one instant;
-    /// 0 for plain pushes).
+    /// Caller-supplied priority (first tie-breaker within one instant).
     pub prio: u64,
-    /// Insertion sequence number (final tie-breaker).
+    /// Insertion sequence number (final tie-breaker). The wheel keeps
+    /// equal-`(time, prio)` entries in push order by construction and never
+    /// compares it; the tests check it against the oracle's.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub seq: u64,
     /// The scheduled payload.
     pub item: T,
-}
-
-/// One recorded scheduler operation (see
-/// [`NetworkConfig::trace_events`](crate::NetworkConfig::trace_events)):
-/// benches replay real workload traces through both scheduler
-/// implementations to measure them in isolation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceOp {
-    /// An event was scheduled at the given absolute time.
-    Push(SimTime),
-    /// The earliest pending event was popped.
-    Pop,
 }
 
 /// Simulated microseconds covered by one near-wheel bucket
@@ -104,6 +64,16 @@ const L1_BITS: u32 = L0_BITS + 9;
 /// Slots on the coarse level: 512 × ~32.8 ms ≈ 16.8 s horizon.
 const L1_SLOTS: usize = 512;
 const L1_MASK: u64 = L1_SLOTS as u64 - 1;
+/// Capacity, in entries, a drained level-0 bucket may keep for its next
+/// fill; a bucket that grew past it gives its allocation back. Mean
+/// occupancy is a handful of events per bucket while a join wave puts
+/// thousands into one, and without the cap every bucket ends up holding the
+/// worst burst it ever saw (39.5 MB pooled under 1.1 MB of pending events
+/// on a 5 000-node run). A constant, not an option: from 0 to 512 the
+/// benchmark's throughput stays inside its run-to-run spread (0 reads
+/// ~5 % lower on `sim-scale`) and only retained memory moves, +12 MB at
+/// 512 (DESIGN.md, "Event scheduler").
+const KEEP: usize = 64;
 
 /// Biased level-0 bucket index of `time`: the raw index
 /// `micros >> L0_BITS`, plus one. The bias keeps absolute index 0 free to
@@ -123,9 +93,9 @@ fn b1_of(time: SimTime) -> u64 {
 /// A two-level hierarchical timing wheel with an unsorted far-future list.
 ///
 /// * **Level 0** — 512 buckets of 64 µs (~32.8 ms horizon). Events are
-///   appended unsorted to their bucket; a bucket is sorted by `(time, seq)`
-///   only when the cursor reaches it, then *swapped* wholesale into the
-///   ready list (no per-entry moves).
+///   appended unsorted to their bucket; a bucket is sorted by
+///   `(time, prio, seq)` only when the cursor reaches it, and each entry is
+///   then moved once into the ready list.
 /// * **Level 1** — 512 slots of one full level-0 rotation each (~16.8 s
 ///   horizon). When level 0 runs dry, the next occupied coarse slot is
 ///   scattered into level-0 buckets; each event therefore moves O(1) times
@@ -136,9 +106,11 @@ fn b1_of(time: SimTime) -> u64 {
 ///   empty).
 ///
 /// Per-level occupancy bitmaps (one bit per bucket) let the cursors skip
-/// empty stretches 64 buckets at a time, and all storage is pooled — bucket
-/// vectors retain their capacity across drains, so steady-state operation
-/// does not allocate per event.
+/// empty stretches 64 buckets at a time. The wheel keeps what is in flight,
+/// not what once was: a drained level-0 bucket retains at most [`KEEP`]
+/// entries of capacity and a scattered level-1 slot none, so steady-state
+/// operation rarely allocates and a burst's storage goes back when the
+/// burst has drained.
 #[derive(Debug)]
 pub struct TimingWheel<T> {
     /// Boxed fixed-size arrays (not `Vec`s) so that mask-derived indices
@@ -158,8 +130,8 @@ pub struct TimingWheel<T> {
     /// Absolute level-1 slot bound: level 1 holds slots in
     /// `(cursor1, window1_end)`; later events sit in `far`.
     window1_end: u64,
-    /// Events of the cursor bucket, sorted *descending* by `(time, seq)` so
-    /// the earliest entry pops from the back in O(1).
+    /// Events of the cursor bucket, sorted *descending* by
+    /// `(time, prio, seq)` so the earliest entry pops from the back in O(1).
     ready: Vec<Entry<T>>,
     /// Unsorted events beyond the level-1 horizon.
     far: Vec<Entry<T>>,
@@ -171,12 +143,6 @@ pub struct TimingWheel<T> {
     sort_keys: Vec<u128>,
     next_seq: u64,
     len: usize,
-}
-
-impl<T> Default for TimingWheel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<T> TimingWheel<T> {
@@ -199,15 +165,9 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Schedules `item` at absolute time `time` with priority 0 (plain
-    /// insertion order within an instant).
-    pub fn push(&mut self, time: SimTime, item: T) {
-        self.push_prio(time, 0, item);
-    }
-
-    /// Schedules `item` at absolute time `time` with an explicit priority:
-    /// same-instant entries pop in ascending `(prio, seq)` order.
-    pub fn push_prio(&mut self, time: SimTime, prio: u64, item: T) {
+    /// Schedules `item` at absolute time `time`: same-instant entries pop
+    /// in ascending `(prio, seq)` order.
+    pub fn push(&mut self, time: SimTime, prio: u64, item: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
@@ -309,14 +269,22 @@ impl<T> TimingWheel<T> {
         self.len
     }
 
-    /// True if no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Bytes the wheel holds from the allocator right now: every bucket,
+    /// the ready and far lists and the sort scratch at capacity, plus the
+    /// two arrays of bucket headers.
+    pub fn allocated_bytes(&self) -> usize {
+        let buckets = self.l0.iter().chain(self.l1.iter());
+        let entries =
+            buckets.map(Vec::capacity).sum::<usize>() + self.ready.capacity() + self.far.capacity();
+        entries * std::mem::size_of::<Entry<T>>()
+            + self.sort_keys.capacity() * std::mem::size_of::<u128>()
+            + std::mem::size_of_val(&*self.l0)
+            + std::mem::size_of_val(&*self.l1)
     }
 
     /// Advances the cursor to the next non-empty level-0 bucket — refilling
     /// level 0 from level 1, and level 1 from the far list, as needed — and
-    /// stages that bucket into `ready` (descending `(time, seq)`). Returns
+    /// stages that bucket into `ready` (descending `(time, prio, seq)`). Returns
     /// `None` if the scheduler is empty.
     fn advance(&mut self) -> Option<()> {
         debug_assert!(self.ready.is_empty());
@@ -360,10 +328,12 @@ impl<T> TimingWheel<T> {
                         }
                         bucket.set_len(0);
                     }
-                    return Some(());
+                } else {
+                    self.ready.extend(bucket.pop());
                 }
-                // 0/1-entry bucket: swap the vector in directly.
-                std::mem::swap(&mut self.ready, bucket);
+                if bucket.capacity() > KEEP {
+                    *bucket = Vec::new();
+                }
                 return Some(());
             }
             // Level 0 is dry: scatter the next occupied coarse slot into it.
@@ -377,13 +347,13 @@ impl<T> TimingWheel<T> {
                 // one higher; the cursor is the sentinel just before them.
                 self.cursor = (b1 - 1) << (L1_BITS - L0_BITS);
                 self.window0_end = self.cursor + L0_SLOTS as u64 + 1;
-                let mut batch = std::mem::take(&mut self.l1[slot]);
-                for e in batch.drain(..) {
+                // The slot is refilled once per level-1 rotation (~16.8 s):
+                // its allocation is dropped, not kept for then.
+                for e in std::mem::take(&mut self.l1[slot]) {
                     let s0 = (b0_of(e.time) & L0_MASK) as usize;
                     self.l0[s0].push(e);
                     self.occ0[s0 >> 6] |= 1 << (s0 & 63);
                 }
-                self.l1[slot] = batch; // hand the emptied allocation back
                 continue;
             }
             // Both wheels are dry: jump the coarse window to the earliest
@@ -456,98 +426,85 @@ fn scan_bitmap<const WORDS: usize>(occ: &[u64; WORDS], from: usize, to: usize) -
     None
 }
 
-/// The `BinaryHeap` reference scheduler: the exact structure the simulator
-/// used before the timing wheel, kept for equivalence tests and as the
-/// baseline of `bench_engine_wallclock`.
-#[derive(Debug)]
-pub struct HeapScheduler<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-    next_seq: u64,
-}
-
-#[derive(Debug)]
-struct HeapEntry<T>(Entry<T>);
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.time == other.0.time && self.0.prio == other.0.prio && self.0.seq == other.0.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest entry pops first.
-        other
-            .0
-            .time
-            .cmp(&self.0.time)
-            .then_with(|| other.0.prio.cmp(&self.0.prio))
-            .then_with(|| other.0.seq.cmp(&self.0.seq))
-    }
-}
-
-impl<T> Default for HeapScheduler<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> HeapScheduler<T> {
-    /// Creates an empty scheduler.
-    pub fn new() -> Self {
-        HeapScheduler {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `item` at absolute time `time` with priority 0.
-    pub fn push(&mut self, time: SimTime, item: T) {
-        self.push_prio(time, 0, item);
-    }
-
-    /// Schedules `item` at absolute time `time` with an explicit priority:
-    /// same-instant entries pop in ascending `(prio, seq)` order.
-    pub fn push_prio(&mut self, time: SimTime, prio: u64, item: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(HeapEntry(Entry {
-            time,
-            prio,
-            seq,
-            item,
-        }));
-    }
-
-    /// Removes and returns the earliest entry, if any.
-    pub fn pop(&mut self) -> Option<Entry<T>> {
-        self.heap.pop().map(|e| e.0)
-    }
-
-    /// Time of the earliest pending entry.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.time)
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// The oracle: the classic `BinaryHeap` priority queue (O(log n) per
+    /// operation) over the same `(time, prio, seq)` key. The wheel must pop
+    /// exactly what this pops, for any interleaving of pushes and pops.
+    #[derive(Debug)]
+    struct HeapScheduler<T> {
+        heap: BinaryHeap<HeapEntry<T>>,
+        next_seq: u64,
+    }
+
+    #[derive(Debug)]
+    struct HeapEntry<T>(Entry<T>);
+
+    impl<T> PartialEq for HeapEntry<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.0.time == other.0.time && self.0.prio == other.0.prio && self.0.seq == other.0.seq
+        }
+    }
+    impl<T> Eq for HeapEntry<T> {}
+    impl<T> PartialOrd for HeapEntry<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<T> Ord for HeapEntry<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert so the earliest entry pops first.
+            other
+                .0
+                .time
+                .cmp(&self.0.time)
+                .then_with(|| other.0.prio.cmp(&self.0.prio))
+                .then_with(|| other.0.seq.cmp(&self.0.seq))
+        }
+    }
+
+    impl<T> HeapScheduler<T> {
+        /// Creates an empty scheduler.
+        fn new() -> Self {
+            HeapScheduler {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        /// Schedules `item` at absolute time `time`: same-instant entries pop
+        /// in ascending `(prio, seq)` order.
+        fn push(&mut self, time: SimTime, prio: u64, item: T) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(HeapEntry(Entry {
+                time,
+                prio,
+                seq,
+                item,
+            }));
+        }
+
+        /// Removes and returns the earliest entry, if any.
+        fn pop(&mut self) -> Option<Entry<T>> {
+            self.heap.pop().map(|e| e.0)
+        }
+
+        /// Time of the earliest pending entry.
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.0.time)
+        }
+
+        /// Number of pending entries.
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     fn drain_order(wheel: &mut TimingWheel<u32>) -> Vec<(u64, u32)> {
         std::iter::from_fn(|| wheel.pop())
@@ -558,9 +515,9 @@ mod tests {
     #[test]
     fn pops_in_time_order_across_buckets() {
         let mut w: TimingWheel<u32> = TimingWheel::new();
-        w.push(SimTime::from_millis(30), 3);
-        w.push(SimTime::from_millis(10), 1);
-        w.push(SimTime::from_millis(20), 2);
+        w.push(SimTime::from_millis(30), 0, 3);
+        w.push(SimTime::from_millis(10), 0, 1);
+        w.push(SimTime::from_millis(20), 0, 2);
         assert_eq!(
             drain_order(&mut w),
             vec![(10_000, 1), (20_000, 2), (30_000, 3)]
@@ -572,7 +529,7 @@ mod tests {
         let mut w: TimingWheel<u32> = TimingWheel::new();
         let t = SimTime::from_millis(5);
         for i in 0..10 {
-            w.push(t, i);
+            w.push(t, 0, i);
         }
         assert_eq!(
             drain_order(&mut w)
@@ -592,8 +549,8 @@ mod tests {
         let mut w: TimingWheel<u32> = TimingWheel::new();
         let mut h: HeapScheduler<u32> = HeapScheduler::new();
         for (i, prio) in [3u64, 1, 2, 1, 0].iter().enumerate() {
-            w.push_prio(t, *prio, i as u32);
-            h.push_prio(t, *prio, i as u32);
+            w.push(t, *prio, i as u32);
+            h.push(t, *prio, i as u32);
         }
         // (prio, seq) ascending: (0,4) (1,1) (1,3) (2,2) (3,0).
         let expect = vec![4, 1, 3, 2, 0];
@@ -605,12 +562,12 @@ mod tests {
         // Ready-list insert path: stage the bucket, then push lower- and
         // higher-priority entries at the same instant.
         let mut w: TimingWheel<u32> = TimingWheel::new();
-        w.push_prio(t, 5, 0);
-        w.push_prio(t, 5, 1);
+        w.push(t, 5, 0);
+        w.push(t, 5, 1);
         assert_eq!(w.pop().unwrap().item, 0); // stages the bucket
-        w.push_prio(t, 9, 2); // after the pending prio-5 entry
-        w.push_prio(t, 1, 3); // before it
-        w.push_prio(t, 5, 4); // same prio: after (higher seq)
+        w.push(t, 9, 2); // after the pending prio-5 entry
+        w.push(t, 1, 3); // before it
+        w.push(t, 5, 4); // same prio: after (higher seq)
         let order: Vec<u32> = std::iter::from_fn(|| w.pop()).map(|e| e.item).collect();
         assert_eq!(order, vec![3, 1, 4, 2]);
     }
@@ -620,15 +577,15 @@ mod tests {
         let mut w: TimingWheel<u32> = TimingWheel::new();
         // 30 s is beyond both wheel levels (~32.8 ms and ~16.8 s) and must
         // take the far-list path; 90 s forces a second far partition.
-        w.push(SimTime::from_secs(30), 2);
-        w.push(SimTime::from_secs(90), 3);
-        w.push(SimTime::from_millis(1), 1);
+        w.push(SimTime::from_secs(30), 0, 2);
+        w.push(SimTime::from_secs(90), 0, 3);
+        w.push(SimTime::from_millis(1), 0, 1);
         assert_eq!(w.len(), 3);
         assert_eq!(
             drain_order(&mut w),
             vec![(1_000, 1), (30_000_000, 2), (90_000_000, 3)]
         );
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
     }
 
     #[test]
@@ -642,9 +599,9 @@ mod tests {
         let mut w: TimingWheel<u32> = TimingWheel::new();
         const N: u32 = 20_000;
         for i in 0..N {
-            w.push(SimTime::ZERO, i);
+            w.push(SimTime::ZERO, 0, i);
         }
-        w.push(SimTime::from_micros(1), N);
+        w.push(SimTime::from_micros(1), 0, N);
         let order: Vec<u32> = std::iter::from_fn(|| w.pop()).map(|e| e.item).collect();
         assert_eq!(order, (0..=N).collect::<Vec<_>>());
     }
@@ -656,9 +613,9 @@ mod tests {
         // layout [30 s, 90 s, 90 s] moves the *last* 90 s entry into the
         // extracted hole, reversing the two and popping seq 2 before seq 1.
         let mut w: TimingWheel<u32> = TimingWheel::new();
-        w.push(SimTime::from_secs(30), 0);
-        w.push(SimTime::from_secs(90), 1);
-        w.push(SimTime::from_secs(90), 2);
+        w.push(SimTime::from_secs(30), 0, 0);
+        w.push(SimTime::from_secs(90), 0, 1);
+        w.push(SimTime::from_secs(90), 0, 2);
         assert_eq!(
             drain_order(&mut w),
             vec![(30_000_000, 0), (90_000_000, 1), (90_000_000, 2)]
@@ -669,14 +626,14 @@ mod tests {
     fn interleaved_push_pop_within_current_bucket() {
         let mut w: TimingWheel<u32> = TimingWheel::new();
         let t = SimTime::from_micros(100);
-        w.push(t, 0);
-        w.push(SimTime::from_micros(120), 2);
+        w.push(t, 0, 0);
+        w.push(SimTime::from_micros(120), 0, 2);
         assert_eq!(w.pop().unwrap().item, 0);
         // Pushed while the cursor bucket is partially drained: same instant
         // as a pending entry -> must pop after it (insertion order)...
-        w.push(SimTime::from_micros(120), 3);
+        w.push(SimTime::from_micros(120), 0, 3);
         // ...and an earlier instant within the bucket still pops first.
-        w.push(SimTime::from_micros(110), 1);
+        w.push(SimTime::from_micros(110), 0, 1);
         let order: Vec<u32> = std::iter::from_fn(|| w.pop()).map(|e| e.item).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
@@ -684,11 +641,12 @@ mod tests {
     #[test]
     fn wheel_wraps_around() {
         let mut w: TimingWheel<u32> = TimingWheel::new();
-        // Walk the cursor far enough to wrap the 4096-slot wheel repeatedly.
+        // Walk the cursor far enough to wrap the 512-bucket near wheel (and
+        // cross level-1 slots) repeatedly.
         let mut expect = Vec::new();
         for i in 0..200u64 {
             let t = i * 37_003; // ~37 ms apart -> several wraps over 200 events
-            w.push(SimTime::from_micros(t), i as u32);
+            w.push(SimTime::from_micros(t), 0, i as u32);
             expect.push((t, i as u32));
         }
         assert_eq!(drain_order(&mut w), expect);
@@ -719,37 +677,140 @@ mod tests {
                 // tie-breaker is actually exercised.
                 let t = SimTime::from_micros((step() % 500) * 10_000);
                 let prio = step() % 7;
-                wheel.push_prio(t, prio, i);
-                heap.push_prio(t, prio, i);
+                wheel.push(t, prio, i);
+                heap.push(t, prio, i);
             }
             assert_eq!(wheel.len(), heap.len());
             assert_eq!(wheel.peek_time(), heap.peek_time());
         }
+        drain_in_lockstep(&mut wheel, &mut heap);
+    }
+
+    #[test]
+    fn peek_and_len() {
+        let mut w: TimingWheel<u32> = TimingWheel::new();
+        assert_eq!(w.len(), 0);
+        assert_eq!(w.peek_time(), None);
+        w.push(SimTime::from_secs(1), 0, 0);
+        w.push(SimTime::from_secs(2), 0, 1);
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.peek_time(), Some(SimTime::from_secs(1)));
+        let mut h: HeapScheduler<u32> = HeapScheduler::new();
+        assert_eq!(h.len(), 0);
+        h.push(SimTime::from_secs(1), 0, 0);
+        assert_eq!(h.len(), 1);
+        assert_eq!(h.peek_time(), Some(SimTime::from_secs(1)));
+    }
+
+    /// Pops both to the end in lockstep and asserts the total orders agree.
+    fn drain_in_lockstep(wheel: &mut TimingWheel<u64>, heap: &mut HeapScheduler<u64>) {
         loop {
-            let (a, b) = (
-                wheel.pop().map(|e| (e.time, e.prio, e.seq)),
-                heap.pop().map(|e| (e.time, e.prio, e.seq)),
-            );
-            assert_eq!(a, b);
-            if a.is_none() {
+            let w = wheel.pop().map(|e| (e.time, e.prio, e.seq, e.item));
+            let h = heap.pop().map(|e| (e.time, e.prio, e.seq, e.item));
+            assert_eq!(w, h);
+            if w.is_none() {
                 break;
             }
         }
     }
 
     #[test]
-    fn peek_and_len() {
+    fn a_drained_burst_gives_its_storage_back() {
+        const BURST: usize = 20_000;
         let mut w: TimingWheel<u32> = TimingWheel::new();
-        assert!(w.is_empty());
-        assert_eq!(w.peek_time(), None);
-        w.push(SimTime::from_secs(1), 0);
-        w.push(SimTime::from_secs(2), 1);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.peek_time(), Some(SimTime::from_secs(1)));
-        let mut h: HeapScheduler<u32> = HeapScheduler::new();
-        assert!(h.is_empty());
-        h.push(SimTime::from_secs(1), 0);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.peek_time(), Some(SimTime::from_secs(1)));
+        for i in 0..BURST {
+            w.push(SimTime::ZERO, 0, i as u32);
+        }
+        // One level-1 rotation: an event in every coarse slot, so each is
+        // scattered into level 0 once, plus a second burst that reaches its
+        // level-0 bucket through a level-1 slot.
+        for slot in 0..L1_SLOTS as u64 {
+            w.push(SimTime::from_micros((slot << L1_BITS) + 100), 0, 0);
+        }
+        for i in 0..BURST / 4 {
+            w.push(SimTime::from_secs(5), 0, i as u32);
+        }
+        while w.pop().is_some() {}
+        // What may stay: one burst's worth of ready list and sort scratch,
+        // `KEEP` entries per level-0 bucket, and the bucket headers.
+        let entry = std::mem::size_of::<Entry<u32>>();
+        let bound = BURST * (entry + std::mem::size_of::<u128>())
+            + L0_SLOTS * KEEP * entry
+            + (L0_SLOTS + L1_SLOTS) * std::mem::size_of::<Vec<Entry<u32>>>();
+        assert!(
+            w.allocated_bytes() <= bound,
+            "{} bytes held by an empty wheel, bound {bound}",
+            w.allocated_bytes()
+        );
+        assert!(w.l0.iter().all(|b| b.capacity() <= KEEP));
+        assert!(w.l1.iter().all(|b| b.capacity() == 0));
+    }
+
+    #[test]
+    fn a_released_bucket_regrows_in_order() {
+        // Fill one level-0 bucket past `KEEP`, drain it (the allocation is
+        // released), then fill the same slot again one rotation later —
+        // directly, and once more through level 1.
+        let mut wheel: TimingWheel<u64> = TimingWheel::new();
+        let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+        let rotation = 1u64 << L1_BITS;
+        let mut item = 0;
+        for round in 0..3u64 {
+            let base = 1_000 + round * rotation;
+            assert_eq!(b0_of(SimTime::from_micros(base)) & L0_MASK, 16);
+            for i in 0..4 * KEEP as u64 {
+                // Same bucket, a few distinct instants and priorities.
+                let time = SimTime::from_micros(base + i % 5);
+                wheel.push(time, i % 3, item);
+                heap.push(time, i % 3, item);
+                item += 1;
+            }
+            if round < 2 {
+                drain_in_lockstep(&mut wheel, &mut heap);
+                assert_eq!(wheel.l0[16].capacity(), 0, "bucket released");
+            }
+        }
+        drain_in_lockstep(&mut wheel, &mut heap);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// The timing wheel pops entries in exactly the same order as the
+        /// `BinaryHeap` oracle for any interleaving of pushes and pops, with
+        /// times spanning bucket-local, in-horizon and far-future
+        /// (overflow) ranges.
+        #[test]
+        fn timing_wheel_matches_binary_heap(
+            ops in proptest::collection::vec((0u64..3_000_000, 0u8..5), 1..300),
+        ) {
+            let mut wheel: TimingWheel<u64> = TimingWheel::new();
+            let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+            for (i, &(t, kind)) in ops.iter().enumerate() {
+                if kind == 0 {
+                    // One pop op per three pushes on average.
+                    let w = wheel.pop().map(|e| (e.time, e.seq, e.item));
+                    let h = heap.pop().map(|e| (e.time, e.seq, e.item));
+                    prop_assert_eq!(w, h, "pop divergence at op {}", i);
+                } else {
+                    // Stretch some times past the levels' horizons (512 ×
+                    // 64 µs ≈ 32.8 ms, then 512 × 32.8 ms ≈ 16.8 s) and
+                    // collide others onto shared instants.
+                    let t = match kind {
+                        1 => t,
+                        2 => t * 64,                 // up to ~192 s: far-future overflow
+                        3 => t & !0x3FF,             // coarse grid: many same-time ties
+                        _ => (t & !0xF_FFFF) * 64, // far-future *ties*: exercises the
+                                                   // order-preserving far partition
+                    };
+                    let time = SimTime::from_micros(t);
+                    wheel.push(time, 0, i as u64);
+                    heap.push(time, 0, i as u64);
+                }
+                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            }
+            drain_in_lockstep(&mut wheel, &mut heap);
+        }
     }
 }

@@ -93,26 +93,16 @@ impl Placement for Strided {
 ///
 /// With two or more shards the latency model must promise a positive
 /// [`LatencyModel::min_latency`] (`run_until` panics if that bound, scaled
-/// by the live `latency_factor`, is below 1 µs) and scheduler operation
-/// traces ([`NetworkConfig::trace_events`]) are not supported (each shard
-/// has its own queue, so a single interleaved trace does not exist). One
-/// shard has neither restriction: it runs the same loop as
-/// [`crate::Network`], on the calling thread.
+/// by the live `latency_factor`, is below 1 µs). One shard has no such
+/// restriction: it runs the same loop as [`crate::Network`], on the
+/// calling thread.
 pub type ShardedNetwork<P> = Driver<P, Strided>;
 
 impl<P: Protocol> Driver<P, Strided> {
     /// Creates a sharded network. `shards` must be at least 1; the latency
     /// model is shared (it is sampled under each shard's own node RNGs).
-    ///
-    /// # Panics
-    ///
-    /// If `config.trace_events` is set with two or more shards.
     pub fn new(config: NetworkConfig, latency: Arc<dyn LatencyModel>, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard");
-        assert!(
-            shards == 1 || !config.trace_events,
-            "scheduler traces are not supported by the sharded driver"
-        );
         let placements = (0..shards).map(|shard| Strided { shard, shards });
         Self::with_placements(config, latency, placements.collect())
     }
@@ -270,7 +260,6 @@ mod tests {
     use crate::latency::{ClusterLatency, FixedLatency};
     use crate::network::Network;
     use crate::protocol::{Context, WireSize};
-    use crate::sched::SchedulerKind;
     use rand::Rng;
 
     /// A chatty protocol that exercises every divergence-prone path: RNG
@@ -418,54 +407,31 @@ mod tests {
         fingerprint(net, n + 1)
     }
 
-    fn config(scheduler: SchedulerKind) -> NetworkConfig {
-        NetworkConfig {
-            scheduler,
-            ..NetworkConfig::default()
-        }
-    }
-
     #[test]
     fn sharded_matches_sequential_bit_for_bit() {
-        for scheduler in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-            let n = 11;
-            let mut seq: Network<Chat> =
-                Network::new(config(scheduler), Box::new(ClusterLatency::default()));
-            let expected = drive(&mut seq, n);
-            for shards in [1, 2, 3, 4, 7] {
-                let mut sharded: ShardedNetwork<Chat> = ShardedNetwork::new(
-                    config(scheduler),
-                    Arc::new(ClusterLatency::default()),
-                    shards,
-                );
-                let got = drive(&mut sharded, n);
-                assert_eq!(
-                    expected, got,
-                    "sharded({shards}) diverged from sequential under {scheduler:?}"
-                );
-            }
-
-            // One shard is the sequential loop, so it takes what only that
-            // loop can: a scheduler trace, and a model without lookahead.
-            let traced = NetworkConfig {
-                trace_events: true,
-                ..config(scheduler)
-            };
-            let mut seq: Network<Chat> =
-                Network::new(traced.clone(), Box::new(ClusterLatency::default()));
-            let mut one: ShardedNetwork<Chat> =
-                ShardedNetwork::new(traced, Arc::new(ClusterLatency::default()), 1);
-            assert_eq!(drive(&mut seq, n), drive(&mut one, n));
-            let trace = seq.take_event_trace();
-            assert!(!trace.is_empty());
-            assert_eq!(trace, one.take_event_trace());
-
-            let zero = || FixedLatency::new(SimDuration::ZERO);
-            let mut seq: Network<Chat> = Network::new(config(scheduler), Box::new(zero()));
-            let mut one: ShardedNetwork<Chat> =
-                ShardedNetwork::new(config(scheduler), Arc::new(zero()), 1);
-            assert_eq!(drive(&mut seq, n), drive(&mut one, n));
+        let n = 11;
+        let mut seq: Network<Chat> = Network::new(
+            NetworkConfig::default(),
+            Box::new(ClusterLatency::default()),
+        );
+        let expected = drive(&mut seq, n);
+        for shards in [1, 2, 3, 4, 7] {
+            let mut sharded: ShardedNetwork<Chat> = ShardedNetwork::new(
+                NetworkConfig::default(),
+                Arc::new(ClusterLatency::default()),
+                shards,
+            );
+            let got = drive(&mut sharded, n);
+            assert_eq!(expected, got, "sharded({shards}) diverged from sequential");
         }
+
+        // One shard is the sequential loop, so it takes what only that loop
+        // can: a model without lookahead.
+        let zero = || FixedLatency::new(SimDuration::ZERO);
+        let mut seq: Network<Chat> = Network::new(NetworkConfig::default(), Box::new(zero()));
+        let mut one: ShardedNetwork<Chat> =
+            ShardedNetwork::new(NetworkConfig::default(), Arc::new(zero()), 1);
+        assert_eq!(drive(&mut seq, n), drive(&mut one, n));
     }
 
     #[test]
@@ -527,17 +493,6 @@ mod tests {
         );
         net.add_node(|_| Chat::new(vec![]));
         net.run_until(SimTime::from_secs(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "scheduler traces")]
-    fn event_traces_are_refused() {
-        let cfg = NetworkConfig {
-            trace_events: true,
-            ..NetworkConfig::default()
-        };
-        let _net: ShardedNetwork<Chat> =
-            ShardedNetwork::new(cfg, Arc::new(ClusterLatency::default()), 2);
     }
 
     #[test]

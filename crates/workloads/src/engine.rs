@@ -41,8 +41,7 @@ use crate::spec::{
 use brisa_metrics::LatencyHistogram;
 use brisa_simnet::{
     Context, Driver, Footprint, LinkFaults, MeterMode, Network, NetworkConfig, NodeId,
-    PartitionSpec, Placement, Protocol, SchedulerKind, ShardedNetwork, SimDuration, SimTime,
-    TraceOp,
+    PartitionSpec, Placement, Protocol, ShardedNetwork, SimDuration, SimTime,
 };
 use brisa_telemetry::Telemetry;
 use rand::rngs::SmallRng;
@@ -174,9 +173,8 @@ pub trait DisseminationProtocol: Protocol {
 /// protocol-specific knobs.
 ///
 /// Specs are assembled by the [`IntoRunSpec`] conversions, which also cache
-/// derived values ([`RunSpec::stream_start`]) once. The driver-level knobs
-/// (`scheduler`, `trace_events`, `shards`) stay freely settable afterwards;
-/// mutating `bootstrap` after conversion is not supported (the cached
+/// derived values ([`RunSpec::stream_start`]) once. The driver-level knob
+/// (`shards`) stays freely settable afterwards; mutating `bootstrap` after conversion is not supported (the cached
 /// stream start would desync — convert a fresh scenario instead).
 #[derive(Debug, Clone)]
 pub struct RunSpec {
@@ -198,14 +196,6 @@ pub struct RunSpec {
     pub bootstrap: SimDuration,
     /// Simulated time after the last injection for traffic to drain.
     pub drain: SimDuration,
-    /// Event-queue implementation the simulator uses. Timing wheel by
-    /// default; the binary heap is the reference baseline benches compare
-    /// against. Both produce bit-identical runs.
-    pub scheduler: SchedulerKind,
-    /// Record the scheduler push/pop trace of the run (bench-only; see
-    /// [`EngineResult::event_trace`]). Needs `shards == 1` — several
-    /// queues have no one trace, and the sharded driver refuses it.
-    pub trace_events: bool,
     /// Scheduled large-scale incidents (flash crowds, mass crashes),
     /// relative to stream start.
     pub events: Vec<ScaleEvent>,
@@ -222,8 +212,7 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// Assembles a spec from scenario-level fields, caching derived values
-    /// once. Driver knobs (`scheduler`, `trace_events`, `shards`) start at
-    /// their defaults.
+    /// once. The driver knob (`shards`) starts at its default.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         nodes: u32,
@@ -246,8 +235,6 @@ impl RunSpec {
             faults,
             bootstrap,
             drain,
-            scheduler: SchedulerKind::default(),
-            trace_events: false,
             events,
             results,
             shards: 1,
@@ -434,10 +421,6 @@ pub struct EngineResult {
     /// The simulator's own counters (sent/delivered/dropped, fault losses,
     /// partition cuts, events processed).
     pub net_stats: brisa_simnet::NetStats,
-    /// The recorded scheduler operation trace, when
-    /// [`RunSpec::trace_events`] was set (empty otherwise). Benches replay
-    /// it through a scheduler in isolation.
-    pub event_trace: Vec<TraceOp>,
     /// The scale-mode summary, present iff the run used
     /// [`ResultMode::Streaming`] (in which case [`EngineResult::nodes`] is
     /// empty).
@@ -481,8 +464,8 @@ impl EngineResult {
     /// behaviour-relevant in the result: simulator counters, publish
     /// schedule, and per-node delivery records, parents and bandwidth. Two
     /// runs are observationally identical iff their fingerprints match —
-    /// the canonical equality used by the scheduler-equivalence, shard-
-    /// equivalence and determinism tests (a divergence in any
+    /// the canonical equality used by the shard-equivalence, pinned-hash
+    /// and determinism tests (a divergence in any
     /// unfingerprinted field would pass silently, so new behaviour-relevant
     /// fields belong here).
     pub fn fingerprint(&self) -> String {
@@ -639,8 +622,6 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         );
         let net_config = NetworkConfig {
             seed: spec.seed,
-            scheduler: spec.scheduler,
-            trace_events: spec.trace_events,
             // The streaming result path never reads per-second bandwidth
             // buckets; dropping them keeps scale runs O(nodes) in memory.
             meter: match spec.results {
@@ -953,7 +934,6 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             end_sec,
             churn_window,
             net_stats: sim.stats(),
-            event_trace: sim.take_event_trace(),
             streaming,
         }
     }

@@ -45,7 +45,7 @@ pub use baseline_runs::{
     BaselineRunResult,
 };
 pub use brisa_run::{run_brisa, BrisaRunResult};
-pub use brisa_simnet::{PartitionMode, SchedulerKind, TraceOp};
+pub use brisa_simnet::PartitionMode;
 pub use chaos::{ChaosEvent, ChaosEventKind, ChaosSchedule};
 pub use engine::{
     completeness_of, delivery_rate_of, BuildCtx, DisseminationProtocol, EngineResult, IntoRunSpec,

@@ -1,13 +1,11 @@
 //! Protocol identity of the BRISA data path, pinned by committed hashes.
 //!
-//! The equivalence suites (wheel≡heap, sharded≡sequential, telemetry
-//! on≡off) compare two runs of the *same* build, so a representation
+//! The equivalence suites (sharded≡sequential, telemetry on≡off) compare two runs of the *same* build, so a representation
 //! change under `BrisaCore::handle_data` that altered a protocol decision
 //! identically on both sides would pass them all. This suite pins the
 //! absolute behaviour instead: the FNV-1a hash of `EngineResult::fingerprint()`
 //! for a 200-node matrix — {tree, DAG(2)} × the four parent-selection
-//! strategies × {no fault, 0.5 %/5 s churn + 1 % loss} — under both
-//! schedulers. The hashes were recorded on the commit *before* the
+//! strategies × {no fault, 0.5 %/5 s churn + 1 % loss}. The hashes were recorded on the commit *before* the
 //! allocation-free data path (inline retransmission buffer, shared path
 //! guard, flat link table, vector-backed candidate set) and must never
 //! change because of a representation refactor. A deliberate protocol
@@ -27,7 +25,7 @@ use brisa_membership::HyParViewConfig;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
     BaselineScenario, BrisaScenario, BrisaStackConfig, ChurnSpec, DisseminationProtocol, FaultSpec,
-    IntoRunSpec, PartitionPhase, RunSpec, Runner, SchedulerKind, StreamSpec,
+    IntoRunSpec, PartitionPhase, RunSpec, Runner, StreamSpec,
 };
 
 const MODES: [StructureMode; 2] = [StructureMode::Tree, StructureMode::Dag { parents: 2 }];
@@ -80,31 +78,22 @@ fn scenario(mode: StructureMode, strategy: ParentStrategy, faulty: bool) -> Bris
     }
 }
 
-fn run(sc: &BrisaScenario, scheduler: SchedulerKind) -> u64 {
+fn run(sc: &BrisaScenario) -> u64 {
     let cfg = BrisaStackConfig {
         hpv: sc.hyparview_config(),
         brisa: sc.brisa_config(),
     };
-    run_spec::<BrisaNode>(&cfg, sc.run_spec(), scheduler)
+    run_spec::<BrisaNode>(&cfg, sc.run_spec())
 }
 
-fn run_spec<P>(cfg: &P::Config, mut spec: RunSpec, scheduler: SchedulerKind) -> u64
+fn run_spec<P>(cfg: &P::Config, spec: RunSpec) -> u64
 where
     P: DisseminationProtocol + Send,
     P::Message: Send,
 {
-    spec.scheduler = scheduler;
     let fingerprint = Runner::<P>::new(cfg, &spec).run().fingerprint();
     assert!(fingerprint.contains(":d"), "fingerprint is vacuous");
     fnv1a64(fingerprint.as_bytes())
-}
-
-/// Runs `one` under both schedulers, asserts they agree, returns the hash.
-fn both_schedulers(label: &str, one: impl Fn(SchedulerKind) -> u64) -> u64 {
-    let wheel = one(SchedulerKind::TimingWheel);
-    let heap = one(SchedulerKind::BinaryHeap);
-    assert_eq!(wheel, heap, "{label}: schedulers diverged");
-    wheel
 }
 
 /// The control-plane rows, in `CONTROL_PLANE_PINNED` order.
@@ -144,28 +133,18 @@ fn control_plane_rows() -> [(&'static str, u64); 4] {
     [
         (
             "flood over HyParView, churn",
-            both_schedulers("flood", |k| {
-                run_spec::<FloodNode>(&flood_cfg, baseline.run_spec(), k)
-            }),
+            run_spec::<FloodNode>(&flood_cfg, baseline.run_spec()),
         ),
         (
             "SimpleGossip over Cyclon, churn",
-            both_schedulers("gossip", |k| {
-                run_spec::<SimpleGossipNode>(&gossip_cfg, baseline.run_spec(), k)
-            }),
+            run_spec::<SimpleGossipNode>(&gossip_cfg, baseline.run_spec()),
         ),
-        (
-            "BRISA tree, 1 % loss + Delay partition",
-            both_schedulers("held", |k| run(&held, k)),
-        ),
-        (
-            "BRISA tree, churn + loss, shards(2)",
-            both_schedulers("sharded", |k| {
-                let mut spec = churned.run_spec();
-                spec.shards = 2;
-                run_spec::<BrisaNode>(&stack(&churned), spec, k)
-            }),
-        ),
+        ("BRISA tree, 1 % loss + Delay partition", run(&held)),
+        ("BRISA tree, churn + loss, shards(2)", {
+            let mut spec = churned.run_spec();
+            spec.shards = 2;
+            run_spec::<BrisaNode>(&stack(&churned), spec)
+        }),
     ]
 }
 
@@ -209,13 +188,7 @@ fn data_path_decisions_match_the_pinned_hashes() {
         for (s, &strategy) in STRATEGIES.iter().enumerate() {
             for faulty in [false, true] {
                 let sc = scenario(mode, strategy, faulty);
-                let wheel = run(&sc, SchedulerKind::TimingWheel);
-                let heap = run(&sc, SchedulerKind::BinaryHeap);
-                assert_eq!(
-                    wheel, heap,
-                    "{mode:?}/{strategy:?}/faulty={faulty}: schedulers diverged"
-                );
-                actual[m][s][faulty as usize] = wheel;
+                actual[m][s][faulty as usize] = run(&sc);
             }
         }
     }

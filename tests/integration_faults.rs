@@ -2,13 +2,13 @@
 //! invariant checker: zero-rate faults are bit-identical to a fault-free
 //! run, BRISA survives per-link loss via gossip-substrate gap recovery,
 //! and a partition-then-heal scenario reconnects — all under the online
-//! invariant suite on both schedulers.
+//! invariant suite.
 
 use brisa::BrisaNode;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
     scenarios, BrisaScenario, BrisaStackConfig, EngineResult, FaultSpec, IntoRunSpec,
-    InvariantSuite, Runner, SchedulerKind, StreamSpec,
+    InvariantSuite, Runner, StreamSpec,
 };
 
 fn stack_config(sc: &BrisaScenario) -> BrisaStackConfig {
@@ -52,8 +52,7 @@ fn zero_rate_faults_are_bit_identical_to_fault_free() {
 
 /// Acceptance: a BRISA run at 1 % per-link loss still reaches >= 99 %
 /// delivery through the gap-recovery retransmissions of the gossip
-/// substrate, under the full online invariant suite, on both schedulers —
-/// which must also agree bit-for-bit under faults.
+/// substrate, under the full online invariant suite.
 #[test]
 fn one_percent_loss_still_delivers_99_percent_on_both_schedulers() {
     let sc = BrisaScenario {
@@ -67,31 +66,18 @@ fn one_percent_loss_still_delivers_99_percent_on_both_schedulers() {
         ..BrisaScenario::small_test(48)
     };
     let cfg = stack_config(&sc);
-    let mut fingerprints = Vec::new();
-    for scheduler in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-        let mut spec = sc.run_spec();
-        spec.scheduler = scheduler;
-        let mut suite = InvariantSuite::standard(Some(1));
-        let r = Runner::<BrisaNode>::new(&cfg, &spec)
-            .invariants(&mut suite)
-            .run();
-        suite.assert_clean();
-        assert!(suite.checks_run() > 0);
-        assert!(
-            r.net_stats.messages_lost_to_faults > 0,
-            "1% loss over a full run must lose messages"
-        );
-        let rate = r.delivery_rate();
-        assert!(
-            rate >= 0.99,
-            "delivery rate {rate:.4} under 1% loss (scheduler {scheduler:?})"
-        );
-        fingerprints.push(r.fingerprint());
-    }
-    assert_eq!(
-        fingerprints[0], fingerprints[1],
-        "schedulers must agree bit-for-bit under active fault injection"
+    let mut suite = InvariantSuite::standard(Some(1));
+    let r = Runner::<BrisaNode>::new(&cfg, &sc.run_spec())
+        .invariants(&mut suite)
+        .run();
+    suite.assert_clean();
+    assert!(suite.checks_run() > 0);
+    assert!(
+        r.net_stats.messages_lost_to_faults > 0,
+        "1% loss over a full run must lose messages"
     );
+    let rate = r.delivery_rate();
+    assert!(rate >= 0.99, "delivery rate {rate:.4} under 1% loss");
 }
 
 /// Acceptance: the 10 s partition-then-heal scenario reconnects — every

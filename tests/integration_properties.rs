@@ -5,63 +5,14 @@
 use brisa::{BrisaConfig, CycleGuard, CycleState, ParentStrategy, StructureMode};
 use brisa_membership::{HpvMsg, HyParView, HyParViewConfig};
 use brisa_metrics::{Cdf, PercentileSummary, StructureSnapshot};
-use brisa_simnet::sched::{HeapScheduler, TimingWheel};
 use brisa_simnet::{NodeId, SimTime};
 use brisa_workloads::{
     run_brisa, run_matrix, run_matrix_sequential, BrisaScenario, BrisaStackConfig, IntoRunSpec,
-    Runner, SchedulerKind, StreamSpec, Testbed,
+    Runner, StreamSpec, Testbed,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    /// The timing wheel pops entries in exactly the same order as the
-    /// `BinaryHeap` reference for any interleaving of pushes and pops, with
-    /// times spanning bucket-local, in-horizon and far-future (overflow)
-    /// ranges.
-    #[test]
-    fn timing_wheel_matches_binary_heap(
-        ops in proptest::collection::vec((0u64..3_000_000, 0u8..5), 1..300),
-    ) {
-        let mut wheel: TimingWheel<u64> = TimingWheel::new();
-        let mut heap: HeapScheduler<u64> = HeapScheduler::new();
-        for (i, &(t, kind)) in ops.iter().enumerate() {
-            if kind == 0 {
-                // One pop op per three pushes on average.
-                let w = wheel.pop().map(|e| (e.time, e.seq, e.item));
-                let h = heap.pop().map(|e| (e.time, e.seq, e.item));
-                prop_assert_eq!(w, h, "pop divergence at op {}", i);
-            } else {
-                // Stretch some times into the overflow level (> the wheel's
-                // ~1 s horizon) and collide others onto shared instants.
-                let t = match kind {
-                    1 => t,
-                    2 => t * 64,                 // up to ~192 s: far-future overflow
-                    3 => t & !0x3FF,             // coarse grid: many same-time ties
-                    _ => (t & !0xF_FFFF) * 64, // far-future *ties*: exercises the
-                                               // order-preserving far partition
-                };
-                let time = SimTime::from_micros(t);
-                wheel.push(time, i as u64);
-                heap.push(time, i as u64);
-            }
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-        }
-        // Drain both to the end: the full total order must agree.
-        loop {
-            let w = wheel.pop().map(|e| (e.time, e.seq, e.item));
-            let h = heap.pop().map(|e| (e.time, e.seq, e.item));
-            prop_assert_eq!(&w, &h);
-            if w.is_none() {
-                break;
-            }
-        }
-    }
-}
 
 fn sched_check_cell(seed: u64) -> (BrisaStackConfig, BrisaScenario) {
     let sc = BrisaScenario {
@@ -76,39 +27,45 @@ fn sched_check_cell(seed: u64) -> (BrisaStackConfig, BrisaScenario) {
     (cfg, sc)
 }
 
-/// Whole-system scheduler equivalence: a full BRISA run produces
-/// bit-identical results on the timing wheel and on the binary-heap
-/// reference — the wheel changes wall-clock time and nothing else.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The absolute behaviour of a full BRISA run per seed, as FNV-1a hashes of
+/// the fingerprint recorded on 2bcadee — where the timing wheel and the
+/// binary-heap scheduler it replaced were compared on exactly these runs
+/// and agreed. The wheel may change wall-clock time and nothing else.
 #[test]
 fn engine_runs_identical_on_both_schedulers() {
-    for seed in [1u64, 0xB215A, 77] {
+    const PINNED: [(u64, u64); 3] = [
+        (1, 0xc1480a4c68a8f61b),
+        (0xB215A, 0x88dac0ecab4572c1),
+        (77, 0xd0ad75946be67959),
+    ];
+    for (seed, pinned) in PINNED {
         let (cfg, sc) = sched_check_cell(seed);
-        let run = |scheduler: SchedulerKind| {
-            let mut spec = sc.run_spec();
-            spec.scheduler = scheduler;
-            Runner::<brisa::BrisaNode>::new(&cfg, &spec)
-                .run()
-                .fingerprint()
-        };
+        let fingerprint = Runner::<brisa::BrisaNode>::new(&cfg, &sc.run_spec())
+            .run()
+            .fingerprint();
         assert_eq!(
-            run(SchedulerKind::TimingWheel),
-            run(SchedulerKind::BinaryHeap),
-            "seed {seed}: schedulers must be observationally identical"
+            fnv1a64(fingerprint.as_bytes()),
+            pinned,
+            "seed {seed}: this build produces {:#018x}",
+            fnv1a64(fingerprint.as_bytes())
         );
     }
 }
 
-/// The `run_matrix` determinism contract holds on the new scheduler:
-/// parallel and sequential sweeps agree bit-for-bit with the scheduler
-/// pinned explicitly to the timing wheel.
+/// The `run_matrix` determinism contract: parallel and sequential sweeps
+/// agree bit-for-bit.
 #[test]
 fn run_matrix_is_deterministic_on_timing_wheel() {
     let seeds: Vec<u64> = vec![3, 1414, 0xB215A, 99];
     let run = |_i: usize, &seed: &u64| {
         let (cfg, sc) = sched_check_cell(seed);
-        let mut spec = sc.run_spec();
-        spec.scheduler = SchedulerKind::TimingWheel;
-        Runner::<brisa::BrisaNode>::new(&cfg, &spec)
+        Runner::<brisa::BrisaNode>::new(&cfg, &sc.run_spec())
             .run()
             .fingerprint()
     };
@@ -250,8 +207,7 @@ proptest! {
 
     /// The sharded driver is observationally invisible: for arbitrary small
     /// scenarios, every shard count — including counts above the node
-    /// count — and both schedulers produce the exact fingerprint of the
-    /// sequential run. This is the workloads-level face of the simnet
+    /// count — produces the exact fingerprint of the sequential run. This is the workloads-level face of the simnet
     /// shard-equivalence tests: it goes through the full engine pipeline
     /// (bootstrap, schedule, churn, collect), not just the raw driver.
     #[test]
@@ -278,22 +234,19 @@ proptest! {
             hpv: sc.hyparview_config(),
             brisa: sc.brisa_config(),
         };
-        for scheduler in [SchedulerKind::TimingWheel, SchedulerKind::BinaryHeap] {
-            let mut spec = sc.run_spec();
-            spec.scheduler = scheduler;
-            let sequential = Runner::<brisa::BrisaNode>::new(&cfg, &spec).run().fingerprint();
-            prop_assert!(sequential.contains(":d"), "fingerprint is vacuous");
-            for shards in [1usize, 2, 3, 7, 16] {
-                spec.shards = shards;
-                let sharded = Runner::<brisa::BrisaNode>::new(&cfg, &spec)
-                    .run()
-                    .fingerprint();
-                prop_assert_eq!(
-                    &sequential, &sharded,
-                    "{} shards diverged from sequential (seed {}, {:?})",
-                    shards, seed, scheduler
-                );
-            }
+        let mut spec = sc.run_spec();
+        let sequential = Runner::<brisa::BrisaNode>::new(&cfg, &spec).run().fingerprint();
+        prop_assert!(sequential.contains(":d"), "fingerprint is vacuous");
+        for shards in [1usize, 2, 3, 7, 16] {
+            spec.shards = shards;
+            let sharded = Runner::<brisa::BrisaNode>::new(&cfg, &spec)
+                .run()
+                .fingerprint();
+            prop_assert_eq!(
+                &sequential, &sharded,
+                "{} shards diverged from sequential (seed {})",
+                shards, seed
+            );
         }
     }
 

@@ -1,13 +1,18 @@
-//! Scheduler equivalence pinned per experiment.
+//! Placement equivalence pinned per experiment.
 //!
-//! `tests/integration_properties.rs` proves the timing wheel and the
-//! `BinaryHeap` reference pop identically on synthetic op streams and on
-//! one BRISA workload; this suite pins the same golden guarantee for
-//! **every figure/table scenario family** of the paper at `small_test`
-//! scale: each experiment, shrunk to a few seconds of simulated time, must
-//! produce a bit-identical fingerprint under both schedulers. A divergence
-//! anywhere in the stack — scheduler, fault layer, protocol — names the
+//! `simnet`'s shard tests prove the sharded driver equals the sequential
+//! one on a scripted scenario, and `integration_properties` on random small
+//! BRISA runs; this suite pins the same golden guarantee for **every
+//! figure/table scenario family** of the paper at `small_test` scale: each
+//! experiment, shrunk to a few seconds of simulated time, must produce a
+//! bit-identical fingerprint sequentially and on two shards — the four
+//! baselines included, which no other sharded test runs. A divergence
+//! anywhere in the stack — epoch loop, fault layer, protocol — names the
 //! experiment it broke.
+//!
+//! (The file and `fault_sweeps_scheduler_equivalence` keep the names the
+//! test floor knows them by: until the binary-heap scheduler was deleted
+//! this matrix compared the two schedulers.)
 
 use brisa::BrisaNode;
 use brisa_baselines::{
@@ -17,30 +22,31 @@ use brisa_membership::HyParViewConfig;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
     scenarios, BaselineScenario, BrisaScenario, BrisaStackConfig, ChurnSpec, DisseminationProtocol,
-    IntoRunSpec, RunSpec, Runner, Scale, SchedulerKind, StreamSpec,
+    IntoRunSpec, RunSpec, Runner, Scale, StreamSpec,
 };
 
-/// Runs `P` on both schedulers and asserts fingerprint equality.
-fn assert_scheduler_equivalence<P: DisseminationProtocol + Send>(
+/// Runs `P` sequentially and on two shards and asserts fingerprint
+/// equality.
+fn assert_placement_equivalence<P: DisseminationProtocol + Send>(
     family: &str,
     cfg: &P::Config,
     spec: &RunSpec,
 ) where
     P::Message: Send,
 {
-    let run = |scheduler: SchedulerKind| {
+    let run = |shards: usize| {
         let mut spec = spec.clone();
-        spec.scheduler = scheduler;
+        spec.shards = shards;
         Runner::<P>::new(cfg, &spec).run().fingerprint()
     };
-    let wheel = run(SchedulerKind::TimingWheel);
-    let heap = run(SchedulerKind::BinaryHeap);
+    let sequential = run(1);
     assert_eq!(
-        wheel, heap,
-        "experiment family `{family}`: schedulers diverged"
+        sequential,
+        run(2),
+        "experiment family `{family}`: two shards diverged from sequential"
     );
     assert!(
-        wheel.contains(":d"),
+        sequential.contains(":d"),
         "experiment family `{family}`: fingerprint is vacuous"
     );
 }
@@ -68,7 +74,7 @@ fn check_brisa(family: &str, sc: BrisaScenario) {
         hpv: sc.hyparview_config(),
         brisa: sc.brisa_config(),
     };
-    assert_scheduler_equivalence::<BrisaNode>(family, &cfg, &sc.run_spec());
+    assert_placement_equivalence::<BrisaNode>(family, &cfg, &sc.run_spec());
 }
 
 fn small_baseline(nodes: u32, view_size: usize) -> BaselineScenario {
@@ -88,7 +94,7 @@ fn fig02_duplicates_flood() {
         ..small_baseline(24, views[0])
     };
     let cfg = HyParViewConfig::with_active_size(sc.view_size);
-    assert_scheduler_equivalence::<FloodNode>("fig02", &cfg, &sc.run_spec());
+    assert_placement_equivalence::<FloodNode>("fig02", &cfg, &sc.run_spec());
 }
 
 #[test]
@@ -133,9 +139,9 @@ fn fig12_table2_comparison_baselines() {
         ..small_baseline(24, 4)
     };
     let spec = sc.run_spec();
-    assert_scheduler_equivalence::<TagNode>("table2/tag", &TagConfig::default(), &spec);
-    assert_scheduler_equivalence::<SimpleTreeNode>("table2/simple_tree", &(), &spec);
-    assert_scheduler_equivalence::<SimpleGossipNode>(
+    assert_placement_equivalence::<TagNode>("table2/tag", &TagConfig::default(), &spec);
+    assert_placement_equivalence::<SimpleTreeNode>("table2/simple_tree", &(), &spec);
+    assert_placement_equivalence::<SimpleGossipNode>(
         "table2/simple_gossip",
         &GossipConfig::default(),
         &spec,
@@ -149,7 +155,7 @@ fn fig13_construction_time_tag_planetlab() {
         testbed,
         ..small_baseline(24, 4)
     };
-    assert_scheduler_equivalence::<TagNode>("fig13", &TagConfig::default(), &sc.run_spec());
+    assert_placement_equivalence::<TagNode>("fig13", &TagConfig::default(), &sc.run_spec());
 }
 
 #[test]
@@ -174,8 +180,8 @@ fn fig14_recovery_under_churn() {
 
 #[test]
 fn fault_sweeps_scheduler_equivalence() {
-    // The new adversarial scenarios are pinned like every other family:
-    // loss and partition runs must be scheduler-independent too.
+    // The adversarial scenarios are pinned like every other family: loss
+    // and partition runs must be placement-independent too.
     let (_, sc) = scenarios::fault_loss_sweep(Scale::Quick).remove(2);
     check_brisa("fault_loss", sc);
     let (_, sc) = scenarios::fault_partition_sweep(Scale::Quick).remove(0);

@@ -5,7 +5,7 @@
 //! membership layer and the BRISA core. Its hard constraint is the same
 //! discipline PR 3 established for the inert fault layer: **observing a
 //! run must not change it**. This suite pins three equalities on the
-//! engine's full behavioural fingerprint, under both schedulers:
+//! engine's full behavioural fingerprint, sequentially and on two shards:
 //!
 //! 1. a run through `Runner::new(..).telemetry(..)` with a *disabled*
 //!    handle is bit-identical to the plain `Runner::new(..).run()` path
@@ -19,14 +19,13 @@ use brisa::BrisaNode;
 use brisa_simnet::SimDuration;
 use brisa_telemetry::{Telemetry, TelemetryConfig};
 use brisa_workloads::{
-    BrisaScenario, BrisaStackConfig, ChurnSpec, FaultSpec, IntoRunSpec, RunSpec, Runner,
-    SchedulerKind, StreamSpec,
+    BrisaScenario, BrisaStackConfig, ChurnSpec, FaultSpec, IntoRunSpec, RunSpec, Runner, StreamSpec,
 };
 
 /// A small but eventful scenario: churn plus loss, so the run exercises
 /// orphan repair, gap recovery and partition-free fault traffic — the
 /// instrumented paths whose telemetry must stay out-of-band.
-fn eventful_spec(scheduler: SchedulerKind) -> (BrisaStackConfig, RunSpec) {
+fn eventful_spec(shards: usize) -> (BrisaStackConfig, RunSpec) {
     let sc = BrisaScenario {
         nodes: 24,
         stream: StreamSpec::short(8, 256),
@@ -45,14 +44,14 @@ fn eventful_spec(scheduler: SchedulerKind) -> (BrisaStackConfig, RunSpec) {
         brisa: sc.brisa_config(),
     };
     let mut spec = sc.run_spec();
-    spec.scheduler = scheduler;
+    spec.shards = shards;
     (cfg, spec)
 }
 
 /// Fingerprint of a run with the given handle (None = the plain
 /// pre-telemetry entry point).
-fn fingerprint(scheduler: SchedulerKind, telemetry: Option<&Telemetry>) -> String {
-    let (cfg, spec) = eventful_spec(scheduler);
+fn fingerprint(shards: usize, telemetry: Option<&Telemetry>) -> String {
+    let (cfg, spec) = eventful_spec(shards);
     match telemetry {
         None => Runner::<BrisaNode>::new(&cfg, &spec).run().fingerprint(),
         Some(tel) => Runner::<BrisaNode>::new(&cfg, &spec)
@@ -62,23 +61,23 @@ fn fingerprint(scheduler: SchedulerKind, telemetry: Option<&Telemetry>) -> Strin
     }
 }
 
-fn check_scheduler(scheduler: SchedulerKind) {
-    let plain = fingerprint(scheduler, None);
-    let disabled = fingerprint(scheduler, Some(&Telemetry::disabled()));
+fn check_placement(shards: usize) {
+    let plain = fingerprint(shards, None);
+    let disabled = fingerprint(shards, Some(&Telemetry::disabled()));
     let enabled_handle = Telemetry::with_config(TelemetryConfig::default());
-    let enabled = fingerprint(scheduler, Some(&enabled_handle));
+    let enabled = fingerprint(shards, Some(&enabled_handle));
 
     assert_eq!(
         plain, disabled,
-        "{scheduler:?}: a disabled telemetry handle changed the run"
+        "{shards} shard(s): a disabled telemetry handle changed the run"
     );
     assert_eq!(
         plain, enabled,
-        "{scheduler:?}: an enabled telemetry handle changed the run"
+        "{shards} shard(s): an enabled telemetry handle changed the run"
     );
     assert!(
         plain.contains(":d"),
-        "{scheduler:?}: fingerprint is vacuous"
+        "{shards} shard(s): fingerprint is vacuous"
     );
 
     // Not vacuous on the telemetry side either: the enabled run left a
@@ -87,34 +86,34 @@ fn check_scheduler(scheduler: SchedulerKind) {
     let snapshot = enabled_handle.snapshot_jsonl(u64::MAX);
     assert!(
         snapshot.contains("brisa.delivered"),
-        "{scheduler:?}: enabled run registered no protocol counters: {snapshot}"
+        "{shards} shard(s): enabled run registered no protocol counters: {snapshot}"
     );
     assert!(
         snapshot.contains("hpv.shuffles"),
-        "{scheduler:?}: enabled run registered no membership counters"
+        "{shards} shard(s): enabled run registered no membership counters"
     );
     let recorder = enabled_handle.recorder().expect("enabled handle");
     assert!(
         recorder.total_recorded() > 0,
-        "{scheduler:?}: enabled run recorded no flight-recorder events"
+        "{shards} shard(s): enabled run recorded no flight-recorder events"
     );
 }
 
 #[test]
 fn telemetry_is_out_of_band_on_the_timing_wheel() {
-    check_scheduler(SchedulerKind::TimingWheel);
+    check_placement(1);
 }
 
 #[test]
-fn telemetry_is_out_of_band_on_the_binary_heap() {
-    check_scheduler(SchedulerKind::BinaryHeap);
+fn telemetry_is_out_of_band_on_two_shards() {
+    check_placement(2);
 }
 
 /// Two enabled runs of the same spec also agree with each other — the
 /// handle holds no per-run state that could leak into behaviour.
 #[test]
 fn enabled_runs_are_mutually_deterministic() {
-    let a = fingerprint(SchedulerKind::TimingWheel, Some(&Telemetry::enabled()));
-    let b = fingerprint(SchedulerKind::TimingWheel, Some(&Telemetry::enabled()));
+    let a = fingerprint(1, Some(&Telemetry::enabled()));
+    let b = fingerprint(1, Some(&Telemetry::enabled()));
     assert_eq!(a, b);
 }
