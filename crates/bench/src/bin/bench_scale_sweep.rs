@@ -15,34 +15,27 @@
 //!   100 000-node rows. The acceptance bar lives here: the 100 000-node
 //!   no-fault dissemination must complete within the nightly budget with
 //!   100 % delivery.
-//! * `BRISA_SCALE_ROWS=<n>,<n>,…` overrides either set (calibration hook).
 //!
 //! On top of the sequential grid the sweep drives the epoch-sharded
-//! simulator (`RunSpec::shards` > 1, `BRISA_SHARDS` override):
+//! simulator ([`SHARDS`] shards):
 //!
 //! * a `no_fault_sharded` row at the largest suite size whose result
 //!   fingerprint is asserted **bit-identical** to the sequential
 //!   `no_fault` row of the same size — the determinism contract, re-pinned
 //!   at bench scale on every run;
 //! * the `scenarios::scale_million` row (1 000 000 nodes, sharded-only),
-//!   run on the nightly/full set or whenever `BRISA_MILLION=1`. Its
-//!   acceptance bar: 100 % delivery inside the wall-clock budget.
+//!   run on the default set. Its acceptance bar: 100 % delivery inside the
+//!   wall-clock budget.
 //!
 //! Every row reports wall-clock, simulator events/sec, delivery and
 //! completeness, the accounting-based bytes-per-node footprint (the peak
 //! RSS proxy — see `Network::footprint`), and bucketed latency quantiles.
-//! Scheduler equivalence is *not* re-asserted per row (that costs a second
-//! run of every cell); it is pinned at quick scale by
-//! `tests/integration_scale.rs`.
-//!
-//! Results go to `BENCH_PR10.json` (override with `BRISA_BENCH_OUT`); the
-//! schema is documented in DESIGN.md and consumed by the `bench_gate` CI
-//! regression gate.
+//! Every row must reach the [`DELIVERY_FLOOR`] / [`COMPLETENESS_FLOOR`]
+//! pair; the binary asserts it, next to the headline bars above.
 
 use brisa::BrisaNode;
 use brisa_bench::{BrisaStackConfig, EngineResult};
 use brisa_workloads::{scenarios, IntoRunSpec, Runner};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Wall-clock budget in real seconds for the acceptance rows (ISSUE-5's
@@ -50,6 +43,18 @@ use std::time::Instant;
 /// sharded row; the `scale-nightly` job runs with a CI-level timeout on
 /// top of this).
 const BUDGET_SECS: f64 = 600.0;
+
+/// Shard count of the sharded rows (other counts: `integration_properties`).
+const SHARDS: usize = 4;
+
+/// Delivery floor of every row. Lowest readings of the 2 000/10 000 grid:
+/// the 50 % correlated crash (0.9936 and 0.9942) and the 10 000-node flash
+/// crowd (0.9999); every other row reads 1.0. The 100 000-node rows run
+/// nightly only and share the floor.
+const DELIVERY_FLOOR: f64 = 0.99;
+
+/// Completeness floor of every row (same rows: 0.9900, 0.9910, 0.9999).
+const COMPLETENESS_FLOOR: f64 = 0.98;
 
 struct Row {
     scenario: &'static str,
@@ -63,10 +68,6 @@ struct Row {
     bytes_per_node: f64,
     latency_p50_ms: f64,
     latency_p99_ms: f64,
-    latency_mean_ms: f64,
-    uploaded_mb: f64,
-    failures: usize,
-    joins: usize,
 }
 
 /// Runs one cell (sequential when `shards` is 1, epoch-sharded otherwise)
@@ -103,10 +104,6 @@ fn run_row(
         bytes_per_node: s.footprint.bytes_per_node(),
         latency_p50_ms: s.latency.quantile_ms(0.50),
         latency_p99_ms: s.latency.quantile_ms(0.99),
-        latency_mean_ms: s.latency.mean_ms(),
-        uploaded_mb: s.uploaded_bytes as f64 / (1024.0 * 1024.0),
-        failures: r.failures_injected,
-        joins: r.joins_injected,
     };
     (row, fingerprint)
 }
@@ -131,25 +128,16 @@ fn print_row(row: &Row) {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let sizes: Vec<u32> = match std::env::var("BRISA_SCALE_ROWS") {
-        Ok(rows) => rows
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect(),
-        Err(_) if smoke => vec![2_000, 10_000],
-        Err(_) => vec![10_000, 100_000],
+    let sizes: [u32; 2] = if smoke {
+        [2_000, 10_000]
+    } else {
+        [10_000, 100_000]
     };
-    let shards: usize = std::env::var("BRISA_SHARDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(4);
-    let million = !smoke || std::env::var("BRISA_MILLION").is_ok_and(|v| v == "1");
     println!("=== bench_scale_sweep — scale-mode streaming results, sequential + sharded");
     println!(
-        "    rows: {sizes:?} ({}; override with BRISA_SCALE_ROWS), {shards} shards on sharded rows{}",
+        "    rows: {sizes:?} ({}), {SHARDS} shards on sharded rows{}",
         if smoke { "--smoke" } else { "full" },
-        if million { ", million-node row on" } else { "" },
+        if smoke { "" } else { ", million-node row on" },
     );
     println!();
     println!(
@@ -169,15 +157,15 @@ fn main() {
     );
 
     let mut rows: Vec<Row> = Vec::new();
-    // Sequential no-fault fingerprints by size, for the sharded equality
-    // assertion below.
-    let mut no_fault_fp: Vec<(u32, String)> = Vec::new();
-    for &nodes in &sizes {
+    // The sequential no-fault fingerprint at the largest size (the last
+    // one written), for the sharded equality assertion below.
+    let mut no_fault_fp = String::new();
+    for nodes in sizes {
         for (label, sc) in scenarios::scale_suite(nodes) {
             let (row, fp) = run_row(label, &sc, 1);
             print_row(&row);
             if label == "no_fault" {
-                no_fault_fp.push((nodes, fp));
+                no_fault_fp = fp;
             }
             rows.push(row);
         }
@@ -186,29 +174,38 @@ fn main() {
     // --- Sharded leg: the largest suite size again, through the
     // epoch-sharded simulator, asserted bit-identical to the sequential
     // run above.
-    if let Some(&largest) = sizes.iter().max() {
-        let sc = scenarios::scale_no_fault(largest);
-        let (row, fp) = run_row("no_fault_sharded", &sc, shards);
+    let largest = sizes[1];
+    let (row, fp) = run_row(
+        "no_fault_sharded",
+        &scenarios::scale_no_fault(largest),
+        SHARDS,
+    );
+    print_row(&row);
+    assert_eq!(
+        fp, no_fault_fp,
+        "sharded run diverged from sequential at {largest} nodes ({SHARDS} shards)"
+    );
+    println!("  determinism: sharded({SHARDS}) == sequential at {largest} nodes");
+    rows.push(row);
+
+    // --- Million-node headline row (sharded-only; see scale_million docs).
+    if !smoke {
+        let (row, _) = run_row("no_fault_sharded", &scenarios::scale_million(), SHARDS);
         print_row(&row);
-        let sequential = no_fault_fp
-            .iter()
-            .find(|(n, _)| *n == largest)
-            .map(|(_, fp)| fp)
-            .expect("sequential no-fault row at the largest size");
-        assert_eq!(
-            &fp, sequential,
-            "sharded run diverged from sequential at {largest} nodes ({shards} shards)"
-        );
-        println!("  determinism: sharded({shards}) == sequential at {largest} nodes");
         rows.push(row);
     }
 
-    // --- Million-node headline row (sharded-only; see scale_million docs).
-    if million {
-        let sc = scenarios::scale_million();
-        let (row, _) = run_row("no_fault_sharded", &sc, shards);
-        print_row(&row);
-        rows.push(row);
+    // --- Per-row floors.
+    for r in &rows {
+        assert!(
+            r.delivery >= DELIVERY_FLOOR && r.completeness >= COMPLETENESS_FLOOR,
+            "{} @ {} nodes: delivery {:.6} / completeness {:.6} below the \
+             {DELIVERY_FLOOR} / {COMPLETENESS_FLOOR} floors",
+            r.scenario,
+            r.nodes,
+            r.delivery,
+            r.completeness
+        );
     }
 
     // --- Acceptance: the largest no-fault row delivers everything inside
@@ -246,60 +243,6 @@ fn main() {
         if sharded_met { "met" } else { "NOT MET" }
     );
 
-    // --- JSON artifact.
-    let mut rows_json = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            rows_json.push_str(",\n");
-        }
-        write!(
-            rows_json,
-            r#"    {{"scenario": "{}", "nodes": {}, "shards": {}, "messages": {}, "wall_secs": {:.3}, "sim_events": {}, "events_per_sec": {:.0}, "delivery_rate": {:.6}, "completeness": {:.6}, "bytes_per_node": {:.0}, "latency_p50_ms": {:.3}, "latency_p99_ms": {:.3}, "latency_mean_ms": {:.3}, "uploaded_mb": {:.1}, "failures": {}, "joins": {}}}"#,
-            r.scenario,
-            r.nodes,
-            r.shards,
-            r.messages,
-            r.wall_secs,
-            r.sim_events,
-            r.sim_events as f64 / r.wall_secs.max(1e-9),
-            r.delivery,
-            r.completeness,
-            r.bytes_per_node,
-            r.latency_p50_ms,
-            r.latency_p99_ms,
-            r.latency_mean_ms,
-            r.uploaded_mb,
-            r.failures,
-            r.joins,
-        )
-        .unwrap();
-    }
-    let json = format!(
-        r#"{{
-  "schema": "brisa-bench-pr10/v1",
-  "generated_by": "bench_scale_sweep",
-  "mode": "{}",
-  "rows": [
-{rows_json}
-  ],
-  "acceptance": {{"no_fault_nodes": {}, "delivery_rate": {:.6}, "wall_secs": {:.3}, "budget_secs": {BUDGET_SECS}, "target_met": {target_met}}},
-  "sharded_acceptance": {{"scenario": "no_fault_sharded", "nodes": {}, "shards": {}, "delivery_rate": {:.6}, "wall_secs": {:.3}, "budget_secs": {BUDGET_SECS}, "target_met": {sharded_met}}}
-}}
-"#,
-        if smoke { "smoke" } else { "full" },
-        headline.nodes,
-        headline.delivery,
-        headline.wall_secs,
-        sharded_headline.nodes,
-        sharded_headline.shards,
-        sharded_headline.delivery,
-        sharded_headline.wall_secs,
-    );
-    let out_path =
-        std::env::var("BRISA_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR10.json".to_string());
-    std::fs::write(&out_path, json).expect("write bench result file");
-    println!();
-    println!("wrote {out_path}");
     assert!(
         target_met,
         "acceptance bar not met: 100% delivery within budget at the largest no-fault row"

@@ -14,8 +14,8 @@
 //! the whole cluster regardless of its size, so a 1000-node TCP overlay
 //! costs the same thread count as a 16-node one.
 
+use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
-use crate::executor::WallClock;
 use crate::loopback::LoopbackMesh;
 use crate::reactor::ReactorPool;
 use crate::report::{LiveNode, LiveResult};

@@ -55,9 +55,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod chaos;
+pub mod clock;
 pub mod cluster;
 pub mod config;
-pub mod executor;
 pub mod loopback;
 pub mod reactor;
 pub mod report;
@@ -67,12 +67,12 @@ pub mod transport;
 pub mod wire;
 
 pub use chaos::{run_chaos, SoakConfig, SoakOutcome};
+pub use clock::WallClock;
 pub use cluster::{Cluster, ClusterConfig, TransportKind};
 pub use config::RuntimeConfig;
-pub use executor::{NodeRuntime, RuntimeStats, WallClock};
 pub use loopback::{LoopbackMesh, LoopbackTransport};
 pub use reactor::ReactorPool;
-pub use report::{LiveNode, LiveResult};
+pub use report::{LiveNode, LiveResult, RuntimeStats};
 pub use shim::{FaultShim, ShimControl, ShimStats};
 pub use tcp::TcpMesh;
 pub use transport::{FrameSink, NetEvent, Transport};

@@ -1,28 +1,24 @@
 //! The sharded reactor: N nodes multiplexed per worker thread.
 //!
-//! PR 4's executor spent one thread per node (plus an acceptor, a reader
-//! per inbound connection, a writer and a watcher per outbound peer on
-//! TCP), which capped live clusters at a few hundred nodes. This module
-//! replaces all of it with a small pool of **reactor workers**: every node
-//! is pinned to the shard `id % workers`, and each worker runs one loop
-//! that merges
+//! A small pool of **reactor workers** executes every live node: a node is
+//! pinned to the shard `id % workers`, and each worker runs one loop that
+//! merges
 //!
 //! * the worker's **inbox** (a mutex-protected queue of inbound frames,
 //!   control messages and transport commands, woken through a pipe),
-//! * the **timer heap** — the same `(deadline, insertion-seq)` discipline
-//!   as the per-node executor had, now one heap per shard holding every
-//!   resident node's timers *and* the transport's re-dial deadlines,
+//! * the **timer heap** — the simulator's `(deadline, insertion-seq)`
+//!   discipline, one heap per shard holding every resident node's timers
+//!   *and* the transport's re-dial deadlines,
 //! * and **socket readiness** over a hand-rolled `poll(2)` FFI (the
 //!   vendored-deps constraint rules out mio): non-blocking listeners,
 //!   inbound frame reassembly and outbound write flushing all run on the
 //!   worker that owns the node.
 //!
-//! The sans-IO seam is untouched: protocols still see
+//! The semantics match the simulator's: protocols see
 //! `on_start`/`on_message`/`on_timer`/`on_link_down` through
-//! [`Context::external`], commands drain into the node's [`Transport`],
-//! and the wire codec is byte-identical. [`FrameSink`]-based transports
-//! (loopback, the fault shim) work unchanged — a sink now enqueues into
-//! the owning worker's inbox instead of a per-node channel.
+//! [`Context::external`], RNGs derive from `split_mix64(seed, node)`,
+//! commands drain into the node's [`Transport`]. A [`FrameSink`] (loopback,
+//! the fault shim) enqueues into the owning worker's inbox.
 //!
 //! **Crash isolation:** every protocol callback runs under
 //! `catch_unwind`. A panicking node is poisoned — removed from its shard,
@@ -41,8 +37,9 @@
 //! protocol-level flow control is the stack's own (BRISA's per-round
 //! fan-out), exactly as in the simulator.
 
+use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
-use crate::executor::{InvokeFn, RuntimeStats, WallClock};
+use crate::report::RuntimeStats;
 use crate::transport::{FrameSink, NetEvent, Transport};
 use crate::wire::{WireCodec, LEN_PREFIX_BYTES, MAX_FRAME_BYTES, WIRE_VERSION};
 use brisa_simnet::seed::{mix64, split_mix64};
@@ -298,6 +295,9 @@ struct DialReq {
     addr: SocketAddr,
     gen: u64,
 }
+
+/// A boxed protocol callback queued through [`ReactorPool::invoke`].
+type InvokeFn<P> = Box<dyn FnOnce(&mut P, &mut Context<'_, <P as Protocol>::Message>) + Send>;
 
 /// Messages consumed by a reactor worker.
 enum WorkerMsg<P: Protocol> {
@@ -1502,8 +1502,7 @@ struct WorkerHandle<P: Protocol> {
 }
 
 /// The reactor: a fixed pool of worker threads, each multiplexing the
-/// nodes of its shard. Create one per cluster (or one single-worker pool
-/// per standalone [`NodeRuntime`](crate::NodeRuntime)).
+/// nodes of its shard. Create one per cluster.
 pub struct ReactorPool<P: Protocol> {
     workers: Vec<WorkerHandle<P>>,
     clock: WallClock,

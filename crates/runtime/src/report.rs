@@ -9,13 +9,35 @@
 //! timing-free projection (who delivered which sequence numbers) that a
 //! simulated run of the same scenario must agree with.
 
-use crate::executor::RuntimeStats;
 use brisa_simnet::{NodeId, SimTime};
 use brisa_workloads::invariants::check_delivery_report;
 use brisa_workloads::{completeness_of, delivery_rate_of, NodeReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
+
+/// Byte/frame counters one node accumulates over its lifetime.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RuntimeStats {
+    /// Frames decoded and dispatched to `on_message`.
+    pub frames_in: u64,
+    /// Bytes of those frames (length prefix included).
+    pub bytes_in: u64,
+    /// Frames encoded and handed to the transport.
+    pub frames_out: u64,
+    /// Bytes of those frames.
+    pub bytes_out: u64,
+    /// Frames that failed to decode (dropped; a live system would count
+    /// and alert on these).
+    pub decode_errors: u64,
+    /// Timer callbacks fired.
+    pub timers_fired: u64,
+    /// Idle unmonitored outbound links closed by the reap sweep.
+    pub links_reaped: u64,
+    /// Scheduled backoff re-dials that actually fired for this node's
+    /// outbound links.
+    pub redials: u64,
+}
 
 /// One live node's end-of-run state.
 #[derive(Debug, Clone)]
@@ -24,7 +46,7 @@ pub struct LiveNode {
     pub id: NodeId,
     /// The protocol's own report (same type the sim engine collects).
     pub report: NodeReport,
-    /// The executor's transfer counters.
+    /// The reactor's transfer counters.
     pub stats: RuntimeStats,
 }
 

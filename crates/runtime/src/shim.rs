@@ -44,8 +44,8 @@
 //! later frame to `d` releases no earlier (the sim's per-link FIFO
 //! clocks give the same guarantee).
 
+use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
-use crate::executor::WallClock;
 use crate::transport::{FrameSink, NetEvent, Transport};
 use brisa_simnet::{FaultPrf, LinkFaults, NodeId, PartitionMode, PartitionSpec};
 use std::cmp::Reverse;

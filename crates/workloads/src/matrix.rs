@@ -25,14 +25,22 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 /// Worker count: the `BRISA_THREADS` environment variable if set, otherwise
 /// the machine's available parallelism.
 pub fn matrix_threads() -> usize {
-    if let Ok(v) = std::env::var("BRISA_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
+    parse_threads(std::env::var("BRISA_THREADS").ok().as_deref())
+}
+
+/// The worker count a `BRISA_THREADS` value names (at least 1); unset is
+/// the available parallelism. Panics on anything but a number — the
+/// parallel ≡ sequential check relies on `BRISA_THREADS=1` being honoured.
+fn parse_threads(value: Option<&str>) -> usize {
+    let Some(value) = value else {
+        return std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+    };
+    match value.trim().parse::<usize>() {
+        Ok(n) => n.max(1),
+        Err(_) => panic!("BRISA_THREADS={value:?}: expected a thread count"),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Runs `run` over every cell, fanning out across up to
@@ -118,6 +126,20 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), s.len(), "cell seeds must not collide");
+    }
+
+    #[test]
+    fn thread_count_parses_or_panics_with_the_value() {
+        assert!(parse_threads(None) >= 1);
+        assert_eq!(parse_threads(Some("1")), 1);
+        assert_eq!(parse_threads(Some(" 8 ")), 8);
+        assert_eq!(parse_threads(Some("0")), 1);
+        for garbage in ["abc", "", "-1", "1.5"] {
+            let err = std::panic::catch_unwind(|| parse_threads(Some(garbage)))
+                .expect_err("garbage must not mean all cores");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("{garbage:?}")), "{msg}");
+        }
     }
 
     #[test]

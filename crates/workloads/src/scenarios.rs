@@ -23,12 +23,23 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `BRISA_SCALE` environment variable
-    /// (`full`/`quick`), defaulting to `Quick`.
+    /// Reads the scale from the `BRISA_SCALE` environment variable (see
+    /// [`Scale::parse`]).
     pub fn from_env() -> Self {
-        match std::env::var("BRISA_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") | Ok("paper") => Scale::Full,
-            _ => Scale::Quick,
+        Self::parse(std::env::var("BRISA_SCALE").ok().as_deref())
+    }
+
+    /// The scale a `BRISA_SCALE` value names: `quick`, `full` or `paper`,
+    /// case-insensitive; unset is `Quick`. Panics on anything else — a
+    /// misspelt `full` must not silently run the quick sizes.
+    pub fn parse(value: Option<&str>) -> Self {
+        let Some(value) = value else {
+            return Scale::Quick;
+        };
+        match value.to_ascii_lowercase().as_str() {
+            "quick" => Scale::Quick,
+            "full" | "paper" => Scale::Full,
+            _ => panic!("BRISA_SCALE={value:?}: expected quick, full or paper"),
         }
     }
 
@@ -420,6 +431,23 @@ pub fn scale_suite(nodes: u32) -> Vec<(&'static str, BrisaScenario)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_parses_or_panics_with_the_value() {
+        assert_eq!(Scale::parse(None), Scale::Quick);
+        for quick in ["quick", "QUICK"] {
+            assert_eq!(Scale::parse(Some(quick)), Scale::Quick);
+        }
+        for full in ["full", "FULL", "Full", "paper"] {
+            assert_eq!(Scale::parse(Some(full)), Scale::Full);
+        }
+        for garbage in ["ful", "", "fulll"] {
+            let err = std::panic::catch_unwind(|| Scale::parse(Some(garbage)))
+                .expect_err("a misspelt scale must not mean quick");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("{garbage:?}")), "{msg}");
+        }
+    }
 
     #[test]
     fn full_scale_matches_paper_parameters() {

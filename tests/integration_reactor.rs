@@ -5,15 +5,18 @@
 
 use brisa::{BrisaConfig, BrisaNode, StackMsg};
 use brisa_membership::{HpvMsg, HyParViewConfig};
-use brisa_runtime::executor::WallClock;
 use brisa_runtime::reactor::ReactorPool;
 use brisa_runtime::tcp::TcpMesh;
-use brisa_runtime::{Cluster, ClusterConfig, LoopbackMesh, RuntimeConfig, TransportKind};
+use brisa_runtime::{
+    Cluster, ClusterConfig, LoopbackMesh, RuntimeConfig, TransportKind, WallClock,
+};
 use brisa_runtime::{LiveNode, LiveResult};
 use brisa_runtime::{WireCodec, WIRE_VERSION};
-use brisa_simnet::{Context, NodeId, Protocol, TimerTag};
-use brisa_workloads::{BrisaStackConfig, NodeReport};
-use std::collections::BTreeSet;
+use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag};
+use brisa_workloads::{
+    BrisaScenario, BrisaStackConfig, IntoRunSpec, NodeReport, Runner, StreamSpec,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -444,4 +447,78 @@ fn loopback_256_nodes_deliver_exactly_once() {
             "node {id} delivered each sequence exactly once"
         );
     }
+}
+
+/// The reactor's scale row: 1000 live TCP nodes (listeners and sockets) on
+/// one reactor pool deliver the whole stream, and every node's delivered
+/// set equals the sim engine's prediction of the same scenario. Needs
+/// ~11k file descriptors, ten times the usual soft limit, so only the
+/// `scale-nightly` job runs it (`ulimit -Sn 32768`, `-- --ignored`).
+#[test]
+#[ignore = "1000 TCP nodes need ~11k fds (ulimit -Sn 32768); run by scale-nightly"]
+fn tcp_1000_nodes_match_the_sim_delivered_sets() {
+    const NODES: u32 = 1000;
+    const MESSAGES: u64 = 20;
+    const PAYLOAD: usize = 1024;
+    const SEED: u64 = 0xB215A;
+    let stack = BrisaStackConfig {
+        hpv: HyParViewConfig::with_active_size(4),
+        brisa: BrisaConfig::default(),
+    };
+
+    let scenario = BrisaScenario {
+        nodes: NODES,
+        seed: SEED,
+        stream: StreamSpec::short(MESSAGES, PAYLOAD),
+        bootstrap: SimDuration::from_secs(20),
+        drain: SimDuration::from_secs(10),
+        ..Default::default()
+    };
+    let sim = Runner::<BrisaNode>::new(&stack, &scenario.run_spec()).run();
+    let sim_sets: BTreeMap<u32, Vec<u64>> = sim
+        .nodes
+        .iter()
+        .map(|n| {
+            (
+                n.id.0,
+                n.report.first_delivery.iter().map(|&(s, _)| s).collect(),
+            )
+        })
+        .collect();
+
+    // Mirror the sim's bootstrap schedule: joins staggered over the first
+    // half of the bootstrap window, then the overlay settles through the
+    // second half. The default 2 ms launch stagger is a join storm at this
+    // population — a thousand joins funnel through the contact node, whose
+    // active view thrashes until the overlay fragments.
+    let half_bootstrap = Duration::from_secs(10);
+    let cfg = ClusterConfig {
+        nodes: NODES,
+        transport: TransportKind::Tcp,
+        seed: SEED,
+        join_stagger: half_bootstrap / NODES,
+        ..Default::default()
+    };
+    let mut cluster: Cluster<BrisaNode> = Cluster::launch(&cfg, &stack).expect("launch");
+    cluster.run_for(half_bootstrap);
+    for _ in 0..MESSAGES {
+        cluster.publish(PAYLOAD);
+        cluster.run_for(Duration::from_millis(10));
+    }
+    let complete = cluster.wait_for_delivery(MESSAGES, Duration::from_secs(300));
+    let result = cluster.stop_and_collect();
+    assert!(
+        complete && result.delivery_rate() == 1.0,
+        "stream incomplete at {NODES} TCP nodes (rate {})",
+        result.delivery_rate()
+    );
+    result
+        .check_delivery_invariants()
+        .expect("live trace passes the delivery invariants");
+    assert_eq!(
+        sim_sets,
+        result.delivered_sets(),
+        "live delivered sets diverge from the sim prediction (live fp {})",
+        result.delivery_fingerprint()
+    );
 }

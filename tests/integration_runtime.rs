@@ -8,9 +8,8 @@
 
 use brisa::{BrisaConfig, BrisaNode};
 use brisa_membership::{HpvMsg, HyParViewConfig};
-use brisa_runtime::executor::{NodeRuntime, WallClock};
 use brisa_runtime::tcp::TcpMesh;
-use brisa_runtime::{Cluster, ClusterConfig, TransportKind};
+use brisa_runtime::{Cluster, ClusterConfig, ReactorPool, RuntimeConfig, TransportKind, WallClock};
 use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag};
 use brisa_workloads::{
     BrisaScenario, BrisaStackConfig, EngineResult, IntoRunSpec, Runner, StreamSpec,
@@ -273,27 +272,22 @@ impl Protocol for Probe {
 #[test]
 fn tcp_link_down_reaches_the_protocol() {
     let mesh = TcpMesh::bind(2).expect("bind");
-    let clock = WallClock::new();
+    let cfg = RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::default()
+    };
+    let mut pool: ReactorPool<Probe> = ReactorPool::new(WallClock::new(), &cfg);
     let log0 = Arc::new(Mutex::new(ProbeLog::default()));
     let log1 = Arc::new(Mutex::new(ProbeLog::default()));
 
-    let mut runtimes = Vec::new();
     for (i, log) in [(0u32, &log0), (1u32, &log1)] {
         let probe = Probe {
             // Node 0 monitors node 1.
             peer: (i == 0).then_some(NodeId(1)),
             log: Arc::clone(log),
         };
-        runtimes.push(NodeRuntime::launch(
-            NodeId(i),
-            probe,
-            1,
-            clock,
-            |pool, _sink| {
-                pool.add_listener(NodeId(i), mesh.take_listener(NodeId(i)), mesh.addrs());
-                pool.tcp_transport(NodeId(i))
-            },
-        ));
+        pool.add_listener(NodeId(i), mesh.take_listener(NodeId(i)), mesh.addrs());
+        pool.start_node(NodeId(i), probe, 1, pool.tcp_transport(NodeId(i)));
     }
 
     // The keep-alive from 0 reaches 1 over a real socket.
@@ -308,8 +302,11 @@ fn tcp_link_down_reaches_the_protocol() {
     assert_eq!(log1.lock().unwrap().messages[0], (NodeId(0), 99));
 
     // Stop node 1; node 0 must observe the link going down.
-    let rt1 = runtimes.pop().unwrap();
-    let _ = rt1.join();
+    let stopped = pool
+        .stop_node(NodeId(1))
+        .recv_timeout(Duration::from_secs(10))
+        .expect("reactor worker unresponsive");
+    assert!(stopped.is_some(), "node 1 returns its final state");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while log0.lock().unwrap().link_downs.is_empty() {
         assert!(
@@ -319,7 +316,5 @@ fn tcp_link_down_reaches_the_protocol() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(log0.lock().unwrap().link_downs[0], NodeId(1));
-
-    let rt0 = runtimes.pop().unwrap();
-    let _ = rt0.join();
+    pool.shutdown();
 }
