@@ -24,7 +24,7 @@ use std::time::Duration;
 pub struct RuntimeConfig {
     /// Reactor worker threads. Every node is pinned to the shard
     /// `id % workers`; each worker multiplexes its nodes' protocol
-    /// callbacks, timers and sockets on one poll loop.
+    /// callbacks, timers and sockets on one `epoll` loop.
     pub workers: usize,
     /// How long a failed connection attempt (a dial across a partition
     /// cut, a dial to a dead peer) takes to surface as a link-down — the

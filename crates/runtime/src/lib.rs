@@ -19,7 +19,7 @@
 //!   `on_link_down`);
 //! * [`reactor`]/[`cluster`] — the sharded reactor: `workers` threads
 //!   each multiplexing many nodes' protocol callbacks, real-time timers
-//!   and non-blocking sockets on one poll loop, and the [`Cluster`]
+//!   and non-blocking sockets on one `epoll` loop, and the [`Cluster`]
 //!   harness that boots N nodes on a shared pool, publishes a broadcast
 //!   workload and collects the sim engine's `NodeReport`s into a
 //!   [`LiveResult`]. Timing/sizing knobs live in [`RuntimeConfig`],

@@ -9,10 +9,15 @@
 //! * the **timer heap** — the simulator's `(deadline, insertion-seq)`
 //!   discipline, one heap per shard holding every resident node's timers
 //!   *and* the transport's re-dial deadlines,
-//! * and **socket readiness** over a hand-rolled `poll(2)` FFI (the
-//!   vendored-deps constraint rules out mio): non-blocking listeners,
-//!   inbound frame reassembly and outbound write flushing all run on the
-//!   worker that owns the node.
+//! * and **socket readiness** from one `epoll` instance per worker
+//!   (hand-rolled FFI — the vendored-deps constraint rules out mio):
+//!   non-blocking listeners, inbound frame reassembly and outbound write
+//!   flushing all run on the worker that owns the node. A descriptor is
+//!   registered once, where it is born — a listener at `AddListener`, an
+//!   inbound connection at `accept`, an outbound one when its dial comes
+//!   back up, the wake socket when the worker is spawned — and leaves the
+//!   set when it is dropped, so a link that carries nothing costs the loop
+//!   nothing.
 //!
 //! The semantics match the simulator's: protocols see
 //! `on_start`/`on_message`/`on_timer`/`on_link_down` through
@@ -33,9 +38,12 @@
 //! (initial-dial retries, the 50 → 800 ms reconnect backoff from
 //! [`RuntimeConfig`]) lives on the worker's timer heap, so a slow dial
 //! never stalls frame traffic. Backpressure is per-link: frames queue in
-//! the link's outbound buffer until the socket drains (`POLLOUT`);
-//! protocol-level flow control is the stack's own (BRISA's per-round
-//! fan-out), exactly as in the simulator.
+//! the link's outbound buffer until the socket drains. Reads are
+//! level-triggered and always armed; write interest is switched on only
+//! when a flush hits `WouldBlock` and off again when the queue empties, so
+//! an idle writable socket never wakes the loop. Protocol-level flow
+//! control is the stack's own (BRISA's per-round fan-out), exactly as in
+//! the simulator.
 
 use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
@@ -62,78 +70,177 @@ const IDLE_PARK: Duration = Duration::from_millis(100);
 /// Cadence of the idle-link reap sweep (see [`ShardIo::reap_idle`]).
 const REAP_INTERVAL: Duration = Duration::from_secs(1);
 
+/// Work section (everything but the wait) from which a loop iteration is
+/// worth a `PollLoop` flight-recorder event.
+const SLOW_ITERATION: Duration = Duration::from_millis(1);
+
 /// Goodbye marker: a zero-length frame prefix, outside the codec's valid
 /// frame range, written immediately before a *deliberate* close of an
 /// idle outbound connection. The receiver flags the connection so the
 /// EOF that follows is not surfaced as peer death.
 const GOODBYE: [u8; LEN_PREFIX_BYTES] = [0; LEN_PREFIX_BYTES];
 
-/// Readiness primitives: `poll(2)` over a hand-defined `pollfd`, plus a
-/// pipe-based waker. Linux/unix is the supported platform; the fallback
-/// degrades to a 1 ms tick that reports every descriptor ready (handlers
-/// are non-blocking and tolerate spurious readiness).
-#[cfg(unix)]
+/// Token of the worker's own wake socket; connection tokens start above it.
+const WAKE_TOKEN: u64 = 0;
+
+/// One ready registration out of [`sys::Readiness::wait`]. Error and
+/// hang-up conditions read as both, so whichever handler runs meets the
+/// failure on its next socket call.
+#[derive(Clone, Copy)]
+struct Ready {
+    token: u64,
+    readable: bool,
+    writable: bool,
+}
+
+/// Readiness primitives: one `epoll` instance per worker over hand-declared
+/// FFI (the vendored-deps constraint rules out mio and libc), plus a
+/// socketpair waker. A descriptor is registered once, level-triggered for
+/// reads, and leaves the set when it is closed — the reactor never
+/// duplicates a socket, so dropping the stream is the deregistration.
+#[cfg(target_os = "linux")]
 mod sys {
+    use super::{Ready, WAKE_TOKEN};
     use std::io::{Read, Write};
-    use std::os::raw::{c_int, c_ulong};
-    use std::os::unix::io::{AsRawFd, RawFd};
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    use std::os::raw::c_int;
     use std::os::unix::net::UnixStream;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
+    const EPOLLERR: u32 = 0x008;
+    const EPOLLHUP: u32 = 0x010;
+    const EPOLL_CLOEXEC: c_int = 0o2000000;
+    const EPOLL_CTL_ADD: c_int = 1;
+    const EPOLL_CTL_MOD: c_int = 3;
 
-    /// `struct pollfd`, kernel ABI layout.
+    /// Events fetched per `epoll_wait`; a larger ready set is served over
+    /// successive waits (level-triggered, nothing is lost).
+    const BATCH: usize = 256;
+
+    /// `struct epoll_event`, kernel ABI layout (packed on x86 only).
     #[repr(C)]
+    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    impl PollFd {
-        pub fn new(fd: RawFd, events: i16) -> Self {
-            PollFd {
-                fd,
-                events,
-                revents: 0,
-            }
-        }
-        pub fn readable(&self) -> bool {
-            self.revents & (POLLIN | POLLERR | POLLHUP) != 0
-        }
-        pub fn writable(&self) -> bool {
-            self.revents & (POLLOUT | POLLERR | POLLHUP) != 0
-        }
+    struct EpollEvent {
+        events: u32,
+        data: u64,
     }
 
     extern "C" {
-        // `nfds_t` is `c_ulong` on Linux, the platform this runtime
-        // targets; `timeout` is in milliseconds.
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        // `timeout` is in milliseconds.
+        fn epoll_wait(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: c_int,
+        ) -> c_int;
     }
 
-    /// Waits until a descriptor is ready or `timeout` passes, filling
-    /// `revents` in place. Returns the number of ready descriptors.
-    pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> usize {
-        let ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
-        n.max(0) as usize
+    /// A worker's readiness set.
+    pub struct Readiness {
+        ep: OwnedFd,
+        events: Vec<EpollEvent>,
+        ready: usize,
     }
 
-    /// The sending half of a worker's wake pipe. One byte is in flight at
+    impl Readiness {
+        pub fn new() -> std::io::Result<Self> {
+            // SAFETY: no pointer arguments; the result is checked below.
+            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            if fd < 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            Ok(Readiness {
+                // SAFETY: `fd` is a descriptor this call just opened and
+                // nothing else owns.
+                ep: unsafe { OwnedFd::from_raw_fd(fd) },
+                events: vec![EpollEvent { events: 0, data: 0 }; BATCH],
+                ready: 0,
+            })
+        }
+
+        fn ctl(
+            &self,
+            op: c_int,
+            sock: &impl AsRawFd,
+            events: u32,
+            token: u64,
+        ) -> std::io::Result<()> {
+            let mut ev = EpollEvent {
+                events,
+                data: token,
+            };
+            // SAFETY: `ev` is a live `epoll_event` for the duration of the
+            // call (the kernel copies it); both descriptors are open, being
+            // borrowed from their owners.
+            let rc = unsafe { epoll_ctl(self.ep.as_raw_fd(), op, sock.as_raw_fd(), &mut ev) };
+            if rc < 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            Ok(())
+        }
+
+        /// Adds `sock` with read interest; its events carry `token`.
+        pub fn register(&mut self, sock: &impl AsRawFd, token: u64) -> std::io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, sock, EPOLLIN, token)
+        }
+
+        /// Switches write interest of a registered `sock` on or off.
+        pub fn set_write_interest(
+            &mut self,
+            sock: &impl AsRawFd,
+            token: u64,
+            on: bool,
+        ) -> std::io::Result<()> {
+            let events = if on { EPOLLIN | EPOLLOUT } else { EPOLLIN };
+            self.ctl(EPOLL_CTL_MOD, sock, events, token)
+        }
+
+        /// Waits until a registration is ready or `timeout` passes (rounded
+        /// up to the millisecond, so a loop parked on a deadline wakes once,
+        /// after it). Returns how many [`Readiness::event`]s are ready;
+        /// zero on timeout or `EINTR`.
+        pub fn wait(&mut self, timeout: Duration) -> usize {
+            let ms = timeout.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+            // SAFETY: `events` holds `BATCH` initialised entries, the
+            // capacity passed; the kernel writes at most that many.
+            let n = unsafe {
+                epoll_wait(
+                    self.ep.as_raw_fd(),
+                    self.events.as_mut_ptr(),
+                    BATCH as c_int,
+                    ms,
+                )
+            };
+            self.ready = n.max(0) as usize;
+            self.ready
+        }
+
+        /// The `i`-th ready registration of the last [`Readiness::wait`].
+        pub fn event(&self, i: usize) -> Ready {
+            let EpollEvent { events, data } = self.events[..self.ready][i];
+            Ready {
+                token: data,
+                readable: events & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
+                writable: events & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
+            }
+        }
+    }
+
+    /// The sending half of a worker's wake socket. One byte is in flight at
     /// most (`pending` collapses a burst of wakes into one write).
     pub struct Waker {
         tx: UnixStream,
         pending: Arc<AtomicBool>,
     }
 
-    /// The worker-side half: its descriptor joins the poll set.
+    /// The worker-side half, registered under [`WAKE_TOKEN`].
     pub struct WakeRx {
         rx: UnixStream,
         pending: Arc<AtomicBool>,
@@ -162,62 +269,63 @@ mod sys {
     }
 
     impl WakeRx {
-        pub fn fd(&self) -> RawFd {
-            self.rx.as_raw_fd()
+        pub fn register(&self, ready: &mut Readiness) -> std::io::Result<()> {
+            ready.register(&self.rx, WAKE_TOKEN)
         }
 
-        /// Clears the pending flag, then the pipe — in that order, so a
-        /// wake racing the drain is never lost (it either lands in the
-        /// queue we are about to swap or leaves a fresh byte for the next
-        /// poll).
+        /// Empties the socket, then clears the pending flag, and the caller
+        /// swaps the queue after both. A wake racing the drain is never
+        /// lost: its message is already queued (push precedes wake), and it
+        /// either found the flag still set and wrote nothing, or set it
+        /// after the clear and leaves a fresh byte for the next wait.
+        /// Clearing first would let the read swallow that byte with the
+        /// flag left set, silencing every later wake until the next drain.
         pub fn drain(&self) {
-            self.pending.store(false, Ordering::SeqCst);
             let mut buf = [0u8; 64];
             while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+            self.pending.store(false, Ordering::SeqCst);
         }
     }
 }
 
-#[cfg(not(unix))]
+/// Degraded portability mode for targets without `epoll`: a 1 ms tick that
+/// reports every token ever registered ready both ways. Handlers are
+/// non-blocking and tolerate spurious readiness, and a token whose
+/// connection is gone falls through the worker's lookups.
+#[cfg(not(target_os = "linux"))]
 mod sys {
+    use super::Ready;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
+    #[derive(Default)]
+    pub struct Readiness {
+        tokens: Vec<u64>,
     }
 
-    impl PollFd {
-        pub fn new(fd: i32, events: i16) -> Self {
-            PollFd {
-                fd,
-                events,
-                revents: 0,
+    impl Readiness {
+        pub fn new() -> std::io::Result<Self> {
+            Ok(Self::default())
+        }
+        pub fn register<S>(&mut self, _sock: &S, token: u64) -> std::io::Result<()> {
+            self.tokens.push(token);
+            Ok(())
+        }
+        pub fn set_write_interest<S>(&mut self, _: &S, _: u64, _: bool) -> std::io::Result<()> {
+            Ok(())
+        }
+        pub fn wait(&mut self, timeout: Duration) -> usize {
+            std::thread::sleep(timeout.min(Duration::from_millis(1)));
+            self.tokens.len()
+        }
+        pub fn event(&self, i: usize) -> Ready {
+            Ready {
+                token: self.tokens[i],
+                readable: true,
+                writable: true,
             }
         }
-        pub fn readable(&self) -> bool {
-            self.revents & POLLIN != 0
-        }
-        pub fn writable(&self) -> bool {
-            self.revents & POLLOUT != 0
-        }
-    }
-
-    /// Degraded portability mode: park briefly, then report everything
-    /// ready — the non-blocking handlers absorb the spurious readiness.
-    pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> usize {
-        std::thread::sleep(timeout.min(Duration::from_millis(1)));
-        for f in fds.iter_mut() {
-            f.revents = f.events;
-        }
-        fds.len()
     }
 
     pub struct Waker {
@@ -243,8 +351,9 @@ mod sys {
         }
     }
     impl WakeRx {
-        pub fn fd(&self) -> i32 {
-            -1
+        /// The inbox is drained every tick; nothing to wait on.
+        pub fn register(&self, _ready: &mut Readiness) -> std::io::Result<()> {
+            Ok(())
         }
         pub fn drain(&self) {
             self.pending.store(false, Ordering::SeqCst);
@@ -456,6 +565,10 @@ struct ReactorTel {
     redials: Counter,
     node_panics: Counter,
     backpressure_stalls: Counter,
+    /// Deadlines popped off the shard's heap, protocol and re-dial alike.
+    timers_fired: Counter,
+    /// Frames decoded and handed to a resident node.
+    frames_in: Counter,
     poll_iter_us: Histo,
     inbox_batch: Histo,
 }
@@ -467,6 +580,8 @@ impl ReactorTel {
             redials: tel.counter("reactor.redials"),
             node_panics: tel.counter("reactor.node_panics"),
             backpressure_stalls: tel.counter("reactor.backpressure_stalls"),
+            timers_fired: tel.counter("reactor.timers_fired"),
+            frames_in: tel.counter("reactor.frames_in"),
             poll_iter_us: tel.histogram("reactor.poll_iter_us"),
             inbox_batch: tel.histogram("reactor.inbox_batch"),
             tel: tel.clone(),
@@ -610,6 +725,7 @@ where
                     Ok(msg) => {
                         slot.stats.frames_in += 1;
                         slot.stats.bytes_in += frame.len() as u64;
+                        self.rtel.frames_in.inc();
                         self.dispatch(id, move |p, ctx| p.on_message(ctx, from, msg));
                     }
                     Err(_) => slot.stats.decode_errors += 1,
@@ -654,6 +770,7 @@ where
                 return;
             }
             let Reverse(entry) = self.timers.pop().expect("peeked entry");
+            self.rtel.timers_fired.inc();
             match entry.kind {
                 TimerKind::Proto { node, tag } => {
                     if let Some(slot) = self.nodes.get_mut(&node) {
@@ -683,7 +800,16 @@ enum OutState {
     /// A re-dial is scheduled on the timer heap.
     Backoff,
     /// Connected; frames flush through the non-blocking stream.
-    Up(TcpStream),
+    Up(OutConn),
+}
+
+/// An established outbound connection and its place in the readiness set.
+struct OutConn {
+    stream: TcpStream,
+    /// Its registration's token, the key of [`ShardIo::out_tokens`].
+    token: u64,
+    /// Whether write interest is currently on (a flush hit `WouldBlock`).
+    write_armed: bool,
 }
 
 /// One outbound link: its connection state machine and write queue. The
@@ -722,13 +848,21 @@ struct InConn {
 /// The socket engine of one shard. Empty (and cost-free) on loopback-only
 /// clusters.
 struct ShardIo {
+    /// The readiness set every socket below is registered with.
+    ready: sys::Readiness,
     addrs: Option<Arc<Vec<SocketAddr>>>,
-    /// Per-owner listeners, non-blocking.
-    listeners: Vec<(u32, TcpListener)>,
-    /// Inbound connections, keyed by a stable token.
+    /// Listeners with their owner, non-blocking, keyed by token.
+    listeners: HashMap<u64, (u32, TcpListener)>,
+    /// Inbound connections, keyed by token.
     inconns: HashMap<u64, InConn>,
+    /// Next registration token. One counter serves listeners, inbound and
+    /// outbound connections and never hands a value out twice, so an event
+    /// can only ever name the connection it was registered for: once that
+    /// is gone the token is in none of the three maps.
     next_token: u64,
     outlinks: HashMap<(u32, u32), OutLink>,
+    /// Token → link of every outbound connection that is `Up`.
+    out_tokens: HashMap<u64, (u32, u32)>,
     /// `monitored[owner]` = peers under failure-detection interest; an
     /// entry is consumed when its link-down fires (at most one
     /// notification per `open_connection`, the transport contract).
@@ -738,21 +872,35 @@ struct ShardIo {
 }
 
 impl ShardIo {
-    fn new(dial_tx: mpsc::Sender<DialReq>) -> Self {
+    fn new(ready: sys::Readiness, dial_tx: mpsc::Sender<DialReq>) -> Self {
         ShardIo {
+            ready,
             addrs: None,
-            listeners: Vec::new(),
+            listeners: HashMap::new(),
             inconns: HashMap::new(),
-            next_token: 0,
+            next_token: WAKE_TOKEN + 1,
             outlinks: HashMap::new(),
+            out_tokens: HashMap::new(),
             monitored: HashMap::new(),
             dial_tx,
             dial_gen: 0,
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.listeners.is_empty() && self.inconns.is_empty() && self.outlinks.is_empty()
+    /// Descriptors in the readiness set: the wake socket, listeners,
+    /// inbound connections and outbound connections that are up.
+    fn registered(&self) -> u64 {
+        (1 + self.listeners.len() + self.inconns.len() + self.out_tokens.len()) as u64
+    }
+
+    /// Forgets the `owner → peer` link: its queue, and its connection if
+    /// it had one.
+    fn remove_link(&mut self, owner: u32, peer: u32) {
+        if let Some(link) = self.outlinks.remove(&(owner, peer)) {
+            if let OutState::Up(conn) = link.state {
+                self.out_tokens.remove(&conn.token);
+            }
+        }
     }
 
     /// Consumes the monitored entry and surfaces the link-down to the
@@ -820,7 +968,7 @@ impl ShardIo {
         P: Protocol,
         P::Message: WireCodec,
     {
-        self.outlinks.remove(&(owner, peer));
+        self.remove_link(owner, peer);
         core.tel_event(owner, TelEventKind::LinkDown, peer as u64, 0);
         self.link_down(core, owner, NodeId(peer));
     }
@@ -837,21 +985,22 @@ impl ShardIo {
         let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
             return;
         };
-        let OutState::Up(stream) = &mut link.state else {
+        let OutState::Up(conn) = &mut link.state else {
             return;
         };
-        loop {
+        // Whether the socket filled up before the queue drained.
+        let backlog = 'flush: loop {
             let Some(front) = link.queue.front() else {
-                return;
+                break false;
             };
             while link.offset < front.len() {
-                match stream.write(&front[link.offset..]) {
+                match conn.stream.write(&front[link.offset..]) {
                     Ok(0) => {
                         self.retire_connection(core, cfg, owner, peer);
                         return;
                     }
                     Ok(n) => link.offset += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break 'flush true,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(_) => {
                         self.retire_connection(core, cfg, owner, peer);
@@ -861,6 +1010,17 @@ impl ShardIo {
             }
             link.queue.pop_front();
             link.offset = 0;
+        };
+        // Write interest follows the backlog: on while bytes wait for the
+        // socket to drain, off otherwise.
+        if conn.write_armed != backlog {
+            conn.write_armed = backlog;
+            let switched = self
+                .ready
+                .set_write_interest(&conn.stream, conn.token, backlog);
+            if switched.is_err() {
+                self.retire_connection(core, cfg, owner, peer);
+            }
         }
     }
 
@@ -879,7 +1039,9 @@ impl ShardIo {
         let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
             return;
         };
-        link.state = OutState::Backoff;
+        if let OutState::Up(conn) = std::mem::replace(&mut link.state, OutState::Backoff) {
+            self.out_tokens.remove(&conn.token);
+        }
         link.offset = 0;
         link.attempts = 0;
         let delay = redial_delay(cfg, link, owner, peer);
@@ -925,9 +1087,21 @@ impl ShardIo {
         if link.gen != gen || !matches!(link.state, OutState::Dialing) {
             return; // Stale dial of a replaced connection.
         }
-        match stream {
-            Some(stream) => {
-                link.state = OutState::Up(stream);
+        // A connection the readiness set refuses is a failed dial.
+        let conn = stream.and_then(|stream| {
+            let token = self.next_token;
+            self.next_token += 1;
+            self.ready.register(&stream, token).ok()?;
+            Some(OutConn {
+                stream,
+                token,
+                write_armed: false,
+            })
+        });
+        match conn {
+            Some(conn) => {
+                self.out_tokens.insert(conn.token, (owner, peer));
+                link.state = OutState::Up(conn);
                 link.established = true;
                 link.attempts = 0;
                 link.offset = 0;
@@ -973,7 +1147,13 @@ impl ShardIo {
             } => {
                 let _ = listener.set_nonblocking(true);
                 self.addrs.get_or_insert(addrs);
-                self.listeners.push((node.0, listener));
+                let token = self.next_token;
+                self.next_token += 1;
+                // A listener the readiness set refuses is dropped: dials to
+                // it are refused, which peers treat as any dead node.
+                if self.ready.register(&listener, token).is_ok() {
+                    self.listeners.insert(token, (node.0, listener));
+                }
             }
             IoCmd::Send { from, to, frame } => {
                 self.ensure_link(core, from.0, to.0);
@@ -1005,9 +1185,10 @@ impl ShardIo {
                 }
             }
             IoCmd::CloseNode { node } => {
-                self.listeners.retain(|(owner, _)| *owner != node.0);
+                self.listeners.retain(|_, (owner, _)| *owner != node.0);
                 self.inconns.retain(|_, c| c.owner != node.0);
                 self.outlinks.retain(|(owner, _), _| *owner != node.0);
+                self.out_tokens.retain(|_, (owner, _)| *owner != node.0);
                 self.monitored.remove(&node.0);
             }
             IoCmd::Dialed {
@@ -1019,16 +1200,24 @@ impl ShardIo {
         }
     }
 
-    /// Accepts every pending inbound connection on `listener_idx`.
-    fn accept_ready(&mut self, listener_idx: usize) {
+    /// Accepts every pending inbound connection on the listener
+    /// registered as `listener`.
+    fn accept_ready(&mut self, listener: u64) {
         loop {
-            let (owner, listener) = &self.listeners[listener_idx];
-            match listener.accept() {
+            let Some((owner, sock)) = self.listeners.get(&listener) else {
+                return;
+            };
+            match sock.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_nonblocking(true);
                     let token = self.next_token;
                     self.next_token += 1;
+                    // Refused by the readiness set: drop it, the dialer
+                    // sees a reset and re-dials like any broken link.
+                    if self.ready.register(&stream, token).is_err() {
+                        continue;
+                    }
                     self.inconns.insert(
                         token,
                         InConn {
@@ -1070,7 +1259,15 @@ impl ShardIo {
                     closed = true;
                     break;
                 }
-                Ok(n) => conn.buf.extend_from_slice(&scratch[..n]),
+                Ok(n) => {
+                    conn.buf.extend_from_slice(&scratch[..n]);
+                    // A short read emptied the socket: asking again only
+                    // buys an `EAGAIN`. Reads are level-triggered, so
+                    // whatever lands next (EOF included) is reported anew.
+                    if n < scratch.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -1152,16 +1349,16 @@ impl ShardIo {
         let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
             return;
         };
-        let OutState::Up(stream) = &mut link.state else {
+        let OutState::Up(conn) = &mut link.state else {
             return;
         };
         let mut probe = [0u8; 32];
         loop {
-            match stream.read(&mut probe) {
+            match conn.stream.read(&mut probe) {
                 Ok(0) => {
                     // Peer closed its end: drop the link; the next send (or
                     // a protocol-level re-open) dials fresh.
-                    self.outlinks.remove(&(owner, peer));
+                    self.remove_link(owner, peer);
                     self.link_down(core, owner, NodeId(peer));
                     return;
                 }
@@ -1171,7 +1368,7 @@ impl ShardIo {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.outlinks.remove(&(owner, peer));
+                    self.remove_link(owner, peer);
                     self.link_down(core, owner, NodeId(peer));
                     return;
                 }
@@ -1197,6 +1394,14 @@ impl ShardIo {
         P: Protocol,
         P::Message: WireCodec,
     {
+        debug_assert_eq!(
+            self.out_tokens.len(),
+            self.outlinks
+                .values()
+                .filter(|link| matches!(link.state, OutState::Up(_)))
+                .count(),
+            "every link that is up, and nothing else, holds a token"
+        );
         if self.outlinks.is_empty() {
             return;
         }
@@ -1219,10 +1424,10 @@ impl ShardIo {
             let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
                 continue;
             };
-            let OutState::Up(stream) = &mut link.state else {
+            let OutState::Up(conn) = &mut link.state else {
                 continue;
             };
-            match stream.write(&GOODBYE) {
+            match conn.stream.write(&GOODBYE) {
                 // Socket buffer full on an idle link (peer not reading its
                 // flushed tail): retry at the next sweep rather than close
                 // unannounced.
@@ -1231,7 +1436,7 @@ impl ShardIo {
                 // Marker written (or the connection is already dead, in
                 // which case the close changes nothing): drop the link.
                 _ => {
-                    self.outlinks.remove(&(owner, peer));
+                    self.remove_link(owner, peer);
                     if let Some(slot) = core.nodes.get_mut(&owner) {
                         slot.stats.links_reaped += 1;
                     }
@@ -1239,6 +1444,36 @@ impl ShardIo {
                     core.tel_event(owner, TelEventKind::LinkReap, peer as u64, 0);
                 }
             }
+        }
+    }
+
+    /// Serves one ready registration. A token whose connection was dropped
+    /// earlier in the same batch is in none of the maps and falls through.
+    fn on_ready<P>(
+        &mut self,
+        core: &mut ProtoCore<P>,
+        cfg: &RuntimeConfig,
+        scratch: &mut [u8],
+        ev: Ready,
+    ) where
+        P: Protocol,
+        P::Message: WireCodec,
+    {
+        if self.inconns.contains_key(&ev.token) {
+            if ev.readable {
+                let _ = self.read_inconn(core, scratch, ev.token);
+            }
+        } else if let Some(&(owner, peer)) = self.out_tokens.get(&ev.token) {
+            if ev.readable {
+                self.check_out_eof(core, owner, peer);
+            }
+            if ev.writable {
+                self.flush_link(core, cfg, owner, peer);
+            }
+        } else if ev.readable {
+            // A listener, or the wake socket (drained at the top of the
+            // loop), or nothing any more.
+            self.accept_ready(ev.token);
         }
     }
 
@@ -1271,53 +1506,24 @@ fn redial_delay(cfg: &RuntimeConfig, link: &OutLink, owner: u32, peer: u32) -> D
     backoff + jitter
 }
 
-/// Poll-set token: what a ready descriptor maps back to.
-enum Token {
-    Wake,
-    Listener(usize),
-    In(u64),
-    Out(u32, u32),
-}
-
-#[cfg(unix)]
-fn raw_fd(stream: &TcpStream) -> i32 {
-    use std::os::unix::io::AsRawFd;
-    stream.as_raw_fd()
-}
-#[cfg(unix)]
-fn raw_listener_fd(listener: &TcpListener) -> i32 {
-    use std::os::unix::io::AsRawFd;
-    listener.as_raw_fd()
-}
-#[cfg(not(unix))]
-fn raw_fd(_stream: &TcpStream) -> i32 {
-    -1
-}
-#[cfg(not(unix))]
-fn raw_listener_fd(_listener: &TcpListener) -> i32 {
-    -1
-}
-
-/// The worker loop: drain inbox → fire timers → poll readiness → handle.
+/// The worker loop: drain inbox → fire timers → wait for readiness →
+/// handle. `io` arrives with the wake socket already registered.
 fn worker_main<P>(
     idx: usize,
     inbox: Arc<Inbox<P>>,
     wake: sys::WakeRx,
+    mut io: ShardIo,
     clock: WallClock,
     cfg: RuntimeConfig,
     telemetry: Telemetry,
-    dial_tx: mpsc::Sender<DialReq>,
 ) where
     P: Protocol + Send + 'static,
     P::Message: WireCodec,
 {
     let mut core: ProtoCore<P> = ProtoCore::new(clock, idx, &telemetry);
-    let mut io = ShardIo::new(dial_tx);
     let mut scratch = vec![0u8; 64 * 1024];
     let mut batch: VecDeque<WorkerMsg<P>> = VecDeque::new();
     let mut redials: Vec<(u32, u32)> = Vec::new();
-    let mut fds: Vec<sys::PollFd> = Vec::new();
-    let mut tokens: Vec<Token> = Vec::new();
     let mut last_reap = Instant::now();
     let mut running = true;
     // Per-worker gauges, resolved once; all dead weight when disabled.
@@ -1328,13 +1534,14 @@ fn worker_main<P>(
 
     while running {
         // Loop-health instrumentation: how long the work section of this
-        // iteration takes (everything but the poll wait) and how many
-        // inbox messages it drained.
+        // iteration takes (inbox drain and timers, up to the wait) and how
+        // many inbox messages it drained.
         let iter_start = tel_enabled.then(Instant::now);
 
-        // 1. Drain the inbox. Clearing the wake flag *before* swapping the
-        // queue guarantees a producer racing this drain either lands in
-        // `batch` or leaves a fresh wake for the next poll.
+        // 1. Drain the inbox. Emptying the wake socket and clearing its
+        // flag *before* swapping the queue guarantees a producer racing
+        // this drain either lands in `batch` or leaves a fresh wake for the
+        // next wait.
         wake.drain();
         std::mem::swap(&mut batch, &mut *inbox.queue.lock().unwrap());
         let drained = batch.len() as u64;
@@ -1388,74 +1595,28 @@ fn worker_main<P>(
             }
         }
 
-        // 3. Build the poll set and wait for readiness or the next timer.
-        fds.clear();
-        tokens.clear();
-        fds.push(sys::PollFd::new(wake.fd(), sys::POLLIN));
-        tokens.push(Token::Wake);
-        if !io.is_empty() {
-            for (idx, (_, listener)) in io.listeners.iter().enumerate() {
-                fds.push(sys::PollFd::new(raw_listener_fd(listener), sys::POLLIN));
-                tokens.push(Token::Listener(idx));
-            }
-            for (&token, conn) in &io.inconns {
-                fds.push(sys::PollFd::new(raw_fd(&conn.stream), sys::POLLIN));
-                tokens.push(Token::In(token));
-            }
-            for (&(owner, peer), link) in &io.outlinks {
-                if let OutState::Up(stream) = &link.state {
-                    let mut events = sys::POLLIN; // EOF watch
-                    if !link.queue.is_empty() {
-                        events |= sys::POLLOUT;
-                    }
-                    fds.push(sys::PollFd::new(raw_fd(stream), events));
-                    tokens.push(Token::Out(owner, peer));
-                }
-            }
-        }
-        if tel_enabled {
-            g_fds.set(fds.len() as u64);
-            g_inbox_depth.set(inbox.queue.lock().unwrap().len() as u64);
-            if let Some(start) = iter_start {
-                let iter_us = start.elapsed().as_micros() as u64;
-                core.rtel.poll_iter_us.record(iter_us);
-                core.rtel.inbox_batch.record(drained);
+        // 3. Wait for readiness or the next timer. Nothing is built here:
+        // the set was maintained where sockets were born and dropped.
+        if let Some(start) = iter_start {
+            g_fds.set(io.registered());
+            // Depth the worker found, not the residue after the swap.
+            g_inbox_depth.set(drained);
+            let work = start.elapsed();
+            let iter_us = work.as_micros() as u64;
+            core.rtel.poll_iter_us.record(iter_us);
+            core.rtel.inbox_batch.record(drained);
+            // Iterations are cheap and frequent; only one worth a
+            // post-mortem may push protocol events out of the ring.
+            if work >= SLOW_ITERATION {
                 core.tel_event(idx as u32, TelEventKind::PollLoop, iter_us, drained);
             }
         }
-        let ready = sys::poll_fds(&mut fds, core.next_timeout());
-        if ready == 0 {
-            continue;
-        }
+        let ready = io.ready.wait(core.next_timeout());
 
-        // 4. Handle readiness. Tokens are stable across removals (maps are
-        // keyed, listeners only shrink through CloseNode which is
-        // inbox-ordered after this pass).
-        for (fd, token) in fds.iter().zip(&tokens) {
-            if fd.revents == 0 {
-                continue;
-            }
-            match *token {
-                Token::Wake => {} // Drained at the top of the loop.
-                Token::Listener(idx) => {
-                    if fd.readable() && idx < io.listeners.len() {
-                        io.accept_ready(idx);
-                    }
-                }
-                Token::In(token) => {
-                    if fd.readable() {
-                        let _ = io.read_inconn(&mut core, &mut scratch, token);
-                    }
-                }
-                Token::Out(owner, peer) => {
-                    if fd.readable() {
-                        io.check_out_eof(&mut core, owner, peer);
-                    }
-                    if fd.writable() {
-                        io.flush_link(&mut core, &cfg, owner, peer);
-                    }
-                }
-            }
+        // 4. Handle readiness.
+        for i in 0..ready {
+            let ev = io.ready.event(i);
+            io.on_ready(&mut core, &cfg, &mut scratch, ev);
         }
     }
 
@@ -1526,7 +1687,9 @@ where
         let count = cfg.workers.max(1);
         let mut workers = Vec::with_capacity(count);
         for i in 0..count {
-            let (waker, wake_rx) = sys::wake_pair().expect("create wake pipe");
+            let (waker, wake_rx) = sys::wake_pair().expect("create wake socket");
+            let mut ready = sys::Readiness::new().expect("create readiness set");
+            wake_rx.register(&mut ready).expect("register wake socket");
             let inbox = Arc::new(Inbox {
                 queue: Mutex::new(VecDeque::new()),
                 waker,
@@ -1540,7 +1703,7 @@ where
                 .expect("spawn dialer thread");
             let worker_inbox = Arc::clone(&inbox);
             let worker_cfg = *cfg;
-            let worker_dial = dial_tx.clone();
+            let worker_io = ShardIo::new(ready, dial_tx.clone());
             let worker_tel = telemetry.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("brisa-shard-{i}"))
@@ -1549,10 +1712,10 @@ where
                         i,
                         worker_inbox,
                         wake_rx,
+                        worker_io,
                         clock,
                         worker_cfg,
                         worker_tel,
-                        worker_dial,
                     )
                 })
                 .expect("spawn reactor worker");
@@ -1679,5 +1842,142 @@ impl<P: Protocol> Drop for ReactorPool<P> {
                 let _ = d.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+#[cfg(target_os = "linux")]
+mod tests {
+    use super::sys::Readiness;
+    use std::io::{Read, Write};
+    use std::os::raw::{c_int, c_ulong};
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    const SOON: Duration = Duration::from_millis(20);
+    const LONG: Duration = Duration::from_secs(10);
+
+    fn pair() -> (UnixStream, UnixStream) {
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        a.set_nonblocking(true).expect("nonblocking");
+        b.set_nonblocking(true).expect("nonblocking");
+        (a, b)
+    }
+
+    #[test]
+    fn a_registered_socket_that_becomes_readable_reports_its_token() {
+        let mut ready = Readiness::new().expect("epoll");
+        let (mut tx, rx) = pair();
+        let (_quiet_tx, quiet_rx) = pair();
+        ready.register(&rx, 7).expect("register");
+        ready.register(&quiet_rx, 8).expect("register");
+        assert_eq!(ready.wait(SOON), 0, "nothing written yet");
+        tx.write_all(b"x").expect("write");
+        assert_eq!(ready.wait(LONG), 1);
+        let ev = ready.event(0);
+        assert_eq!(ev.token, 7);
+        assert!(ev.readable && !ev.writable);
+        // Level-triggered: still reported until the byte is read.
+        assert_eq!(ready.wait(LONG), 1);
+        (&rx).read_exact(&mut [0u8; 1]).expect("read");
+        assert_eq!(ready.wait(SOON), 0);
+    }
+
+    #[test]
+    fn closing_a_registered_descriptor_is_silent() {
+        let mut ready = Readiness::new().expect("epoll");
+        let (mut tx, rx) = pair();
+        ready.register(&rx, 1).expect("register");
+        tx.write_all(b"x").expect("write");
+        assert_eq!(ready.wait(LONG), 1);
+        // Dropped while readable: the registration goes with it.
+        drop(rx);
+        assert_eq!(ready.wait(SOON), 0);
+        // The set still works.
+        let (mut tx2, rx2) = pair();
+        ready.register(&rx2, 2).expect("register after a close");
+        tx2.write_all(b"y").expect("write");
+        assert_eq!(ready.wait(LONG), 1);
+        assert_eq!(ready.event(0).token, 2);
+    }
+
+    #[test]
+    fn write_interest_reports_writable_only_while_on() {
+        let mut ready = Readiness::new().expect("epoll");
+        let (a, _b) = pair();
+        ready.register(&a, 3).expect("register");
+        assert_eq!(ready.wait(SOON), 0, "an idle writable socket is silent");
+        ready.set_write_interest(&a, 3, true).expect("arm");
+        assert_eq!(ready.wait(LONG), 1);
+        let ev = ready.event(0);
+        assert_eq!(ev.token, 3);
+        assert!(ev.writable && !ev.readable);
+        ready.set_write_interest(&a, 3, false).expect("disarm");
+        assert_eq!(ready.wait(SOON), 0);
+    }
+
+    #[test]
+    fn a_ready_set_larger_than_the_event_buffer_is_served_over_successive_waits() {
+        const SOCKETS: usize = 300; // the buffer holds 256
+        let mut ready = Readiness::new().expect("epoll");
+        let pairs: Vec<_> = (0..SOCKETS).map(|_| pair()).collect();
+        for (token, (tx, rx)) in pairs.iter().enumerate() {
+            ready.register(rx, token as u64).expect("register");
+            (&*tx).write_all(b"x").expect("write");
+        }
+        let mut served = vec![0u32; SOCKETS];
+        let mut waits = 0;
+        while served.contains(&0) {
+            let n = ready.wait(LONG);
+            assert!(n > 0, "descriptors left unserved: {served:?}");
+            waits += 1;
+            for i in 0..n {
+                let token = ready.event(i).token as usize;
+                (&pairs[token].1)
+                    .read_exact(&mut [0u8; 1])
+                    .expect("reported readable");
+                served[token] += 1;
+            }
+        }
+        assert!(waits >= 2, "300 ready descriptors cannot fit one batch");
+        assert!(served.iter().all(|&n| n == 1), "served once each");
+        assert_eq!(ready.wait(SOON), 0);
+    }
+
+    extern "C" {
+        fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
+        fn pthread_self() -> c_ulong;
+        fn pthread_kill(thread: c_ulong, sig: c_int) -> c_int;
+    }
+    const SIGUSR1: c_int = 10;
+    extern "C" fn ignore(_sig: c_int) {}
+
+    #[test]
+    fn an_interrupted_wait_reads_as_zero_ready() {
+        // SAFETY: installs an async-signal-safe (empty) handler for a
+        // signal nothing else in this test binary uses.
+        unsafe { signal(SIGUSR1, ignore) };
+        let (tid_tx, tid_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let mut ready = Readiness::new().expect("epoll");
+            // SAFETY: no arguments; names the calling thread.
+            tid_tx.send(unsafe { pthread_self() }).expect("main alive");
+            let start = Instant::now();
+            let n = ready.wait(LONG);
+            done_tx.send(()).expect("main alive");
+            (n, start.elapsed())
+        });
+        let tid = tid_rx.recv().expect("waiter alive");
+        // Keep interrupting until the waiter is out of its wait: a signal
+        // that lands before `epoll_wait` is entered interrupts nothing.
+        while done_rx.recv_timeout(Duration::from_millis(1)).is_err() {
+            // SAFETY: `tid` names a thread that is not joined yet.
+            unsafe { pthread_kill(tid, SIGUSR1) };
+        }
+        let (n, waited) = waiter.join().expect("waiter");
+        assert_eq!(n, 0);
+        assert!(waited < LONG, "returned on the signal, not the timeout");
     }
 }

@@ -7,14 +7,17 @@ use brisa::{BrisaConfig, BrisaNode, StackMsg};
 use brisa_membership::{HpvMsg, HyParViewConfig};
 use brisa_runtime::reactor::ReactorPool;
 use brisa_runtime::tcp::TcpMesh;
+use brisa_runtime::wire::MAX_FRAME_BYTES;
 use brisa_runtime::{
     Cluster, ClusterConfig, LoopbackMesh, RuntimeConfig, TransportKind, WallClock,
 };
 use brisa_runtime::{LiveNode, LiveResult};
 use brisa_runtime::{WireCodec, WIRE_VERSION};
 use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag};
+use brisa_telemetry::Telemetry;
 use brisa_workloads::{
-    BrisaScenario, BrisaStackConfig, IntoRunSpec, NodeReport, Runner, StreamSpec,
+    BrisaScenario, BrisaStackConfig, BuildCtx, DisseminationProtocol, IntoRunSpec, NodeReport,
+    Runner, StreamSpec,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
@@ -398,6 +401,220 @@ fn live_result_reports_reaps_and_redials() {
         "no idle link was reaped (links_reaped = {})",
         result.links_reaped()
     );
+}
+
+/// An idle link costs the loop nothing: on a settled 64-node TCP cluster
+/// that publishes nothing, the worker iterates only when something
+/// happened. Every iteration but the idle park is the return of a wait that
+/// reported a due timer, a readable socket or a wake, so over one second
+/// the iteration count (the `reactor.poll_iter_us` sample count) stays
+/// under timers fired + frames received + inbox messages + a constant for
+/// the parks and the few shuffle connections opened and reaped meanwhile —
+/// whatever the number of descriptors held open. A loop that spun on a
+/// timeout rounded down to zero, or on a writable socket with nothing to
+/// write, would exceed it a hundredfold.
+#[test]
+fn idle_loop_iterations_are_bounded_by_events_not_by_open_links() {
+    const NODES: u32 = 64;
+    /// Ten idle parks a second, plus up to four readiness reports in the
+    /// life of a connection that carry no frame (the listener, the
+    /// handshake, the goodbye, the EOF).
+    const SLACK: u64 = 200;
+    let telemetry = Telemetry::enabled();
+    let cfg = ClusterConfig {
+        nodes: NODES,
+        transport: TransportKind::Tcp,
+        seed: 0xB215A,
+        runtime: RuntimeConfig {
+            workers: 1,
+            ..RuntimeConfig::default()
+        },
+        telemetry: telemetry.clone(),
+        ..Default::default()
+    };
+    let stack = BrisaStackConfig {
+        hpv: HyParViewConfig::default(),
+        brisa: BrisaConfig::default(),
+    };
+    let cluster: Cluster<BrisaNode> = Cluster::launch(&cfg, &stack).expect("launch");
+    cluster.run_for(Duration::from_secs(3));
+
+    let iterations = telemetry.histogram("reactor.poll_iter_us");
+    let inbox_batch = telemetry.histogram("reactor.inbox_batch");
+    let timers = telemetry.counter("reactor.timers_fired");
+    let frames = telemetry.counter("reactor.frames_in");
+    let inbox_messages = || (inbox_batch.mean() * inbox_batch.count() as f64).round() as u64;
+    let before = (
+        iterations.count(),
+        timers.get(),
+        frames.get(),
+        inbox_messages(),
+    );
+    cluster.run_for(Duration::from_secs(1));
+    let after = (
+        iterations.count(),
+        timers.get(),
+        frames.get(),
+        inbox_messages(),
+    );
+    let registered = telemetry.gauge("reactor.w0.fds").get();
+    cluster.stop_and_collect();
+
+    let iterated = after.0 - before.0;
+    let events = (after.1 - before.1) + (after.2 - before.2) + (after.3 - before.3);
+    assert!(
+        registered > 4 * NODES as u64,
+        "the cluster holds its overlay links open ({registered} descriptors registered)"
+    );
+    assert!(iterated > 0 && events > 0, "the window saw a live cluster");
+    assert!(
+        iterated <= events + SLACK,
+        "{iterated} iterations in 1 s against {events} events \
+         ({} timers, {} frames, {} inbox messages) with {registered} descriptors registered",
+        after.1 - before.1,
+        after.2 - before.2,
+        after.3 - before.3,
+    );
+}
+
+/// Hostile bytes at the edge the readiness set guards. Four raw
+/// connections to a live node's listener — a handshake of the wrong wire
+/// version, a length prefix past the frame ceiling, a frame cut short by a
+/// close, and one that never says anything — panic nothing; the first
+/// three are dropped and leave the registered-descriptor count, the silent
+/// one stays exactly as long as its socket does, and the cluster delivers
+/// a message published meanwhile to every node.
+#[test]
+fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
+    const NODES: u32 = 12;
+    const VICTIM: NodeId = NodeId(5);
+    /// An identifier no node carries, so dropping the impostor's
+    /// connection cannot pass for the death of a real neighbour.
+    const NOBODY: u32 = 9_999;
+    let telemetry = Telemetry::enabled();
+    let cfg = RuntimeConfig {
+        workers: 1,
+        // Join-time walk links are gone before the count is taken.
+        idle_link_timeout: Duration::from_millis(300),
+        ..RuntimeConfig::default()
+    };
+    let stack = BrisaStackConfig {
+        hpv: HyParViewConfig {
+            // No shuffle connections come and go under the count.
+            shuffle_period: SimDuration::from_secs(3_600),
+            ..HyParViewConfig::default()
+        },
+        brisa: BrisaConfig::default(),
+    };
+    let mesh = TcpMesh::bind(NODES as usize).expect("bind");
+    let mut pool: ReactorPool<BrisaNode> =
+        ReactorPool::with_telemetry(WallClock::new(), &cfg, telemetry.clone());
+    for i in 0..NODES {
+        let id = NodeId(i);
+        pool.add_listener(id, mesh.take_listener(id), mesh.addrs());
+        let bctx = BuildCtx {
+            index: i,
+            population: NODES,
+            contact: (i > 0).then_some(NodeId(0)),
+            prev: i.checked_sub(1).map(NodeId),
+            is_source: i == 0,
+        };
+        let node = BrisaNode::build(&stack, id, &bctx);
+        pool.start_node(id, node, 0xB215A, pool.tcp_transport(id));
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // The settled overlay holds a steady set of descriptors.
+    let registered = telemetry.gauge("reactor.w0.fds");
+    let mut base = 0;
+    let mut steady_since = Instant::now();
+    assert!(
+        wait_until(Duration::from_secs(20), || {
+            let now = registered.get();
+            if now != base {
+                base = now;
+                steady_since = Instant::now();
+            }
+            steady_since.elapsed() >= Duration::from_secs(2)
+        }),
+        "registered descriptors never settled (last {base})"
+    );
+
+    let hello = |version: u8| {
+        let mut bytes = vec![version];
+        bytes.extend_from_slice(&NOBODY.to_le_bytes());
+        bytes
+    };
+    let connect = || {
+        let stream = TcpStream::connect(mesh.addr(VICTIM)).expect("connect to the victim");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        stream
+    };
+    let mut wrong_version = connect();
+    let mut oversize = connect();
+    let mut truncated = connect();
+    let silent = connect();
+    assert!(
+        wait_until(Duration::from_secs(10), || registered.get() == base + 4),
+        "four accepted connections join the set ({} over {base})",
+        registered.get()
+    );
+
+    wrong_version
+        .write_all(&hello(WIRE_VERSION + 1))
+        .expect("write");
+    oversize.write_all(&hello(WIRE_VERSION)).expect("write");
+    oversize
+        .write_all(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes())
+        .expect("write");
+    truncated.write_all(&hello(WIRE_VERSION)).expect("write");
+    truncated.write_all(&100u32.to_le_bytes()).expect("write");
+    truncated.write_all(&[0xAB; 10]).expect("write");
+    drop(truncated);
+    // The reactor hangs up on the two it can tell are corrupt...
+    let mut probe = [0u8; 1];
+    for refused in [&mut wrong_version, &mut oversize] {
+        assert!(
+            matches!(refused.read(&mut probe), Ok(0) | Err(_)),
+            "a corrupt stream is closed, not answered"
+        );
+    }
+    // ...and all three leave the set; the silent one is still in it.
+    assert!(
+        wait_until(Duration::from_secs(10), || registered.get() == base + 1),
+        "three dropped connections leave the set ({} over {base})",
+        registered.get()
+    );
+
+    let delivered = telemetry.counter("brisa.delivered");
+    let already = delivered.get();
+    pool.invoke(NodeId(0), |node, ctx| node.publish_message(ctx, 256));
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            delivered.get() - already >= NODES as u64
+        }),
+        "only {} of {NODES} nodes delivered",
+        delivered.get() - already
+    );
+
+    drop(silent);
+    assert!(
+        wait_until(Duration::from_secs(10), || registered.get() == base),
+        "the silent connection leaves with its socket ({} over {base})",
+        registered.get()
+    );
+    assert_eq!(telemetry.counter("reactor.node_panics").get(), 0);
+    for i in 0..NODES {
+        let (node, _stats) = pool
+            .stop_node(NodeId(i))
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker alive")
+            .expect("node alive");
+        assert_eq!(node.report().delivered, 1, "node {i}");
+    }
+    pool.shutdown();
 }
 
 /// 256 live loopback nodes on one reactor pool — every node delivers the
