@@ -17,7 +17,7 @@
 //! retransmission buffer); the binary asserts both.
 
 use brisa::BrisaNode;
-use brisa_bench::{banner, run_matrix, BrisaScenario, BrisaStackConfig, EngineResult, Scale};
+use brisa_bench::{run_matrix, BrisaScenario, BrisaStackConfig, EngineResult, Scale};
 use brisa_simnet::{SimDuration, SimTime};
 use brisa_workloads::{scenarios, IntoRunSpec, InvariantSuite, Runner};
 
@@ -60,10 +60,9 @@ fn recovery_traffic(r: &EngineResult) -> (u64, u64) {
 
 fn main() {
     let scale = Scale::from_env();
-    banner(
-        "bench_fault_sweep",
-        "delivery and repair under loss and partitions (invariant-checked)",
-        scale,
+    println!(
+        "=== bench_fault_sweep — delivery and repair under loss and partitions \
+         (invariant-checked), scale {scale:?}\n"
     );
 
     // --- Loss sweep.

@@ -31,7 +31,7 @@
 
 use brisa::BrisaNode;
 use brisa_bench::gate::{divergence_check, DivergenceBand, SoakRow};
-use brisa_bench::{banner, BrisaStackConfig, EngineResult, IntoRunSpec, Runner, Scale};
+use brisa_bench::{BrisaStackConfig, EngineResult, IntoRunSpec, Runner, Scale};
 use brisa_metrics::percentile::percentile_of_sorted;
 use brisa_metrics::report::render_table;
 use brisa_runtime::{run_chaos, SoakConfig, SoakOutcome, TransportKind};
@@ -248,10 +248,9 @@ fn main() {
         Ok("tcp") => TransportKind::Tcp,
         _ => TransportKind::Loopback,
     };
-    banner(
-        "bench_soak",
-        "live chaos soak vs sim prediction (fault shim, lifecycle, divergence gate)",
-        scale,
+    println!(
+        "=== bench_soak — live chaos soak vs sim prediction (fault shim, lifecycle, \
+         divergence gate), scale {scale:?}\n"
     );
 
     let shape = if smoke {

@@ -1,26 +1,30 @@
-//! # brisa-bench — figure/table regeneration harness
+//! # brisa-bench — the `repro` scorecard, sweep binaries and micro-benchmarks
 //!
-//! One binary per figure and table of the paper's evaluation (see
-//! `DESIGN.md` for the experiment index), plus Criterion micro-benchmarks of
-//! the hot protocol paths. The binaries print the same rows/series the paper
-//! reports as aligned plain-text tables.
+//! [`repro`] answers the paper's evaluation (Figures 2 and 6–14, Tables
+//! I–II, four ablations) with one table: a row per entry of `DESIGN.md`'s
+//! experiment index, each running its scenario family once and stating the
+//! paper's claims as checked orderings and bounds. `cargo run --release -p
+//! brisa-bench --bin repro [<experiment>…]` prints it; `REPRO.md` at the
+//! repository root is that output at quick scale and a tier-1 test keeps it
+//! current. The other binaries (`bench_fault_sweep`, `bench_scale_sweep`,
+//! `bench_soak`) are sweeps that assert their own floors; `benches/` holds
+//! Criterion micro-benchmarks of the hot protocol paths.
 //!
-//! Every binary honours the `BRISA_SCALE` environment variable: the default
-//! `quick` scale runs in seconds and preserves the qualitative shape of the
-//! results; `BRISA_SCALE=full` reproduces the paper's sizes (512/200/150/128
-//! nodes, 500 messages). Sweep binaries additionally honour `BRISA_THREADS`:
-//! independent cells fan out across threads through
-//! [`run_matrix`], with results bit-identical to a sequential run.
+//! Two environment variables are read, both parsed strictly: `BRISA_SCALE`
+//! (`quick`, the default, runs in seconds and keeps the qualitative shape;
+//! `full` is the paper's sizes — 512/200/150/128 nodes, 500 messages) and
+//! `BRISA_THREADS`, which caps the threads [`run_matrix`] fans independent
+//! cells across, with results bit-identical to a sequential run.
 //!
-//! The experiment engine is re-exported here so every binary — and any
-//! downstream experiment — shares one entry point: [`Runner`] for a single
-//! cell, [`run_matrix`] for a sweep, [`run_brisa`]/`run_*` for the
-//! protocol-flavoured result types.
+//! The experiment engine is re-exported here so every binary shares one
+//! entry point: [`Runner`] for a single cell, [`run_matrix`] for a sweep,
+//! [`run_brisa`]/`run_*` as the scenario → [`EngineResult`] conveniences.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod gate;
+pub mod repro;
 
 use brisa_metrics::report::render_table;
 use brisa_metrics::Cdf;
@@ -31,20 +35,10 @@ pub use brisa_workloads::{
     DisseminationProtocol, EngineResult, IntoRunSpec, RunSpec, Runner, Scale,
 };
 
-/// Prints the standard experiment banner (experiment id, scale, seed).
-pub fn banner(experiment: &str, description: &str, scale: Scale) {
-    println!("=== {experiment} — {description}");
-    println!(
-        "    scale: {:?} (set BRISA_SCALE=full for the paper's sizes)",
-        scale
-    );
-    println!();
-}
-
-/// Prints a set of labelled CDF series side by side, sampled at the union of
-/// the series' value ranges. This is the textual equivalent of the paper's
-/// multi-line CDF plots.
-pub fn print_cdf_series(value_label: &str, series: &mut [(String, Cdf)], points: usize) {
+/// Renders a set of labelled CDF series side by side, sampled at the union
+/// of the series' value ranges. This is the textual equivalent of the
+/// paper's multi-line CDF plots.
+pub fn cdf_series(value_label: &str, series: &mut [(String, Cdf)], points: usize) -> String {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for (_, cdf) in series.iter_mut() {
@@ -54,8 +48,7 @@ pub fn print_cdf_series(value_label: &str, series: &mut [(String, Cdf)], points:
         }
     }
     if !lo.is_finite() || !hi.is_finite() {
-        println!("(no samples)");
-        return;
+        return "(no samples)\n".to_string();
     }
     let points = points.max(2);
     let mut headers: Vec<String> = vec![value_label.to_string()];
@@ -70,13 +63,7 @@ pub fn print_cdf_series(value_label: &str, series: &mut [(String, Cdf)], points:
         }
         rows.push(row);
     }
-    print!("{}", render_table(&header_refs, &rows));
-}
-
-/// Formats an `Option<f64>` with a dash for missing values.
-pub fn opt(v: Option<f64>) -> String {
-    v.map(|x| format!("{x:.2}"))
-        .unwrap_or_else(|| "-".to_string())
+    render_table(&header_refs, &rows)
 }
 
 #[cfg(test)]
@@ -84,19 +71,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn opt_formats_missing_values() {
-        assert_eq!(opt(None), "-");
-        assert_eq!(opt(Some(1.5)), "1.50");
-    }
-
-    #[test]
     fn cdf_series_printing_does_not_panic() {
         let mut series = vec![
             ("a".to_string(), Cdf::from_samples([1.0, 2.0, 3.0])),
             ("b".to_string(), Cdf::from_samples([2.0, 4.0])),
         ];
-        print_cdf_series("value", &mut series, 5);
+        let table = cdf_series("value", &mut series, 4);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 2 + 4, "header, rule and one row per point");
+        assert!(lines[0].starts_with("value") && lines[0].contains("% <= (b)"));
+        assert!(lines[2].starts_with("1.000") && lines[5].starts_with("4.000"));
         let mut empty: Vec<(String, Cdf)> = vec![("x".to_string(), Cdf::new())];
-        print_cdf_series("value", &mut empty, 5);
+        assert_eq!(cdf_series("value", &mut empty, 5), "(no samples)\n");
     }
 }

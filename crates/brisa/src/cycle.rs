@@ -16,10 +16,11 @@
 //!   level deeper. Approximate (false negatives possible) but constant-size.
 //!
 //! A [`BloomMembership`] implementation is also provided, purely for the
-//! cycle-prevention ablation bench: the paper argues path embedding beats
-//! Bloom filters on metadata size and exactness, and the ablation reproduces
-//! that comparison.
+//! cycle-prevention ablation (`repro ablation_cycle_prevention`): the paper
+//! argues path embedding beats Bloom filters on metadata size and
+//! exactness, and the ablation's claims check that comparison.
 
+use brisa_simnet::seed::split_mix64;
 use brisa_simnet::NodeId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -206,8 +207,8 @@ impl CycleState {
 ///
 /// Not used by the protocol itself — the paper explicitly prefers path
 /// embedding / depth labels — but implemented so the cycle-prevention
-/// ablation (`ablation_cycle_prevention`) can compare metadata size and
-/// false-positive behaviour, mirroring the discussion in Section II-D.
+/// ablation (`repro ablation_cycle_prevention`) can compare metadata size
+/// and false-positive behaviour, mirroring the discussion in Section II-D.
 #[derive(Debug, Clone)]
 pub struct BloomMembership {
     bits: Vec<u64>,
@@ -243,15 +244,13 @@ impl BloomMembership {
     }
 
     fn indexes(&self, node: NodeId) -> impl Iterator<Item = usize> + '_ {
-        // Double hashing: h_i = h1 + i * h2.
-        let x = node.0 as u64;
-        let h1 = x
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x2545_F491_4F6C_DD1D);
-        let h2 = (x ^ 0xDEAD_BEEF_CAFE_BABE).wrapping_mul(0xC2B2_AE3D_27D4_EB4F) | 1;
+        // One independent hash per index. Double hashing (`h1 + i·h2 mod m`)
+        // has only m² distinct probe patterns, so a filter of a hundred-odd
+        // bits — a path of a few hops at 1e-6 — could never reach the rate
+        // it was sized for.
         let num_bits = self.num_bits as u64;
-        (0..self.num_hashes as u64)
-            .map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % num_bits) as usize)
+        (1..=self.num_hashes as u64)
+            .map(move |i| (split_mix64(node.0 as u64, i) % num_bits) as usize)
     }
 
     /// Inserts `node` into the filter.
@@ -426,6 +425,31 @@ mod tests {
         // The paper's point: the filter is orders of magnitude larger than a
         // short path (7 hops * 6 bytes = 42 bytes).
         assert!(bloom.wire_size() > 1000);
+    }
+
+    #[test]
+    fn small_bloom_filters_reach_the_rate_they_are_sized_for() {
+        // The ablation's cells: a tree path of 4–10 hops in a filter sized
+        // for exactly that many items at 1e-6. 100 000 absent identifiers
+        // should admit 0.1 false positives on average; two is already a
+        // 1-in-200 event for a filter that meets its rate.
+        for n in [4u32, 6, 7, 10] {
+            let mut bloom = BloomMembership::with_false_positive_rate(n as usize, 1e-6);
+            for i in 0..n {
+                bloom.insert(NodeId(i));
+            }
+            assert!(
+                (0..n).all(|i| bloom.contains(NodeId(i))),
+                "no false negatives"
+            );
+            let fps = (n..n + 100_000)
+                .filter(|&i| bloom.contains(NodeId(i)))
+                .count();
+            assert!(
+                fps <= 2,
+                "{n} items at 1e-6: {fps} of 100 000 absent ids admitted"
+            );
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! # brisa-metrics — measurement utilities for the BRISA reproduction
 //!
 //! Small, dependency-free analysis helpers used by the experiment harness
-//! and the figure/table regeneration binaries:
+//! and `brisa-bench`'s `repro` scorecard:
 //!
 //! * [`Cdf`] — empirical CDFs (Figures 2, 6, 7, 9, 13, 14);
 //! * [`LatencyHistogram`] — mergeable fixed-footprint log-bucket latency
 //!   histograms for scale-mode streaming results;
 //! * [`PercentileSummary`] — the 5/25/50/75/90th percentile bars of the
 //!   bandwidth figures (Figures 10–12);
-//! * [`StructureSnapshot`] — depth/degree analysis and DOT rendering of the
+//! * [`StructureSnapshot`] — depth/degree analysis of the
 //!   emerged dissemination structures (Figures 6–8);
 //! * [`report`] — plain-text rendering of tables and series.
 

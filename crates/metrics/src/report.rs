@@ -1,10 +1,9 @@
 //! Plain-text rendering of experiment results.
 //!
-//! The bench binaries print the same rows and series the paper reports;
-//! these helpers keep that output aligned and uniform.
+//! `repro` and the sweep binaries print the same rows and series the paper
+//! reports; these helpers keep that output aligned and uniform.
 
 use crate::cdf::Cdf;
-use crate::percentile::PercentileSummary;
 
 /// Renders a fixed-width table: a header row followed by data rows.
 /// Column widths adapt to the widest cell.
@@ -61,33 +60,6 @@ pub fn render_cdf(label: &str, cdf: &mut Cdf, max_points: usize) -> String {
     out
 }
 
-/// Renders a percentile summary as a single table row cell set, matching the
-/// stacked-bar figures of the paper.
-pub fn percentile_row(label: &str, s: &PercentileSummary) -> Vec<String> {
-    vec![
-        label.to_string(),
-        format!("{:.2}", s.p5),
-        format!("{:.2}", s.p25),
-        format!("{:.2}", s.p50),
-        format!("{:.2}", s.p75),
-        format!("{:.2}", s.p90),
-        format!("{:.2}", s.mean),
-    ]
-}
-
-/// Header matching [`percentile_row`].
-pub fn percentile_headers(metric: &str) -> Vec<String> {
-    vec![
-        metric.to_string(),
-        "p5".to_string(),
-        "p25".to_string(),
-        "p50".to_string(),
-        "p75".to_string(),
-        "p90".to_string(),
-        "mean".to_string(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,14 +89,5 @@ mod tests {
         let r = render_cdf("latency", &mut c, 10);
         assert!(r.contains("# CDF: latency (100 samples)"));
         assert!(r.lines().count() >= 10);
-    }
-
-    #[test]
-    fn percentile_row_matches_headers() {
-        let s = PercentileSummary::from_samples([1.0, 2.0, 3.0]);
-        let row = percentile_row("tree", &s);
-        let headers = percentile_headers("config");
-        assert_eq!(row.len(), headers.len());
-        assert_eq!(row[0], "tree");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Given the parent links reported by every node, this module computes the
 //! structural properties the paper studies: per-node depth (Figure 6, the
-//! *maximum* distance from the source), per-node degree (Figure 7, the
-//! number of children) and a Graphviz DOT rendering of sample trees
-//! (Figure 8).
+//! *maximum* distance from the source) and per-node degree (Figure 7, the
+//! number of children; Figure 8's sample trees are reported as height and
+//! leaf share).
 //!
 //! Node identifiers are plain `u32` values so this crate stays free of
 //! simulator dependencies.
@@ -148,29 +148,6 @@ impl StructureSnapshot {
         }
         seen == nodes.len()
     }
-
-    /// Renders the structure as a Graphviz DOT digraph (Figure 8).
-    pub fn to_dot(&self, name: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("digraph {name} {{\n"));
-        out.push_str("  rankdir=TB;\n  node [shape=circle, fontsize=10];\n");
-        out.push_str(&format!(
-            "  n{} [style=filled, fillcolor=lightblue];\n",
-            self.source
-        ));
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (&node, parents) in &self.parents {
-            for &p in parents {
-                edges.push((p, node));
-            }
-        }
-        edges.sort_unstable();
-        for (from, to) in edges {
-            out.push_str(&format!("  n{from} -> n{to};\n"));
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -228,18 +205,6 @@ mod tests {
         s3.set_parents(5, vec![6]);
         s3.set_parents(6, vec![5]);
         assert!(!s3.is_acyclic());
-    }
-
-    #[test]
-    fn dot_output_contains_all_edges() {
-        let s = sample_dag();
-        let dot = s.to_dot("sample");
-        assert!(dot.starts_with("digraph sample {"));
-        assert!(dot.contains("n0 -> n1;"));
-        assert!(dot.contains("n1 -> n3;"));
-        assert!(dot.contains("n2 -> n3;"));
-        assert!(dot.contains("lightblue"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

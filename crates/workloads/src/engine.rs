@@ -18,9 +18,9 @@
 //! [`ShardedNetwork`], which produce bit-identical results. The
 //! per-protocol knowledge (how to build a node,
 //! how to publish, which metrics the node exposes) lives in the trait
-//! implementations in [`crate::protocols`]; the protocol-specific result
-//! types of [`crate::brisa_run`] and [`crate::baseline_runs`] are thin
-//! adapters over [`EngineResult`].
+//! implementations in [`crate::protocols`]. [`EngineResult`] is the one
+//! result type of every run, BRISA or baseline; what a figure derives from
+//! it (structure snapshot, churn report, mean upload) is a method on it.
 //!
 //! ```
 //! use brisa_workloads::{Runner, IntoRunSpec, BrisaScenario, BrisaStackConfig};
@@ -33,12 +33,12 @@
 //! ```
 
 use crate::invariants::{InvariantCtx, InvariantSuite};
-use crate::result::{split_bandwidth, PhaseBandwidth};
+use crate::result::{split_bandwidth, ChurnReport, PhaseBandwidth};
 use crate::spec::{
     BaselineScenario, BrisaScenario, ChurnEvent, ChurnSpec, FaultSpec, ResultMode, ScaleEvent,
     ScaleEventKind, StreamSpec, Testbed, FIRST_PUBLISH_DELAY,
 };
-use brisa_metrics::LatencyHistogram;
+use brisa_metrics::{LatencyHistogram, StructureSnapshot};
 use brisa_simnet::{
     Context, Driver, Footprint, LinkFaults, MeterMode, Network, NetworkConfig, NodeId,
     PartitionSpec, Placement, Protocol, ShardedNetwork, SimDuration, SimTime,
@@ -534,6 +534,62 @@ impl EngineResult {
             };
         }
         completeness_of(self.eligible_delivered_counts(), self.messages_published)
+    }
+
+    /// The live nodes other than the source: the population every per-node
+    /// distribution of the evaluation is taken over.
+    pub fn non_source(&self) -> impl Iterator<Item = &NodeOutcome> + '_ {
+        self.nodes.iter().filter(|n| !n.is_source)
+    }
+
+    /// The emerged structure: every live node's parents at the end of the
+    /// run (Figures 6–8).
+    pub fn structure(&self) -> StructureSnapshot {
+        let mut structure = StructureSnapshot::new(self.source.0);
+        for o in &self.nodes {
+            structure.set_parents(o.id.0, o.report.parents.iter().map(|p| p.0).collect());
+        }
+        structure
+    }
+
+    /// Repair telemetry aggregated over every live node (Table I,
+    /// Figure 14): loss events are counted inside
+    /// [`EngineResult::churn_window`] and rated per minute of `churn`'s
+    /// duration.
+    pub fn churn_report(&self, churn: &ChurnSpec) -> ChurnReport {
+        let minutes = churn.duration.as_secs_f64() / 60.0;
+        let (start, end) = self.churn_window;
+        let in_window =
+            |times: &[SimTime]| times.iter().filter(|&&t| t >= start && t <= end).count();
+        let mut report = ChurnReport {
+            duration_minutes: minutes,
+            failures_injected: self.failures_injected,
+            joins_injected: self.joins_injected,
+            ..Default::default()
+        };
+        let (mut parents_lost, mut orphaned) = (0usize, 0usize);
+        let as_ms = |us: &u64| *us as f64 / 1000.0;
+        for o in &self.nodes {
+            let repairs = &o.report.repairs;
+            parents_lost += in_window(&repairs.parents_lost);
+            orphaned += in_window(&repairs.orphaned);
+            report.soft_repairs += repairs.soft_repairs;
+            report.hard_repairs += repairs.hard_repairs;
+            let (soft, hard) = (&repairs.soft_delays_us, &repairs.hard_delays_us);
+            report.soft_delays_ms.extend(soft.iter().map(as_ms));
+            report.hard_delays_ms.extend(hard.iter().map(as_ms));
+        }
+        report.parents_lost_per_min = parents_lost as f64 / minutes.max(1e-9);
+        report.orphans_per_min = orphaned as f64 / minutes.max(1e-9);
+        report.finalise();
+        report
+    }
+
+    /// Mean MB uploaded per live node over both phases (stabilisation +
+    /// dissemination), the quantity of Figure 12.
+    pub fn mean_uploaded_mb(&self) -> f64 {
+        let uploaded = self.nodes.iter().map(|n| n.bandwidth.total_uploaded_mb());
+        uploaded.sum::<f64>() / self.nodes.len().max(1) as f64
     }
 }
 

@@ -7,7 +7,8 @@
 //!   → collect) behind every experiment, driven by the
 //!   [`DisseminationProtocol`] trait;
 //! * [`protocols`] — the trait implementations for BRISA and the four
-//!   baselines (the only per-protocol code in the experiment path);
+//!   baselines (the only per-protocol code in the experiment path) and the
+//!   `run_*` scenario → [`EngineResult`] conveniences;
 //! * [`invariants`] — online invariant checking: an [`InvariantSuite`]
 //!   evaluated *during* the drive phase (delivery sanity, tree validity,
 //!   FIFO link-clock monotonicity) attached through
@@ -21,16 +22,12 @@
 //!   joins) shared by the simulator and the live soak harness;
 //! * [`scenarios`] — one canonical parameter set per figure/table, at the
 //!   paper's full scale or a reduced quick scale;
-//! * [`brisa_run`] / [`baseline_runs`] — thin adapters translating the
-//!   engine's generic result into the BRISA/baseline result types;
-//! * [`result`] — the collected metrics (per-node summaries, phase
-//!   bandwidth, churn reports).
+//! * [`result`] — what the one result type's methods derive ([`EngineResult`],
+//!   per node [`NodeOutcome`]): phase bandwidth and the churn report.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod baseline_runs;
-pub mod brisa_run;
 pub mod chaos;
 pub mod engine;
 pub mod invariants;
@@ -40,11 +37,6 @@ pub mod result;
 pub mod scenarios;
 pub mod spec;
 
-pub use baseline_runs::{
-    delivered_map, run_flood, run_simple_gossip, run_simple_tree, run_tag, BaselineNodeSummary,
-    BaselineRunResult,
-};
-pub use brisa_run::{run_brisa, BrisaRunResult};
 pub use brisa_simnet::PartitionMode;
 pub use chaos::{ChaosEvent, ChaosEventKind, ChaosSchedule};
 pub use engine::{
@@ -56,8 +48,10 @@ pub use invariants::{
     InvariantViolation, LinkClockInvariant, NetQuery, TreeValidityInvariant,
 };
 pub use matrix::{derive_seed, matrix_threads, run_matrix, run_matrix_sequential};
-pub use protocols::BrisaStackConfig;
-pub use result::{split_bandwidth, ChurnReport, NodeSummary, PhaseBandwidth};
+pub use protocols::{
+    run_brisa, run_flood, run_simple_gossip, run_simple_tree, run_tag, BrisaStackConfig,
+};
+pub use result::{split_bandwidth, ChurnReport, PhaseBandwidth};
 pub use scenarios::Scale;
 pub use spec::{
     BaselineScenario, BrisaScenario, ChurnEvent, ChurnSpec, FaultSpec, MaintenanceTempo,

@@ -5,11 +5,14 @@
 //! else — bootstrap, churn, stream injection, metric collection, the
 //! parallel sweep driver — is generic over this trait, so adding a protocol
 //! to every figure/table experiment means implementing the four methods
-//! below for it.
+//! below for it; the `run_*` functions at the end are the one-line scenario →
+//! configuration → [`Runner`] conveniences.
 
 use crate::engine::{
-    BuildCtx, DisseminationProtocol, NodeReport, RepairTelemetry, ScaleNodeReport,
+    BuildCtx, DisseminationProtocol, EngineResult, IntoRunSpec, NodeReport, RepairTelemetry,
+    Runner, ScaleNodeReport,
 };
+use crate::spec::{BaselineScenario, BrisaScenario};
 use brisa::{BrisaConfig, BrisaNode};
 use brisa_baselines::{
     DeliveryStats, FloodNode, GossipConfig, SimpleGossipNode, SimpleTreeNode, TagConfig, TagNode,
@@ -223,5 +226,220 @@ impl DisseminationProtocol for TagNode {
             },
             ..delivery_report(self.stats())
         }
+    }
+}
+
+/// Runs a BRISA scenario to completion.
+pub fn run_brisa(sc: &BrisaScenario) -> EngineResult {
+    let cfg = BrisaStackConfig {
+        hpv: sc.hyparview_config(),
+        brisa: sc.brisa_config(),
+    };
+    Runner::<BrisaNode>::new(&cfg, &sc.run_spec()).run()
+}
+
+/// Runs plain flooding over HyParView.
+pub fn run_flood(sc: &BaselineScenario) -> EngineResult {
+    let cfg = HyParViewConfig::with_active_size(sc.view_size);
+    Runner::<FloodNode>::new(&cfg, &sc.run_spec()).run()
+}
+
+/// Runs the SimpleTree baseline (centralized random tree, push).
+pub fn run_simple_tree(sc: &BaselineScenario) -> EngineResult {
+    Runner::<SimpleTreeNode>::new(&(), &sc.run_spec()).run()
+}
+
+/// Runs the SimpleGossip baseline (Cyclon + rumor mongering + anti-entropy).
+pub fn run_simple_gossip(sc: &BaselineScenario) -> EngineResult {
+    let cfg = GossipConfig::default().for_system_size(sc.nodes as usize);
+    Runner::<SimpleGossipNode>::new(&cfg, &sc.run_spec()).run()
+}
+
+/// Runs the TAG baseline (linked list + tree + gossip, pull dissemination).
+pub fn run_tag(sc: &BaselineScenario) -> EngineResult {
+    Runner::<TagNode>::new(&TagConfig::default(), &sc.run_spec()).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{ChurnSpec, StreamSpec, Testbed};
+    use brisa::{ParentStrategy, StructureMode};
+    use brisa_simnet::SimDuration;
+
+    #[test]
+    fn small_tree_run_is_complete_and_duplicate_free_after_bootstrap() {
+        let sc = BrisaScenario::small_test(32);
+        let r = run_brisa(&sc);
+        assert_eq!(r.messages_published, 10);
+        assert!(
+            (r.completeness() - 1.0).abs() < 1e-9,
+            "every node delivered everything"
+        );
+        let structure = r.structure();
+        assert!(structure.is_acyclic());
+        assert!(structure.is_complete());
+        // Non-source nodes have exactly one parent in tree mode.
+        for n in r.non_source() {
+            assert_eq!(n.report.parents.len(), 1);
+            assert!(n.report.depth.is_some());
+        }
+        // Duplicates only stem from the bootstrap flood: well under one per
+        // message on average for a 10-message stream.
+        let avg_dup: f64 = r
+            .non_source()
+            .map(|n| n.report.duplicates_per_message)
+            .sum::<f64>()
+            / (r.nodes.len() - 1) as f64;
+        assert!(avg_dup < 1.0, "avg duplicates per message {avg_dup}");
+    }
+
+    #[test]
+    fn dag_run_gets_multiple_parents() {
+        let sc = BrisaScenario {
+            mode: StructureMode::Dag { parents: 2 },
+            view_size: 8,
+            ..BrisaScenario::small_test(32)
+        };
+        let r = run_brisa(&sc);
+        let multi = r
+            .non_source()
+            .filter(|n| n.report.parents.len() >= 2)
+            .count();
+        assert!(
+            multi * 2 > r.nodes.len() - 1,
+            "most nodes found 2 parents ({multi})"
+        );
+        assert!(r.structure().is_acyclic());
+    }
+
+    #[test]
+    fn churn_run_produces_a_report() {
+        let spec = ChurnSpec {
+            rate_percent: 5.0,
+            interval: SimDuration::from_secs(10),
+            duration: SimDuration::from_secs(40),
+        };
+        let sc = BrisaScenario {
+            churn: Some(spec),
+            stream: StreamSpec {
+                messages: 50,
+                rate_per_sec: 5.0,
+                payload_bytes: 128,
+            },
+            ..BrisaScenario::small_test(48)
+        };
+        let r = run_brisa(&sc);
+        let churn = r.churn_report(&spec);
+        assert!(churn.failures_injected > 0);
+        assert_eq!(churn.failures_injected, churn.joins_injected);
+        assert!(
+            churn.parents_lost_per_min > 0.0,
+            "failures must cost somebody a parent"
+        );
+        assert!(
+            (churn.soft_pct + churn.hard_pct - 100.0).abs() < 1e-6
+                || (churn.soft_repairs + churn.hard_repairs) == 0
+        );
+        // The stream kept flowing: live non-source nodes received most messages.
+        for n in r.non_source().filter(|n| n.id.0 < r.original_nodes) {
+            if n.report.delivered < r.messages_published {
+                eprintln!(
+                    "incomplete node {:?}: delivered {}/{} parents={:?} depth={:?}",
+                    n.id,
+                    n.report.delivered,
+                    r.messages_published,
+                    n.report.parents,
+                    n.report.depth
+                );
+            }
+        }
+        let complete = r.completeness();
+        assert!(complete > 0.7, "completeness under churn was {complete}");
+    }
+
+    #[test]
+    fn delay_aware_strategy_reduces_routing_delay_on_planetlab() {
+        let base = BrisaScenario {
+            nodes: 48,
+            testbed: Testbed::PlanetLab,
+            stream: StreamSpec::short(20, 512),
+            bootstrap: SimDuration::from_secs(30),
+            ..Default::default()
+        };
+        let first_pick = run_brisa(&base);
+        let delay_aware = run_brisa(&BrisaScenario {
+            strategy: ParentStrategy::DelayAware,
+            ..base.clone()
+        });
+        let mean = |r: &EngineResult| {
+            let v: Vec<f64> = r.nodes.iter().filter_map(|n| n.routing_delay_ms).collect();
+            v.iter().sum::<f64>() / v.len().max(1) as f64
+        };
+        let fp = mean(&first_pick);
+        let da = mean(&delay_aware);
+        // At this reduced scale tree shapes vary a lot between strategies;
+        // the Figure 9 comparison is `repro fig09`'s claim. Here we only
+        // require that the delay-aware strategy stays in the same ballpark
+        // and that both runs completed.
+        assert!(fp > 0.0 && da > 0.0);
+        assert!(
+            da <= fp * 2.0,
+            "delay-aware wildly worse than first-pick ({fp:.1}ms vs {da:.1}ms)"
+        );
+    }
+
+    #[test]
+    fn flood_run_is_complete_with_duplicates() {
+        let sc = BaselineScenario::small_test(32);
+        let r = run_flood(&sc);
+        assert_eq!(r.protocol, "flood");
+        assert!((r.completeness() - 1.0).abs() < 1e-9);
+        let dup_total: f64 = r
+            .nodes
+            .iter()
+            .map(|n| n.report.duplicates_per_message)
+            .sum();
+        assert!(dup_total > 0.0, "flooding always yields duplicates");
+    }
+
+    #[test]
+    fn simple_tree_run_has_zero_duplicates() {
+        let sc = BaselineScenario::small_test(32);
+        let r = run_simple_tree(&sc);
+        assert!((r.completeness() - 1.0).abs() < 1e-9);
+        assert!(r
+            .nodes
+            .iter()
+            .all(|n| n.report.duplicates_per_message == 0.0));
+    }
+
+    #[test]
+    fn simple_gossip_run_is_complete() {
+        let sc = BaselineScenario::small_test(32);
+        let r = run_simple_gossip(&sc);
+        assert!(
+            (r.completeness() - 1.0).abs() < 1e-9,
+            "anti-entropy ensures completeness"
+        );
+    }
+
+    #[test]
+    fn tag_run_is_complete_and_reports_construction_times() {
+        let mut sc = BaselineScenario::small_test(32);
+        // Pull-based dissemination needs a longer drain.
+        sc.drain = SimDuration::from_secs(60);
+        let r = run_tag(&sc);
+        assert!((r.completeness() - 1.0).abs() < 1e-9);
+        let with_ct = r
+            .nodes
+            .iter()
+            .filter(|n| n.report.construction_time.is_some())
+            .count();
+        assert!(
+            with_ct > r.nodes.len() / 2,
+            "most nodes report a construction time"
+        );
+        assert!(r.nodes.iter().all(|n| n.report.delivered > 0));
     }
 }

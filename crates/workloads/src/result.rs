@@ -1,4 +1,5 @@
-//! Result types shared by the experiment runners.
+//! Derived result types: phase bandwidth and the churn report, both
+//! computed from an [`crate::EngineResult`].
 
 use brisa_simnet::{BandwidthMeter, NodeId};
 use std::collections::HashMap;
@@ -70,39 +71,6 @@ pub fn split_bandwidth(
         );
     }
     out
-}
-
-/// Summary of one node's behaviour over a run, shared by the BRISA and
-/// baseline runners (fields that do not apply to a protocol stay `None`/0).
-#[derive(Debug, Clone)]
-pub struct NodeSummary {
-    /// The node.
-    pub id: NodeId,
-    /// True for the stream source.
-    pub is_source: bool,
-    /// Stream messages delivered.
-    pub delivered: u64,
-    /// Average duplicates per delivered message.
-    pub duplicates_per_message: f64,
-    /// Depth in the emerged structure (hops from the source).
-    pub depth: Option<usize>,
-    /// Out-degree (children) in the emerged structure.
-    pub degree: usize,
-    /// Parents in the emerged structure.
-    pub parents: Vec<NodeId>,
-    /// Mean delay between a message's injection and its first delivery at
-    /// this node, in milliseconds.
-    pub routing_delay_ms: Option<f64>,
-    /// One-way "typical" latency from the source to this node, in
-    /// milliseconds (the point-to-point reference of Figure 9).
-    pub point_to_point_ms: f64,
-    /// Time between this node's first and last delivery, in seconds
-    /// (Table II's dissemination latency).
-    pub dissemination_latency_secs: Option<f64>,
-    /// Structure construction time in milliseconds (Figure 13).
-    pub construction_time_ms: Option<f64>,
-    /// Bandwidth split by phase.
-    pub bandwidth: PhaseBandwidth,
 }
 
 /// Aggregated churn behaviour over a run (Table I).

@@ -1,8 +1,8 @@
 //! Canonical scenario definitions, one per figure/table of the paper.
 //!
-//! Every regeneration binary in `brisa-bench` pulls its parameters from
-//! here, so the mapping between an experiment and its configuration is
-//! recorded in exactly one place. Each scenario can be instantiated at the
+//! Every experiment of `brisa-bench`'s `repro` (and the fault and scale
+//! sweeps) pulls its parameters from here, so the mapping between an
+//! experiment and its configuration is recorded in exactly one place. Each scenario can be instantiated at the
 //! paper's full scale or at a reduced `Quick` scale for smoke runs and CI.
 
 use crate::spec::{
@@ -101,8 +101,8 @@ pub fn fig8(scale: Scale) -> Vec<BrisaScenario> {
 }
 
 /// Figure 9: routing delays on PlanetLab, 150 nodes, tree with view 4,
-/// 200 × 1 KB messages; strategies first-pick and delay-aware (plus the
-/// flood and point-to-point reference series produced by the bench binary).
+/// 200 × 1 KB messages; strategies first-pick and delay-aware (`repro fig09`
+/// adds the flood and point-to-point reference series).
 pub fn fig9(scale: Scale) -> Vec<BrisaScenario> {
     let nodes = scale.pick(150, 48);
     let messages = scale.pick(200, 25);

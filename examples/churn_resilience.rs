@@ -54,7 +54,7 @@ fn main() {
     );
     let results = run_matrix(&cells, |_, (_, sc)| run_brisa(sc));
     for ((label, _), result) in cells.iter().zip(&results) {
-        let churn = result.churn.clone().expect("churn configured");
+        let churn = result.churn_report(&churn);
         println!(
             "{:<16} {:>16.1} {:>12.1} {:>12.1} {:>12.1} {:>14.1}",
             label,

@@ -43,26 +43,17 @@ fn main() {
     let flood = run_flood(&baseline_sc);
     let gossip = run_simple_gossip(&baseline_sc);
 
-    let brisa_mb = brisa_run
-        .nodes
-        .iter()
-        .map(|n| n.bandwidth.total_uploaded_mb())
-        .sum::<f64>();
-    println!(
-        "BRISA tree   : completeness {:.1}% | total data sent across the cluster {:.0} MB",
-        brisa_run.completeness() * 100.0,
-        brisa_mb
-    );
-    println!(
-        "flooding     : completeness {:.1}% | total data sent across the cluster {:.0} MB",
-        flood.completeness() * 100.0,
-        flood.mean_data_transmitted_mb() * flood.nodes.len() as f64
-    );
-    println!(
-        "SimpleGossip : completeness {:.1}% | total data sent across the cluster {:.0} MB",
-        gossip.completeness() * 100.0,
-        gossip.mean_data_transmitted_mb() * gossip.nodes.len() as f64
-    );
+    for (label, run) in [
+        ("BRISA tree  ", &brisa_run),
+        ("flooding    ", &flood),
+        ("SimpleGossip", &gossip),
+    ] {
+        println!(
+            "{label} : completeness {:.1}% | total data sent across the cluster {:.0} MB",
+            run.completeness() * 100.0,
+            run.mean_uploaded_mb() * run.nodes.len() as f64
+        );
+    }
     println!();
     println!("every protocol delivers the update everywhere; BRISA does it with one copy");
     println!("per machine plus a one-off bootstrap flood, while flooding and gossip pay a");

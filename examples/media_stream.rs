@@ -43,15 +43,11 @@ fn main() {
             ..base.clone()
         };
         let result = run_brisa(&sc);
-        let churn = result.churn.clone().expect("churn phase configured");
+        let churn = result.churn_report(&sc.churn.expect("churn phase configured"));
         let delay =
             PercentileSummary::from_samples(result.nodes.iter().filter_map(|n| n.routing_delay_ms));
         let down = PercentileSummary::from_samples(
-            result
-                .nodes
-                .iter()
-                .filter(|n| !n.is_source)
-                .map(|n| n.bandwidth.diss_down_kbps),
+            result.non_source().map(|n| n.bandwidth.diss_down_kbps),
         );
         println!("{label}:");
         println!(

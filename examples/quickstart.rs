@@ -3,9 +3,9 @@
 //!
 //! This is the smallest end-to-end use of the public experiment API:
 //! describe the run with a [`BrisaScenario`], execute it with [`run_brisa`]
-//! (a thin adapter over `Runner::<BrisaNode>`), and read per-node metrics
-//! off the result. The same engine drives every figure/table binary in
-//! `brisa-bench`.
+//! (`Runner::<BrisaNode>` in one line), and read per-node metrics off the
+//! `EngineResult`'s `NodeOutcome`s. The same engine drives every experiment
+//! of `brisa-bench`'s `repro`.
 //!
 //! Run with: `cargo run -p brisa-bench --release --example quickstart`
 
@@ -35,23 +35,28 @@ fn main() {
     // 3. Inspect what emerged.
     println!("node  parent  depth  children  delivered  dup/msg");
     for n in &result.nodes {
+        let report = &n.report;
         println!(
             "{:>4}  {:>6}  {:>5}  {:>8}  {:>9}  {:>7.2}",
             n.id.to_string(),
-            n.parents
+            report
+                .parents
                 .first()
                 .map(|p| p.to_string())
                 .unwrap_or_else(|| "-".into()),
-            n.depth.map(|d| d.to_string()).unwrap_or_else(|| "-".into()),
-            n.degree,
-            n.delivered,
-            n.duplicates_per_message,
+            report
+                .depth
+                .map(|d| d.to_string())
+                .unwrap_or_else(|| "-".into()),
+            report.degree,
+            report.delivered,
+            report.duplicates_per_message,
         );
     }
     let total_dup: f64 = result
         .nodes
         .iter()
-        .map(|n| n.duplicates_per_message * n.delivered as f64)
+        .map(|n| n.report.duplicates_per_message * n.report.delivered as f64)
         .sum();
     println!(
         "\n{} nodes, {} messages, completeness {:.1}%, ~{:.0} duplicate receptions in total",
@@ -62,7 +67,7 @@ fn main() {
     );
     println!("(duplicates stem from the bootstrap flood of the first message only)");
     assert!(
-        result.structure.is_acyclic(),
+        result.structure().is_acyclic(),
         "the emerged structure must be a tree"
     );
 }

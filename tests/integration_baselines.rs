@@ -4,7 +4,7 @@
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
     run_brisa, run_flood, run_simple_gossip, run_simple_tree, run_tag, BaselineScenario,
-    BrisaScenario, StreamSpec,
+    BrisaScenario, EngineResult, StreamSpec,
 };
 
 fn small_baseline(nodes: u32) -> BaselineScenario {
@@ -44,17 +44,13 @@ fn duplicate_ordering_matches_the_paper() {
         stream: StreamSpec::short(20, 1024),
         ..BrisaScenario::small_test(48)
     });
-    let mean_dup = |nodes: &[brisa_workloads::BaselineNodeSummary]| {
-        nodes.iter().map(|n| n.duplicates_per_message).sum::<f64>() / nodes.len() as f64
+    let mean_dup = |r: &EngineResult| {
+        let dups = r.nodes.iter().map(|n| n.report.duplicates_per_message);
+        dups.sum::<f64>() / r.nodes.len() as f64
     };
-    let flood_dup = mean_dup(&flood.nodes);
-    let tree_dup = mean_dup(&tree.nodes);
-    let brisa_dup = brisa_run
-        .nodes
-        .iter()
-        .map(|n| n.duplicates_per_message)
-        .sum::<f64>()
-        / brisa_run.nodes.len() as f64;
+    let flood_dup = mean_dup(&flood);
+    let tree_dup = mean_dup(&tree);
+    let brisa_dup = mean_dup(&brisa_run);
     assert_eq!(tree_dup, 0.0, "a centralized tree never duplicates");
     assert!(
         flood_dup > brisa_dup,
@@ -86,14 +82,9 @@ fn bandwidth_ordering_for_large_payloads_matches_figure_12() {
         stream,
         ..BrisaScenario::small_test(48)
     });
-    let brisa_mb = brisa_run
-        .nodes
-        .iter()
-        .map(|n| n.bandwidth.total_uploaded_mb())
-        .sum::<f64>()
-        / brisa_run.nodes.len() as f64;
-    let gossip_mb = gossip.mean_data_transmitted_mb();
-    let tree_mb = tree.mean_data_transmitted_mb();
+    let brisa_mb = brisa_run.mean_uploaded_mb();
+    let gossip_mb = gossip.mean_uploaded_mb();
+    let tree_mb = tree.mean_uploaded_mb();
     assert!(
         gossip_mb > brisa_mb,
         "gossip ({gossip_mb:.2} MB/node) must exceed BRISA ({brisa_mb:.2} MB/node)"
@@ -190,14 +181,16 @@ fn tag_construction_is_slower_on_planetlab_than_brisa() {
     let tag_ct = median(
         tag.nodes
             .iter()
-            .filter_map(|n| n.construction_time_ms)
+            .filter_map(|n| n.report.construction_time)
+            .map(|d| d.as_millis_f64())
             .collect(),
     );
     let brisa_ct = median(
         brisa_run
             .nodes
             .iter()
-            .filter_map(|n| n.construction_time_ms)
+            .filter_map(|n| n.report.construction_time)
+            .map(|d| d.as_millis_f64())
             .collect(),
     );
     assert!(

@@ -6,6 +6,14 @@ use brisa::StructureMode;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{run_brisa, BrisaScenario, ChurnSpec, StreamSpec};
 
+fn churn_spec(rate_percent: f64) -> ChurnSpec {
+    ChurnSpec {
+        rate_percent,
+        interval: SimDuration::from_secs(10),
+        duration: SimDuration::from_secs(40),
+    }
+}
+
 fn churn_scenario(nodes: u32, rate_percent: f64, mode: StructureMode) -> BrisaScenario {
     BrisaScenario {
         nodes,
@@ -16,11 +24,7 @@ fn churn_scenario(nodes: u32, rate_percent: f64, mode: StructureMode) -> BrisaSc
             rate_per_sec: 5.0,
             payload_bytes: 256,
         },
-        churn: Some(ChurnSpec {
-            rate_percent,
-            interval: SimDuration::from_secs(10),
-            duration: SimDuration::from_secs(40),
-        }),
+        churn: Some(churn_spec(rate_percent)),
         bootstrap: SimDuration::from_secs(25),
         drain: SimDuration::from_secs(20),
         ..Default::default()
@@ -31,7 +35,7 @@ fn churn_scenario(nodes: u32, rate_percent: f64, mode: StructureMode) -> BrisaSc
 fn tree_under_churn_repairs_and_keeps_delivering() {
     let sc = churn_scenario(64, 5.0, StructureMode::Tree);
     let result = run_brisa(&sc);
-    let churn = result.churn.clone().expect("churn report");
+    let churn = result.churn_report(&churn_spec(5.0));
     assert!(churn.failures_injected > 0);
     assert!(churn.parents_lost_per_min > 0.0, "failures cost parents");
     assert!(
@@ -54,8 +58,8 @@ fn tree_under_churn_repairs_and_keeps_delivering() {
 fn dag_orphans_less_than_tree_under_equal_churn() {
     let tree = run_brisa(&churn_scenario(64, 5.0, StructureMode::Tree));
     let dag = run_brisa(&churn_scenario(64, 5.0, StructureMode::Dag { parents: 2 }));
-    let tree_churn = tree.churn.clone().unwrap();
-    let dag_churn = dag.churn.clone().unwrap();
+    let tree_churn = tree.churn_report(&churn_spec(5.0));
+    let dag_churn = dag.churn_report(&churn_spec(5.0));
     // The headline claim of Table I: multiple parents drastically reduce
     // orphaning even though more parent links are lost overall.
     assert!(
@@ -74,7 +78,7 @@ fn dag_orphans_less_than_tree_under_equal_churn() {
 fn soft_repairs_dominate_in_well_connected_overlays() {
     let sc = churn_scenario(96, 3.0, StructureMode::Tree);
     let result = run_brisa(&sc);
-    let churn = result.churn.clone().unwrap();
+    let churn = result.churn_report(&churn_spec(3.0));
     if churn.soft_repairs + churn.hard_repairs >= 5 {
         assert!(
             churn.soft_pct >= 50.0,
@@ -96,7 +100,7 @@ fn late_joiners_attach_and_receive_the_tail_of_the_stream() {
     assert!(!late.is_empty(), "churn joins added nodes");
     let attached = late
         .iter()
-        .filter(|n| !n.parents.is_empty() || n.delivered > 0)
+        .filter(|n| !n.report.parents.is_empty() || n.report.delivered > 0)
         .count();
     assert!(
         attached * 2 >= late.len(),

@@ -12,14 +12,19 @@ fn tree_dissemination_is_complete_and_structure_is_sound() {
         (result.completeness() - 1.0).abs() < 1e-9,
         "all nodes delivered all messages"
     );
-    assert!(result.structure.is_acyclic(), "the emerged tree is acyclic");
+    let structure = result.structure();
+    assert!(structure.is_acyclic(), "the emerged tree is acyclic");
     assert!(
-        result.structure.is_complete(),
+        structure.is_complete(),
         "every node is reachable from the source"
     );
-    for node in result.nodes.iter().filter(|n| !n.is_source) {
-        assert_eq!(node.parents.len(), 1, "tree mode keeps exactly one parent");
-        assert!(node.depth.is_some(), "every node positioned itself");
+    for node in result.non_source() {
+        assert_eq!(
+            node.report.parents.len(),
+            1,
+            "tree mode keeps exactly one parent"
+        );
+        assert!(node.report.depth.is_some(), "every node positioned itself");
     }
 }
 
@@ -33,8 +38,8 @@ fn duplicates_vanish_after_the_bootstrap_flood() {
     };
     let result = run_brisa(&long);
     let avg: f64 = result
-        .non_source(|n| n.duplicates_per_message)
-        .iter()
+        .non_source()
+        .map(|n| n.report.duplicates_per_message)
         .sum::<f64>()
         / (result.nodes.len() - 1) as f64;
     assert!(
@@ -51,7 +56,7 @@ fn larger_views_produce_shallower_structures() {
             ..BrisaScenario::small_test(96)
         };
         let result = run_brisa(&sc);
-        let depths = result.structure.depths();
+        let depths = result.structure().depths();
         *depths.values().max().expect("non-empty structure")
     };
     let shallow = depth_for(8);
@@ -72,15 +77,15 @@ fn dag_mode_bounds_duplicates_by_parent_count() {
     };
     let result = run_brisa(&sc);
     assert!((result.completeness() - 1.0).abs() < 1e-9);
-    for n in result.nodes.iter().filter(|n| !n.is_source) {
+    for n in result.non_source() {
         assert!(
-            n.parents.len() <= 2,
+            n.report.parents.len() <= 2,
             "never more than the configured parents"
         );
         assert!(
-            n.duplicates_per_message < 2.0,
+            n.report.duplicates_per_message < 2.0,
             "duplicates are bounded by the extra parents (got {})",
-            n.duplicates_per_message
+            n.report.duplicates_per_message
         );
     }
 }
@@ -127,7 +132,7 @@ fn strategies_all_reach_every_node() {
             "{strategy:?} must still deliver everything"
         );
         assert!(
-            result.structure.is_acyclic(),
+            result.structure().is_acyclic(),
             "{strategy:?} must not create cycles"
         );
     }
@@ -139,20 +144,12 @@ fn runs_are_deterministic_for_a_fixed_seed() {
     let a = run_brisa(&sc);
     let b = run_brisa(&sc);
     assert_eq!(a.messages_published, b.messages_published);
-    let parents = |r: &brisa_workloads::BrisaRunResult| {
-        let mut v: Vec<(u32, Vec<u32>)> = r
-            .nodes
-            .iter()
-            .map(|n| (n.id.0, n.parents.iter().map(|p| p.0).collect()))
-            .collect();
-        v.sort();
-        v
-    };
     assert_eq!(
-        parents(&a),
-        parents(&b),
+        a.structure().parents,
+        b.structure().parents,
         "identical seeds give identical structures"
     );
+    assert_eq!(a.fingerprint(), b.fingerprint());
 }
 
 #[test]

@@ -125,9 +125,8 @@ fn generic_runner_churn_phase_with_brisa() {
     // Churn joiners are reported too: some node has an index past the
     // initial population.
     assert!(r.nodes.iter().any(|n| n.id.0 >= r.original_nodes));
-    // The adapter agrees with the engine on the headline number.
-    let adapted = run_brisa(&sc);
-    assert!((adapted.completeness() - r.completeness()).abs() < 1e-12);
+    // `run_brisa` is this `Runner` call and nothing else.
+    assert_eq!(run_brisa(&sc).fingerprint(), r.fingerprint());
 }
 
 /// The same generic runner, unchanged, drives a churn phase for a baseline
@@ -146,21 +145,25 @@ fn generic_runner_churn_phase_with_tag_baseline() {
     };
     let r = run_tag(&sc);
     assert_eq!(r.protocol, "TAG");
+    let repairs = r.churn_report(&test_churn());
     assert!(
-        r.soft_repairs + r.hard_repairs > 0,
+        repairs.soft_repairs + repairs.hard_repairs > 0,
         "TAG repaired broken list positions under churn"
     );
     assert_eq!(
-        r.soft_repair_delays_ms.len() as u64 + r.hard_repair_delays_ms.len() as u64,
-        r.soft_repairs + r.hard_repairs,
+        repairs.soft_delays_ms.len() as u64 + repairs.hard_delays_ms.len() as u64,
+        repairs.soft_repairs + repairs.hard_repairs,
         "every repair recorded its delay"
     );
     // Original nodes that survived kept delivering a meaningful share of
     // the stream despite pull-based dissemination under churn.
     let survivors: Vec<_> = r.nodes.iter().filter(|n| !n.is_source).collect();
     assert!(!survivors.is_empty());
-    let mean_delivered: f64 =
-        survivors.iter().map(|n| n.delivered as f64).sum::<f64>() / survivors.len() as f64;
+    let mean_delivered: f64 = survivors
+        .iter()
+        .map(|n| n.report.delivered as f64)
+        .sum::<f64>()
+        / survivors.len() as f64;
     assert!(
         mean_delivered > r.messages_published as f64 * 0.5,
         "mean delivered {mean_delivered} of {}",

@@ -280,13 +280,17 @@ proptest! {
             "completeness {} for {nodes} nodes seed {seed}", result.completeness());
         if !dag {
             // Path embedding is exact: trees are always acyclic. The DAG
-            // depth labels are approximate by design (see EXPERIMENTS.md);
-            // for DAGs the delivery-completeness assertion above is the
-            // correctness property the paper relies on.
-            prop_assert!(result.structure.is_acyclic());
+            // depth labels are approximate by design, and at 512 nodes they
+            // admit cycles in the end-of-run parent graph (REPRO.md's
+            // `fig06_07` row "every emerged structure … has no cycle";
+            // DESIGN.md, "Reproduction findings"); for DAGs the
+            // delivery-completeness assertion above is the correctness
+            // property the paper relies on.
+            prop_assert!(result.structure().is_acyclic());
         }
-        for n in result.nodes.iter().filter(|n| !n.is_source) {
-            prop_assert!(!n.parents.is_empty() && n.parents.len() <= target);
+        for n in result.non_source() {
+            let parents = n.report.parents.len();
+            prop_assert!((1..=target).contains(&parents));
         }
         let _ = BrisaConfig::default();
     }
