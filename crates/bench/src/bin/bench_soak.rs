@@ -6,22 +6,23 @@
 //! (kills, restarts, flash joins) — executed **twice**:
 //!
 //! 1. **live**, via `brisa_runtime::run_chaos`: a real cluster (threads,
-//!    codec, wall clock) behind the transport fault shim, with periodic
-//!    online invariant sweeps; and
+//!    codec, wall clock) routing through the simulator's fault layer, with
+//!    periodic online invariant sweeps; and
 //! 2. **simulated**, via the engine: the same population, stream, seed and
 //!    (lowered) schedule through the engine's `Runner` with invariants on.
 //!
-//! Because the shim draws from the same counter-based split-seed PRF as
-//! the simulator's fault layer, the stochastic profile means the same
-//! thing in both worlds; the artifact records both outcomes side by side
+//! Because both worlds run one `FaultLayer` over the same counter-based
+//! split-seed PRF, the stochastic profile means the same thing in both;
+//! the artifact records both outcomes side by side
 //! and `gate::divergence_check` holds the live numbers to a band around
 //! the sim prediction (`DivergenceBand`, see DESIGN.md).
 //!
 //! Acceptance, asserted by the binary itself: every scenario's invariant
-//! sweeps are clean, survivor delivery is >= 99 %, and every scenario sits
-//! inside the divergence band. Results go to `BENCH_SOAK.json`, the
-//! post-mortem record CI uploads; it is *not* a committed baseline — the
-//! simulator is the baseline.
+//! sweeps are clean, survivor delivery is >= 99 %, the adversity its
+//! `FaultSpec` names actually happened (frames lost / cut / held > 0), and
+//! every scenario sits inside the divergence band. Results go to
+//! `BENCH_SOAK.json`, the post-mortem record CI uploads; it is *not* a
+//! committed baseline — the simulator is the baseline.
 //!
 //! `--smoke` shrinks to the CI-sized soak (~16 nodes, seconds per
 //! scenario); `BRISA_SCALE=full` runs the 64-node two-minute streams.
@@ -35,7 +36,7 @@ use brisa_bench::{BrisaStackConfig, EngineResult, IntoRunSpec, Runner, Scale};
 use brisa_metrics::percentile::percentile_of_sorted;
 use brisa_metrics::report::render_table;
 use brisa_runtime::{run_chaos, SoakConfig, SoakOutcome, TransportKind};
-use brisa_simnet::SimDuration;
+use brisa_simnet::{PartitionMode, SimDuration};
 use brisa_telemetry::Telemetry;
 use brisa_workloads::chaos::{ChaosEvent, ChaosEventKind, ChaosSchedule};
 use brisa_workloads::StreamSpec;
@@ -249,7 +250,7 @@ fn main() {
         _ => TransportKind::Loopback,
     };
     println!(
-        "=== bench_soak — live chaos soak vs sim prediction (fault shim, lifecycle, \
+        "=== bench_soak — live chaos soak vs sim prediction (fault layer, lifecycle, \
          divergence gate), scale {scale:?}\n"
     );
 
@@ -352,7 +353,7 @@ fn main() {
         "sim deliv%",
         "sweeps",
         "violations",
-        "shim lost/cut",
+        "lost/cut/held",
         "live p50 ms",
         "sim p50 ms",
     ];
@@ -367,7 +368,10 @@ fn main() {
                 format!("{:.2}", r.sim.delivery_rate() * 100.0),
                 r.live.sweeps.to_string(),
                 r.live.violations.len().to_string(),
-                format!("{}/{}", r.live.shim.frames_lost, r.live.shim.frames_cut),
+                format!(
+                    "{}/{}/{}",
+                    r.live.shim.frames_lost, r.live.shim.frames_cut, r.live.shim.frames_delayed
+                ),
                 format!("{:.2}", percentile_of_sorted(&live_lat, 50.0)),
                 format!("{:.2}", percentile_of_sorted(&r.sim_latency_ms, 50.0)),
             ]
@@ -487,9 +491,10 @@ fn main() {
         eprintln!("telemetry: dumped flight recorder to {dump_path} ({why})");
     };
 
-    // --- Acceptance: clean sweeps, survivors fully served, live inside
-    // the divergence band around the sim prediction.
-    for r in &results {
+    // --- Acceptance: clean sweeps, survivors fully served, the named
+    // adversity applied, live inside the divergence band around the sim
+    // prediction.
+    for (r, sched) in results.iter().zip(&scheds) {
         if !r.live.violations.is_empty() {
             dump("online invariant violations");
             panic!(
@@ -510,6 +515,26 @@ fn main() {
             .result
             .check_delivery_invariants()
             .expect("live trace passes the delivery invariants");
+        // A scenario that names an adversity and passes without it having
+        // touched a frame has tested nothing.
+        let phase = sched.faults.partition.filter(|p| !p.duration.is_zero());
+        let cut = phase.map(|p| p.mode);
+        let shim = &r.live.shim;
+        for (named, counter, frames) in [
+            (sched.faults.loss_rate > 0.0, "lost", shim.frames_lost),
+            (cut == Some(PartitionMode::Drop), "cut", shim.frames_cut),
+            (
+                cut == Some(PartitionMode::Delay),
+                "held",
+                shim.frames_delayed,
+            ),
+        ] {
+            let name = &r.name;
+            assert!(
+                !named || frames > 0,
+                "[{name}] names an adversity but 0 frames {counter}"
+            );
+        }
     }
     let gate = divergence_check(&gate_rows, &DivergenceBand::default());
     print!("{}", gate.render());

@@ -67,7 +67,7 @@ impl GateReport {
 ///
 /// Delivery and completeness are gated **symmetrically**: live falling
 /// below the sim prediction means the runtime is dropping deliveries, and
-/// live sitting far *above* it means the fault shim is not applying the
+/// live sitting far *above* it means the fault layer is not applying the
 /// adversity the simulator modelled — both are divergence. Latency is
 /// gated one-sided as a ratio: the sim's testbed latency model and the
 /// live interconnect are different clocks, so live being much faster than
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn live_exceeding_sim_prediction_is_also_divergence() {
         // Sim predicts partition damage; live sailed through untouched —
-        // the fault shim is not applying the modelled adversity.
+        // the fault layer is not applying the modelled adversity.
         let mut inert_shim = soak();
         for row in &mut inert_shim {
             row.sim_delivery = 0.85;

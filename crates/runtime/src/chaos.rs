@@ -5,10 +5,11 @@
 //! scenario's merged schedule: the stream's publishes, the script's
 //! lifecycle events (kills, restarts, flash joins) and periodic online
 //! invariant sweeps are merged into one time-ordered plan and executed
-//! against the wall clock. Faults ride the cluster's transport
-//! [`FaultShim`](crate::FaultShim): the stochastic profile activates at
-//! stream start and the partition window is installed up front — the
-//! same activation discipline as the simulator engine.
+//! against the wall clock. Faults go through the cluster's
+//! [`ShimControl`](crate::ShimControl) — the simulator's own fault layer:
+//! the stochastic profile activates at stream start and the partition
+//! window is installed up front — the same activation discipline as the
+//! simulator engine.
 //!
 //! Each sweep snapshots every live node's report *mid-stream* and holds
 //! it to `workloads::invariants::check_delivery_report` (unique ordered
@@ -37,7 +38,7 @@ pub struct SoakConfig {
     pub nodes: u32,
     /// The interconnect.
     pub transport: TransportKind,
-    /// Master seed: per-node RNGs *and* the fault shim's PRF derive from
+    /// Master seed: per-node RNGs *and* the fault layer's PRF derive from
     /// it, so the same seed means the same fault draws as a simulated run.
     pub seed: u64,
     /// Stream shape (messages, rate, payload).
@@ -87,7 +88,7 @@ pub struct SoakOutcome {
     pub restarted: Vec<u32>,
     /// Fresh joiners the schedule injected mid-run.
     pub joined: Vec<u32>,
-    /// What the fault shim did to traffic over the whole run.
+    /// What the fault layer did to traffic over the whole run.
     pub shim: ShimStats,
 }
 
@@ -99,15 +100,14 @@ enum SoakStep {
     Chaos(ChaosEventKind),
     Publish,
     Sweep,
-    /// Telemetry-only marker at the partition's heal instant (the shim
+    /// Telemetry-only marker at the partition's heal instant (the layer
     /// heals itself from the installed window; this just records it).
     PartitionHealed,
 }
 
 /// Replays `schedule` against a fresh `cfg`-shaped live cluster and
 /// returns the full outcome. The schedule must be valid for the
-/// population ([`ChaosSchedule::validate`]); the cluster is always
-/// launched with the fault shim enabled.
+/// population ([`ChaosSchedule::validate`]).
 pub fn run_chaos<P>(
     cfg: &SoakConfig,
     proto_cfg: &P::Config,
@@ -133,7 +133,6 @@ where
         transport: cfg.transport,
         seed: cfg.seed,
         reserve,
-        fault_shim: true,
         telemetry: cfg.telemetry.clone(),
         ..Default::default()
     };
@@ -143,7 +142,7 @@ where
     let stream_start = cluster.now() + FIRST_PUBLISH_DELAY;
     let interval = cfg.stream.interval();
     let stream_end = stream_start + cfg.stream.duration();
-    let shim = cluster.shim().expect("launched with fault_shim").clone();
+    let shim = cluster.shim().clone();
 
     // The partition window is absolute, so it can be installed up front;
     // the stochastic profile flips on at stream start, via the plan.

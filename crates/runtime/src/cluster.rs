@@ -46,7 +46,8 @@ pub struct ClusterConfig {
     pub nodes: u32,
     /// The interconnect.
     pub transport: TransportKind,
-    /// Base seed for the per-node deterministic RNGs.
+    /// Base seed for the per-node deterministic RNGs and for the fault
+    /// layer's draw stream ([`Cluster::shim`]).
     pub seed: u64,
     /// Pause between consecutive node launches. A small stagger mimics a
     /// deployment script bringing nodes up one by one and keeps the
@@ -56,13 +57,7 @@ pub struct ClusterConfig {
     /// mid-run joiners ([`Cluster::join_node`] — flash crowds in chaos
     /// scripts). Joins past the reserve panic.
     pub reserve: u32,
-    /// Wraps every node's transport in a [`FaultShim`](crate::FaultShim)
-    /// drawing from this cluster's seed, so `simnet::faults`-style loss,
-    /// jitter and partitions can be injected live through
-    /// [`Cluster::shim`].
-    pub fault_shim: bool,
-    /// Reactor sizing and live timing knobs (worker count, detection
-    /// delay, dial budgets).
+    /// Reactor sizing (worker count, idle-link cut-off).
     pub runtime: RuntimeConfig,
     /// Telemetry handle threaded into the reactor pool and every node's
     /// protocol [`Context`](brisa_simnet::Context). Disabled by default;
@@ -79,7 +74,6 @@ impl Default for ClusterConfig {
             seed: 42,
             join_stagger: Duration::from_millis(2),
             reserve: 0,
-            fault_shim: false,
             runtime: RuntimeConfig::default(),
             telemetry: Telemetry::disabled(),
         }
@@ -99,7 +93,6 @@ where
     P: Send + 'static,
     P::Message: WireCodec,
 {
-    clock: WallClock,
     pool: ReactorPool<P>,
     /// Whether the slot's node is currently started (false after a kill).
     alive: Vec<bool>,
@@ -116,7 +109,6 @@ where
     /// Every node that was killed at least once, restarted or not —
     /// excluded from the survivor metrics of the final result.
     ever_killed: BTreeSet<u32>,
-    shim: Option<ShimControl>,
     telemetry: Telemetry,
 }
 
@@ -131,11 +123,6 @@ where
     pub fn launch(cfg: &ClusterConfig, proto_cfg: &P::Config) -> std::io::Result<Self> {
         let n = cfg.nodes.max(1);
         let capacity = n + cfg.reserve;
-        let clock = WallClock::new();
-        let shim = cfg
-            .fault_shim
-            .then(|| ShimControl::with_runtime(cfg.seed, clock, cfg.runtime));
-
         // The interconnect is fully pre-bound — reserved slots included —
         // before any node starts, so the earliest join already finds its
         // contact reachable.
@@ -143,10 +130,13 @@ where
             TransportKind::Loopback => Mesh::Loopback(LoopbackMesh::new(capacity as usize)),
             TransportKind::Tcp => Mesh::Tcp(TcpMesh::bind(capacity as usize)?),
         };
-        let pool = ReactorPool::with_telemetry(clock, &cfg.runtime, cfg.telemetry.clone());
+        let pool = ReactorPool::with_telemetry(
+            ShimControl::new(cfg.seed, WallClock::new()),
+            &cfg.runtime,
+            cfg.telemetry.clone(),
+        );
 
         let mut cluster = Cluster {
-            clock,
             pool,
             alive: vec![false; n as usize],
             source: NodeId(0),
@@ -158,7 +148,6 @@ where
             capacity,
             next_join: n,
             ever_killed: BTreeSet::new(),
-            shim,
             telemetry: cfg.telemetry.clone(),
         };
 
@@ -188,11 +177,10 @@ where
     }
 
     /// Builds `id`'s transport: wires the interconnect slot to `id`'s
-    /// shard and wraps the handle in the fault shim when one is active.
-    /// `fresh` selects first-time attachment (pre-bound listener) vs the
-    /// restart path (rebind of the advertised address).
+    /// shard. `fresh` selects first-time attachment (pre-bound listener) vs
+    /// the restart path (rebind of the advertised address).
     fn transport_for(&self, id: NodeId, fresh: bool) -> std::io::Result<Box<dyn Transport>> {
-        let transport: Box<dyn Transport> = match &self.mesh {
+        Ok(match &self.mesh {
             // The loopback mesh's attach re-registers the slot natively,
             // so first-time and restart are the same operation.
             Mesh::Loopback(m) => Box::new(m.attach(id, self.pool.sink_for(id))),
@@ -205,10 +193,6 @@ where
                 self.pool.add_listener(id, listener, m.addrs());
                 self.pool.tcp_transport(id)
             }
-        };
-        Ok(match &self.shim {
-            Some(ctl) => Box::new(ctl.wrap(id, transport, self.pool.sink_for(id))),
-            None => transport,
         })
     }
 
@@ -219,13 +203,13 @@ where
 
     /// The cluster's wall clock (microseconds since launch, as `SimTime`).
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.clock().now()
     }
 
     /// The shared wall clock itself, for converting schedule times into
     /// real deadlines.
     pub fn clock(&self) -> &WallClock {
-        &self.clock
+        self.pool.clock()
     }
 
     /// Messages published so far.
@@ -246,7 +230,7 @@ where
             self.alive[self.source.index()],
             "publish through a killed source"
         );
-        self.publish_times.push(self.clock.now());
+        self.publish_times.push(self.now());
         self.pool.invoke(self.source, move |p, ctx| {
             p.publish_message(ctx, payload_bytes)
         });
@@ -257,10 +241,11 @@ where
         std::thread::sleep(d);
     }
 
-    /// The fault-shim control plane, when the cluster was launched with
-    /// [`ClusterConfig::fault_shim`].
-    pub fn shim(&self) -> Option<&ShimControl> {
-        self.shim.as_ref()
+    /// The fault-model control plane: inert until a profile or a partition
+    /// is installed through it, at which point every node's sends and opens
+    /// meet `simnet::faults` semantics drawn from this cluster's seed.
+    pub fn shim(&self) -> &ShimControl {
+        self.pool.shim()
     }
 
     /// The telemetry handle this cluster was launched with.
@@ -268,10 +253,9 @@ where
         &self.telemetry
     }
 
-    /// Publishes cluster-level gauges into the telemetry registry:
-    /// fault-shim counters (when a shim is active) plus the live node
-    /// count. No-op on a disabled handle. Call from a periodic ticker or
-    /// before snapshotting.
+    /// Publishes cluster-level gauges into the telemetry registry: the
+    /// fault layer's counters plus the live node count. No-op on a disabled
+    /// handle. Call from a periodic ticker or before snapshotting.
     pub fn publish_telemetry(&self) {
         if !self.telemetry.is_enabled() {
             return;
@@ -282,20 +266,18 @@ where
         self.telemetry
             .gauge("cluster.published")
             .set(self.published());
-        if let Some(ctl) = &self.shim {
-            let s = ctl.stats();
-            self.telemetry
-                .gauge("shim.frames_passed")
-                .set(s.frames_passed);
-            self.telemetry.gauge("shim.frames_lost").set(s.frames_lost);
-            self.telemetry.gauge("shim.frames_cut").set(s.frames_cut);
-            self.telemetry
-                .gauge("shim.frames_delayed")
-                .set(s.frames_delayed);
-            self.telemetry
-                .gauge("shim.linkdowns_synthesized")
-                .set(s.linkdowns_synthesized);
-        }
+        let s = self.shim().stats();
+        self.telemetry
+            .gauge("shim.frames_passed")
+            .set(s.frames_passed);
+        self.telemetry.gauge("shim.frames_lost").set(s.frames_lost);
+        self.telemetry.gauge("shim.frames_cut").set(s.frames_cut);
+        self.telemetry
+            .gauge("shim.frames_delayed")
+            .set(s.frames_delayed);
+        self.telemetry
+            .gauge("shim.linkdowns_synthesized")
+            .set(s.linkdowns_synthesized);
     }
 
     /// True if `id` is currently started.
@@ -318,19 +300,17 @@ where
         }
         self.alive[id.index()] = false;
         self.ever_killed.insert(id.0);
-        self.telemetry.event(
-            self.clock.now().as_micros(),
-            id.0,
-            TelEventKind::Crash,
-            0,
-            0,
-        );
+        self.telemetry
+            .event(self.now().as_micros(), id.0, TelEventKind::Crash, 0, 0);
         // Wait for the shard to confirm; a `None` reply means the node
         // already crashed (panicked) — same outcome, already torn down.
         let _ = self
             .pool
             .stop_node(id)
             .recv_timeout(Duration::from_secs(10));
+        // The simulator's crash rule: the victim's fault-draw counters go,
+        // both directions, so its next incarnation's links draw from 1.
+        self.shim().prune(id);
     }
 
     /// Restarts a previously killed node under the same identifier with
@@ -352,13 +332,8 @@ where
         let proto = P::build(&self.proto_cfg, id, &bctx);
         self.pool.start_node(id, proto, self.seed, transport);
         self.alive[id.index()] = true;
-        self.telemetry.event(
-            self.clock.now().as_micros(),
-            id.0,
-            TelEventKind::Restart,
-            0,
-            0,
-        );
+        self.telemetry
+            .event(self.now().as_micros(), id.0, TelEventKind::Restart, 0, 0);
         Ok(())
     }
 
@@ -473,7 +448,7 @@ where
         // Elapsed time is measured on the cluster clock (the epoch every
         // node stamps its telemetry against), so no report timestamp can
         // exceed it.
-        let wall_elapsed = Duration::from_micros(self.clock.now().as_micros());
+        let wall_elapsed = Duration::from_micros(self.now().as_micros());
         LiveResult {
             protocol: P::protocol_name(),
             source: self.source,
@@ -484,5 +459,119 @@ where
             wall_elapsed,
             ever_killed: self.ever_killed.into_iter().collect(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use brisa::StackMsg;
+    use brisa_membership::HpvMsg;
+    use brisa_simnet::{Context, FaultPrf, LinkFaults, Protocol, TimerTag};
+    use std::sync::{Arc, Mutex};
+
+    /// `(receiver, sender)` of every frame any node heard.
+    type Heard = Arc<Mutex<Vec<(NodeId, NodeId)>>>;
+
+    /// Two nodes, one frame at a time: `v` pings `p` whenever it starts,
+    /// the source `p` pings `v` whenever it publishes.
+    struct Pinger {
+        me: NodeId,
+        peer: NodeId,
+        is_source: bool,
+        heard: Heard,
+    }
+
+    impl Pinger {
+        fn ping(&self, ctx: &mut Context<'_, StackMsg>) {
+            ctx.send(self.peer, StackMsg::Hpv(HpvMsg::KeepAlive { nonce: 0 }));
+        }
+    }
+
+    impl Protocol for Pinger {
+        type Message = StackMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, StackMsg>) {
+            if !self.is_source {
+                self.ping(ctx);
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Context<'_, StackMsg>, from: NodeId, _msg: StackMsg) {
+            self.heard.lock().unwrap().push((self.me, from));
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_, StackMsg>, _tag: TimerTag) {}
+    }
+
+    impl DisseminationProtocol for Pinger {
+        type Config = Heard;
+
+        fn protocol_name() -> &'static str {
+            "pinger"
+        }
+        fn build(heard: &Heard, id: NodeId, bctx: &BuildCtx) -> Self {
+            Pinger {
+                me: id,
+                peer: NodeId(1 - id.0),
+                is_source: bctx.is_source,
+                heard: Arc::clone(heard),
+            }
+        }
+        fn publish_message(&mut self, ctx: &mut Context<'_, StackMsg>, _payload_bytes: usize) {
+            self.ping(ctx);
+        }
+        fn report(&self) -> NodeReport {
+            NodeReport::default()
+        }
+    }
+
+    /// One crash rule for draw counters, the simulator's: a kill forgets
+    /// the victim's counters in *both* directions, so after a restart the
+    /// first draw on `v → p` and on `p → v` is draw 1 again.
+    #[test]
+    fn kill_prunes_the_victims_draw_counters_in_both_directions() {
+        let (p, v) = (NodeId(0), NodeId(1));
+        let loss_rate = 0.5;
+        // A seed on which draw 1 passes and draw 2 is lost, both ways: a
+        // surviving counter would show as a lost ping.
+        let seed = (0u64..)
+            .find(|&seed| {
+                let prf = FaultPrf::new(seed);
+                [(v, p), (p, v)].iter().all(|&(a, b)| {
+                    prf.unit_draw(a, b, 1) >= loss_rate && prf.unit_draw(a, b, 2) < loss_rate
+                })
+            })
+            .expect("one seed in sixteen qualifies");
+        let cfg = ClusterConfig {
+            nodes: 2,
+            seed,
+            ..Default::default()
+        };
+        let heard = Heard::default();
+        let mut cluster: Cluster<Pinger> = Cluster::launch(&cfg, &heard).expect("launch");
+        let count = |to: NodeId, from: NodeId| {
+            let heard = heard.lock().unwrap();
+            heard.iter().filter(|&&pair| pair == (to, from)).count()
+        };
+        let wait_for = |to: NodeId, from: NodeId, n: usize| {
+            let end = Instant::now() + Duration::from_secs(2);
+            while count(to, from) < n && Instant::now() < end {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(count(to, from), n, "pings {from:?} -> {to:?}");
+        };
+        wait_for(p, v, 1); // launch: inert layer, no draw taken
+        cluster.shim().set_link_faults(LinkFaults {
+            loss_rate,
+            ..Default::default()
+        });
+        for round in 1..=2 {
+            cluster.kill(v);
+            cluster.restart(v).expect("restart");
+            wait_for(p, v, 1 + round); // v -> p took draw 1
+            cluster.publish(0);
+            wait_for(v, p, round); // p -> v took draw 1
+        }
+        assert_eq!(cluster.shim().stats().frames_lost, 0);
+        cluster.stop_and_collect();
     }
 }

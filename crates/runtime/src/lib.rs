@@ -22,8 +22,12 @@
 //!   and non-blocking sockets on one `epoll` loop, and the [`Cluster`]
 //!   harness that boots N nodes on a shared pool, publishes a broadcast
 //!   workload and collects the sim engine's `NodeReport`s into a
-//!   [`LiveResult`]. Timing/sizing knobs live in [`RuntimeConfig`],
-//!   pinned to the simulator's defaults.
+//!   [`LiveResult`]. [`RuntimeConfig`] holds the two sizing knobs.
+//!
+//! Adversity is the simulator's too: every cluster carries a
+//! [`ShimControl`] around one `simnet::faults::FaultLayer`, consulted by the
+//! reactor on each send and open ([`shim`]), and [`chaos`] replays a
+//! scripted schedule against it in wall-clock time.
 //!
 //! ## Quick start
 //!
@@ -73,7 +77,7 @@ pub use config::RuntimeConfig;
 pub use loopback::{LoopbackMesh, LoopbackTransport};
 pub use reactor::ReactorPool;
 pub use report::{LiveNode, LiveResult, RuntimeStats};
-pub use shim::{FaultShim, ShimControl, ShimStats};
+pub use shim::{ShimControl, ShimStats};
 pub use tcp::TcpMesh;
 pub use transport::{FrameSink, NetEvent, Transport};
 pub use wire::{WireCodec, WireError, WIRE_VERSION};

@@ -1,9 +1,9 @@
 //! The in-process loopback mesh: an N-node interconnect made of MPSC
 //! queues.
 //!
-//! Every node's inbound channel is registered in a shared table; `send`
+//! Every node's inbound sink is registered in a shared table; `send`
 //! clones nothing and performs no syscalls, so the mesh measures the
-//! protocol stack and executor — not the kernel. Failure detection is
+//! protocol stack and the reactor — not the kernel. Failure detection is
 //! exact: a node that shuts down notifies every peer that had an open
 //! (monitored) connection to it, mirroring the simulator's crash
 //! semantics with a zero detection delay.
@@ -23,7 +23,7 @@ struct MeshState {
 }
 
 /// The shared interconnect. Create one, then [`attach`](LoopbackMesh::attach)
-/// every node **before** starting any executor so early joins find their
+/// every node **before** starting any of them so early joins find their
 /// contact registered.
 #[derive(Clone)]
 pub struct LoopbackMesh {
@@ -114,9 +114,6 @@ mod tests {
     impl FrameSink for TestSink {
         fn deliver(&mut self, event: NetEvent) -> bool {
             self.0.send(event).is_ok()
-        }
-        fn box_clone(&self) -> Box<dyn FrameSink> {
-            Box::new(TestSink(self.0.clone()))
         }
     }
 

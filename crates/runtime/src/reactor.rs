@@ -7,8 +7,9 @@
 //! * the worker's **inbox** (a mutex-protected queue of inbound frames,
 //!   control messages and transport commands, woken through a pipe),
 //! * the **timer heap** — the simulator's `(deadline, insertion-seq)`
-//!   discipline, one heap per shard holding every resident node's timers
-//!   *and* the transport's re-dial deadlines,
+//!   discipline, one heap per shard holding every resident node's timers,
+//!   the transport's re-dial deadlines *and* what the fault layer defers
+//!   (held frames, failed opens across a cut — see [`crate::shim`]),
 //! * and **socket readiness** from one `epoll` instance per worker
 //!   (hand-rolled FFI — the vendored-deps constraint rules out mio):
 //!   non-blocking listeners, inbound frame reassembly and outbound write
@@ -22,8 +23,10 @@
 //! The semantics match the simulator's: protocols see
 //! `on_start`/`on_message`/`on_timer`/`on_link_down` through
 //! [`Context::external`], RNGs derive from `split_mix64(seed, node)`,
-//! commands drain into the node's [`Transport`]. A [`FrameSink`] (loopback,
-//! the fault shim) enqueues into the owning worker's inbox.
+//! commands drain into the node's [`Transport`] — `Send` and
+//! `OpenConnection` by way of the cluster's fault layer, which is the
+//! simulator's own. A [`FrameSink`] (loopback) enqueues into the owning
+//! worker's inbox.
 //!
 //! **Crash isolation:** every protocol callback runs under
 //! `catch_unwind`. A panicking node is poisoned — removed from its shard,
@@ -35,19 +38,19 @@
 //! one operation std cannot do non-blockingly, so each worker keeps one
 //! **dialer thread** that performs blocking `connect_timeout` + handshake
 //! serially and posts the result back to the inbox; retry pacing
-//! (initial-dial retries, the 50 → 800 ms reconnect backoff from
-//! [`RuntimeConfig`]) lives on the worker's timer heap, so a slow dial
-//! never stalls frame traffic. Backpressure is per-link: frames queue in
-//! the link's outbound buffer until the socket drains. Reads are
-//! level-triggered and always armed; write interest is switched on only
-//! when a flush hits `WouldBlock` and off again when the queue empties, so
-//! an idle writable socket never wakes the loop. Protocol-level flow
-//! control is the stack's own (BRISA's per-round fan-out), exactly as in
-//! the simulator.
+//! (initial-dial retries, the 50 → 800 ms reconnect backoff) lives on the
+//! worker's timer heap, so a slow dial never stalls frame traffic.
+//! Backpressure is per-link: frames queue in the link's outbound buffer
+//! until the socket drains. Reads are level-triggered and always armed;
+//! write interest is switched on only when a flush hits `WouldBlock` and
+//! off again when the queue empties, so an idle writable socket never
+//! wakes the loop. Protocol-level flow control is the stack's own (BRISA's
+//! per-round fan-out), exactly as in the simulator.
 
 use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
 use crate::report::RuntimeStats;
+use crate::shim::{detection_delay, Fate, ShimControl};
 use crate::transport::{FrameSink, NetEvent, Transport};
 use crate::wire::{WireCodec, LEN_PREFIX_BYTES, MAX_FRAME_BYTES, WIRE_VERSION};
 use brisa_simnet::seed::{mix64, split_mix64};
@@ -69,6 +72,25 @@ const IDLE_PARK: Duration = Duration::from_millis(100);
 
 /// Cadence of the idle-link reap sweep (see [`ShardIo::reap_idle`]).
 const REAP_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Initial-dial retry budget. Listeners are pre-bound before any node
+/// starts, so these retries only cover transient kernel backlog pressure.
+const CONNECT_RETRIES: u32 = 20;
+
+/// Pause between initial-dial retries.
+const CONNECT_RETRY_DELAY: Duration = Duration::from_millis(25);
+
+/// Re-dial budget for an *established* outbound connection that fails
+/// mid-stream. Only after every attempt fails does the failure surface as
+/// a link-down.
+const RECONNECT_ATTEMPTS: u32 = 5;
+
+/// First re-dial backoff (doubles per attempt) and its ceiling.
+const RECONNECT_BASE: Duration = Duration::from_millis(50);
+const RECONNECT_CAP: Duration = Duration::from_millis(800);
+
+/// Timeout of one blocking `connect` on the dialer thread.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Work section (everything but the wait) from which a loop iteration is
 /// worth a `PollLoop` flight-recorder event.
@@ -362,8 +384,7 @@ mod sys {
 }
 
 /// Transport-side commands executed on the owning worker's loop. Pushed by
-/// [`ReactorTcpTransport`] handles (from any thread — the shim's delay
-/// pump included) and by the dialer thread.
+/// [`ReactorTcpTransport`] handles and by the dialer thread.
 pub(crate) enum IoCmd {
     /// Register `node`'s pre-bound listener with its shard.
     AddListener {
@@ -471,13 +492,6 @@ impl<P: Protocol + Send + 'static> FrameSink for ReactorSink<P> {
         self.inbox.push(WorkerMsg::Net { id: self.id, event });
         true
     }
-
-    fn box_clone(&self) -> Box<dyn FrameSink> {
-        Box::new(ReactorSink {
-            id: self.id,
-            inbox: Arc::clone(&self.inbox),
-        })
-    }
 }
 
 /// One node's [`Transport`] handle onto its shard's socket engine. All
@@ -521,6 +535,27 @@ enum TimerKind {
     Proto { node: u32, tag: TimerTag },
     /// A scheduled re-dial of the `owner → peer` outbound link.
     Redial { owner: u32, peer: u32 },
+    /// A frame the fault layer held back (jitter, or a `Delay` cut until
+    /// its heal), released to `from`'s transport.
+    Held {
+        from: u32,
+        to: NodeId,
+        frame: Vec<u8>,
+    },
+    /// `node`'s connection attempt across an active cut, surfacing as a
+    /// link-down once the detection delay has passed.
+    CutOpen { node: u32, peer: NodeId },
+}
+
+impl TimerKind {
+    /// The node whose stop cancels this deadline.
+    fn owner(&self) -> u32 {
+        match *self {
+            TimerKind::Proto { node, .. } | TimerKind::CutOpen { node, .. } => node,
+            TimerKind::Redial { owner, .. } => owner,
+            TimerKind::Held { from, .. } => from,
+        }
+    }
 }
 
 /// A pending deadline, `(at, seq)`-ordered so same-instant timers fire in
@@ -548,6 +583,24 @@ impl PartialOrd for TimerEntry {
     }
 }
 
+/// The shard's deadlines, all kinds on one heap.
+#[derive(Default)]
+struct Timers {
+    heap: BinaryHeap<Reverse<TimerEntry>>,
+    seq: u64,
+}
+
+impl Timers {
+    fn push(&mut self, at: Instant, kind: TimerKind) {
+        self.heap.push(Reverse(TimerEntry {
+            at,
+            seq: self.seq,
+            kind,
+        }));
+        self.seq += 1;
+    }
+}
+
 /// One resident node: protocol state, RNG, stats and its transport.
 struct NodeSlot<P: Protocol> {
     id: NodeId,
@@ -555,6 +608,10 @@ struct NodeSlot<P: Protocol> {
     rng: SmallRng,
     stats: RuntimeStats,
     transport: Box<dyn Transport>,
+    /// Per destination with frames parked on the timer heap: the latest
+    /// release among them and how many. A later frame to that destination
+    /// parks behind them, so a hold never reorders a link.
+    held: HashMap<u32, (Instant, usize)>,
 }
 
 /// Pre-resolved observability handles of one reactor shard. All no-ops
@@ -592,12 +649,12 @@ impl ReactorTel {
 /// The protocol-facing half of a shard: nodes, their merged timer heap,
 /// and the dispatch/poison machinery.
 struct ProtoCore<P: Protocol> {
-    clock: WallClock,
+    /// The cluster's fault layer and, through it, its clock.
+    shim: ShimControl,
     nodes: HashMap<u32, NodeSlot<P>>,
     /// Nodes removed by a panic; a later `Stop` replies `None` for them.
     poisoned: BTreeSet<u32>,
-    timers: BinaryHeap<Reverse<TimerEntry>>,
-    timer_seq: u64,
+    timers: Timers,
     commands: Vec<Command<P::Message>>,
     /// This shard's index in the pool (flight-recorder shard pinning).
     shard: usize,
@@ -611,13 +668,12 @@ where
     P: Protocol,
     P::Message: WireCodec,
 {
-    fn new(clock: WallClock, shard: usize, telemetry: &Telemetry) -> Self {
+    fn new(shim: ShimControl, shard: usize, telemetry: &Telemetry) -> Self {
         ProtoCore {
-            clock,
+            shim,
             nodes: HashMap::new(),
             poisoned: BTreeSet::new(),
-            timers: BinaryHeap::new(),
-            timer_seq: 0,
+            timers: Timers::default(),
             commands: Vec::new(),
             shard,
             rtel: ReactorTel::new(telemetry),
@@ -631,22 +687,13 @@ where
         if self.rtel.tel.is_enabled() {
             self.rtel.tel.event_on_shard(
                 self.shard,
-                self.clock.now().as_micros(),
+                self.shim.clock().now().as_micros(),
                 node,
                 kind,
                 a,
                 b,
             );
         }
-    }
-
-    fn push_timer(&mut self, at: Instant, kind: TimerKind) {
-        self.timers.push(Reverse(TimerEntry {
-            at,
-            seq: self.timer_seq,
-            kind,
-        }));
-        self.timer_seq += 1;
     }
 
     /// Runs one protocol callback for `id` under `catch_unwind` and drains
@@ -658,7 +705,7 @@ where
             return;
         };
         let mut commands = std::mem::take(&mut self.commands);
-        let now = self.clock.now();
+        let now = self.shim.clock().now();
         let telemetry = &self.rtel.tel;
         let panicked = catch_unwind(AssertUnwindSafe(|| {
             let mut ctx = Context::external_with_telemetry(
@@ -677,29 +724,54 @@ where
             self.poison(id);
             return;
         }
-        let mut deferred_timers: Vec<(Instant, TimerTag)> = Vec::new();
         for cmd in commands.drain(..) {
             match cmd {
                 Command::Send { to, msg } => {
                     let frame = msg.encode();
                     slot.stats.frames_out += 1;
                     slot.stats.bytes_out += frame.len() as u64;
-                    slot.transport.send(to, frame);
+                    // The one fault decision, the simulator's. Inert (and
+                    // nothing parked for `to`), it is `Pass` off a flag read.
+                    let behind_held = slot.held.contains_key(&to.0);
+                    match self.shim.route(slot.id, to, now, behind_held) {
+                        Fate::Pass => slot.transport.send(to, frame),
+                        Fate::Dropped => {}
+                        Fate::Hold(until) => {
+                            let until = self.shim.clock().instant_at(until);
+                            let (latest, parked) = slot.held.entry(to.0).or_insert((until, 0));
+                            *latest = until.max(*latest);
+                            *parked += 1;
+                            let from = id;
+                            self.timers
+                                .push(*latest, TimerKind::Held { from, to, frame });
+                        }
+                    }
                 }
-                Command::SetTimer { delay, tag } => {
-                    deferred_timers.push((
-                        Instant::now() + Duration::from_micros(delay.as_micros()),
-                        tag,
-                    ));
+                Command::SetTimer { delay, tag } => self.timers.push(
+                    Instant::now() + Duration::from_micros(delay.as_micros()),
+                    TimerKind::Proto { node: id, tag },
+                ),
+                // An attempt across an active cut never reaches the wire:
+                // it fails locally after the detection delay, like the
+                // simulator's connect to an unreachable peer.
+                Command::OpenConnection { peer } if self.shim.cuts_open(slot.id, peer, now) => {
+                    self.timers.push(
+                        Instant::now() + detection_delay(),
+                        TimerKind::CutOpen { node: id, peer },
+                    )
                 }
                 Command::OpenConnection { peer } => slot.transport.open_connection(peer),
                 Command::CloseConnection { peer } => slot.transport.close_connection(peer),
             }
         }
         self.commands = commands;
-        for (at, tag) in deferred_timers {
-            self.push_timer(at, TimerKind::Proto { node: id, tag });
-        }
+    }
+
+    /// Cancels every deadline `id` owns — protocol timers, held frames,
+    /// failed opens, re-dials. They must not outlive the node: a restart
+    /// under the same identifier would be handed its predecessor's.
+    fn purge_timers(&mut self, id: u32) {
+        self.timers.heap.retain(|Reverse(e)| e.kind.owner() != id);
     }
 
     /// Removes a panicked node. Its protocol state is dropped (a crashed
@@ -707,6 +779,7 @@ where
     /// failure exactly as they would a kill.
     fn poison(&mut self, id: u32) {
         if let Some(mut slot) = self.nodes.remove(&id) {
+            self.purge_timers(id);
             self.rtel.node_panics.inc();
             self.tel_event(id, TelEventKind::NodePanic, 0, 0);
             self.poisoned.insert(id);
@@ -747,6 +820,7 @@ where
                 rng,
                 stats: RuntimeStats::default(),
                 transport,
+                held: HashMap::new(),
             },
         );
         // A restart under the same identifier clears the old poison.
@@ -756,20 +830,21 @@ where
 
     fn stop_node(&mut self, id: u32) -> Option<(P, RuntimeStats)> {
         let mut slot = self.nodes.remove(&id)?;
+        self.purge_timers(id);
         slot.transport.shutdown();
         Some((slot.proto, slot.stats))
     }
 
-    /// Fires every due protocol timer; returns due re-dial links for the
-    /// I/O engine (which lives outside this struct).
+    /// Fires every due deadline; returns due re-dial links for the I/O
+    /// engine (which lives outside this struct).
     fn fire_due_timers(&mut self, redials: &mut Vec<(u32, u32)>) {
         loop {
             let now = Instant::now();
-            let due = matches!(self.timers.peek(), Some(Reverse(e)) if e.at <= now);
+            let due = matches!(self.timers.heap.peek(), Some(Reverse(e)) if e.at <= now);
             if !due {
                 return;
             }
-            let Reverse(entry) = self.timers.pop().expect("peeked entry");
+            let Reverse(entry) = self.timers.heap.pop().expect("peeked entry");
             self.rtel.timers_fired.inc();
             match entry.kind {
                 TimerKind::Proto { node, tag } => {
@@ -779,6 +854,18 @@ where
                     }
                 }
                 TimerKind::Redial { owner, peer } => redials.push((owner, peer)),
+                TimerKind::Held { from, to, frame } => {
+                    if let Some(slot) = self.nodes.get_mut(&from) {
+                        if let Some((_, parked)) = slot.held.get_mut(&to.0) {
+                            *parked -= 1;
+                        }
+                        slot.held.retain(|_, (_, parked)| *parked > 0);
+                        slot.transport.send(to, frame);
+                    }
+                }
+                TimerKind::CutOpen { node, peer } => {
+                    self.dispatch(node, move |p, ctx| p.on_link_down(ctx, peer));
+                }
             }
         }
     }
@@ -786,6 +873,7 @@ where
     /// Time until the next deadline, capped at [`IDLE_PARK`].
     fn next_timeout(&self) -> Duration {
         self.timers
+            .heap
             .peek()
             .map(|Reverse(e)| e.at.saturating_duration_since(Instant::now()))
             .unwrap_or(IDLE_PARK)
@@ -977,7 +1065,7 @@ impl ShardIo {
     /// error the connection is retired and a re-dial scheduled; the
     /// in-progress frame is kept for a full resend (the receiver discards
     /// the broken connection's partial frame with the connection).
-    fn flush_link<P>(&mut self, core: &mut ProtoCore<P>, cfg: &RuntimeConfig, owner: u32, peer: u32)
+    fn flush_link<P>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32)
     where
         P: Protocol,
         P::Message: WireCodec,
@@ -996,14 +1084,14 @@ impl ShardIo {
             while link.offset < front.len() {
                 match conn.stream.write(&front[link.offset..]) {
                     Ok(0) => {
-                        self.retire_connection(core, cfg, owner, peer);
+                        self.retire_connection(core, owner, peer);
                         return;
                     }
                     Ok(n) => link.offset += n,
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break 'flush true,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(_) => {
-                        self.retire_connection(core, cfg, owner, peer);
+                        self.retire_connection(core, owner, peer);
                         return;
                     }
                 }
@@ -1019,20 +1107,15 @@ impl ShardIo {
                 .ready
                 .set_write_interest(&conn.stream, conn.token, backlog);
             if switched.is_err() {
-                self.retire_connection(core, cfg, owner, peer);
+                self.retire_connection(core, owner, peer);
             }
         }
     }
 
     /// A mid-stream write failure: drop the connection and enter the
     /// bounded backoff re-dial cycle before surfacing anything.
-    fn retire_connection<P>(
-        &mut self,
-        core: &mut ProtoCore<P>,
-        cfg: &RuntimeConfig,
-        owner: u32,
-        peer: u32,
-    ) where
+    fn retire_connection<P>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32)
+    where
         P: Protocol,
         P::Message: WireCodec,
     {
@@ -1044,8 +1127,9 @@ impl ShardIo {
         }
         link.offset = 0;
         link.attempts = 0;
-        let delay = redial_delay(cfg, link, owner, peer);
-        core.push_timer(Instant::now() + delay, TimerKind::Redial { owner, peer });
+        let delay = redial_delay(link, owner, peer);
+        core.timers
+            .push(Instant::now() + delay, TimerKind::Redial { owner, peer });
     }
 
     /// A scheduled re-dial deadline fired. Returns whether a dial was
@@ -1072,7 +1156,6 @@ impl ShardIo {
     fn dialed<P>(
         &mut self,
         core: &mut ProtoCore<P>,
-        cfg: &RuntimeConfig,
         owner: u32,
         peer: u32,
         gen: u64,
@@ -1107,7 +1190,7 @@ impl ShardIo {
                 link.offset = 0;
                 link.last_used = Instant::now();
                 core.tel_event(owner, TelEventKind::LinkUp, peer as u64, 0);
-                self.flush_link(core, cfg, owner, peer);
+                self.flush_link(core, owner, peer);
             }
             None => {
                 link.attempts += 1;
@@ -1118,23 +1201,24 @@ impl ShardIo {
                     link.attempts as u64,
                 );
                 let budget = if link.established {
-                    cfg.reconnect_attempts
+                    RECONNECT_ATTEMPTS
                 } else {
-                    cfg.connect_retries
+                    CONNECT_RETRIES
                 };
                 if link.attempts >= budget {
                     self.fail_link(core, owner, peer);
                 } else {
                     link.state = OutState::Backoff;
-                    let delay = redial_delay(cfg, link, owner, peer);
-                    core.push_timer(Instant::now() + delay, TimerKind::Redial { owner, peer });
+                    let delay = redial_delay(link, owner, peer);
+                    core.timers
+                        .push(Instant::now() + delay, TimerKind::Redial { owner, peer });
                 }
             }
         }
     }
 
     /// Executes one transport command on this shard.
-    fn handle_cmd<P>(&mut self, core: &mut ProtoCore<P>, cfg: &RuntimeConfig, cmd: IoCmd)
+    fn handle_cmd<P>(&mut self, core: &mut ProtoCore<P>, cmd: IoCmd)
     where
         P: Protocol,
         P::Message: WireCodec,
@@ -1171,7 +1255,7 @@ impl ShardIo {
                 }
                 link.queue.push_back(frame);
                 link.last_used = Instant::now();
-                self.flush_link(core, cfg, from.0, to.0);
+                self.flush_link(core, from.0, to.0);
             }
             IoCmd::Open { from, peer } => {
                 self.monitored.entry(from.0).or_default().insert(peer.0);
@@ -1196,7 +1280,7 @@ impl ShardIo {
                 peer,
                 gen,
                 stream,
-            } => self.dialed(core, cfg, owner.0, peer.0, gen, stream),
+            } => self.dialed(core, owner.0, peer.0, gen, stream),
         }
     }
 
@@ -1449,13 +1533,8 @@ impl ShardIo {
 
     /// Serves one ready registration. A token whose connection was dropped
     /// earlier in the same batch is in none of the maps and falls through.
-    fn on_ready<P>(
-        &mut self,
-        core: &mut ProtoCore<P>,
-        cfg: &RuntimeConfig,
-        scratch: &mut [u8],
-        ev: Ready,
-    ) where
+    fn on_ready<P>(&mut self, core: &mut ProtoCore<P>, scratch: &mut [u8], ev: Ready)
+    where
         P: Protocol,
         P::Message: WireCodec,
     {
@@ -1468,7 +1547,7 @@ impl ShardIo {
                 self.check_out_eof(core, owner, peer);
             }
             if ev.writable {
-                self.flush_link(core, cfg, owner, peer);
+                self.flush_link(core, owner, peer);
             }
         } else if ev.readable {
             // A listener, or the wake socket (drained at the top of the
@@ -1492,14 +1571,22 @@ impl ShardIo {
     }
 }
 
-/// Deterministic per-link re-dial delay: the schedule from
-/// [`RuntimeConfig`] plus jitter derived from the node pair and attempt
+/// The exponential re-dial backoff before attempt `attempt` (0-based):
+/// [`RECONNECT_BASE`]` * 2^attempt`, capped at [`RECONNECT_CAP`].
+fn reconnect_backoff(attempt: u32) -> Duration {
+    RECONNECT_BASE
+        .saturating_mul(1u32 << attempt.min(16))
+        .min(RECONNECT_CAP)
+}
+
+/// Deterministic per-link re-dial delay: the fixed initial-dial pause, or
+/// the reconnect backoff plus jitter derived from the node pair and attempt
 /// number, so a mass outage de-synchronizes without an RNG.
-fn redial_delay(cfg: &RuntimeConfig, link: &OutLink, owner: u32, peer: u32) -> Duration {
+fn redial_delay(link: &OutLink, owner: u32, peer: u32) -> Duration {
     if !link.established {
-        return cfg.connect_retry_delay;
+        return CONNECT_RETRY_DELAY;
     }
-    let backoff = cfg.reconnect_backoff(link.attempts);
+    let backoff = reconnect_backoff(link.attempts);
     let jitter_seed =
         mix64(((owner as u64) << 32 | peer as u64).wrapping_add(link.attempts as u64));
     let jitter = Duration::from_micros(jitter_seed % (backoff.as_micros() as u64 / 2).max(1));
@@ -1513,14 +1600,14 @@ fn worker_main<P>(
     inbox: Arc<Inbox<P>>,
     wake: sys::WakeRx,
     mut io: ShardIo,
-    clock: WallClock,
+    shim: ShimControl,
     cfg: RuntimeConfig,
     telemetry: Telemetry,
 ) where
     P: Protocol + Send + 'static,
     P::Message: WireCodec,
 {
-    let mut core: ProtoCore<P> = ProtoCore::new(clock, idx, &telemetry);
+    let mut core: ProtoCore<P> = ProtoCore::new(shim, idx, &telemetry);
     let mut scratch = vec![0u8; 64 * 1024];
     let mut batch: VecDeque<WorkerMsg<P>> = VecDeque::new();
     let mut redials: Vec<(u32, u32)> = Vec::new();
@@ -1558,7 +1645,7 @@ fn worker_main<P>(
                 WorkerMsg::Stop { id, reply } => {
                     let _ = reply.send(core.stop_node(id.0));
                 }
-                WorkerMsg::Io(cmd) => io.handle_cmd(&mut core, &cfg, cmd),
+                WorkerMsg::Io(cmd) => io.handle_cmd(&mut core, cmd),
                 WorkerMsg::Shutdown => {
                     running = false;
                 }
@@ -1616,7 +1703,7 @@ fn worker_main<P>(
         // 4. Handle readiness.
         for i in 0..ready {
             let ev = io.ready.event(i);
-            io.on_ready(&mut core, &cfg, &mut scratch, ev);
+            io.on_ready(&mut core, &mut scratch, ev);
         }
     }
 
@@ -1632,9 +1719,9 @@ fn worker_main<P>(
 
 /// The dialer thread: the one blocking socket operation (connect +
 /// handshake write), serialized per shard, results posted to the inbox.
-fn dialer_main(rx: mpsc::Receiver<DialReq>, io: Arc<dyn IoPush>, cfg: RuntimeConfig) {
+fn dialer_main(rx: mpsc::Receiver<DialReq>, io: Arc<dyn IoPush>) {
     while let Ok(req) = rx.recv() {
-        let stream = TcpStream::connect_timeout(&req.addr, cfg.connect_timeout)
+        let stream = TcpStream::connect_timeout(&req.addr, CONNECT_TIMEOUT)
             .ok()
             .and_then(|mut s| {
                 s.set_nodelay(true).ok();
@@ -1666,7 +1753,7 @@ struct WorkerHandle<P: Protocol> {
 /// nodes of its shard. Create one per cluster.
 pub struct ReactorPool<P: Protocol> {
     workers: Vec<WorkerHandle<P>>,
-    clock: WallClock,
+    shim: ShimControl,
 }
 
 impl<P> ReactorPool<P>
@@ -1674,16 +1761,19 @@ where
     P: Protocol + Send + 'static,
     P::Message: WireCodec,
 {
-    /// Spawns `cfg.workers` reactor workers (each with its dialer), with
-    /// telemetry disabled.
+    /// Spawns `cfg.workers` reactor workers (each with its dialer) on
+    /// `clock`, with telemetry disabled and a fault layer of its own (seed
+    /// 0) that stays inert unless driven through [`ReactorPool::shim`].
     pub fn new(clock: WallClock, cfg: &RuntimeConfig) -> Self {
-        Self::with_telemetry(clock, cfg, Telemetry::disabled())
+        Self::with_telemetry(ShimControl::new(0, clock), cfg, Telemetry::disabled())
     }
 
-    /// [`ReactorPool::new`] with an observability registry attached: every
-    /// worker records loop health, link churn and backpressure into it,
-    /// and exposes it to protocol callbacks via `Context::telemetry`.
-    pub fn with_telemetry(clock: WallClock, cfg: &RuntimeConfig, telemetry: Telemetry) -> Self {
+    /// A pool on `shim`'s clock whose every send and open is routed
+    /// through `shim`'s fault layer, with an observability registry
+    /// attached: every worker records loop health, link churn and
+    /// backpressure into it, and exposes it to protocol callbacks via
+    /// `Context::telemetry`.
+    pub fn with_telemetry(shim: ShimControl, cfg: &RuntimeConfig, telemetry: Telemetry) -> Self {
         let count = cfg.workers.max(1);
         let mut workers = Vec::with_capacity(count);
         for i in 0..count {
@@ -1696,15 +1786,15 @@ where
             });
             let (dial_tx, dial_rx) = mpsc::channel();
             let dial_io: Arc<dyn IoPush> = Arc::clone(&inbox) as Arc<Inbox<P>>;
-            let dial_cfg = *cfg;
             let dialer = std::thread::Builder::new()
                 .name(format!("brisa-dial-{i}"))
-                .spawn(move || dialer_main(dial_rx, dial_io, dial_cfg))
+                .spawn(move || dialer_main(dial_rx, dial_io))
                 .expect("spawn dialer thread");
             let worker_inbox = Arc::clone(&inbox);
             let worker_cfg = *cfg;
             let worker_io = ShardIo::new(ready, dial_tx.clone());
             let worker_tel = telemetry.clone();
+            let worker_shim = shim.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("brisa-shard-{i}"))
                 .spawn(move || {
@@ -1713,7 +1803,7 @@ where
                         worker_inbox,
                         wake_rx,
                         worker_io,
-                        clock,
+                        worker_shim,
                         worker_cfg,
                         worker_tel,
                     )
@@ -1726,7 +1816,7 @@ where
                 dialer: Some(dialer),
             });
         }
-        ReactorPool { workers, clock }
+        ReactorPool { workers, shim }
     }
 
     /// Number of worker shards.
@@ -1736,7 +1826,12 @@ where
 
     /// The pool's shared clock.
     pub fn clock(&self) -> &WallClock {
-        &self.clock
+        self.shim.clock()
+    }
+
+    /// The fault-model control plane every worker routes through.
+    pub fn shim(&self) -> &ShimControl {
+        &self.shim
     }
 
     fn shard_of(&self, id: NodeId) -> &WorkerHandle<P> {
@@ -1857,6 +1952,16 @@ mod tests {
 
     const SOON: Duration = Duration::from_millis(20);
     const LONG: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn reconnect_backoff_doubles_and_caps() {
+        let schedule: Vec<u64> = (0..super::RECONNECT_ATTEMPTS)
+            .map(|a| super::reconnect_backoff(a).as_millis() as u64)
+            .collect();
+        assert_eq!(schedule, vec![50, 100, 200, 400, 800]);
+        // Past the cap the schedule stays flat (and never overflows).
+        assert_eq!(super::reconnect_backoff(40), super::RECONNECT_CAP);
+    }
 
     fn pair() -> (UnixStream, UnixStream) {
         let (a, b) = UnixStream::pair().expect("socketpair");

@@ -1,64 +1,61 @@
-//! The transport fault shim: `simnet::faults` semantics over a real
-//! transport.
+//! The live fault model: the simulator's [`FaultLayer`] on the reactor's
+//! own deadlines.
 //!
-//! [`FaultShim`] decorates any [`Transport`] and applies the same three
-//! fault families as the simulator's fault layer — per-link Bernoulli
-//! loss, uniform per-message jitter, and timed partitions — by drawing
-//! from the **same counter-based split-seed PRF**
-//! ([`brisa_simnet::FaultPrf`]): for one master seed, the `n`-th fault
-//! draw on directed link `from → to` is the same number in a simulated
-//! run and a live one, so a `FaultSpec`/`PartitionPhase` schedule means
-//! the same thing in both worlds.
+//! There is no second fault implementation. A live cluster shares one
+//! [`FaultLayer`] — the very type the simulator routes every message
+//! through — behind [`ShimControl`], and the reactor asks it for a verdict
+//! at the two places a protocol touches the network:
 //!
-//! The routing pipeline mirrors `FaultLayer::route` decision for
-//! decision:
+//! * **`Command::Send`** calls `FaultLayer::route(me, to, now, ZERO)`. With
+//!   zero modelled latency the simulator's formula *is* the live rule: a
+//!   `Drop` cut or a lost Bernoulli draw discards the frame; a `Delay` cut
+//!   answers `max(now, heal)`, the heal instant; jitter answers
+//!   `now + draw`; `latency_factor` scales nothing (a live link's latency is
+//!   whatever the real network does). Cut-dominates, the loss-then-jitter
+//!   draw order and the per-link counter discipline are therefore not
+//!   mirrored but shared: for one master seed, the `n`-th draw on directed
+//!   link `from → to` is the same number in a simulated run and a live one.
+//!   A verdict in the future parks the frame on the worker's timer heap
+//!   (the *held frame* timer kind) and the real transport adds its transit
+//!   on release, so a frame sent during a `Delay` window arrives at
+//!   `max(send + link latency, heal)` in both worlds.
+//! * **`Command::OpenConnection`** asks `FaultLayer::is_cut`. Partitions do
+//!   not tear down connections (same as the sim), but an *attempt* across
+//!   an active cut never reaches the transport — a SYN lost inside the
+//!   partition — and surfaces as `on_link_down` after the simulator's
+//!   `NetworkConfig::failure_detection_delay` (the *cut open* timer kind).
 //!
-//! 1. **Cut dominates.** Traffic crossing an active partition never
-//!    consumes loss or jitter draws (so a partition cannot perturb the
-//!    draw streams of uncut links). `Drop` cuts discard the frame;
-//!    `Delay` cuts hold it and release it at the heal instant.
-//! 2. **Loss draw first, then jitter draw**, in the sim's order, so the
-//!    two worlds consume identical counter sequences per link.
-//! 3. `latency_factor` is a *simulator-only* knob — it scales the
-//!    modelled link latency, and a live link's latency is whatever the
-//!    real network does — so the shim treats any factor as `1.0`.
+//! Both kinds sit on the same `(deadline, seq)` heap as protocol timers, so
+//! no thread, queue or lock exists for them; they die with the node that
+//! owns them, like everything else on that heap.
 //!
-//! `Delay`-cut release semantics are **aligned** between the two worlds:
-//! a frame sent during the window arrives at `max(send + link latency,
-//! heal)`. The sim charges its modelled latency from the send instant
-//! with the heal as a floor; the shim releases the frame at the heal
-//! instant and the real transport adds its (loopback-scale) transit. A
-//! frame sent close enough to the heal that its flight straddles it is
-//! unaffected in both worlds.
+//! Per-destination FIFO is preserved across held and unheld frames: while
+//! any frame to `d` is parked, every later frame to `d` parks too and
+//! releases no earlier (the sim's per-link FIFO clocks give the same
+//! guarantee).
 //!
-//! Partitions do **not** tear down connections (same as the sim), but
-//! connection *attempts* across an active cut fail after the configured
-//! detection delay ([`RuntimeConfig::detection_delay`]) — the live
-//! counterpart of the sim's `failure_detection_delay`, pinned equal by
-//! default in `config`'s unit tests. The failure is synthesized locally;
-//! the attempt never reaches the inner transport, exactly as a SYN lost
-//! inside the partition.
-//!
-//! Per-destination FIFO is preserved across delayed and undelayed
-//! frames: once a frame to `d` is scheduled for a future release, every
-//! later frame to `d` releases no earlier (the sim's per-link FIFO
-//! clocks give the same guarantee).
+//! An inert layer (no profile, no partition) costs a send one flag read:
+//! the lock is taken only while adversity is installed.
 
 use crate::clock::WallClock;
-use crate::config::RuntimeConfig;
-use crate::transport::{FrameSink, NetEvent, Transport};
-use brisa_simnet::{FaultPrf, LinkFaults, NodeId, PartitionMode, PartitionSpec};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use brisa_simnet::faults::{FaultConfig, FaultLayer, Routed};
+use brisa_simnet::{LinkFaults, NetworkConfig, NodeId, PartitionSpec, SimDuration, SimTime};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
-/// Counters of everything the shim did to traffic, cluster-wide.
+/// How long a connection attempt across an active cut takes to surface as
+/// a link-down: the simulator's failure-detection delay itself.
+pub(crate) fn detection_delay() -> Duration {
+    Duration::from_micros(NetworkConfig::default().failure_detection_delay.as_micros())
+}
+
+/// Counters of everything the fault layer did to live traffic,
+/// cluster-wide.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShimStats {
-    /// Frames passed through untouched.
+    /// Frames the layer was consulted on and let through untouched (an
+    /// inert layer is not consulted).
     pub frames_passed: u64,
     /// Frames dropped by per-link Bernoulli loss.
     pub frames_lost: u64,
@@ -80,452 +77,302 @@ struct StatsCells {
     linkdowns: AtomicU64,
 }
 
-/// The mutable fault profile shared by every node's shim.
-struct ShimState {
-    link: LinkFaults,
-    partitions: Vec<PartitionSpec>,
+struct Shared {
+    layer: Mutex<FaultLayer>,
+    /// `!layer.is_inert()`: lets the send path skip the lock while nothing
+    /// is installed. Stored (`Release`) under the lock by whoever changed the
+    /// layer, loaded (`Acquire`) by senders; the layer itself is only ever
+    /// read under its mutex, so the flag publishes no data of its own.
+    active: AtomicBool,
+    stats: StatsCells,
 }
 
-/// Cluster-wide control plane of the fault shim: one instance is shared
-/// (cloned) across all nodes, so flipping the profile or installing a
-/// partition affects every link at once — the live counterpart of
-/// `Network::set_link_faults` / `Network::add_partition`.
+/// What the fault layer decided for one live frame.
+pub(crate) enum Fate {
+    /// Hand it to the transport now.
+    Pass,
+    /// Park it until this cluster time (or the destination's FIFO floor,
+    /// whichever is later).
+    Hold(SimTime),
+    /// Lost or cut; already counted.
+    Dropped,
+}
+
+/// Cluster-wide control plane of the fault model: one instance is shared
+/// (cloned) by the reactor's workers and the driver, so flipping the
+/// profile or installing a partition affects every link at once — the live
+/// counterpart of `Network::set_link_faults` / `Network::add_partition`.
 #[derive(Clone)]
 pub struct ShimControl {
-    state: Arc<Mutex<ShimState>>,
-    prf: FaultPrf,
+    shared: Arc<Shared>,
     clock: WallClock,
-    cfg: RuntimeConfig,
-    stats: Arc<StatsCells>,
 }
 
 impl ShimControl {
-    /// A control plane drawing from `master_seed`'s fault stream, with an
-    /// inert profile and default timings. `clock` must be the cluster's
-    /// clock — partition windows are expressed in its time base.
+    /// An inert control plane drawing from `master_seed`'s fault stream.
+    /// `clock` is the cluster's clock — partition windows are expressed in
+    /// its time base.
     pub fn new(master_seed: u64, clock: WallClock) -> Self {
-        Self::with_runtime(master_seed, clock, RuntimeConfig::default())
+        ShimControl {
+            shared: Arc::new(Shared {
+                layer: Mutex::new(FaultLayer::new(master_seed, FaultConfig::default())),
+                active: AtomicBool::new(false),
+                stats: StatsCells::default(),
+            }),
+            clock,
+        }
     }
 
-    /// Like [`ShimControl::new`], with explicit runtime timings (the
-    /// cluster passes its own [`RuntimeConfig`] so the shim's synthetic
-    /// detection delay matches the transport's real one).
-    pub fn with_runtime(master_seed: u64, clock: WallClock, cfg: RuntimeConfig) -> Self {
-        ShimControl {
-            state: Arc::new(Mutex::new(ShimState {
-                link: LinkFaults::default(),
-                partitions: Vec::new(),
-            })),
-            prf: FaultPrf::new(master_seed),
-            clock,
-            cfg,
-            stats: Arc::new(StatsCells::default()),
-        }
+    /// The cluster clock partition windows are read against.
+    pub fn clock(&self) -> &WallClock {
+        &self.clock
+    }
+
+    fn layer(&self) -> MutexGuard<'_, FaultLayer> {
+        self.shared
+            .layer
+            .lock()
+            .expect("a thread panicked while holding the fault layer")
+    }
+
+    /// Runs `f` on the layer and republishes its inert flag.
+    fn update<R>(&self, f: impl FnOnce(&mut FaultLayer) -> R) -> R {
+        let mut layer = self.layer();
+        let out = f(&mut layer);
+        self.shared
+            .active
+            .store(!layer.is_inert(), Ordering::Release);
+        out
     }
 
     /// Replaces the live per-link stochastic profile.
     pub fn set_link_faults(&self, link: LinkFaults) {
-        self.state.lock().unwrap().link = link;
+        self.update(|layer| layer.set_link_faults(link));
     }
 
     /// Installs an additional timed partition.
     pub fn add_partition(&self, spec: PartitionSpec) {
-        self.state.lock().unwrap().partitions.push(spec);
+        self.update(|layer| layer.add_partition(spec));
     }
 
-    /// Snapshot of the cluster-wide shim counters.
+    /// Forgets every draw counter involving `node`, both directions — the
+    /// simulator's crash rule, so a restarted node's links draw from `1`.
+    pub fn prune(&self, node: NodeId) {
+        self.layer().prune(node);
+    }
+
+    /// Snapshot of the cluster-wide counters.
     pub fn stats(&self) -> ShimStats {
+        let s = &self.shared.stats;
         ShimStats {
-            frames_passed: self.stats.passed.load(Ordering::Relaxed),
-            frames_lost: self.stats.lost.load(Ordering::Relaxed),
-            frames_cut: self.stats.cut.load(Ordering::Relaxed),
-            frames_delayed: self.stats.delayed.load(Ordering::Relaxed),
-            linkdowns_synthesized: self.stats.linkdowns.load(Ordering::Relaxed),
+            frames_passed: s.passed.load(Ordering::Relaxed),
+            frames_lost: s.lost.load(Ordering::Relaxed),
+            frames_cut: s.cut.load(Ordering::Relaxed),
+            frames_delayed: s.delayed.load(Ordering::Relaxed),
+            linkdowns_synthesized: s.linkdowns.load(Ordering::Relaxed),
         }
     }
 
-    /// Wraps `me`'s transport in a fault shim. `sink` must be a clone of
-    /// the node's inbound sink — the shim delivers synthesized link-down
-    /// events (failed connection attempts across a cut) through it.
-    pub fn wrap(
-        &self,
-        me: NodeId,
-        inner: Box<dyn Transport>,
-        sink: Box<dyn FrameSink>,
-    ) -> FaultShim {
-        let inner = Arc::new(Mutex::new(inner));
-        let pump = Pump::spawn(me, Arc::clone(&inner), sink);
-        FaultShim {
-            me,
-            ctl: self.clone(),
-            counters: HashMap::new(),
-            release_floor: HashMap::new(),
-            inner,
-            pump,
-        }
-    }
-}
-
-/// What the delay pump does when an entry comes due.
-enum PumpAction {
-    /// Release a held frame to the inner transport.
-    Frame { to: NodeId, frame: Vec<u8> },
-    /// Deliver a synthesized link-down into the local executor.
-    LinkDown { peer: NodeId },
-}
-
-struct PumpEntry {
-    at: Instant,
-    seq: u64,
-    action: PumpAction,
-}
-
-impl PartialEq for PumpEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for PumpEntry {}
-impl Ord for PumpEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-impl PartialOrd for PumpEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct PumpState {
-    heap: BinaryHeap<Reverse<PumpEntry>>,
-    seq: u64,
-    stopping: bool,
-}
-
-/// The per-node delay pump: one thread releasing held frames at their
-/// scheduled instants, `(at, seq)`-ordered like the executor's timer heap.
-struct Pump {
-    shared: Arc<(Mutex<PumpState>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Pump {
-    fn spawn(me: NodeId, inner: Arc<Mutex<Box<dyn Transport>>>, sink: Box<dyn FrameSink>) -> Self {
-        let shared = Arc::new((
-            Mutex::new(PumpState {
-                heap: BinaryHeap::new(),
-                seq: 0,
-                stopping: false,
-            }),
-            Condvar::new(),
-        ));
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("brisa-shim-{}", me.0))
-            .spawn(move || pump_main(thread_shared, inner, sink))
-            .expect("spawn shim pump thread");
-        Pump {
-            shared,
-            handle: Some(handle),
-        }
+    fn is_active(&self) -> bool {
+        self.shared.active.load(Ordering::Acquire)
     }
 
-    fn push(&self, at: Instant, action: PumpAction) {
-        let (lock, cv) = &*self.shared;
-        let mut st = lock.lock().unwrap();
-        let seq = st.seq;
-        st.seq += 1;
-        st.heap.push(Reverse(PumpEntry { at, seq, action }));
-        cv.notify_one();
-    }
-
-    fn stop(&mut self) {
-        let (lock, cv) = &*self.shared;
-        {
-            let mut st = lock.lock().unwrap();
-            st.stopping = true;
-            // Pending entries die with the shim: a killed node's in-flight
-            // delayed traffic is gone, like the sim dropping events of a
-            // crashed node.
-            st.heap.clear();
-            cv.notify_one();
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn pump_main(
-    shared: Arc<(Mutex<PumpState>, Condvar)>,
-    inner: Arc<Mutex<Box<dyn Transport>>>,
-    mut sink: Box<dyn FrameSink>,
-) {
-    let (lock, cv) = &*shared;
-    let mut st = lock.lock().unwrap();
-    loop {
-        if st.stopping {
-            return;
-        }
-        let now = Instant::now();
-        let due = matches!(st.heap.peek(), Some(Reverse(e)) if e.at <= now);
-        if due {
-            let Reverse(entry) = st.heap.pop().expect("peeked entry");
-            drop(st);
-            match entry.action {
-                PumpAction::Frame { to, frame } => inner.lock().unwrap().send(to, frame),
-                PumpAction::LinkDown { peer } => {
-                    sink.deliver(NetEvent::LinkDown { peer });
-                }
-            }
-            st = lock.lock().unwrap();
-            continue;
-        }
-        st = match st.heap.peek() {
-            Some(Reverse(e)) => {
-                let wait = e.at.saturating_duration_since(now);
-                cv.wait_timeout(st, wait).unwrap().0
-            }
-            None => cv.wait(st).unwrap(),
-        };
-    }
-}
-
-/// One node's fault-injecting view of the interconnect (see the module
-/// docs for the exact semantics). Created through [`ShimControl::wrap`].
-pub struct FaultShim {
-    me: NodeId,
-    ctl: ShimControl,
-    /// Per-destination fault-draw counters for links `me → to`; together
-    /// the per-node maps partition the sim's per-link counter table.
-    counters: HashMap<u32, u64>,
-    /// Per-destination FIFO floor: the latest scheduled release among
-    /// frames still held for that destination.
-    release_floor: HashMap<u32, Instant>,
-    inner: Arc<Mutex<Box<dyn Transport>>>,
-    pump: Pump,
-}
-
-impl FaultShim {
-    /// The next uniform draw in `[0, 1)` on link `me → to` — same PRF,
-    /// same counter discipline as `FaultLayer::unit_draw`.
-    fn unit_draw(&mut self, to: NodeId) -> f64 {
-        let n = self.counters.entry(to.0).or_insert(0);
-        *n += 1;
-        self.ctl.prf.unit_draw(self.me, to, *n)
-    }
-
-    /// Schedules `frame` for release at `at` (or the destination's FIFO
-    /// floor, whichever is later) and advances the floor.
-    fn hold(&mut self, to: NodeId, frame: Vec<u8>, at: Instant) {
-        let at = match self.release_floor.get(&to.0) {
-            Some(&floor) => at.max(floor),
-            None => at,
-        };
-        self.release_floor.insert(to.0, at);
-        self.ctl.stats.delayed.fetch_add(1, Ordering::Relaxed);
-        self.pump.push(at, PumpAction::Frame { to, frame });
-    }
-}
-
-impl Transport for FaultShim {
-    fn send(&mut self, to: NodeId, frame: Vec<u8>) {
-        let now = self.ctl.clock.now();
-        // Read the profile under the lock, act outside it. Expired
-        // partitions are retired time-driven, like the sim layer.
-        let (link, cut) = {
-            let mut st = self.ctl.state.lock().unwrap();
-            if st.partitions.iter().any(|p| now >= p.end) {
-                st.partitions.retain(|p| now < p.end);
-            }
-            let cut = st
-                .partitions
-                .iter()
-                .find(|p| p.cuts(now, self.me, to))
-                .map(|p| (p.mode, p.end));
-            (st.link.clone(), cut)
-        };
-        // A cut dominates the stochastic profile: partitioned traffic
-        // never consumes loss or jitter draws.
-        if let Some((mode, heal)) = cut {
-            match mode {
-                PartitionMode::Drop => {
-                    self.ctl.stats.cut.fetch_add(1, Ordering::Relaxed);
-                }
-                PartitionMode::Delay => {
-                    let at = self.ctl.clock.instant_at(heal);
-                    self.hold(to, frame, at);
-                }
-            }
-            return;
-        }
-        let mut extra = Duration::ZERO;
-        if !link.is_inert() {
-            if link.loss_rate > 0.0 && self.unit_draw(to) < link.loss_rate {
-                self.ctl.stats.lost.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            // `latency_factor` scales the *modelled* latency and has no
-            // live counterpart; only jitter adds real delay here.
-            if !link.jitter.is_zero() {
-                let micros = link.jitter.as_micros() as f64 * self.unit_draw(to);
-                extra = Duration::from_micros(micros.round() as u64);
-            }
-        }
-        let now_i = Instant::now();
-        let floor_blocks = matches!(self.release_floor.get(&to.0), Some(&f) if f > now_i);
-        if extra.is_zero() && !floor_blocks {
-            self.ctl.stats.passed.fetch_add(1, Ordering::Relaxed);
-            self.inner.lock().unwrap().send(to, frame);
+    /// The fate of one frame `from → to` sent at `now`. `behind_held` says
+    /// earlier frames to `to` are still parked, so this one must queue
+    /// behind them whatever the layer answers.
+    pub(crate) fn route(&self, from: NodeId, to: NodeId, now: SimTime, behind_held: bool) -> Fate {
+        let verdict = if self.is_active() {
+            // `update`: retiring the last expired partition, which `route`
+            // does, turns the layer inert.
+            self.update(|layer| layer.route(from, to, now, SimDuration::ZERO))
+        } else if behind_held {
+            Routed::Deliver(now)
         } else {
-            self.hold(to, frame, now_i + extra);
-        }
+            return Fate::Pass;
+        };
+        let stats = &self.shared.stats;
+        let (cell, fate) = match verdict {
+            Routed::LostToFaults => (&stats.lost, Fate::Dropped),
+            Routed::CutByPartition => (&stats.cut, Fate::Dropped),
+            Routed::Deliver(at) if at > now || behind_held => (&stats.delayed, Fate::Hold(at)),
+            Routed::Deliver(_) => (&stats.passed, Fate::Pass),
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
+        fate
     }
 
-    fn open_connection(&mut self, peer: NodeId) {
-        let now = self.ctl.clock.now();
-        let cut = {
-            let st = self.ctl.state.lock().unwrap();
-            st.partitions.iter().any(|p| p.cuts(now, self.me, peer))
-        };
+    /// True (and counted) if an active partition separates `from` and
+    /// `peer` at `now`: the attempt must fail locally, never reaching the
+    /// transport.
+    pub(crate) fn cuts_open(&self, from: NodeId, peer: NodeId, now: SimTime) -> bool {
+        let cut = self.is_active() && self.layer().is_cut(now, from, peer);
         if cut {
-            // A connection attempt across an active cut fails after the
-            // detection delay and never reaches the wire, like the sim's
-            // treatment of connecting to an unreachable peer.
-            self.ctl.stats.linkdowns.fetch_add(1, Ordering::Relaxed);
-            self.pump.push(
-                Instant::now() + self.ctl.cfg.detection_delay,
-                PumpAction::LinkDown { peer },
-            );
-        } else {
-            self.inner.lock().unwrap().open_connection(peer);
+            self.shared.stats.linkdowns.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    fn close_connection(&mut self, peer: NodeId) {
-        self.inner.lock().unwrap().close_connection(peer);
-    }
-
-    fn shutdown(&mut self) {
-        self.pump.stop();
-        self.inner.lock().unwrap().shutdown();
+        cut
     }
 }
 
-impl Drop for FaultShim {
-    fn drop(&mut self) {
-        if self.pump.handle.is_some() {
-            self.pump.stop();
-        }
-    }
-}
-
-/// Extends [`SimDuration`]-based jitter bounds checking in tests.
+/// The fault model's behaviours, observed where they take effect: a
+/// one-worker [`ReactorPool`](crate::reactor::ReactorPool) over a
+/// [`LoopbackMesh`](crate::loopback::LoopbackMesh) with a recording
+/// protocol.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brisa_simnet::SimDuration;
-    use std::sync::mpsc;
+    use crate::config::RuntimeConfig;
+    use crate::loopback::LoopbackMesh;
+    use crate::reactor::ReactorPool;
+    use brisa::StackMsg;
+    use brisa_membership::HpvMsg;
+    use brisa_simnet::{Context, FaultPrf, PartitionMode, Protocol, TimerTag};
+    use std::time::Instant;
 
-    struct RecordingTransport {
-        tx: mpsc::Sender<(NodeId, Vec<u8>, Instant)>,
-        opened: mpsc::Sender<NodeId>,
+    /// What one node heard: keep-alive nonces and link-downs, with the
+    /// instant each reached the protocol.
+    #[derive(Default)]
+    struct Heard {
+        frames: Vec<(NodeId, u64, Instant)>,
+        downs: Vec<(NodeId, Instant)>,
     }
 
-    impl Transport for RecordingTransport {
-        fn send(&mut self, to: NodeId, frame: Vec<u8>) {
-            let _ = self.tx.send((to, frame, Instant::now()));
+    struct Recorder(Arc<Mutex<Heard>>);
+
+    impl Protocol for Recorder {
+        type Message = StackMsg;
+
+        fn on_start(&mut self, _ctx: &mut Context<'_, StackMsg>) {}
+
+        fn on_message(&mut self, _ctx: &mut Context<'_, StackMsg>, from: NodeId, msg: StackMsg) {
+            if let StackMsg::Hpv(HpvMsg::KeepAlive { nonce }) = msg {
+                let mut heard = self.0.lock().unwrap();
+                heard.frames.push((from, nonce, Instant::now()));
+            }
         }
-        fn open_connection(&mut self, peer: NodeId) {
-            let _ = self.opened.send(peer);
+
+        fn on_timer(&mut self, _ctx: &mut Context<'_, StackMsg>, _tag: TimerTag) {}
+
+        fn on_link_down(&mut self, _ctx: &mut Context<'_, StackMsg>, peer: NodeId) {
+            self.0.lock().unwrap().downs.push((peer, Instant::now()));
         }
-        fn close_connection(&mut self, _peer: NodeId) {}
-        fn shutdown(&mut self) {}
     }
 
-    struct TestSink(mpsc::Sender<NetEvent>);
-    impl FrameSink for TestSink {
-        fn deliver(&mut self, event: NetEvent) -> bool {
-            self.0.send(event).is_ok()
+    struct Rig {
+        pool: ReactorPool<Recorder>,
+        heard: Vec<Arc<Mutex<Heard>>>,
+    }
+
+    impl Rig {
+        /// `nodes` recorders on one worker, all behind `ctl`.
+        fn new(ctl: &ShimControl, nodes: u32) -> Rig {
+            let mesh = LoopbackMesh::new(nodes as usize);
+            let cfg = RuntimeConfig {
+                workers: 1,
+                ..RuntimeConfig::default()
+            };
+            let pool = ReactorPool::with_telemetry(
+                ctl.clone(),
+                &cfg,
+                brisa_telemetry::Telemetry::disabled(),
+            );
+            let heard: Vec<_> = (0..nodes).map(|_| Arc::default()).collect();
+            for i in 0..nodes {
+                let id = NodeId(i);
+                let transport = Box::new(mesh.attach(id, pool.sink_for(id)));
+                pool.start_node(id, Recorder(Arc::clone(&heard[i as usize])), 1, transport);
+            }
+            Rig { pool, heard }
         }
-        fn box_clone(&self) -> Box<dyn FrameSink> {
-            Box::new(TestSink(self.0.clone()))
+
+        /// Node 0 sends the keep-alives `nonces` to `to`, in one callback.
+        fn send(&self, to: u32, nonces: std::ops::Range<u64>) {
+            self.pool.invoke(NodeId(0), move |_p, ctx| {
+                for nonce in nonces {
+                    ctx.send(NodeId(to), StackMsg::Hpv(HpvMsg::KeepAlive { nonce }));
+                }
+            });
+        }
+
+        /// Waits until `node` heard `n` frames (or two seconds pass) and
+        /// returns them.
+        fn frames(&self, node: u32, n: usize) -> Vec<(NodeId, u64, Instant)> {
+            self.wait(|| self.heard[node as usize].lock().unwrap().frames.len() >= n);
+            self.heard[node as usize].lock().unwrap().frames.clone()
+        }
+
+        /// Returns once `node`'s shard has run everything queued before
+        /// this call.
+        fn barrier(&self, node: u32) {
+            let (tx, rx) = std::sync::mpsc::channel();
+            self.pool.invoke(NodeId(node), move |_p, _ctx| {
+                let _ = tx.send(());
+            });
+            rx.recv_timeout(Duration::from_secs(2))
+                .expect("worker alive");
+        }
+
+        fn downs(&self, node: u32) -> Vec<(NodeId, Instant)> {
+            self.heard[node as usize].lock().unwrap().downs.clone()
+        }
+
+        fn wait(&self, mut pred: impl FnMut() -> bool) -> bool {
+            let end = Instant::now() + Duration::from_secs(2);
+            while !pred() && Instant::now() < end {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            pred()
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn shim_under_test(
-        ctl: &ShimControl,
-        me: NodeId,
-    ) -> (
-        FaultShim,
-        mpsc::Receiver<(NodeId, Vec<u8>, Instant)>,
-        mpsc::Receiver<NodeId>,
-        mpsc::Receiver<NetEvent>,
-    ) {
-        let (tx, rx) = mpsc::channel();
-        let (otx, orx) = mpsc::channel();
-        let (stx, srx) = mpsc::channel();
-        let inner = Box::new(RecordingTransport { tx, opened: otx });
-        let shim = ctl.wrap(me, inner, Box::new(TestSink(stx)));
-        (shim, rx, orx, srx)
+    fn nonces(frames: &[(NodeId, u64, Instant)]) -> Vec<u64> {
+        frames.iter().map(|(_, nonce, _)| *nonce).collect()
     }
 
     #[test]
     fn inert_profile_passes_everything_through() {
         let ctl = ShimControl::new(7, WallClock::new());
-        let (mut shim, rx, _orx, _srx) = shim_under_test(&ctl, NodeId(0));
-        for i in 0..50u8 {
-            shim.send(NodeId(1), vec![i]);
-        }
-        for i in 0..50u8 {
-            let (to, frame, _) = rx.recv_timeout(Duration::from_secs(1)).unwrap();
-            assert_eq!(to, NodeId(1));
-            assert_eq!(frame, vec![i]);
-        }
-        let stats = ctl.stats();
-        assert_eq!(stats.frames_passed, 50);
-        assert_eq!(
-            stats.frames_lost + stats.frames_cut + stats.frames_delayed,
-            0
-        );
-        shim.shutdown();
+        let rig = Rig::new(&ctl, 2);
+        rig.send(1, 0..50);
+        let got = rig.frames(1, 50);
+        assert_eq!(nonces(&got), (0..50).collect::<Vec<u64>>());
+        assert!(got.iter().all(|(from, _, _)| *from == NodeId(0)));
+        assert_eq!(ctl.stats(), ShimStats::default(), "an inert layer is free");
     }
 
     #[test]
     fn loss_decisions_match_the_sim_prf() {
-        // The shim must drop exactly the transmissions the sim's fault
-        // layer would: replay the PRF by hand and compare per-frame fate.
+        // A live cluster must drop exactly the transmissions a simulated
+        // one would: replay the PRF by hand and compare per-frame fate.
         let seed = 0xB215A;
-        let loss = LinkFaults {
-            loss_rate: 0.25,
-            ..Default::default()
-        };
+        let loss_rate = 0.25;
         let ctl = ShimControl::new(seed, WallClock::new());
-        ctl.set_link_faults(loss.clone());
-        let (mut shim, rx, _orx, _srx) = shim_under_test(&ctl, NodeId(0));
+        ctl.set_link_faults(LinkFaults {
+            loss_rate,
+            ..Default::default()
+        });
+        let rig = Rig::new(&ctl, 2);
         let total = 400u64;
-        for i in 0..total {
-            shim.send(NodeId(1), i.to_le_bytes().to_vec());
-        }
-        shim.shutdown();
-        let mut arrived = Vec::new();
-        while let Ok((_, frame, _)) = rx.try_recv() {
-            arrived.push(u64::from_le_bytes(frame.try_into().unwrap()));
-        }
         let prf = FaultPrf::new(seed);
         let expected: Vec<u64> = (0..total)
-            .filter(|i| prf.unit_draw(NodeId(0), NodeId(1), i + 1) >= loss.loss_rate)
+            .filter(|i| prf.unit_draw(NodeId(0), NodeId(1), i + 1) >= loss_rate)
             .collect();
-        assert_eq!(arrived, expected, "live loss fate must equal sim fate");
-        assert_eq!(ctl.stats().frames_lost, total - expected.len() as u64);
+        rig.send(1, 0..total);
+        // Node 0 has run the callback (every survivor is in the worker's
+        // inbox), then node 1 has drained what was ahead of its barrier.
+        rig.barrier(0);
+        rig.barrier(1);
+        let got = rig.frames(1, 0);
+        assert_eq!(nonces(&got), expected, "live loss fate must equal sim fate");
+        let stats = ctl.stats();
+        assert_eq!(stats.frames_lost, total - expected.len() as u64);
+        assert_eq!(stats.frames_passed, expected.len() as u64);
     }
 
     #[test]
     fn drop_partition_cuts_and_heals() {
         let clock = WallClock::new();
         let ctl = ShimControl::new(3, clock);
+        let rig = Rig::new(&ctl, 3);
         let start = clock.now();
         ctl.add_partition(PartitionSpec::new(
             vec![NodeId(1)],
@@ -533,23 +380,20 @@ mod tests {
             start + SimDuration::from_millis(80),
             PartitionMode::Drop,
         ));
-        let (mut shim, rx, _orx, _srx) = shim_under_test(&ctl, NodeId(0));
-        shim.send(NodeId(1), vec![1]); // cross-cut: dropped
-        shim.send(NodeId(2), vec![2]); // same side: passes
-        let (to, _, _) = rx.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(to, NodeId(2));
+        rig.send(1, 1..2); // cross-cut: dropped
+        rig.send(2, 2..3); // same side: passes
+        assert_eq!(nonces(&rig.frames(2, 1)), vec![2]);
         std::thread::sleep(Duration::from_millis(100));
-        shim.send(NodeId(1), vec![3]); // healed: passes
-        let (to, frame, _) = rx.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!((to, frame), (NodeId(1), vec![3]));
+        rig.send(1, 3..4); // healed: passes
+        assert_eq!(nonces(&rig.frames(1, 1)), vec![3]);
         assert_eq!(ctl.stats().frames_cut, 1);
-        shim.shutdown();
     }
 
     #[test]
     fn delay_partition_releases_at_heal_in_order() {
         let clock = WallClock::new();
         let ctl = ShimControl::new(3, clock);
+        let rig = Rig::new(&ctl, 2);
         let start = clock.now();
         let heal = start + SimDuration::from_millis(120);
         ctl.add_partition(PartitionSpec::new(
@@ -558,21 +402,14 @@ mod tests {
             heal,
             PartitionMode::Delay,
         ));
-        let (mut shim, rx, _orx, _srx) = shim_under_test(&ctl, NodeId(0));
-        let held_at = Instant::now();
-        shim.send(NodeId(1), vec![1]);
-        shim.send(NodeId(1), vec![2]);
-        let (_, f1, t1) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        let (_, f2, t2) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(f1, vec![1]);
-        assert_eq!(f2, vec![2]);
-        assert!(t2 >= t1, "per-destination FIFO preserved through the hold");
+        rig.send(1, 1..3);
+        let got = rig.frames(1, 2);
+        assert_eq!(nonces(&got), vec![1, 2], "FIFO through the hold");
         assert!(
-            t1.duration_since(held_at) >= Duration::from_millis(100),
+            got[0].2 >= clock.instant_at(heal),
             "released no earlier than the heal instant"
         );
         assert_eq!(ctl.stats().frames_delayed, 2);
-        shim.shutdown();
     }
 
     #[test]
@@ -582,22 +419,22 @@ mod tests {
             jitter: SimDuration::from_millis(30),
             ..Default::default()
         });
-        let (mut shim, rx, _orx, _srx) = shim_under_test(&ctl, NodeId(0));
+        let rig = Rig::new(&ctl, 2);
         let sent_at = Instant::now();
-        for i in 0..20u8 {
-            shim.send(NodeId(1), vec![i]);
-        }
-        let mut releases = Vec::new();
-        for _ in 0..20 {
-            let (_, frame, at) = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-            releases.push((frame[0], at));
-        }
-        let order: Vec<u8> = releases.iter().map(|(b, _)| *b).collect();
-        assert_eq!(order, (0..20).collect::<Vec<u8>>(), "FIFO per destination");
-        assert!(releases
+        rig.send(1, 0..20);
+        let got = rig.frames(1, 20);
+        assert_eq!(
+            nonces(&got),
+            (0..20).collect::<Vec<u64>>(),
+            "FIFO per destination"
+        );
+        assert!(got
             .iter()
-            .all(|(_, at)| at.duration_since(sent_at) <= Duration::from_millis(500)));
-        shim.shutdown();
+            .all(|(_, _, at)| at.duration_since(sent_at) <= Duration::from_millis(500)));
+        assert!(
+            ctl.stats().frames_delayed > 0,
+            "30 ms of jitter held nothing"
+        );
     }
 
     #[test]
@@ -611,24 +448,27 @@ mod tests {
             start + SimDuration::from_secs(30),
             PartitionMode::Drop,
         ));
-        let (mut shim, _rx, orx, srx) = shim_under_test(&ctl, NodeId(0));
+        let rig = Rig::new(&ctl, 3);
         let asked = Instant::now();
-        shim.open_connection(NodeId(1)); // cross-cut: fails after delay
-        shim.open_connection(NodeId(2)); // same side: forwarded
-        assert_eq!(orx.recv_timeout(Duration::from_secs(1)).unwrap(), NodeId(2));
-        match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            NetEvent::LinkDown { peer } => assert_eq!(peer, NodeId(1)),
-            other => panic!("expected synthesized link-down, got {other:?}"),
-        }
+        rig.pool.invoke(NodeId(0), |_p, ctx| {
+            ctx.open_connection(NodeId(1)); // cross-cut: fails after the delay
+            ctx.open_connection(NodeId(2)); // same side: registered
+        });
+        assert!(rig.wait(|| !rig.downs(0).is_empty()));
+        let (peer, at) = rig.downs(0)[0];
+        assert_eq!(peer, NodeId(1));
         assert!(
-            asked.elapsed() >= RuntimeConfig::default().detection_delay,
-            "failure surfaces only after the configured detection delay"
-        );
-        assert!(
-            orx.try_recv().is_err(),
-            "cut attempt never reaches the wire"
+            at.duration_since(asked) >= detection_delay(),
+            "failure surfaces only after the detection delay"
         );
         assert_eq!(ctl.stats().linkdowns_synthesized, 1);
-        shim.shutdown();
+        // The same-side open registered with its peer: stopping that peer
+        // reports it. The cut one never did: stopping node 1 is silent.
+        let _ = rig.pool.stop_node(NodeId(2)).recv();
+        assert!(rig.wait(|| rig.downs(0).len() == 2));
+        let _ = rig.pool.stop_node(NodeId(1)).recv();
+        std::thread::sleep(Duration::from_millis(50));
+        let peers: Vec<NodeId> = rig.downs(0).iter().map(|(p, _)| *p).collect();
+        assert_eq!(peers, vec![NodeId(1), NodeId(2)]);
     }
 }

@@ -52,11 +52,11 @@ const FAULT_STREAM: u64 = 0xFA17_5EED;
 /// The counter-based per-link fault PRF: a pure function of
 /// `(master seed, directed link, draw counter)`.
 ///
-/// This is the single draw function behind every fault decision, shared by
-/// the simulator's `FaultLayer` and the live runtime's transport fault
-/// shim — for the same master seed, the `n`-th draw on directed link
-/// `from → to` is the same number in both execution modes, which is what
-/// makes a `FaultSpec` schedule *mean* the same thing in sim and live.
+/// This is the single draw function behind every fault decision. The
+/// simulator and the live runtime both route through [`FaultLayer`], so for
+/// the same master seed the `n`-th draw on directed link `from → to` is the
+/// same number in both execution modes, which is what makes a `FaultSpec`
+/// schedule *mean* the same thing in sim and live.
 /// Callers own the per-link counters; the type itself is stateless.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPrf {
@@ -194,7 +194,7 @@ impl FaultConfig {
 
 /// The routing verdict for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Routed {
+pub enum Routed {
     /// Deliver at the given absolute time.
     Deliver(SimTime),
     /// Lost to per-link Bernoulli loss.
@@ -206,7 +206,7 @@ pub(crate) enum Routed {
 /// Run-time state of the fault layer: the live profile, the active
 /// partitions and the per-link draw counters.
 #[derive(Debug, Default)]
-pub(crate) struct FaultLayer {
+pub struct FaultLayer {
     link: LinkFaults,
     partitions: Vec<PartitionSpec>,
     /// Per directed link, the number of fault draws taken so far — the
@@ -220,6 +220,7 @@ pub(crate) struct FaultLayer {
 }
 
 impl FaultLayer {
+    /// A layer applying `config`, drawing from `master_seed`'s fault stream.
     pub fn new(master_seed: u64, config: FaultConfig) -> Self {
         let inert = config.is_inert();
         FaultLayer {
@@ -309,7 +310,7 @@ impl FaultLayer {
                     // Latency is charged from the *send* instant, with the
                     // heal as a floor: a frame in flight when the cut lands
                     // finishes its journey, everything else is released at
-                    // the heal. The live shim implements the identical rule
+                    // the heal. The live runtime calls this with zero latency
                     // (release at the heal, real transit follows), so the
                     // two worlds share one reference point.
                     PartitionMode::Delay => Routed::Deliver((now + latency).max(p.end)),

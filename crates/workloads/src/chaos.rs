@@ -9,12 +9,12 @@
 //!   the schedule onto the engine's [`ScaleEvent`] steps and fault
 //!   plumbing; and
 //! * a **live cluster**, via the runtime's soak runner, which replays the
-//!   events in wall-clock time against real nodes behind the transport
-//!   fault shim.
+//!   events in wall-clock time against real nodes whose sends go through
+//!   the same `simnet::faults::FaultLayer`.
 //!
-//! Because the shim draws from the same counter-based split-seed PRF as
-//! `simnet::faults` ([`brisa_simnet::FaultPrf`]), the stochastic profile
-//! means the same thing in both worlds, and the divergence gate in
+//! Because both worlds run that one layer over the same counter-based
+//! split-seed PRF ([`brisa_simnet::FaultPrf`]), the stochastic profile
+//! means the same thing in both, and the divergence gate in
 //! `brisa-bench` can hold the live run to a band around the sim
 //! prediction.
 //!

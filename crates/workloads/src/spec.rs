@@ -262,7 +262,7 @@ impl PartitionPhase {
     /// Like [`PartitionPhase::drop`], but cross-cut traffic is *held* for
     /// the window and released at the heal — a congestion/grey-failure
     /// window rather than a clean cut. Arrival is `max(send + latency,
-    /// heal)` in both the sim and the live shim.
+    /// heal)` in both the sim and the live runtime.
     pub fn delay(fraction: f64, start_after: SimDuration, duration: SimDuration) -> Self {
         PartitionPhase {
             fraction,

@@ -9,11 +9,13 @@ use brisa_runtime::reactor::ReactorPool;
 use brisa_runtime::tcp::TcpMesh;
 use brisa_runtime::wire::MAX_FRAME_BYTES;
 use brisa_runtime::{
-    Cluster, ClusterConfig, LoopbackMesh, RuntimeConfig, TransportKind, WallClock,
+    Cluster, ClusterConfig, LoopbackMesh, RuntimeConfig, ShimControl, TransportKind, WallClock,
 };
 use brisa_runtime::{LiveNode, LiveResult};
 use brisa_runtime::{WireCodec, WIRE_VERSION};
-use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag};
+use brisa_simnet::{
+    Context, NodeId, PartitionMode, PartitionSpec, Protocol, SimDuration, TimerTag,
+};
 use brisa_telemetry::Telemetry;
 use brisa_workloads::{
     BrisaScenario, BrisaStackConfig, BuildCtx, DisseminationProtocol, IntoRunSpec, NodeReport,
@@ -179,6 +181,114 @@ fn shutdown_joins_workers_and_releases_every_port() {
     }
 }
 
+/// Arms one 300 ms timer in `on_start`, tagged with its incarnation, and
+/// records `(incarnation that fired, incarnation that armed)`.
+struct Incarnation {
+    n: u64,
+    fired: Arc<Mutex<Vec<(u64, u64)>>>,
+}
+
+impl Protocol for Incarnation {
+    type Message = StackMsg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
+        ctx.set_timer(SimDuration::from_millis(300), TimerTag::new(0, self.n));
+    }
+    fn on_message(&mut self, _ctx: &mut Context<'_, StackMsg>, _from: NodeId, _msg: StackMsg) {}
+    fn on_timer(&mut self, _ctx: &mut Context<'_, Self::Message>, tag: TimerTag) {
+        self.fired.lock().unwrap().push((self.n, tag.data));
+    }
+    fn on_link_down(&mut self, _ctx: &mut Context<'_, Self::Message>, _peer: NodeId) {}
+}
+
+/// A stopped node's deadlines die with it: the incarnation restarted under
+/// the same identifier must not be handed its predecessor's timers. (Every
+/// periodic timer of the deployed stack re-arms itself, so one inherited
+/// tick would run shuffle / keep-alive / repair at twice the configured
+/// rate for the rest of the run.)
+#[test]
+fn a_restarted_node_does_not_inherit_its_predecessors_timers() {
+    let mesh = LoopbackMesh::new(1);
+    let cfg = RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::default()
+    };
+    let pool: ReactorPool<Incarnation> = ReactorPool::new(WallClock::new(), &cfg);
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let id = NodeId(0);
+    let start = |n| {
+        let proto = Incarnation {
+            n,
+            fired: Arc::clone(&fired),
+        };
+        let transport = Box::new(mesh.attach(id, pool.sink_for(id)));
+        pool.start_node(id, proto, 1, transport);
+    };
+    start(1);
+    std::thread::sleep(Duration::from_millis(50));
+    let first = pool.stop_node(id).recv_timeout(Duration::from_secs(5));
+    assert!(matches!(first, Ok(Some(_))), "incarnation 1 stops cleanly");
+    std::thread::sleep(Duration::from_millis(50));
+    start(2);
+    // Incarnation 1's timer was due at 300 ms, incarnation 2's at 400 ms.
+    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(*fired.lock().unwrap(), vec![(2, 2)]);
+}
+
+/// A frame parked for a `Delay` cut belongs to the node that sent it: if
+/// that node is killed before the heal, the frame is never sent, while a
+/// surviving sender's frame is released at the heal.
+#[test]
+fn a_frame_held_by_a_node_killed_before_the_heal_is_never_sent() {
+    let clock = WallClock::new();
+    let mesh = LoopbackMesh::new(3);
+    let cfg = RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::default()
+    };
+    let pool: ReactorPool<Echo> = ReactorPool::new(clock, &cfg);
+    let shim = pool.shim();
+    let logs: Vec<_> = (0..3).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+    for i in 0..3u32 {
+        let transport = Box::new(mesh.attach(NodeId(i), pool.sink_for(NodeId(i))));
+        let proto = Echo {
+            log: Arc::clone(&logs[i as usize]),
+        };
+        pool.start_node(NodeId(i), proto, 1, transport);
+    }
+    // Node 2 is cut away from senders 0 and 1 until the heal.
+    let now = clock.now();
+    let heal = now + SimDuration::from_millis(200);
+    shim.add_partition(PartitionSpec::new(
+        vec![NodeId(2)],
+        now,
+        heal,
+        PartitionMode::Delay,
+    ));
+    pool.invoke(NodeId(0), |_p, ctx| ctx.send(NodeId(2), keepalive(10)));
+    pool.invoke(NodeId(1), |_p, ctx| ctx.send(NodeId(2), keepalive(11)));
+    let killed = pool
+        .stop_node(NodeId(0))
+        .recv_timeout(Duration::from_secs(5));
+    assert!(
+        matches!(killed, Ok(Some(_))),
+        "node 0 stops before the heal"
+    );
+    assert!(clock.now() < heal, "the kill must land inside the window");
+    assert_eq!(shim.stats().frames_delayed, 2, "both frames were parked");
+
+    assert!(
+        wait_until(Duration::from_secs(5), || !logs[2]
+            .lock()
+            .unwrap()
+            .is_empty()),
+        "the survivor's frame was never released"
+    );
+    assert!(clock.now() >= heal, "released no earlier than the heal");
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(*logs[2].lock().unwrap(), vec![(NodeId(1), 11)]);
+}
+
 /// Records peer-death signals: the observable the goodbye marker exists
 /// to suppress.
 struct Watch {
@@ -223,7 +333,6 @@ fn idle_links_reap_with_goodbye_and_redial() {
     let cfg = RuntimeConfig {
         workers: 1,
         idle_link_timeout: Duration::from_millis(300),
-        ..RuntimeConfig::default()
     };
     let mut pool: ReactorPool<Watch> = ReactorPool::new(WallClock::new(), &cfg);
     let downs = Arc::new(Mutex::new(Vec::new()));
@@ -496,7 +605,6 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
         workers: 1,
         // Join-time walk links are gone before the count is taken.
         idle_link_timeout: Duration::from_millis(300),
-        ..RuntimeConfig::default()
     };
     let stack = BrisaStackConfig {
         hpv: HyParViewConfig {
@@ -507,8 +615,11 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
         brisa: BrisaConfig::default(),
     };
     let mesh = TcpMesh::bind(NODES as usize).expect("bind");
-    let mut pool: ReactorPool<BrisaNode> =
-        ReactorPool::with_telemetry(WallClock::new(), &cfg, telemetry.clone());
+    let mut pool: ReactorPool<BrisaNode> = ReactorPool::with_telemetry(
+        ShimControl::new(0, WallClock::new()),
+        &cfg,
+        telemetry.clone(),
+    );
     for i in 0..NODES {
         let id = NodeId(i);
         pool.add_listener(id, mesh.take_listener(id), mesh.addrs());

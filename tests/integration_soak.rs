@@ -1,9 +1,9 @@
-//! Integration tests of the chaos-soak machinery: the transport fault
-//! shim, the kill → restart → rejoin lifecycle, and the live chaos runner.
+//! Integration tests of the chaos-soak machinery: the live fault layer,
+//! the kill → restart → rejoin lifecycle, and the live chaos runner.
 //!
 //! Wall-clock runs are not bit-reproducible, so — like the runtime
 //! integration tests — these assert the properties any healthy run must
-//! show: full delivery through shim-injected loss, contiguous-suffix
+//! show: full delivery through injected loss, contiguous-suffix
 //! catch-up after a restart (buffer anchoring), and clean online
 //! invariant sweeps, with deadlines generous enough for a loaded CI box.
 
@@ -44,9 +44,9 @@ fn publish_until_complete(
     published
 }
 
-/// The shim-loss acceptance bar: a live cluster behind the fault shim at
+/// The loss acceptance bar: a live cluster whose fault layer is set to
 /// 1 % per-link loss still reaches 100 % delivery — the runtime mirror of
-/// the sim fault sweep's headline row — and the shim demonstrably dropped
+/// the sim fault sweep's headline row — and the layer demonstrably dropped
 /// real frames to get there.
 #[test]
 fn shim_loss_cluster_delivers_everything() {
@@ -54,14 +54,12 @@ fn shim_loss_cluster_delivers_everything() {
         nodes: 12,
         transport: TransportKind::Loopback,
         seed: 0x50AC,
-        fault_shim: true,
         ..Default::default()
     };
     let mut cluster: Cluster<BrisaNode> = Cluster::launch(&cfg, &stack_config(4)).expect("launch");
     cluster.run_for(Duration::from_millis(500));
     cluster
         .shim()
-        .expect("launched with the shim")
         .set_link_faults(FaultSpec::loss(0.01).link_faults());
 
     let mut published = 0u64;
@@ -71,7 +69,7 @@ fn shim_loss_cluster_delivers_everything() {
         cluster.run_for(Duration::from_millis(40));
     }
     let published = publish_until_complete(&mut cluster, published, 512, 60);
-    let stats = cluster.shim().unwrap().stats();
+    let stats = cluster.shim().stats();
     let result = cluster.stop_and_collect();
 
     assert_eq!(result.messages_published, published);
@@ -82,7 +80,7 @@ fn shim_loss_cluster_delivers_everything() {
         .expect("clean live trace");
     assert!(
         stats.frames_lost > 0,
-        "1% loss over {} frames never dropped anything — the shim is inert",
+        "1% loss over {} frames never dropped anything — the layer is inert",
         stats.frames_passed
     );
 }
