@@ -776,7 +776,8 @@ impl BrisaCore {
             now,
             TelEventKind::GapDetected,
             self.next_expected,
-            highest - self.next_expected + 1,
+            // `highest` may come off the wire (an `Edge`): saturate.
+            (highest - self.next_expected).saturating_add(1),
         );
         self.tel_event(
             now,
@@ -1809,6 +1810,33 @@ mod tests {
         });
         assert!(settled.is_empty(), "caught up — nothing to request");
         assert_eq!(core.stats().delivered, 4);
+    }
+
+    /// An edge at `u64::MAX` reaching a node whose contiguous prefix starts
+    /// at 0 (its first delivery was seq 1) is a gap of 2^64 messages: the
+    /// request goes out and its size saturates instead of overflowing.
+    #[test]
+    fn hostile_max_edge_saturates_the_gap_size() {
+        let mut core = BrisaCore::new(NodeId(9), BrisaConfig::default());
+        core.note_started(SimTime::ZERO);
+        core.on_neighbor_up(NodeId(1));
+        let first = BrisaMsg::data(DataMsg {
+            seq: 1,
+            payload_bytes: 10,
+            guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()),
+            sender_uptime_secs: 0,
+            sender_load: 0,
+        });
+        let _ = acts(|a| core.handle(SimTime::ZERO, NodeId(1), first, &NoTelemetry, a));
+        let edge = BrisaMsg::Edge { highest: u64::MAX };
+        let asked = acts(|a| core.handle(SimTime::from_secs(60), NodeId(1), edge, &NoTelemetry, a));
+        assert!(asked.contains(&BrisaAction::Send {
+            to: NodeId(1),
+            msg: BrisaMsg::Retransmit {
+                from_seq: 0,
+                to_seq: u64::MAX,
+            },
+        }));
     }
 
     /// The advertisement itself is quiescence-gated: a relay streams data

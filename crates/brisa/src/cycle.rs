@@ -21,6 +21,7 @@
 //! exactness, and the ablation's claims check that comparison.
 
 use brisa_simnet::seed::split_mix64;
+use brisa_simnet::wire::ByteCount;
 use brisa_simnet::NodeId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -42,16 +43,11 @@ pub enum CycleGuard {
 }
 
 impl CycleGuard {
-    /// Metadata size on the wire in bytes: a one-byte guard kind, then
-    /// either an explicit `u16` hop count followed by the path entries, or a
-    /// `u32` depth. This matches `runtime::wire`'s encoding byte for byte
-    /// (asserted by the codec tests), so the simulator's bandwidth
-    /// accounting charges exactly what a live transport carries.
+    /// Metadata size on the wire in bytes: the guard's encoder (a kind
+    /// byte, then the path as a node list or the depth as a `u32`) run over
+    /// a byte counter, so it is what every data frame carries.
     pub fn wire_size(&self) -> usize {
-        match self {
-            CycleGuard::Path(p) => 1 + 2 + p.len() * NodeId::WIRE_SIZE,
-            CycleGuard::Depth(_) => 1 + 4,
-        }
+        self.encode_into(&mut ByteCount(0)).0
     }
 
     /// Number of hops from the source implied by this guard (path length or
@@ -152,7 +148,9 @@ impl CycleState {
                 !unchanged
             }
             (CycleState::Depth(my_depth), CycleGuard::Depth(sender_depth)) => {
-                let new_depth = sender_depth + 1;
+                // The depth comes off the wire: a hostile `u32::MAX` pins
+                // the node at the bottom instead of wrapping it to the root.
+                let new_depth = sender_depth.saturating_add(1);
                 match my_depth {
                     None => {
                         *my_depth = Some(new_depth);
@@ -364,6 +362,17 @@ mod tests {
         // A message from a shallower node does not pull us back up.
         assert!(!st.position_after(NodeId(1), &CycleGuard::Depth(0)));
         assert_eq!(st.position(), Some(3));
+    }
+
+    #[test]
+    fn hostile_max_depth_saturates() {
+        // A fresh node hearing `Depth(u32::MAX)` (a data guard or a
+        // `DepthUpdate` from a DAG parent) stays as deep as it can go.
+        let mut st = CycleState::dag();
+        assert!(st.position_after(NodeId(1), &CycleGuard::Depth(u32::MAX)));
+        assert_eq!(st.position(), Some(u32::MAX as usize));
+        assert!(!st.position_after(NodeId(1), &CycleGuard::Depth(u32::MAX)));
+        assert_eq!(st.position(), Some(u32::MAX as usize));
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub mod message;
 mod node;
 pub mod parent;
 pub mod stats;
+mod wire;
 
 pub use crate::core::{BrisaCore, RepairKind, HARD_REPAIR_RETRY, SOFT_REPAIR_TIMEOUT};
 pub use buffer::{BufferedMsg, MessageBuffer};

@@ -1,19 +1,19 @@
 //! BRISA wire messages.
 
 use crate::cycle::CycleGuard;
-use brisa_simnet::{NodeId, WireSize};
+use brisa_simnet::NodeId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Fixed per-message overhead (type tag, stream id, framing) charged for
-/// every BRISA message.
+/// Size of a BRISA frame's fixed header (length prefix, version, protocol,
+/// kind, stream id and one reserved byte): what a body-less message costs.
 pub const BRISA_HEADER_BYTES: usize = 16;
 
 /// A stream data message as relayed between nodes.
 ///
 /// The payload itself is an opaque bit string in the paper's evaluation, so
-/// only its size is carried here; the simulator charges
-/// `BRISA_HEADER_BYTES + metadata + payload_bytes` per transmission.
+/// only its size is carried here; the encoder writes that many filler bytes
+/// after the header, the metadata and the guard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DataMsg {
     /// Sequence number of the message within the stream (0-based).
@@ -37,7 +37,8 @@ pub struct DataMsg {
 /// children builds the [`DataMsg`] (guard, metadata, payload accounting)
 /// once and fans it out with `k` cheap `Arc` clones, instead of cloning the
 /// whole message — including the path-embedding vector — per child. The
-/// simulator still charges the full [`WireSize`] per transmission.
+/// simulator still charges the full
+/// [`WireSize`](brisa_simnet::WireSize) per transmission.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BrisaMsg {
     /// A stream message (possibly the bootstrap flood of the first one).
@@ -91,20 +92,6 @@ pub enum BrisaMsg {
     },
 }
 
-impl WireSize for BrisaMsg {
-    fn wire_size(&self) -> usize {
-        let body = match self {
-            BrisaMsg::Data(d) => 8 + 4 + 4 + 2 + d.guard.wire_size() + d.payload_bytes,
-            BrisaMsg::Deactivate { .. } => 1,
-            BrisaMsg::Activate | BrisaMsg::ReactivationOrder => 0,
-            BrisaMsg::DepthUpdate { .. } => 4,
-            BrisaMsg::Retransmit { .. } => 16,
-            BrisaMsg::Edge { .. } => 8,
-        };
-        BRISA_HEADER_BYTES + body
-    }
-}
-
 impl BrisaMsg {
     /// Wraps a freshly built [`DataMsg`] into the shared-payload variant.
     pub fn data(msg: DataMsg) -> Self {
@@ -153,6 +140,7 @@ pub fn sends(actions: &[BrisaAction]) -> Vec<(NodeId, &BrisaMsg)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brisa_simnet::WireSize;
 
     fn data(seq: u64, payload: usize, guard: CycleGuard) -> DataMsg {
         DataMsg {

@@ -10,7 +10,7 @@ use crate::config::BrisaConfig;
 use crate::core::BrisaCore;
 use crate::message::{BrisaAction, BrisaMsg};
 use brisa_membership::{HpvMsg, HpvSink, HyParView, HyParViewConfig};
-use brisa_simnet::{Command, Context, NodeId, Protocol, SimDuration, SimTime, TimerTag, WireSize};
+use brisa_simnet::{Command, Context, NodeId, Protocol, SimDuration, SimTime, TimerTag};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -30,15 +30,6 @@ pub enum StackMsg {
     Hpv(HpvMsg),
     /// Dissemination traffic.
     Brisa(BrisaMsg),
-}
-
-impl WireSize for StackMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            StackMsg::Hpv(m) => m.wire_size(),
-            StackMsg::Brisa(m) => m.wire_size(),
-        }
-    }
 }
 
 /// One simulated node running HyParView + BRISA.
@@ -270,7 +261,7 @@ mod tests {
     use super::*;
     use crate::config::{ParentStrategy, StructureMode};
     use brisa_simnet::latency::ClusterLatency;
-    use brisa_simnet::{Network, NetworkConfig, SimTime};
+    use brisa_simnet::{Network, NetworkConfig, SimTime, WireSize};
 
     /// Builds a network of `n` BrisaNodes, bootstraps the overlay (node 0 is
     /// the contact and the source), and lets it stabilise.

@@ -71,8 +71,9 @@ impl WireSize for CyclonMsg {
             CyclonMsg::ShuffleRequest { descriptors } => descriptors.len(),
             CyclonMsg::ShuffleResponse { descriptors } => descriptors.len(),
         };
-        // An explicit u16 descriptor count precedes the entries, mirroring
-        // the `runtime::wire` encoding.
+        // A u16 descriptor count precedes the entries. No live stack carries
+        // Cyclon (it has no codec; its frame protocol byte 2 is retired), so
+        // this formula is the only description of its size.
         CYCLON_HEADER_BYTES + 2 + n * DESCRIPTOR_BYTES
     }
 }

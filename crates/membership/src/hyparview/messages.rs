@@ -1,10 +1,11 @@
 //! HyParView wire messages.
 
-use brisa_simnet::{NodeId, WireSize};
+use brisa_simnet::wire::{Reader, Sink, WireCodec, WireError};
+use brisa_simnet::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// Fixed per-message overhead (type tag + framing) charged for every
-/// HyParView control message.
+/// Size of a HyParView frame's fixed header (length prefix, version,
+/// protocol, kind and one reserved byte): what a body-less message costs.
 pub const HPV_HEADER_BYTES: usize = 8;
 
 /// Messages exchanged by the HyParView membership protocol.
@@ -61,24 +62,84 @@ pub enum HpvMsg {
     },
 }
 
-impl WireSize for HpvMsg {
-    fn wire_size(&self) -> usize {
-        let body = match self {
-            HpvMsg::Join => 0,
-            HpvMsg::ForwardJoin { .. } => NodeId::WIRE_SIZE + 1,
-            HpvMsg::Neighbor { .. } => 1,
-            HpvMsg::NeighborReply { .. } => 1,
-            HpvMsg::Disconnect => 0,
-            // Node lists carry an explicit u16 count so a decoder does not
-            // have to infer the length from the frame size (matches
-            // `runtime::wire` byte for byte).
-            HpvMsg::Shuffle { nodes, .. } => {
-                NodeId::WIRE_SIZE + 1 + 2 + nodes.len() * NodeId::WIRE_SIZE
+/// Frame protocol byte of HyParView messages.
+const PROTO: u8 = 0;
+
+/// Kind tags of the HyParView variants.
+mod kind {
+    pub const JOIN: u8 = 0;
+    pub const FORWARD_JOIN: u8 = 1;
+    pub const NEIGHBOR: u8 = 2;
+    pub const NEIGHBOR_REPLY: u8 = 3;
+    pub const DISCONNECT: u8 = 4;
+    pub const SHUFFLE: u8 = 5;
+    pub const SHUFFLE_REPLY: u8 = 6;
+    pub const KEEP_ALIVE: u8 = 7;
+    pub const KEEP_ALIVE_ACK: u8 = 8;
+}
+
+/// Protocol byte, kind tag and one reserved byte: pads the header to
+/// [`HPV_HEADER_BYTES`].
+fn head<S: Sink>(out: &mut S, kind: u8) -> &mut S {
+    out.put(&[PROTO, kind, 0])
+}
+
+impl WireCodec for HpvMsg {
+    fn encode_into<S: Sink>(&self, out: &mut S) {
+        out.frame(|out| match self {
+            HpvMsg::Join => head(out, kind::JOIN),
+            HpvMsg::ForwardJoin { new_node, ttl } => {
+                head(out, kind::FORWARD_JOIN).node(*new_node).u8(*ttl)
             }
-            HpvMsg::ShuffleReply { nodes } => 2 + nodes.len() * NodeId::WIRE_SIZE,
-            HpvMsg::KeepAlive { .. } | HpvMsg::KeepAliveAck { .. } => 8,
+            HpvMsg::Neighbor { high_priority } => {
+                head(out, kind::NEIGHBOR).u8(*high_priority as u8)
+            }
+            HpvMsg::NeighborReply { accepted } => {
+                head(out, kind::NEIGHBOR_REPLY).u8(*accepted as u8)
+            }
+            HpvMsg::Disconnect => head(out, kind::DISCONNECT),
+            HpvMsg::Shuffle { origin, nodes, ttl } => {
+                head(out, kind::SHUFFLE).node(*origin).u8(*ttl).nodes(nodes)
+            }
+            HpvMsg::ShuffleReply { nodes } => head(out, kind::SHUFFLE_REPLY).nodes(nodes),
+            HpvMsg::KeepAlive { nonce } => head(out, kind::KEEP_ALIVE).u64(*nonce),
+            HpvMsg::KeepAliveAck { nonce } => head(out, kind::KEEP_ALIVE_ACK).u64(*nonce),
+        });
+    }
+
+    fn decode(frame: &[u8]) -> Result<Self, WireError> {
+        let (tag, mut r) = Reader::open(frame, PROTO)?;
+        r.u8()?; // reserved
+        let msg = match tag {
+            kind::JOIN => HpvMsg::Join,
+            kind::FORWARD_JOIN => HpvMsg::ForwardJoin {
+                new_node: r.node()?,
+                ttl: r.u8()?,
+            },
+            kind::NEIGHBOR => HpvMsg::Neighbor {
+                high_priority: r.u8()? != 0,
+            },
+            kind::NEIGHBOR_REPLY => HpvMsg::NeighborReply {
+                accepted: r.u8()? != 0,
+            },
+            kind::DISCONNECT => HpvMsg::Disconnect,
+            kind::SHUFFLE => HpvMsg::Shuffle {
+                origin: r.node()?,
+                ttl: r.u8()?,
+                nodes: r.nodes()?,
+            },
+            kind::SHUFFLE_REPLY => HpvMsg::ShuffleReply { nodes: r.nodes()? },
+            kind::KEEP_ALIVE => HpvMsg::KeepAlive { nonce: r.u64()? },
+            kind::KEEP_ALIVE_ACK => HpvMsg::KeepAliveAck { nonce: r.u64()? },
+            other => {
+                return Err(WireError::BadKind {
+                    proto: PROTO,
+                    kind: other,
+                })
+            }
         };
-        HPV_HEADER_BYTES + body
+        r.done()?;
+        Ok(msg)
     }
 }
 
@@ -146,6 +207,7 @@ impl HpvSink for Vec<HpvOut> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brisa_simnet::WireSize;
 
     #[test]
     fn wire_sizes_scale_with_content() {

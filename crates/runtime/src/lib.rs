@@ -9,10 +9,10 @@
 //!
 //! Three layers:
 //!
-//! * [`wire`] — a length-prefixed, versioned binary codec for every stack
-//!   message type, with the contract that `WireSize::wire_size()` **is**
-//!   the encoded frame length (so sim bandwidth accounting equals live
-//!   bytes);
+//! * [`wire`] — stream framing: the frame bound and the splitter that
+//!   cuts a byte stream into frames. Each message type's codec lives with
+//!   the type, and its encoder is also what `WireSize::wire_size()` counts,
+//!   so sim bandwidth accounting equals live bytes;
 //! * [`transport`] — the [`Transport`] trait with two backends: the
 //!   in-process [`LoopbackMesh`] (in-memory queues) and the real
 //!   [`TcpMesh`] (framed sockets on `127.0.0.1`, TCP failures surfaced as

@@ -52,7 +52,7 @@ use crate::config::RuntimeConfig;
 use crate::report::RuntimeStats;
 use crate::shim::{detection_delay, Fate, ShimControl};
 use crate::transport::{FrameSink, NetEvent, Transport};
-use crate::wire::{WireCodec, LEN_PREFIX_BYTES, MAX_FRAME_BYTES, WIRE_VERSION};
+use crate::wire::{frame_len, WireCodec, LEN_PREFIX_BYTES, WIRE_VERSION};
 use brisa_simnet::seed::{mix64, split_mix64};
 use brisa_simnet::{Command, Context, NodeId, Protocol, TimerTag};
 use brisa_telemetry::{Counter, EventKind as TelEventKind, Histo, Telemetry};
@@ -1370,24 +1370,20 @@ impl ShardIo {
             conn.buf.drain(..5);
         }
         // Frame reassembly: u32 LE length prefix, then the body.
-        while conn.from.is_some() && conn.buf.len() >= LEN_PREFIX_BYTES {
-            let len =
-                u32::from_le_bytes([conn.buf[0], conn.buf[1], conn.buf[2], conn.buf[3]]) as usize;
-            if len == 0 {
+        while conn.from.is_some() {
+            if conn.buf.starts_with(&GOODBYE) {
                 // Goodbye marker: the peer is reaping this idle connection
                 // (see `reap_idle`); the EOF that follows is deliberate.
                 conn.deliberate = true;
                 conn.buf.drain(..LEN_PREFIX_BYTES);
                 continue;
             }
-            if !(3..=MAX_FRAME_BYTES).contains(&len) {
+            let total = match frame_len(&conn.buf) {
+                Ok(Some(total)) if conn.buf.len() >= total => total,
+                Ok(_) => break,
                 // Corrupt stream: treat like a broken connection.
-                return self.drop_inconn(core, token);
-            }
-            let total = LEN_PREFIX_BYTES + len;
-            if conn.buf.len() < total {
-                break;
-            }
+                Err(_) => return self.drop_inconn(core, token),
+            };
             let frame: Vec<u8> = conn.buf[..total].to_vec();
             conn.buf.drain(..total);
             let owner = conn.owner;

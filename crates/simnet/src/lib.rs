@@ -63,6 +63,7 @@ mod sched;
 pub mod seed;
 mod shard;
 mod time;
+pub mod wire;
 
 pub use crate::core::{Placement, Whole};
 pub use bandwidth::{BandwidthMeter, Direction, MeterMode, NodeBandwidth};

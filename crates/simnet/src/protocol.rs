@@ -16,9 +16,9 @@ use rand::rngs::SmallRng;
 /// Types that know their size on the wire.
 ///
 /// The simulator charges this many bytes of upload to the sender and of
-/// download to the receiver of each message. Protocol crates compute the
-/// size from header fields plus payload, mirroring the accounting of the
-/// paper's prototype.
+/// download to the receiver of each message. A message with a
+/// [`WireCodec`](crate::wire::WireCodec) gets it from its encoder run over a
+/// byte counter; the baselines, which never run live, state it as a formula.
 pub trait WireSize {
     /// Size of the encoded message in bytes.
     fn wire_size(&self) -> usize;
