@@ -1,8 +1,8 @@
 //! The two sizing knobs of the live runtime that callers set.
 //!
 //! Timings with one value everywhere are constants beside the code that
-//! reads them: the dial and re-dial budgets in [`reactor`](crate::reactor),
-//! and the delay after which a connection attempt across a partition
+//! reads them: the connect timeout and the dial and re-dial budgets in
+//! [`reactor`](crate::reactor), and the delay after which a connection attempt across a partition
 //! surfaces as a link-down, which *is* the simulator's
 //! `NetworkConfig::failure_detection_delay` (see [`shim`](crate::shim))
 //! rather than a copy of it.
@@ -12,9 +12,10 @@ use std::time::Duration;
 /// Sizing parameters of the live runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Reactor worker threads. Every node is pinned to the shard
-    /// `id % workers`; each worker multiplexes its nodes' protocol
-    /// callbacks, timers and sockets on one `epoll` loop.
+    /// Reactor worker threads, and the pool's whole thread count. Every
+    /// node is pinned to the shard `id % workers`; each worker multiplexes
+    /// its nodes' protocol callbacks, timers and sockets, connects
+    /// included, on one `epoll` loop.
     pub workers: usize,
     /// Idle cut-off for *unmonitored* outbound links. Any send creates a
     /// connection; dissemination links live under `open_connection`

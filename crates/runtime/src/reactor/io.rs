@@ -1,15 +1,21 @@
+//! The connection table of one shard: listeners, inbound connections and
+//! the outbound links with their connect, retry, backoff and reap rules.
+//! Every socket here is non-blocking and registered with the worker's
+//! readiness set from the moment it exists, outbound connects included, so
+//! nothing in this file waits and nothing runs on another thread.
+
 use super::sys::{self, Ready, WAKE_TOKEN};
-use super::{IoPush, ProtoCore, TimerKind};
+use super::{ProtoCore, TimerKind, WireProtocol};
 use crate::config::RuntimeConfig;
 use crate::transport::NetEvent;
-use crate::wire::{frame_len, WireCodec, LEN_PREFIX_BYTES, WIRE_VERSION};
+use crate::wire::{frame_len, LEN_PREFIX_BYTES, WIRE_VERSION};
 use brisa_simnet::seed::mix64;
-use brisa_simnet::{NodeId, Protocol};
+use brisa_simnet::NodeId;
 use brisa_telemetry::EventKind as TelEventKind;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Initial-dial retry budget. Listeners are pre-bound before any node
@@ -28,8 +34,14 @@ pub(super) const RECONNECT_ATTEMPTS: u32 = 5;
 const RECONNECT_BASE: Duration = Duration::from_millis(50);
 pub(super) const RECONNECT_CAP: Duration = Duration::from_millis(800);
 
-/// Timeout of one blocking `connect` on the dialer thread.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Longest a connect may stay in flight. The reap sweep counts an older
+/// one as a failed attempt, so a peer whose SYNs are dropped costs retries,
+/// not a link stuck connecting.
+pub(super) const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Length of the handshake an outbound connection opens with: the wire
+/// version, then the dialing node's `u32` LE id.
+const HELLO_LEN: usize = 5;
 
 /// Goodbye marker: a zero-length frame prefix, outside the codec's valid
 /// frame range, written immediately before a *deliberate* close of an
@@ -38,8 +50,8 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const GOODBYE: [u8; LEN_PREFIX_BYTES] = [0; LEN_PREFIX_BYTES];
 
 /// Transport-side commands executed on the owning worker's loop. Pushed by
-/// [`ReactorTcpTransport`] handles and by the dialer thread.
-pub(crate) enum IoCmd {
+/// [`ReactorTcpTransport`](super::ReactorTcpTransport) handles and the pool.
+pub(super) enum IoCmd {
     /// Register `node`'s pre-bound listener with its shard.
     AddListener {
         /// The owning node.
@@ -62,40 +74,27 @@ pub(crate) enum IoCmd {
     /// Tear down every socket `node` owns (kill/shutdown path); peers
     /// observe EOF and surface link-downs on their own shards.
     CloseNode { node: NodeId },
-    /// A dial finished on the dialer thread; `stream` is handshaken and
-    /// non-blocking on success.
-    Dialed {
-        owner: NodeId,
-        peer: NodeId,
-        gen: u64,
-        stream: Option<TcpStream>,
-    },
-}
-
-/// One dial request consumed by the worker's dialer thread.
-pub(super) struct DialReq {
-    owner: NodeId,
-    peer: NodeId,
-    addr: SocketAddr,
-    gen: u64,
 }
 
 /// State of one `owner → peer` outbound link.
 enum OutState {
-    /// A dial is in flight on the dialer thread.
-    Dialing,
+    /// A connect started at `since` is in flight: the socket turning
+    /// writable decides it, or the reap sweep fails it past
+    /// [`CONNECT_TIMEOUT`].
+    Connecting { conn: OutConn, since: Instant },
     /// A re-dial is scheduled on the timer heap.
     Backoff,
     /// Connected; frames flush through the non-blocking stream.
     Up(OutConn),
 }
 
-/// An established outbound connection and its place in the readiness set.
+/// An outbound socket and its place in the readiness set.
 struct OutConn {
     stream: TcpStream,
     /// Its registration's token, the key of [`ShardIo::out_tokens`].
     token: u64,
-    /// Whether write interest is currently on (a flush hit `WouldBlock`).
+    /// Whether write interest is currently on: from the connect until the
+    /// first flush, then whenever a flush hit `WouldBlock`.
     write_armed: bool,
 }
 
@@ -113,12 +112,20 @@ struct OutLink {
     /// Whether the link ever connected (selects the initial-dial vs the
     /// reconnect retry schedule).
     established: bool,
-    /// Current dial generation; a stale `Dialed` result is discarded.
-    gen: u64,
     /// Last moment the link carried (or was asked to carry) traffic; the
     /// reap sweep closes unmonitored links idle past
     /// `RuntimeConfig::idle_link_timeout`.
     last_used: Instant,
+}
+
+impl OutLink {
+    /// Takes the link's socket, if it has one, leaving it in `Backoff`.
+    fn take_conn(&mut self) -> Option<OutConn> {
+        match std::mem::replace(&mut self.state, OutState::Backoff) {
+            OutState::Connecting { conn, .. } | OutState::Up(conn) => Some(conn),
+            OutState::Backoff => None,
+        }
+    }
 }
 
 /// One inbound connection: handshake, then length-prefixed frames.
@@ -148,18 +155,16 @@ pub(super) struct ShardIo {
     /// is gone the token is in none of the three maps.
     next_token: u64,
     outlinks: HashMap<(u32, u32), OutLink>,
-    /// Token → link of every outbound connection that is `Up`.
+    /// Token → link of every outbound socket, connecting or up.
     out_tokens: HashMap<u64, (u32, u32)>,
     /// `monitored[owner]` = peers under failure-detection interest; an
     /// entry is consumed when its link-down fires (at most one
     /// notification per `open_connection`, the transport contract).
     monitored: HashMap<u32, BTreeSet<u32>>,
-    dial_tx: mpsc::Sender<DialReq>,
-    dial_gen: u64,
 }
 
 impl ShardIo {
-    pub(super) fn new(ready: sys::Readiness, dial_tx: mpsc::Sender<DialReq>) -> Self {
+    pub(super) fn new(ready: sys::Readiness) -> Self {
         ShardIo {
             ready,
             addrs: None,
@@ -169,13 +174,11 @@ impl ShardIo {
             outlinks: HashMap::new(),
             out_tokens: HashMap::new(),
             monitored: HashMap::new(),
-            dial_tx,
-            dial_gen: 0,
         }
     }
 
     /// Descriptors in the readiness set: the wake socket, listeners,
-    /// inbound connections and outbound connections that are up.
+    /// inbound connections and outbound sockets, connecting or up.
     pub(super) fn registered(&self) -> u64 {
         (1 + self.listeners.len() + self.inconns.len() + self.out_tokens.len()) as u64
     }
@@ -183,20 +186,18 @@ impl ShardIo {
     /// Forgets the `owner → peer` link: its queue, and its connection if
     /// it had one.
     fn remove_link(&mut self, owner: u32, peer: u32) {
-        if let Some(link) = self.outlinks.remove(&(owner, peer)) {
-            if let OutState::Up(conn) = link.state {
-                self.out_tokens.remove(&conn.token);
-            }
+        if let Some(conn) = self
+            .outlinks
+            .remove(&(owner, peer))
+            .and_then(|mut link| link.take_conn())
+        {
+            self.out_tokens.remove(&conn.token);
         }
     }
 
     /// Consumes the monitored entry and surfaces the link-down to the
     /// owner's protocol.
-    fn link_down<P>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: NodeId)
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    fn link_down<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: NodeId) {
         let fired = self
             .monitored
             .get_mut(&owner)
@@ -206,55 +207,128 @@ impl ShardIo {
         }
     }
 
-    fn request_dial(&mut self, owner: u32, peer: u32) -> u64 {
-        self.dial_gen += 1;
-        let gen = self.dial_gen;
+    /// Starts the next connect of a link in `Backoff`. A socket that cannot
+    /// even be opened or registered is a failed attempt like any other.
+    fn connect<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
+        let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
+            return;
+        };
         let addr = self
             .addrs
             .as_ref()
             .expect("TCP transport used before any listener was added")[peer as usize];
-        let _ = self.dial_tx.send(DialReq {
-            owner: NodeId(owner),
-            peer: NodeId(peer),
-            addr,
-            gen,
-        });
-        gen
+        let token = self.next_token;
+        self.next_token += 1;
+        match self.ready.connect(addr, token) {
+            Ok(stream) => {
+                let _ = stream.set_nodelay(true);
+                self.out_tokens.insert(token, (owner, peer));
+                let conn = OutConn {
+                    stream,
+                    token,
+                    write_armed: true,
+                };
+                link.state = OutState::Connecting {
+                    conn,
+                    since: Instant::now(),
+                };
+            }
+            Err(_) => self.attempt_failed(core, owner, peer),
+        }
+    }
+
+    /// A connecting socket turned writable, so its connect is decided.
+    /// Connected, it says hello and the link is up; refused, reset or
+    /// short of the hello, it is one failed attempt.
+    fn finish_connect<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
+        let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
+            return;
+        };
+        let OutState::Connecting { conn, .. } = &mut link.state else {
+            return;
+        };
+        let mut hello = [0u8; HELLO_LEN];
+        hello[0] = WIRE_VERSION;
+        hello[1..].copy_from_slice(&owner.to_le_bytes());
+        let connected = matches!(conn.stream.take_error(), Ok(None))
+            && matches!(conn.stream.write(&hello), Ok(HELLO_LEN));
+        if !connected {
+            return self.attempt_failed(core, owner, peer);
+        }
+        if let Some(conn) = link.take_conn() {
+            link.state = OutState::Up(conn);
+        }
+        link.established = true;
+        link.attempts = 0;
+        link.offset = 0;
+        link.last_used = Instant::now();
+        core.tel_event(owner, TelEventKind::LinkUp, peer as u64, 0);
+    }
+
+    /// One connect attempt failed: its socket goes, and the link waits out
+    /// its backoff for the next attempt or, with its retry budget spent,
+    /// fails.
+    fn attempt_failed<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
+        let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
+            return;
+        };
+        link.attempts += 1;
+        core.tel_event(
+            owner,
+            TelEventKind::DialFailed,
+            peer as u64,
+            link.attempts as u64,
+        );
+        let budget = if link.established {
+            RECONNECT_ATTEMPTS
+        } else {
+            CONNECT_RETRIES
+        };
+        if link.attempts >= budget {
+            self.fail_link(core, owner, peer);
+        } else {
+            self.back_off(core, owner, peer);
+        }
+    }
+
+    /// Drops the link's socket, if it has one, and schedules its next
+    /// connect on the timer heap.
+    fn back_off<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
+        let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
+            return;
+        };
+        if let Some(conn) = link.take_conn() {
+            self.out_tokens.remove(&conn.token);
+        }
+        let delay = redial_delay(link, owner, peer);
+        core.timers
+            .push(Instant::now() + delay, TimerKind::Redial { owner, peer });
     }
 
     /// Ensures an outbound link exists, dialing if fresh.
-    fn ensure_link<P>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32)
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    fn ensure_link<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
         if self.outlinks.contains_key(&(owner, peer)) {
             return;
         }
         core.tel_event(owner, TelEventKind::Dial, peer as u64, 0);
-        let gen = self.request_dial(owner, peer);
         self.outlinks.insert(
             (owner, peer),
             OutLink {
-                state: OutState::Dialing,
+                state: OutState::Backoff,
                 queue: VecDeque::new(),
                 offset: 0,
                 attempts: 0,
                 established: false,
-                gen,
                 last_used: Instant::now(),
             },
         );
+        self.connect(core, owner, peer);
     }
 
     /// The link failed past its retry budget: drop it (with its queue) and
     /// surface the failure. A later send re-creates it with a fresh budget,
     /// like the old transport's fresh-writer re-dial.
-    fn fail_link<P>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32)
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    fn fail_link<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
         self.remove_link(owner, peer);
         core.tel_event(owner, TelEventKind::LinkDown, peer as u64, 0);
         self.link_down(core, owner, NodeId(peer));
@@ -264,11 +338,7 @@ impl ShardIo {
     /// error the connection is retired and a re-dial scheduled; the
     /// in-progress frame is kept for a full resend (the receiver discards
     /// the broken connection's partial frame with the connection).
-    fn flush_link<P>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32)
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    fn flush_link<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
         let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
             return;
         };
@@ -282,14 +352,11 @@ impl ShardIo {
             };
             while link.offset < front.len() {
                 match conn.stream.write(&front[link.offset..]) {
-                    Ok(0) => {
-                        self.retire_connection(core, owner, peer);
-                        return;
-                    }
-                    Ok(n) => link.offset += n,
+                    Ok(n) if n > 0 => link.offset += n,
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break 'flush true,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
+                    // Nothing written, or a write error: the connection broke.
+                    _ => {
                         self.retire_connection(core, owner, peer);
                         return;
                     }
@@ -313,115 +380,40 @@ impl ShardIo {
 
     /// A mid-stream write failure: drop the connection and enter the
     /// bounded backoff re-dial cycle before surfacing anything.
-    fn retire_connection<P>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32)
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
-        let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
-            return;
-        };
-        if let OutState::Up(conn) = std::mem::replace(&mut link.state, OutState::Backoff) {
-            self.out_tokens.remove(&conn.token);
+    fn retire_connection<P: WireProtocol>(
+        &mut self,
+        core: &mut ProtoCore<P>,
+        owner: u32,
+        peer: u32,
+    ) {
+        if let Some(link) = self.outlinks.get_mut(&(owner, peer)) {
+            link.offset = 0;
+            link.attempts = 0;
+            self.back_off(core, owner, peer);
         }
-        link.offset = 0;
-        link.attempts = 0;
-        let delay = redial_delay(link, owner, peer);
-        core.timers
-            .push(Instant::now() + delay, TimerKind::Redial { owner, peer });
     }
 
-    /// A scheduled re-dial deadline fired. Returns whether a dial was
-    /// actually issued (the link may have been closed or replaced while
+    /// A scheduled re-dial deadline fired. Returns whether a connect was
+    /// actually started (the link may have been closed or replaced while
     /// the deadline was pending).
-    pub(super) fn redial(&mut self, owner: u32, peer: u32) -> bool {
+    pub(super) fn redial<P: WireProtocol>(
+        &mut self,
+        core: &mut ProtoCore<P>,
+        owner: u32,
+        peer: u32,
+    ) -> bool {
         let in_backoff = matches!(
             self.outlinks.get(&(owner, peer)),
             Some(link) if matches!(link.state, OutState::Backoff)
         );
         if in_backoff {
-            let gen = self.request_dial(owner, peer);
-            let link = self
-                .outlinks
-                .get_mut(&(owner, peer))
-                .expect("checked above");
-            link.state = OutState::Dialing;
-            link.gen = gen;
+            self.connect(core, owner, peer);
         }
         in_backoff
     }
 
-    /// A dial result arrived from the dialer thread.
-    fn dialed<P>(
-        &mut self,
-        core: &mut ProtoCore<P>,
-        owner: u32,
-        peer: u32,
-        gen: u64,
-        stream: Option<TcpStream>,
-    ) where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
-        let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
-            return; // Link was closed while the dial was in flight.
-        };
-        if link.gen != gen || !matches!(link.state, OutState::Dialing) {
-            return; // Stale dial of a replaced connection.
-        }
-        // A connection the readiness set refuses is a failed dial.
-        let conn = stream.and_then(|stream| {
-            let token = self.next_token;
-            self.next_token += 1;
-            self.ready.register(&stream, token).ok()?;
-            Some(OutConn {
-                stream,
-                token,
-                write_armed: false,
-            })
-        });
-        match conn {
-            Some(conn) => {
-                self.out_tokens.insert(conn.token, (owner, peer));
-                link.state = OutState::Up(conn);
-                link.established = true;
-                link.attempts = 0;
-                link.offset = 0;
-                link.last_used = Instant::now();
-                core.tel_event(owner, TelEventKind::LinkUp, peer as u64, 0);
-                self.flush_link(core, owner, peer);
-            }
-            None => {
-                link.attempts += 1;
-                core.tel_event(
-                    owner,
-                    TelEventKind::DialFailed,
-                    peer as u64,
-                    link.attempts as u64,
-                );
-                let budget = if link.established {
-                    RECONNECT_ATTEMPTS
-                } else {
-                    CONNECT_RETRIES
-                };
-                if link.attempts >= budget {
-                    self.fail_link(core, owner, peer);
-                } else {
-                    link.state = OutState::Backoff;
-                    let delay = redial_delay(link, owner, peer);
-                    core.timers
-                        .push(Instant::now() + delay, TimerKind::Redial { owner, peer });
-                }
-            }
-        }
-    }
-
     /// Executes one transport command on this shard.
-    pub(super) fn handle_cmd<P>(&mut self, core: &mut ProtoCore<P>, cmd: IoCmd)
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    pub(super) fn handle_cmd<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, cmd: IoCmd) {
         match cmd {
             IoCmd::AddListener {
                 node,
@@ -474,12 +466,6 @@ impl ShardIo {
                 self.out_tokens.retain(|_, (owner, _)| *owner != node.0);
                 self.monitored.remove(&node.0);
             }
-            IoCmd::Dialed {
-                owner,
-                peer,
-                gen,
-                stream,
-            } => self.dialed(core, owner.0, peer.0, gen, stream),
         }
     }
 
@@ -496,8 +482,8 @@ impl ShardIo {
                     let _ = stream.set_nonblocking(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    // Refused by the readiness set: drop it, the dialer
-                    // sees a reset and re-dials like any broken link.
+                    // Refused by the readiness set: drop it, the dialing
+                    // side sees a reset and re-dials like any broken link.
                     if self.ready.register(&stream, token).is_err() {
                         continue;
                     }
@@ -522,27 +508,19 @@ impl ShardIo {
     /// Drains a readable inbound connection: handshake, then frame
     /// reassembly, dispatching complete frames straight into the owner's
     /// protocol (same thread — the owner lives on this shard).
-    fn read_inconn<P>(
+    fn read_inconn<P: WireProtocol>(
         &mut self,
         core: &mut ProtoCore<P>,
         scratch: &mut [u8],
         token: u64,
-    ) -> Result<(), ()>
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    ) -> Result<(), ()> {
         let Some(mut conn) = self.inconns.get_mut(&token) else {
             return Ok(());
         };
         let mut closed = false;
         loop {
             match conn.stream.read(scratch) {
-                Ok(0) => {
-                    closed = true;
-                    break;
-                }
-                Ok(n) => {
+                Ok(n) if n > 0 => {
                     conn.buf.extend_from_slice(&scratch[..n]);
                     // A short read emptied the socket: asking again only
                     // buys an `EAGAIN`. Reads are level-triggered, so
@@ -553,20 +531,21 @@ impl ShardIo {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
+                // EOF, or a reset.
+                _ => {
                     closed = true;
                     break;
                 }
             }
         }
         // Handshake: 5 bytes naming the peer (version, u32 LE id).
-        if conn.from.is_none() && conn.buf.len() >= 5 {
+        if conn.from.is_none() && conn.buf.len() >= HELLO_LEN {
             if conn.buf[0] != WIRE_VERSION {
                 return self.drop_inconn(core, token);
             }
             let from = u32::from_le_bytes([conn.buf[1], conn.buf[2], conn.buf[3], conn.buf[4]]);
             conn.from = Some(NodeId(from));
-            conn.buf.drain(..5);
+            conn.buf.drain(..HELLO_LEN);
         }
         // Frame reassembly: u32 LE length prefix, then the body.
         while conn.from.is_some() {
@@ -602,11 +581,11 @@ impl ShardIo {
 
     /// Removes an inbound connection, surfacing the peer-death signal if
     /// the identified peer is monitored by the owner.
-    fn drop_inconn<P>(&mut self, core: &mut ProtoCore<P>, token: u64) -> Result<(), ()>
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    fn drop_inconn<P: WireProtocol>(
+        &mut self,
+        core: &mut ProtoCore<P>,
+        token: u64,
+    ) -> Result<(), ()> {
         if let Some(conn) = self.inconns.remove(&token) {
             if let Some(from) = conn.from {
                 if !conn.deliberate {
@@ -620,11 +599,7 @@ impl ShardIo {
     /// A readable outbound connection: the peer never writes on this
     /// direction, so readiness means EOF/reset — the peer-close watcher of
     /// the old transport, without the thread.
-    fn check_out_eof<P>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32)
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    fn check_out_eof<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
         let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
             return;
         };
@@ -634,19 +609,14 @@ impl ShardIo {
         let mut probe = [0u8; 32];
         loop {
             match conn.stream.read(&mut probe) {
-                Ok(0) => {
-                    // Peer closed its end: drop the link; the next send (or
-                    // a protocol-level re-open) dials fresh.
-                    self.remove_link(owner, peer);
-                    self.link_down(core, owner, NodeId(peer));
-                    return;
-                }
                 // Unexpected chatter on a write-only direction: ignore it
                 // and keep the connection.
-                Ok(_) => continue,
+                Ok(n) if n > 0 => continue,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
+                // The peer closed its end, or reset it: drop the link; the
+                // next send (or a protocol-level re-open) dials fresh.
+                _ => {
                     self.remove_link(owner, peer);
                     self.link_down(core, owner, NodeId(peer));
                     return;
@@ -668,40 +638,52 @@ impl ShardIo {
     /// detector); everything else closes after the idle window, announced
     /// with a [`GOODBYE`] marker so the receiver does not mistake the
     /// deliberate close for peer death. A later send simply re-dials.
-    pub(super) fn reap_idle<P>(
+    ///
+    /// The same sweep fails every connect in flight past
+    /// [`CONNECT_TIMEOUT`]: one failed attempt on the link's retry path.
+    pub(super) fn reap_idle<P: WireProtocol>(
         &mut self,
         core: &mut ProtoCore<P>,
         cfg: &RuntimeConfig,
         now: Instant,
-    ) where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    ) {
         debug_assert_eq!(
             self.out_tokens.len(),
             self.outlinks
                 .values()
-                .filter(|link| matches!(link.state, OutState::Up(_)))
+                .filter(|link| !matches!(link.state, OutState::Backoff))
                 .count(),
-            "every link that is up, and nothing else, holds a token"
+            "every link with a socket, and nothing else, holds a token"
         );
         if self.outlinks.is_empty() {
             return;
         }
         let mut reap: Vec<(u32, u32)> = Vec::new();
+        let mut stalled: Vec<(u32, u32)> = Vec::new();
         for (&(owner, peer), link) in &self.outlinks {
             let monitored = self
                 .monitored
                 .get(&owner)
                 .is_some_and(|set| set.contains(&peer));
-            if matches!(link.state, OutState::Up(_))
-                && !monitored
-                && link.queue.is_empty()
-                && link.offset == 0
-                && now.duration_since(link.last_used) >= cfg.idle_link_timeout
-            {
-                reap.push((owner, peer));
+            match link.state {
+                OutState::Connecting { since, .. }
+                    if now.duration_since(since) >= CONNECT_TIMEOUT =>
+                {
+                    stalled.push((owner, peer))
+                }
+                OutState::Up(_)
+                    if !monitored
+                        && link.queue.is_empty()
+                        && link.offset == 0
+                        && now.duration_since(link.last_used) >= cfg.idle_link_timeout =>
+                {
+                    reap.push((owner, peer))
+                }
+                _ => {}
             }
+        }
+        for (owner, peer) in stalled {
+            self.attempt_failed(core, owner, peer);
         }
         for (owner, peer) in reap {
             let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
@@ -732,11 +714,12 @@ impl ShardIo {
 
     /// Serves one ready registration. A token whose connection was dropped
     /// earlier in the same batch is in none of the maps and falls through.
-    pub(super) fn on_ready<P>(&mut self, core: &mut ProtoCore<P>, scratch: &mut [u8], ev: Ready)
-    where
-        P: Protocol,
-        P::Message: WireCodec,
-    {
+    pub(super) fn on_ready<P: WireProtocol>(
+        &mut self,
+        core: &mut ProtoCore<P>,
+        scratch: &mut [u8],
+        ev: Ready,
+    ) {
         if self.inconns.contains_key(&ev.token) {
             if ev.readable {
                 let _ = self.read_inconn(core, scratch, ev.token);
@@ -746,6 +729,9 @@ impl ShardIo {
                 self.check_out_eof(core, owner, peer);
             }
             if ev.writable {
+                // A connect in flight is decided; a link that is up (now,
+                // or already) flushes.
+                self.finish_connect(core, owner, peer);
                 self.flush_link(core, owner, peer);
             }
         } else if ev.readable {
@@ -790,28 +776,4 @@ fn redial_delay(link: &OutLink, owner: u32, peer: u32) -> Duration {
         mix64(((owner as u64) << 32 | peer as u64).wrapping_add(link.attempts as u64));
     let jitter = Duration::from_micros(jitter_seed % (backoff.as_micros() as u64 / 2).max(1));
     backoff + jitter
-}
-
-/// The dialer thread: the one blocking socket operation (connect +
-/// handshake write), serialized per shard, results posted to the inbox.
-pub(super) fn dialer_main(rx: mpsc::Receiver<DialReq>, io: Arc<dyn IoPush>) {
-    while let Ok(req) = rx.recv() {
-        let stream = TcpStream::connect_timeout(&req.addr, CONNECT_TIMEOUT)
-            .ok()
-            .and_then(|mut s| {
-                s.set_nodelay(true).ok();
-                let mut hello = [0u8; 5];
-                hello[0] = WIRE_VERSION;
-                hello[1..5].copy_from_slice(&req.owner.0.to_le_bytes());
-                s.write_all(&hello).ok()?;
-                s.set_nonblocking(true).ok()?;
-                Some(s)
-            });
-        io.push_io(IoCmd::Dialed {
-            owner: req.owner,
-            peer: req.peer,
-            gen: req.gen,
-            stream,
-        });
-    }
 }

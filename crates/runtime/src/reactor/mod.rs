@@ -1,8 +1,8 @@
 //! The sharded reactor: N nodes multiplexed per worker thread.
 //!
 //! A small pool of **reactor workers** executes every live node: a node is
-//! pinned to the shard `id % workers`, and each worker runs one loop that
-//! merges
+//! pinned to the shard `id % workers`, and each worker is one thread
+//! running one loop that merges
 //!
 //! * the worker's **inbox** (a mutex-protected queue of inbound frames,
 //!   control messages and transport commands, woken through a pipe),
@@ -12,13 +12,13 @@
 //!   (held frames, failed opens across a cut — see [`crate::shim`]),
 //! * and **socket readiness** from one `epoll` instance per worker
 //!   (hand-rolled FFI — the vendored-deps constraint rules out mio):
-//!   non-blocking listeners, inbound frame reassembly and outbound write
-//!   flushing all run on the worker that owns the node. A descriptor is
-//!   registered once, where it is born — a listener at `AddListener`, an
-//!   inbound connection at `accept`, an outbound one when its dial comes
-//!   back up, the wake socket when the worker is spawned — and leaves the
-//!   set when it is dropped, so a link that carries nothing costs the loop
-//!   nothing.
+//!   non-blocking listeners, inbound frame reassembly, outbound connects
+//!   and outbound write flushing all run on the worker that owns the node.
+//!   A descriptor is registered once, where it is born — a listener at
+//!   `AddListener`, an inbound connection at `accept`, an outbound one
+//!   when its connect starts, the wake socket when the worker is spawned —
+//!   and leaves the set when it is dropped, so a link that carries nothing
+//!   costs the loop nothing.
 //!
 //! The semantics match the simulator's: protocols see
 //! `on_start`/`on_message`/`on_timer`/`on_link_down` through
@@ -34,18 +34,22 @@
 //! siblings keep running; the panic never takes down the worker.
 //!
 //! **TCP under the reactor** (see [`crate::tcp`] for the mesh): sockets
-//! are owned by the worker loop, never shared. Outbound connects are the
-//! one operation std cannot do non-blockingly, so each worker keeps one
-//! **dialer thread** that performs blocking `connect_timeout` + handshake
-//! serially and posts the result back to the inbox; retry pacing
-//! (initial-dial retries, the 50 → 800 ms reconnect backoff) lives on the
-//! worker's timer heap, so a slow dial never stalls frame traffic.
-//! Backpressure is per-link: frames queue in the link's outbound buffer
-//! until the socket drains. Reads are level-triggered and always armed;
-//! write interest is switched on only when a flush hits `WouldBlock` and
-//! off again when the queue empties, so an idle writable socket never
-//! wakes the loop. Protocol-level flow control is the stack's own (BRISA's
-//! per-round fan-out), exactly as in the simulator.
+//! are owned by the worker loop, never shared. An outbound connect is
+//! started non-blocking and registered for writability; the socket turning
+//! writable decides it, and the handshake follows on the same iteration. A
+//! connect still pending after `CONNECT_TIMEOUT` is failed by the reap
+//! sweep. Retry pacing (initial-dial retries, the 50 → 800 ms reconnect
+//! backoff) lives on the worker's timer heap, so a slow peer never stalls
+//! frame traffic. Backpressure is per-link: frames queue in the link's
+//! outbound buffer until the socket drains. Reads are level-triggered and
+//! always armed; write interest is on while a connect is in flight and
+//! afterwards only when a flush hits `WouldBlock`, off again when the
+//! queue empties, so an idle writable socket never wakes the loop.
+//! Protocol-level flow control is the stack's own (BRISA's per-round
+//! fan-out), exactly as in the simulator.
+//!
+//! Three files: `sys` holds the readiness set and all of the reactor's FFI,
+//! `io` the connection table, and this one the worker loop and the pool.
 
 use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
@@ -56,9 +60,7 @@ use crate::wire::WireCodec;
 use brisa_simnet::seed::split_mix64;
 use brisa_simnet::{Command, Context, NodeId, Protocol, TimerTag};
 use brisa_telemetry::{Counter, EventKind as TelEventKind, Histo, Telemetry};
-use io::{dialer_main, DialReq, IoCmd, ShardIo};
-#[cfg(test)]
-use io::{reconnect_backoff, RECONNECT_ATTEMPTS, RECONNECT_CAP};
+use io::{IoCmd, ShardIo};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
@@ -81,6 +83,10 @@ const REAP_INTERVAL: Duration = Duration::from_secs(1);
 /// Work section (everything but the wait) from which a loop iteration is
 /// worth a `PollLoop` flight-recorder event.
 const SLOW_ITERATION: Duration = Duration::from_millis(1);
+
+/// A protocol the reactor can run: one whose messages have a wire codec.
+trait WireProtocol: Protocol<Message: WireCodec> {}
+impl<P: Protocol<Message: WireCodec>> WireProtocol for P {}
 
 /// A boxed protocol callback queued through [`ReactorPool::invoke`].
 type InvokeFn<P> = Box<dyn FnOnce(&mut P, &mut Context<'_, <P as Protocol>::Message>) + Send>;
@@ -111,7 +117,7 @@ enum WorkerMsg<P: Protocol> {
 }
 
 /// A worker's inbox: the queue plus its waker. Shared by every producer
-/// targeting the shard (sinks, transport handles, the dialer, the pool).
+/// targeting the shard (sinks, transport handles, the pool).
 struct Inbox<P: Protocol> {
     queue: Mutex<VecDeque<WorkerMsg<P>>>,
     waker: sys::Waker,
@@ -121,17 +127,6 @@ impl<P: Protocol> Inbox<P> {
     fn push(&self, msg: WorkerMsg<P>) {
         self.queue.lock().unwrap().push_back(msg);
         self.waker.wake();
-    }
-}
-
-/// Object-safe face of an [`Inbox`] for the non-generic TCP machinery.
-pub(crate) trait IoPush: Send + Sync {
-    fn push_io(&self, cmd: IoCmd);
-}
-
-impl<P: Protocol + Send + 'static> IoPush for Inbox<P> {
-    fn push_io(&self, cmd: IoCmd) {
-        self.push(WorkerMsg::Io(cmd));
     }
 }
 
@@ -152,36 +147,31 @@ impl<P: Protocol + Send + 'static> FrameSink for ReactorSink<P> {
 
 /// One node's [`Transport`] handle onto its shard's socket engine. All
 /// methods enqueue `IoCmd`s; the worker loop owns the actual sockets.
-pub struct ReactorTcpTransport {
+struct ReactorTcpTransport<P: Protocol> {
     me: NodeId,
-    io: Arc<dyn IoPush>,
+    inbox: Arc<Inbox<P>>,
 }
 
-impl Transport for ReactorTcpTransport {
+impl<P: Protocol + Send + 'static> Transport for ReactorTcpTransport<P> {
     fn send(&mut self, to: NodeId, frame: Vec<u8>) {
-        self.io.push_io(IoCmd::Send {
-            from: self.me,
-            to,
-            frame,
-        });
+        let from = self.me;
+        self.inbox
+            .push(WorkerMsg::Io(IoCmd::Send { from, to, frame }));
     }
 
     fn open_connection(&mut self, peer: NodeId) {
-        self.io.push_io(IoCmd::Open {
-            from: self.me,
-            peer,
-        });
+        let from = self.me;
+        self.inbox.push(WorkerMsg::Io(IoCmd::Open { from, peer }));
     }
 
     fn close_connection(&mut self, peer: NodeId) {
-        self.io.push_io(IoCmd::Close {
-            from: self.me,
-            peer,
-        });
+        let from = self.me;
+        self.inbox.push(WorkerMsg::Io(IoCmd::Close { from, peer }));
     }
 
     fn shutdown(&mut self) {
-        self.io.push_io(IoCmd::CloseNode { node: self.me });
+        let node = self.me;
+        self.inbox.push(WorkerMsg::Io(IoCmd::CloseNode { node }));
     }
 }
 
@@ -319,11 +309,7 @@ struct ProtoCore<P: Protocol> {
     rtel: ReactorTel,
 }
 
-impl<P> ProtoCore<P>
-where
-    P: Protocol,
-    P::Message: WireCodec,
-{
+impl<P: WireProtocol> ProtoCore<P> {
     fn new(shim: ShimControl, shard: usize, telemetry: &Telemetry) -> Self {
         ProtoCore {
             shim,
@@ -539,7 +525,7 @@ where
 
 /// The worker loop: drain inbox → fire timers → wait for readiness →
 /// handle. `io` arrives with the wake socket already registered.
-fn worker_main<P>(
+fn worker_main<P: WireProtocol + Send + 'static>(
     idx: usize,
     inbox: Arc<Inbox<P>>,
     wake: sys::WakeRx,
@@ -547,10 +533,7 @@ fn worker_main<P>(
     shim: ShimControl,
     cfg: RuntimeConfig,
     telemetry: Telemetry,
-) where
-    P: Protocol + Send + 'static,
-    P::Message: WireCodec,
-{
+) {
     let mut core: ProtoCore<P> = ProtoCore::new(shim, idx, &telemetry);
     let mut scratch = vec![0u8; 64 * 1024];
     let mut batch: VecDeque<WorkerMsg<P>> = VecDeque::new();
@@ -605,7 +588,7 @@ fn worker_main<P>(
         redials.clear();
         core.fire_due_timers(&mut redials);
         for &(owner, peer) in &redials {
-            if io.redial(owner, peer) {
+            if io.redial(&mut core, owner, peer) {
                 if let Some(slot) = core.nodes.get_mut(&owner) {
                     slot.stats.redials += 1;
                 }
@@ -664,9 +647,7 @@ fn worker_main<P>(
 /// One shard's handles, owned by the pool.
 struct WorkerHandle<P: Protocol> {
     inbox: Arc<Inbox<P>>,
-    dial_tx: Option<mpsc::Sender<DialReq>>,
     thread: Option<JoinHandle<()>>,
-    dialer: Option<JoinHandle<()>>,
 }
 
 /// The reactor: a fixed pool of worker threads, each multiplexing the
@@ -676,14 +657,10 @@ pub struct ReactorPool<P: Protocol> {
     shim: ShimControl,
 }
 
-impl<P> ReactorPool<P>
-where
-    P: Protocol + Send + 'static,
-    P::Message: WireCodec,
-{
-    /// Spawns `cfg.workers` reactor workers (each with its dialer) on
-    /// `clock`, with telemetry disabled and a fault layer of its own (seed
-    /// 0) that stays inert unless driven through [`ReactorPool::shim`].
+impl<P: Protocol<Message: WireCodec> + Send + 'static> ReactorPool<P> {
+    /// Spawns `cfg.workers` reactor workers on `clock`, with telemetry
+    /// disabled and a fault layer of its own (seed 0) that stays inert
+    /// unless driven through [`ReactorPool::shim`].
     pub fn new(clock: WallClock, cfg: &RuntimeConfig) -> Self {
         Self::with_telemetry(ShimControl::new(0, clock), cfg, Telemetry::disabled())
     }
@@ -704,25 +681,17 @@ where
                 queue: Mutex::new(VecDeque::new()),
                 waker,
             });
-            let (dial_tx, dial_rx) = mpsc::channel();
-            let dial_io: Arc<dyn IoPush> = Arc::clone(&inbox) as Arc<Inbox<P>>;
-            let dialer = std::thread::Builder::new()
-                .name(format!("brisa-dial-{i}"))
-                .spawn(move || dialer_main(dial_rx, dial_io))
-                .expect("spawn dialer thread");
-            let worker_inbox = Arc::clone(&inbox);
-            let worker_cfg = *cfg;
-            let worker_io = ShardIo::new(ready, dial_tx.clone());
-            let worker_tel = telemetry.clone();
-            let worker_shim = shim.clone();
+            let (worker_inbox, worker_cfg) = (Arc::clone(&inbox), *cfg);
+            let (worker_tel, worker_shim) = (telemetry.clone(), shim.clone());
             let thread = std::thread::Builder::new()
                 .name(format!("brisa-shard-{i}"))
                 .spawn(move || {
+                    let io = ShardIo::new(ready);
                     worker_main(
                         i,
                         worker_inbox,
                         wake_rx,
-                        worker_io,
+                        io,
                         worker_shim,
                         worker_cfg,
                         worker_tel,
@@ -731,9 +700,7 @@ where
                 .expect("spawn reactor worker");
             workers.push(WorkerHandle {
                 inbox,
-                dial_tx: Some(dial_tx),
                 thread: Some(thread),
-                dialer: Some(dialer),
             });
         }
         ReactorPool { workers, shim }
@@ -772,7 +739,7 @@ where
     pub fn tcp_transport(&self, id: NodeId) -> Box<dyn Transport> {
         Box::new(ReactorTcpTransport {
             me: id,
-            io: Arc::clone(&self.shard_of(id).inbox) as Arc<dyn IoPush>,
+            inbox: Arc::clone(&self.shard_of(id).inbox),
         })
     }
 
@@ -819,10 +786,12 @@ where
         self.shard_of(id).inbox.push(WorkerMsg::Stop { id, reply });
         rx
     }
+}
 
+impl<P: Protocol> ReactorPool<P> {
     /// Stops every worker: remaining nodes are torn down, sockets closed,
-    /// and all worker + dialer threads joined. No socket, port or thread
-    /// survives this call.
+    /// and every worker thread joined. No socket, port or thread survives
+    /// this call.
     pub fn shutdown(&mut self) {
         for w in &self.workers {
             if w.thread.is_some() {
@@ -830,12 +799,8 @@ where
             }
         }
         for w in &mut self.workers {
-            drop(w.dial_tx.take()); // Dialer exits when all senders drop…
             if let Some(t) = w.thread.take() {
-                let _ = t.join(); // …the worker's clone included.
-            }
-            if let Some(d) = w.dialer.take() {
-                let _ = d.join();
+                let _ = t.join();
             }
         }
     }
@@ -843,28 +808,18 @@ where
 
 impl<P: Protocol> Drop for ReactorPool<P> {
     fn drop(&mut self) {
-        for w in &self.workers {
-            if w.thread.is_some() {
-                w.inbox.push(WorkerMsg::Shutdown);
-            }
-        }
-        for w in &mut self.workers {
-            drop(w.dial_tx.take());
-            if let Some(t) = w.thread.take() {
-                let _ = t.join();
-            }
-            if let Some(d) = w.dialer.take() {
-                let _ = d.join();
-            }
-        }
+        self.shutdown();
     }
 }
 
 #[cfg(test)]
 #[cfg(target_os = "linux")]
 mod tests {
+    use super::io::{reconnect_backoff, RECONNECT_ATTEMPTS, RECONNECT_CAP};
     use super::sys::Readiness;
-    use std::io::{Read, Write};
+    use std::collections::BTreeSet;
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::TcpListener;
     use std::os::raw::{c_int, c_ulong};
     use std::os::unix::net::UnixStream;
     use std::sync::mpsc;
@@ -875,12 +830,12 @@ mod tests {
 
     #[test]
     fn reconnect_backoff_doubles_and_caps() {
-        let schedule: Vec<u64> = (0..super::RECONNECT_ATTEMPTS)
-            .map(|a| super::reconnect_backoff(a).as_millis() as u64)
+        let schedule: Vec<u64> = (0..RECONNECT_ATTEMPTS)
+            .map(|a| reconnect_backoff(a).as_millis() as u64)
             .collect();
         assert_eq!(schedule, vec![50, 100, 200, 400, 800]);
         // Past the cap the schedule stays flat (and never overflows).
-        assert_eq!(super::reconnect_backoff(40), super::RECONNECT_CAP);
+        assert_eq!(reconnect_backoff(40), RECONNECT_CAP);
     }
 
     fn pair() -> (UnixStream, UnixStream) {
@@ -940,6 +895,33 @@ mod tests {
         assert!(ev.writable && !ev.readable);
         ready.set_write_interest(&a, 3, false).expect("disarm");
         assert_eq!(ready.wait(SOON), 0);
+    }
+
+    #[test]
+    fn a_connect_in_flight_is_decided_when_its_socket_turns_writable() {
+        let mut ready = Readiness::new().expect("epoll");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let open = listener.local_addr().expect("addr");
+        let closed = {
+            let gone = TcpListener::bind("127.0.0.1:0").expect("bind");
+            gone.local_addr().expect("addr")
+        };
+        // Both return while the handshake is still in flight.
+        let accepted = ready.connect(open, 1).expect("connect started");
+        let refused = ready.connect(closed, 2).expect("a refusal arrives later");
+        let mut decided = BTreeSet::new();
+        while decided.len() < 2 {
+            let n = ready.wait(LONG);
+            assert!(n > 0, "undecided connects: {decided:?} of 1, 2");
+            for i in 0..n {
+                let ev = ready.event(i);
+                assert!(ev.writable, "a decided connect reads as writable");
+                decided.insert(ev.token);
+            }
+        }
+        assert!(accepted.take_error().expect("SO_ERROR").is_none());
+        let refusal = refused.take_error().expect("SO_ERROR").map(|e| e.kind());
+        assert_eq!(refusal, Some(ErrorKind::ConnectionRefused));
     }
 
     #[test]

@@ -1,7 +1,13 @@
+//! The reactor's only foreign-function surface: a worker's readiness set
+//! (`epoll` on Linux), the socket pair that wakes it, and the one socket
+//! call `std` cannot make without blocking, a connect that returns while
+//! it is still in flight. Outside its tests, no other reactor file uses
+//! `unsafe`.
+
 /// Token of the worker's own wake socket; connection tokens start above it.
 pub(super) const WAKE_TOKEN: u64 = 0;
 
-/// One ready registration out of [`sys::Readiness::wait`]. Error and
+/// One ready registration out of [`Readiness::wait`]. Error and
 /// hang-up conditions read as both, so whichever handler runs meets the
 /// failure on its next socket call.
 #[derive(Clone, Copy)]
@@ -13,13 +19,15 @@ pub(super) struct Ready {
 
 /// Readiness primitives: one `epoll` instance per worker over hand-declared
 /// FFI (the vendored-deps constraint rules out mio and libc), plus a
-/// socketpair waker. A descriptor is registered once, level-triggered for
-/// reads, and leaves the set when it is closed — the reactor never
-/// duplicates a socket, so dropping the stream is the deregistration.
+/// socketpair waker and a non-blocking connect. A descriptor is registered
+/// once, level-triggered for reads, and leaves the set when it is closed —
+/// the reactor never duplicates a socket, so dropping the stream is the
+/// deregistration.
 #[cfg(target_os = "linux")]
 mod imp {
     use super::{Ready, WAKE_TOKEN};
     use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
     use std::os::raw::c_int;
     use std::os::unix::net::UnixStream;
@@ -34,6 +42,12 @@ mod imp {
     const EPOLL_CLOEXEC: c_int = 0o2000000;
     const EPOLL_CTL_ADD: c_int = 1;
     const EPOLL_CTL_MOD: c_int = 3;
+    const AF_INET: c_int = 2;
+    const SOCK_STREAM: c_int = 1;
+    const SOCK_NONBLOCK: c_int = 0o4000;
+    const SOCK_CLOEXEC: c_int = 0o2000000;
+    /// As asm-generic numbers it (x86, Arm, RISC-V).
+    const EINPROGRESS: i32 = 115;
 
     /// Events fetched per `epoll_wait`; a larger ready set is served over
     /// successive waits (level-triggered, nothing is lost).
@@ -48,7 +62,18 @@ mod imp {
         data: u64,
     }
 
+    /// `struct sockaddr_in`: port and address in network byte order.
+    #[repr(C)]
+    struct SockaddrIn {
+        family: u16,
+        port: u16,
+        addr: [u8; 4],
+        zero: [u8; 8],
+    }
+
     extern "C" {
+        fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+        fn connect(fd: c_int, addr: *const SockaddrIn, len: u32) -> c_int;
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
         // `timeout` is in milliseconds.
@@ -107,6 +132,42 @@ mod imp {
         /// Adds `sock` with read interest; its events carry `token`.
         pub fn register(&mut self, sock: &impl AsRawFd, token: u64) -> std::io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, sock, EPOLLIN, token)
+        }
+
+        /// Opens a non-blocking IPv4 socket, starts its connect to `addr`
+        /// and adds it with read *and* write interest under `token`. The
+        /// connect is decided when the token first reports writable:
+        /// `TcpStream::take_error` then reads `None` if it succeeded and
+        /// the refusal or reset if not.
+        pub fn connect(&mut self, addr: SocketAddr, token: u64) -> std::io::Result<TcpStream> {
+            let SocketAddr::V4(v4) = addr else {
+                return Err(std::io::ErrorKind::Unsupported.into());
+            };
+            // SAFETY: no pointer arguments; the result is checked below.
+            let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+            if fd < 0 {
+                return Err(std::io::Error::last_os_error());
+            }
+            // SAFETY: `fd` is a descriptor this call just opened and
+            // nothing else owns.
+            let stream = unsafe { TcpStream::from_raw_fd(fd) };
+            let sa = SockaddrIn {
+                family: AF_INET as u16,
+                port: v4.port().to_be(),
+                addr: v4.ip().octets(),
+                zero: [0; 8],
+            };
+            // SAFETY: `sa` is a live `sockaddr_in` of the length passed (the
+            // kernel copies it); the descriptor is open, owned by `stream`.
+            let rc = unsafe { connect(stream.as_raw_fd(), &sa, size_of::<SockaddrIn>() as u32) };
+            if rc < 0 {
+                let err = std::io::Error::last_os_error();
+                if err.raw_os_error() != Some(EINPROGRESS) {
+                    return Err(err);
+                }
+            }
+            self.ctl(EPOLL_CTL_ADD, &stream, EPOLLIN | EPOLLOUT, token)?;
+            Ok(stream)
         }
 
         /// Switches write interest of a registered `sock` on or off.
@@ -213,6 +274,8 @@ mod imp {
 #[cfg(not(target_os = "linux"))]
 mod imp {
     use super::Ready;
+    use crate::reactor::io::CONNECT_TIMEOUT;
+    use std::net::{SocketAddr, TcpStream};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -229,6 +292,14 @@ mod imp {
         pub fn register<S>(&mut self, _sock: &S, token: u64) -> std::io::Result<()> {
             self.tokens.push(token);
             Ok(())
+        }
+        /// A blocking connect behind the same call: the tick reports the
+        /// registration writable, and `take_error` reads `None`.
+        pub fn connect(&mut self, addr: SocketAddr, token: u64) -> std::io::Result<TcpStream> {
+            let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+            stream.set_nonblocking(true)?;
+            self.register(&stream, token)?;
+            Ok(stream)
         }
         pub fn set_write_interest<S>(&mut self, _: &S, _: u64, _: bool) -> std::io::Result<()> {
             Ok(())

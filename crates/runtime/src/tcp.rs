@@ -4,8 +4,8 @@
 //! listeners. The sockets themselves are driven by the sharded reactor
 //! (see [`crate::reactor`]): a node's listener is handed to its shard with
 //! [`ReactorPool::add_listener`](crate::reactor::ReactorPool::add_listener),
-//! and every accept, read, write and re-dial happens non-blockingly on the
-//! worker loop that owns the node.
+//! and every accept, connect, read, write and re-dial happens
+//! non-blockingly on the worker loop that owns the node.
 //!
 //! Wire conventions (unchanged since the thread-per-connection transport
 //! this replaced, so the two interoperate on the wire):
@@ -24,8 +24,8 @@
 //! Link-down detection maps TCP failure onto the simulator's
 //! connection-monitoring contract: a dial that exhausts its retry budget,
 //! a mid-stream write failure that survives the bounded backoff-reconnect
-//! cycle (both budgets in [`RuntimeConfig`](crate::RuntimeConfig)), or
-//! EOF/reset from a monitored peer all surface as
+//! cycle (both budgets are constants of [`crate::reactor`]), or EOF/reset
+//! from a monitored peer all surface as
 //! [`NetEvent::LinkDown`](crate::NetEvent::LinkDown) — at most once per
 //! `open_connection` registration.
 
@@ -37,9 +37,9 @@ use std::time::Duration;
 /// Accept backlog for every mesh listener. `std` hardwires 128, which a
 /// large cluster overruns at launch: hundreds of staggered joins dial the
 /// contact node while its shard is still starting siblings, the accept
-/// queue fills, and overflowing connects stall in SYN retransmit — each
-/// one then convoys its worker's dialer thread for up to the connect
-/// timeout. Re-`listen`ing on the bound socket simply widens the queue.
+/// queue fills, and overflowing connects stall in SYN retransmit until the
+/// connect timeout fails them and their links back off. Re-`listen`ing on
+/// the bound socket simply widens the queue.
 const LISTEN_BACKLOG: i32 = 4096;
 
 #[cfg(unix)]
@@ -86,8 +86,8 @@ impl TcpMesh {
         self.addrs[node.index()]
     }
 
-    /// The full address table, indexed by node — what the reactor's dialer
-    /// resolves peers against.
+    /// The full address table, indexed by node — what the reactor resolves
+    /// a peer against when it connects.
     pub fn addrs(&self) -> Arc<Vec<SocketAddr>> {
         Arc::clone(&self.addrs)
     }

@@ -129,7 +129,7 @@ fn panicking_node_does_not_stall_shard_siblings() {
 }
 
 /// Shutdown is total: `ReactorPool::shutdown` returns only after every
-/// worker and dialer thread joined, and every socket the pool owned —
+/// worker thread joined, and every socket the pool owned —
 /// listeners included — is closed, so all ports rebind immediately.
 #[test]
 fn shutdown_joins_workers_and_releases_every_port() {
@@ -162,8 +162,8 @@ fn shutdown_joins_workers_and_releases_every_port() {
         "ring traffic incomplete"
     );
 
-    // `shutdown` joins every worker and dialer internally; when it
-    // returns, nothing of the pool is left running.
+    // `shutdown` joins every worker internally; when it returns, nothing
+    // of the pool is left running.
     pool.shutdown();
 
     // Every port is free again — inbound connections, outbound streams and
@@ -726,6 +726,109 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
         assert_eq!(node.report().delivered, 1, "node {i}");
     }
     pool.shutdown();
+}
+
+/// A connect that never completes is one failed attempt, and costs the
+/// worker nothing while it is pending. Node 0 dials a listener whose accept
+/// queue is full and never drained (`listen(fd, 0)`, filled by the test),
+/// so the kernel drops every SYN and the connect stays in flight. The
+/// reactor's `CONNECT_TIMEOUT` later the attempt fails — not before — and
+/// meanwhile nodes 1 and 2, on the same single worker, keep exchanging
+/// frames over TCP.
+#[cfg(unix)]
+#[test]
+fn a_connect_that_never_completes_fails_without_stalling_the_worker() {
+    use brisa_telemetry::EventKind;
+    use std::os::unix::io::AsRawFd;
+    /// The reactor's `CONNECT_TIMEOUT`.
+    const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+    extern "C" {
+        fn listen(fd: i32, backlog: i32) -> i32;
+    }
+    const STUCK: NodeId = NodeId(3);
+
+    let stuck = TcpListener::bind("127.0.0.1:0").expect("bind");
+    // SAFETY: the descriptor is open, borrowed from `stuck`, and `listen`
+    // on a listening socket only changes its backlog.
+    assert_eq!(unsafe { listen(stuck.as_raw_fd(), 0) }, 0);
+    let stuck_addr = stuck.local_addr().expect("local addr");
+    // Fill the accept queue until a connect times out: from then on the
+    // kernel drops SYNs to this port.
+    let mut fillers = Vec::new();
+    let full = (0..16).any(|_| {
+        match TcpStream::connect_timeout(&stuck_addr, Duration::from_millis(300)) {
+            Ok(stream) => {
+                fillers.push(stream);
+                false
+            }
+            Err(_) => true,
+        }
+    });
+    assert!(full, "the accept queue never filled");
+
+    let mesh = TcpMesh::bind(3).expect("bind");
+    let mut addrs: Vec<_> = (0..3).map(|i| mesh.addr(NodeId(i))).collect();
+    addrs.push(stuck_addr);
+    let addrs = Arc::new(addrs);
+    let telemetry = Telemetry::enabled();
+    let cfg = RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::default()
+    };
+    let clock = WallClock::new();
+    let mut pool: ReactorPool<Echo> =
+        ReactorPool::with_telemetry(ShimControl::new(0, clock), &cfg, telemetry.clone());
+    let logs: Vec<_> = (0..3).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+    for i in 0..3u32 {
+        let id = NodeId(i);
+        pool.add_listener(id, mesh.take_listener(id), Arc::clone(&addrs));
+        let proto = Echo {
+            log: Arc::clone(&logs[i as usize]),
+        };
+        pool.start_node(id, proto, 1, pool.tcp_transport(id));
+    }
+
+    let dialed_at = clock.now();
+    pool.invoke(NodeId(0), |_p, ctx| ctx.send(STUCK, keepalive(0)));
+    // The worker serves its other nodes while the connect hangs.
+    let mut nonce = 0;
+    while clock.now().saturating_since(dialed_at) < SimDuration::from_millis(1_500) {
+        nonce += 1;
+        pool.invoke(NodeId(1), move |_p, ctx| {
+            ctx.send(NodeId(2), keepalive(nonce))
+        });
+        assert!(
+            wait_until(Duration::from_millis(500), || logs[2]
+                .lock()
+                .unwrap()
+                .contains(&(NodeId(1), nonce))),
+            "frame {nonce} from a sibling stalled behind the pending connect"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    // When node 0 dialed and when its first attempt failed.
+    let first_of = |kind: EventKind| {
+        telemetry
+            .recorder()
+            .expect("telemetry is enabled")
+            .events_since(dialed_at.as_micros())
+            .into_iter()
+            .find(|e| e.kind == kind && e.node == 0 && e.a == STUCK.0 as u64)
+            .map(|e| e.at_us)
+    };
+    let dial = first_of(EventKind::Dial).expect("node 0 dialed the stuck listener");
+    assert!(
+        wait_until(Duration::from_secs(5), || first_of(EventKind::DialFailed)
+            .is_some()),
+        "a connect that never completes never failed"
+    );
+    let failed = Duration::from_micros(first_of(EventKind::DialFailed).unwrap() - dial);
+    assert!(
+        failed >= CONNECT_TIMEOUT && failed < CONNECT_TIMEOUT + Duration::from_millis(1_500),
+        "the attempt failed {failed:?} after the dial, not one sweep past the timeout"
+    );
+    pool.shutdown();
+    drop(fillers);
 }
 
 /// 256 live loopback nodes on one reactor pool — every node delivers the
