@@ -190,23 +190,6 @@ impl LiveResult {
         self.nodes.iter().map(|n| n.stats.redials).sum()
     }
 
-    /// Delivered (node × message) events per second of wall time — the
-    /// headline throughput of the live bench.
-    pub fn deliveries_per_sec(&self) -> f64 {
-        let delivered: u64 = self
-            .nodes
-            .iter()
-            .filter(|n| n.id != self.source)
-            .map(|n| n.report.delivered)
-            .sum();
-        let secs = self.wall_elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            delivered as f64 / secs
-        }
-    }
-
     /// Runs the engine's offline delivery checks on every node's report:
     /// unique, ordered first-delivery records; counts consistent; no
     /// sequence number beyond what was published; no timestamp from the
