@@ -5,8 +5,9 @@
 //! flash-crowd join, catastrophic correlated failure (50 % simultaneous
 //! crash) and sustained churn — at increasing system sizes, entirely
 //! through the scale-mode streaming result path (`ResultMode::Streaming`:
-//! compact per-node delivery ledgers, totals-only bandwidth, one mergeable
-//! latency histogram instead of per-node delivery maps).
+//! compact per-node delivery ledgers, run-wide bandwidth totals instead of
+//! per-node phase splits, one mergeable latency histogram instead of
+//! per-node delivery maps).
 //!
 //! Row sets:
 //!

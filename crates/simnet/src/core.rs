@@ -166,7 +166,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
             queue: EventQueue::new(),
             nodes: Vec::new(),
             remote_alive: Vec::new(),
-            bandwidth: BandwidthMeter::with_mode(config.meter),
+            bandwidth: BandwidthMeter::new(),
             connections: Adjacency::default(),
             link_clock: LinkClocks::default(),
             stats: NetStats::default(),
@@ -317,8 +317,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                     self.stats.messages_dropped += 1;
                     return;
                 }
-                self.bandwidth
-                    .record(to, Direction::Download, size, self.now);
+                self.bandwidth.record(to, Direction::Download, size);
                 self.stats.messages_delivered += 1;
                 self.dispatch(to, |proto, ctx| proto.on_message(ctx, from, msg));
             }
@@ -420,8 +419,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                 Command::Send { to, msg } => {
                     let size = msg.wire_size();
                     self.stats.messages_sent += 1;
-                    self.bandwidth
-                        .record(origin, Direction::Upload, size, self.now);
+                    self.bandwidth.record(origin, Direction::Upload, size);
                     let latency = {
                         let rng = &mut self.nodes[self.place.local(origin)].rng;
                         self.latency.sample(origin, to, rng)

@@ -9,8 +9,8 @@
 //!   distributions ([`latency::ClusterLatency`], [`latency::PlanetLabLatency`]);
 //! * connection-level failure detection with a configurable delay,
 //!   mirroring the prototype's TCP keep-alive heart-beating;
-//! * per-node upload/download byte accounting with per-second buckets
-//!   ([`bandwidth::BandwidthMeter`]);
+//! * per-node upload/download byte totals ([`bandwidth::BandwidthMeter`]),
+//!   which a caller reads at a phase boundary to split a run into phases;
 //! * fail-stop crashes and delayed joins, driving churn experiments;
 //! * deterministic fault injection — per-link message loss, latency
 //!   degradation and timed network partitions ([`faults`]);
@@ -66,7 +66,7 @@ mod time;
 pub mod wire;
 
 pub use crate::core::{Placement, Whole};
-pub use bandwidth::{BandwidthMeter, Direction, MeterMode, NodeBandwidth};
+pub use bandwidth::{BandwidthMeter, Direction, NodeBandwidth};
 pub use event::TimerTag;
 pub use faults::{FaultConfig, FaultPrf, LinkFaults, PartitionMode, PartitionSpec};
 pub use latency::LatencyModel;

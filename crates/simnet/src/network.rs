@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use crate::bandwidth::{BandwidthMeter, MeterMode};
+use crate::bandwidth::BandwidthMeter;
 use crate::core::{Core, Placement, Whole};
 use crate::event::EventKind;
 use crate::faults::{FaultConfig, LinkFaults, PartitionSpec};
@@ -35,11 +35,6 @@ pub struct NetworkConfig {
     /// costs a single branch per message and the run is bit-identical to
     /// one without the layer. See [`crate::faults`].
     pub faults: FaultConfig,
-    /// Bandwidth retention: per-second buckets (default) or totals only
-    /// (scale mode — per-second history would cost `16 bytes × simulated
-    /// seconds` per node and nothing in the streaming result path reads
-    /// it). Totals are identical in both modes.
-    pub meter: MeterMode,
     /// Observability handle exposed to protocol callbacks and fed with
     /// simulator-level health (scheduler occupancy, events processed,
     /// partition windows). Disabled by default; strictly out-of-band — a
@@ -55,7 +50,6 @@ impl Default for NetworkConfig {
             failure_detection_delay: SimDuration::from_millis(200),
             fifo_links: true,
             faults: FaultConfig::default(),
-            meter: MeterMode::default(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -217,11 +211,12 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
         total
     }
 
-    /// The bandwidth meter. Each node's counters live entirely on the core
-    /// that owns it (uploads are recorded sender-side, downloads
-    /// destination-side), so the merge over cores is a disjoint union.
+    /// A reading of the bandwidth meter: every node's byte totals so far.
+    /// Each node's counters live entirely on the core that owns it (uploads
+    /// are recorded sender-side, downloads destination-side), so the merge
+    /// over cores is a disjoint union.
     pub fn bandwidth(&self) -> BandwidthMeter {
-        let mut merged = BandwidthMeter::with_mode(self.cores[0].config.meter);
+        let mut merged = BandwidthMeter::new();
         for core in self.cores.iter() {
             merged.absorb(&core.bandwidth);
         }
@@ -472,7 +467,7 @@ pub struct Footprint {
     pub adjacency_bytes: usize,
     /// FIFO link clocks.
     pub link_clock_bytes: usize,
-    /// Bandwidth meter (totals, and per-second buckets if retained).
+    /// Bandwidth meter (two byte totals per node).
     pub bandwidth_bytes: usize,
 }
 

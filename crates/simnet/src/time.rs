@@ -68,8 +68,9 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Index of the one-second bucket this instant falls into. Used by the
-    /// bandwidth meter to produce per-second series.
+    /// Index of the one-second bucket this instant falls into: whole
+    /// seconds since time zero, rounded down. The experiment engine rounds
+    /// its phase boundaries to whole seconds with it.
     pub fn second_bucket(self) -> usize {
         (self.0 / MICROS_PER_SEC) as usize
     }

@@ -40,14 +40,13 @@ use crate::spec::{
 };
 use brisa_metrics::{LatencyHistogram, StructureSnapshot};
 use brisa_simnet::{
-    Context, Driver, Footprint, LinkFaults, MeterMode, Network, NetworkConfig, NodeId,
-    PartitionSpec, Placement, Protocol, ShardedNetwork, SimDuration, SimTime,
+    Context, Driver, Footprint, LinkFaults, Network, NetworkConfig, NodeId, PartitionSpec,
+    Placement, Protocol, ShardedNetwork, SimDuration, SimTime, MICROS_PER_SEC,
 };
 use brisa_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Everything a protocol may want to know when one node is created.
 #[derive(Debug, Clone, Copy)]
@@ -382,7 +381,7 @@ pub struct StreamingSummary {
     pub duplicates_total: u64,
     /// Injection-to-first-delivery latencies, merged over all live nodes.
     pub latency: LatencyHistogram,
-    /// Bytes every node uploaded, from the totals-only bandwidth meter.
+    /// Bytes every node uploaded, from the bandwidth meter's end reading.
     pub uploaded_bytes: u64,
     /// Bytes every node downloaded.
     pub downloaded_bytes: u64,
@@ -411,10 +410,6 @@ pub struct EngineResult {
     pub failures_injected: usize,
     /// Nodes joined by the churn schedule.
     pub joins_injected: usize,
-    /// End of the stabilisation phase (seconds since the start).
-    pub stabilization_end_sec: usize,
-    /// End of the dissemination phase (seconds since the start).
-    pub end_sec: usize,
     /// `[start, end]` of the churn measurement window (stream start to the
     /// end of the drain); repair telemetry is filtered to it.
     pub churn_window: (SimTime, SimTime),
@@ -599,6 +594,8 @@ enum Step {
     Churn(ChurnEvent),
     Fault(FaultAction),
     Scale(ScaleEventKind),
+    /// Read the bandwidth meter: the end of the stabilisation phase.
+    PhaseBoundary,
 }
 
 /// A scheduled fault transition.
@@ -678,12 +675,6 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         );
         let net_config = NetworkConfig {
             seed: spec.seed,
-            // The streaming result path never reads per-second bandwidth
-            // buckets; dropping them keeps scale runs O(nodes) in memory.
-            meter: match spec.results {
-                ResultMode::Classic => MeterMode::PerSecond,
-                ResultMode::Streaming => MeterMode::TotalsOnly,
-            },
             telemetry: self.telemetry.clone(),
             ..Default::default()
         };
@@ -733,7 +724,9 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             prev = sim.add_node_at(at, |id| P::build(cfg, id, &bctx));
         }
         sim.run_until(SimTime::ZERO + spec.bootstrap);
-        let stabilization_end_sec = sim.now().second_bucket() + 1;
+        // Stabilisation is every byte metered before the first whole second
+        // after bootstrap.
+        let boundary_sec = sim.now().second_bucket() + 1;
 
         // --- Phase 2: merge stream injections and churn events into one
         // time-ordered schedule. With churn, the stream keeps flowing for
@@ -786,12 +779,23 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             .extend((0..total_messages).map(|seq| (stream_start + interval * seq, Step::Publish)));
         schedule.extend(churn_events.into_iter().map(|(t, e)| (t, Step::Churn(e))));
         schedule.sort_by_key(|(t, _)| *t);
+        let end = schedule.last().map_or(sim.now(), |&(t, _)| t) + spec.drain;
+        // Classic results split each node's bandwidth at the boundary, so
+        // the meter is read 1 µs before it, after every step of that
+        // instant. The drain stays anchored to the last step above; a
+        // reading at or past its end would be the end reading itself.
+        let boundary = SimTime::from_micros(boundary_sec as u64 * MICROS_PER_SEC - 1);
+        if spec.results == ResultMode::Classic && boundary < end {
+            let after = schedule.partition_point(|&(t, _)| t <= boundary);
+            schedule.insert(after, (boundary, Step::PhaseBoundary));
+        }
 
         // --- Phase 3: drive the schedule.
         let mut publish_times: Vec<SimTime> = Vec::with_capacity(total_messages as usize);
         let mut failures_injected = 0usize;
         let mut joins_injected = 0usize;
         let mut next_join_index = spec.nodes;
+        let mut at_boundary = None;
         // Victim-selection buffer, reused across churn events (the shuffle
         // over the full candidate list — rather than a single index draw —
         // is kept so the harness RNG stream, and therefore every seeded
@@ -814,6 +818,12 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         for (at, step) in schedule {
             sim.run_until(at);
             match step {
+                Step::PhaseBoundary => {
+                    // A reading, not a step of the experiment: no
+                    // invariant pass.
+                    at_boundary = Some(sim.bandwidth());
+                    continue;
+                }
                 Step::Fault(FaultAction::EnableLink(link)) => sim.set_link_faults(link),
                 Step::Fault(FaultAction::StartPartition(partition)) => sim.add_partition(partition),
                 Step::Publish => {
@@ -893,12 +903,11 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                 check_invariants(suite, &sim, publish_times.len() as u64, source);
             }
         }
-        sim.run_for(spec.drain);
+        sim.run_until(end);
         if let Some(suite) = invariants {
             check_invariants(suite, &sim, publish_times.len() as u64, source);
         }
-        let end_sec = sim.now().second_bucket() + 1;
-        let churn_window = (stream_start, sim.now());
+        let churn_window = (stream_start, end);
 
         // --- Phase 4: collect. Classic mode materialises one
         // `NodeOutcome` per node (first-delivery vectors, phase bandwidth,
@@ -906,11 +915,14 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         // one summary and never allocates per-node result state.
         let (outcomes, streaming) = match spec.results {
             ResultMode::Classic => {
-                let meter = sim.bandwidth();
-                let bw = split_bandwidth(&meter, stabilization_end_sec, end_sec);
+                let at_end = sim.bandwidth();
+                // No reading: the run ended before the boundary, so
+                // stabilisation is all of it.
+                let at_boundary = at_boundary.as_ref().unwrap_or(&at_end);
+                let end_sec = end.second_bucket() + 1;
                 let alive = sim.alive_ids();
                 let mut outcomes = Vec::with_capacity(alive.len());
-                for &id in &alive {
+                for id in alive {
                     let report = sim.node(id).expect("alive node exists").report();
                     let is_source = id == source;
                     let mut delays = Vec::new();
@@ -935,18 +947,9 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                         report,
                         routing_delay_ms,
                         dissemination_latency_secs,
-                        point_to_point_ms: 0.0, // filled below (needs &mut sim)
-                        bandwidth: bw.get(&id).cloned().unwrap_or_default(),
+                        point_to_point_ms: sim.typical_latency(source, id).as_millis_f64(),
+                        bandwidth: split_bandwidth(id, at_boundary, &at_end, boundary_sec, end_sec),
                     });
-                }
-                // Point-to-point reference latencies need mutable access to
-                // the network.
-                let p2p: HashMap<NodeId, f64> = alive
-                    .iter()
-                    .map(|&id| (id, sim.typical_latency(source, id).as_millis_f64()))
-                    .collect();
-                for o in &mut outcomes {
-                    o.point_to_point_ms = *p2p.get(&o.id).unwrap_or(&0.0);
                 }
                 (outcomes, None)
             }
@@ -986,8 +989,6 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             nodes: outcomes,
             failures_injected,
             joins_injected,
-            stabilization_end_sec,
-            end_sec,
             churn_window,
             net_stats: sim.stats(),
             streaming,

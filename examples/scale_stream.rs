@@ -4,9 +4,10 @@
 //! Classic runs materialise per-node delivery maps — fine at the paper's
 //! 512 nodes, ruinous at 100 000. This example runs the same engine with
 //! `ResultMode::Streaming`: nodes keep a seen-bitmap plus a mergeable
-//! latency histogram, the simulator meters bandwidth totals only, and the
-//! collect phase folds everything into one `StreamingSummary` — including
-//! an accounting-based bytes-per-node footprint.
+//! latency histogram, the engine reads the simulator's bandwidth totals
+//! once, at the end, without splitting them into phases, and the collect
+//! phase folds everything into one `StreamingSummary` — including an
+//! accounting-based bytes-per-node footprint.
 //!
 //! ```sh
 //! cargo run --release --example scale_stream

@@ -9,10 +9,6 @@
 //! baselines included, which no other sharded test runs. A divergence
 //! anywhere in the stack — epoch loop, fault layer, protocol — names the
 //! experiment it broke.
-//!
-//! (The file and `fault_sweeps_scheduler_equivalence` keep the names the
-//! test floor knows them by: until the binary-heap scheduler was deleted
-//! this matrix compared the two schedulers.)
 
 use brisa::BrisaNode;
 use brisa_baselines::{
@@ -179,7 +175,7 @@ fn fig14_recovery_under_churn() {
 }
 
 #[test]
-fn fault_sweeps_scheduler_equivalence() {
+fn fault_sweeps_placement_equivalence() {
     // The adversarial scenarios are pinned like every other family: loss
     // and partition runs must be placement-independent too.
     let (_, sc) = scenarios::fault_loss_sweep(Scale::Quick).remove(2);

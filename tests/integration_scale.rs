@@ -5,8 +5,10 @@
 use brisa::BrisaNode;
 use brisa_bench::{BrisaScenario, BrisaStackConfig, EngineResult};
 use brisa_metrics::LatencyHistogram;
-use brisa_simnet::SimDuration;
-use brisa_workloads::{scenarios, IntoRunSpec, ResultMode, Runner, ScaleEvent, ScaleEventKind};
+use brisa_simnet::{SimDuration, SimTime};
+use brisa_workloads::{
+    scenarios, IntoRunSpec, ResultMode, Runner, ScaleEvent, ScaleEventKind, StreamSpec,
+};
 
 fn run(sc: &BrisaScenario) -> EngineResult {
     let cfg = BrisaStackConfig {
@@ -33,39 +35,70 @@ fn classic_latency_hist(r: &EngineResult) -> LatencyHistogram {
 /// must process the identical event sequence as the classic run of the
 /// same scenario and summarise it to the same delivery numbers — including
 /// a bit-identical latency histogram.
+///
+/// Classic also reads the bandwidth meter 1 µs before the first whole
+/// second after bootstrap (21 s here), which must not move the run either.
+/// The default stream spans that instant. The two short streams (published
+/// at 20.1 and 20.3 s) end before it: with a 1 s drain the reading falls
+/// after the last step, with 300 ms after the end of the run, so there is
+/// no reading and stabilisation is every byte.
 #[test]
 fn streaming_results_agree_with_classic_path() {
-    let classic_sc = BrisaScenario::small_test(48);
-    let streaming_sc = BrisaScenario {
-        results: ResultMode::Streaming,
-        ..classic_sc.clone()
+    let short = |drain_ms| BrisaScenario {
+        stream: StreamSpec::short(2, 256),
+        drain: SimDuration::from_millis(drain_ms),
+        ..BrisaScenario::small_test(48)
     };
-    let classic = run(&classic_sc);
-    let streaming = run(&streaming_sc);
+    for classic_sc in [BrisaScenario::small_test(48), short(1_000), short(300)] {
+        let streaming_sc = BrisaScenario {
+            results: ResultMode::Streaming,
+            ..classic_sc.clone()
+        };
+        let classic = run(&classic_sc);
+        let streaming = run(&streaming_sc);
 
-    // Identical simulation underneath.
-    assert_eq!(
-        classic.net_stats.events_processed, streaming.net_stats.events_processed,
-        "streaming mode changed the simulation itself"
-    );
-    assert_eq!(
-        classic.net_stats.messages_sent,
-        streaming.net_stats.messages_sent
-    );
-    assert_eq!(classic.publish_times, streaming.publish_times);
+        // Identical simulation underneath.
+        assert_eq!(
+            classic.net_stats.events_processed, streaming.net_stats.events_processed,
+            "streaming mode changed the simulation itself"
+        );
+        assert_eq!(
+            classic.net_stats.messages_sent,
+            streaming.net_stats.messages_sent
+        );
+        assert_eq!(classic.publish_times, streaming.publish_times);
+        assert_eq!(
+            classic.churn_window.1, streaming.churn_window.1,
+            "the drain ends where it did"
+        );
 
-    // Identical summary numbers on top.
-    let s = streaming.streaming.as_ref().expect("streaming summary");
-    assert!(classic.streaming.is_none());
-    assert!(streaming.nodes.is_empty(), "no per-node materialisation");
-    assert_eq!(classic.delivery_rate(), streaming.delivery_rate());
-    assert_eq!(classic.completeness(), streaming.completeness());
-    let classic_delivered: u64 = classic.nodes.iter().map(|n| n.report.delivered).sum();
-    assert_eq!(classic_delivered, s.delivered_total);
-    assert_eq!(classic_latency_hist(&classic), s.latency);
-    assert!(s.latency.count() > 0, "latencies were streamed");
-    assert!(s.footprint.nodes >= 48);
-    assert!(s.uploaded_bytes > 0);
+        // Identical summary numbers on top.
+        let s = streaming.streaming.as_ref().expect("streaming summary");
+        assert!(classic.streaming.is_none());
+        assert!(streaming.nodes.is_empty(), "no per-node materialisation");
+        assert_eq!(classic.delivery_rate(), streaming.delivery_rate());
+        assert_eq!(classic.completeness(), streaming.completeness());
+        let classic_delivered: u64 = classic.nodes.iter().map(|n| n.report.delivered).sum();
+        assert_eq!(classic_delivered, s.delivered_total);
+        assert_eq!(classic_latency_hist(&classic), s.latency);
+        assert!(s.latency.count() > 0, "latencies were streamed");
+        assert!(s.footprint.nodes >= 48);
+        assert!(s.uploaded_bytes > 0);
+        let classic_uploaded: u64 = classic
+            .nodes
+            .iter()
+            .map(|n| n.bandwidth.stab_up_bytes + n.bandwidth.diss_up_bytes)
+            .sum();
+        assert_eq!(
+            classic_uploaded, s.uploaded_bytes,
+            "both phases, every node"
+        );
+
+        if classic_sc.drain == SimDuration::from_millis(300) {
+            assert_eq!(classic.churn_window.1, SimTime::from_millis(20_600));
+            assert!(classic.nodes.iter().all(|n| n.bandwidth.diss_up_bytes == 0));
+        }
+    }
 }
 
 /// The absolute behaviour of a streaming run: the FNV-1a hash of the full
@@ -137,14 +170,15 @@ fn mass_crash_survivors_recover() {
 
 /// The memory-footprint regression bound: in scale mode a node costs a
 /// bounded number of accounted bytes, independent of how many messages the
-/// stream carried. A regression that reintroduces per-message per-node
-/// state (delivery maps, per-second bandwidth buckets) blows through the
-/// pin immediately. The accounted figure counts every allocation a node
-/// owns at its capacity (delivery bitmap, retransmission record ring, link
-/// table, candidate vector, own path, reused action vector, HyParView
-/// views, peer records and probe list) plus the simulator's per-node tables
-/// — the FIFO link clocks only for links with a message in flight: 4.3–5.2
-/// kB across these scenarios. The event queue is booked at what it holds
+/// stream carried. A regression that reintroduces per-message or
+/// per-second per-node state (delivery maps, a bandwidth history) blows
+/// through the pin immediately. The accounted figure counts every
+/// allocation a node owns at its capacity (delivery bitmap, retransmission
+/// record ring, link table, candidate vector, own path, reused action
+/// vector, HyParView views, peer records and probe list) plus the
+/// simulator's per-node tables (two bandwidth totals; the FIFO link clocks
+/// only for links with a message in flight): 4.3–5.2 kB across these
+/// scenarios. The event queue is booked at what it holds
 /// from the allocator and pinned on its own: its cost belongs to the
 /// simulation, not to a node (0.85–1.4 MB here, at most 512 buckets × 64
 /// retained entries × 72 B ≈ 2.4 MB once nothing is in flight).
