@@ -10,9 +10,10 @@
 //! stream message and as the fallback during hard repairs; here it is also a
 //! standalone baseline (the `flood` series of Figure 9).
 
-use crate::common::DeliveryStats;
 use brisa_membership::{HpvMsg, HpvSink, HyParView, HyParViewConfig};
-use brisa_simnet::{Command, Context, NodeId, Protocol, SimDuration, TimerTag, WireSize};
+use brisa_simnet::{
+    Command, Context, DeliveryLog, NodeId, Protocol, SimDuration, TimerTag, WireSize,
+};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -50,7 +51,7 @@ pub struct FloodNode {
     hpv: HyParView,
     contact: Option<NodeId>,
     neighbors: BTreeSet<NodeId>,
-    stats: DeliveryStats,
+    delivery: DeliveryLog,
     next_seq: u64,
 }
 
@@ -61,14 +62,14 @@ impl FloodNode {
             hpv: HyParView::new(id, hpv_cfg),
             contact,
             neighbors: BTreeSet::new(),
-            stats: DeliveryStats::default(),
+            delivery: DeliveryLog::default(),
             next_seq: 0,
         }
     }
 
-    /// Delivery statistics.
-    pub fn stats(&self) -> &DeliveryStats {
-        &self.stats
+    /// Delivery ledger.
+    pub fn delivery(&self) -> &DeliveryLog {
+        &self.delivery
     }
 
     /// The membership layer.
@@ -80,7 +81,7 @@ impl FloodNode {
     pub fn publish(&mut self, ctx: &mut Context<'_, FloodMsg>, payload_bytes: usize) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.stats.record(seq, ctx.now());
+        self.delivery.record(seq, ctx.now());
         for &peer in &self.neighbors {
             ctx.send(peer, FloodMsg::Data { seq, payload_bytes });
         }
@@ -156,7 +157,7 @@ impl Protocol for FloodNode {
                 self.with_hpv(ctx, |hpv, rng, sink| hpv.handle(now, from, m, rng, sink));
             }
             FloodMsg::Data { seq, payload_bytes } => {
-                if self.stats.record(seq, ctx.now()) {
+                if self.delivery.record(seq, ctx.now()) {
                     for &peer in &self.neighbors {
                         if peer != from {
                             ctx.send(peer, FloodMsg::Data { seq, payload_bytes });
@@ -231,7 +232,7 @@ mod tests {
         }
         net.run_for(SimDuration::from_secs(5));
         for &id in &ids {
-            assert_eq!(net.node(id).unwrap().stats().delivered, 5, "node {id}");
+            assert_eq!(net.node(id).unwrap().delivery().delivered(), 5, "node {id}");
         }
     }
 
@@ -247,7 +248,7 @@ mod tests {
             net.run_for(SimDuration::from_secs(5));
             let total: f64 = ids
                 .iter()
-                .map(|&id| net.node(id).unwrap().stats().duplicates_per_message())
+                .map(|&id| net.node(id).unwrap().delivery().duplicates_per_message())
                 .sum::<f64>()
                 / ids.len() as f64;
             total

@@ -11,17 +11,17 @@
 //!   dissemination (the efficiency end of the spectrum);
 //! * [`tag`] — TAG, the tree-assisted gossip hybrid with a join-time-sorted
 //!   linked list and pull-based dissemination.
+//!
+//! Each records receptions in [`brisa_simnet::DeliveryLog`], the ledger BRISA keeps.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod common;
 pub mod flood;
 pub mod simple_gossip;
 pub mod simple_tree;
 pub mod tag;
 
-pub use common::DeliveryStats;
 pub use flood::{FloodMsg, FloodNode};
 pub use simple_gossip::{GossipConfig, GossipMsg, SimpleGossipNode};
 pub use simple_tree::{SimpleTreeNode, TreeMsg};

@@ -6,9 +6,8 @@
 //! rate) repairs any omissions. Cyclon provides the random peer samples and
 //! performs no explicit failure detection.
 
-use crate::common::DeliveryStats;
 use brisa_membership::{Cyclon, CyclonConfig, CyclonMsg, CyclonOut};
-use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag, WireSize};
+use brisa_simnet::{Context, DeliveryLog, NodeId, Protocol, SimDuration, TimerTag, WireSize};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -96,7 +95,7 @@ pub struct SimpleGossipNode {
     /// Store of received messages (`seq -> payload size`), used both for
     /// delivery bookkeeping and to answer anti-entropy requests.
     store: BTreeMap<u64, usize>,
-    stats: DeliveryStats,
+    delivery: DeliveryLog,
     next_seq: u64,
 }
 
@@ -108,14 +107,14 @@ impl SimpleGossipNode {
             cfg,
             seeds,
             store: BTreeMap::new(),
-            stats: DeliveryStats::default(),
+            delivery: DeliveryLog::default(),
             next_seq: 0,
         }
     }
 
-    /// Delivery statistics.
-    pub fn stats(&self) -> &DeliveryStats {
-        &self.stats
+    /// Delivery ledger.
+    pub fn delivery(&self) -> &DeliveryLog {
+        &self.delivery
     }
 
     /// The Cyclon view.
@@ -127,7 +126,7 @@ impl SimpleGossipNode {
     pub fn publish(&mut self, ctx: &mut Context<'_, GossipMsg>, payload_bytes: usize) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.stats.record(seq, ctx.now());
+        self.delivery.record(seq, ctx.now());
         self.store.insert(seq, payload_bytes);
         self.push_rumor(ctx, seq, payload_bytes, None);
     }
@@ -185,7 +184,7 @@ impl Protocol for SimpleGossipNode {
                 self.apply_cyclon(ctx, outs);
             }
             GossipMsg::Rumor { seq, payload_bytes } => {
-                if self.stats.record(seq, ctx.now()) {
+                if self.delivery.record(seq, ctx.now()) {
                     self.store.insert(seq, payload_bytes);
                     // Infect-and-die: forward only upon the first reception.
                     self.push_rumor(ctx, seq, payload_bytes, Some(from));
@@ -204,7 +203,7 @@ impl Protocol for SimpleGossipNode {
             }
             GossipMsg::Missing { messages } => {
                 for (seq, payload_bytes) in messages {
-                    if self.stats.record(seq, ctx.now()) {
+                    if self.delivery.record(seq, ctx.now()) {
                         self.store.insert(seq, payload_bytes);
                     }
                 }
@@ -265,11 +264,11 @@ mod tests {
         let mut complete = 0;
         let mut dups = 0u64;
         for &id in &ids {
-            let s = net.node(id).unwrap().stats();
-            if s.delivered == 5 {
+            let s = net.node(id).unwrap().delivery();
+            if s.delivered() == 5 {
                 complete += 1;
             }
-            dups += s.duplicates;
+            dups += s.duplicates();
         }
         assert_eq!(complete, n as usize, "anti-entropy guarantees completeness");
         assert!(dups > 0, "rumor mongering necessarily produces duplicates");

@@ -6,8 +6,7 @@
 //! Dissemination pushes messages down the tree links immediately, which
 //! minimises latency. The protocol has no provision for failures or churn.
 
-use crate::common::DeliveryStats;
-use brisa_simnet::{Context, NodeId, Protocol, TimerTag, WireSize};
+use brisa_simnet::{Context, DeliveryLog, NodeId, Protocol, TimerTag, WireSize};
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -53,7 +52,7 @@ pub struct SimpleTreeNode {
     registry: Vec<NodeId>,
     parent: Option<NodeId>,
     children: BTreeSet<NodeId>,
-    stats: DeliveryStats,
+    delivery: DeliveryLog,
     next_seq: u64,
 }
 
@@ -65,14 +64,14 @@ impl SimpleTreeNode {
             registry: Vec::new(),
             parent: None,
             children: BTreeSet::new(),
-            stats: DeliveryStats::default(),
+            delivery: DeliveryLog::default(),
             next_seq: 0,
         }
     }
 
-    /// Delivery statistics.
-    pub fn stats(&self) -> &DeliveryStats {
-        &self.stats
+    /// Delivery ledger.
+    pub fn delivery(&self) -> &DeliveryLog {
+        &self.delivery
     }
 
     /// The node's parent in the tree, if assigned.
@@ -90,7 +89,7 @@ impl SimpleTreeNode {
     pub fn publish(&mut self, ctx: &mut Context<'_, TreeMsg>, payload_bytes: usize) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.stats.record(seq, ctx.now());
+        self.delivery.record(seq, ctx.now());
         for &c in &self.children {
             ctx.send(c, TreeMsg::Data { seq, payload_bytes });
         }
@@ -129,7 +128,7 @@ impl Protocol for SimpleTreeNode {
                 self.children.insert(from);
             }
             TreeMsg::Data { seq, payload_bytes } => {
-                if self.stats.record(seq, ctx.now()) {
+                if self.delivery.record(seq, ctx.now()) {
                     for &c in &self.children {
                         if c != from {
                             ctx.send(c, TreeMsg::Data { seq, payload_bytes });
@@ -169,9 +168,9 @@ mod tests {
         }
         net.run_for(SimDuration::from_secs(2));
         for &id in &ids {
-            let s = net.node(id).unwrap().stats();
-            assert_eq!(s.delivered, 10, "node {id} delivered everything");
-            assert_eq!(s.duplicates, 0, "a tree never produces duplicates");
+            let s = net.node(id).unwrap().delivery();
+            assert_eq!(s.delivered(), 10, "node {id} delivered everything");
+            assert_eq!(s.duplicates(), 0, "a tree never produces duplicates");
         }
         // Every non-root node has a parent; the root is everyone's ancestor.
         for &id in ids.iter().skip(1) {

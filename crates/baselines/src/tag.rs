@@ -15,8 +15,9 @@
 //! predecessor failed too) the repair is classified as *hard* and starts
 //! from a farther live pointer, which is what Figure 14 measures.
 
-use crate::common::DeliveryStats;
-use brisa_simnet::{Context, NodeId, Protocol, SimDuration, SimTime, TimerTag, WireSize};
+use brisa_simnet::{
+    Context, DeliveryLog, NodeId, Protocol, SimDuration, SimTime, TimerTag, WireSize,
+};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -165,7 +166,7 @@ pub struct TagNode {
     children: BTreeSet<NodeId>,
     gossip: BTreeSet<NodeId>,
     store: BTreeMap<u64, usize>,
-    delivery: DeliveryStats,
+    delivery: DeliveryLog,
     stats: TagStats,
     next_seq: u64,
     /// Ongoing traversal: remaining hops, best candidate so far and goal.
@@ -187,15 +188,15 @@ impl TagNode {
             children: BTreeSet::new(),
             gossip: BTreeSet::new(),
             store: BTreeMap::new(),
-            delivery: DeliveryStats::default(),
+            delivery: DeliveryLog::default(),
             stats: TagStats::default(),
             next_seq: 0,
             traversal: None,
         }
     }
 
-    /// Delivery statistics.
-    pub fn stats(&self) -> &DeliveryStats {
+    /// Delivery ledger.
+    pub fn delivery(&self) -> &DeliveryLog {
         &self.delivery
     }
 
@@ -499,7 +500,7 @@ mod tests {
         net.run_for(SimDuration::from_secs(30));
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(
-                net.node(id).unwrap().stats().delivered,
+                net.node(id).unwrap().delivery().delivered(),
                 5,
                 "node {i} delivered all"
             );
@@ -543,7 +544,7 @@ mod tests {
         }
         net.run_for(SimDuration::from_secs(30));
         for &id in ids.iter().filter(|&&id| id != victim) {
-            let delivered = net.node(id).unwrap().stats().delivered;
+            let delivered = net.node(id).unwrap().delivery().delivered();
             assert_eq!(delivered, 5, "node {id} caught up after the repair");
         }
     }

@@ -4,11 +4,12 @@
 //! (duplicate detection + parent selection + relay fan-out), at
 //! structure-formation time and in the steady state of an emerged tree.
 
-use brisa::{BrisaConfig, BrisaCore, BrisaMsg, CycleGuard, DataMsg, DeliveryTracking, NoTelemetry};
+use brisa::{BrisaConfig, BrisaCore, BrisaMsg, CycleGuard, DataMsg, NoTelemetry};
 use brisa_membership::{HpvMsg, HpvOut, HyParView, HyParViewConfig};
 use brisa_simnet::latency::FixedLatency;
 use brisa_simnet::{
-    Context, Network, NetworkConfig, NodeId, Protocol, SimDuration, SimTime, TimerTag,
+    Context, DeliveryTracking, Network, NetworkConfig, NodeId, Protocol, SimDuration, SimTime,
+    TimerTag,
 };
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;

@@ -1,6 +1,6 @@
 //! BRISA configuration.
 
-use brisa_simnet::SimDuration;
+use brisa_simnet::{DeliveryTracking, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Shape of the dissemination structure that emerges from the overlay.
@@ -52,25 +52,6 @@ pub enum ParentStrategy {
     LoadBalancing,
 }
 
-/// How much per-message delivery bookkeeping a node keeps (see
-/// [`crate::delivery::DeliveryLog`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeliveryTracking {
-    /// Record the first-delivery time of every sequence number — the exact
-    /// data the classic per-node result path consumes. Costs 8 bytes per
-    /// message per node.
-    Full,
-    /// Scale mode: keep only the seen-bitmap (one bit per message) plus a
-    /// fixed-footprint latency histogram computed against the known publish
-    /// schedule (`stream_start_us + seq × interval_us`).
-    Counters {
-        /// Injection time of sequence number 0, in µs of simulated time.
-        stream_start_us: u64,
-        /// Interval between injections, in µs.
-        interval_us: u64,
-    },
-}
-
 /// Full configuration of a BRISA node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BrisaConfig {
@@ -81,9 +62,6 @@ pub struct BrisaConfig {
     /// Number of recent stream messages each node buffers so that children
     /// recovering from a parent failure can request retransmissions.
     pub buffer_size: usize,
-    /// Whether to apply the symmetric deactivation optimisation (only
-    /// meaningful with [`ParentStrategy::FirstComeFirstPicked`]).
-    pub symmetric_deactivation: bool,
     /// Delivery bookkeeping mode ([`DeliveryTracking::Full`] by default).
     pub tracking: DeliveryTracking,
     /// Period of the repair-supervision timer (soft-repair timeout
@@ -99,7 +77,6 @@ impl Default for BrisaConfig {
             mode: StructureMode::Tree,
             strategy: ParentStrategy::FirstComeFirstPicked,
             buffer_size: 64,
-            symmetric_deactivation: true,
             tracking: DeliveryTracking::Full,
             repair_tick_period: SimDuration::from_millis(500),
         }
@@ -146,6 +123,5 @@ mod tests {
         assert_eq!(t.strategy, ParentStrategy::DelayAware);
         let d = BrisaConfig::dag(2, ParentStrategy::FirstComeFirstPicked);
         assert_eq!(d.mode.target_parents(), 2);
-        assert!(d.symmetric_deactivation);
     }
 }

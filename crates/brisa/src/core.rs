@@ -230,7 +230,7 @@ impl BrisaCore {
     /// across nodes by the scale-mode bytes-per-node accounting.
     pub fn approx_state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.stats.delivery.approx_bytes()
+            + self.stats.delivery.heap_bytes()
             + (self.stats.parents_lost.capacity() + self.stats.orphaned.capacity())
                 * std::mem::size_of::<SimTime>()
             + (self.stats.soft_repair_delays_us.capacity()
@@ -310,7 +310,7 @@ impl BrisaCore {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.tel.delivered.inc();
-        self.stats.record_delivery(seq, now);
+        self.stats.delivery.record(seq, now);
         self.note_delivered(seq);
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(seq, |h| h.max(seq)));
         self.last_data_at = Some(now);
@@ -419,7 +419,7 @@ impl BrisaCore {
         // A node that has never delivered anchors exactly like the data
         // path: only what an upstream buffer could still serve is treated
         // as a recoverable gap.
-        if self.stats.delivered == 0 {
+        if self.stats.delivery.delivered() == 0 {
             self.next_expected = highest.saturating_sub(self.cfg.buffer_size as u64);
         }
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(highest, |h| h.max(highest)));
@@ -455,18 +455,15 @@ impl BrisaCore {
         // peer could still serve — including seq 0 when an original node's
         // first reception arrives ahead of a lost bootstrap copy — remains
         // requestable.
-        if self.stats.delivered == 0 && !self.is_source {
+        if self.stats.delivery.delivered() == 0 && !self.is_source {
             self.next_expected = data.seq.saturating_sub(self.cfg.buffer_size as u64);
         }
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(data.seq, |h| h.max(data.seq)));
         self.last_data_at = Some(now);
-        let first = self.stats.record_delivery(data.seq, now);
+        let first = self.stats.delivery.record(data.seq, now);
         if first {
             self.tel.delivered.inc();
             actions.push(BrisaAction::Deliver { seq: data.seq });
-            if self.pending_repair.is_some() {
-                self.stats.messages_recovered += 1;
-            }
             self.buffer.insert(data.seq, data.payload_bytes);
             self.note_delivered(data.seq);
         }
@@ -555,13 +552,7 @@ impl BrisaCore {
             // mass-crash recovery deadlock above started; leaving the link
             // active costs at most a few extra duplicates until the
             // sender's copy loses a race and the link prunes normally.
-            let symmetric = self.cfg.symmetric_deactivation
-                && self.cfg.strategy == ParentStrategy::FirstComeFirstPicked
-                && self.cfg.mode.is_tree();
-            self.deactivate_flagged(now, from, symmetric, actions);
-            if symmetric {
-                self.links.deactivate_outbound(from);
-            }
+            self.deactivate_surplus(now, from, actions);
         }
 
         // Relay the payload once, to every outbound-active neighbor except
@@ -599,7 +590,6 @@ impl BrisaCore {
             }
             for n in alternatives {
                 self.links.reactivate_inbound(n);
-                self.stats.activations_sent += 1;
                 actions.push(BrisaAction::Send {
                     to: n,
                     msg: BrisaMsg::Activate,
@@ -620,7 +610,6 @@ impl BrisaCore {
             self.cycle.reset();
             self.links.reactivate_all_inbound();
             for n in self.links.neighbors() {
-                self.stats.activations_sent += 1;
                 actions.push(BrisaAction::Send {
                     to: n,
                     msg: BrisaMsg::Activate,
@@ -883,7 +872,6 @@ impl BrisaCore {
         actions: &mut Vec<BrisaAction>,
     ) {
         self.links.deactivate_inbound(peer);
-        self.stats.deactivations_sent += 1;
         self.tel.deactivations.inc();
         self.tel_event(now, TelEventKind::Deactivate, peer.0 as u64, 0);
         if self.stats.first_deactivation.is_none() {
@@ -943,18 +931,21 @@ impl BrisaCore {
             // or an explicit depth update (DAG mode).
             self.update_position(guard, actions);
         } else {
-            // Symmetric deactivation (Section II-E): under first-come
-            // first-picked we know we cannot be `from`'s parent either, so we
-            // stop relaying to it without waiting for its deactivation — and
-            // say so on the wire, so a stale parenthood on the other side
-            // dies with the link.
-            let symmetric = self.cfg.symmetric_deactivation
-                && self.cfg.strategy == ParentStrategy::FirstComeFirstPicked
-                && self.cfg.mode.is_tree();
-            self.deactivate_flagged(now, from, symmetric, actions);
-            if symmetric {
-                self.links.deactivate_outbound(from);
-            }
+            self.deactivate_surplus(now, from, actions);
+        }
+    }
+
+    /// Deactivates the inbound link from `from`, a surplus sender. In a
+    /// first-come first-picked tree this is a symmetric deactivation
+    /// (Section II-E): we cannot be `from`'s parent either, so we stop
+    /// relaying to it without waiting for its deactivation — and say so on
+    /// the wire, so a stale parenthood on the other side dies with the link.
+    fn deactivate_surplus(&mut self, now: SimTime, from: NodeId, actions: &mut Vec<BrisaAction>) {
+        let symmetric =
+            self.cfg.strategy == ParentStrategy::FirstComeFirstPicked && self.cfg.mode.is_tree();
+        self.deactivate_flagged(now, from, symmetric, actions);
+        if symmetric {
+            self.links.deactivate_outbound(from);
         }
     }
 
@@ -1014,7 +1005,6 @@ impl BrisaCore {
             self.pending_repair = Some((now, RepairKind::Soft));
             for n in non_children {
                 self.links.reactivate_inbound(n);
-                self.stats.activations_sent += 1;
                 actions.push(BrisaAction::Send {
                     to: n,
                     msg: BrisaMsg::Activate,
@@ -1033,7 +1023,6 @@ impl BrisaCore {
         self.cycle.reset();
         self.links.reactivate_all_inbound();
         for n in self.links.neighbors() {
-            self.stats.activations_sent += 1;
             actions.push(BrisaAction::Send {
                 to: n,
                 msg: BrisaMsg::Activate,
@@ -1317,7 +1306,9 @@ mod tests {
         let cfg = BrisaConfig::default();
         let mut mesh = Mesh::new(&cfg, &clique(6), 6);
         mesh.publish(100); // bootstrap flood
-        let bootstrap_dups: u64 = (1..6).map(|i| mesh.node(i).stats().duplicates).sum();
+        let bootstrap_dups: u64 = (1..6)
+            .map(|i| mesh.node(i).stats().delivery.duplicates())
+            .sum();
         assert!(
             bootstrap_dups > 0,
             "the flood necessarily causes duplicates"
@@ -1334,14 +1325,16 @@ mod tests {
         for _ in 0..10 {
             mesh.publish(100);
         }
-        let later_dups: u64 = (1..6).map(|i| mesh.node(i).stats().duplicates).sum();
+        let later_dups: u64 = (1..6)
+            .map(|i| mesh.node(i).stats().delivery.duplicates())
+            .sum();
         assert_eq!(
             later_dups, bootstrap_dups,
             "no duplicates after the tree stabilises"
         );
         for i in 1..6 {
             assert_eq!(
-                mesh.node(i).stats().delivered,
+                mesh.node(i).stats().delivery.delivered(),
                 11,
                 "every message delivered"
             );
@@ -1388,13 +1381,15 @@ mod tests {
         }
         // Once the DAG has stabilised, duplicates per message are bounded by
         // the extra parent: at most one duplicate per message per node.
-        let before: Vec<u64> = (1..8).map(|i| mesh.node(i).stats().duplicates).collect();
+        let before: Vec<u64> = (1..8)
+            .map(|i| mesh.node(i).stats().delivery.duplicates())
+            .collect();
         let extra_msgs = 10u64;
         for _ in 0..extra_msgs {
             mesh.publish(50);
         }
         for (idx, i) in (1..8).enumerate() {
-            let added = mesh.node(i).stats().duplicates - before[idx];
+            let added = mesh.node(i).stats().delivery.duplicates() - before[idx];
             assert!(
                 added <= extra_msgs,
                 "node {i} saw {added} duplicates over {extra_msgs} stabilised messages"
@@ -1437,7 +1432,7 @@ mod tests {
         )));
         assert_eq!(source.links().inbound_active_count(), 0);
         assert_eq!(source.parents().len(), 0);
-        assert_eq!(source.stats().duplicates, 1);
+        assert_eq!(source.stats().delivery.duplicates(), 1);
     }
 
     #[test]
@@ -1466,7 +1461,7 @@ mod tests {
             }
         )));
         // Still delivered to the application exactly once.
-        assert_eq!(core.stats().delivered, 1);
+        assert_eq!(core.stats().delivery.delivered(), 1);
     }
 
     #[test]
@@ -1518,7 +1513,7 @@ mod tests {
             }
         )));
         assert!(!core.links().is_outbound_active(NodeId(2)));
-        assert_eq!(core.stats().duplicates, 1);
+        assert_eq!(core.stats().delivery.duplicates(), 1);
     }
 
     #[test]
@@ -1605,7 +1600,7 @@ mod tests {
         // All messages are eventually delivered everywhere despite the crash.
         for (_, node) in mesh.nodes.iter().filter(|(_, n)| !n.is_source()) {
             assert_eq!(
-                node.stats().delivered,
+                node.stats().delivery.delivered(),
                 6,
                 "no message lost across the repair"
             );
@@ -1657,7 +1652,7 @@ mod tests {
             for _ in 0..5 {
                 mesh.publish(10);
             }
-            assert_eq!(mesh.node(2).stats().delivered, 10);
+            assert_eq!(mesh.node(2).stats().delivery.delivered(), 10);
             assert!(mesh.node(2).stats().soft_repairs + mesh.node(2).stats().hard_repairs >= 1);
         }
     }
@@ -1719,7 +1714,7 @@ mod tests {
         }
         let quiet = acts(|a| core.repair_tick(SimTime::from_secs(10), a));
         assert!(retransmits(&quiet).is_empty());
-        assert_eq!(core.stats().delivered, 5);
+        assert_eq!(core.stats().delivery.delivered(), 5);
         assert_eq!(core.stats().gap_retransmit_requests, 2);
     }
 
@@ -1809,7 +1804,7 @@ mod tests {
             )
         });
         assert!(settled.is_empty(), "caught up — nothing to request");
-        assert_eq!(core.stats().delivered, 4);
+        assert_eq!(core.stats().delivery.delivered(), 4);
     }
 
     /// An edge at `u64::MAX` reaching a node whose contiguous prefix starts
@@ -2014,5 +2009,20 @@ mod tests {
         assert_eq!(t.config().mode, StructureMode::Tree);
         let d = BrisaCore::new(NodeId(0), BrisaConfig::dag(3, ParentStrategy::DelayAware));
         assert_eq!(d.config().mode.target_parents(), 3);
+    }
+
+    #[test]
+    fn footprint_counts_the_ledgers_inline_bytes_once() {
+        // A fresh core owns no ledger heap, so its footprint is the inline
+        // struct (ledger and histogram included) plus the other owned heap.
+        let core = BrisaCore::new(NodeId(0), BrisaConfig::default());
+        assert_eq!(
+            core.approx_state_bytes(),
+            std::mem::size_of::<BrisaCore>()
+                + core.buffer.approx_heap_bytes()
+                + core.links.approx_heap_bytes()
+                + core.candidates.approx_heap_bytes()
+                + core.cycle.approx_heap_bytes()
+        );
     }
 }

@@ -20,6 +20,11 @@
 //! * [`config`], [`cycle`], [`parent`], [`links`], [`buffer`], [`stats`] —
 //!   the individual protocol ingredients, each independently tested.
 //!
+//! The per-node delivery ledger (which sequence numbers arrived, when, and
+//! how many copies) is not BRISA's own: it is the
+//! [`brisa_simnet::DeliveryLog`] every protocol of the evaluation records
+//! receptions in, baselines included.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -49,7 +54,7 @@
 //!     net.invoke(source, |node, ctx| node.publish(ctx, 1024));
 //!     net.run_for(SimDuration::from_millis(500));
 //! }
-//! let delivered = net.node(source).unwrap().brisa().stats().delivered;
+//! let delivered = net.node(source).unwrap().brisa().stats().delivery.delivered();
 //! assert_eq!(delivered, 3);
 //! ```
 
@@ -60,7 +65,6 @@ pub mod buffer;
 pub mod config;
 mod core;
 pub mod cycle;
-pub mod delivery;
 pub mod links;
 pub mod message;
 mod node;
@@ -70,9 +74,8 @@ mod wire;
 
 pub use crate::core::{BrisaCore, RepairKind, HARD_REPAIR_RETRY, SOFT_REPAIR_TIMEOUT};
 pub use buffer::{BufferedMsg, MessageBuffer};
-pub use config::{BrisaConfig, DeliveryTracking, ParentStrategy, StructureMode};
+pub use config::{BrisaConfig, ParentStrategy, StructureMode};
 pub use cycle::{BloomMembership, CycleGuard, CycleState};
-pub use delivery::DeliveryLog;
 pub use links::Links;
 pub use message::{BrisaAction, BrisaMsg, DataMsg, BRISA_HEADER_BYTES};
 pub use node::{BrisaNode, StackMsg, TIMER_KEEPALIVE, TIMER_REPAIR, TIMER_SHUFFLE};

@@ -313,7 +313,7 @@ mod tests {
         }
         net.run_for(brisa_simnet::SimDuration::from_secs(10));
         for &id in &ids {
-            let delivered = net.node(id).unwrap().brisa().stats().delivered;
+            let delivered = net.node(id).unwrap().brisa().stats().delivery.delivered();
             assert_eq!(delivered, 5, "node {id} must deliver every stream message");
         }
         // After stabilisation every non-source node has exactly one parent.
@@ -384,7 +384,8 @@ mod tests {
         for &id in ids.iter().filter(|&&id| id != victim) {
             let stats = net.node(id).unwrap().brisa().stats();
             assert_eq!(
-                stats.delivered, 6,
+                stats.delivery.delivered(),
+                6,
                 "node {id} missed messages after the crash"
             );
         }

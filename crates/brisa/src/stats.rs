@@ -1,27 +1,20 @@
 //! Per-node protocol statistics.
 //!
 //! Every metric the paper's evaluation reports is derived from these
-//! counters: duplicate receptions (Figure 2), structure shape (Figures 6–8,
-//! read from the link state), delivery times (Figure 9, Table II), repair
-//! behaviour under churn (Table I, Figure 14) and construction time
-//! (Figure 13).
+//! counters: duplicate receptions (Figure 2) and delivery times (Figure 9,
+//! Table II) from the delivery ledger, the one [`DeliveryLog`] every
+//! protocol keeps; structure shape (Figures 6–8) from the link state;
+//! repair behaviour under churn (Table I, Figure 14) and construction time
+//! (Figure 13) from the fields below.
 
-use crate::config::DeliveryTracking;
-use crate::delivery::DeliveryLog;
-use brisa_simnet::SimTime;
+use brisa_simnet::{DeliveryLog, DeliveryTracking, SimTime};
 
 /// Counters and timelines recorded by one BRISA node.
 #[derive(Debug, Clone, Default)]
 pub struct BrisaStats {
-    /// Number of stream messages delivered to the application (first
-    /// receptions).
-    pub delivered: u64,
-    /// Number of duplicate receptions (any reception after the first of the
-    /// same sequence number).
-    pub duplicates: u64,
-    /// Per-sequence-number delivery ledger (first-reception times under
-    /// [`DeliveryTracking::Full`], seen-bitmap + latency histogram under
-    /// [`DeliveryTracking::Counters`]).
+    /// Delivery ledger: delivered and duplicate counts, plus first-reception
+    /// times under [`DeliveryTracking::Full`] or a latency histogram under
+    /// [`DeliveryTracking::Counters`].
     pub delivery: DeliveryLog,
     /// Times at which this node lost a parent (failure of a node it was
     /// receiving the stream from).
@@ -47,15 +40,9 @@ pub struct BrisaStats {
     pub construction_done: Option<SimTime>,
     /// Number of retransmissions served to recovering children.
     pub retransmissions_served: u64,
-    /// Number of messages recovered from a new parent after a repair.
-    pub messages_recovered: u64,
     /// Number of retransmission requests issued by the steady-state gap
     /// detector (loss recovery outside the repair path).
     pub gap_retransmit_requests: u64,
-    /// Number of deactivation messages sent.
-    pub deactivations_sent: u64,
-    /// Number of reactivation (Activate) messages sent.
-    pub activations_sent: u64,
     /// Number of re-activation orders propagated to children.
     pub reactivation_orders_sent: u64,
 }
@@ -69,27 +56,6 @@ impl BrisaStats {
         }
     }
 
-    /// Records the first delivery of `seq` at `now`; returns `true` if this
-    /// was indeed the first reception.
-    pub fn record_delivery(&mut self, seq: u64, now: SimTime) -> bool {
-        if self.delivery.record(seq, now) {
-            self.delivered += 1;
-            true
-        } else {
-            self.duplicates += 1;
-            false
-        }
-    }
-
-    /// Average number of duplicates received per delivered message.
-    pub fn duplicates_per_message(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.duplicates as f64 / self.delivered as f64
-        }
-    }
-
     /// Construction time as defined for Figure 13: from the first
     /// deactivation sent to the moment the inbound links stabilised on the
     /// target parent count.
@@ -99,13 +65,6 @@ impl BrisaStats {
             _ => None,
         }
     }
-
-    /// Time of the first and last delivery, if any messages were delivered.
-    /// The span between them is the per-node dissemination latency used in
-    /// Table II.
-    pub fn delivery_span(&self) -> Option<(SimTime, SimTime)> {
-        self.delivery.span()
-    }
 }
 
 #[cfg(test)]
@@ -114,24 +73,8 @@ mod tests {
     use brisa_simnet::SimDuration;
 
     #[test]
-    fn deliveries_and_duplicates() {
-        let mut s = BrisaStats::default();
-        assert!(s.record_delivery(0, SimTime::from_millis(5)));
-        assert!(!s.record_delivery(0, SimTime::from_millis(9)));
-        assert!(s.record_delivery(1, SimTime::from_millis(12)));
-        assert_eq!(s.delivered, 2);
-        assert_eq!(s.duplicates, 1);
-        assert!((s.duplicates_per_message() - 0.5).abs() < 1e-9);
-        let (first, last) = s.delivery_span().unwrap();
-        assert_eq!(first, SimTime::from_millis(5));
-        assert_eq!(last, SimTime::from_millis(12));
-    }
-
-    #[test]
     fn empty_stats_edge_cases() {
         let s = BrisaStats::default();
-        assert_eq!(s.duplicates_per_message(), 0.0);
-        assert!(s.delivery_span().is_none());
         assert!(s.construction_time().is_none());
     }
 

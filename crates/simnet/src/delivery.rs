@@ -1,14 +1,14 @@
-//! Compact per-node delivery bookkeeping.
+//! Compact per-node delivery bookkeeping, shared by BRISA and the baselines.
 //!
-//! Every BRISA node must answer two questions for each arriving sequence
-//! number: *have I seen this before?* (duplicate suppression and the
-//! relay-once rule) and *where does my contiguous prefix end?* (the gap
-//! detector). The classic result path additionally wants the first-delivery
-//! time of every sequence number; at 100 000 nodes × hundreds of messages
-//! that hash map dominated the simulation's memory.
+//! Every node must answer *have I seen this before?* for each arriving
+//! sequence number (duplicate suppression, relay-once, BRISA's gap
+//! detector), and every protocol is scored on the same per-node facts:
+//! messages delivered, duplicates received and, on the classic result
+//! path, each message's first-delivery time. At 100 000 nodes × hundreds of
+//! messages a per-node hash map of those times dominated memory.
 //!
-//! [`DeliveryLog`] keeps the mandatory state in a sequence-indexed bitmap
-//! (one bit per message) and makes the expensive part optional:
+//! [`DeliveryLog`] keeps the counts and a sequence-indexed bitmap (one bit
+//! per message), and makes the expensive part optional:
 //!
 //! * [`DeliveryTracking::Full`] — per-sequence first-delivery times in a
 //!   dense vector (`8 bytes × messages`), the exact data the classic
@@ -18,10 +18,31 @@
 //!   [`LatencyHistogram`] against the
 //!   known publish schedule, so a node costs `messages / 8` bytes of bitmap
 //!   plus one histogram no matter how long the stream runs.
+//!
+//! Being sequence-indexed, it yields in ascending sequence order whatever
+//! the order of receptions.
 
-use crate::config::DeliveryTracking;
-use brisa_metrics::LatencyHistogram;
-use brisa_simnet::SimTime;
+use crate::hist::LatencyHistogram;
+use crate::time::SimTime;
+use serde::{Deserialize, Serialize};
+
+/// How much per-message delivery bookkeeping a node keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum DeliveryTracking {
+    /// Record the first-delivery time of every sequence number — the exact
+    /// data the classic per-node result path consumes. Costs 8 bytes per
+    /// message per node.
+    Full,
+    /// Scale mode: keep only the seen-bitmap (one bit per message) plus a
+    /// fixed-footprint latency histogram computed against the known publish
+    /// schedule (`stream_start_us + seq × interval_us`).
+    Counters {
+        /// Injection time of sequence number 0, in µs of simulated time.
+        stream_start_us: u64,
+        /// Interval between injections, in µs.
+        interval_us: u64,
+    },
+}
 
 /// Sequence-indexed delivery ledger of one node.
 #[derive(Debug, Clone)]
@@ -35,6 +56,8 @@ pub struct DeliveryLog {
     /// Latency distribution against the publish schedule. Only fed under
     /// [`DeliveryTracking::Counters`].
     hist: LatencyHistogram,
+    delivered: u64,
+    duplicates: u64,
     first: Option<SimTime>,
     last: Option<SimTime>,
 }
@@ -55,12 +78,15 @@ impl DeliveryLog {
             seen: Vec::new(),
             times_us: Vec::new(),
             hist: LatencyHistogram::new(),
+            delivered: 0,
+            duplicates: 0,
             first: None,
             last: None,
         }
     }
 
     /// True if `seq` was delivered before.
+    #[inline]
     pub fn contains(&self, seq: u64) -> bool {
         let word = (seq / 64) as usize;
         self.seen
@@ -69,7 +95,8 @@ impl DeliveryLog {
     }
 
     /// Records a reception of `seq` at `now`. Returns `true` if this was the
-    /// first reception.
+    /// first reception (a delivery); any later one counts as a duplicate.
+    #[inline]
     pub fn record(&mut self, seq: u64, now: SimTime) -> bool {
         let word = (seq / 64) as usize;
         let bit = 1u64 << (seq % 64);
@@ -77,9 +104,11 @@ impl DeliveryLog {
             self.seen.resize(word + 1, 0);
         }
         if self.seen[word] & bit != 0 {
+            self.duplicates += 1;
             return false;
         }
         self.seen[word] |= bit;
+        self.delivered += 1;
         self.first = Some(self.first.map_or(now, |f| f.min(now)));
         self.last = Some(self.last.map_or(now, |l| l.max(now)));
         match self.tracking {
@@ -102,7 +131,27 @@ impl DeliveryLog {
         true
     }
 
-    /// Times of the first and the last first-reception, if any.
+    /// Messages delivered (first receptions).
+    pub fn delivered(&self) -> u64 {
+        self.delivered
+    }
+
+    /// Receptions of already-delivered messages.
+    pub fn duplicates(&self) -> u64 {
+        self.duplicates
+    }
+
+    /// Average number of duplicates received per delivered message.
+    pub fn duplicates_per_message(&self) -> f64 {
+        if self.delivered == 0 {
+            0.0
+        } else {
+            self.duplicates as f64 / self.delivered as f64
+        }
+    }
+
+    /// Times of the first and the last first-reception, if any. The span
+    /// between them is the per-node dissemination latency of Table II.
     pub fn span(&self) -> Option<(SimTime, SimTime)> {
         Some((self.first?, self.last?))
     }
@@ -124,12 +173,10 @@ impl DeliveryLog {
         &self.hist
     }
 
-    /// Heap + inline bytes this log occupies — the term a node contributes
-    /// to the scale-mode bytes-per-node accounting.
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.seen.capacity() * std::mem::size_of::<u64>()
-            + self.times_us.capacity() * std::mem::size_of::<u64>()
+    /// Heap bytes this log owns at its allocated capacity. Its inline bytes
+    /// (histogram included) belong to whatever struct embeds it.
+    pub fn heap_bytes(&self) -> usize {
+        (self.seen.capacity() + self.times_us.capacity()) * std::mem::size_of::<u64>()
     }
 }
 
@@ -140,13 +187,18 @@ mod tests {
     #[test]
     fn full_tracking_records_times() {
         let mut log = DeliveryLog::default();
+        assert_eq!(log.span(), None);
+        assert_eq!(log.duplicates_per_message(), 0.0);
         assert!(log.record(3, SimTime::from_millis(30)));
         assert!(log.record(1, SimTime::from_millis(10)));
         assert!(!log.record(3, SimTime::from_millis(40)), "duplicate");
+        assert_eq!((log.delivered(), log.duplicates()), (2, 1));
+        assert!((log.duplicates_per_message() - 0.5).abs() < 1e-9);
         assert!(log.contains(1));
         assert!(log.contains(3));
         assert!(!log.contains(0));
         assert!(!log.contains(1000));
+        // Recorded out of order, yielded in ascending sequence order.
         let times: Vec<(u64, SimTime)> = log.iter_times().collect();
         assert_eq!(
             times,
@@ -168,6 +220,7 @@ mod tests {
         // seq 2 published at 1.4 s, delivered at 1.45 s → 50 ms latency.
         assert!(log.record(2, SimTime::from_micros(1_450_000)));
         assert!(!log.record(2, SimTime::from_micros(1_500_000)));
+        assert_eq!((log.delivered(), log.duplicates()), (1, 1));
         assert_eq!(log.iter_times().count(), 0);
         assert_eq!(log.latency_hist().count(), 1);
         assert!((log.latency_hist().mean_ms() - 50.0).abs() < 1e-9);
@@ -181,15 +234,16 @@ mod tests {
             stream_start_us: 0,
             interval_us: 1,
         });
+        assert_eq!(log.heap_bytes(), 0);
         for seq in 0..10_000u64 {
             log.record(seq, SimTime::from_micros(seq + 5));
         }
         // 10_000 bits ≈ 1.25 KB of bitmap; no per-seq times.
-        assert!(log.approx_bytes() < 3 * 1024, "{}", log.approx_bytes());
+        assert!(log.heap_bytes() < 3 * 1024, "{}", log.heap_bytes());
         let mut full = DeliveryLog::default();
         for seq in 0..10_000u64 {
             full.record(seq, SimTime::from_micros(seq + 5));
         }
-        assert!(full.approx_bytes() > 80 * 1024, "{}", full.approx_bytes());
+        assert!(full.heap_bytes() > 80 * 1024, "{}", full.heap_bytes());
     }
 }

@@ -3,7 +3,8 @@
 //! The classic result path materialises every `(sequence, delivery time)`
 //! pair per node and computes latency statistics afterwards — exact, but
 //! O(nodes × messages) memory. Scale-mode runs instead stream every
-//! observed latency into a [`LatencyHistogram`]: 64 logarithmic buckets of
+//! observed latency into a [`LatencyHistogram`] (the one embedded in each
+//! node's [`crate::DeliveryLog`]): 64 logarithmic buckets of
 //! microseconds, a count, a sum and a maximum. Histograms merge by bucket
 //! addition, so per-node histograms fold into one run-wide distribution in
 //! O(64) per node regardless of message count, and two runs of the same
@@ -114,11 +115,6 @@ impl LatencyHistogram {
     /// The raw bucket counts (bucket `i > 0` covers `[2^(i-1), 2^i)` µs).
     pub fn buckets(&self) -> &[u64; LATENCY_BUCKETS] {
         &self.buckets
-    }
-
-    /// Bytes of memory one histogram occupies (it is entirely inline).
-    pub const fn approx_bytes() -> usize {
-        std::mem::size_of::<LatencyHistogram>()
     }
 }
 

@@ -11,6 +11,8 @@
 //!   mirroring the prototype's TCP keep-alive heart-beating;
 //! * per-node upload/download byte totals ([`bandwidth::BandwidthMeter`]),
 //!   which a caller reads at a phase boundary to split a run into phases;
+//! * one per-node delivery ledger for every protocol ([`delivery::DeliveryLog`]:
+//!   counts, a seen-bitmap, and dense times or a [`hist::LatencyHistogram`]);
 //! * fail-stop crashes and delayed joins, driving churn experiments;
 //! * deterministic fault injection — per-link message loss, latency
 //!   degradation and timed network partitions ([`faults`]);
@@ -52,8 +54,10 @@
 
 pub mod bandwidth;
 mod core;
+pub mod delivery;
 mod event;
 pub mod faults;
+pub mod hist;
 pub mod latency;
 mod links;
 mod network;
@@ -67,8 +71,10 @@ pub mod wire;
 
 pub use crate::core::{Placement, Whole};
 pub use bandwidth::{BandwidthMeter, Direction, NodeBandwidth};
+pub use delivery::{DeliveryLog, DeliveryTracking};
 pub use event::TimerTag;
 pub use faults::{FaultConfig, FaultPrf, LinkFaults, PartitionMode, PartitionSpec};
+pub use hist::{LatencyHistogram, LATENCY_BUCKETS};
 pub use latency::LatencyModel;
 pub use network::{Driver, Footprint, NetStats, Network, NetworkConfig};
 pub use node::NodeId;

@@ -8,7 +8,7 @@
 //! their handles when telemetry is attached and hold them.
 //!
 //! Histograms use the same 64-bucket log2 scheme as
-//! `brisa_metrics::LatencyHistogram` (bucket `i > 0` covers
+//! `brisa_simnet::LatencyHistogram` (bucket `i > 0` covers
 //! `[2^(i-1), 2^i)` µs, bucket 0 holds exact zeros), so a telemetry
 //! snapshot and a bench artifact bucket identically; this crate keeps a
 //! private copy of the three-line bucket function rather than a
@@ -19,10 +19,10 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of log2 buckets (mirrors `brisa_metrics::LATENCY_BUCKETS`).
+/// Number of log2 buckets (mirrors `brisa_simnet::LATENCY_BUCKETS`).
 pub const HIST_BUCKETS: usize = 64;
 
-/// Bucket index for value `v` (same scheme as `brisa_metrics::hist`).
+/// Bucket index for value `v` (same scheme as `brisa_simnet::hist`).
 fn bucket_of(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
@@ -263,8 +263,9 @@ mod tests {
 
     #[test]
     fn bucket_edges_match_the_metrics_crate() {
-        // Pins the private copy to `brisa_metrics::hist::bucket_of`'s
-        // documented edges.
+        // Pins the private copy to `brisa_simnet::hist::bucket_of`'s
+        // documented edges (the histogram lived in the metrics crate when
+        // this test was named).
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
         assert_eq!(bucket_of(2), 2);

@@ -38,10 +38,10 @@ use crate::spec::{
     BaselineScenario, BrisaScenario, ChurnEvent, ChurnSpec, FaultSpec, ResultMode, ScaleEvent,
     ScaleEventKind, StreamSpec, Testbed, FIRST_PUBLISH_DELAY,
 };
-use brisa_metrics::{LatencyHistogram, StructureSnapshot};
+use brisa_metrics::StructureSnapshot;
 use brisa_simnet::{
-    Context, Driver, Footprint, LinkFaults, Network, NetworkConfig, NodeId, PartitionSpec,
-    Placement, Protocol, ShardedNetwork, SimDuration, SimTime, MICROS_PER_SEC,
+    Context, Driver, Footprint, LatencyHistogram, LinkFaults, Network, NetworkConfig, NodeId,
+    PartitionSpec, Placement, Protocol, ShardedNetwork, SimDuration, SimTime, MICROS_PER_SEC,
 };
 use brisa_telemetry::Telemetry;
 use rand::rngs::SmallRng;
@@ -149,7 +149,7 @@ pub trait DisseminationProtocol: Protocol {
     /// the engine's publish times — exact, but it materialises the
     /// per-sequence vector it is trying to avoid. Protocols with compact
     /// delivery tracking (BRISA under
-    /// [`brisa::DeliveryTracking::Counters`]) override this to return their
+    /// [`brisa_simnet::DeliveryTracking::Counters`]) override this to return their
     /// streamed counters directly.
     fn scale_report(&self, publish_times: &[SimTime]) -> ScaleNodeReport {
         let report = self.report();

@@ -15,10 +15,10 @@ use crate::engine::{
 use crate::spec::{BaselineScenario, BrisaScenario};
 use brisa::{BrisaConfig, BrisaNode};
 use brisa_baselines::{
-    DeliveryStats, FloodNode, GossipConfig, SimpleGossipNode, SimpleTreeNode, TagConfig, TagNode,
+    FloodNode, GossipConfig, SimpleGossipNode, SimpleTreeNode, TagConfig, TagNode,
 };
 use brisa_membership::HyParViewConfig;
-use brisa_simnet::{Context, NodeId};
+use brisa_simnet::{Context, DeliveryLog, NodeId};
 
 /// Run-wide configuration of a BRISA node (membership + dissemination).
 #[derive(Debug, Clone)]
@@ -29,25 +29,14 @@ pub struct BrisaStackConfig {
     pub brisa: BrisaConfig,
 }
 
-/// Copies a per-sequence-number delivery map into the report's vector,
-/// sorted by sequence number. The sort matters: the protocol stats keep the
-/// map in a hash table whose iteration order is seeded per thread, and
-/// downstream float accumulations (mean routing delay) must not depend on
-/// which thread of a [`crate::matrix::run_matrix`] sweep ran the cell.
-fn sorted_deliveries(
-    map: &std::collections::HashMap<u64, brisa_simnet::SimTime>,
-) -> Vec<(u64, brisa_simnet::SimTime)> {
-    let mut v: Vec<(u64, brisa_simnet::SimTime)> = map.iter().map(|(&s, &t)| (s, t)).collect();
-    v.sort_unstable_by_key(|&(s, _)| s);
-    v
-}
-
-/// Shared translation of a [`DeliveryStats`] into the generic report.
-fn delivery_report(stats: &DeliveryStats) -> NodeReport {
+/// The delivery fields of every protocol's report. The ledger is
+/// sequence-indexed, so `first_delivery` is in ascending sequence order
+/// (and empty under scale-mode counter tracking).
+fn delivery_report(log: &DeliveryLog) -> NodeReport {
     NodeReport {
-        delivered: stats.delivered,
-        duplicates_per_message: stats.duplicates_per_message(),
-        first_delivery: sorted_deliveries(&stats.first_delivery),
+        delivered: log.delivered(),
+        duplicates_per_message: log.duplicates_per_message(),
+        first_delivery: log.iter_times().collect(),
         ..NodeReport::default()
     }
 }
@@ -75,12 +64,6 @@ impl DisseminationProtocol for BrisaNode {
         let core = self.brisa();
         let stats = core.stats();
         NodeReport {
-            delivered: stats.delivered,
-            duplicates_per_message: stats.duplicates_per_message(),
-            // The delivery ledger is sequence-indexed, so this is already
-            // in ascending sequence order (and empty under scale-mode
-            // counter tracking).
-            first_delivery: stats.delivery.iter_times().collect(),
             parents: core.parents(),
             depth: core.depth(),
             degree: core.links().degree(),
@@ -95,26 +78,27 @@ impl DisseminationProtocol for BrisaNode {
                 gap_requests: stats.gap_retransmit_requests,
                 retransmissions_served: stats.retransmissions_served,
             },
+            ..delivery_report(&stats.delivery)
         }
     }
 
     fn scale_report(&self, publish_times: &[brisa_simnet::SimTime]) -> ScaleNodeReport {
-        let stats = self.brisa().stats();
-        let mut latency = stats.delivery.latency_hist().clone();
-        if latency.is_empty() && stats.delivered > 0 {
+        let log = &self.brisa().stats().delivery;
+        let mut latency = log.latency_hist().clone();
+        if latency.is_empty() && log.delivered() > 0 {
             // Full tracking: the histogram was never streamed, so derive it
             // from the recorded first-delivery times (exactly what the
             // counter tracking would have produced — the publish schedule
             // is deterministic).
-            for (seq, t) in stats.delivery.iter_times() {
+            for (seq, t) in log.iter_times() {
                 if let Some(&published) = publish_times.get(seq as usize) {
                     latency.record_us(t.saturating_since(published).as_micros());
                 }
             }
         }
         ScaleNodeReport {
-            delivered: stats.delivered,
-            duplicates: stats.duplicates,
+            delivered: log.delivered(),
+            duplicates: log.duplicates(),
             latency,
         }
     }
@@ -138,7 +122,7 @@ impl DisseminationProtocol for FloodNode {
     }
 
     fn report(&self) -> NodeReport {
-        delivery_report(self.stats())
+        delivery_report(self.delivery())
     }
 }
 
@@ -163,7 +147,7 @@ impl DisseminationProtocol for SimpleTreeNode {
         NodeReport {
             parents: self.parent().into_iter().collect(),
             degree: self.children().len(),
-            ..delivery_report(self.stats())
+            ..delivery_report(self.delivery())
         }
     }
 }
@@ -190,7 +174,7 @@ impl DisseminationProtocol for SimpleGossipNode {
     }
 
     fn report(&self) -> NodeReport {
-        delivery_report(self.stats())
+        delivery_report(self.delivery())
     }
 }
 
@@ -224,7 +208,7 @@ impl DisseminationProtocol for TagNode {
                 hard_delays_us: ts.hard_repair_delays_us.clone(),
                 ..RepairTelemetry::default()
             },
-            ..delivery_report(self.stats())
+            ..delivery_report(self.delivery())
         }
     }
 }

@@ -522,7 +522,7 @@ mod tests {
             // publish schedule.
             assert!(matches!(
                 sc.brisa_config().tracking,
-                brisa::DeliveryTracking::Counters { .. }
+                brisa_simnet::DeliveryTracking::Counters { .. }
             ));
         }
         let flash = scale_flash_crowd(100_000);

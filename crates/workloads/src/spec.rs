@@ -6,10 +6,12 @@
 //! optional churn phase. These types capture those parameters; the runner
 //! modules execute them.
 
-use brisa::{BrisaConfig, DeliveryTracking, ParentStrategy, StructureMode};
+use brisa::{BrisaConfig, ParentStrategy, StructureMode};
 use brisa_membership::HyParViewConfig;
 use brisa_simnet::latency::{ClusterLatency, LatencyModel, PlanetLabLatency};
-use brisa_simnet::{LinkFaults, NodeId, PartitionMode, PartitionSpec, SimDuration, SimTime};
+use brisa_simnet::{
+    DeliveryTracking, LinkFaults, NodeId, PartitionMode, PartitionSpec, SimDuration, SimTime,
+};
 use serde::{Deserialize, Serialize};
 
 /// Delay between the end of the bootstrap window and the first stream

@@ -226,7 +226,7 @@ fn a_duplicate_allocates_nothing() {
             core.handle(at(next), surplus, again, &NoTelemetry, &mut actions);
         });
         assert_eq!(n, 0, "{label}: duplicate from a surplus sender");
-        assert_eq!(core.stats().duplicates, 2);
+        assert_eq!(core.stats().delivery.duplicates(), 2);
     }
 }
 

@@ -4,8 +4,7 @@
 
 use brisa::BrisaNode;
 use brisa_bench::{BrisaScenario, BrisaStackConfig, EngineResult};
-use brisa_metrics::LatencyHistogram;
-use brisa_simnet::{SimDuration, SimTime};
+use brisa_simnet::{LatencyHistogram, SimDuration, SimTime};
 use brisa_workloads::{
     scenarios, IntoRunSpec, ResultMode, Runner, ScaleEvent, ScaleEventKind, StreamSpec,
 };
