@@ -5,9 +5,9 @@
 //! profile (per-link loss, a timed partition) plus timed lifecycle events
 //! (kills, restarts, flash joins) — executed **twice**:
 //!
-//! 1. **live**, via `brisa_runtime::run_chaos`: a real cluster (threads,
-//!    codec, wall clock) routing through the simulator's fault layer, with
-//!    periodic online invariant sweeps; and
+//! 1. **live**, via `brisa_runtime::run_chaos`: a real cluster (reactor,
+//!    codec, TCP on `127.0.0.1`, wall clock) routing through the
+//!    simulator's fault layer, with periodic online invariant sweeps; and
 //! 2. **simulated**, via the engine: the same population, stream, seed and
 //!    (lowered) schedule through the engine's `Runner` with invariants on.
 //!
@@ -26,16 +26,14 @@
 //!
 //! `--smoke` shrinks to the CI-sized soak (~16 nodes, seconds per
 //! scenario); `BRISA_SCALE=full` runs the 64-node two-minute streams.
-//! Positional arguments filter scenarios by name. Set
-//! `BRISA_SOAK_TRANSPORT=tcp` to soak the real TCP mesh instead of the
-//! in-process loopback mesh.
+//! Positional arguments filter scenarios by name.
 
 use brisa::BrisaNode;
 use brisa_bench::gate::{divergence_check, DivergenceBand, SoakRow};
 use brisa_bench::{BrisaStackConfig, EngineResult, IntoRunSpec, Runner, Scale};
 use brisa_metrics::percentile::percentile_of_sorted;
 use brisa_metrics::report::render_table;
-use brisa_runtime::{run_chaos, SoakConfig, SoakOutcome, TransportKind};
+use brisa_runtime::{run_chaos, SoakConfig, SoakOutcome};
 use brisa_simnet::{PartitionMode, SimDuration};
 use brisa_telemetry::Telemetry;
 use brisa_workloads::chaos::{ChaosEvent, ChaosEventKind, ChaosSchedule};
@@ -153,7 +151,6 @@ fn sim_latency_samples_ms(r: &EngineResult) -> Vec<f64> {
 /// Runs one schedule through both worlds.
 fn run_scenario(
     shape: &SoakShape,
-    transport: TransportKind,
     seed: u64,
     sched: &ChaosSchedule,
     telemetry: &Telemetry,
@@ -193,7 +190,6 @@ fn run_scenario(
     // Then the live soak.
     let cfg = SoakConfig {
         nodes: shape.nodes,
-        transport,
         seed,
         stream,
         bootstrap: Duration::from_secs(2),
@@ -245,10 +241,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let filter: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let transport = match std::env::var("BRISA_SOAK_TRANSPORT").as_deref() {
-        Ok("tcp") => TransportKind::Tcp,
-        _ => TransportKind::Loopback,
-    };
     println!(
         "=== bench_soak — live chaos soak vs sim prediction (fault layer, lifecycle, \
          divergence gate), scale {scale:?}\n"
@@ -291,11 +283,10 @@ fn main() {
         assert!(!scheds.is_empty(), "no scenario matches {filter:?}");
     }
     println!(
-        "{} nodes, {} msgs x {} B @5/s ({:?} mesh), {} scenario(s)\n",
+        "{} nodes over TCP, {} msgs x {} B @5/s, {} scenario(s)\n",
         shape.nodes,
         shape.messages,
         shape.payload_bytes,
-        transport,
         scheds.len()
     );
 
@@ -341,7 +332,7 @@ fn main() {
     let results: Vec<ScenarioResult> = scheds
         .iter()
         .enumerate()
-        .map(|(i, sched)| run_scenario(&shape, transport, 0xB215A + i as u64, sched, &telemetry))
+        .map(|(i, sched)| run_scenario(&shape, 0xB215A + i as u64, sched, &telemetry))
         .collect();
 
     ticker_stop.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -472,9 +463,9 @@ fn main() {
     }
     let json = format!(
         "{{\n  \"schema\": \"brisa-bench-soak/v1\",\n  \"generated_by\": \"bench_soak\",\n  \
-         \"scale\": \"{:?}\",\n  \"transport\": \"{:?}\",\n  \"protocol\": \"Brisa\",\n  \
+         \"scale\": \"{:?}\",\n  \"protocol\": \"Brisa\",\n  \
          \"scenarios\": [\n{}\n  ]\n}}\n",
-        scale, transport, cells
+        scale, cells
     );
     std::fs::write("BENCH_SOAK.json", json).expect("write soak result file");
     println!("\nwrote BENCH_SOAK.json");

@@ -71,8 +71,9 @@ impl GateReport {
 /// adversity the simulator modelled — both are divergence. Latency is
 /// gated one-sided as a ratio: the sim's testbed latency model and the
 /// live interconnect are different clocks, so live being much faster than
-/// the model is expected (loopback), but live p50 exceeding sim p50 by
-/// more than the ratio means the runtime is stalling.
+/// the model is expected (TCP on `127.0.0.1` has no link delay), but live
+/// p50 exceeding sim p50 by more than the ratio means the runtime is
+/// stalling.
 #[derive(Debug, Clone, Copy)]
 pub struct DivergenceBand {
     /// Max absolute drift of live survivor delivery rate vs sim delivery.

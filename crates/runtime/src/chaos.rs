@@ -18,7 +18,7 @@
 //! node must never un-deliver. Violations are collected, not thrown, so
 //! a soak driver can report every breakage of a long run at once.
 
-use crate::cluster::{Cluster, ClusterConfig, TransportKind};
+use crate::cluster::{Cluster, ClusterConfig};
 use crate::report::LiveResult;
 use crate::shim::ShimStats;
 use crate::wire::WireCodec;
@@ -36,8 +36,6 @@ use std::time::Duration;
 pub struct SoakConfig {
     /// Number of nodes (node 0 is the source).
     pub nodes: u32,
-    /// The interconnect.
-    pub transport: TransportKind,
     /// Master seed: per-node RNGs *and* the fault layer's PRF derive from
     /// it, so the same seed means the same fault draws as a simulated run.
     pub seed: u64,
@@ -63,7 +61,6 @@ impl Default for SoakConfig {
     fn default() -> Self {
         SoakConfig {
             nodes: 16,
-            transport: TransportKind::Loopback,
             seed: 0xB215A,
             stream: StreamSpec::short(50, 256),
             bootstrap: Duration::from_secs(2),
@@ -130,7 +127,6 @@ where
         .sum();
     let cluster_cfg = ClusterConfig {
         nodes: cfg.nodes,
-        transport: cfg.transport,
         seed: cfg.seed,
         reserve,
         telemetry: cfg.telemetry.clone(),

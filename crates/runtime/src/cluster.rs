@@ -1,4 +1,4 @@
-//! The cluster harness: boots N live nodes over a chosen transport, drives
+//! The cluster harness: boots N live nodes over TCP on `127.0.0.1`, drives
 //! a broadcast workload and collects per-node reports.
 //!
 //! This is the live counterpart of `workloads::engine::Runner`: it
@@ -16,12 +16,10 @@
 
 use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
-use crate::loopback::LoopbackMesh;
 use crate::reactor::ReactorPool;
 use crate::report::{LiveNode, LiveResult};
 use crate::shim::ShimControl;
 use crate::tcp::TcpMesh;
-use crate::transport::Transport;
 use crate::wire::WireCodec;
 use brisa_simnet::{NodeId, SimTime};
 use brisa_telemetry::{EventKind as TelEventKind, Telemetry};
@@ -30,12 +28,13 @@ use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Which interconnect a cluster runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The interconnect a cluster runs on. There is one: TCP. The type and
+/// [`ClusterConfig::transport`] remain because callers written when there
+/// was a choice still name them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process mesh: no syscalls, measures stack + reactor.
-    Loopback,
     /// Real TCP sockets on `127.0.0.1`.
+    #[default]
     Tcp,
 }
 
@@ -44,7 +43,8 @@ pub enum TransportKind {
 pub struct ClusterConfig {
     /// Number of nodes (node 0 is the source and contact point).
     pub nodes: u32,
-    /// The interconnect.
+    /// The interconnect, which is always TCP; kept so existing callers
+    /// still compile.
     pub transport: TransportKind,
     /// Base seed for the per-node deterministic RNGs and for the fault
     /// layer's draw stream ([`Cluster::shim`]).
@@ -70,7 +70,7 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             nodes: 8,
-            transport: TransportKind::Loopback,
+            transport: TransportKind::Tcp,
             seed: 42,
             join_stagger: Duration::from_millis(2),
             reserve: 0,
@@ -78,13 +78,6 @@ impl Default for ClusterConfig {
             telemetry: Telemetry::disabled(),
         }
     }
-}
-
-/// The bound interconnect, retained for the cluster's lifetime so killed
-/// nodes can re-attach and reserved slots can join mid-run.
-enum Mesh {
-    Loopback(LoopbackMesh),
-    Tcp(TcpMesh),
 }
 
 /// A running live cluster of `P` nodes.
@@ -99,7 +92,9 @@ where
     source: NodeId,
     original_nodes: u32,
     publish_times: Vec<SimTime>,
-    mesh: Mesh,
+    /// The bound interconnect, retained for the cluster's lifetime so
+    /// killed nodes can rebind and reserved slots can join mid-run.
+    mesh: TcpMesh,
     proto_cfg: P::Config,
     seed: u64,
     /// Total interconnect capacity (`nodes + reserve`).
@@ -126,10 +121,7 @@ where
         // The interconnect is fully pre-bound — reserved slots included —
         // before any node starts, so the earliest join already finds its
         // contact reachable.
-        let mesh = match cfg.transport {
-            TransportKind::Loopback => Mesh::Loopback(LoopbackMesh::new(capacity as usize)),
-            TransportKind::Tcp => Mesh::Tcp(TcpMesh::bind(capacity as usize)?),
-        };
+        let mesh = TcpMesh::bind(capacity as usize)?;
         let pool = ReactorPool::with_telemetry(
             ShimControl::new(cfg.seed, WallClock::new()),
             &cfg.runtime,
@@ -164,8 +156,8 @@ where
                 is_source: i == 0,
             };
             let proto = P::build(proto_cfg, id, &bctx);
-            let transport = cluster.transport_for(id, true)?;
-            cluster.pool.start_node(id, proto, cfg.seed, transport);
+            cluster.attach(id, true)?;
+            cluster.pool.start_node(id, proto, cfg.seed);
             cluster.alive[id.index()] = true;
             prev = Some(id);
             if !cfg.join_stagger.is_zero() && i + 1 < n {
@@ -176,24 +168,17 @@ where
         Ok(cluster)
     }
 
-    /// Builds `id`'s transport: wires the interconnect slot to `id`'s
-    /// shard. `fresh` selects first-time attachment (pre-bound listener) vs
-    /// the restart path (rebind of the advertised address).
-    fn transport_for(&self, id: NodeId, fresh: bool) -> std::io::Result<Box<dyn Transport>> {
-        Ok(match &self.mesh {
-            // The loopback mesh's attach re-registers the slot natively,
-            // so first-time and restart are the same operation.
-            Mesh::Loopback(m) => Box::new(m.attach(id, self.pool.sink_for(id))),
-            Mesh::Tcp(m) => {
-                let listener = if fresh {
-                    m.take_listener(id)
-                } else {
-                    m.rebind_listener(id)?
-                };
-                self.pool.add_listener(id, listener, m.addrs());
-                self.pool.tcp_transport(id)
-            }
-        })
+    /// Hands `id`'s listener to its shard. `fresh` selects first-time
+    /// attachment (pre-bound listener) vs the restart path (rebind of the
+    /// advertised address).
+    fn attach(&self, id: NodeId, fresh: bool) -> std::io::Result<()> {
+        let listener = if fresh {
+            self.mesh.take_listener(id)
+        } else {
+            self.mesh.rebind_listener(id)?
+        };
+        self.pool.add_listener(id, listener, self.mesh.addrs());
+        Ok(())
     }
 
     /// The stream source (node 0).
@@ -290,8 +275,8 @@ where
         self.ever_killed.iter().copied().collect()
     }
 
-    /// Stops `id` (fail-stop from the peers' point of view: its transport
-    /// tears down and monitored connections surface link-downs). The node
+    /// Stops `id` (fail-stop from the peers' point of view: its sockets
+    /// close and monitored connections surface link-downs). The node
     /// is excluded from the survivor metrics of the final result, like a
     /// crashed simulator node.
     pub fn kill(&mut self, id: NodeId) {
@@ -321,7 +306,7 @@ where
     pub fn restart(&mut self, id: NodeId) -> std::io::Result<()> {
         assert!(id != self.source, "cannot restart the source");
         assert!(!self.is_alive(id), "restart of a running node");
-        let transport = self.transport_for(id, false)?;
+        self.attach(id, false)?;
         let bctx = BuildCtx {
             index: id.0,
             population: self.original_nodes,
@@ -330,7 +315,7 @@ where
             is_source: false,
         };
         let proto = P::build(&self.proto_cfg, id, &bctx);
-        self.pool.start_node(id, proto, self.seed, transport);
+        self.pool.start_node(id, proto, self.seed);
         self.alive[id.index()] = true;
         self.telemetry
             .event(self.now().as_micros(), id.0, TelEventKind::Restart, 0, 0);
@@ -348,8 +333,7 @@ where
         );
         let id = NodeId(self.next_join);
         self.next_join += 1;
-        let transport = self
-            .transport_for(id, true)
+        self.attach(id, true)
             .expect("fresh slots use the pre-bound listener");
         let bctx = BuildCtx {
             index: id.0,
@@ -360,7 +344,7 @@ where
         };
         let proto = P::build(&self.proto_cfg, id, &bctx);
         debug_assert_eq!(self.alive.len(), id.index());
-        self.pool.start_node(id, proto, self.seed, transport);
+        self.pool.start_node(id, proto, self.seed);
         self.alive.push(true);
         id
     }

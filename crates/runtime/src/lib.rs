@@ -4,8 +4,9 @@
 //! events through `brisa_simnet::Protocol` and emit commands, never
 //! touching sockets, threads or clocks. This crate cashes that design in:
 //! it executes **the same protocol implementations, unmodified**, in real
-//! time over real byte transports — the execution mode the paper's
-//! prototype used on its physical testbeds.
+//! time over TCP — the medium the paper's prototype used on its physical
+//! testbeds, and the one whose broken connections are HyParView's failure
+//! detector.
 //!
 //! Three layers:
 //!
@@ -13,13 +14,12 @@
 //!   cuts a byte stream into frames. Each message type's codec lives with
 //!   the type, and its encoder is also what `WireSize::wire_size()` counts,
 //!   so sim bandwidth accounting equals live bytes;
-//! * [`transport`] — the [`Transport`] trait with two backends: the
-//!   in-process [`LoopbackMesh`] (in-memory queues) and the real
-//!   [`TcpMesh`] (framed sockets on `127.0.0.1`, TCP failures surfaced as
-//!   `on_link_down`);
+//! * [`tcp`] — the [`TcpMesh`]: one pre-bound listener per node on
+//!   `127.0.0.1` and the address table peers are dialed through;
 //! * [`reactor`]/[`cluster`] — the sharded reactor: `workers` threads
 //!   each multiplexing many nodes' protocol callbacks, real-time timers
-//!   and non-blocking sockets on one `epoll` loop, and the [`Cluster`]
+//!   and their connection table (framed non-blocking sockets, TCP failures
+//!   surfaced as `on_link_down`) on one `epoll` loop, and the [`Cluster`]
 //!   harness that boots N nodes on a shared pool, publishes a broadcast
 //!   workload and collects the sim engine's `NodeReport`s into a
 //!   [`LiveResult`]. [`RuntimeConfig`] holds the two sizing knobs.
@@ -32,7 +32,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use brisa_runtime::{Cluster, ClusterConfig, TransportKind};
+//! use brisa_runtime::{Cluster, ClusterConfig};
 //! use brisa_workloads::BrisaStackConfig;
 //! use brisa::{BrisaConfig, BrisaNode};
 //! use brisa_membership::HyParViewConfig;
@@ -40,7 +40,6 @@
 //!
 //! let cfg = ClusterConfig {
 //!     nodes: 8,
-//!     transport: TransportKind::Loopback,
 //!     ..Default::default()
 //! };
 //! let stack = BrisaStackConfig {
@@ -62,22 +61,18 @@ pub mod chaos;
 pub mod clock;
 pub mod cluster;
 pub mod config;
-pub mod loopback;
 pub mod reactor;
 pub mod report;
 pub mod shim;
 pub mod tcp;
-pub mod transport;
 pub mod wire;
 
 pub use chaos::{run_chaos, SoakConfig, SoakOutcome};
 pub use clock::WallClock;
 pub use cluster::{Cluster, ClusterConfig, TransportKind};
 pub use config::RuntimeConfig;
-pub use loopback::{LoopbackMesh, LoopbackTransport};
 pub use reactor::ReactorPool;
 pub use report::{LiveNode, LiveResult, RuntimeStats};
 pub use shim::{ShimControl, ShimStats};
 pub use tcp::TcpMesh;
-pub use transport::{FrameSink, NetEvent, Transport};
 pub use wire::{WireCodec, WireError, WIRE_VERSION};

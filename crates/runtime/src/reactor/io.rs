@@ -7,7 +7,6 @@
 use super::sys::{self, Ready, WAKE_TOKEN};
 use super::{ProtoCore, TimerKind, WireProtocol};
 use crate::config::RuntimeConfig;
-use crate::transport::NetEvent;
 use crate::wire::{frame_len, LEN_PREFIX_BYTES, WIRE_VERSION};
 use brisa_simnet::seed::mix64;
 use brisa_simnet::NodeId;
@@ -49,8 +48,9 @@ const HELLO_LEN: usize = 5;
 /// EOF that follows is not surfaced as peer death.
 const GOODBYE: [u8; LEN_PREFIX_BYTES] = [0; LEN_PREFIX_BYTES];
 
-/// Transport-side commands executed on the owning worker's loop. Pushed by
-/// [`ReactorTcpTransport`](super::ReactorTcpTransport) handles and the pool.
+/// Socket commands executed on the owning worker's loop. The shard's
+/// protocol half queues them on its own list as callbacks emit them; only
+/// a listener registration comes from the pool, through the inbox.
 pub(super) enum IoCmd {
     /// Register `node`'s pre-bound listener with its shard.
     AddListener {
@@ -132,15 +132,18 @@ impl OutLink {
 struct InConn {
     owner: u32,
     stream: TcpStream,
+    /// The dialer, once its hello arrived. A connection still without one
+    /// [`CONNECT_TIMEOUT`] after `accepted` is dropped by the reap sweep: a
+    /// real dialer says hello on its first writable event.
     from: Option<NodeId>,
+    accepted: Instant,
     buf: Vec<u8>,
     /// A goodbye marker arrived: the peer is closing this connection
     /// deliberately (idle reap), so the EOF that follows is not peer death.
     deliberate: bool,
 }
 
-/// The socket engine of one shard. Empty (and cost-free) on loopback-only
-/// clusters.
+/// The socket engine of one shard.
 pub(super) struct ShardIo {
     /// The readiness set every socket below is registered with.
     pub(super) ready: sys::Readiness,
@@ -159,7 +162,7 @@ pub(super) struct ShardIo {
     out_tokens: HashMap<u64, (u32, u32)>,
     /// `monitored[owner]` = peers under failure-detection interest; an
     /// entry is consumed when its link-down fires (at most one
-    /// notification per `open_connection`, the transport contract).
+    /// notification per `open_connection`).
     monitored: HashMap<u32, BTreeSet<u32>>,
 }
 
@@ -203,7 +206,7 @@ impl ShardIo {
             .get_mut(&owner)
             .is_some_and(|set| set.remove(&peer.0));
         if fired {
-            core.on_net(owner, NetEvent::LinkDown { peer });
+            core.on_link_down(owner, peer);
         }
     }
 
@@ -216,7 +219,7 @@ impl ShardIo {
         let addr = self
             .addrs
             .as_ref()
-            .expect("TCP transport used before any listener was added")[peer as usize];
+            .expect("a node dialed before any listener was added")[peer as usize];
         let token = self.next_token;
         self.next_token += 1;
         match self.ready.connect(addr, token) {
@@ -412,7 +415,16 @@ impl ShardIo {
         in_backoff
     }
 
-    /// Executes one transport command on this shard.
+    /// Executes the socket commands `core` queued, and those their
+    /// execution queues in turn, until none are left: a link that fails
+    /// dispatches a link-down, and its handler may send again.
+    pub(super) fn run_cmds<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>) {
+        while let Some(cmd) = core.io_cmds.pop_front() {
+            self.handle_cmd(core, cmd);
+        }
+    }
+
+    /// Executes one socket command on this shard.
     pub(super) fn handle_cmd<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, cmd: IoCmd) {
         match cmd {
             IoCmd::AddListener {
@@ -493,6 +505,7 @@ impl ShardIo {
                             owner: *owner,
                             stream,
                             from: None,
+                            accepted: Instant::now(),
                             buf: Vec::new(),
                             deliberate: false,
                         },
@@ -514,7 +527,7 @@ impl ShardIo {
         scratch: &mut [u8],
         token: u64,
     ) -> Result<(), ()> {
-        let Some(mut conn) = self.inconns.get_mut(&token) else {
+        let Some(conn) = self.inconns.get_mut(&token) else {
             return Ok(());
         };
         let mut closed = false;
@@ -548,7 +561,7 @@ impl ShardIo {
             conn.buf.drain(..HELLO_LEN);
         }
         // Frame reassembly: u32 LE length prefix, then the body.
-        while conn.from.is_some() {
+        while let Some(from) = conn.from {
             if conn.buf.starts_with(&GOODBYE) {
                 // Goodbye marker: the peer is reaping this idle connection
                 // (see `reap_idle`); the EOF that follows is deliberate.
@@ -562,16 +575,8 @@ impl ShardIo {
                 // Corrupt stream: treat like a broken connection.
                 Err(_) => return self.drop_inconn(core, token),
             };
-            let frame: Vec<u8> = conn.buf[..total].to_vec();
+            core.on_frame(conn.owner, from, &conn.buf[..total]);
             conn.buf.drain(..total);
-            let owner = conn.owner;
-            let from = conn.from.expect("handshaken");
-            core.on_net(owner, NetEvent::Frame { from, frame });
-            // The dispatch may have poisoned/changed the map; re-borrow.
-            let Some(c) = self.inconns.get_mut(&token) else {
-                return Ok(());
-            };
-            conn = c;
         }
         if closed {
             return self.drop_inconn(core, token);
@@ -641,6 +646,9 @@ impl ShardIo {
     ///
     /// The same sweep fails every connect in flight past
     /// [`CONNECT_TIMEOUT`]: one failed attempt on the link's retry path.
+    /// And it drops every inbound connection that has not said hello
+    /// [`CONNECT_TIMEOUT`] after its accept, so a silent peer cannot hold a
+    /// descriptor. Nothing is surfaced: it never named a node.
     pub(super) fn reap_idle<P: WireProtocol>(
         &mut self,
         core: &mut ProtoCore<P>,
@@ -655,9 +663,9 @@ impl ShardIo {
                 .count(),
             "every link with a socket, and nothing else, holds a token"
         );
-        if self.outlinks.is_empty() {
-            return;
-        }
+        self.inconns.retain(|_, conn| {
+            conn.from.is_some() || now.duration_since(conn.accepted) < CONNECT_TIMEOUT
+        });
         let mut reap: Vec<(u32, u32)> = Vec::new();
         let mut stalled: Vec<(u32, u32)> = Vec::new();
         for (&(owner, peer), link) in &self.outlinks {

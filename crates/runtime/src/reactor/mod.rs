@@ -4,12 +4,13 @@
 //! pinned to the shard `id % workers`, and each worker is one thread
 //! running one loop that merges
 //!
-//! * the worker's **inbox** (a mutex-protected queue of inbound frames,
-//!   control messages and transport commands, woken through a pipe),
+//! * the worker's **inbox** (a mutex-protected queue of control messages
+//!   from the pool — start, stop, invoke, listener registration — woken
+//!   through a socket pair),
 //! * the **timer heap** — the simulator's `(deadline, insertion-seq)`
 //!   discipline, one heap per shard holding every resident node's timers,
-//!   the transport's re-dial deadlines *and* what the fault layer defers
-//!   (held frames, failed opens across a cut — see [`crate::shim`]),
+//!   the connection table's re-dial deadlines *and* what the fault layer
+//!   defers (held frames, failed opens across a cut — see [`crate::shim`]),
 //! * and **socket readiness** from one `epoll` instance per worker
 //!   (hand-rolled FFI — the vendored-deps constraint rules out mio):
 //!   non-blocking listeners, inbound frame reassembly, outbound connects
@@ -22,15 +23,16 @@
 //!
 //! The semantics match the simulator's: protocols see
 //! `on_start`/`on_message`/`on_timer`/`on_link_down` through
-//! [`Context::external`], RNGs derive from `split_mix64(seed, node)`,
-//! commands drain into the node's [`Transport`] — `Send` and
-//! `OpenConnection` by way of the cluster's fault layer, which is the
-//! simulator's own. A [`FrameSink`] (loopback) enqueues into the owning
-//! worker's inbox.
+//! [`Context::external`], RNGs derive from `split_mix64(seed, node)`.
+//! The commands a callback emits become socket commands on a list the
+//! shard's protocol half owns — `Send` and `OpenConnection` by way of the
+//! cluster's fault layer, which is the simulator's own — and the worker
+//! hands that list to its own connection table after every inbox message,
+//! timer batch and readiness batch: same thread, no lock, no wake.
 //!
 //! **Crash isolation:** every protocol callback runs under
 //! `catch_unwind`. A panicking node is poisoned — removed from its shard,
-//! its transport torn down so peers observe a link-down — while its shard
+//! its sockets closed so peers observe a link-down — while its shard
 //! siblings keep running; the panic never takes down the worker.
 //!
 //! **TCP under the reactor** (see [`crate::tcp`] for the mesh): sockets
@@ -55,7 +57,6 @@ use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
 use crate::report::RuntimeStats;
 use crate::shim::{detection_delay, Fate, ShimControl};
-use crate::transport::{FrameSink, NetEvent, Transport};
 use crate::wire::WireCodec;
 use brisa_simnet::seed::split_mix64;
 use brisa_simnet::{Command, Context, NodeId, Protocol, TimerTag};
@@ -94,30 +95,23 @@ type InvokeFn<P> = Box<dyn FnOnce(&mut P, &mut Context<'_, <P as Protocol>::Mess
 /// Messages consumed by a reactor worker.
 enum WorkerMsg<P: Protocol> {
     /// Start executing `proto` as `id` on this shard (fires `on_start`).
-    Start {
-        id: NodeId,
-        proto: P,
-        seed: u64,
-        transport: Box<dyn Transport>,
-    },
-    /// An inbound transport event for `id`.
-    Net { id: NodeId, event: NetEvent },
+    Start { id: NodeId, proto: P, seed: u64 },
     /// Run a closure against `id`'s protocol on its shard.
     Invoke { id: NodeId, f: InvokeFn<P> },
-    /// Stop `id`: tear down its transport and reply with its final state,
-    /// or `None` if the node is unknown or was poisoned by a panic.
+    /// Stop `id`: close its sockets and reply with its final state, or
+    /// `None` if the node is unknown or was poisoned by a panic.
     Stop {
         id: NodeId,
         reply: mpsc::Sender<Option<(P, RuntimeStats)>>,
     },
-    /// A transport-side command.
+    /// A listener registration for the connection table.
     Io(IoCmd),
-    /// Stop every remaining node and exit the worker loop.
+    /// Drop every remaining node, close every socket and exit the worker
+    /// loop.
     Shutdown,
 }
 
-/// A worker's inbox: the queue plus its waker. Shared by every producer
-/// targeting the shard (sinks, transport handles, the pool).
+/// A worker's inbox: the queue plus its waker, shared with the pool.
 struct Inbox<P: Protocol> {
     queue: Mutex<VecDeque<WorkerMsg<P>>>,
     waker: sys::Waker,
@@ -130,51 +124,6 @@ impl<P: Protocol> Inbox<P> {
     }
 }
 
-/// The [`FrameSink`] a transport delivers into: enqueues onto the owning
-/// shard's inbox. Per-source FIFO holds because each producer pushes in
-/// send order and the queue preserves it.
-struct ReactorSink<P: Protocol> {
-    id: NodeId,
-    inbox: Arc<Inbox<P>>,
-}
-
-impl<P: Protocol + Send + 'static> FrameSink for ReactorSink<P> {
-    fn deliver(&mut self, event: NetEvent) -> bool {
-        self.inbox.push(WorkerMsg::Net { id: self.id, event });
-        true
-    }
-}
-
-/// One node's [`Transport`] handle onto its shard's socket engine. All
-/// methods enqueue `IoCmd`s; the worker loop owns the actual sockets.
-struct ReactorTcpTransport<P: Protocol> {
-    me: NodeId,
-    inbox: Arc<Inbox<P>>,
-}
-
-impl<P: Protocol + Send + 'static> Transport for ReactorTcpTransport<P> {
-    fn send(&mut self, to: NodeId, frame: Vec<u8>) {
-        let from = self.me;
-        self.inbox
-            .push(WorkerMsg::Io(IoCmd::Send { from, to, frame }));
-    }
-
-    fn open_connection(&mut self, peer: NodeId) {
-        let from = self.me;
-        self.inbox.push(WorkerMsg::Io(IoCmd::Open { from, peer }));
-    }
-
-    fn close_connection(&mut self, peer: NodeId) {
-        let from = self.me;
-        self.inbox.push(WorkerMsg::Io(IoCmd::Close { from, peer }));
-    }
-
-    fn shutdown(&mut self) {
-        let node = self.me;
-        self.inbox.push(WorkerMsg::Io(IoCmd::CloseNode { node }));
-    }
-}
-
 /// What a timer deadline triggers when it fires.
 enum TimerKind {
     /// A protocol timer of a resident node.
@@ -182,7 +131,7 @@ enum TimerKind {
     /// A scheduled re-dial of the `owner → peer` outbound link.
     Redial { owner: u32, peer: u32 },
     /// A frame the fault layer held back (jitter, or a `Delay` cut until
-    /// its heal), released to `from`'s transport.
+    /// its heal), released onto the `from → to` link.
     Held {
         from: u32,
         to: NodeId,
@@ -247,13 +196,12 @@ impl Timers {
     }
 }
 
-/// One resident node: protocol state, RNG, stats and its transport.
+/// One resident node: protocol state, RNG and stats.
 struct NodeSlot<P: Protocol> {
     id: NodeId,
     proto: P,
     rng: SmallRng,
     stats: RuntimeStats,
-    transport: Box<dyn Transport>,
     /// Per destination with frames parked on the timer heap: the latest
     /// release among them and how many. A later frame to that destination
     /// parks behind them, so a hold never reorders a link.
@@ -302,6 +250,9 @@ struct ProtoCore<P: Protocol> {
     poisoned: BTreeSet<u32>,
     timers: Timers,
     commands: Vec<Command<P::Message>>,
+    /// Socket commands for the shard's connection table, in emission
+    /// order; the worker hands them over after every unit of work.
+    io_cmds: VecDeque<IoCmd>,
     /// This shard's index in the pool (flight-recorder shard pinning).
     shard: usize,
     /// Observability handles; the handle itself is also exposed to every
@@ -317,6 +268,7 @@ impl<P: WireProtocol> ProtoCore<P> {
             poisoned: BTreeSet::new(),
             timers: Timers::default(),
             commands: Vec::new(),
+            io_cmds: VecDeque::new(),
             shard,
             rtel: ReactorTel::new(telemetry),
         }
@@ -340,7 +292,7 @@ impl<P: WireProtocol> ProtoCore<P> {
 
     /// Runs one protocol callback for `id` under `catch_unwind` and drains
     /// the commands it emitted. A panic poisons the node: it is removed
-    /// from the shard and its transport torn down (peers see a link-down),
+    /// from the shard and its sockets closed (peers see a link-down),
     /// while shard siblings continue untouched.
     fn dispatch(&mut self, id: u32, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
         let Some(slot) = self.nodes.get_mut(&id) else {
@@ -376,7 +328,11 @@ impl<P: WireProtocol> ProtoCore<P> {
                     // nothing parked for `to`), it is `Pass` off a flag read.
                     let behind_held = slot.held.contains_key(&to.0);
                     match self.shim.route(slot.id, to, now, behind_held) {
-                        Fate::Pass => slot.transport.send(to, frame),
+                        Fate::Pass => self.io_cmds.push_back(IoCmd::Send {
+                            from: slot.id,
+                            to,
+                            frame,
+                        }),
                         Fate::Dropped => {}
                         Fate::Hold(until) => {
                             let until = self.shim.clock().instant_at(until);
@@ -402,8 +358,14 @@ impl<P: WireProtocol> ProtoCore<P> {
                         TimerKind::CutOpen { node: id, peer },
                     )
                 }
-                Command::OpenConnection { peer } => slot.transport.open_connection(peer),
-                Command::CloseConnection { peer } => slot.transport.close_connection(peer),
+                Command::OpenConnection { peer } => self.io_cmds.push_back(IoCmd::Open {
+                    from: slot.id,
+                    peer,
+                }),
+                Command::CloseConnection { peer } => self.io_cmds.push_back(IoCmd::Close {
+                    from: slot.id,
+                    peer,
+                }),
             }
         }
         self.commands = commands;
@@ -417,42 +379,41 @@ impl<P: WireProtocol> ProtoCore<P> {
     }
 
     /// Removes a panicked node. Its protocol state is dropped (a crashed
-    /// node has no report), its transport shut down so peers detect the
-    /// failure exactly as they would a kill.
+    /// node has no report), its sockets closed so peers detect the failure
+    /// exactly as they would a kill.
     fn poison(&mut self, id: u32) {
-        if let Some(mut slot) = self.nodes.remove(&id) {
+        if let Some(slot) = self.nodes.remove(&id) {
             self.purge_timers(id);
             self.rtel.node_panics.inc();
             self.tel_event(id, TelEventKind::NodePanic, 0, 0);
             self.poisoned.insert(id);
-            // The transport teardown itself is best-effort on this path.
-            let _ = catch_unwind(AssertUnwindSafe(|| slot.transport.shutdown()));
+            self.io_cmds.push_back(IoCmd::CloseNode { node: slot.id });
         }
     }
 
-    fn on_net(&mut self, id: u32, event: NetEvent) {
-        match event {
-            NetEvent::Frame { from, frame } => {
-                let Some(slot) = self.nodes.get_mut(&id) else {
-                    return;
-                };
-                match P::Message::decode(&frame) {
-                    Ok(msg) => {
-                        slot.stats.frames_in += 1;
-                        slot.stats.bytes_in += frame.len() as u64;
-                        self.rtel.frames_in.inc();
-                        self.dispatch(id, move |p, ctx| p.on_message(ctx, from, msg));
-                    }
-                    Err(_) => slot.stats.decode_errors += 1,
-                }
+    /// A complete frame from `from` arrived for resident node `id`.
+    fn on_frame(&mut self, id: u32, from: NodeId, frame: &[u8]) {
+        let Some(slot) = self.nodes.get_mut(&id) else {
+            return;
+        };
+        match P::Message::decode(frame) {
+            Ok(msg) => {
+                slot.stats.frames_in += 1;
+                slot.stats.bytes_in += frame.len() as u64;
+                self.rtel.frames_in.inc();
+                self.dispatch(id, move |p, ctx| p.on_message(ctx, from, msg));
             }
-            NetEvent::LinkDown { peer } => {
-                self.dispatch(id, move |p, ctx| p.on_link_down(ctx, peer));
-            }
+            Err(_) => slot.stats.decode_errors += 1,
         }
     }
 
-    fn start_node(&mut self, id: NodeId, proto: P, seed: u64, transport: Box<dyn Transport>) {
+    /// Connection-level failure detection reports `id`'s link to `peer`
+    /// broken.
+    fn on_link_down(&mut self, id: u32, peer: NodeId) {
+        self.dispatch(id, move |p, ctx| p.on_link_down(ctx, peer));
+    }
+
+    fn start_node(&mut self, id: NodeId, proto: P, seed: u64) {
         let rng = SmallRng::seed_from_u64(split_mix64(seed, id.0 as u64));
         self.nodes.insert(
             id.0,
@@ -461,7 +422,6 @@ impl<P: WireProtocol> ProtoCore<P> {
                 proto,
                 rng,
                 stats: RuntimeStats::default(),
-                transport,
                 held: HashMap::new(),
             },
         );
@@ -471,9 +431,9 @@ impl<P: WireProtocol> ProtoCore<P> {
     }
 
     fn stop_node(&mut self, id: u32) -> Option<(P, RuntimeStats)> {
-        let mut slot = self.nodes.remove(&id)?;
+        let slot = self.nodes.remove(&id)?;
         self.purge_timers(id);
-        slot.transport.shutdown();
+        self.io_cmds.push_back(IoCmd::CloseNode { node: slot.id });
         Some((slot.proto, slot.stats))
     }
 
@@ -502,7 +462,11 @@ impl<P: WireProtocol> ProtoCore<P> {
                             *parked -= 1;
                         }
                         slot.held.retain(|_, (_, parked)| *parked > 0);
-                        slot.transport.send(to, frame);
+                        self.io_cmds.push_back(IoCmd::Send {
+                            from: slot.id,
+                            to,
+                            frame,
+                        });
                     }
                 }
                 TimerKind::CutOpen { node, peer } => {
@@ -555,36 +519,35 @@ fn worker_main<P: WireProtocol + Send + 'static>(
         // 1. Drain the inbox. Emptying the wake socket and clearing its
         // flag *before* swapping the queue guarantees a producer racing
         // this drain either lands in `batch` or leaves a fresh wake for the
-        // next wait.
+        // next wait. The socket commands each message queues run before
+        // the next message, so a `Stop` has closed the node's sockets
+        // before it replies.
         wake.drain();
         std::mem::swap(&mut batch, &mut *inbox.queue.lock().unwrap());
         let drained = batch.len() as u64;
         for msg in batch.drain(..) {
             match msg {
-                WorkerMsg::Start {
-                    id,
-                    proto,
-                    seed,
-                    transport,
-                } => core.start_node(id, proto, seed, transport),
-                WorkerMsg::Net { id, event } => core.on_net(id.0, event),
+                WorkerMsg::Start { id, proto, seed } => core.start_node(id, proto, seed),
                 WorkerMsg::Invoke { id, f } => core.dispatch(id.0, f),
                 WorkerMsg::Stop { id, reply } => {
-                    let _ = reply.send(core.stop_node(id.0));
+                    let stopped = core.stop_node(id.0);
+                    io.run_cmds(&mut core);
+                    let _ = reply.send(stopped);
                 }
                 WorkerMsg::Io(cmd) => io.handle_cmd(&mut core, cmd),
                 WorkerMsg::Shutdown => {
                     running = false;
                 }
             }
+            io.run_cmds(&mut core);
         }
         if !running {
             break;
         }
 
         // 2. Fire due timers (protocol + re-dial deadlines, one heap), and
-        // sweep idle unmonitored links about once a second — `next_timeout`
-        // is capped at `IDLE_PARK`, so the sweep runs even when parked.
+        // sweep idle links about once a second — `next_timeout` is capped
+        // at `IDLE_PARK`, so the sweep runs even when parked.
         redials.clear();
         core.fire_due_timers(&mut redials);
         for &(owner, peer) in &redials {
@@ -596,10 +559,12 @@ fn worker_main<P: WireProtocol + Send + 'static>(
                 core.tel_event(owner, TelEventKind::Redial, peer as u64, 0);
             }
         }
+        io.run_cmds(&mut core);
         let now = Instant::now();
         if now.duration_since(last_reap) >= REAP_INTERVAL {
             last_reap = now;
             io.reap_idle(&mut core, &cfg, now);
+            io.run_cmds(&mut core);
             // Write-queue census at the same cadence: cheap, and depth
             // spikes outlive a single iteration anyway.
             if tel_enabled {
@@ -627,20 +592,19 @@ fn worker_main<P: WireProtocol + Send + 'static>(
         }
         let ready = io.ready.wait(core.next_timeout());
 
-        // 4. Handle readiness.
+        // 4. Handle readiness: every read of the batch first, then the
+        // sends they caused. Interleaving them would put the later reads'
+        // deliveries behind the earlier relays' send syscalls, which
+        // raises live-tcp's delivery latency.
         for i in 0..ready {
             let ev = io.ready.event(i);
             io.on_ready(&mut core, &mut scratch, ev);
         }
+        io.run_cmds(&mut core);
     }
 
-    // Shutdown: stop every remaining node (transports tear down; loopback
-    // peers are notified), then drop the I/O state, closing every socket
-    // and listener this shard owns.
-    let ids: Vec<u32> = core.nodes.keys().copied().collect();
-    for id in ids {
-        let _ = core.stop_node(id);
-    }
+    // Shutdown: dropping the I/O state closes every socket and listener
+    // this shard owns; the nodes' state goes with the core.
     drop(io);
 }
 
@@ -725,26 +689,10 @@ impl<P: Protocol<Message: WireCodec> + Send + 'static> ReactorPool<P> {
         &self.workers[id.index() % self.workers.len()]
     }
 
-    /// The inbound sink of `id`: hand it to the transport that will carry
-    /// the node's traffic.
-    pub fn sink_for(&self, id: NodeId) -> Box<dyn FrameSink> {
-        Box::new(ReactorSink {
-            id,
-            inbox: Arc::clone(&self.shard_of(id).inbox),
-        })
-    }
-
-    /// A [`Transport`] handle driving `id`'s shard-owned TCP sockets.
-    /// Pair with [`ReactorPool::add_listener`].
-    pub fn tcp_transport(&self, id: NodeId) -> Box<dyn Transport> {
-        Box::new(ReactorTcpTransport {
-            me: id,
-            inbox: Arc::clone(&self.shard_of(id).inbox),
-        })
-    }
-
     /// Registers `id`'s pre-bound listener (and the mesh's address table)
-    /// with its shard.
+    /// with its shard. Call it before [`ReactorPool::start_node`]: a node
+    /// is reachable through its listener, and dials its peers through the
+    /// address table.
     pub fn add_listener(&self, id: NodeId, listener: TcpListener, addrs: Arc<Vec<SocketAddr>>) {
         self.shard_of(id)
             .inbox
@@ -758,13 +706,10 @@ impl<P: Protocol<Message: WireCodec> + Send + 'static> ReactorPool<P> {
     /// Starts `proto` as node `id` on its shard; `on_start` runs on the
     /// worker. `seed` derives the node's RNG exactly like the simulator
     /// derives per-node streams.
-    pub fn start_node(&self, id: NodeId, proto: P, seed: u64, transport: Box<dyn Transport>) {
-        self.shard_of(id).inbox.push(WorkerMsg::Start {
-            id,
-            proto,
-            seed,
-            transport,
-        });
+    pub fn start_node(&self, id: NodeId, proto: P, seed: u64) {
+        self.shard_of(id)
+            .inbox
+            .push(WorkerMsg::Start { id, proto, seed });
     }
 
     /// Queues a closure to run against `id`'s protocol on its shard.

@@ -23,7 +23,7 @@ pub struct RuntimeStats {
     pub frames_in: u64,
     /// Bytes of those frames (length prefix included).
     pub bytes_in: u64,
-    /// Frames encoded and handed to the transport.
+    /// Frames encoded for sending, counted before the fault layer's verdict.
     pub frames_out: u64,
     /// Bytes of those frames.
     pub bytes_out: u64,

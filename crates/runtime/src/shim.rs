@@ -16,13 +16,13 @@
 //!   mirrored but shared: for one master seed, the `n`-th draw on directed
 //!   link `from → to` is the same number in a simulated run and a live one.
 //!   A verdict in the future parks the frame on the worker's timer heap
-//!   (the *held frame* timer kind) and the real transport adds its transit
-//!   on release, so a frame sent during a `Delay` window arrives at
+//!   (the *held frame* timer kind) and the socket adds its transit on
+//!   release, so a frame sent during a `Delay` window arrives at
 //!   `max(send + link latency, heal)` in both worlds.
 //! * **`Command::OpenConnection`** asks `FaultLayer::is_cut`. Partitions do
 //!   not tear down connections (same as the sim), but an *attempt* across
-//!   an active cut never reaches the transport — a SYN lost inside the
-//!   partition — and surfaces as `on_link_down` after the simulator's
+//!   an active cut never reaches the connection table — a SYN lost inside
+//!   the partition — and surfaces as `on_link_down` after the simulator's
 //!   `NetworkConfig::failure_detection_delay` (the *cut open* timer kind).
 //!
 //! Both kinds sit on the same `(deadline, seq)` heap as protocol timers, so
@@ -89,7 +89,7 @@ struct Shared {
 
 /// What the fault layer decided for one live frame.
 pub(crate) enum Fate {
-    /// Hand it to the transport now.
+    /// Hand it to the connection table now.
     Pass,
     /// Park it until this cluster time (or the destination's FIFO floor,
     /// whichever is later).
@@ -203,7 +203,7 @@ impl ShimControl {
 
     /// True (and counted) if an active partition separates `from` and
     /// `peer` at `now`: the attempt must fail locally, never reaching the
-    /// transport.
+    /// connection table.
     pub(crate) fn cuts_open(&self, from: NodeId, peer: NodeId, now: SimTime) -> bool {
         let cut = self.is_active() && self.layer().is_cut(now, from, peer);
         if cut {
@@ -215,14 +215,13 @@ impl ShimControl {
 
 /// The fault model's behaviours, observed where they take effect: a
 /// one-worker [`ReactorPool`](crate::reactor::ReactorPool) over a
-/// [`LoopbackMesh`](crate::loopback::LoopbackMesh) with a recording
-/// protocol.
+/// [`TcpMesh`](crate::tcp::TcpMesh) with a recording protocol.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
-    use crate::loopback::LoopbackMesh;
     use crate::reactor::ReactorPool;
+    use crate::tcp::TcpMesh;
     use brisa::StackMsg;
     use brisa_membership::HpvMsg;
     use brisa_simnet::{Context, FaultPrf, PartitionMode, Protocol, TimerTag};
@@ -265,7 +264,7 @@ mod tests {
     impl Rig {
         /// `nodes` recorders on one worker, all behind `ctl`.
         fn new(ctl: &ShimControl, nodes: u32) -> Rig {
-            let mesh = LoopbackMesh::new(nodes as usize);
+            let mesh = TcpMesh::bind(nodes as usize).expect("bind");
             let cfg = RuntimeConfig {
                 workers: 1,
                 ..RuntimeConfig::default()
@@ -278,8 +277,8 @@ mod tests {
             let heard: Vec<_> = (0..nodes).map(|_| Arc::default()).collect();
             for i in 0..nodes {
                 let id = NodeId(i);
-                let transport = Box::new(mesh.attach(id, pool.sink_for(id)));
-                pool.start_node(id, Recorder(Arc::clone(&heard[i as usize])), 1, transport);
+                pool.add_listener(id, mesh.take_listener(id), mesh.addrs());
+                pool.start_node(id, Recorder(Arc::clone(&heard[i as usize])), 1);
             }
             Rig { pool, heard }
         }
@@ -298,17 +297,6 @@ mod tests {
         fn frames(&self, node: u32, n: usize) -> Vec<(NodeId, u64, Instant)> {
             self.wait(|| self.heard[node as usize].lock().unwrap().frames.len() >= n);
             self.heard[node as usize].lock().unwrap().frames.clone()
-        }
-
-        /// Returns once `node`'s shard has run everything queued before
-        /// this call.
-        fn barrier(&self, node: u32) {
-            let (tx, rx) = std::sync::mpsc::channel();
-            self.pool.invoke(NodeId(node), move |_p, _ctx| {
-                let _ = tx.send(());
-            });
-            rx.recv_timeout(Duration::from_secs(2))
-                .expect("worker alive");
         }
 
         fn downs(&self, node: u32) -> Vec<(NodeId, Instant)> {
@@ -357,15 +345,17 @@ mod tests {
             .filter(|i| prf.unit_draw(NodeId(0), NodeId(1), i + 1) >= loss_rate)
             .collect();
         rig.send(1, 0..total);
-        // Node 0 has run the callback (every survivor is in the worker's
-        // inbox), then node 1 has drained what was ahead of its barrier.
-        rig.barrier(0);
-        rig.barrier(1);
-        let got = rig.frames(1, 0);
-        assert_eq!(nonces(&got), expected, "live loss fate must equal sim fate");
+        // Node 0 has run the callback once every frame has a fate; node 1
+        // has then heard every survivor once it heard as many as passed.
+        assert!(rig.wait(|| {
+            let stats = ctl.stats();
+            stats.frames_passed + stats.frames_lost == total
+        }));
         let stats = ctl.stats();
         assert_eq!(stats.frames_lost, total - expected.len() as u64);
         assert_eq!(stats.frames_passed, expected.len() as u64);
+        let got = rig.frames(1, stats.frames_passed as usize);
+        assert_eq!(nonces(&got), expected, "live loss fate must equal sim fate");
     }
 
     #[test]

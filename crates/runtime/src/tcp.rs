@@ -1,4 +1,4 @@
-//! The TCP interconnect: pre-bound loopback listeners, one per node.
+//! The TCP interconnect: pre-bound `127.0.0.1` listeners, one per node.
 //!
 //! This module owns only the **mesh** — the address table and the bound
 //! listeners. The sockets themselves are driven by the sharded reactor
@@ -14,9 +14,11 @@
 //!   race the accept side;
 //! * connections are **per-direction**: `a → b` traffic flows on a
 //!   connection initiated by `a`, identified by a 5-byte handshake
-//!   (`version`, `u32` node id) — and because the remote never writes back
-//!   on it, readability of an outbound connection means EOF/reset, which
-//!   is exactly the peer-death signal `open_connection` monitoring wants;
+//!   (`version`, `u32` node id) that must arrive within the reactor's
+//!   connect timeout of the accept — and because the remote never writes
+//!   back on it, readability of an outbound connection means EOF/reset,
+//!   which is exactly the peer-death signal `open_connection` monitoring
+//!   wants;
 //! * frames are length-prefixed by the codec ([`crate::wire`]); a broken
 //!   connection's partial frame is discarded with the connection, so a
 //!   full resend on the re-dialed stream cannot duplicate bytes.
@@ -25,9 +27,8 @@
 //! connection-monitoring contract: a dial that exhausts its retry budget,
 //! a mid-stream write failure that survives the bounded backoff-reconnect
 //! cycle (both budgets are constants of [`crate::reactor`]), or EOF/reset
-//! from a monitored peer all surface as
-//! [`NetEvent::LinkDown`](crate::NetEvent::LinkDown) — at most once per
-//! `open_connection` registration.
+//! from a monitored peer all surface as the owner's `on_link_down` — at
+//! most once per `open_connection` registration.
 
 use brisa_simnet::NodeId;
 use std::net::{SocketAddr, TcpListener};
@@ -65,7 +66,7 @@ pub struct TcpMesh {
 }
 
 impl TcpMesh {
-    /// Binds `n` listeners on ephemeral loopback ports.
+    /// Binds `n` listeners on ephemeral `127.0.0.1` ports.
     pub fn bind(n: usize) -> std::io::Result<TcpMesh> {
         let mut addrs = Vec::with_capacity(n);
         let mut listeners = Vec::with_capacity(n);

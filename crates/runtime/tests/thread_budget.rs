@@ -5,7 +5,7 @@
 
 use brisa::{BrisaConfig, BrisaNode};
 use brisa_membership::HyParViewConfig;
-use brisa_runtime::{Cluster, ClusterConfig, RuntimeConfig, TransportKind};
+use brisa_runtime::{Cluster, ClusterConfig, RuntimeConfig};
 use brisa_workloads::{BrisaStackConfig, FaultSpec};
 use std::time::Duration;
 
@@ -29,7 +29,6 @@ fn a_64_node_tcp_cluster_under_loss_runs_on_one_thread_per_worker() {
     let before = threads();
     let cfg = ClusterConfig {
         nodes: 64,
-        transport: TransportKind::Tcp,
         join_stagger: Duration::ZERO,
         runtime: RuntimeConfig {
             workers: WORKERS,

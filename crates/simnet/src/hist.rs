@@ -11,11 +11,14 @@
 //! schedule produce bit-identical histograms (bucketing is integer-exact;
 //! no floats are involved until a quantile is read out).
 
-/// Number of logarithmic buckets. Bucket `i > 0` covers latencies in
-/// `[2^(i-1), 2^i)` microseconds; bucket 0 covers `[0, 1)` (i.e. zero).
-/// 63 doublings of 1 µs exceed any representable simulated latency, so the
-/// top bucket is a catch-all that cannot overflow in practice.
-pub const LATENCY_BUCKETS: usize = 64;
+use brisa_telemetry::{bucket_of, HIST_BUCKETS};
+
+/// Number of logarithmic buckets, telemetry's: bucket `i > 0` covers
+/// latencies in `[2^(i-1), 2^i)` microseconds; bucket 0 covers `[0, 1)`
+/// (i.e. zero). 63 doublings of 1 µs exceed any representable simulated
+/// latency, so the top bucket is a catch-all that cannot overflow in
+/// practice.
+pub const LATENCY_BUCKETS: usize = HIST_BUCKETS;
 
 /// A fixed-size, mergeable histogram of latencies in microseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,11 +38,6 @@ impl Default for LatencyHistogram {
             max_us: 0,
         }
     }
-}
-
-/// Bucket index for a latency of `us` microseconds.
-fn bucket_of(us: u64) -> usize {
-    ((64 - us.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
 }
 
 impl LatencyHistogram {
@@ -121,18 +119,6 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_edges() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
-        assert_eq!(bucket_of(u64::MAX), LATENCY_BUCKETS - 1);
-    }
 
     #[test]
     fn record_count_mean_max() {

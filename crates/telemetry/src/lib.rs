@@ -34,7 +34,7 @@ mod registry;
 
 pub use event::{Event, EventKind};
 pub use recorder::FlightRecorder;
-pub use registry::{Counter, Gauge, Histo, Registry, HIST_BUCKETS};
+pub use registry::{bucket_of, Counter, Gauge, Histo, Registry, HIST_BUCKETS};
 
 use std::sync::Arc;
 

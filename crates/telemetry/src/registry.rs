@@ -7,23 +7,26 @@
 //! to happen once, at wiring time — instrumented components resolve
 //! their handles when telemetry is attached and hold them.
 //!
-//! Histograms use the same 64-bucket log2 scheme as
-//! `brisa_simnet::LatencyHistogram` (bucket `i > 0` covers
-//! `[2^(i-1), 2^i)` µs, bucket 0 holds exact zeros), so a telemetry
-//! snapshot and a bench artifact bucket identically; this crate keeps a
-//! private copy of the three-line bucket function rather than a
-//! dependency, pinned by the same edge tests.
+//! Histograms use a 64-bucket log2 scheme (bucket `i > 0` covers
+//! `[2^(i-1), 2^i)` µs, bucket 0 holds exact zeros). [`bucket_of`] is the
+//! one definition of it: `brisa_simnet::LatencyHistogram` buckets through
+//! it too, so a telemetry snapshot and a bench artifact bucket
+//! identically.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of log2 buckets (mirrors `brisa_simnet::LATENCY_BUCKETS`).
+/// Number of log2 buckets, for the registry's histograms and the
+/// simulator's latency histograms alike.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Bucket index for value `v` (same scheme as `brisa_simnet::hist`).
-fn bucket_of(v: u64) -> usize {
+/// Bucket index for value `v`: bucket `i > 0` covers `[2^(i-1), 2^i)`,
+/// bucket 0 covers zero, and the top bucket also takes everything above
+/// its range.
+#[inline]
+pub fn bucket_of(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
 }
 
@@ -263,9 +266,9 @@ mod tests {
 
     #[test]
     fn bucket_edges_match_the_metrics_crate() {
-        // Pins the private copy to `brisa_simnet::hist::bucket_of`'s
-        // documented edges (the histogram lived in the metrics crate when
-        // this test was named).
+        // The one log2 bucket rule, which `brisa_simnet::hist` uses too
+        // (the histogram lived in the metrics crate when this test was
+        // named).
         assert_eq!(bucket_of(0), 0);
         assert_eq!(bucket_of(1), 1);
         assert_eq!(bucket_of(2), 2);

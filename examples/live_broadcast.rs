@@ -1,9 +1,9 @@
 //! Live broadcast over real TCP sockets.
 //!
-//! Boots a 32-node BRISA cluster on `127.0.0.1` — every node a thread,
-//! every link a real socket, every message a codec frame — publishes a
-//! short stream from node 0 and prints the injection-to-delivery latency
-//! percentiles.
+//! Boots a 32-node BRISA cluster on `127.0.0.1` — every node on the
+//! reactor's worker threads, every link a real socket, every message a
+//! codec frame — publishes a short stream from node 0 and prints the
+//! injection-to-delivery latency percentiles.
 //!
 //! ```sh
 //! cargo run --release --example live_broadcast
@@ -13,7 +13,7 @@ use brisa::{BrisaConfig, BrisaNode};
 use brisa_membership::HyParViewConfig;
 use brisa_metrics::percentile::percentile_of_sorted;
 use brisa_metrics::PercentileSummary;
-use brisa_runtime::{Cluster, ClusterConfig, TransportKind};
+use brisa_runtime::{Cluster, ClusterConfig};
 use brisa_workloads::BrisaStackConfig;
 use std::time::Duration;
 
@@ -26,7 +26,6 @@ fn main() {
 
     let cfg = ClusterConfig {
         nodes: NODES,
-        transport: TransportKind::Tcp,
         seed: 0xB215A,
         ..Default::default()
     };

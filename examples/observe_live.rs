@@ -15,7 +15,7 @@
 
 use brisa::{BrisaConfig, BrisaNode};
 use brisa_membership::HyParViewConfig;
-use brisa_runtime::{Cluster, ClusterConfig, RuntimeConfig, TransportKind};
+use brisa_runtime::{Cluster, ClusterConfig, RuntimeConfig};
 use brisa_telemetry::Telemetry;
 use brisa_workloads::BrisaStackConfig;
 use std::time::Duration;
@@ -38,7 +38,6 @@ fn main() {
     let telemetry = Telemetry::enabled();
     let cfg = ClusterConfig {
         nodes: NODES,
-        transport: TransportKind::Tcp,
         seed: 0xB215A,
         runtime: RuntimeConfig {
             workers: WORKERS,

@@ -1,6 +1,6 @@
 //! Integration tests of the sharded reactor itself: crash isolation
 //! inside a shard, clean shutdown (threads joined, sockets closed, ports
-//! reusable), and a 256-node loopback smoke run — a cluster size the old
+//! reusable), and a 256-node TCP smoke run — a cluster size the old
 //! thread-per-node executor could not reasonably carry.
 
 use brisa::{BrisaConfig, BrisaNode, StackMsg};
@@ -8,9 +8,7 @@ use brisa_membership::{HpvMsg, HyParViewConfig};
 use brisa_runtime::reactor::ReactorPool;
 use brisa_runtime::tcp::TcpMesh;
 use brisa_runtime::wire::MAX_FRAME_BYTES;
-use brisa_runtime::{
-    Cluster, ClusterConfig, LoopbackMesh, RuntimeConfig, ShimControl, TransportKind, WallClock,
-};
+use brisa_runtime::{Cluster, ClusterConfig, RuntimeConfig, ShimControl, WallClock};
 use brisa_runtime::{LiveNode, LiveResult};
 use brisa_runtime::{WireCodec, WIRE_VERSION};
 use brisa_simnet::{
@@ -53,6 +51,10 @@ impl Protocol for Echo {
     fn on_link_down(&mut self, _ctx: &mut Context<'_, Self::Message>, _peer: NodeId) {}
 }
 
+/// The reactor's `CONNECT_TIMEOUT`: how long a connect may stay in flight,
+/// and an accepted connection may stay silent.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
 fn keepalive(nonce: u64) -> StackMsg {
     StackMsg::Hpv(HpvMsg::KeepAlive { nonce })
 }
@@ -75,7 +77,7 @@ fn wait_until(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
 /// crash instead of hanging or taking the worker down.
 #[test]
 fn panicking_node_does_not_stall_shard_siblings() {
-    let mesh = LoopbackMesh::new(3);
+    let mesh = TcpMesh::bind(3).expect("bind");
     let cfg = RuntimeConfig {
         workers: 1, // force all three nodes onto one shard
         ..RuntimeConfig::default()
@@ -83,11 +85,11 @@ fn panicking_node_does_not_stall_shard_siblings() {
     let pool: ReactorPool<Echo> = ReactorPool::new(WallClock::new(), &cfg);
     let logs: Vec<_> = (0..3).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
     for i in 0..3u32 {
-        let transport = Box::new(mesh.attach(NodeId(i), pool.sink_for(NodeId(i))));
+        pool.add_listener(NodeId(i), mesh.take_listener(NodeId(i)), mesh.addrs());
         let proto = Echo {
             log: Arc::clone(&logs[i as usize]),
         };
-        pool.start_node(NodeId(i), proto, 1, transport);
+        pool.start_node(NodeId(i), proto, 1);
     }
 
     // Sanity: traffic flows on the shared shard.
@@ -148,7 +150,7 @@ fn shutdown_joins_workers_and_releases_every_port() {
         let proto = Echo {
             log: Arc::clone(&logs[i as usize]),
         };
-        pool.start_node(NodeId(i), proto, 1, pool.tcp_transport(NodeId(i)));
+        pool.start_node(NodeId(i), proto, 1);
     }
     // Real sockets carried traffic: a ring of keep-alives.
     for i in 0..NODES {
@@ -208,7 +210,7 @@ impl Protocol for Incarnation {
 /// rate for the rest of the run.)
 #[test]
 fn a_restarted_node_does_not_inherit_its_predecessors_timers() {
-    let mesh = LoopbackMesh::new(1);
+    let mesh = TcpMesh::bind(1).expect("bind");
     let cfg = RuntimeConfig {
         workers: 1,
         ..RuntimeConfig::default()
@@ -221,8 +223,13 @@ fn a_restarted_node_does_not_inherit_its_predecessors_timers() {
             n,
             fired: Arc::clone(&fired),
         };
-        let transport = Box::new(mesh.attach(id, pool.sink_for(id)));
-        pool.start_node(id, proto, 1, transport);
+        let listener = if n == 1 {
+            mesh.take_listener(id)
+        } else {
+            mesh.rebind_listener(id).expect("rebind")
+        };
+        pool.add_listener(id, listener, mesh.addrs());
+        pool.start_node(id, proto, 1);
     };
     start(1);
     std::thread::sleep(Duration::from_millis(50));
@@ -241,7 +248,7 @@ fn a_restarted_node_does_not_inherit_its_predecessors_timers() {
 #[test]
 fn a_frame_held_by_a_node_killed_before_the_heal_is_never_sent() {
     let clock = WallClock::new();
-    let mesh = LoopbackMesh::new(3);
+    let mesh = TcpMesh::bind(3).expect("bind");
     let cfg = RuntimeConfig {
         workers: 1,
         ..RuntimeConfig::default()
@@ -250,11 +257,11 @@ fn a_frame_held_by_a_node_killed_before_the_heal_is_never_sent() {
     let shim = pool.shim();
     let logs: Vec<_> = (0..3).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
     for i in 0..3u32 {
-        let transport = Box::new(mesh.attach(NodeId(i), pool.sink_for(NodeId(i))));
+        pool.add_listener(NodeId(i), mesh.take_listener(NodeId(i)), mesh.addrs());
         let proto = Echo {
             log: Arc::clone(&logs[i as usize]),
         };
-        pool.start_node(NodeId(i), proto, 1, transport);
+        pool.start_node(NodeId(i), proto, 1);
     }
     // Node 2 is cut away from senders 0 and 1 until the heal.
     let now = clock.now();
@@ -343,7 +350,6 @@ fn idle_links_reap_with_goodbye_and_redial() {
             downs: Arc::clone(&downs),
         },
         1,
-        pool.tcp_transport(NodeId(0)),
     );
     let peer_listener = mesh.take_listener(NodeId(1));
 
@@ -480,7 +486,6 @@ fn live_result_reports_reaps_and_redials() {
     const NODES: u32 = 12;
     let cfg = ClusterConfig {
         nodes: NODES,
-        transport: TransportKind::Tcp,
         seed: 0xB215A,
         runtime: RuntimeConfig {
             // Short idle cut-off so shuffle links reap within the test.
@@ -532,7 +537,6 @@ fn idle_loop_iterations_are_bounded_by_events_not_by_open_links() {
     let telemetry = Telemetry::enabled();
     let cfg = ClusterConfig {
         nodes: NODES,
-        transport: TransportKind::Tcp,
         seed: 0xB215A,
         runtime: RuntimeConfig {
             workers: 1,
@@ -589,10 +593,11 @@ fn idle_loop_iterations_are_bounded_by_events_not_by_open_links() {
 /// Hostile bytes at the edge the readiness set guards. Four raw
 /// connections to a live node's listener — a handshake of the wrong wire
 /// version, a length prefix past the frame ceiling, a frame cut short by a
-/// close, and one that never says anything — panic nothing; the first
-/// three are dropped and leave the registered-descriptor count, the silent
-/// one stays exactly as long as its socket does, and the cluster delivers
-/// a message published meanwhile to every node.
+/// close, and one that never says anything — panic nothing. The first
+/// three are dropped and leave the registered-descriptor count, and the
+/// cluster delivers a message published meanwhile to every node. The silent
+/// one is closed by the reactor itself, unasked, once the handshake
+/// deadline (`CONNECT_TIMEOUT` after its accept) has passed.
 #[test]
 fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
     const NODES: u32 = 12;
@@ -631,7 +636,7 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
             is_source: i == 0,
         };
         let node = BrisaNode::build(&stack, id, &bctx);
-        pool.start_node(id, node, 0xB215A, pool.tcp_transport(id));
+        pool.start_node(id, node, 0xB215A);
         std::thread::sleep(Duration::from_millis(2));
     }
 
@@ -666,10 +671,10 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
     let mut wrong_version = connect();
     let mut oversize = connect();
     let mut truncated = connect();
-    let silent = connect();
+    // Well inside the handshake deadline, so no reap races the count.
     assert!(
-        wait_until(Duration::from_secs(10), || registered.get() == base + 4),
-        "four accepted connections join the set ({} over {base})",
+        wait_until(CONNECT_TIMEOUT, || registered.get() == base + 3),
+        "three accepted connections join the set ({} over {base})",
         registered.get()
     );
 
@@ -692,9 +697,9 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
             "a corrupt stream is closed, not answered"
         );
     }
-    // ...and all three leave the set; the silent one is still in it.
+    // ...and all three leave the set.
     assert!(
-        wait_until(Duration::from_secs(10), || registered.get() == base + 1),
+        wait_until(Duration::from_secs(10), || registered.get() == base),
         "three dropped connections leave the set ({} over {base})",
         registered.get()
     );
@@ -710,10 +715,27 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
         delivered.get() - already
     );
 
-    drop(silent);
+    // A peer that connects and never says hello holds a descriptor only
+    // until the handshake deadline: the reactor hangs up on it.
+    let mut silent = connect();
+    let connected = Instant::now();
     assert!(
-        wait_until(Duration::from_secs(10), || registered.get() == base),
-        "the silent connection leaves with its socket ({} over {base})",
+        wait_until(CONNECT_TIMEOUT, || registered.get() == base + 1),
+        "the silent connection joins the set ({} over {base})",
+        registered.get()
+    );
+    let bound = CONNECT_TIMEOUT + Duration::from_secs(2);
+    silent.set_read_timeout(Some(bound)).expect("read timeout");
+    let eof = silent.read(&mut probe);
+    assert!(
+        matches!(&eof, Ok(0))
+            || matches!(&eof, Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset),
+        "the silent connection was not closed within {bound:?}: {eof:?}"
+    );
+    assert!(connected.elapsed() <= bound, "closed only after {bound:?}");
+    assert!(
+        wait_until(Duration::from_secs(1), || registered.get() == base),
+        "the silent connection leaves the set ({} over {base})",
         registered.get()
     );
     assert_eq!(telemetry.counter("reactor.node_panics").get(), 0);
@@ -740,8 +762,6 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
 fn a_connect_that_never_completes_fails_without_stalling_the_worker() {
     use brisa_telemetry::EventKind;
     use std::os::unix::io::AsRawFd;
-    /// The reactor's `CONNECT_TIMEOUT`.
-    const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
     extern "C" {
         fn listen(fd: i32, backlog: i32) -> i32;
     }
@@ -785,7 +805,7 @@ fn a_connect_that_never_completes_fails_without_stalling_the_worker() {
         let proto = Echo {
             log: Arc::clone(&logs[i as usize]),
         };
-        pool.start_node(id, proto, 1, pool.tcp_transport(id));
+        pool.start_node(id, proto, 1);
     }
 
     let dialed_at = clock.now();
@@ -831,15 +851,14 @@ fn a_connect_that_never_completes_fails_without_stalling_the_worker() {
     drop(fillers);
 }
 
-/// 256 live loopback nodes on one reactor pool — every node delivers the
+/// 256 live TCP nodes on one reactor pool — every node delivers the
 /// whole stream exactly once (zero duplicate deliveries).
 #[test]
-fn loopback_256_nodes_deliver_exactly_once() {
+fn tcp_256_nodes_deliver_exactly_once() {
     const NODES: u32 = 256;
     const MESSAGES: u64 = 3;
     let cfg = ClusterConfig {
         nodes: NODES,
-        transport: TransportKind::Loopback,
         seed: 0xB215A,
         ..Default::default()
     };
@@ -925,7 +944,6 @@ fn tcp_1000_nodes_match_the_sim_delivered_sets() {
     let half_bootstrap = Duration::from_secs(10);
     let cfg = ClusterConfig {
         nodes: NODES,
-        transport: TransportKind::Tcp,
         seed: SEED,
         join_stagger: half_bootstrap / NODES,
         ..Default::default()

@@ -1,5 +1,5 @@
 //! Integration tests of the live runtime: the sans-IO stack executing in
-//! wall-clock time over real transports.
+//! wall-clock time over TCP on `127.0.0.1`.
 //!
 //! Wall-clock runs are not bit-reproducible, so these tests assert the
 //! properties that *must* hold on any healthy run — 100% delivery, no
@@ -9,7 +9,7 @@
 use brisa::{BrisaConfig, BrisaNode};
 use brisa_membership::{HpvMsg, HyParViewConfig};
 use brisa_runtime::tcp::TcpMesh;
-use brisa_runtime::{Cluster, ClusterConfig, ReactorPool, RuntimeConfig, TransportKind, WallClock};
+use brisa_runtime::{Cluster, ClusterConfig, ReactorPool, RuntimeConfig, WallClock};
 use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag};
 use brisa_workloads::{
     BrisaScenario, BrisaStackConfig, EngineResult, IntoRunSpec, Runner, StreamSpec,
@@ -46,7 +46,6 @@ fn drive_stream(
 fn tcp_cluster_delivers_everything() {
     let cfg = ClusterConfig {
         nodes: 16,
-        transport: TransportKind::Tcp,
         seed: 7,
         ..Default::default()
     };
@@ -101,8 +100,8 @@ fn sim_delivered_sets(r: &EngineResult) -> BTreeMap<u32, Vec<u64>> {
         .collect()
 }
 
-/// The same broadcast scenario on the sim engine and on the loopback-mesh
-/// runtime produces the same delivery outcome: identical delivery sets and
+/// The same broadcast scenario on the sim engine and on the live runtime
+/// produces the same delivery outcome: identical delivery sets and
 /// zero duplicate deliveries on both sides.
 #[test]
 fn sim_and_live_agree_on_the_delivery_outcome() {
@@ -122,10 +121,9 @@ fn sim_and_live_agree_on_the_delivery_outcome() {
     let sim = Runner::<BrisaNode>::new(&stack_config(4), &spec).run();
     assert_eq!(sim.messages_published, MESSAGES);
 
-    // Live run on the loopback mesh.
+    // Live run.
     let cfg = ClusterConfig {
         nodes: NODES,
-        transport: TransportKind::Loopback,
         seed: scenario.seed,
         ..Default::default()
     };
@@ -157,7 +155,7 @@ fn sim_and_live_agree_on_the_delivery_outcome() {
         .expect("live trace passes the delivery invariants");
 }
 
-/// Killing a node mid-stream: surviving nodes repair over live transports
+/// Killing a node mid-stream: surviving nodes repair over live TCP links
 /// (link-down → HyParView → BRISA repair → gap retransmission) and still
 /// deliver the whole stream.
 ///
@@ -171,7 +169,6 @@ fn sim_and_live_agree_on_the_delivery_outcome() {
 fn loopback_cluster_survives_a_kill_mid_stream() {
     let cfg = ClusterConfig {
         nodes: 16,
-        transport: TransportKind::Loopback,
         seed: 11,
         ..Default::default()
     };
@@ -221,7 +218,7 @@ fn loopback_cluster_survives_a_kill_mid_stream() {
 }
 
 // ---------------------------------------------------------------------------
-// Transport-level link-down probing
+// Connection-level link-down probing
 // ---------------------------------------------------------------------------
 
 /// Everything a probe node observed, shared with the test body.
@@ -231,11 +228,22 @@ struct ProbeLog {
     link_downs: Vec<NodeId>,
 }
 
-/// A minimal protocol that opens a monitored connection to a peer, sends
-/// one keep-alive, and records what comes back. Runs over the real stack
-/// codec so the TCP path is exercised end to end.
+/// What a probe asks failure detection to watch about its peer.
+#[derive(Clone, Copy)]
+enum Interest {
+    /// Opens a connection to the peer and keeps it open.
+    Monitor,
+    /// Only sends: never opens a connection.
+    SendOnly,
+    /// Opens a connection, sends, then closes the connection again.
+    Withdrawn,
+}
+
+/// A minimal protocol that sends one keep-alive to a peer, under the given
+/// interest, and records what comes back. Runs over the real stack codec
+/// so the TCP path is exercised end to end.
 struct Probe {
-    peer: Option<NodeId>,
+    peer: Option<(NodeId, Interest)>,
     log: Arc<Mutex<ProbeLog>>,
 }
 
@@ -243,9 +251,15 @@ impl Protocol for Probe {
     type Message = brisa::StackMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self::Message>) {
-        if let Some(peer) = self.peer {
+        let Some((peer, interest)) = self.peer else {
+            return;
+        };
+        if !matches!(interest, Interest::SendOnly) {
             ctx.open_connection(peer);
-            ctx.send(peer, brisa::StackMsg::Hpv(HpvMsg::KeepAlive { nonce: 99 }));
+        }
+        ctx.send(peer, brisa::StackMsg::Hpv(HpvMsg::KeepAlive { nonce: 99 }));
+        if matches!(interest, Interest::Withdrawn) {
+            ctx.close_connection(peer);
         }
     }
 
@@ -267,39 +281,50 @@ impl Protocol for Probe {
     }
 }
 
-/// TCP failure detection surfaces as `on_link_down`: when a peer under an
-/// open connection stops, the survivor's protocol hears about it.
+/// TCP failure detection surfaces as `on_link_down`, and only where it was
+/// asked for: when node 1 stops, node 0, which keeps a connection open to
+/// it, hears about it. Node 2, which only sent to it, and node 3, which
+/// opened a connection and closed it again, hear nothing, although the
+/// outbound link of each sees the same EOF.
 #[test]
 fn tcp_link_down_reaches_the_protocol() {
-    let mesh = TcpMesh::bind(2).expect("bind");
+    let mesh = TcpMesh::bind(4).expect("bind");
     let cfg = RuntimeConfig {
         workers: 1,
         ..RuntimeConfig::default()
     };
     let mut pool: ReactorPool<Probe> = ReactorPool::new(WallClock::new(), &cfg);
-    let log0 = Arc::new(Mutex::new(ProbeLog::default()));
-    let log1 = Arc::new(Mutex::new(ProbeLog::default()));
-
-    for (i, log) in [(0u32, &log0), (1u32, &log1)] {
+    let logs: Vec<_> = (0..4)
+        .map(|_| Arc::new(Mutex::new(ProbeLog::default())))
+        .collect();
+    let interests = [
+        Some(Interest::Monitor),
+        None,
+        Some(Interest::SendOnly),
+        Some(Interest::Withdrawn),
+    ];
+    for (i, interest) in interests.into_iter().enumerate() {
+        let id = NodeId(i as u32);
         let probe = Probe {
-            // Node 0 monitors node 1.
-            peer: (i == 0).then_some(NodeId(1)),
-            log: Arc::clone(log),
+            peer: interest.map(|interest| (NodeId(1), interest)),
+            log: Arc::clone(&logs[i]),
         };
-        pool.add_listener(NodeId(i), mesh.take_listener(NodeId(i)), mesh.addrs());
-        pool.start_node(NodeId(i), probe, 1, pool.tcp_transport(NodeId(i)));
+        pool.add_listener(id, mesh.take_listener(id), mesh.addrs());
+        pool.start_node(id, probe, 1);
     }
 
-    // The keep-alive from 0 reaches 1 over a real socket.
+    // Every keep-alive reaches node 1 over a real socket.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while log1.lock().unwrap().messages.is_empty() {
+    while logs[1].lock().unwrap().messages.len() < 3 {
         assert!(
             std::time::Instant::now() < deadline,
-            "keep-alive never arrived"
+            "keep-alives never arrived"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(log1.lock().unwrap().messages[0], (NodeId(0), 99));
+    let mut heard = logs[1].lock().unwrap().messages.clone();
+    heard.sort();
+    assert_eq!(heard, [(NodeId(0), 99), (NodeId(2), 99), (NodeId(3), 99)]);
 
     // Stop node 1; node 0 must observe the link going down.
     let stopped = pool
@@ -308,13 +333,22 @@ fn tcp_link_down_reaches_the_protocol() {
         .expect("reactor worker unresponsive");
     assert!(stopped.is_some(), "node 1 returns its final state");
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while log0.lock().unwrap().link_downs.is_empty() {
+    while logs[0].lock().unwrap().link_downs.is_empty() {
         assert!(
             std::time::Instant::now() < deadline,
             "link-down never surfaced"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(log0.lock().unwrap().link_downs[0], NodeId(1));
+    // The three outbound links share one worker and saw their EOFs
+    // together; give the other two time to have surfaced anything.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(logs[0].lock().unwrap().link_downs, [NodeId(1)]);
+    for unmonitored in [2, 3] {
+        assert!(
+            logs[unmonitored].lock().unwrap().link_downs.is_empty(),
+            "node {unmonitored} never monitored node 1, yet heard it go down"
+        );
+    }
     pool.shutdown();
 }

@@ -9,7 +9,7 @@
 
 use brisa::{BrisaConfig, BrisaNode};
 use brisa_membership::HyParViewConfig;
-use brisa_runtime::{run_chaos, Cluster, ClusterConfig, SoakConfig, TransportKind};
+use brisa_runtime::{run_chaos, Cluster, ClusterConfig, SoakConfig};
 use brisa_simnet::{NodeId, SimDuration};
 use brisa_workloads::chaos::{ChaosEvent, ChaosEventKind, ChaosSchedule};
 use brisa_workloads::{BrisaStackConfig, FaultSpec, StreamSpec};
@@ -52,7 +52,6 @@ fn publish_until_complete(
 fn shim_loss_cluster_delivers_everything() {
     let cfg = ClusterConfig {
         nodes: 12,
-        transport: TransportKind::Loopback,
         seed: 0x50AC,
         ..Default::default()
     };
@@ -94,7 +93,6 @@ fn shim_loss_cluster_delivers_everything() {
 fn restart_rejoins_and_catches_up_contiguously() {
     let cfg = ClusterConfig {
         nodes: 12,
-        transport: TransportKind::Loopback,
         seed: 0x2E57A27,
         ..Default::default()
     };
@@ -169,15 +167,14 @@ fn restart_rejoins_and_catches_up_contiguously() {
         .expect("clean live trace");
 }
 
-/// The same lifecycle over real TCP sockets: the restart re-binds the
-/// node's advertised listener address (`TcpMesh::reattach`) and the peers'
-/// writers re-dial it with bounded backoff, so the reborn node both
-/// receives and is reachable again.
+/// The same lifecycle, watched from the socket side: the restart re-binds
+/// the node's advertised listener address (`TcpMesh::rebind_listener`) and
+/// the peers' writers re-dial it with bounded backoff, so the reborn node
+/// both receives and is reachable again.
 #[test]
 fn tcp_restart_rebinds_the_listener_and_recovers() {
     let cfg = ClusterConfig {
         nodes: 8,
-        transport: TransportKind::Tcp,
         seed: 0x7C9,
         ..Default::default()
     };
@@ -289,7 +286,6 @@ fn run_chaos_replays_a_schedule_cleanly() {
     ];
     let cfg = SoakConfig {
         nodes: 10,
-        transport: TransportKind::Loopback,
         seed: 0xC4A05,
         stream: StreamSpec::short(15, 256),
         bootstrap: Duration::from_secs(1),
