@@ -225,18 +225,6 @@ impl TagNode {
         self.store.insert(seq, payload_bytes);
     }
 
-    fn highest_contiguous(&self) -> Option<u64> {
-        let mut expected = 0u64;
-        for &seq in self.store.keys() {
-            if seq == expected {
-                expected += 1;
-            } else {
-                break;
-            }
-        }
-        expected.checked_sub(1)
-    }
-
     fn start_traversal(
         &mut self,
         ctx: &mut Context<'_, TagMsg>,
@@ -372,7 +360,7 @@ impl Protocol for TagNode {
                 ctx.send(
                     from,
                     TagMsg::Pull {
-                        have_max: self.highest_contiguous(),
+                        have_max: self.delivery.low().checked_sub(1),
                     },
                 );
             }
@@ -406,7 +394,9 @@ impl Protocol for TagNode {
         if tag.kind != TIMER_PULL {
             return;
         }
-        let have = self.highest_contiguous();
+        // The store holds exactly the ledger's deliveries, so the top of
+        // its contiguous prefix is the ledger's cursor less one.
+        let have = self.delivery.low().checked_sub(1);
         if let Some(parent) = self.parent {
             ctx.send(parent, TagMsg::Pull { have_max: have });
         }

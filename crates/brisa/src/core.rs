@@ -70,6 +70,7 @@ struct CoreTel {
     gap_requests: Counter,
     retransmits_served: Counter,
     edges_advertised: Counter,
+    seq_refused: Counter,
     orphan_us: Histo,
     parent_count: Histo,
 }
@@ -102,15 +103,10 @@ pub struct BrisaCore {
     started_at: Option<SimTime>,
     pending_repair: Option<(SimTime, RepairKind)>,
     last_repair_attempt: Option<SimTime>,
-    /// Lowest sequence number not yet delivered: everything below it has
-    /// been received. Maintained incrementally (amortised O(1) per
-    /// delivery), it is both the start of any retransmission request and
-    /// the gap detector — `next_expected <= highest_seq_seen` means known
-    /// messages are missing.
-    next_expected: u64,
     last_gap_request: Option<SimTime>,
-    /// Gap requests issued since the prefix cursor last advanced; drives
-    /// the exponential retry backoff.
+    /// Gap requests issued since the ledger's cursor (its `low()`, the
+    /// contiguous delivered prefix) last advanced; drives the exponential
+    /// retry backoff.
     gap_attempts: u32,
     /// Last time stream data arrived from a current parent (or a parent was
     /// adopted). Drives the staleness test of the fresh-feeder path.
@@ -147,7 +143,6 @@ impl BrisaCore {
             started_at: None,
             pending_repair: None,
             last_repair_attempt: None,
-            next_expected: 0,
             last_gap_request: None,
             gap_attempts: 0,
             last_parent_delivery: None,
@@ -171,6 +166,7 @@ impl BrisaCore {
             gap_requests: tel.counter("brisa.gap_requests"),
             retransmits_served: tel.counter("brisa.retransmissions_served"),
             edges_advertised: tel.counter("brisa.edges_advertised"),
+            seq_refused: tel.counter("brisa.seq_refused"),
             orphan_us: tel.histogram("brisa.orphan_us"),
             parent_count: tel.histogram("brisa.parent_count"),
             tel: tel.clone(),
@@ -311,7 +307,6 @@ impl BrisaCore {
         self.next_seq += 1;
         self.tel.delivered.inc();
         self.stats.delivery.record(seq, now);
-        self.note_delivered(seq);
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(seq, |h| h.max(seq)));
         self.last_data_at = Some(now);
         self.buffer.insert(seq, payload_bytes);
@@ -413,20 +408,17 @@ impl BrisaCore {
         highest: u64,
         actions: &mut Vec<BrisaAction>,
     ) {
-        if self.is_source {
+        if self.is_source || !self.admits(highest) {
             return;
         }
         // A node that has never delivered anchors exactly like the data
         // path: only what an upstream buffer could still serve is treated
         // as a recoverable gap.
-        if self.stats.delivery.delivered() == 0 {
-            self.next_expected = highest.saturating_sub(self.cfg.buffer_size as u64);
-        }
+        self.stats
+            .delivery
+            .anchor(highest.saturating_sub(self.cfg.buffer_size as u64));
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(highest, |h| h.max(highest)));
-        let known_gap = self
-            .highest_seq_seen
-            .is_some_and(|h| self.next_expected <= h);
-        if known_gap && self.pending_repair.is_none() {
+        if self.known_gap() && self.pending_repair.is_none() {
             self.request_gap(now, from, actions);
         }
     }
@@ -439,6 +431,9 @@ impl BrisaCore {
         telemetry: &dyn NeighborTelemetry,
         actions: &mut Vec<BrisaAction>,
     ) {
+        if !self.admits(data.seq) {
+            return;
+        }
         // The sender is (re)observed as a parent candidate. Only the
         // delay-aware strategy ever ranks by RTT, so only it pays for the
         // membership layer's lookup.
@@ -455,17 +450,22 @@ impl BrisaCore {
         // peer could still serve — including seq 0 when an original node's
         // first reception arrives ahead of a lost bootstrap copy — remains
         // requestable.
-        if self.stats.delivery.delivered() == 0 && !self.is_source {
-            self.next_expected = data.seq.saturating_sub(self.cfg.buffer_size as u64);
+        if !self.is_source {
+            self.stats
+                .delivery
+                .anchor(data.seq.saturating_sub(self.cfg.buffer_size as u64));
         }
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(data.seq, |h| h.max(data.seq)));
         self.last_data_at = Some(now);
+        let low = self.stats.delivery.low();
         let first = self.stats.delivery.record(data.seq, now);
         if first {
             self.tel.delivered.inc();
             actions.push(BrisaAction::Deliver { seq: data.seq });
             self.buffer.insert(data.seq, data.payload_bytes);
-            self.note_delivered(data.seq);
+            if self.stats.delivery.low() != low {
+                self.gap_attempts = 0;
+            }
         }
 
         if self.is_source {
@@ -481,7 +481,7 @@ impl BrisaCore {
         // gap or soon will — rate-limited so one hole costs one request.
         // While a repair is pending, the adoption path issues the request
         // instead.
-        if self.next_expected < data.seq && self.pending_repair.is_none() {
+        if self.stats.delivery.low() < data.seq && self.pending_repair.is_none() {
             self.request_gap(now, from, actions);
         }
 
@@ -727,21 +727,28 @@ impl BrisaCore {
             .unwrap_or(0)
     }
 
-    /// Advances the contiguous-prefix cursor after `seq` was recorded as
-    /// delivered. Amortised O(1): each sequence number is stepped over once
-    /// in the node's lifetime.
-    fn note_delivered(&mut self, seq: u64) {
-        if seq == self.next_expected {
-            self.next_expected += 1;
-            while self.stats.delivery.contains(self.next_expected) {
-                self.next_expected += 1;
-            }
-            self.gap_attempts = 0;
+    /// True if `seq`, read off the wire, lies inside the ledger's window. A
+    /// number past it is counted and its message dropped before it touches
+    /// any state: it could only come from a faulty or hostile peer, and
+    /// letting it reach `highest_seq_seen` would make it a gap to request
+    /// and an edge to advertise.
+    fn admits(&mut self, seq: u64) -> bool {
+        let inside = self.stats.delivery.admit(seq);
+        if !inside {
+            self.tel.seq_refused.inc();
         }
+        inside
     }
 
-    /// Requests retransmission of the known delivery gap
-    /// `[next_expected, highest_seq_seen]` from `target`, rate-limited with
+    /// True if messages between the ledger's cursor and the highest
+    /// sequence number seen are known to be missing.
+    fn known_gap(&self) -> bool {
+        self.highest_seq_seen
+            .is_some_and(|h| self.stats.delivery.low() <= h)
+    }
+
+    /// Requests retransmission of the known delivery gap from the ledger's
+    /// cursor to `highest_seq_seen` from `target`, rate-limited with
     /// exponential backoff while no progress is made (see [`GAP_RETRY`]).
     fn request_gap(&mut self, now: SimTime, target: NodeId, actions: &mut Vec<BrisaAction>) {
         let backoff = GAP_RETRY * (1u64 << self.gap_attempts.min(GAP_BACKOFF_MAX));
@@ -754,30 +761,20 @@ impl BrisaCore {
         let Some(highest) = self.highest_seq_seen else {
             return;
         };
-        if self.next_expected > highest {
+        let low = self.stats.delivery.low();
+        if low > highest {
             return;
         }
         self.last_gap_request = Some(now);
         self.gap_attempts += 1;
         self.stats.gap_retransmit_requests += 1;
         self.tel.gap_requests.inc();
-        self.tel_event(
-            now,
-            TelEventKind::GapDetected,
-            self.next_expected,
-            // `highest` may come off the wire (an `Edge`): saturate.
-            (highest - self.next_expected).saturating_add(1),
-        );
-        self.tel_event(
-            now,
-            TelEventKind::RetransmitSent,
-            target.0 as u64,
-            self.next_expected,
-        );
+        self.tel_event(now, TelEventKind::GapDetected, low, highest - low + 1);
+        self.tel_event(now, TelEventKind::RetransmitSent, target.0 as u64, low);
         actions.push(BrisaAction::Send {
             to: target,
             msg: BrisaMsg::Retransmit {
-                from_seq: self.next_expected,
+                from_seq: low,
                 to_seq: highest,
             },
         });
@@ -846,7 +843,7 @@ impl BrisaCore {
             actions.push(BrisaAction::Send {
                 to: from,
                 msg: BrisaMsg::Retransmit {
-                    from_seq: self.next_expected,
+                    from_seq: self.stats.delivery.low(),
                     to_seq: u64::MAX,
                 },
             });
@@ -1080,13 +1077,8 @@ impl BrisaCore {
         // all anymore.
         if self.pending_repair.is_none() && !self.is_source {
             let parent = self.links.parents().next();
-            if let Some(parent) = parent {
-                if self
-                    .highest_seq_seen
-                    .is_some_and(|h| self.next_expected <= h)
-                {
-                    self.request_gap(now, parent, actions);
-                }
+            if let Some(parent) = parent.filter(|_| self.known_gap()) {
+                self.request_gap(now, parent, actions);
             }
         }
         let Some((started, kind)) = self.pending_repair else {
@@ -1160,6 +1152,7 @@ mod tests {
     use crate::config::StructureMode;
     use crate::cycle::CycleGuard;
     use crate::parent::NoTelemetry;
+    use brisa_simnet::delivery::WINDOW;
     use brisa_simnet::SimDuration;
     use std::collections::{HashMap, VecDeque};
 
@@ -1807,31 +1800,65 @@ mod tests {
         assert_eq!(core.stats().delivery.delivered(), 4);
     }
 
-    /// An edge at `u64::MAX` reaching a node whose contiguous prefix starts
-    /// at 0 (its first delivery was seq 1) is a gap of 2^64 messages: the
-    /// request goes out and its size saturates instead of overflowing.
+    /// Sequence numbers off the wire are bounded by the ledger's window. A
+    /// fresh node sent `Data { seq: 2^40 }` and then `Edge { highest:
+    /// u64::MAX }` delivers nothing, requests nothing, never advertises
+    /// either number to its children and grows no state; each is counted
+    /// as refused. Inside the window an edge still opens a gap from the
+    /// ledger's cursor, whose size cannot overflow.
     #[test]
     fn hostile_max_edge_saturates_the_gap_size() {
         let mut core = BrisaCore::new(NodeId(9), BrisaConfig::default());
         core.note_started(SimTime::ZERO);
         core.on_neighbor_up(NodeId(1));
-        let first = BrisaMsg::data(DataMsg {
-            seq: 1,
-            payload_bytes: 10,
-            guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()),
-            sender_uptime_secs: 0,
-            sender_load: 0,
-        });
-        let _ = acts(|a| core.handle(SimTime::ZERO, NodeId(1), first, &NoTelemetry, a));
+        let data = |seq| {
+            BrisaMsg::data(DataMsg {
+                seq,
+                payload_bytes: 10,
+                guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()),
+                sender_uptime_secs: 0,
+                sender_load: 0,
+            })
+        };
+        let bytes = core.approx_state_bytes();
+        let mut hostile =
+            acts(|a| core.handle(SimTime::ZERO, NodeId(1), data(1 << 40), &NoTelemetry, a));
         let edge = BrisaMsg::Edge { highest: u64::MAX };
-        let asked = acts(|a| core.handle(SimTime::from_secs(60), NodeId(1), edge, &NoTelemetry, a));
-        assert!(asked.contains(&BrisaAction::Send {
-            to: NodeId(1),
-            msg: BrisaMsg::Retransmit {
-                from_seq: 0,
-                to_seq: u64::MAX,
-            },
+        hostile.extend(acts(|a| {
+            core.handle(SimTime::from_secs(1), NodeId(1), edge, &NoTelemetry, a)
         }));
+        // NodeId(1) is an outbound-active neighbour, so a quiet repair tick
+        // would advertise any edge this node believed in.
+        hostile.extend(acts(|a| core.repair_tick(SimTime::from_secs(60), a)));
+        assert!(hostile.is_empty(), "{hostile:?}");
+        assert_eq!(core.stats().delivery.refused(), 2);
+        assert_eq!(core.stats().delivery.delivered(), 0);
+        assert_eq!(core.approx_state_bytes(), bytes, "no state grew");
+
+        let _ = acts(|a| core.handle(SimTime::from_secs(61), NodeId(1), data(1), &NoTelemetry, a));
+        assert_eq!(
+            core.stats().delivery.low(),
+            0,
+            "anchored one buffer below seq 1"
+        );
+        let past = BrisaMsg::Edge { highest: WINDOW };
+        let refused =
+            acts(|a| core.handle(SimTime::from_secs(62), NodeId(1), past, &NoTelemetry, a));
+        assert!(refused.is_empty(), "{refused:?}");
+        let edge = BrisaMsg::Edge {
+            highest: WINDOW - 1,
+        };
+        let asked = acts(|a| core.handle(SimTime::from_secs(62), NodeId(1), edge, &NoTelemetry, a));
+        assert_eq!(
+            asked,
+            vec![BrisaAction::Send {
+                to: NodeId(1),
+                msg: BrisaMsg::Retransmit {
+                    from_seq: 0,
+                    to_seq: WINDOW - 1,
+                },
+            }]
+        );
     }
 
     /// The advertisement itself is quiescence-gated: a relay streams data

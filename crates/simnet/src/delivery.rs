@@ -21,6 +21,14 @@
 //!
 //! Being sequence-indexed, it yields in ascending sequence order whatever
 //! the order of receptions.
+//!
+//! It also owns the node's one delivery cursor, [`DeliveryLog::low`]: the
+//! lowest sequence number not yet delivered, where BRISA's gap requests
+//! start and above which TAG pulls. The cursor bounds the ledger: storage
+//! is indexed by numbers that come off the wire, so [`DeliveryLog::record`]
+//! refuses any at or above `low() + `[`WINDOW`] — nothing allocated, no
+//! delivery, no duplicate, one [`DeliveryLog::refused`] — however hostile
+//! the peer (DESIGN.md, "Loss recovery in BRISA").
 
 use crate::hist::LatencyHistogram;
 use crate::time::SimTime;
@@ -44,10 +52,20 @@ pub enum DeliveryTracking {
     },
 }
 
+/// Width of the window of sequence numbers a ledger accepts above its
+/// cursor. Wider than the longest stream any scenario publishes (a joiner
+/// that never anchors accepts from 0) and than the widest gap a correct
+/// BRISA run opens; DESIGN.md, "Loss recovery in BRISA", has the
+/// measurements. It costs 8 KiB of bitmap, 512 KiB of `Full` times.
+pub const WINDOW: u64 = 1 << 16;
+
 /// Sequence-indexed delivery ledger of one node.
 #[derive(Debug, Clone)]
 pub struct DeliveryLog {
     tracking: DeliveryTracking,
+    /// Lowest sequence number not yet delivered, or the anchor a joiner
+    /// set: the contiguous delivered prefix ends here.
+    low: u64,
     /// One bit per sequence number: set after the first reception.
     seen: Vec<u64>,
     /// First-delivery time per sequence number in µs (`u64::MAX` = not
@@ -58,6 +76,8 @@ pub struct DeliveryLog {
     hist: LatencyHistogram,
     delivered: u64,
     duplicates: u64,
+    /// Sequence numbers refused for lying past the window.
+    refused: u64,
     first: Option<SimTime>,
     last: Option<SimTime>,
 }
@@ -75,11 +95,13 @@ impl DeliveryLog {
     pub fn new(tracking: DeliveryTracking) -> Self {
         DeliveryLog {
             tracking,
+            low: 0,
             seen: Vec::new(),
             times_us: Vec::new(),
             hist: LatencyHistogram::new(),
             delivered: 0,
             duplicates: 0,
+            refused: 0,
             first: None,
             last: None,
         }
@@ -94,10 +116,44 @@ impl DeliveryLog {
             .is_some_and(|w| w & (1u64 << (seq % 64)) != 0)
     }
 
+    /// The lowest sequence number not yet delivered, or a joiner's anchor:
+    /// the contiguous delivered prefix is `[.., low)`.
+    #[inline]
+    pub fn low(&self) -> u64 {
+        self.low
+    }
+
+    /// Anchors the cursor of a ledger that has delivered nothing at `low`,
+    /// so a mid-stream joiner takes what lies below for history, not a gap.
+    /// Storage stays indexed from 0 (a number below the anchor can still
+    /// arrive), so the anchor obeys a fresh ledger's window: one at or above
+    /// [`WINDOW`] is ignored, and no anchor opens storage to `2 × WINDOW`.
+    pub fn anchor(&mut self, low: u64) {
+        if self.delivered == 0 && low < WINDOW {
+            self.low = low;
+        }
+    }
+
+    /// True if `seq` lies inside the window, below `low() + WINDOW`; a
+    /// number past it is counted as refused.
+    #[inline]
+    pub fn admit(&mut self, seq: u64) -> bool {
+        let inside = seq.saturating_sub(self.low) < WINDOW;
+        if !inside {
+            self.refused += 1;
+        }
+        inside
+    }
+
     /// Records a reception of `seq` at `now`. Returns `true` if this was the
-    /// first reception (a delivery); any later one counts as a duplicate.
+    /// first reception (a delivery); any later one counts as a duplicate. A
+    /// number the window refuses ([`DeliveryLog::admit`]) is neither: it
+    /// returns `false` and allocates nothing.
     #[inline]
     pub fn record(&mut self, seq: u64, now: SimTime) -> bool {
+        if !self.admit(seq) {
+            return false;
+        }
         let word = (seq / 64) as usize;
         let bit = 1u64 << (seq % 64);
         if self.seen.len() <= word {
@@ -108,6 +164,9 @@ impl DeliveryLog {
             return false;
         }
         self.seen[word] |= bit;
+        if seq == self.low {
+            self.advance();
+        }
         self.delivered += 1;
         self.first = Some(self.first.map_or(now, |f| f.min(now)));
         self.last = Some(self.last.map_or(now, |l| l.max(now)));
@@ -131,6 +190,19 @@ impl DeliveryLog {
         true
     }
 
+    /// Moves the cursor over the run of delivered numbers starting at it, a
+    /// bitmap word at a time.
+    fn advance(&mut self) {
+        while let Some(&w) = self.seen.get((self.low / 64) as usize) {
+            let bit = self.low % 64;
+            let run = u64::from((w >> bit).trailing_ones());
+            self.low += run;
+            if bit + run < 64 {
+                break;
+            }
+        }
+    }
+
     /// Messages delivered (first receptions).
     pub fn delivered(&self) -> u64 {
         self.delivered
@@ -139,6 +211,17 @@ impl DeliveryLog {
     /// Receptions of already-delivered messages.
     pub fn duplicates(&self) -> u64 {
         self.duplicates
+    }
+
+    /// Sequence numbers refused for lying past the window.
+    pub fn refused(&self) -> u64 {
+        self.refused
+    }
+
+    /// The highest sequence number delivered, if any.
+    pub fn highest(&self) -> Option<u64> {
+        let word = self.seen.iter().rposition(|&w| w != 0)?;
+        Some(word as u64 * 64 + 63 - u64::from(self.seen[word].leading_zeros()))
     }
 
     /// Average number of duplicates received per delivered message.
@@ -245,5 +328,78 @@ mod tests {
             full.record(seq, SimTime::from_micros(seq + 5));
         }
         assert!(full.heap_bytes() > 80 * 1024, "{}", full.heap_bytes());
+    }
+
+    #[test]
+    fn the_cursor_advances_a_word_at_a_time_over_delivered_runs() {
+        let mut log = DeliveryLog::default();
+        assert_eq!(log.low(), 0);
+        // 1..=130 arrive first: a hole at 0 holds the cursor.
+        for seq in (1..=130).rev() {
+            log.record(seq, SimTime::from_millis(seq));
+        }
+        assert_eq!((log.low(), log.highest()), (0, Some(130)));
+        // Filling it runs the cursor across two word boundaries.
+        log.record(0, SimTime::ZERO);
+        assert_eq!(log.low(), 131);
+        // A duplicate and a number past a new hole leave it where it is.
+        log.record(64, SimTime::ZERO);
+        log.record(140, SimTime::ZERO);
+        assert_eq!((log.low(), log.highest()), (131, Some(140)));
+        assert_eq!(DeliveryLog::default().highest(), None);
+    }
+
+    #[test]
+    fn an_anchored_cursor_still_records_below_the_anchor() {
+        let mut log = DeliveryLog::default();
+        log.anchor(100);
+        assert_eq!(log.low(), 100);
+        assert!(
+            log.record(40, SimTime::ZERO),
+            "below the anchor: a delivery"
+        );
+        assert!(log.contains(40) && !log.contains(39), "the bitmap's truth");
+        assert_eq!(log.low(), 100, "a number below the cursor does not move it");
+        assert!(log.record(100, SimTime::ZERO));
+        assert_eq!(log.low(), 101);
+        // Once anything is delivered the cursor is the ledger's alone.
+        log.anchor(5);
+        assert_eq!(log.low(), 101);
+    }
+
+    #[test]
+    fn a_number_past_the_window_is_refused_without_allocating() {
+        let mut log = DeliveryLog::default();
+        assert!(log.record(2, SimTime::ZERO));
+        let bytes = log.heap_bytes();
+        assert!(
+            !log.record(1 << 40, SimTime::from_secs(1)),
+            "not a delivery"
+        );
+        assert_eq!(
+            (log.delivered(), log.duplicates(), log.refused()),
+            (1, 0, 1)
+        );
+        assert_eq!(log.heap_bytes(), bytes, "nothing allocated");
+        assert!(!log.contains(1 << 40));
+        assert_eq!(log.span().map(|(_, last)| last), Some(SimTime::ZERO));
+        // The window is `[low, low + WINDOW)`, whatever the cursor is.
+        assert!(!log.record(WINDOW, SimTime::ZERO));
+        assert!(log.record(WINDOW - 1, SimTime::ZERO));
+        assert_eq!(log.refused(), 2);
+    }
+
+    #[test]
+    fn an_anchor_obeys_the_window_of_a_fresh_ledger() {
+        let mut log = DeliveryLog::new(DeliveryTracking::Counters {
+            stream_start_us: 0,
+            interval_us: 1,
+        });
+        log.anchor(1 << 40);
+        assert_eq!(log.low(), 0, "a hostile anchor is ignored");
+        log.anchor(WINDOW - 1);
+        assert!(!log.admit(2 * WINDOW - 1));
+        assert!(log.record(2 * WINDOW - 2, SimTime::ZERO));
+        assert!(log.heap_bytes() <= (2 * WINDOW / 8) as usize);
     }
 }

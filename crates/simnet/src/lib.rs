@@ -12,7 +12,8 @@
 //! * per-node upload/download byte totals ([`bandwidth::BandwidthMeter`]),
 //!   which a caller reads at a phase boundary to split a run into phases;
 //! * one per-node delivery ledger for every protocol ([`delivery::DeliveryLog`]:
-//!   counts, a seen-bitmap, and dense times or a [`hist::LatencyHistogram`]);
+//!   counts, the contiguous-prefix cursor, a seen-bitmap bounded by a window
+//!   above it, and dense times or a [`hist::LatencyHistogram`]);
 //! * fail-stop crashes and delayed joins, driving churn experiments;
 //! * deterministic fault injection — per-link message loss, latency
 //!   degradation and timed network partitions ([`faults`]);

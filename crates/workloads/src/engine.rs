@@ -95,8 +95,13 @@ pub struct NodeReport {
     pub delivered: u64,
     /// Average duplicate receptions per delivered message.
     pub duplicates_per_message: f64,
-    /// `(sequence number, first reception time)` pairs.
+    /// `(sequence number, first reception time)` pairs; empty under
+    /// `ResultMode::Streaming`, whose ledgers keep no per-sequence times.
     pub first_delivery: Vec<(u64, SimTime)>,
+    /// Highest sequence number delivered, if any (both result modes).
+    pub highest_delivered: Option<u64>,
+    /// Time of the last first reception, if any (both result modes).
+    pub last_delivery: Option<SimTime>,
     /// Parents in the emerged structure (empty for structureless protocols).
     pub parents: Vec<NodeId>,
     /// Depth in the emerged structure, if the protocol tracks one.

@@ -25,8 +25,9 @@
 //! Three invariants ship with the harness, all protocol-generic (they look
 //! only at [`NodeReport`]s and the [`NetQuery`] view):
 //!
-//! * [`DeliveryInvariant`] — no duplicate first-deliveries, delivery counts
-//!   monotone over time and never ahead of what the source has published;
+//! * [`DeliveryInvariant`] — no sequence number counted twice, delivery
+//!   counts monotone over time and never ahead of what the source has
+//!   published, in either result mode;
 //! * [`TreeValidityInvariant`] — parent counts within the target bound and
 //!   no *persistent* parent cycle among live nodes (a cycle observed at two
 //!   consecutive checks; transient cycles are repaired by the protocol's
@@ -202,6 +203,12 @@ impl InvariantSuite {
 /// The stateless core of the delivery check, usable offline: validates one
 /// node's report against what the source had published by `now`.
 ///
+/// It reads only what every ledger keeps in both result modes — the count,
+/// the highest sequence number delivered and the last delivery time — so
+/// it holds for `ResultMode::Streaming` nodes too, which keep no
+/// per-sequence times. A count above `highest + 1` means a sequence number
+/// was counted twice.
+///
 /// Shared between the online [`DeliveryInvariant`] (which adds
 /// monotonicity across checks) and post-hoc validation of non-simulated
 /// traces — the live runtime (`brisa-runtime`) applies it to the reports a
@@ -212,44 +219,35 @@ pub fn check_delivery_report(
     published: u64,
     now: SimTime,
 ) -> Result<(), String> {
-    let deliveries = &report.first_delivery;
-    if deliveries.len() as u64 != report.delivered {
-        return Err(format!(
-            "node {id}: {} first-delivery records but delivered={} — a \
-             sequence number was delivered twice or dropped from the record",
-            deliveries.len(),
-            report.delivered
-        ));
-    }
-    for pair in deliveries.windows(2) {
-        if pair[0].0 >= pair[1].0 {
+    match (report.delivered, report.highest_delivered) {
+        (0, None) => {}
+        (_, Some(high)) if high >= published => {
             return Err(format!(
-                "node {id}: first-delivery records out of order or duplicated \
-                 ({} then {})",
-                pair[0].0, pair[1].0
-            ));
-        }
-    }
-    for &(seq, at) in deliveries {
-        if seq >= published {
-            return Err(format!(
-                "node {id}: delivered seq {seq} but the source has only \
+                "node {id}: delivered seq {high} but the source has only \
                  published {published} messages"
-            ));
+            ))
         }
-        if at > now {
+        (n, Some(high)) if n > 0 && n <= high + 1 => {}
+        (n, high) => {
             return Err(format!(
-                "node {id}: first delivery of seq {seq} stamped {at}, in the \
-                 future of {now}"
-            ));
+                "node {id}: delivered={n} cannot be the count of sequence \
+                 numbers up to {high:?} — one was delivered twice or dropped \
+                 from the record"
+            ))
         }
     }
-    Ok(())
+    match report.last_delivery {
+        Some(at) if at > now => Err(format!(
+            "node {id}: last delivery stamped {at}, in the future of {now}"
+        )),
+        _ => Ok(()),
+    }
 }
 
-/// Delivery sanity: per-node first-delivery records are unique and ordered,
-/// never exceed what the source has published, never decrease over time,
-/// and never carry a timestamp from the future.
+/// Delivery sanity, in both result modes: per-node delivery counts never
+/// count a sequence number twice, never exceed what the source has
+/// published, never decrease over time, and never carry a timestamp from
+/// the future.
 pub struct DeliveryInvariant {
     prev_delivered: HashMap<u32, u64>,
 }
@@ -498,29 +496,43 @@ mod tests {
     #[test]
     fn offline_delivery_check_catches_bad_reports() {
         let now = SimTime::from_secs(10);
-        let good = NodeReport {
+        let full = NodeReport {
             delivered: 2,
             first_delivery: vec![(0, SimTime::from_secs(1)), (1, SimTime::from_secs(2))],
+            highest_delivered: Some(1),
+            last_delivery: Some(SimTime::from_secs(2)),
             ..NodeReport::default()
         };
-        assert!(check_delivery_report(NodeId(1), &good, 5, now).is_ok());
-        // Count / record mismatch.
-        let short = NodeReport {
-            delivered: 3,
-            ..good.clone()
+        // Streaming ledgers keep the same facts without the per-sequence times.
+        let streaming = NodeReport {
+            first_delivery: Vec::new(),
+            ..full.clone()
         };
-        assert!(check_delivery_report(NodeId(1), &short, 5, now).is_err());
-        // Duplicate sequence number.
-        let dup = NodeReport {
-            delivered: 2,
-            first_delivery: vec![(1, SimTime::from_secs(1)), (1, SimTime::from_secs(2))],
-            ..NodeReport::default()
-        };
-        assert!(check_delivery_report(NodeId(1), &dup, 5, now).is_err());
-        // Delivered beyond what was published.
-        assert!(check_delivery_report(NodeId(1), &good, 1, now).is_err());
-        // Timestamp from the future.
-        assert!(check_delivery_report(NodeId(1), &good, 5, SimTime::from_millis(1)).is_err());
+        for good in [full, streaming] {
+            assert!(check_delivery_report(NodeId(1), &good, 5, now).is_ok());
+            // Delivered beyond what was published.
+            assert!(check_delivery_report(NodeId(1), &good, 1, now).is_err());
+            // Timestamp from the future.
+            assert!(check_delivery_report(NodeId(1), &good, 5, SimTime::from_millis(1)).is_err());
+            // More deliveries than sequence numbers up to the highest.
+            let twice = NodeReport {
+                delivered: 3,
+                ..good.clone()
+            };
+            assert!(check_delivery_report(NodeId(1), &twice, 5, now).is_err());
+            // A count without a highest sequence number, and the converse.
+            let unnamed = NodeReport {
+                highest_delivered: None,
+                ..good.clone()
+            };
+            assert!(check_delivery_report(NodeId(1), &unnamed, 5, now).is_err());
+            let uncounted = NodeReport {
+                delivered: 0,
+                ..good
+            };
+            assert!(check_delivery_report(NodeId(1), &uncounted, 5, now).is_err());
+        }
+        assert!(check_delivery_report(NodeId(1), &NodeReport::default(), 0, now).is_ok());
     }
 
     #[test]

@@ -37,6 +37,8 @@ fn delivery_report(log: &DeliveryLog) -> NodeReport {
         delivered: log.delivered(),
         duplicates_per_message: log.duplicates_per_message(),
         first_delivery: log.iter_times().collect(),
+        highest_delivered: log.highest(),
+        last_delivery: log.span().map(|(_, last)| last),
         ..NodeReport::default()
     }
 }

@@ -10,13 +10,17 @@
 //! * at an **interior** node with `k` children: exactly 1 (the relayed
 //!   `Arc<DataMsg>`, shared by the `k` sends; its guard shares the node's
 //!   path);
-//! * a **duplicate**, from the parent or from a surplus sender: 0.
+//! * a **duplicate**, from the parent or from a surplus sender: 0;
+//! * a sequence number **past the ledger's window** (`low + WINDOW` and
+//!   up, as in `Data { seq: 2^40 }` or `Edge { highest: u64::MAX }`): 0,
+//!   refused before it touches any state.
 //!
 //! The window starts past warm-up (the retransmission ring full, the action
 //! vector and the delivery ledger grown): the ledger is the one structure
 //! on the path that still grows with the stream, amortised — a bitmap word
-//! per 64 messages, and under `DeliveryTracking::Full` 8 bytes per message —
-//! and the window sits between two of its doublings.
+//! per 64 messages, and under `DeliveryTracking::Full` 8 bytes per message,
+//! never past its cursor plus `WINDOW` — and the window sits between two of
+//! its doublings.
 //!
 //! The control plane underneath has a budget too — keep-alives are most of
 //! what a large overlay executes — and the second half of this file counts
@@ -38,7 +42,9 @@ use brisa::{
     ParentStrategy, StackMsg, TIMER_KEEPALIVE,
 };
 use brisa_membership::{HpvMsg, HpvSink, HyParView, HyParViewConfig};
-use brisa_simnet::{Command, Context, NodeId, Protocol, SimDuration, SimTime, TimerTag};
+use brisa_simnet::{
+    Command, Context, DeliveryLog, NodeId, Protocol, SimDuration, SimTime, TimerTag,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -227,6 +233,33 @@ fn a_duplicate_allocates_nothing() {
         });
         assert_eq!(n, 0, "{label}: duplicate from a surplus sender");
         assert_eq!(core.stats().delivery.duplicates(), 2);
+    }
+}
+
+#[test]
+fn a_sequence_number_past_the_window_allocates_nothing() {
+    let mut log = DeliveryLog::default();
+    let n = allocations_during(|| assert!(!log.record(1 << 40, SimTime::ZERO)));
+    assert_eq!(
+        (n, log.delivered(), log.refused()),
+        (0, 0, 1),
+        "a fresh ledger"
+    );
+
+    for (label, cfg) in configs() {
+        let (mut core, mut actions, _) = emerged(cfg, 2);
+        let hostile = from_parent(&core, 1 << 40);
+        let n = allocations_during(|| {
+            core.handle(at(WARM_UP), PARENT, hostile, &NoTelemetry, &mut actions);
+            let edge = BrisaMsg::Edge { highest: u64::MAX };
+            core.handle(at(WARM_UP), PARENT, edge, &NoTelemetry, &mut actions);
+        });
+        assert_eq!(n, 0, "{label}");
+        assert!(
+            actions.is_empty(),
+            "{label}: refused, not relayed or requested"
+        );
+        assert_eq!(core.stats().delivery.refused(), 2, "{label}");
     }
 }
 

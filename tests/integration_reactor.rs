@@ -3,7 +3,7 @@
 //! reusable), and a 256-node TCP smoke run — a cluster size the old
 //! thread-per-node executor could not reasonably carry.
 
-use brisa::{BrisaConfig, BrisaNode, StackMsg};
+use brisa::{BrisaConfig, BrisaMsg, BrisaNode, CycleGuard, DataMsg, StackMsg};
 use brisa_membership::{HpvMsg, HyParViewConfig};
 use brisa_runtime::reactor::ReactorPool;
 use brisa_runtime::tcp::TcpMesh;
@@ -746,6 +746,92 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
             .expect("worker alive")
             .expect("node alive");
         assert_eq!(node.report().delivered, 1, "node {i}");
+    }
+    pool.shutdown();
+}
+
+/// One well-formed frame with an implausible sequence number. A raw peer
+/// says hello to a live node and sends `Data { seq: 2^40 }`, which used to
+/// make the delivery ledger ask for a 128 GiB bitmap and abort the process.
+/// The number lies past the ledger's window, so the node drops the frame
+/// before it touches any state, and `brisa.seq_refused` counts it. The
+/// process stays up, and a message published afterwards reaches every node.
+#[test]
+fn an_implausible_sequence_number_is_refused_and_the_cluster_still_delivers() {
+    const NODES: u32 = 8;
+    const VICTIM: NodeId = NodeId(3);
+    const NOBODY: u32 = 9_999;
+    let telemetry = Telemetry::enabled();
+    let cfg = RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::default()
+    };
+    let stack = BrisaStackConfig {
+        hpv: HyParViewConfig::default(),
+        brisa: BrisaConfig::default(),
+    };
+    let mesh = TcpMesh::bind(NODES as usize).expect("bind");
+    let mut pool: ReactorPool<BrisaNode> = ReactorPool::with_telemetry(
+        ShimControl::new(0, WallClock::new()),
+        &cfg,
+        telemetry.clone(),
+    );
+    for i in 0..NODES {
+        let id = NodeId(i);
+        pool.add_listener(id, mesh.take_listener(id), mesh.addrs());
+        let bctx = BuildCtx {
+            index: i,
+            population: NODES,
+            contact: (i > 0).then_some(NodeId(0)),
+            prev: i.checked_sub(1).map(NodeId),
+            is_source: i == 0,
+        };
+        pool.start_node(id, BrisaNode::build(&stack, id, &bctx), 0xB215A);
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // Every join has long completed: the publish below floods a whole overlay.
+    std::thread::sleep(Duration::from_secs(2));
+
+    let mut peer = TcpStream::connect(mesh.addr(VICTIM)).expect("connect to the victim");
+    let mut hello = vec![WIRE_VERSION];
+    hello.extend_from_slice(&NOBODY.to_le_bytes());
+    peer.write_all(&hello).expect("hello");
+    let frame = StackMsg::Brisa(BrisaMsg::data(DataMsg {
+        seq: 1 << 40,
+        payload_bytes: 256,
+        guard: CycleGuard::Path(vec![NodeId(0), NodeId(NOBODY)].into()),
+        sender_uptime_secs: 0,
+        sender_load: 0,
+    }));
+    peer.write_all(&frame.encode()).expect("frame");
+    let refused = telemetry.counter("brisa.seq_refused");
+    assert!(
+        wait_until(Duration::from_secs(10), || refused.get() == 1),
+        "the frame was not refused ({} refusals)",
+        refused.get()
+    );
+
+    let delivered = telemetry.counter("brisa.delivered");
+    let already = delivered.get();
+    pool.invoke(NodeId(0), |node, ctx| node.publish_message(ctx, 256));
+    assert!(
+        wait_until(Duration::from_secs(30), || {
+            delivered.get() - already >= NODES as u64
+        }),
+        "only {} of {NODES} nodes delivered",
+        delivered.get() - already
+    );
+    drop(peer);
+    assert_eq!(telemetry.counter("reactor.node_panics").get(), 0);
+    for i in 0..NODES {
+        let (node, _stats) = pool
+            .stop_node(NodeId(i))
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker alive")
+            .expect("node alive");
+        let ledger = &node.brisa().stats().delivery;
+        assert_eq!(ledger.delivered(), 1, "node {i}");
+        assert_eq!(ledger.refused(), u64::from(NodeId(i) == VICTIM), "node {i}");
     }
     pool.shutdown();
 }

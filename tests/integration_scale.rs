@@ -6,7 +6,8 @@ use brisa::BrisaNode;
 use brisa_bench::{BrisaScenario, BrisaStackConfig, EngineResult};
 use brisa_simnet::{LatencyHistogram, SimDuration, SimTime};
 use brisa_workloads::{
-    scenarios, IntoRunSpec, ResultMode, Runner, ScaleEvent, ScaleEventKind, StreamSpec,
+    scenarios, IntoRunSpec, InvariantSuite, ResultMode, Runner, ScaleEvent, ScaleEventKind,
+    StreamSpec,
 };
 
 fn run(sc: &BrisaScenario) -> EngineResult {
@@ -165,6 +166,27 @@ fn mass_crash_survivors_recover() {
         "survivors must close their gaps: {}",
         r.delivery_rate()
     );
+}
+
+/// The delivery invariant reads only what every ledger keeps, so a
+/// streaming run carries the whole standard suite: nodes replaced
+/// mid-stream, each live node's count checked at every step, and no
+/// delivery flagged for want of per-sequence times.
+#[test]
+fn a_streaming_churn_run_passes_the_standard_invariant_suite() {
+    let sc = scenarios::scale_churn(400);
+    assert_eq!(sc.results, ResultMode::Streaming);
+    let cfg = BrisaStackConfig {
+        hpv: sc.hyparview_config(),
+        brisa: sc.brisa_config(),
+    };
+    let mut suite = InvariantSuite::standard(Some(1));
+    let r = Runner::<BrisaNode>::new(&cfg, &sc.run_spec())
+        .invariants(&mut suite)
+        .run();
+    assert!(r.failures_injected > 0 && r.joins_injected > 0, "churn ran");
+    assert!(r.streaming.as_ref().unwrap().delivered_total > 0);
+    suite.assert_clean();
 }
 
 /// The memory-footprint regression bound: in scale mode a node costs a
