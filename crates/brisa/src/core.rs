@@ -431,6 +431,19 @@ impl BrisaCore {
         telemetry: &dyn NeighborTelemetry,
         actions: &mut Vec<BrisaAction>,
     ) {
+        // A node that has never delivered anything anchors its contiguous
+        // prefix one buffer window below the first message it sees: a
+        // joiner arriving mid-stream must not treat history that is long
+        // evicted from every buffer as a recoverable gap, but everything a
+        // peer could still serve — including seq 0 when an original node's
+        // first reception arrives ahead of a lost bootstrap copy — remains
+        // requestable. Only then is the number held to the window, so a
+        // joiner is admitted however far into the stream it arrives.
+        if !self.is_source {
+            self.stats
+                .delivery
+                .anchor(data.seq.saturating_sub(self.cfg.buffer_size as u64));
+        }
         if !self.admits(data.seq) {
             return;
         }
@@ -443,18 +456,6 @@ impl BrisaCore {
         };
         self.candidates
             .observe(from, now, rtt, data.sender_uptime_secs, data.sender_load);
-        // A node that has never delivered anything anchors its contiguous
-        // prefix one buffer window below the first message it sees: a
-        // joiner arriving mid-stream must not treat history that is long
-        // evicted from every buffer as a recoverable gap, but everything a
-        // peer could still serve — including seq 0 when an original node's
-        // first reception arrives ahead of a lost bootstrap copy — remains
-        // requestable.
-        if !self.is_source {
-            self.stats
-                .delivery
-                .anchor(data.seq.saturating_sub(self.cfg.buffer_size as u64));
-        }
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(data.seq, |h| h.max(data.seq)));
         self.last_data_at = Some(now);
         let low = self.stats.delivery.low();
@@ -728,10 +729,10 @@ impl BrisaCore {
     }
 
     /// True if `seq`, read off the wire, lies inside the ledger's window. A
-    /// number past it is counted and its message dropped before it touches
-    /// any state: it could only come from a faulty or hostile peer, and
-    /// letting it reach `highest_seq_seen` would make it a gap to request
-    /// and an edge to advertise.
+    /// number outside it is counted and its message dropped before it
+    /// touches any state: it could only come from a faulty or hostile peer,
+    /// and letting it reach `highest_seq_seen` would make it a gap to
+    /// request and an edge to advertise.
     fn admits(&mut self, seq: u64) -> bool {
         let inside = self.stats.delivery.admit(seq);
         if !inside {
@@ -1801,11 +1802,12 @@ mod tests {
     }
 
     /// Sequence numbers off the wire are bounded by the ledger's window. A
-    /// fresh node sent `Data { seq: 2^40 }` and then `Edge { highest:
-    /// u64::MAX }` delivers nothing, requests nothing, never advertises
-    /// either number to its children and grows no state; each is counted
-    /// as refused. Inside the window an edge still opens a gap from the
-    /// ledger's cursor, whose size cannot overflow.
+    /// fresh node sent `Edge { highest: u64::MAX }`, and a node on the
+    /// stream then sent `Data { seq: 2^40 }` and the same edge, deliver
+    /// nothing, request nothing, never advertise either number to their
+    /// children and grow no state; each is counted as refused. Inside the
+    /// window an edge still opens a gap from the ledger's cursor, whose size
+    /// cannot overflow.
     #[test]
     fn hostile_max_edge_saturates_the_gap_size() {
         let mut core = BrisaCore::new(NodeId(9), BrisaConfig::default());
@@ -1820,33 +1822,47 @@ mod tests {
                 sender_load: 0,
             })
         };
-        let bytes = core.approx_state_bytes();
-        let mut hostile =
-            acts(|a| core.handle(SimTime::ZERO, NodeId(1), data(1 << 40), &NoTelemetry, a));
-        let edge = BrisaMsg::Edge { highest: u64::MAX };
-        hostile.extend(acts(|a| {
-            core.handle(SimTime::from_secs(1), NodeId(1), edge, &NoTelemetry, a)
-        }));
-        // NodeId(1) is an outbound-active neighbour, so a quiet repair tick
-        // would advertise any edge this node believed in.
-        hostile.extend(acts(|a| core.repair_tick(SimTime::from_secs(60), a)));
-        assert!(hostile.is_empty(), "{hostile:?}");
-        assert_eq!(core.stats().delivery.refused(), 2);
-        assert_eq!(core.stats().delivery.delivered(), 0);
-        assert_eq!(core.approx_state_bytes(), bytes, "no state grew");
-
-        let _ = acts(|a| core.handle(SimTime::from_secs(61), NodeId(1), data(1), &NoTelemetry, a));
+        let edge = || BrisaMsg::Edge { highest: u64::MAX };
+        let fresh = acts(|a| core.handle(SimTime::ZERO, NodeId(1), edge(), &NoTelemetry, a));
+        assert!(fresh.is_empty(), "{fresh:?}");
         assert_eq!(
             core.stats().delivery.low(),
             0,
-            "anchored one buffer below seq 1"
+            "a refused edge anchors nothing"
         );
-        let past = BrisaMsg::Edge { highest: WINDOW };
+        for seq in 0..3 {
+            let _ = acts(|a| core.handle(SimTime::ZERO, NodeId(1), data(seq), &NoTelemetry, a));
+        }
+        let bytes = core.approx_state_bytes();
+        let mut hostile =
+            acts(|a| core.handle(SimTime::ZERO, NodeId(1), data(1 << 40), &NoTelemetry, a));
+        hostile.extend(acts(|a| {
+            core.handle(SimTime::from_secs(1), NodeId(1), edge(), &NoTelemetry, a)
+        }));
+        // A quiet repair tick advertises the edge this node believes in.
+        hostile.extend(acts(|a| core.repair_tick(SimTime::from_secs(60), a)));
+        assert!(
+            hostile.iter().all(|a| match a {
+                BrisaAction::Send {
+                    msg: BrisaMsg::Edge { highest },
+                    ..
+                } => *highest == 2,
+                _ => false,
+            }),
+            "{hostile:?}"
+        );
+        assert_eq!(core.stats().delivery.refused(), 3);
+        assert_eq!(core.stats().delivery.delivered(), 3);
+        assert_eq!(core.approx_state_bytes(), bytes, "no state grew");
+
+        let past = BrisaMsg::Edge {
+            highest: 3 + WINDOW,
+        };
         let refused =
             acts(|a| core.handle(SimTime::from_secs(62), NodeId(1), past, &NoTelemetry, a));
         assert!(refused.is_empty(), "{refused:?}");
         let edge = BrisaMsg::Edge {
-            highest: WINDOW - 1,
+            highest: 2 + WINDOW,
         };
         let asked = acts(|a| core.handle(SimTime::from_secs(62), NodeId(1), edge, &NoTelemetry, a));
         assert_eq!(
@@ -1854,11 +1870,69 @@ mod tests {
             vec![BrisaAction::Send {
                 to: NodeId(1),
                 msg: BrisaMsg::Retransmit {
-                    from_seq: 0,
-                    to_seq: WINDOW - 1,
+                    from_seq: 3,
+                    to_seq: 2 + WINDOW,
                 },
             }]
         );
+    }
+
+    /// Nothing freezes the window: a fresh core whose first message lies
+    /// three windows into the stream anchors there and delivers, and a core
+    /// with a hole no peer refills gives the hole up and goes on delivering
+    /// past it.
+    #[test]
+    fn the_window_follows_a_late_joiner_and_a_stream_past_a_permanent_hole() {
+        let data = |seq| {
+            BrisaMsg::data(DataMsg {
+                seq,
+                payload_bytes: 10,
+                guard: CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()),
+                sender_uptime_secs: 0,
+                sender_load: 0,
+            })
+        };
+        let delivered = |actions: &[BrisaAction]| -> Vec<u64> {
+            actions
+                .iter()
+                .filter_map(|a| match a {
+                    BrisaAction::Deliver { seq } => Some(*seq),
+                    _ => None,
+                })
+                .collect()
+        };
+        let core = || {
+            let mut core = BrisaCore::new(NodeId(9), BrisaConfig::default());
+            core.note_started(SimTime::ZERO);
+            core.on_neighbor_up(NodeId(1));
+            core
+        };
+
+        let mut joiner = core();
+        let first = 3 * WINDOW;
+        let a = acts(|a| joiner.handle(SimTime::ZERO, NodeId(1), data(first), &NoTelemetry, a));
+        assert_eq!(delivered(&a), vec![first]);
+        assert!(a.contains(&BrisaAction::Send {
+            to: NodeId(1),
+            msg: BrisaMsg::Retransmit {
+                from_seq: first - 64,
+                to_seq: first,
+            },
+        }));
+        let a = acts(|a| joiner.handle(SimTime::ZERO, NodeId(1), data(first + 1), &NoTelemetry, a));
+        assert_eq!(delivered(&a), vec![first + 1]);
+        assert_eq!(joiner.stats().delivery.refused(), 0);
+
+        let mut holed = core();
+        let mut count = 0;
+        for seq in (0..=5 + WINDOW).filter(|&s| s != 5) {
+            let now = SimTime::from_millis(seq);
+            let a = acts(|a| holed.handle(now, NodeId(1), data(seq), &NoTelemetry, a));
+            count += delivered(&a).len() as u64;
+        }
+        assert_eq!(count, 5 + WINDOW, "everything but the hole, 5 + WINDOW too");
+        assert_eq!(holed.stats().delivery.low(), 6 + WINDOW);
+        assert_eq!(holed.stats().delivery.refused(), 0);
     }
 
     /// The advertisement itself is quiescence-gated: a relay streams data

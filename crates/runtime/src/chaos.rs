@@ -12,9 +12,9 @@
 //! simulator engine.
 //!
 //! Each sweep snapshots every live node's report *mid-stream* and holds
-//! it to `workloads::invariants::check_delivery_report` (unique ordered
-//! deliveries, nothing from the future, nothing beyond what was
-//! published) plus cross-sweep delivered-count monotonicity — a live
+//! it to `workloads::invariants::check_delivery_report` (a count within
+//! the highest delivered sequence number, nothing from the future, nothing
+//! beyond what was published) plus cross-sweep delivered-count monotonicity — a live
 //! node must never un-deliver. Violations are collected, not thrown, so
 //! a soak driver can report every breakage of a long run at once.
 

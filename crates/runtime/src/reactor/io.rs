@@ -211,15 +211,20 @@ impl ShardIo {
     }
 
     /// Starts the next connect of a link in `Backoff`. A socket that cannot
-    /// even be opened or registered is a failed attempt like any other.
+    /// even be opened or registered is a failed attempt like any other, and
+    /// so is a peer without an address (an identifier a raw connection made
+    /// up in its hello).
     fn connect<P: WireProtocol>(&mut self, core: &mut ProtoCore<P>, owner: u32, peer: u32) {
         let Some(link) = self.outlinks.get_mut(&(owner, peer)) else {
             return;
         };
-        let addr = self
+        let addrs = self
             .addrs
             .as_ref()
-            .expect("a node dialed before any listener was added")[peer as usize];
+            .expect("a node dialed before any listener was added");
+        let Some(&addr) = addrs.get(peer as usize) else {
+            return self.attempt_failed(core, owner, peer);
+        };
         let token = self.next_token;
         self.next_token += 1;
         match self.ready.connect(addr, token) {

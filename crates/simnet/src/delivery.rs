@@ -23,12 +23,16 @@
 //! the order of receptions.
 //!
 //! It also owns the node's one delivery cursor, [`DeliveryLog::low`]: the
-//! lowest sequence number not yet delivered, where BRISA's gap requests
-//! start and above which TAG pulls. The cursor bounds the ledger: storage
-//! is indexed by numbers that come off the wire, so [`DeliveryLog::record`]
-//! refuses any at or above `low() + `[`WINDOW`] — nothing allocated, no
-//! delivery, no duplicate, one [`DeliveryLog::refused`] — however hostile
-//! the peer (DESIGN.md, "Loss recovery in BRISA").
+//! lowest sequence number the node still waits for, where BRISA's gap
+//! requests start and above which TAG pulls. Storage is indexed by numbers
+//! that come off the wire, so the cursor bounds it. [`DeliveryLog::record`]
+//! refuses any number at or above `low() + `[`WINDOW`] — nothing allocated,
+//! no delivery, no duplicate, one [`DeliveryLog::refused`] — however
+//! hostile the peer. Nothing freezes the window: a hole more than half a
+//! window behind the newest delivery is given up, storage slides behind
+//! the cursor, and a ledger that has delivered nothing anchors wherever its
+//! first number lies, so streams of any length and joiners at any point
+//! keep delivering (DESIGN.md, "Loss recovery in BRISA").
 
 use crate::hist::LatencyHistogram;
 use crate::time::SimTime;
@@ -53,33 +57,42 @@ pub enum DeliveryTracking {
 }
 
 /// Width of the window of sequence numbers a ledger accepts above its
-/// cursor. Wider than the longest stream any scenario publishes (a joiner
-/// that never anchors accepts from 0) and than the widest gap a correct
-/// BRISA run opens; DESIGN.md, "Loss recovery in BRISA", has the
-/// measurements. It costs 8 KiB of bitmap, 512 KiB of `Full` times.
+/// cursor. Half of it is wider than the longest stream any scenario
+/// publishes and than the widest gap a correct run opens, so no correct
+/// run gives up a hole or meets a refusal; DESIGN.md, "Loss recovery in
+/// BRISA", has the measurements. Storage never spans more than three
+/// windows, 24 KiB of bitmap and 1.5 MiB of `Full` times, before the
+/// vectors' growth slack.
 pub const WINDOW: u64 = 1 << 16;
 
 /// Sequence-indexed delivery ledger of one node.
 #[derive(Debug, Clone)]
 pub struct DeliveryLog {
     tracking: DeliveryTracking,
-    /// Lowest sequence number not yet delivered, or the anchor a joiner
-    /// set: the contiguous delivered prefix ends here.
+    /// Sequence number of the first bit of `seen` and the first entry of
+    /// `times_us`; a multiple of 64.
+    base: u64,
+    /// Lowest sequence number the node still waits for: the contiguous
+    /// delivered prefix ends here, or at a joiner's anchor, or past a hole
+    /// given up.
     low: u64,
-    /// One bit per sequence number: set after the first reception.
+    /// One bit per sequence number from `base`: set after the first
+    /// reception.
     seen: Vec<u64>,
-    /// First-delivery time per sequence number in µs (`u64::MAX` = not
-    /// delivered). Only populated under [`DeliveryTracking::Full`].
+    /// First-delivery time per sequence number from `base`, in µs
+    /// (`u64::MAX` = not delivered). Only populated under
+    /// [`DeliveryTracking::Full`].
     times_us: Vec<u64>,
-    /// Latency distribution against the publish schedule. Only fed under
-    /// [`DeliveryTracking::Counters`].
-    hist: LatencyHistogram,
     delivered: u64,
     duplicates: u64,
-    /// Sequence numbers refused for lying past the window.
+    /// Sequence numbers refused for lying outside the window.
     refused: u64,
     first: Option<SimTime>,
     last: Option<SimTime>,
+    /// Latency distribution against the publish schedule. Only fed under
+    /// [`DeliveryTracking::Counters`]. Last, so the fields every record
+    /// touches share cache lines.
+    hist: LatencyHistogram,
 }
 
 impl Default for DeliveryLog {
@@ -95,6 +108,7 @@ impl DeliveryLog {
     pub fn new(tracking: DeliveryTracking) -> Self {
         DeliveryLog {
             tracking,
+            base: 0,
             low: 0,
             seen: Vec::new(),
             times_us: Vec::new(),
@@ -107,17 +121,21 @@ impl DeliveryLog {
         }
     }
 
-    /// True if `seq` was delivered before.
+    /// True if `seq` was delivered and still lies in storage, which reaches
+    /// down to 0 or to at least a window below the cursor.
     #[inline]
     pub fn contains(&self, seq: u64) -> bool {
-        let word = (seq / 64) as usize;
+        let Some(off) = seq.checked_sub(self.base) else {
+            return false;
+        };
         self.seen
-            .get(word)
-            .is_some_and(|w| w & (1u64 << (seq % 64)) != 0)
+            .get((off / 64) as usize)
+            .is_some_and(|w| w & (1u64 << (off % 64)) != 0)
     }
 
-    /// The lowest sequence number not yet delivered, or a joiner's anchor:
-    /// the contiguous delivered prefix is `[.., low)`.
+    /// The lowest sequence number the node still waits for: the contiguous
+    /// delivered prefix `[.., low)`, a joiner's anchor, or the first number
+    /// past a hole given up.
     #[inline]
     pub fn low(&self) -> u64 {
         self.low
@@ -125,37 +143,51 @@ impl DeliveryLog {
 
     /// Anchors the cursor of a ledger that has delivered nothing at `low`,
     /// so a mid-stream joiner takes what lies below for history, not a gap.
-    /// Storage stays indexed from 0 (a number below the anchor can still
-    /// arrive), so the anchor obeys a fresh ledger's window: one at or above
-    /// [`WINDOW`] is ignored, and no anchor opens storage to `2 × WINDOW`.
+    /// Storage starts one window below the anchor: a number below it can
+    /// still arrive and be recorded.
+    #[inline]
     pub fn anchor(&mut self, low: u64) {
-        if self.delivered == 0 && low < WINDOW {
+        if self.delivered == 0 {
+            debug_assert!(self.seen.is_empty() && self.times_us.is_empty());
             self.low = low;
+            self.base = low.saturating_sub(WINDOW) & !63;
         }
     }
 
-    /// True if `seq` lies inside the window, below `low() + WINDOW`; a
-    /// number past it is counted as refused.
+    /// True if `seq` lies inside the window, in storage and below
+    /// `low() + WINDOW`; a number outside it is counted as refused.
     #[inline]
     pub fn admit(&mut self, seq: u64) -> bool {
-        let inside = seq.saturating_sub(self.low) < WINDOW;
+        let inside = self.inside(seq);
         if !inside {
             self.refused += 1;
         }
         inside
     }
 
+    #[inline]
+    fn inside(&self, seq: u64) -> bool {
+        seq >= self.base && seq.saturating_sub(self.low) < WINDOW
+    }
+
     /// Records a reception of `seq` at `now`. Returns `true` if this was the
     /// first reception (a delivery); any later one counts as a duplicate. A
     /// number the window refuses ([`DeliveryLog::admit`]) is neither: it
-    /// returns `false` and allocates nothing.
+    /// returns `false` and allocates nothing. A ledger that has delivered
+    /// nothing has no cursor to measure against, so a first number outside
+    /// its window anchors it there instead.
     #[inline]
     pub fn record(&mut self, seq: u64, now: SimTime) -> bool {
-        if !self.admit(seq) {
-            return false;
+        if !self.inside(seq) {
+            if self.delivered > 0 {
+                self.refused += 1;
+                return false;
+            }
+            self.anchor(seq);
         }
-        let word = (seq / 64) as usize;
-        let bit = 1u64 << (seq % 64);
+        let off = seq - self.base;
+        let word = (off / 64) as usize;
+        let bit = 1u64 << (off % 64);
         if self.seen.len() <= word {
             self.seen.resize(word + 1, 0);
         }
@@ -164,15 +196,12 @@ impl DeliveryLog {
             return false;
         }
         self.seen[word] |= bit;
-        if seq == self.low {
-            self.advance();
-        }
         self.delivered += 1;
         self.first = Some(self.first.map_or(now, |f| f.min(now)));
         self.last = Some(self.last.map_or(now, |l| l.max(now)));
         match self.tracking {
             DeliveryTracking::Full => {
-                let idx = seq as usize;
+                let idx = off as usize;
                 if self.times_us.len() <= idx {
                     self.times_us.resize(idx + 1, NOT_DELIVERED);
                 }
@@ -187,20 +216,46 @@ impl DeliveryLog {
                     .record_us(now.as_micros().saturating_sub(published_us));
             }
         }
+        if seq == self.low {
+            self.advance();
+        } else if seq.saturating_sub(self.low) >= WINDOW / 2 {
+            // Every hole more than half a window behind the newest delivery
+            // is given up: no buffer can still serve one, and waiting for it
+            // would let the window close in front of the stream.
+            self.low = seq - (WINDOW / 2 - 1);
+            self.advance();
+        }
         true
     }
 
     /// Moves the cursor over the run of delivered numbers starting at it, a
     /// bitmap word at a time.
+    #[inline]
     fn advance(&mut self) {
-        while let Some(&w) = self.seen.get((self.low / 64) as usize) {
-            let bit = self.low % 64;
+        while let Some(&w) = self.seen.get(((self.low - self.base) / 64) as usize) {
+            let bit = (self.low - self.base) % 64;
             let run = u64::from((w >> bit).trailing_ones());
-            self.low += run;
-            if bit + run < 64 {
+            self.low = self.low.saturating_add(run);
+            if bit + run < 64 || self.low == u64::MAX {
                 break;
             }
         }
+        if self.low - self.base >= 2 * WINDOW {
+            self.slide();
+        }
+    }
+
+    /// Drops the storage more than a window below the cursor, once the
+    /// cursor is two windows above `base`: one `drain` per window.
+    #[cold]
+    fn slide(&mut self) {
+        let base = (self.low - WINDOW) & !63;
+        let shift = base - self.base;
+        self.seen
+            .drain(..((shift / 64) as usize).min(self.seen.len()));
+        self.times_us
+            .drain(..(shift as usize).min(self.times_us.len()));
+        self.base = base;
     }
 
     /// Messages delivered (first receptions).
@@ -213,7 +268,7 @@ impl DeliveryLog {
         self.duplicates
     }
 
-    /// Sequence numbers refused for lying past the window.
+    /// Sequence numbers refused for lying outside the window.
     pub fn refused(&self) -> u64 {
         self.refused
     }
@@ -221,7 +276,7 @@ impl DeliveryLog {
     /// The highest sequence number delivered, if any.
     pub fn highest(&self) -> Option<u64> {
         let word = self.seen.iter().rposition(|&w| w != 0)?;
-        Some(word as u64 * 64 + 63 - u64::from(self.seen[word].leading_zeros()))
+        Some(self.base + word as u64 * 64 + 63 - u64::from(self.seen[word].leading_zeros()))
     }
 
     /// Average number of duplicates received per delivered message.
@@ -240,14 +295,15 @@ impl DeliveryLog {
     }
 
     /// `(sequence number, first reception time)` pairs in ascending sequence
-    /// order. Empty under [`DeliveryTracking::Counters`] — the information
-    /// is folded into [`DeliveryLog::latency_hist`] instead.
+    /// order, for the numbers still in storage. Empty under
+    /// [`DeliveryTracking::Counters`] — the information is folded into
+    /// [`DeliveryLog::latency_hist`] instead.
     pub fn iter_times(&self) -> impl Iterator<Item = (u64, SimTime)> + '_ {
         self.times_us
             .iter()
             .enumerate()
             .filter(|(_, &t)| t != NOT_DELIVERED)
-            .map(|(seq, &t)| (seq as u64, SimTime::from_micros(t)))
+            .map(|(off, &t)| (self.base + off as u64, SimTime::from_micros(t)))
     }
 
     /// The latency histogram against the publish schedule (empty under
@@ -390,16 +446,92 @@ mod tests {
     }
 
     #[test]
-    fn an_anchor_obeys_the_window_of_a_fresh_ledger() {
+    fn storage_moves_with_the_anchor() {
+        let mut log = DeliveryLog::default();
+        log.anchor(3 * WINDOW);
+        assert_eq!(log.low(), 3 * WINDOW);
+        assert!(log.record(3 * WINDOW + 5, SimTime::from_millis(1)));
+        assert!(log.record(2 * WINDOW, SimTime::ZERO), "one window below");
+        assert!(!log.record(2 * WINDOW - 1, SimTime::ZERO), "below storage");
+        assert!(!log.record(4 * WINDOW, SimTime::ZERO), "past the window");
+        assert_eq!((log.delivered(), log.refused()), (2, 2));
+        assert_eq!(log.highest(), Some(3 * WINDOW + 5));
+        assert_eq!(
+            log.iter_times().collect::<Vec<_>>(),
+            vec![
+                (2 * WINDOW, SimTime::ZERO),
+                (3 * WINDOW + 5, SimTime::from_millis(1))
+            ]
+        );
+        assert!(log.heap_bytes() <= 2 * (WINDOW as usize) * 8 + 4096);
+    }
+
+    #[test]
+    fn a_fresh_ledger_anchors_at_its_first_number() {
+        // A ledger nobody anchored (a baseline joiner) first hears of the
+        // stream three windows in.
         let mut log = DeliveryLog::new(DeliveryTracking::Counters {
             stream_start_us: 0,
             interval_us: 1,
         });
-        log.anchor(1 << 40);
-        assert_eq!(log.low(), 0, "a hostile anchor is ignored");
-        log.anchor(WINDOW - 1);
-        assert!(!log.admit(2 * WINDOW - 1));
-        assert!(log.record(2 * WINDOW - 2, SimTime::ZERO));
+        assert!(log.record(3 * WINDOW, SimTime::ZERO));
+        assert_eq!((log.low(), log.refused()), (3 * WINDOW + 1, 0));
+        assert!(log.record(3 * WINDOW + 1, SimTime::ZERO));
+        assert_eq!(log.low(), 3 * WINDOW + 2);
         assert!(log.heap_bytes() <= (2 * WINDOW / 8) as usize);
+        // Once it has delivered, a far number is refused, not anchored on.
+        assert!(!log.record(1 << 40, SimTime::ZERO));
+        assert_eq!((log.low(), log.refused()), (3 * WINDOW + 2, 1));
+    }
+
+    #[test]
+    fn a_permanent_hole_is_given_up_and_the_stream_goes_on() {
+        let mut log = DeliveryLog::default();
+        let end = 4 * WINDOW;
+        for seq in (0..end).filter(|&s| s != 5) {
+            assert!(log.record(seq, SimTime::from_micros(seq)), "seq {seq}");
+        }
+        assert_eq!(log.refused(), 0);
+        assert_eq!(log.delivered(), end - 1);
+        assert_eq!(log.low(), end, "the hole at 5 was given up");
+        assert!(log.record(end, SimTime::ZERO));
+        // Storage slid behind the cursor: at most three windows of it.
+        assert!(
+            log.heap_bytes() <= 3 * (WINDOW as usize) * 9,
+            "{}",
+            log.heap_bytes()
+        );
+        assert!(!log.contains(5) && log.contains(end - 1));
+        assert_eq!(log.highest(), Some(end));
+        let times: Vec<u64> = log.iter_times().map(|(s, _)| s).collect();
+        assert_eq!(times.last(), Some(&end));
+        assert!(times.windows(2).all(|w| w[0] + 1 == w[1]));
+        // A copy a window behind is still a duplicate; one of the hole, long
+        // dropped from storage, is refused.
+        assert!(!log.record(end - WINDOW, SimTime::ZERO));
+        assert!(!log.record(5, SimTime::ZERO));
+        assert_eq!((log.duplicates(), log.refused()), (1, 1));
+    }
+
+    #[test]
+    fn a_hole_younger_than_half_a_window_holds_the_cursor() {
+        let mut log = DeliveryLog::default();
+        for seq in 1..WINDOW / 2 {
+            log.record(seq, SimTime::ZERO);
+        }
+        assert_eq!(log.low(), 0, "still waiting for 0");
+        log.record(WINDOW / 2, SimTime::ZERO);
+        assert_eq!(log.low(), WINDOW / 2 + 1, "0 given up");
+        assert!(log.record(0, SimTime::ZERO), "a late copy still delivers");
+        assert_eq!(log.low(), WINDOW / 2 + 1);
+    }
+
+    #[test]
+    fn the_cursor_saturates_at_the_last_sequence_number() {
+        let mut log = DeliveryLog::default();
+        assert!(log.record(u64::MAX, SimTime::ZERO));
+        assert_eq!(log.low(), u64::MAX);
+        assert!(!log.record(u64::MAX, SimTime::ZERO));
+        assert_eq!(log.duplicates(), 1);
     }
 }

@@ -36,6 +36,7 @@
 //!   simulator is monotone non-decreasing across checks.
 
 use crate::engine::NodeReport;
+use brisa_simnet::delivery::WINDOW;
 use brisa_simnet::{Driver, NodeId, Placement, Protocol, SimTime};
 use std::collections::HashMap;
 
@@ -207,7 +208,10 @@ impl InvariantSuite {
 /// the highest sequence number delivered and the last delivery time — so
 /// it holds for `ResultMode::Streaming` nodes too, which keep no
 /// per-sequence times. A count above `highest + 1` means a sequence number
-/// was counted twice.
+/// was counted twice. A classic report also lists its deliveries: they
+/// must be strictly ascending and, while the ledger's storage cannot have
+/// slid (everything below two `delivery::WINDOW`s), exactly as many as the
+/// count.
 ///
 /// Shared between the online [`DeliveryInvariant`] (which adds
 /// monotonicity across checks) and post-hoc validation of non-simulated
@@ -235,6 +239,24 @@ pub fn check_delivery_report(
                  from the record"
             ))
         }
+    }
+    let listed = &report.first_delivery;
+    if !listed.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Err(format!(
+            "node {id}: first deliveries not strictly ascending — a sequence \
+             number was delivered twice"
+        ));
+    }
+    let complete = report.highest_delivered.is_some_and(|h| h < 2 * WINDOW);
+    if !listed.is_empty()
+        && (listed.len() as u64 > report.delivered
+            || complete && listed.len() as u64 != report.delivered)
+    {
+        return Err(format!(
+            "node {id}: delivered={} but {} first deliveries listed",
+            report.delivered,
+            listed.len()
+        ));
     }
     match report.last_delivery {
         Some(at) if at > now => Err(format!(
@@ -533,6 +555,23 @@ mod tests {
             assert!(check_delivery_report(NodeId(1), &uncounted, 5, now).is_err());
         }
         assert!(check_delivery_report(NodeId(1), &NodeReport::default(), 0, now).is_ok());
+        // A classic report with a hole can hide a double count from the
+        // highest sequence number ({0, 2, 2}: three = 2 + 1), not from its
+        // list.
+        let at = SimTime::from_secs(1);
+        let holed = NodeReport {
+            delivered: 3,
+            first_delivery: vec![(0, at), (2, at), (2, at)],
+            highest_delivered: Some(2),
+            last_delivery: Some(at),
+            ..NodeReport::default()
+        };
+        assert!(check_delivery_report(NodeId(1), &holed, 5, now).is_err());
+        let short = NodeReport {
+            first_delivery: vec![(0, at), (2, at)],
+            ..holed
+        };
+        assert!(check_delivery_report(NodeId(1), &short, 5, now).is_err());
     }
 
     #[test]

@@ -11,16 +11,16 @@
 //!   `Arc<DataMsg>`, shared by the `k` sends; its guard shares the node's
 //!   path);
 //! * a **duplicate**, from the parent or from a surplus sender: 0;
-//! * a sequence number **past the ledger's window** (`low + WINDOW` and
-//!   up, as in `Data { seq: 2^40 }` or `Edge { highest: u64::MAX }`): 0,
-//!   refused before it touches any state.
+//! * a sequence number **past the ledger's window** (`low` plus
+//!   `delivery::WINDOW` and up, as in `Data { seq: 2^40 }` or
+//!   `Edge { highest: u64::MAX }`): 0, refused before it touches any state.
 //!
 //! The window starts past warm-up (the retransmission ring full, the action
 //! vector and the delivery ledger grown): the ledger is the one structure
 //! on the path that still grows with the stream, amortised — a bitmap word
 //! per 64 messages, and under `DeliveryTracking::Full` 8 bytes per message,
-//! never past its cursor plus `WINDOW` — and the window sits between two of
-//! its doublings.
+//! until its storage slides behind the cursor two `delivery::WINDOW`s
+//! back — and the measured window sits between two of its doublings.
 //!
 //! The control plane underneath has a budget too — keep-alives are most of
 //! what a large overlay executes — and the second half of this file counts
@@ -239,11 +239,12 @@ fn a_duplicate_allocates_nothing() {
 #[test]
 fn a_sequence_number_past_the_window_allocates_nothing() {
     let mut log = DeliveryLog::default();
+    log.record(0, SimTime::ZERO);
     let n = allocations_during(|| assert!(!log.record(1 << 40, SimTime::ZERO)));
     assert_eq!(
         (n, log.delivered(), log.refused()),
-        (0, 0, 1),
-        "a fresh ledger"
+        (0, 1, 1),
+        "a ledger on the stream"
     );
 
     for (label, cfg) in configs() {

@@ -751,11 +751,14 @@ fn hostile_peers_are_dropped_and_the_cluster_still_delivers() {
 }
 
 /// One well-formed frame with an implausible sequence number. A raw peer
-/// says hello to a live node and sends `Data { seq: 2^40 }`, which used to
-/// make the delivery ledger ask for a 128 GiB bitmap and abort the process.
-/// The number lies past the ledger's window, so the node drops the frame
-/// before it touches any state, and `brisa.seq_refused` counts it. The
-/// process stays up, and a message published afterwards reaches every node.
+/// says hello to a live node on the stream and sends `Data { seq: 2^40 }`,
+/// which used to make the delivery ledger ask for a 128 GiB bitmap and
+/// abort the process. The number lies past the ledger's window, so the node
+/// drops the frame before it touches any state, and `brisa.seq_refused`
+/// counts it. The peer then repeats a number the node has, which the node
+/// answers with a `Deactivate` to an identifier no node carries: a dial
+/// that fails, not a worker that dies. The process stays up, and a message
+/// published afterwards reaches every node.
 #[test]
 fn an_implausible_sequence_number_is_refused_and_the_cluster_still_delivers() {
     const NODES: u32 = 8;
@@ -789,38 +792,57 @@ fn an_implausible_sequence_number_is_refused_and_the_cluster_still_delivers() {
         pool.start_node(id, BrisaNode::build(&stack, id, &bctx), 0xB215A);
         std::thread::sleep(Duration::from_millis(2));
     }
-    // Every join has long completed: the publish below floods a whole overlay.
+    // Every join has long completed: a publish floods a whole overlay.
     std::thread::sleep(Duration::from_secs(2));
+    let delivered = telemetry.counter("brisa.delivered");
+    let publish = |pool: &mut ReactorPool<BrisaNode>| {
+        let already = delivered.get();
+        pool.invoke(NodeId(0), |node, ctx| node.publish_message(ctx, 256));
+        assert!(
+            wait_until(Duration::from_secs(30), || {
+                delivered.get() - already >= NODES as u64
+            }),
+            "only {} of {NODES} nodes delivered",
+            delivered.get() - already
+        );
+    };
+    publish(&mut pool);
 
     let mut peer = TcpStream::connect(mesh.addr(VICTIM)).expect("connect to the victim");
     let mut hello = vec![WIRE_VERSION];
     hello.extend_from_slice(&NOBODY.to_le_bytes());
     peer.write_all(&hello).expect("hello");
-    let frame = StackMsg::Brisa(BrisaMsg::data(DataMsg {
-        seq: 1 << 40,
-        payload_bytes: 256,
-        guard: CycleGuard::Path(vec![NodeId(0), NodeId(NOBODY)].into()),
-        sender_uptime_secs: 0,
-        sender_load: 0,
-    }));
-    peer.write_all(&frame.encode()).expect("frame");
+    let frame = |seq| {
+        StackMsg::Brisa(BrisaMsg::data(DataMsg {
+            seq,
+            payload_bytes: 256,
+            guard: CycleGuard::Path(vec![NodeId(0), NodeId(NOBODY)].into()),
+            sender_uptime_secs: 0,
+            sender_load: 0,
+        }))
+        .encode()
+    };
+    peer.write_all(&frame(1 << 40)).expect("frame");
     let refused = telemetry.counter("brisa.seq_refused");
     assert!(
         wait_until(Duration::from_secs(10), || refused.get() == 1),
         "the frame was not refused ({} refusals)",
         refused.get()
     );
-
-    let delivered = telemetry.counter("brisa.delivered");
-    let already = delivered.get();
-    pool.invoke(NodeId(0), |node, ctx| node.publish_message(ctx, 256));
+    peer.write_all(&frame(0)).expect("frame");
+    let recorder = telemetry.recorder().expect("telemetry is enabled");
     assert!(
-        wait_until(Duration::from_secs(30), || {
-            delivered.get() - already >= NODES as u64
+        wait_until(Duration::from_secs(10), || {
+            recorder.events_since(0).iter().any(|e| {
+                e.kind == brisa_telemetry::EventKind::DialFailed
+                    && e.node == VICTIM.0
+                    && e.a == u64::from(NOBODY)
+            })
         }),
-        "only {} of {NODES} nodes delivered",
-        delivered.get() - already
+        "the victim never failed to dial the peer back"
     );
+
+    publish(&mut pool);
     drop(peer);
     assert_eq!(telemetry.counter("reactor.node_panics").get(), 0);
     for i in 0..NODES {
@@ -830,7 +852,7 @@ fn an_implausible_sequence_number_is_refused_and_the_cluster_still_delivers() {
             .expect("worker alive")
             .expect("node alive");
         let ledger = &node.brisa().stats().delivery;
-        assert_eq!(ledger.delivered(), 1, "node {i}");
+        assert_eq!(ledger.delivered(), 2, "node {i}");
         assert_eq!(ledger.refused(), u64::from(NodeId(i) == VICTIM), "node {i}");
     }
     pool.shutdown();
