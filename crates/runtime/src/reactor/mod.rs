@@ -39,8 +39,8 @@
 //! are owned by the worker loop, never shared. An outbound connect is
 //! started non-blocking and registered for writability; the socket turning
 //! writable decides it, and the handshake follows on the same iteration. A
-//! connect still pending after `CONNECT_TIMEOUT` is failed by the reap
-//! sweep. Retry pacing (initial-dial retries, the 50 → 800 ms reconnect
+//! connect still pending after `CONNECT_TIMEOUT` is failed by the
+//! connection table's sweep. Retry pacing (initial-dial retries, the 50 → 800 ms reconnect
 //! backoff) lives on the worker's timer heap, so a slow peer never stalls
 //! frame traffic. Backpressure is per-link: frames queue in the link's
 //! outbound buffer until the socket drains. Reads are level-triggered and
@@ -52,6 +52,9 @@
 //!
 //! Three files: `sys` holds the readiness set and all of the reactor's FFI,
 //! `io` the connection table, and this one the worker loop and the pool.
+//! The table decides and the worker does the I/O: the table's `Sockets`
+//! are the readiness set, its clock the shard's, and its `Upcall`s reach
+//! the nodes through the worker; its tests drive it in virtual time.
 
 use crate::clock::WallClock;
 use crate::config::RuntimeConfig;
@@ -61,7 +64,7 @@ use crate::wire::WireCodec;
 use brisa_simnet::seed::split_mix64;
 use brisa_simnet::{Command, Context, NodeId, Protocol, TimerTag};
 use brisa_telemetry::{Counter, EventKind as TelEventKind, Histo, Telemetry};
-use io::{IoCmd, ShardIo};
+use io::{IoCmd, LinkTable, Upcall};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
@@ -77,9 +80,6 @@ mod sys;
 
 /// Longest a worker parks when it has nothing scheduled.
 const IDLE_PARK: Duration = Duration::from_millis(100);
-
-/// Cadence of the idle-link reap sweep (see [`ShardIo::reap_idle`]).
-const REAP_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Work section (everything but the wait) from which a loop iteration is
 /// worth a `PollLoop` flight-recorder event.
@@ -104,8 +104,9 @@ enum WorkerMsg<P: Protocol> {
         id: NodeId,
         reply: mpsc::Sender<Option<(P, RuntimeStats)>>,
     },
-    /// A listener registration for the connection table.
-    Io(IoCmd),
+    /// Register a node's pre-bound listener with the connection table,
+    /// with the mesh's advertised addresses for dialing peers.
+    AddListener(NodeId, TcpListener, Arc<Vec<SocketAddr>>),
     /// Drop every remaining node, close every socket and exit the worker
     /// loop.
     Shutdown,
@@ -253,6 +254,8 @@ struct ProtoCore<P: Protocol> {
     /// Socket commands for the shard's connection table, in emission
     /// order; the worker hands them over after every unit of work.
     io_cmds: VecDeque<IoCmd>,
+    /// What the connection table reports, handed on after each table call.
+    upcalls: Vec<Upcall>,
     /// This shard's index in the pool (flight-recorder shard pinning).
     shard: usize,
     /// Observability handles; the handle itself is also exposed to every
@@ -269,6 +272,7 @@ impl<P: WireProtocol> ProtoCore<P> {
             timers: Timers::default(),
             commands: Vec::new(),
             io_cmds: VecDeque::new(),
+            upcalls: Vec::new(),
             shard,
             rtel: ReactorTel::new(telemetry),
         }
@@ -407,10 +411,48 @@ impl<P: WireProtocol> ProtoCore<P> {
         }
     }
 
-    /// Connection-level failure detection reports `id`'s link to `peer`
-    /// broken.
-    fn on_link_down(&mut self, id: u32, peer: NodeId) {
-        self.dispatch(id, move |p, ctx| p.on_link_down(ctx, peer));
+    /// Hands what the connection table reported to the nodes, in order.
+    /// A reap, a re-dial and a stall are also counted.
+    fn take_upcalls(&mut self, table: &LinkTable<sys::Readiness>) {
+        let mut upcalls = std::mem::take(&mut self.upcalls);
+        for upcall in upcalls.drain(..) {
+            match upcall {
+                Upcall::Frame(owner, from, at) => self.on_frame(owner, from, table.frame(at)),
+                Upcall::LinkDown { owner, peer } => {
+                    self.dispatch(owner, move |p, ctx| p.on_link_down(ctx, peer))
+                }
+                Upcall::Redial { owner, peer, at } => {
+                    let at = self.shim.clock().instant_at(at);
+                    self.timers.push(at, TimerKind::Redial { owner, peer });
+                }
+                Upcall::Event(node, kind, a, b) => {
+                    let stats = self.nodes.get_mut(&node).map(|slot| &mut slot.stats);
+                    match (kind, stats) {
+                        (TelEventKind::LinkReap, Some(stats)) => stats.links_reaped += 1,
+                        (TelEventKind::Redial, Some(stats)) => stats.redials += 1,
+                        _ => {}
+                    }
+                    match kind {
+                        TelEventKind::LinkReap => self.rtel.links_reaped.inc(),
+                        TelEventKind::Redial => self.rtel.redials.inc(),
+                        TelEventKind::BackpressureStall => self.rtel.backpressure_stalls.inc(),
+                        _ => {}
+                    }
+                    self.tel_event(node, kind, a, b);
+                }
+            }
+        }
+        self.upcalls = upcalls;
+    }
+
+    /// Executes the socket commands the nodes queued, and those their
+    /// upcalls queue in turn, until none are left: a link that fails
+    /// reports a link-down, and its handler may send again.
+    fn run_cmds(&mut self, table: &mut LinkTable<sys::Readiness>) {
+        while let Some(cmd) = self.io_cmds.pop_front() {
+            table.command(self.shim.clock().now(), cmd, &mut self.upcalls);
+            self.take_upcalls(table);
+        }
     }
 
     fn start_node(&mut self, id: NodeId, proto: P, seed: u64) {
@@ -437,9 +479,8 @@ impl<P: WireProtocol> ProtoCore<P> {
         Some((slot.proto, slot.stats))
     }
 
-    /// Fires every due deadline; returns due re-dial links for the I/O
-    /// engine (which lives outside this struct).
-    fn fire_due_timers(&mut self, redials: &mut Vec<(u32, u32)>) {
+    /// Fires every due deadline; a re-dial goes to the connection table.
+    fn fire_due_timers(&mut self, table: &mut LinkTable<sys::Readiness>) {
         loop {
             let now = Instant::now();
             let due = matches!(self.timers.heap.peek(), Some(Reverse(e)) if e.at <= now);
@@ -455,7 +496,10 @@ impl<P: WireProtocol> ProtoCore<P> {
                         self.dispatch(node, move |p, ctx| p.on_timer(ctx, tag));
                     }
                 }
-                TimerKind::Redial { owner, peer } => redials.push((owner, peer)),
+                TimerKind::Redial { owner, peer } => {
+                    table.redial(self.shim.clock().now(), &mut self.upcalls, owner, peer);
+                    self.take_upcalls(table);
+                }
                 TimerKind::Held { from, to, frame } => {
                     if let Some(slot) = self.nodes.get_mut(&from) {
                         if let Some((_, parked)) = slot.held.get_mut(&to.0) {
@@ -488,21 +532,18 @@ impl<P: WireProtocol> ProtoCore<P> {
 }
 
 /// The worker loop: drain inbox → fire timers → wait for readiness →
-/// handle. `io` arrives with the wake socket already registered.
+/// handle. `ready` arrives with the wake socket already registered.
 fn worker_main<P: WireProtocol + Send + 'static>(
     idx: usize,
     inbox: Arc<Inbox<P>>,
     wake: sys::WakeRx,
-    mut io: ShardIo,
+    ready: sys::Readiness,
     shim: ShimControl,
-    cfg: RuntimeConfig,
     telemetry: Telemetry,
 ) {
+    let mut table = LinkTable::new(ready, shim.clock().now());
     let mut core: ProtoCore<P> = ProtoCore::new(shim, idx, &telemetry);
-    let mut scratch = vec![0u8; 64 * 1024];
     let mut batch: VecDeque<WorkerMsg<P>> = VecDeque::new();
-    let mut redials: Vec<(u32, u32)> = Vec::new();
-    let mut last_reap = Instant::now();
     let mut running = true;
     // Per-worker gauges, resolved once; all dead weight when disabled.
     let tel_enabled = telemetry.is_enabled();
@@ -531,44 +572,35 @@ fn worker_main<P: WireProtocol + Send + 'static>(
                 WorkerMsg::Invoke { id, f } => core.dispatch(id.0, f),
                 WorkerMsg::Stop { id, reply } => {
                     let stopped = core.stop_node(id.0);
-                    io.run_cmds(&mut core);
+                    core.run_cmds(&mut table);
                     let _ = reply.send(stopped);
                 }
-                WorkerMsg::Io(cmd) => io.handle_cmd(&mut core, cmd),
+                WorkerMsg::AddListener(node, listener, addrs) => {
+                    table.add_listener(node, listener, addrs)
+                }
                 WorkerMsg::Shutdown => {
                     running = false;
                 }
             }
-            io.run_cmds(&mut core);
+            core.run_cmds(&mut table);
         }
         if !running {
             break;
         }
 
         // 2. Fire due timers (protocol + re-dial deadlines, one heap), and
-        // sweep idle links about once a second — `next_timeout` is capped
-        // at `IDLE_PARK`, so the sweep runs even when parked.
-        redials.clear();
-        core.fire_due_timers(&mut redials);
-        for &(owner, peer) in &redials {
-            if io.redial(&mut core, owner, peer) {
-                if let Some(slot) = core.nodes.get_mut(&owner) {
-                    slot.stats.redials += 1;
-                }
-                core.rtel.redials.inc();
-                core.tel_event(owner, TelEventKind::Redial, peer as u64, 0);
-            }
-        }
-        io.run_cmds(&mut core);
-        let now = Instant::now();
-        if now.duration_since(last_reap) >= REAP_INTERVAL {
-            last_reap = now;
-            io.reap_idle(&mut core, &cfg, now);
-            io.run_cmds(&mut core);
+        // let the table sweep its links about once a second —
+        // `next_timeout` is capped at `IDLE_PARK`, so the sweep runs even
+        // when parked.
+        core.fire_due_timers(&mut table);
+        core.run_cmds(&mut table);
+        if table.tick(core.shim.clock().now(), &mut core.upcalls) {
+            core.take_upcalls(&table);
+            core.run_cmds(&mut table);
             // Write-queue census at the same cadence: cheap, and depth
             // spikes outlive a single iteration anyway.
             if tel_enabled {
-                let (frames, links) = io.write_queue_census();
+                let (frames, links) = table.write_queue_census();
                 core.tel_event(idx as u32, TelEventKind::WriteQueueDepth, frames, links);
                 g_nodes.set(core.nodes.len() as u64);
             }
@@ -577,7 +609,8 @@ fn worker_main<P: WireProtocol + Send + 'static>(
         // 3. Wait for readiness or the next timer. Nothing is built here:
         // the set was maintained where sockets were born and dropped.
         if let Some(start) = iter_start {
-            g_fds.set(io.registered());
+            // The table's registrations and the wake socket.
+            g_fds.set(1 + table.registered());
             // Depth the worker found, not the residue after the swap.
             g_inbox_depth.set(drained);
             let work = start.elapsed();
@@ -590,22 +623,25 @@ fn worker_main<P: WireProtocol + Send + 'static>(
                 core.tel_event(idx as u32, TelEventKind::PollLoop, iter_us, drained);
             }
         }
-        let ready = io.ready.wait(core.next_timeout());
+        let ready = table.sockets.wait(core.next_timeout());
 
         // 4. Handle readiness: every read of the batch first, then the
         // sends they caused. Interleaving them would put the later reads'
         // deliveries behind the earlier relays' send syscalls, which
-        // raises live-tcp's delivery latency.
+        // raises live-tcp's delivery latency. A read's frames reach their
+        // node before the table reads again.
+        let now = core.shim.clock().now();
         for i in 0..ready {
-            let ev = io.ready.event(i);
-            io.on_ready(&mut core, &mut scratch, ev);
+            let ev = table.sockets.event(i);
+            table.on_ready(now, ev, &mut core.upcalls);
+            core.take_upcalls(&table);
         }
-        io.run_cmds(&mut core);
+        core.run_cmds(&mut table);
     }
 
-    // Shutdown: dropping the I/O state closes every socket and listener
-    // this shard owns; the nodes' state goes with the core.
-    drop(io);
+    // Shutdown: dropping the table closes every socket and listener this
+    // shard owns; the nodes' state goes with the core.
+    drop(table);
 }
 
 /// One shard's handles, owned by the pool.
@@ -645,21 +681,12 @@ impl<P: Protocol<Message: WireCodec> + Send + 'static> ReactorPool<P> {
                 queue: Mutex::new(VecDeque::new()),
                 waker,
             });
-            let (worker_inbox, worker_cfg) = (Arc::clone(&inbox), *cfg);
+            let worker_inbox = Arc::clone(&inbox);
             let (worker_tel, worker_shim) = (telemetry.clone(), shim.clone());
             let thread = std::thread::Builder::new()
                 .name(format!("brisa-shard-{i}"))
                 .spawn(move || {
-                    let io = ShardIo::new(ready);
-                    worker_main(
-                        i,
-                        worker_inbox,
-                        wake_rx,
-                        io,
-                        worker_shim,
-                        worker_cfg,
-                        worker_tel,
-                    )
+                    worker_main(i, worker_inbox, wake_rx, ready, worker_shim, worker_tel)
                 })
                 .expect("spawn reactor worker");
             workers.push(WorkerHandle {
@@ -694,13 +721,8 @@ impl<P: Protocol<Message: WireCodec> + Send + 'static> ReactorPool<P> {
     /// is reachable through its listener, and dials its peers through the
     /// address table.
     pub fn add_listener(&self, id: NodeId, listener: TcpListener, addrs: Arc<Vec<SocketAddr>>) {
-        self.shard_of(id)
-            .inbox
-            .push(WorkerMsg::Io(IoCmd::AddListener {
-                node: id,
-                listener,
-                addrs,
-            }));
+        let msg = WorkerMsg::AddListener(id, listener, addrs);
+        self.shard_of(id).inbox.push(msg);
     }
 
     /// Starts `proto` as node `id` on its shard; `on_start` runs on the
@@ -760,7 +782,6 @@ impl<P: Protocol> Drop for ReactorPool<P> {
 #[cfg(test)]
 #[cfg(target_os = "linux")]
 mod tests {
-    use super::io::{reconnect_backoff, RECONNECT_ATTEMPTS, RECONNECT_CAP};
     use super::sys::Readiness;
     use std::collections::BTreeSet;
     use std::io::{ErrorKind, Read, Write};
@@ -772,16 +793,6 @@ mod tests {
 
     const SOON: Duration = Duration::from_millis(20);
     const LONG: Duration = Duration::from_secs(10);
-
-    #[test]
-    fn reconnect_backoff_doubles_and_caps() {
-        let schedule: Vec<u64> = (0..RECONNECT_ATTEMPTS)
-            .map(|a| reconnect_backoff(a).as_millis() as u64)
-            .collect();
-        assert_eq!(schedule, vec![50, 100, 200, 400, 800]);
-        // Past the cap the schedule stays flat (and never overflows).
-        assert_eq!(reconnect_backoff(40), RECONNECT_CAP);
-    }
 
     fn pair() -> (UnixStream, UnixStream) {
         let (a, b) = UnixStream::pair().expect("socketpair");
@@ -833,12 +844,12 @@ mod tests {
         let (a, _b) = pair();
         ready.register(&a, 3).expect("register");
         assert_eq!(ready.wait(SOON), 0, "an idle writable socket is silent");
-        ready.set_write_interest(&a, 3, true).expect("arm");
+        ready.set_interest(&a, 3, true, true).expect("arm");
         assert_eq!(ready.wait(LONG), 1);
         let ev = ready.event(0);
         assert_eq!(ev.token, 3);
         assert!(ev.writable && !ev.readable);
-        ready.set_write_interest(&a, 3, false).expect("disarm");
+        ready.set_interest(&a, 3, true, false).expect("disarm");
         assert_eq!(ready.wait(SOON), 0);
     }
 

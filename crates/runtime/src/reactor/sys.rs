@@ -1,21 +1,16 @@
 //! The reactor's only foreign-function surface: a worker's readiness set
 //! (`epoll` on Linux), the socket pair that wakes it, and the one socket
 //! call `std` cannot make without blocking, a connect that returns while
-//! it is still in flight. Outside its tests, no other reactor file uses
+//! it is still in flight. The readiness set is also the connection table's
+//! [`Sockets`] in production. Outside its tests, no other reactor file uses
 //! `unsafe`.
+
+use super::io::{Ready, Sockets};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 
 /// Token of the worker's own wake socket; connection tokens start above it.
 pub(super) const WAKE_TOKEN: u64 = 0;
-
-/// One ready registration out of [`Readiness::wait`]. Error and
-/// hang-up conditions read as both, so whichever handler runs meets the
-/// failure on its next socket call.
-#[derive(Clone, Copy)]
-pub(super) struct Ready {
-    pub(super) token: u64,
-    pub(super) readable: bool,
-    pub(super) writable: bool,
-}
 
 /// Readiness primitives: one `epoll` instance per worker over hand-declared
 /// FFI (the vendored-deps constraint rules out mio and libc), plus a
@@ -170,14 +165,16 @@ mod imp {
             Ok(stream)
         }
 
-        /// Switches write interest of a registered `sock` on or off.
-        pub fn set_write_interest(
+        /// Sets which of read and write readiness a registered `sock`
+        /// reports.
+        pub fn set_interest(
             &mut self,
             sock: &impl AsRawFd,
             token: u64,
-            on: bool,
+            read: bool,
+            write: bool,
         ) -> std::io::Result<()> {
-            let events = if on { EPOLLIN | EPOLLOUT } else { EPOLLIN };
+            let events = (read as u32 * EPOLLIN) | (write as u32 * EPOLLOUT);
             self.ctl(EPOLL_CTL_MOD, sock, events, token)
         }
 
@@ -296,12 +293,13 @@ mod imp {
         /// A blocking connect behind the same call: the tick reports the
         /// registration writable, and `take_error` reads `None`.
         pub fn connect(&mut self, addr: SocketAddr, token: u64) -> std::io::Result<TcpStream> {
-            let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+            let timeout = Duration::from_micros(CONNECT_TIMEOUT.as_micros());
+            let stream = TcpStream::connect_timeout(&addr, timeout)?;
             stream.set_nonblocking(true)?;
             self.register(&stream, token)?;
             Ok(stream)
         }
-        pub fn set_write_interest<S>(&mut self, _: &S, _: u64, _: bool) -> std::io::Result<()> {
+        pub fn set_interest<S>(&mut self, _: &S, _: u64, _: bool, _: bool) -> std::io::Result<()> {
             Ok(())
         }
         pub fn wait(&mut self, timeout: Duration) -> usize {
@@ -351,3 +349,40 @@ mod imp {
 }
 
 pub(super) use imp::*;
+
+/// The connection table's sockets in production: non-blocking TCP on the
+/// worker's readiness set. Dropping a socket closes it, which also takes it
+/// out of the set.
+impl Sockets for Readiness {
+    type Listener = TcpListener;
+    type Stream = TcpStream;
+    type Addr = SocketAddr;
+    fn listen(&mut self, listener: &TcpListener, token: u64) -> std::io::Result<()> {
+        let _ = listener.set_nonblocking(true);
+        self.register(listener, token)
+    }
+    fn accepting(&mut self, listener: &TcpListener, token: u64, on: bool) -> std::io::Result<()> {
+        self.set_interest(listener, token, on, false)
+    }
+    fn accept(&mut self, listener: &TcpListener, token: u64) -> std::io::Result<TcpStream> {
+        let (stream, _) = listener.accept()?;
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_nonblocking(true);
+        self.register(&stream, token).map(|()| stream)
+    }
+    fn connect(&mut self, addr: SocketAddr, token: u64) -> std::io::Result<TcpStream> {
+        // The inherent method: the non-blocking connect above.
+        let stream = Readiness::connect(self, addr, token)?;
+        let _ = stream.set_nodelay(true);
+        Ok(stream)
+    }
+    fn read(&mut self, stream: &TcpStream, buf: &mut [u8]) -> std::io::Result<usize> {
+        (&*stream).read(buf)
+    }
+    fn write(&mut self, stream: &TcpStream, buf: &[u8]) -> std::io::Result<usize> {
+        (&*stream).write(buf)
+    }
+    fn write_interest(&mut self, stream: &TcpStream, token: u64, on: bool) -> std::io::Result<()> {
+        self.set_interest(stream, token, true, on)
+    }
+}

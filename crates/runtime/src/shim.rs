@@ -265,10 +265,7 @@ mod tests {
         /// `nodes` recorders on one worker, all behind `ctl`.
         fn new(ctl: &ShimControl, nodes: u32) -> Rig {
             let mesh = TcpMesh::bind(nodes as usize).expect("bind");
-            let cfg = RuntimeConfig {
-                workers: 1,
-                ..RuntimeConfig::default()
-            };
+            let cfg = RuntimeConfig { workers: 1 };
             let pool = ReactorPool::with_telemetry(
                 ctl.clone(),
                 &cfg,

@@ -30,10 +30,7 @@ fn a_64_node_tcp_cluster_under_loss_runs_on_one_thread_per_worker() {
     let cfg = ClusterConfig {
         nodes: 64,
         join_stagger: Duration::ZERO,
-        runtime: RuntimeConfig {
-            workers: WORKERS,
-            ..RuntimeConfig::default()
-        },
+        runtime: RuntimeConfig { workers: WORKERS },
         ..Default::default()
     };
     let stack = BrisaStackConfig {

@@ -39,10 +39,7 @@ fn main() {
     let cfg = ClusterConfig {
         nodes: NODES,
         seed: 0xB215A,
-        runtime: RuntimeConfig {
-            workers: WORKERS,
-            ..RuntimeConfig::default()
-        },
+        runtime: RuntimeConfig { workers: WORKERS },
         telemetry: telemetry.clone(),
         ..Default::default()
     };

@@ -289,10 +289,7 @@ impl Protocol for Probe {
 #[test]
 fn tcp_link_down_reaches_the_protocol() {
     let mesh = TcpMesh::bind(4).expect("bind");
-    let cfg = RuntimeConfig {
-        workers: 1,
-        ..RuntimeConfig::default()
-    };
+    let cfg = RuntimeConfig { workers: 1 };
     let mut pool: ReactorPool<Probe> = ReactorPool::new(WallClock::new(), &cfg);
     let logs: Vec<_> = (0..4)
         .map(|_| Arc::new(Mutex::new(ProbeLog::default())))
