@@ -63,7 +63,7 @@ struct Row {
     shards: usize,
     messages: u64,
     wall_secs: f64,
-    sim_events: u64,
+    events: u64,
     delivery: f64,
     completeness: f64,
     bytes_per_node: f64,
@@ -99,7 +99,7 @@ fn run_row(
         shards,
         messages: r.messages_published,
         wall_secs,
-        sim_events: r.sim_events(),
+        events: r.net_stats.events_processed,
         delivery: r.delivery_rate(),
         completeness: r.completeness(),
         bytes_per_node: s.footprint.bytes_per_node(),
@@ -117,8 +117,8 @@ fn print_row(row: &Row) {
         row.shards,
         row.messages,
         row.wall_secs,
-        row.sim_events,
-        row.sim_events as f64 / row.wall_secs.max(1e-9),
+        row.events,
+        row.events as f64 / row.wall_secs.max(1e-9),
         row.delivery * 100.0,
         row.completeness * 100.0,
         row.bytes_per_node,

@@ -9,7 +9,7 @@
 //!    codec, TCP on `127.0.0.1`, wall clock) routing through the
 //!    simulator's fault layer, with periodic online invariant sweeps; and
 //! 2. **simulated**, via the engine: the same population, stream, seed and
-//!    (lowered) schedule through the engine's `Runner` with invariants on.
+//!    schedule through the engine's `Runner` with invariants on.
 //!
 //! Because both worlds run one `FaultLayer` over the same counter-based
 //! split-seed PRF, the stochastic profile means the same thing in both;
@@ -36,9 +36,10 @@ use brisa_metrics::report::render_table;
 use brisa_runtime::{run_chaos, SoakConfig, SoakOutcome};
 use brisa_simnet::{PartitionMode, SimDuration};
 use brisa_telemetry::Telemetry;
-use brisa_workloads::chaos::{ChaosEvent, ChaosEventKind, ChaosSchedule};
-use brisa_workloads::StreamSpec;
-use brisa_workloads::{FaultSpec, InvariantSuite, PartitionPhase};
+use brisa_workloads::chaos::ChaosSchedule;
+use brisa_workloads::{
+    FaultSpec, InvariantSuite, PartitionPhase, ScaleEvent, ScaleEventKind, StreamSpec,
+};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -74,13 +75,13 @@ fn scenarios(nodes: u32, stream: &StreamSpec) -> Vec<ChaosSchedule> {
 
     let mut kill_restart = ChaosSchedule::named("kill_restart");
     kill_restart.events = vec![
-        ChaosEvent {
+        ScaleEvent {
             after: at(stream, 0.25),
-            kind: ChaosEventKind::Kill { node: victim },
+            kind: ScaleEventKind::Kill { node: victim },
         },
-        ChaosEvent {
+        ScaleEvent {
             after: at(stream, 0.60),
-            kind: ChaosEventKind::Restart { node: victim },
+            kind: ScaleEventKind::Restart { node: victim },
         },
     ];
 
@@ -103,21 +104,21 @@ fn scenarios(nodes: u32, stream: &StreamSpec) -> Vec<ChaosSchedule> {
     combined.faults = FaultSpec::loss(0.01);
     combined.faults.partition = Some(partition);
     combined.events = vec![
-        ChaosEvent {
+        ScaleEvent {
             after: at(stream, 0.20),
-            kind: ChaosEventKind::Kill { node: victim },
+            kind: ScaleEventKind::Kill { node: victim },
         },
-        ChaosEvent {
+        ScaleEvent {
             after: at(stream, 0.35),
-            kind: ChaosEventKind::Kill { node: victim + 1 },
+            kind: ScaleEventKind::Kill { node: victim + 1 },
         },
-        ChaosEvent {
+        ScaleEvent {
             after: at(stream, 0.50),
-            kind: ChaosEventKind::FlashJoin { count: 2 },
+            kind: ScaleEventKind::FlashCrowd { joiners: 2 },
         },
-        ChaosEvent {
+        ScaleEvent {
             after: at(stream, 0.70),
-            kind: ChaosEventKind::Restart { node: victim },
+            kind: ScaleEventKind::Restart { node: victim },
         },
     ];
 

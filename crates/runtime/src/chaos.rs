@@ -1,15 +1,13 @@
 //! The live chaos runner: replays a [`ChaosSchedule`] against a real
 //! cluster in wall-clock time.
 //!
-//! This is the live counterpart of `workloads::engine` driving a
-//! scenario's merged schedule: the stream's publishes, the script's
-//! lifecycle events (kills, restarts, flash joins) and periodic online
-//! invariant sweeps are merged into one time-ordered plan and executed
-//! against the wall clock. Faults go through the cluster's
-//! [`ShimControl`](crate::ShimControl) — the simulator's own fault layer:
-//! the stochastic profile activates at stream start and the partition
-//! window is installed up front — the same activation discipline as the
-//! simulator engine.
+//! This is the live counterpart of `workloads::engine`: it executes the
+//! same [`timed_plan`] — the stream's publishes, the script's fault
+//! transitions and lifecycle events (kills, restarts, flash joins) — plus
+//! its own periodic online invariant sweeps, against the wall clock.
+//! Faults go through the cluster's [`ShimControl`](crate::ShimControl),
+//! the simulator's own fault layer: the stochastic profile switches on at
+//! stream start and the partition installs at its cut, as in the engine.
 //!
 //! Each sweep snapshots every live node's report *mid-stream* and holds
 //! it to `workloads::invariants::check_delivery_report` (a count within
@@ -24,9 +22,12 @@ use crate::shim::ShimStats;
 use crate::wire::WireCodec;
 use brisa_simnet::{NodeId, SimTime};
 use brisa_telemetry::{EventKind as TelEventKind, Telemetry};
-use brisa_workloads::chaos::{ChaosEventKind, ChaosSchedule};
+use brisa_workloads::chaos::ChaosSchedule;
 use brisa_workloads::invariants::check_delivery_report;
-use brisa_workloads::{DisseminationProtocol, StreamSpec, FIRST_PUBLISH_DELAY};
+use brisa_workloads::{
+    add_marks, timed_plan, DisseminationProtocol, ScaleEventKind, Step, StreamSpec,
+    FIRST_PUBLISH_DELAY,
+};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -89,13 +90,8 @@ pub struct SoakOutcome {
     pub shim: ShimStats,
 }
 
-/// One entry of the merged wall-clock plan. Variant order is the
-/// stable-sort tiebreak at equal times, mirroring the engine: faults
-/// switch on before the event or publish they coincide with.
-enum SoakStep {
-    EnableLinkFaults,
-    Chaos(ChaosEventKind),
-    Publish,
+/// The live runner's own steps, added to the timed plan.
+enum Mark {
     Sweep,
     /// Telemetry-only marker at the partition's heal instant (the layer
     /// heals itself from the installed window; this just records it).
@@ -121,7 +117,7 @@ where
         .events
         .iter()
         .map(|ev| match ev.kind {
-            ChaosEventKind::FlashJoin { count } => count,
+            ScaleEventKind::FlashCrowd { joiners } => joiners,
             _ => 0,
         })
         .sum();
@@ -136,53 +132,35 @@ where
     cluster.run_for(cfg.bootstrap);
 
     let stream_start = cluster.now() + FIRST_PUBLISH_DELAY;
-    let interval = cfg.stream.interval();
     let stream_end = stream_start + cfg.stream.duration();
     let shim = cluster.shim().clone();
 
-    // The partition window is absolute, so it can be installed up front;
-    // the stochastic profile flips on at stream start, via the plan.
-    let mut heal_at: Option<SimTime> = None;
-    if let Some(phase) = schedule.faults.partition.filter(|p| !p.duration.is_zero()) {
-        let partition = phase.to_partition(stream_start, cfg.nodes);
-        cfg.telemetry.event(
-            cluster.now().as_micros(),
-            u32::MAX,
-            TelEventKind::PartitionApply,
-            partition.start.as_micros(),
-            partition.end.as_micros(),
-        );
-        heal_at = Some(partition.end);
-        shim.add_partition(partition);
-    }
-
-    // Merge publishes, chaos events and sweeps into one plan. Pushing
-    // fault/chaos steps before publishes and sorting stably keeps the
-    // engine's tie-break: adversity lands before the traffic it hits.
-    let mut plan: Vec<(SimTime, SoakStep)> = Vec::new();
-    if !schedule.faults.link_faults().is_inert() {
-        plan.push((stream_start, SoakStep::EnableLinkFaults));
-    }
-    plan.extend(
-        schedule
-            .events
-            .iter()
-            .map(|ev| (stream_start + ev.after, SoakStep::Chaos(ev.kind))),
+    // The engine's plan of this script, plus this runner's sweeps and heal
+    // marker, each after the plan's steps of its instant.
+    let mut plan: Vec<(SimTime, Step<Mark>)> = timed_plan(
+        stream_start,
+        &cfg.stream,
+        None,
+        &schedule.faults,
+        &schedule.events,
+        cfg.nodes,
     );
-    plan.extend(
-        (0..cfg.stream.messages).map(|seq| (stream_start + interval * seq, SoakStep::Publish)),
-    );
+    let mut marks = Vec::new();
     let sweep_every =
         brisa_simnet::SimDuration::from_micros((cfg.sweep_interval.as_micros() as u64).max(1));
     let mut sweep_at = stream_start + sweep_every;
     while sweep_at < stream_end {
-        plan.push((sweep_at, SoakStep::Sweep));
+        marks.push((sweep_at, Mark::Sweep));
         sweep_at += sweep_every;
     }
+    let heal_at = plan.iter().find_map(|(_, step)| match step {
+        Step::Partition(partition) => Some(partition.end),
+        _ => None,
+    });
     if let Some(at) = heal_at.filter(|at| *at < stream_end) {
-        plan.push((at, SoakStep::PartitionHealed));
+        marks.push((at, Mark::PartitionHealed));
     }
-    plan.sort_by_key(|(t, _)| *t);
+    add_marks(&mut plan, marks);
 
     let mut sweeps = 0usize;
     let mut violations: Vec<String> = Vec::new();
@@ -200,7 +178,7 @@ where
             std::thread::sleep(deadline - now);
         }
         match step {
-            SoakStep::EnableLinkFaults => {
+            Step::LinkFaults(link) => {
                 cfg.telemetry.event(
                     cluster.now().as_micros(),
                     u32::MAX,
@@ -208,9 +186,46 @@ where
                     0,
                     0,
                 );
-                shim.set_link_faults(schedule.faults.link_faults())
+                shim.set_link_faults(link)
             }
-            SoakStep::PartitionHealed => {
+            Step::Partition(partition) => {
+                cfg.telemetry.event(
+                    cluster.now().as_micros(),
+                    u32::MAX,
+                    TelEventKind::PartitionApply,
+                    partition.start.as_micros(),
+                    partition.end.as_micros(),
+                );
+                shim.add_partition(partition)
+            }
+            Step::Publish => cluster.publish(cfg.stream.payload_bytes),
+            Step::Event(ScaleEventKind::Kill { node }) => {
+                let victim = NodeId(node);
+                if victim != cluster.source() && cluster.is_alive(victim) {
+                    cluster.kill(victim);
+                    floor.remove(&node);
+                }
+            }
+            Step::Event(ScaleEventKind::Restart { node }) => {
+                if !cluster.is_alive(NodeId(node)) {
+                    cluster.restart(NodeId(node))?;
+                    restarted.push(node);
+                    floor.remove(&node);
+                }
+            }
+            Step::Event(ScaleEventKind::FlashCrowd { joiners }) => {
+                for _ in 0..joiners {
+                    joined.push(cluster.join_node().0);
+                }
+            }
+            Step::Event(ScaleEventKind::MassCrash { .. }) | Step::Churn(_) => {
+                unreachable!("validated chaos scripts have no random crashes, and no churn")
+            }
+            Step::Mark(Mark::Sweep) => {
+                sweeps += 1;
+                sweep(cfg, &cluster, sweeps, &mut floor, &mut violations);
+            }
+            Step::Mark(Mark::PartitionHealed) => {
                 cfg.telemetry.event(
                     cluster.now().as_micros(),
                     u32::MAX,
@@ -218,30 +233,6 @@ where
                     0,
                     0,
                 );
-            }
-            SoakStep::Publish => cluster.publish(cfg.stream.payload_bytes),
-            SoakStep::Chaos(ChaosEventKind::Kill { node }) => {
-                let victim = NodeId(node);
-                if victim != cluster.source() && cluster.is_alive(victim) {
-                    cluster.kill(victim);
-                    floor.remove(&node);
-                }
-            }
-            SoakStep::Chaos(ChaosEventKind::Restart { node }) => {
-                if !cluster.is_alive(NodeId(node)) {
-                    cluster.restart(NodeId(node))?;
-                    restarted.push(node);
-                    floor.remove(&node);
-                }
-            }
-            SoakStep::Chaos(ChaosEventKind::FlashJoin { count }) => {
-                for _ in 0..count {
-                    joined.push(cluster.join_node().0);
-                }
-            }
-            SoakStep::Sweep => {
-                sweeps += 1;
-                sweep(cfg, &cluster, sweeps, &mut floor, &mut violations);
             }
         }
     }

@@ -5,67 +5,36 @@
 //! timed lifecycle events (named kills, delayed restarts, flash joins),
 //! all expressed relative to stream start. The same schedule drives:
 //!
-//! * the **simulator**, via [`ChaosSchedule::to_scenario`], which lowers
-//!   the schedule onto the engine's [`ScaleEvent`] steps and fault
-//!   plumbing; and
+//! * the **simulator**, via [`ChaosSchedule::to_scenario`], whose
+//!   scenario carries the script's faults and events unchanged; and
 //! * a **live cluster**, via the runtime's soak runner, which replays the
 //!   events in wall-clock time against real nodes whose sends go through
 //!   the same `simnet::faults::FaultLayer`.
 //!
-//! Because both worlds run that one layer over the same counter-based
-//! split-seed PRF ([`brisa_simnet::FaultPrf`]), the stochastic profile
-//! means the same thing in both, and the divergence gate in
-//! `brisa-bench` can hold the live run to a band around the sim
-//! prediction.
+//! Both worlds execute the one [`crate::plan::timed_plan`] of the script,
+//! so its steps run in the same order in both. Because both run that one
+//! fault layer over the same counter-based split-seed PRF
+//! ([`brisa_simnet::FaultPrf`]), the stochastic profile means the same
+//! thing in both, and the divergence gate in `brisa-bench` can hold the
+//! live run to a band around the sim prediction.
 //!
 //! ## The restart model
 //!
 //! Live restarts resurrect the *same* identifier with empty state; the
-//! simulator cannot re-animate a crashed [`brisa_simnet::NodeId`], so
-//! [`ChaosEventKind::Restart`] lowers to a single fresh join
-//! (`FlashCrowd { joiners: 1 }`) — a new node with an identifier `≥`
-//! the original population. Both models agree on what the metrics see:
-//! sim eligibility already excludes the dead original and the fresh
-//! joiner, and the live side's survivor metrics exclude ever-killed
-//! nodes, so delivery/completeness compare the same undisturbed
-//! population. The restarted node's own catch-up (buffer anchoring) is
-//! asserted separately by the lifecycle tests.
+//! simulator cannot re-animate a crashed [`brisa_simnet::NodeId`], so the
+//! engine's one [`ScaleEventKind::Restart`] arm (`engine.rs`, shared with
+//! churn joins) adds a single fresh join — a new node with an identifier
+//! `≥` the original population, exactly as `FlashCrowd { joiners: 1 }`.
+//! Both models agree on what the metrics see: sim eligibility already
+//! excludes the dead original and the fresh joiner, and the live side's
+//! survivor metrics exclude ever-killed nodes, so delivery/completeness
+//! compare the same undisturbed population. The restarted node's own
+//! catch-up (buffer anchoring) is asserted separately by the lifecycle
+//! tests.
 
 use brisa_simnet::SimDuration;
 
 use crate::spec::{BrisaScenario, FaultSpec, ScaleEvent, ScaleEventKind, StreamSpec};
-
-/// One timed lifecycle event of a chaos script, relative to stream start.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosEvent {
-    /// Offset from stream start.
-    pub after: SimDuration,
-    /// What happens.
-    pub kind: ChaosEventKind,
-}
-
-/// The kinds of lifecycle event a chaos script can contain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosEventKind {
-    /// Fail-stop the named node (never the source; a schedule naming the
-    /// source is rejected by [`ChaosSchedule::validate`]).
-    Kill {
-        /// Identifier of the victim.
-        node: u32,
-    },
-    /// Restart a previously killed node with empty state. Live: the same
-    /// identifier rejoins through the source contact. Sim: lowered to one
-    /// fresh join (see the module docs for why the models still compare).
-    Restart {
-        /// Identifier of the node to resurrect.
-        node: u32,
-    },
-    /// `count` fresh nodes join at once through random live contacts.
-    FlashJoin {
-        /// Number of simultaneous joiners.
-        count: u32,
-    },
-}
 
 /// A named chaos script: stochastic faults plus timed lifecycle events.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +44,7 @@ pub struct ChaosSchedule {
     /// Stochastic link faults and the optional partition window.
     pub faults: FaultSpec,
     /// Timed lifecycle events relative to stream start.
-    pub events: Vec<ChaosEvent>,
+    pub events: Vec<ScaleEvent>,
 }
 
 impl ChaosSchedule {
@@ -89,11 +58,13 @@ impl ChaosSchedule {
     }
 
     /// Checks the script is well-formed for a `population`-node run with
-    /// `source` as the stream source: events sorted by time, kills and
-    /// restarts name original non-source nodes, and every restart is
-    /// preceded by a kill of the same node.
+    /// `source` as the stream source and means the same in both worlds:
+    /// events sorted by time, kills name original non-source nodes, every
+    /// restart names a node that is dead at that point, flash crowds are
+    /// non-empty, and no mass crash (a live cluster cannot replay the
+    /// simulator's random victims).
     pub fn validate(&self, population: u32, source: u32) -> Result<(), String> {
-        let mut killed: Vec<u32> = Vec::new();
+        let mut dead: Vec<u32> = Vec::new();
         let mut last = SimDuration::ZERO;
         for ev in &self.events {
             if ev.after < last {
@@ -104,7 +75,7 @@ impl ChaosSchedule {
             }
             last = ev.after;
             match ev.kind {
-                ChaosEventKind::Kill { node } => {
+                ScaleEventKind::Kill { node } => {
                     if node == source {
                         return Err(format!("[{}] schedule kills the source", self.name));
                     }
@@ -114,68 +85,44 @@ impl ChaosSchedule {
                             self.name
                         ));
                     }
-                    killed.push(node);
+                    if !dead.contains(&node) {
+                        dead.push(node);
+                    }
                 }
-                ChaosEventKind::Restart { node } => {
-                    if !killed.contains(&node) {
+                ScaleEventKind::Restart { node } => {
+                    let Some(i) = dead.iter().position(|&d| d == node) else {
                         return Err(format!(
-                            "[{}] restart of node {node} without a prior kill",
-                            self.name
+                            "[{}] restart of node {node}, which is not dead at {:?}",
+                            self.name, ev.after
                         ));
+                    };
+                    dead.swap_remove(i);
+                }
+                ScaleEventKind::FlashCrowd { joiners } => {
+                    if joiners == 0 {
+                        return Err(format!("[{}] zero-sized flash crowd", self.name));
                     }
                 }
-                ChaosEventKind::FlashJoin { count } => {
-                    if count == 0 {
-                        return Err(format!("[{}] zero-sized flash join", self.name));
-                    }
+                ScaleEventKind::MassCrash { .. } => {
+                    return Err(format!(
+                        "[{}] a mass crash draws random victims, which a live cluster cannot replay",
+                        self.name
+                    ));
                 }
             }
         }
         Ok(())
     }
 
-    /// Identifiers of every node the script kills (deduplicated, sorted).
-    pub fn killed_nodes(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .events
-            .iter()
-            .filter_map(|ev| match ev.kind {
-                ChaosEventKind::Kill { node } => Some(node),
-                _ => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Lowers the lifecycle events onto the engine's scale-event steps:
-    /// kills stay named, restarts and flash joins become fresh joins.
-    pub fn sim_events(&self) -> Vec<ScaleEvent> {
-        self.events
-            .iter()
-            .map(|ev| ScaleEvent {
-                after: ev.after,
-                kind: match ev.kind {
-                    ChaosEventKind::Kill { node } => ScaleEventKind::Kill { node },
-                    ChaosEventKind::Restart { .. } => ScaleEventKind::FlashCrowd { joiners: 1 },
-                    ChaosEventKind::FlashJoin { count } => {
-                        ScaleEventKind::FlashCrowd { joiners: count }
-                    }
-                },
-            })
-            .collect()
-    }
-
     /// The simulator scenario predicting this schedule's live run: same
-    /// population, stream, seed, faults and (lowered) events.
+    /// population, stream, seed, faults and events.
     pub fn to_scenario(&self, nodes: u32, stream: StreamSpec, seed: u64) -> BrisaScenario {
         BrisaScenario {
             nodes,
             seed,
             stream,
             faults: self.faults.clone(),
-            events: self.sim_events(),
+            events: self.events.clone(),
             ..BrisaScenario::default()
         }
     }
@@ -184,119 +131,117 @@ impl ChaosSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{IntoRunSpec, Runner};
+    use crate::protocols::BrisaStackConfig;
     use crate::spec::PartitionPhase;
+    use brisa::BrisaNode;
+    use ScaleEventKind::{FlashCrowd, Kill, MassCrash, Restart};
 
     fn secs(s: u64) -> SimDuration {
         SimDuration::from_secs(s)
     }
 
+    fn script(events: &[(u64, ScaleEventKind)]) -> ChaosSchedule {
+        ChaosSchedule {
+            events: events
+                .iter()
+                .map(|&(s, kind)| ScaleEvent {
+                    after: secs(s),
+                    kind,
+                })
+                .collect(),
+            ..ChaosSchedule::named("script")
+        }
+    }
+
     #[test]
     fn validate_accepts_well_formed_scripts() {
-        let mut sched = ChaosSchedule::named("combined");
+        let mut sched = script(&[
+            (5, Kill { node: 3 }),
+            (20, Restart { node: 3 }),
+            (25, Kill { node: 3 }),
+            (28, Restart { node: 3 }),
+            (30, FlashCrowd { joiners: 4 }),
+        ]);
         sched.faults = FaultSpec::loss(0.01);
         sched.faults.partition = Some(PartitionPhase::drop(0.25, secs(10), secs(15)));
-        sched.events = vec![
-            ChaosEvent {
-                after: secs(5),
-                kind: ChaosEventKind::Kill { node: 3 },
-            },
-            ChaosEvent {
-                after: secs(20),
-                kind: ChaosEventKind::Restart { node: 3 },
-            },
-            ChaosEvent {
-                after: secs(30),
-                kind: ChaosEventKind::FlashJoin { count: 4 },
-            },
-        ];
         assert!(sched.validate(16, 0).is_ok());
-        assert_eq!(sched.killed_nodes(), vec![3]);
     }
 
     #[test]
     fn validate_rejects_malformed_scripts() {
-        let kill_source = ChaosSchedule {
-            events: vec![ChaosEvent {
-                after: secs(1),
-                kind: ChaosEventKind::Kill { node: 0 },
-            }],
-            ..ChaosSchedule::named("bad")
-        };
-        assert!(kill_source.validate(16, 0).is_err());
-
-        let out_of_range = ChaosSchedule {
-            events: vec![ChaosEvent {
-                after: secs(1),
-                kind: ChaosEventKind::Kill { node: 99 },
-            }],
-            ..ChaosSchedule::named("bad")
-        };
-        assert!(out_of_range.validate(16, 0).is_err());
-
-        let orphan_restart = ChaosSchedule {
-            events: vec![ChaosEvent {
-                after: secs(1),
-                kind: ChaosEventKind::Restart { node: 3 },
-            }],
-            ..ChaosSchedule::named("bad")
-        };
-        assert!(orphan_restart.validate(16, 0).is_err());
-
-        let unsorted = ChaosSchedule {
-            events: vec![
-                ChaosEvent {
-                    after: secs(5),
-                    kind: ChaosEventKind::Kill { node: 3 },
-                },
-                ChaosEvent {
-                    after: secs(1),
-                    kind: ChaosEventKind::Kill { node: 4 },
-                },
-            ],
-            ..ChaosSchedule::named("bad")
-        };
+        assert!(script(&[(1, Kill { node: 0 })]).validate(16, 0).is_err());
+        assert!(script(&[(1, Kill { node: 99 })]).validate(16, 0).is_err());
+        assert!(script(&[(1, Restart { node: 3 })]).validate(16, 0).is_err());
+        assert!(script(&[(1, FlashCrowd { joiners: 0 })])
+            .validate(16, 0)
+            .is_err());
+        let unsorted = script(&[(5, Kill { node: 3 }), (1, Kill { node: 4 })]);
         assert!(unsorted.validate(16, 0).is_err());
+    }
+
+    /// Live ignores a restart of a node that is already up, while the
+    /// simulator would add a second fresh joiner: the worlds would run
+    /// different populations.
+    #[test]
+    fn validate_rejects_a_second_restart() {
+        let twice = script(&[
+            (1, Kill { node: 3 }),
+            (2, Restart { node: 3 }),
+            (3, Restart { node: 3 }),
+        ]);
+        let err = twice.validate(16, 0).unwrap_err();
+        assert!(err.contains("not dead"), "{err}");
+    }
+
+    /// A live cluster cannot draw the simulator's random victims.
+    #[test]
+    fn validate_rejects_a_mass_crash() {
+        let crash = script(&[(1, MassCrash { fraction: 0.5 })]);
+        let err = crash.validate(16, 0).unwrap_err();
+        assert!(err.contains("mass crash"), "{err}");
     }
 
     #[test]
     fn sim_lowering_maps_lifecycle_events() {
-        let sched = ChaosSchedule {
-            events: vec![
-                ChaosEvent {
-                    after: secs(5),
-                    kind: ChaosEventKind::Kill { node: 7 },
-                },
-                ChaosEvent {
-                    after: secs(12),
-                    kind: ChaosEventKind::Restart { node: 7 },
-                },
-                ChaosEvent {
-                    after: secs(20),
-                    kind: ChaosEventKind::FlashJoin { count: 3 },
-                },
-            ],
-            ..ChaosSchedule::named("map")
-        };
-        let lowered = sched.sim_events();
-        assert_eq!(lowered.len(), 3);
-        assert_eq!(lowered[0].kind, ScaleEventKind::Kill { node: 7 });
-        assert_eq!(lowered[1].kind, ScaleEventKind::FlashCrowd { joiners: 1 });
-        assert_eq!(lowered[2].kind, ScaleEventKind::FlashCrowd { joiners: 3 });
-        assert_eq!(lowered[0].after, secs(5));
+        let sched = script(&[
+            (5, Kill { node: 7 }),
+            (12, Restart { node: 7 }),
+            (20, FlashCrowd { joiners: 3 }),
+        ]);
+        let sc = sched.to_scenario(16, StreamSpec::short(20, 256), 1);
+        assert_eq!(sc.events, sched.events);
     }
 
     #[test]
     fn to_scenario_carries_faults_and_events() {
-        let mut sched = ChaosSchedule::named("carry");
+        let mut sched = script(&[(3, Kill { node: 2 })]);
         sched.faults = FaultSpec::loss(0.01);
-        sched.events = vec![ChaosEvent {
-            after: secs(3),
-            kind: ChaosEventKind::Kill { node: 2 },
-        }];
         let sc = sched.to_scenario(32, StreamSpec::short(20, 256), 0xC4405);
         assert_eq!(sc.nodes, 32);
         assert_eq!(sc.seed, 0xC4405);
         assert_eq!(sc.faults.loss_rate, 0.01);
         assert_eq!(sc.events.len(), 1);
+    }
+
+    /// Until the simulator re-animates a crashed identifier, its restart
+    /// is one fresh join: the same run as `FlashCrowd { joiners: 1 }`.
+    #[test]
+    fn a_sim_restart_runs_as_a_one_node_flash_crowd() {
+        let run = |second: ScaleEventKind| {
+            let sched = script(&[(1, Kill { node: 3 }), (2, second)]);
+            let sc = sched.to_scenario(16, StreamSpec::short(20, 256), 7);
+            let cfg = BrisaStackConfig {
+                hpv: sc.hyparview_config(),
+                brisa: sc.brisa_config(),
+            };
+            Runner::<BrisaNode>::new(&cfg, &sc.run_spec()).run()
+        };
+        let restarted = run(Restart { node: 3 });
+        assert_eq!(restarted.joins_injected, 1);
+        assert_eq!(
+            restarted.fingerprint(),
+            run(FlashCrowd { joiners: 1 }).fingerprint()
+        );
     }
 }

@@ -5,10 +5,11 @@
 //!
 //! 1. **bootstrap** — add the source, stagger the remaining joins over the
 //!    first half of the bootstrap window, let the overlay stabilise;
-//! 2. **schedule** — merge the stream injections with the (optional) churn
-//!    script into one time-ordered schedule;
-//! 3. **drive** — replay the schedule through the simulator: publish at the
-//!    source, crash random victims, add fresh joiners;
+//! 2. **schedule** — build the run's timed plan ([`crate::plan::timed_plan`],
+//!    the one the live soak runs too): stream injections, the optional
+//!    churn script, fault transitions and scripted events, time-ordered;
+//! 3. **drive** — replay the plan through the simulator: publish at the
+//!    source, crash random or named victims, add fresh joiners;
 //! 4. **collect** — drain in-flight traffic, then extract per-node metrics,
 //!    phase bandwidth and point-to-point reference latencies.
 //!
@@ -33,6 +34,7 @@
 //! ```
 
 use crate::invariants::{InvariantCtx, InvariantSuite};
+use crate::plan::{add_marks, timed_plan, Step};
 use crate::result::{split_bandwidth, ChurnReport, PhaseBandwidth};
 use crate::spec::{
     BaselineScenario, BrisaScenario, ChurnEvent, ChurnSpec, FaultSpec, ResultMode, ScaleEvent,
@@ -40,8 +42,8 @@ use crate::spec::{
 };
 use brisa_metrics::StructureSnapshot;
 use brisa_simnet::{
-    Context, Driver, Footprint, LatencyHistogram, LinkFaults, Network, NetworkConfig, NodeId,
-    PartitionSpec, Placement, Protocol, ShardedNetwork, SimDuration, SimTime, MICROS_PER_SEC,
+    Context, Driver, Footprint, LatencyHistogram, Network, NetworkConfig, NodeId, Placement,
+    Protocol, ShardedNetwork, SimDuration, SimTime, MICROS_PER_SEC,
 };
 use brisa_telemetry::Telemetry;
 use rand::rngs::SmallRng;
@@ -200,8 +202,8 @@ pub struct RunSpec {
     pub bootstrap: SimDuration,
     /// Simulated time after the last injection for traffic to drain.
     pub drain: SimDuration,
-    /// Scheduled large-scale incidents (flash crowds, mass crashes),
-    /// relative to stream start.
+    /// Scheduled lifecycle events (flash crowds, mass crashes, named kills
+    /// and restarts), relative to stream start.
     pub events: Vec<ScaleEvent>,
     /// Classic per-node results, or the scale-mode streaming summary.
     pub results: ResultMode,
@@ -428,12 +430,6 @@ pub struct EngineResult {
 }
 
 impl EngineResult {
-    /// Simulator events processed over the whole run (the denominator of
-    /// events/sec in wall-clock benches).
-    pub fn sim_events(&self) -> u64 {
-        self.net_stats.events_processed
-    }
-
     /// Fraction of (eligible node × message) pairs delivered: the
     /// per-message delivery rate over live, non-source nodes present before
     /// the stream started. Coarser than [`EngineResult::completeness`] (a
@@ -593,24 +589,6 @@ impl EngineResult {
     }
 }
 
-/// One step of the merged experiment schedule.
-enum Step {
-    Publish,
-    Churn(ChurnEvent),
-    Fault(FaultAction),
-    Scale(ScaleEventKind),
-    /// Read the bandwidth meter: the end of the stabilisation phase.
-    PhaseBoundary,
-}
-
-/// A scheduled fault transition.
-enum FaultAction {
-    /// Switch the per-link stochastic profile on (at stream start).
-    EnableLink(LinkFaults),
-    /// Install a timed partition (at its cut instant; it heals by window).
-    StartPartition(PartitionSpec),
-}
-
 /// Builder-style entry point for one experiment run: the single bootstrap →
 /// schedule → drive → collect pipeline behind every figure and table.
 ///
@@ -703,7 +681,6 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             mut invariants,
             ..
         } = self;
-        let mut harness_rng = SmallRng::seed_from_u64(spec.seed ^ 0x5EED);
 
         // --- Phase 1: bootstrap. Node 0 is the source and contact point;
         // the rest join spread over the first half of the bootstrap window.
@@ -733,57 +710,20 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         // after bootstrap.
         let boundary_sec = sim.now().second_bucket() + 1;
 
-        // --- Phase 2: merge stream injections and churn events into one
-        // time-ordered schedule. With churn, the stream keeps flowing for
-        // the whole churn window so repairs complete through regular
-        // traffic. `run_until` always advances the clock to its deadline,
-        // so the cached spec value equals `now + FIRST_PUBLISH_DELAY` here.
+        // --- Phase 2: the timed plan, plus (Classic results) the
+        // bandwidth reading at the phase boundary. `run_until` always
+        // advances the clock to its deadline, so the cached spec value
+        // equals `now + FIRST_PUBLISH_DELAY` here.
         let stream_start = spec.stream_start();
         debug_assert_eq!(stream_start, sim.now() + FIRST_PUBLISH_DELAY);
-        let interval = spec.stream.interval();
-        let churn_events: Vec<(SimTime, ChurnEvent)> = spec
-            .churn
-            .map(|c| c.schedule(stream_start, spec.nodes as usize))
-            .unwrap_or_default();
-        let stream_duration = match spec.churn {
-            Some(c) if c.duration > spec.stream.duration() => c.duration,
-            _ => spec.stream.duration(),
-        };
-        let total_messages = (stream_duration.as_micros() / interval.as_micros().max(1)).max(1);
-
-        // Fault transitions are pushed first: the sort below is stable, so
-        // at equal times faults switch on before the publish they should
-        // affect.
-        let mut schedule: Vec<(SimTime, Step)> = Vec::new();
-        if !spec.faults.is_inert() {
-            let link = spec.faults.link_faults();
-            if !link.is_inert() {
-                schedule.push((stream_start, Step::Fault(FaultAction::EnableLink(link))));
-            }
-            // A zero-width window can never be active; installing it exactly
-            // at its own heal instant would only trip the simulator's
-            // healed-in-the-past assertion.
-            if let Some(phase) = spec.faults.partition.filter(|p| !p.duration.is_zero()) {
-                let partition = phase.to_partition(stream_start, spec.nodes);
-                schedule.push((
-                    partition.start,
-                    Step::Fault(FaultAction::StartPartition(partition)),
-                ));
-            }
-        }
-        // Scale events ride the same stable-sort contract: at equal times
-        // they run after fault transitions and before the publish they
-        // coincide with (a mass crash at second s hits the overlay before
-        // that second's injection).
-        schedule.extend(
-            spec.events
-                .iter()
-                .map(|ev| (stream_start + ev.after, Step::Scale(ev.kind))),
+        let mut schedule: Vec<(SimTime, Step)> = timed_plan(
+            stream_start,
+            &spec.stream,
+            spec.churn,
+            &spec.faults,
+            &spec.events,
+            spec.nodes,
         );
-        schedule
-            .extend((0..total_messages).map(|seq| (stream_start + interval * seq, Step::Publish)));
-        schedule.extend(churn_events.into_iter().map(|(t, e)| (t, Step::Churn(e))));
-        schedule.sort_by_key(|(t, _)| *t);
         let end = schedule.last().map_or(sim.now(), |&(t, _)| t) + spec.drain;
         // Classic results split each node's bandwidth at the boundary, so
         // the meter is read 1 µs before it, after every step of that
@@ -791,116 +731,56 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         // reading at or past its end would be the end reading itself.
         let boundary = SimTime::from_micros(boundary_sec as u64 * MICROS_PER_SEC - 1);
         if spec.results == ResultMode::Classic && boundary < end {
-            let after = schedule.partition_point(|&(t, _)| t <= boundary);
-            schedule.insert(after, (boundary, Step::PhaseBoundary));
+            add_marks(&mut schedule, [(boundary, ())]);
         }
 
         // --- Phase 3: drive the schedule.
-        let mut publish_times: Vec<SimTime> = Vec::with_capacity(total_messages as usize);
-        let mut failures_injected = 0usize;
-        let mut joins_injected = 0usize;
-        let mut next_join_index = spec.nodes;
+        let mut publish_times: Vec<SimTime> = Vec::new();
         let mut at_boundary = None;
-        // Victim-selection buffer, reused across churn events (the shuffle
-        // over the full candidate list — rather than a single index draw —
-        // is kept so the harness RNG stream, and therefore every seeded
-        // result, is stable).
-        let mut alive_buf: Vec<NodeId> = Vec::new();
-        // Mid-run joiners (churn and flash crowds) join through a *random
-        // live contact*, not the source: a member's HyParView `Join`
-        // displaces one of the contact's active-view entries, so funnelling
-        // a join burst through one node evicts its entire view — the
-        // burst's ForwardJoin walks then circulate among the just-joined
-        // nodes and the contact ends up severed from the established
-        // overlay (with the source as contact, that wedges the whole
-        // stream). Spreading contacts is also what a real deployment's join
-        // service does.
-        let random_contact = |sim: &Driver<P, Pl>, buf: &mut Vec<NodeId>, rng: &mut SmallRng| {
-            buf.clear();
-            buf.extend(sim.alive_iter());
-            buf.choose(rng).copied().unwrap_or(source)
+        let mut lifecycle = Lifecycle {
+            rng: SmallRng::seed_from_u64(spec.seed ^ 0x5EED),
+            alive: Vec::new(),
+            source,
+            prev,
+            next_index: spec.nodes,
+            joins: 0,
+            failures: 0,
         };
         for (at, step) in schedule {
             sim.run_until(at);
             match step {
-                Step::PhaseBoundary => {
-                    // A reading, not a step of the experiment: no
-                    // invariant pass.
+                Step::Mark(()) => {
+                    // The phase-boundary reading, not a step of the
+                    // experiment: no invariant pass.
                     at_boundary = Some(sim.bandwidth());
                     continue;
                 }
-                Step::Fault(FaultAction::EnableLink(link)) => sim.set_link_faults(link),
-                Step::Fault(FaultAction::StartPartition(partition)) => sim.add_partition(partition),
+                Step::LinkFaults(link) => sim.set_link_faults(link),
+                Step::Partition(partition) => sim.add_partition(partition),
                 Step::Publish => {
                     publish_times.push(sim.now());
                     sim.invoke(source, |node, ctx| {
                         node.publish_message(ctx, spec.stream.payload_bytes);
                     });
                 }
-                Step::Churn(ChurnEvent::Fail) => {
-                    alive_buf.clear();
-                    alive_buf.extend(sim.alive_iter().filter(|&id| id != source));
-                    alive_buf.shuffle(&mut harness_rng);
-                    if let Some(victim) = alive_buf.first().copied() {
-                        sim.crash(victim);
-                        failures_injected += 1;
-                    }
+                // The simulator cannot re-animate a crashed identifier yet,
+                // so a restart is one fresh join (see `crate::chaos`).
+                Step::Churn(ChurnEvent::Join) | Step::Event(ScaleEventKind::Restart { .. }) => {
+                    lifecycle.join(&mut sim, cfg, spec.nodes, 1)
                 }
-                Step::Churn(ChurnEvent::Join) => {
-                    let contact = random_contact(&sim, &mut alive_buf, &mut harness_rng);
-                    let bctx = BuildCtx {
-                        index: next_join_index,
-                        population: spec.nodes,
-                        contact: Some(contact),
-                        prev: Some(prev),
-                        is_source: false,
-                    };
-                    prev = sim.add_node(|id| P::build(cfg, id, &bctx));
-                    next_join_index += 1;
-                    joins_injected += 1;
+                Step::Event(ScaleEventKind::FlashCrowd { joiners }) => {
+                    lifecycle.join(&mut sim, cfg, spec.nodes, joiners)
                 }
-                Step::Scale(ScaleEventKind::FlashCrowd { joiners }) => {
-                    // One snapshot of the live population for the whole
-                    // burst: re-listing ~100k alive nodes per joiner would
-                    // make a 10k flash crowd O(alive × joiners) on the
-                    // bench's measured wall-clock path. The crowd arrives
-                    // at one instant, so drawing every contact from the
-                    // pre-crowd population is also the honest model.
-                    alive_buf.clear();
-                    alive_buf.extend(sim.alive_iter());
-                    for _ in 0..joiners {
-                        let contact = alive_buf
-                            .choose(&mut harness_rng)
-                            .copied()
-                            .unwrap_or(source);
-                        let bctx = BuildCtx {
-                            index: next_join_index,
-                            population: spec.nodes,
-                            contact: Some(contact),
-                            prev: Some(prev),
-                            is_source: false,
-                        };
-                        prev = sim.add_node(|id| P::build(cfg, id, &bctx));
-                        next_join_index += 1;
-                        joins_injected += 1;
-                    }
-                }
-                Step::Scale(ScaleEventKind::Kill { node }) => {
+                Step::Churn(ChurnEvent::Fail) => lifecycle.crash_random(&mut sim, |_| 1),
+                Step::Event(ScaleEventKind::MassCrash { fraction }) => lifecycle
+                    .crash_random(&mut sim, |alive| {
+                        ((alive as f64) * fraction.clamp(0.0, 1.0)).round() as usize
+                    }),
+                Step::Event(ScaleEventKind::Kill { node }) => {
                     let victim = NodeId(node);
                     if victim != source && sim.is_alive(victim) {
                         sim.crash(victim);
-                        failures_injected += 1;
-                    }
-                }
-                Step::Scale(ScaleEventKind::MassCrash { fraction }) => {
-                    alive_buf.clear();
-                    alive_buf.extend(sim.alive_iter().filter(|&id| id != source));
-                    alive_buf.shuffle(&mut harness_rng);
-                    let victims =
-                        ((alive_buf.len() as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
-                    for &victim in alive_buf.iter().take(victims) {
-                        sim.crash(victim);
-                        failures_injected += 1;
+                        lifecycle.failures += 1;
                     }
                 }
             }
@@ -913,6 +793,7 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             check_invariants(suite, &sim, publish_times.len() as u64, source);
         }
         let churn_window = (stream_start, end);
+        let total_messages = publish_times.len() as u64;
 
         // --- Phase 4: collect. Classic mode materialises one
         // `NodeOutcome` per node (first-delivery vectors, phase bandwidth,
@@ -992,11 +873,84 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             messages_published: total_messages,
             publish_times,
             nodes: outcomes,
-            failures_injected,
-            joins_injected,
+            failures_injected: lifecycle.failures,
+            joins_injected: lifecycle.joins,
             churn_window,
             net_stats: sim.stats(),
             streaming,
+        }
+    }
+}
+
+/// The harness's side of the drive phase: who joins, through whom, and
+/// who crashes. Every draw comes from one harness RNG, in schedule order.
+struct Lifecycle {
+    rng: SmallRng,
+    /// Live-population buffer, reused across events.
+    alive: Vec<NodeId>,
+    source: NodeId,
+    /// The most recently added node (TAG chains joiners through it).
+    prev: NodeId,
+    /// Join index of the next joiner.
+    next_index: u32,
+    joins: usize,
+    failures: usize,
+}
+
+impl Lifecycle {
+    /// Adds `joiners` fresh nodes at once. Each joins through a *random
+    /// live contact*, not the source: a member's HyParView `Join` displaces
+    /// one of the contact's active-view entries, so funnelling a join
+    /// burst through one node evicts its entire view — the burst's
+    /// ForwardJoin walks then circulate among the just-joined nodes and
+    /// the contact ends up severed from the established overlay (with the
+    /// source as contact, that wedges the whole stream). Spreading
+    /// contacts is also what a real deployment's join service does. Every
+    /// contact is drawn from one snapshot of the pre-burst population:
+    /// re-listing ~100k alive nodes per joiner would make a 10k flash crowd
+    /// O(alive × joiners), and a crowd arriving at one instant is the
+    /// honest model.
+    fn join<P: DisseminationProtocol, Pl: Placement>(
+        &mut self,
+        sim: &mut Driver<P, Pl>,
+        cfg: &P::Config,
+        population: u32,
+        joiners: u32,
+    ) {
+        self.alive.clear();
+        self.alive.extend(sim.alive_iter());
+        for _ in 0..joiners {
+            let contact = self.alive.choose(&mut self.rng).copied();
+            let bctx = BuildCtx {
+                index: self.next_index,
+                population,
+                contact: Some(contact.unwrap_or(self.source)),
+                prev: Some(self.prev),
+                is_source: false,
+            };
+            self.prev = sim.add_node(|id| P::build(cfg, id, &bctx));
+            self.next_index += 1;
+            self.joins += 1;
+        }
+    }
+
+    /// Crashes `victims(alive)` uniformly drawn live non-source nodes. The
+    /// shuffle over the whole candidate list — rather than single index
+    /// draws — keeps the harness RNG stream, and so every seeded result,
+    /// stable.
+    fn crash_random<P: DisseminationProtocol, Pl: Placement>(
+        &mut self,
+        sim: &mut Driver<P, Pl>,
+        victims: impl FnOnce(usize) -> usize,
+    ) {
+        let source = self.source;
+        self.alive.clear();
+        self.alive
+            .extend(sim.alive_iter().filter(|&id| id != source));
+        self.alive.shuffle(&mut self.rng);
+        for &victim in self.alive.iter().take(victims(self.alive.len())) {
+            sim.crash(victim);
+            self.failures += 1;
         }
     }
 }

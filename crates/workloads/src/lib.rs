@@ -20,6 +20,8 @@
 //!   (the Splay churn script of Listing 1), HyParView/BRISA parameters;
 //! * [`chaos`] — named chaos scripts (faults + timed kills/restarts/flash
 //!   joins) shared by the simulator and the live soak harness;
+//! * [`plan`] — the one timed plan both worlds execute: a run's publishes,
+//!   churn, fault transitions and scripted events in their one order;
 //! * [`scenarios`] — one canonical parameter set per figure/table, at the
 //!   paper's full scale or a reduced quick scale;
 //! * [`result`] — what the one result type's methods derive ([`EngineResult`],
@@ -32,13 +34,14 @@ pub mod chaos;
 pub mod engine;
 pub mod invariants;
 pub mod matrix;
+pub mod plan;
 pub mod protocols;
 pub mod result;
 pub mod scenarios;
 pub mod spec;
 
 pub use brisa_simnet::PartitionMode;
-pub use chaos::{ChaosEvent, ChaosEventKind, ChaosSchedule};
+pub use chaos::ChaosSchedule;
 pub use engine::{
     completeness_of, delivery_rate_of, BuildCtx, DisseminationProtocol, EngineResult, IntoRunSpec,
     NodeOutcome, NodeReport, RepairTelemetry, RunSpec, Runner, ScaleNodeReport, StreamingSummary,
@@ -48,6 +51,7 @@ pub use invariants::{
     InvariantViolation, LinkClockInvariant, NetQuery, TreeValidityInvariant,
 };
 pub use matrix::{derive_seed, matrix_threads, run_matrix, run_matrix_sequential};
+pub use plan::{add_marks, timed_plan, Step};
 pub use protocols::{
     run_brisa, run_flood, run_simple_gossip, run_simple_tree, run_tag, BrisaStackConfig,
 };

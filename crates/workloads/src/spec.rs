@@ -138,13 +138,6 @@ impl ChurnSpec {
         events.sort_by_key(|(t, _)| *t);
         events
     }
-
-    /// Total expected fail events over the whole phase for `population`.
-    pub fn total_failures(&self, population: usize) -> usize {
-        let per_interval = ((population as f64) * self.rate_percent / 100.0).round() as usize;
-        let intervals = (self.duration.as_micros() / self.interval.as_micros().max(1)).max(1);
-        per_interval * intervals as usize
-    }
 }
 
 /// How the engine materialises run results.
@@ -164,10 +157,10 @@ pub enum ResultMode {
     Streaming,
 }
 
-/// A scheduled large-scale incident, expressed relative to stream start.
-/// Unlike [`ChurnSpec`]'s gradual grind, these are the step-function events
-/// the scale scenarios exercise: thousands of nodes arriving at once, or
-/// half the overlay failing simultaneously.
+/// A scheduled lifecycle event, expressed relative to stream start.
+/// Unlike [`ChurnSpec`]'s gradual grind, these are step functions: the
+/// scale scenarios' thousands of nodes arriving at once or half the overlay
+/// failing simultaneously, and a chaos script's named kills and restarts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
     /// Offset from stream start.
@@ -176,10 +169,10 @@ pub struct ScaleEvent {
     pub kind: ScaleEventKind,
 }
 
-/// The kinds of large-scale incident.
+/// The kinds of scheduled lifecycle event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScaleEventKind {
-    /// `joiners` fresh nodes join through the contact point at the same
+    /// `joiners` fresh nodes join through random live contacts at the same
     /// instant (flash crowd).
     FlashCrowd {
         /// Number of simultaneous joiners.
@@ -197,6 +190,14 @@ pub enum ScaleEventKind {
     /// cluster. Killing the source or an already-dead node is a no-op.
     Kill {
         /// Identifier of the victim (the `NodeId` index).
+        node: u32,
+    },
+    /// Restart a killed node with empty state. Live: the same identifier
+    /// rejoins through the source contact. Sim: one fresh join, as
+    /// `FlashCrowd { joiners: 1 }` (see [`crate::chaos`] for why the two
+    /// still compare).
+    Restart {
+        /// Identifier of the node to resurrect.
         node: u32,
     },
 }
@@ -396,8 +397,8 @@ pub struct BrisaScenario {
     /// Time to keep simulating after the last injection so in-flight
     /// messages and repairs drain.
     pub drain: SimDuration,
-    /// Scheduled large-scale incidents (flash crowds, mass crashes),
-    /// relative to stream start. Empty by default.
+    /// Scheduled lifecycle events (flash crowds, mass crashes, named kills
+    /// and restarts), relative to stream start. Empty by default.
     pub events: Vec<ScaleEvent>,
     /// Classic per-node results or scale-mode streaming results.
     pub results: ResultMode,
@@ -560,7 +561,6 @@ mod tests {
         // 5% of 128 = 6.4 -> 6 per minute, 10 minutes -> 60 each.
         assert_eq!(fails, 60);
         assert_eq!(joins, 60);
-        assert_eq!(spec.total_failures(128), 60);
         // Sorted by time, all within the phase.
         assert!(sched.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(sched.first().unwrap().0 >= SimTime::from_secs(100));

@@ -60,8 +60,8 @@ fn main() {
     );
     println!(
         "  {} simulator events in {wall:.2}s wall ({:.0} events/s)",
-        result.sim_events(),
-        result.sim_events() as f64 / wall.max(1e-9)
+        result.net_stats.events_processed,
+        result.net_stats.events_processed as f64 / wall.max(1e-9)
     );
     assert_eq!(
         result.delivery_rate(),

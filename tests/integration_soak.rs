@@ -11,8 +11,8 @@ use brisa::{BrisaConfig, BrisaNode};
 use brisa_membership::HyParViewConfig;
 use brisa_runtime::{run_chaos, Cluster, ClusterConfig, SoakConfig};
 use brisa_simnet::{NodeId, SimDuration};
-use brisa_workloads::chaos::{ChaosEvent, ChaosEventKind, ChaosSchedule};
-use brisa_workloads::{BrisaStackConfig, FaultSpec, StreamSpec};
+use brisa_workloads::chaos::ChaosSchedule;
+use brisa_workloads::{BrisaStackConfig, FaultSpec, ScaleEvent, ScaleEventKind, StreamSpec};
 use std::time::Duration;
 
 fn stack_config(active_size: usize) -> BrisaStackConfig {
@@ -275,13 +275,13 @@ fn run_chaos_replays_a_schedule_cleanly() {
     let mut schedule = ChaosSchedule::named("test_combined");
     schedule.faults = FaultSpec::loss(0.005);
     schedule.events = vec![
-        ChaosEvent {
+        ScaleEvent {
             after: SimDuration::from_millis(600),
-            kind: ChaosEventKind::Kill { node: 7 },
+            kind: ScaleEventKind::Kill { node: 7 },
         },
-        ChaosEvent {
+        ScaleEvent {
             after: SimDuration::from_millis(1500),
-            kind: ChaosEventKind::Restart { node: 7 },
+            kind: ScaleEventKind::Restart { node: 7 },
         },
     ];
     let cfg = SoakConfig {
