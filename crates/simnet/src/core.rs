@@ -207,6 +207,21 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
         self.nodes.get(self.place.local(id)).map(|n| &n.proto)
     }
 
+    /// Makes room for `additional` more owned nodes at once, so registering
+    /// them never moves the node vector.
+    pub fn reserve_nodes(&mut self, additional: usize) {
+        self.nodes.reserve_exact(additional);
+    }
+
+    /// Consumes the core into its owned nodes' protocol states in local
+    /// order, `None` for a crashed one. Everything else the core held is
+    /// freed on return.
+    pub fn into_nodes(self) -> impl Iterator<Item = Option<P>> {
+        self.nodes
+            .into_iter()
+            .map(|slot| slot.alive.then_some(slot.proto))
+    }
+
     /// Registers a node another core owns.
     pub fn register_remote(&mut self, id: NodeId) {
         ensure_len(&mut self.remote_alive, id.index());

@@ -100,14 +100,22 @@ pub struct Driver<P: Protocol, Pl: Placement> {
 }
 
 /// The cores of one simulation, as a slice. A single core is held inline,
-/// so the sequential simulator makes exactly the heap allocations it made
-/// when it was a type of its own: the node vector's growth is the largest
-/// reallocation of a run, and whether glibc extends it in place hangs on
-/// what was allocated just before it (measured: `sim-stream` peak RSS
-/// 108.8 MB with the core inline, 125.0 MB with it in a one-element `Vec`).
+/// so the sequential simulator reaches it without an indirection and one
+/// allocation fewer. (Its peak memory no longer hangs on that allocation:
+/// see [`Driver::reserve_nodes`] and DESIGN.md, "The simulator core and its
+/// two instances".)
 pub(crate) enum Cores<C> {
     One(C),
     Many(Vec<C>),
+}
+
+impl<C> Cores<C> {
+    fn into_vec(self) -> Vec<C> {
+        match self {
+            Cores::One(core) => vec![core],
+            Cores::Many(cores) => cores,
+        }
+    }
 }
 
 impl<C> std::ops::Deref for Cores<C> {
@@ -249,6 +257,40 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
     /// Immutable access to the protocol state of `id`.
     pub fn node(&self, id: NodeId) -> Option<&P> {
         self.cores[self.home(id)].node(id)
+    }
+
+    /// Makes room for `additional` more nodes on every core, so adding them
+    /// never reallocates a node vector. A run that knows its population
+    /// calls this once, before its first node.
+    pub fn reserve_nodes(&mut self, additional: usize) {
+        let per_core = additional.div_ceil(self.cores.len());
+        for core in self.cores.iter_mut() {
+            core.reserve_nodes(per_core);
+        }
+    }
+
+    /// Consumes the finished simulation into the protocol states of its
+    /// live nodes, in ascending id order, under either placement. Queues,
+    /// link tables and meters are freed first; each state is then handed
+    /// over in its turn, so a caller that drops one before taking the next
+    /// never holds a node it is done with.
+    pub fn into_live_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
+        let place = self.cores[0].place();
+        let count = self.node_count() as u32;
+        let mut cores: Vec<_> = self
+            .cores
+            .into_vec()
+            .into_iter()
+            .map(Core::into_nodes)
+            .collect();
+        // Each core holds its ids in ascending local order, so taking the
+        // next state of the id's home core walks every core in step.
+        (0..count).map(NodeId).filter_map(move |id| {
+            let state = cores[place.home(id)].next();
+            state
+                .expect("every added id has a slot")
+                .map(|proto| (id, proto))
+        })
     }
 
     /// Adds a node immediately. The builder receives the identifier the node

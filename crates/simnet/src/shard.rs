@@ -465,6 +465,46 @@ mod tests {
         }
     }
 
+    /// Consuming a finished simulation yields exactly its live nodes'
+    /// states, in ascending id order with the crashed ones skipped, and the
+    /// same `(id, state)` sequence under either placement.
+    #[test]
+    fn into_live_nodes_is_ascending_live_and_placement_blind() {
+        let n = 11;
+        let states = |nodes: &mut dyn Iterator<Item = (NodeId, Chat)>| {
+            nodes
+                .map(|(id, p)| (id, format!("{p:?}")))
+                .collect::<Vec<_>>()
+        };
+        let mut seq: Network<Chat> = Network::new(
+            NetworkConfig::default(),
+            Box::new(ClusterLatency::default()),
+        );
+        drive(&mut seq, n);
+        let alive = seq.alive_ids();
+        let live: Vec<_> = alive
+            .iter()
+            .map(|&id| (id, format!("{:?}", seq.node(id).expect("alive"))))
+            .collect();
+        // `drive` crashes three of its n + 1 nodes.
+        assert_eq!(alive.len(), n as usize - 2);
+        assert!(alive.windows(2).all(|w| w[0] < w[1]));
+        for crashed in [0, 3, n - 2] {
+            assert!(!alive.contains(&NodeId(crashed)));
+        }
+        assert_eq!(states(&mut seq.into_live_nodes()), live);
+        for shards in [2, 3, 7] {
+            let mut sharded: ShardedNetwork<Chat> = ShardedNetwork::new(
+                NetworkConfig::default(),
+                Arc::new(ClusterLatency::default()),
+                shards,
+            );
+            drive(&mut sharded, n);
+            let got = states(&mut sharded.into_live_nodes());
+            assert_eq!(got, live, "sharded({shards}) yields another sequence");
+        }
+    }
+
     #[test]
     fn more_shards_than_nodes_is_fine() {
         let n = 3;

@@ -464,9 +464,22 @@ impl EngineResult {
     /// and determinism tests (a divergence in any
     /// unfingerprinted field would pass silently, so new behaviour-relevant
     /// fields belong here).
+    ///
+    /// The text is written twice: once into a byte counter, then into a
+    /// string allocated at exactly that length, so a fingerprint of many
+    /// megabytes is one allocation rather than a chain of doublings.
     pub fn fingerprint(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
+        let mut len = ByteCount(0);
+        self.write_fingerprint(&mut len)
+            .expect("counting bytes cannot fail");
+        let mut out = String::with_capacity(len.0);
+        self.write_fingerprint(&mut out)
+            .expect("writing to a String cannot fail");
+        debug_assert_eq!(out.len(), len.0);
+        out
+    }
+
+    fn write_fingerprint(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
         write!(
             out,
             "{}|src={}|ev={}|sent={}|dropped={}|lost={}|cut={}|fails={}|joins={}|",
@@ -479,44 +492,47 @@ impl EngineResult {
             self.net_stats.messages_cut_by_partition,
             self.failures_injected,
             self.joins_injected,
-        )
-        .unwrap();
+        )?;
         for t in &self.publish_times {
-            write!(out, "p{};", t.as_micros()).unwrap();
+            write!(out, "p{};", t.as_micros())?;
         }
         for n in &self.nodes {
+            // Lists are written as `{:?}` of a vector would print them.
+            let report = &n.report;
             write!(
                 out,
-                "n{}:d{}:dup{:.9}:par{:?}:fd{:?}:bw{}-{};",
-                n.id.0,
-                n.report.delivered,
-                n.report.duplicates_per_message,
-                n.report.parents.iter().map(|p| p.0).collect::<Vec<_>>(),
-                n.report
-                    .first_delivery
-                    .iter()
-                    .map(|(s, t)| (*s, t.as_micros()))
-                    .collect::<Vec<_>>(),
+                "n{}:d{}:dup{:.9}:par[",
+                n.id.0, report.delivered, report.duplicates_per_message,
+            )?;
+            for (i, p) in report.parents.iter().enumerate() {
+                write!(out, "{}{}", if i == 0 { "" } else { ", " }, p.0)?;
+            }
+            out.write_str("]:fd[")?;
+            for (i, (s, t)) in report.first_delivery.iter().enumerate() {
+                let sep = if i == 0 { "" } else { ", " };
+                write!(out, "{sep}({s}, {})", t.as_micros())?;
+            }
+            write!(
+                out,
+                "]:bw{}-{};",
                 n.bandwidth.stab_up_bytes + n.bandwidth.diss_up_bytes,
                 n.bandwidth.stab_down_bytes + n.bandwidth.diss_down_bytes,
-            )
-            .unwrap();
+            )?;
         }
         if let Some(s) = &self.streaming {
             write!(
                 out,
                 "stream:el{}:cp{}:got{}:exp{}:del{}:dup{}:lat",
                 s.eligible, s.complete, s.got, s.expected, s.delivered_total, s.duplicates_total,
-            )
-            .unwrap();
+            )?;
             for (i, &b) in s.latency.buckets().iter().enumerate() {
                 if b != 0 {
-                    write!(out, "{i}x{b},").unwrap();
+                    write!(out, "{i}x{b},")?;
                 }
             }
-            out.push(';');
+            out.write_char(';')?;
         }
-        out
+        Ok(())
     }
 
     /// Fraction of live, non-source nodes present before the stream started
@@ -586,6 +602,17 @@ impl EngineResult {
     pub fn mean_uploaded_mb(&self) -> f64 {
         let uploaded = self.nodes.iter().map(|n| n.bandwidth.total_uploaded_mb());
         uploaded.sum::<f64>() / self.nodes.len().max(1) as f64
+    }
+}
+
+/// A `fmt::Write` that keeps only the number of bytes written: the sizing
+/// pass of [`EngineResult::fingerprint`].
+struct ByteCount(usize);
+
+impl std::fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
@@ -682,6 +709,23 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             ..
         } = self;
 
+        // The timed plan is a function of the spec alone, and it fixes the
+        // run's population: the initial nodes plus every joiner it
+        // schedules. Every core reserves its node vector for all of them at
+        // once, so that vector never reallocates: whether glibc can extend
+        // a doubling in place hangs on whatever was allocated before it, and
+        // decides whether the peak holds a second copy of the vector.
+        let stream_start = spec.stream_start();
+        let mut schedule: Vec<(SimTime, Step)> = timed_plan(
+            stream_start,
+            &spec.stream,
+            spec.churn,
+            &spec.faults,
+            &spec.events,
+            spec.nodes,
+        );
+        sim.reserve_nodes(spec.nodes as usize + planned_joiners(&schedule));
+
         // --- Phase 1: bootstrap. Node 0 is the source and contact point;
         // the rest join spread over the first half of the bootstrap window.
         let first_ctx = BuildCtx {
@@ -710,20 +754,11 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         // after bootstrap.
         let boundary_sec = sim.now().second_bucket() + 1;
 
-        // --- Phase 2: the timed plan, plus (Classic results) the
+        // --- Phase 2: the timed plan's end, plus (Classic results) the
         // bandwidth reading at the phase boundary. `run_until` always
         // advances the clock to its deadline, so the cached spec value
         // equals `now + FIRST_PUBLISH_DELAY` here.
-        let stream_start = spec.stream_start();
         debug_assert_eq!(stream_start, sim.now() + FIRST_PUBLISH_DELAY);
-        let mut schedule: Vec<(SimTime, Step)> = timed_plan(
-            stream_start,
-            &spec.stream,
-            spec.churn,
-            &spec.faults,
-            &spec.events,
-            spec.nodes,
-        );
         let end = schedule.last().map_or(sim.now(), |&(t, _)| t) + spec.drain;
         // Classic results split each node's bandwidth at the boundary, so
         // the meter is read 1 µs before it, after every step of that
@@ -799,6 +834,7 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         // `NodeOutcome` per node (first-delivery vectors, phase bandwidth,
         // point-to-point references); streaming mode folds every node into
         // one summary and never allocates per-node result state.
+        let net_stats = sim.stats();
         let (outcomes, streaming) = match spec.results {
             ResultMode::Classic => {
                 let at_end = sim.bandwidth();
@@ -806,22 +842,32 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                 // stabilisation is all of it.
                 let at_boundary = at_boundary.as_ref().unwrap_or(&at_end);
                 let end_sec = end.second_bucket() + 1;
-                let alive = sim.alive_ids();
-                let mut outcomes = Vec::with_capacity(alive.len());
-                for id in alive {
-                    let report = sim.node(id).expect("alive node exists").report();
+                // Everything read from the running simulation comes first.
+                // The references draw from its reference RNG in ascending
+                // id order, which Figure 9's point-to-point series pins.
+                let point_to_point: Vec<f64> = sim
+                    .alive_ids()
+                    .into_iter()
+                    .map(|id| sim.typical_latency(source, id).as_millis_f64())
+                    .collect();
+                // Then the simulation is consumed: each node is dropped as
+                // soon as its report is built, so the delivery record is
+                // held once — in the ledgers not yet reported, and in the
+                // reports — and freed ledgers are reused for the next ones.
+                let mut outcomes = Vec::with_capacity(point_to_point.len());
+                for ((id, node), point_to_point_ms) in sim.into_live_nodes().zip(point_to_point) {
+                    let report = node.report();
+                    drop(node);
                     let is_source = id == source;
-                    let mut delays = Vec::new();
+                    let (mut delay_sum_ms, mut delays) = (0.0, 0u64);
                     for (seq, t) in &report.first_delivery {
                         if let Some(&pub_t) = publish_times.get(*seq as usize) {
-                            delays.push(t.saturating_since(pub_t).as_millis_f64());
+                            delay_sum_ms += t.saturating_since(pub_t).as_millis_f64();
+                            delays += 1;
                         }
                     }
-                    let routing_delay_ms = if delays.is_empty() || is_source {
-                        None
-                    } else {
-                        Some(delays.iter().sum::<f64>() / delays.len() as f64)
-                    };
+                    let routing_delay_ms =
+                        (delays > 0 && !is_source).then(|| delay_sum_ms / delays as f64);
                     let span = report.first_delivery.iter().map(|(_, t)| *t);
                     let dissemination_latency_secs = match (span.clone().min(), span.max()) {
                         (Some(a), Some(b)) => Some(b.saturating_since(a).as_secs_f64()),
@@ -833,7 +879,7 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                         report,
                         routing_delay_ms,
                         dissemination_latency_secs,
-                        point_to_point_ms: sim.typical_latency(source, id).as_millis_f64(),
+                        point_to_point_ms,
                         bandwidth: split_bandwidth(id, at_boundary, &at_end, boundary_sec, end_sec),
                     });
                 }
@@ -876,10 +922,21 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             failures_injected: lifecycle.failures,
             joins_injected: lifecycle.joins,
             churn_window,
-            net_stats: sim.stats(),
+            net_stats,
             streaming,
         }
     }
+}
+
+/// Nodes the steps of `schedule` add: one per churn join and per restart,
+/// a flash crowd's joiners (see [`Lifecycle::join`]).
+fn planned_joiners(schedule: &[(SimTime, Step)]) -> usize {
+    let joiners = |step: &Step| match step {
+        Step::Churn(ChurnEvent::Join) | Step::Event(ScaleEventKind::Restart { .. }) => 1,
+        Step::Event(ScaleEventKind::FlashCrowd { joiners }) => *joiners as usize,
+        _ => 0,
+    };
+    schedule.iter().map(|(_, step)| joiners(step)).sum()
 }
 
 /// The harness's side of the drive phase: who joins, through whom, and

@@ -31,12 +31,17 @@ pub struct BrisaStackConfig {
 
 /// The delivery fields of every protocol's report. The ledger is
 /// sequence-indexed, so `first_delivery` is in ascending sequence order
-/// (and empty under scale-mode counter tracking).
+/// (and empty under scale-mode counter tracking). It is allocated at the
+/// size of the entries still in storage, counted first: `delivered()` also
+/// counts the ones that slid out, and a collected filter would leave up to
+/// half its capacity unused.
 fn delivery_report(log: &DeliveryLog) -> NodeReport {
+    let mut first_delivery = Vec::with_capacity(log.iter_times().count());
+    first_delivery.extend(log.iter_times());
     NodeReport {
         delivered: log.delivered(),
         duplicates_per_message: log.duplicates_per_message(),
-        first_delivery: log.iter_times().collect(),
+        first_delivery,
         highest_delivered: log.highest(),
         last_delivery: log.span().map(|(_, last)| last),
         ..NodeReport::default()

@@ -183,3 +183,50 @@ fn fault_sweeps_placement_equivalence() {
     let (_, sc) = scenarios::fault_partition_sweep(Scale::Quick).remove(0);
     check_brisa("fault_partition", sc);
 }
+
+/// The fingerprint leaves some fields of a Classic result out: the
+/// point-to-point references, routing delays, depths, degrees and repair
+/// telemetry. Two families compare the whole `EngineResult` instead, on
+/// two and three shards: Figure 9's PlanetLab cell, whose point-to-point
+/// series depends on the order of the reference draws, and Figure 14's
+/// churn, whose collect skips the crashed nodes.
+#[test]
+fn classic_results_are_placement_independent_field_for_field() {
+    let (nodes, churn, stream) = scenarios::fig14(Scale::Quick);
+    let churned = BrisaScenario {
+        nodes,
+        churn: Some(churn),
+        stream,
+        ..Default::default()
+    };
+    let families = [
+        ("fig09", scenarios::fig9(Scale::Quick).remove(1)),
+        ("fig14", churned),
+    ];
+    for (family, sc) in families {
+        let sc = shrink(sc);
+        let cfg = BrisaStackConfig {
+            hpv: sc.hyparview_config(),
+            brisa: sc.brisa_config(),
+        };
+        let run = |shards: usize| {
+            let mut spec = sc.run_spec();
+            spec.shards = shards;
+            Runner::<BrisaNode>::new(&cfg, &spec).run()
+        };
+        let sequential = run(1);
+        assert!(sequential
+            .nodes
+            .iter()
+            .any(|n| n.routing_delay_ms.is_some()));
+        assert_eq!(sequential.failures_injected > 0, family == "fig14");
+        let sequential = format!("{sequential:?}");
+        for shards in [2, 3] {
+            assert_eq!(
+                sequential,
+                format!("{:?}", run(shards)),
+                "experiment family `{family}`: {shards} shards' Classic result differs"
+            );
+        }
+    }
+}

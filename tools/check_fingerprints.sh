@@ -9,6 +9,9 @@
 # working directory). One-second budgets: the fixed-work repetitions the
 # fingerprint is computed over run regardless, only extra repetitions are
 # cut.
+#
+# Each run's `peak_rss_mb` is printed beside its verdict. It is a reading,
+# not a gate: no bound is checked against it.
 set -euo pipefail
 
 bin=${1:-benchmark/target/release/brisa-benchmark}
@@ -16,10 +19,12 @@ pins=$(dirname "$0")/benchmark_fingerprints.txt
 status=0
 while read -r workload seed want; do
     case "$workload" in ''|'#'*) continue ;; esac
-    line=$("$bin" --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | grep '^fingerprint ')
+    out=$("$bin" --workload "$workload" --seed "$seed" --seconds 1 --trace 0)
+    line=$(grep '^fingerprint ' <<<"$out")
+    rss=$(awk '$1 == "peak_rss_mb" { print $2, $3 }' <<<"$out")
     got=${line##*=> }
     if [ "$got" = "$want" ]; then
-        echo "ok   $workload seed $seed $got"
+        echo "ok   $workload seed $seed $got  peak_rss_mb $rss"
     else
         echo "FAIL $workload seed $seed: pinned $want, this build prints $got"
         echo "     $line"
