@@ -11,7 +11,7 @@ use crate::buffer::MessageBuffer;
 use crate::config::{BrisaConfig, ParentStrategy};
 use crate::cycle::{CycleGuard, CycleState};
 use crate::links::Links;
-use crate::message::{BrisaAction, BrisaMsg, DataMsg};
+use crate::message::{BrisaMsg, BrisaSink, DataMsg};
 use crate::parent::{CandidateSet, NeighborTelemetry};
 use crate::stats::BrisaStats;
 use brisa_simnet::{NodeId, SimDuration, SimTime};
@@ -279,10 +279,11 @@ impl BrisaCore {
     /// An overlay neighbor disappeared (failure detected by the PSS). If the
     /// neighbor was a parent, the repair procedure of Section II-F runs.
     ///
-    /// Like every entry point that can emit traffic, this *appends* to the
-    /// caller-owned `actions`: the embedding stack reuses one vector across
-    /// calls, so a steady-state message costs no allocation for it.
-    pub fn on_neighbor_down(&mut self, now: SimTime, peer: NodeId, actions: &mut Vec<BrisaAction>) {
+    /// Like every entry point that can emit traffic, this hands its effects
+    /// to the caller's [`BrisaSink`] as it produces them: the simulator
+    /// stack writes them straight into its command buffer, and a
+    /// `Vec<BrisaAction>` records them.
+    pub fn on_neighbor_down(&mut self, now: SimTime, peer: NodeId, out: &mut impl BrisaSink) {
         self.candidates.remove(peer);
         let was_parent = self.links.neighbor_down(peer);
         if was_parent && !self.is_source {
@@ -290,7 +291,7 @@ impl BrisaCore {
             if self.links.parent_count() == 0 {
                 self.stats.orphaned.push(now);
                 self.tel_orphaned(now, peer);
-                self.start_repair(now, actions);
+                self.start_repair(now, out);
             }
         }
     }
@@ -301,7 +302,7 @@ impl BrisaCore {
 
     /// Publishes the next stream message (source only). The first call
     /// doubles as the bootstrap flood that seeds the structure.
-    pub fn publish(&mut self, now: SimTime, payload_bytes: usize, actions: &mut Vec<BrisaAction>) {
+    pub fn publish(&mut self, now: SimTime, payload_bytes: usize, out: &mut impl BrisaSink) {
         assert!(self.is_source, "only the source publishes stream messages");
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -310,16 +311,16 @@ impl BrisaCore {
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(seq, |h| h.max(seq)));
         self.last_data_at = Some(now);
         self.buffer.insert(seq, payload_bytes);
-        actions.push(BrisaAction::Deliver { seq });
-        self.relay(now, seq, payload_bytes, None, actions);
+        out.deliver(seq);
+        self.relay(now, seq, payload_bytes, None, out);
     }
 
     // ------------------------------------------------------------------
     // Message handling
     // ------------------------------------------------------------------
 
-    /// Handles a BRISA message from `from`, appending what it causes to
-    /// `actions`. `telemetry` provides link measurements (RTT from the PSS
+    /// Handles a BRISA message from `from`, handing what it causes to
+    /// `out`. `telemetry` provides link measurements (RTT from the PSS
     /// keep-alives) for the delay-aware strategy.
     pub fn handle(
         &mut self,
@@ -327,10 +328,10 @@ impl BrisaCore {
         from: NodeId,
         msg: BrisaMsg,
         telemetry: &dyn NeighborTelemetry,
-        actions: &mut Vec<BrisaAction>,
+        out: &mut impl BrisaSink,
     ) {
         match msg {
-            BrisaMsg::Data(data) => self.handle_data(now, from, data, telemetry, actions),
+            BrisaMsg::Data(data) => self.handle_data(now, from, data, telemetry, out),
             BrisaMsg::Deactivate { symmetric } => {
                 self.links.deactivate_outbound(from);
                 // A symmetric deactivation means the sender also stopped
@@ -344,7 +345,7 @@ impl BrisaCore {
                     if self.links.parent_count() == 0 {
                         self.stats.orphaned.push(now);
                         self.tel_orphaned(now, from);
-                        self.start_repair(now, actions);
+                        self.start_repair(now, out);
                     }
                 }
             }
@@ -381,18 +382,18 @@ impl BrisaCore {
                     .then(|| self.buffer.highest_seq().and_then(|s| self.buffer.get(s)))
                     .flatten();
                 if let Some(m) = latest {
-                    actions.push(BrisaAction::Send {
-                        to: from,
-                        msg: BrisaMsg::data(self.data_msg(now, m.seq, m.payload_bytes)),
-                    });
+                    out.send(
+                        from,
+                        BrisaMsg::data(self.data_msg(now, m.seq, m.payload_bytes)),
+                    );
                 }
             }
-            BrisaMsg::ReactivationOrder => self.handle_reactivation_order(now, from, actions),
-            BrisaMsg::DepthUpdate { depth } => self.handle_depth_update(from, depth, actions),
+            BrisaMsg::ReactivationOrder => self.handle_reactivation_order(now, from, out),
+            BrisaMsg::DepthUpdate { depth } => self.handle_depth_update(from, depth, out),
             BrisaMsg::Retransmit { from_seq, to_seq } => {
-                self.handle_retransmit(now, from, from_seq, to_seq, actions)
+                self.handle_retransmit(now, from, from_seq, to_seq, out)
             }
-            BrisaMsg::Edge { highest } => self.handle_edge(now, from, highest, actions),
+            BrisaMsg::Edge { highest } => self.handle_edge(now, from, highest, out),
         }
     }
 
@@ -401,13 +402,7 @@ impl BrisaCore {
     /// so the regular rate-limited retransmission path can close it — this
     /// is how a message lost at the stream's tail (which no later data ever
     /// reveals) gets repaired.
-    fn handle_edge(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        highest: u64,
-        actions: &mut Vec<BrisaAction>,
-    ) {
+    fn handle_edge(&mut self, now: SimTime, from: NodeId, highest: u64, out: &mut impl BrisaSink) {
         if self.is_source || !self.admits(highest) {
             return;
         }
@@ -419,7 +414,7 @@ impl BrisaCore {
             .anchor(highest.saturating_sub(self.cfg.buffer_size as u64));
         self.highest_seq_seen = Some(self.highest_seq_seen.map_or(highest, |h| h.max(highest)));
         if self.known_gap() && self.pending_repair.is_none() {
-            self.request_gap(now, from, actions);
+            self.request_gap(now, from, out);
         }
     }
 
@@ -429,7 +424,7 @@ impl BrisaCore {
         from: NodeId,
         data: Arc<DataMsg>,
         telemetry: &dyn NeighborTelemetry,
-        actions: &mut Vec<BrisaAction>,
+        out: &mut impl BrisaSink,
     ) {
         // A node that has never delivered anything anchors its contiguous
         // prefix one buffer window below the first message it sees: a
@@ -462,7 +457,7 @@ impl BrisaCore {
         let first = self.stats.delivery.record(data.seq, now);
         if first {
             self.tel.delivered.inc();
-            actions.push(BrisaAction::Deliver { seq: data.seq });
+            out.deliver(data.seq);
             self.buffer.insert(data.seq, data.payload_bytes);
             if self.stats.delivery.low() != low {
                 self.gap_attempts = 0;
@@ -471,7 +466,7 @@ impl BrisaCore {
 
         if self.is_source {
             // The source never needs inbound stream traffic.
-            self.deactivate(now, from, actions);
+            self.deactivate(now, from, out);
             return;
         }
 
@@ -483,7 +478,7 @@ impl BrisaCore {
         // While a repair is pending, the adoption path issues the request
         // instead.
         if self.stats.delivery.low() < data.seq && self.pending_repair.is_none() {
-            self.request_gap(now, from, actions);
+            self.request_gap(now, from, out);
         }
 
         // Parent machinery.
@@ -499,22 +494,22 @@ impl BrisaCore {
                 (CycleState::Path(_), CycleGuard::Path(p)) if p.contains(&self.me)
             );
             if !cycle_detected {
-                self.update_position(&data.guard, actions);
+                self.update_position(&data.guard, out);
             } else {
-                self.deactivate(now, from, actions);
+                self.deactivate(now, from, out);
                 if self.links.parent_count() == 0 {
                     self.stats.orphaned.push(now);
                     self.tel_orphaned(now, from);
-                    self.start_repair(now, actions);
+                    self.start_repair(now, out);
                 }
             }
         } else if adoptable && self.links.parent_count() < self.cfg.mode.target_parents() {
             // A free parent slot: adopt this sender.
-            self.adopt(now, from, actions);
-            self.update_position(&data.guard, actions);
+            self.adopt(now, from, out);
+            self.update_position(&data.guard, out);
         } else if !adoptable {
             // The sender cannot be a parent; stop it from relaying to us.
-            self.deactivate(now, from, actions);
+            self.deactivate(now, from, out);
         } else if data.seq == 0 || self.pending_repair.is_some() {
             // Duplicate of the bootstrap flood (or a reception while a repair
             // is in progress): run the parent selection strategy over the
@@ -522,7 +517,7 @@ impl BrisaCore {
             // switches are confined to structure-formation time; switching an
             // established tree on in-flight (possibly stale) path metadata
             // can stitch a cycle out of two concurrent switches.
-            self.consider_replacement(now, from, &data.guard, actions);
+            self.consider_replacement(now, from, &data.guard, out);
         } else if first && self.parents_stale(now) {
             // A *first* reception from a surplus sender while no parent has
             // delivered anything for PARENT_STALE_AFTER: the incumbent
@@ -542,7 +537,7 @@ impl BrisaCore {
             // so concurrent switches cannot stitch a cycle); otherwise
             // leave the link active and let a genuine duplicate prune it
             // later.
-            self.adopt_fresh_feeder(now, from, &data.guard, actions);
+            self.adopt_fresh_feeder(now, from, &data.guard, out);
         } else if !first {
             // Steady-state duplicate: keep the incumbent parents and silence
             // the surplus sender. Deactivation is *duplicate-triggered*
@@ -553,22 +548,17 @@ impl BrisaCore {
             // mass-crash recovery deadlock above started; leaving the link
             // active costs at most a few extra duplicates until the
             // sender's copy loses a race and the link prunes normally.
-            self.deactivate_surplus(now, from, actions);
+            self.deactivate_surplus(now, from, out);
         }
 
         // Relay the payload once, to every outbound-active neighbor except
         // the sender, carrying our own position metadata.
         if first && !self.cycle.is_unset() {
-            self.relay(now, data.seq, data.payload_bytes, Some(from), actions);
+            self.relay(now, data.seq, data.payload_bytes, Some(from), out);
         }
     }
 
-    fn handle_reactivation_order(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        actions: &mut Vec<BrisaAction>,
-    ) {
+    fn handle_reactivation_order(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
         if self.is_source {
             return;
         }
@@ -591,10 +581,7 @@ impl BrisaCore {
             }
             for n in alternatives {
                 self.links.reactivate_inbound(n);
-                actions.push(BrisaAction::Send {
-                    to: n,
-                    msg: BrisaMsg::Activate,
-                });
+                out.send(n, BrisaMsg::Activate);
             }
         } else {
             // Cascade: behave exactly like the orphan that sent the order.
@@ -611,22 +598,16 @@ impl BrisaCore {
             self.cycle.reset();
             self.links.reactivate_all_inbound();
             for n in self.links.neighbors() {
-                actions.push(BrisaAction::Send {
-                    to: n,
-                    msg: BrisaMsg::Activate,
-                });
+                out.send(n, BrisaMsg::Activate);
             }
             for c in children {
                 self.stats.reactivation_orders_sent += 1;
-                actions.push(BrisaAction::Send {
-                    to: c,
-                    msg: BrisaMsg::ReactivationOrder,
-                });
+                out.send(c, BrisaMsg::ReactivationOrder);
             }
         }
     }
 
-    fn handle_depth_update(&mut self, from: NodeId, depth: u32, actions: &mut Vec<BrisaAction>) {
+    fn handle_depth_update(&mut self, from: NodeId, depth: u32, out: &mut impl BrisaSink) {
         if self.cfg.mode.is_tree() || !self.links.is_parent(from) {
             return;
         }
@@ -634,7 +615,7 @@ impl BrisaCore {
             .cycle
             .position_after(self.me, &CycleGuard::Depth(depth))
         {
-            self.push_depth_update(actions);
+            self.push_depth_update(out);
         }
     }
 
@@ -644,16 +625,16 @@ impl BrisaCore {
         from: NodeId,
         from_seq: u64,
         to_seq: u64,
-        actions: &mut Vec<BrisaAction>,
+        out: &mut impl BrisaSink,
     ) {
         let missing = self.buffer.range(from_seq, to_seq);
         for m in &missing {
             self.stats.retransmissions_served += 1;
             self.tel.retransmits_served.inc();
-            actions.push(BrisaAction::Send {
-                to: from,
-                msg: BrisaMsg::data(self.data_msg(now, m.seq, m.payload_bytes)),
-            });
+            out.send(
+                from,
+                BrisaMsg::data(self.data_msg(now, m.seq, m.payload_bytes)),
+            );
         }
         if !missing.is_empty() {
             self.tel_event(
@@ -751,7 +732,7 @@ impl BrisaCore {
     /// Requests retransmission of the known delivery gap from the ledger's
     /// cursor to `highest_seq_seen` from `target`, rate-limited with
     /// exponential backoff while no progress is made (see [`GAP_RETRY`]).
-    fn request_gap(&mut self, now: SimTime, target: NodeId, actions: &mut Vec<BrisaAction>) {
+    fn request_gap(&mut self, now: SimTime, target: NodeId, out: &mut impl BrisaSink) {
         let backoff = GAP_RETRY * (1u64 << self.gap_attempts.min(GAP_BACKOFF_MAX));
         let due = self
             .last_gap_request
@@ -772,40 +753,40 @@ impl BrisaCore {
         self.tel.gap_requests.inc();
         self.tel_event(now, TelEventKind::GapDetected, low, highest - low + 1);
         self.tel_event(now, TelEventKind::RetransmitSent, target.0 as u64, low);
-        actions.push(BrisaAction::Send {
-            to: target,
-            msg: BrisaMsg::Retransmit {
+        out.send(
+            target,
+            BrisaMsg::Retransmit {
                 from_seq: low,
                 to_seq: highest,
             },
-        });
+        );
     }
 
     /// Updates our own position after delivering from (or switching to) an
     /// accepted parent and propagates depth changes to children in DAG mode.
-    fn update_position(&mut self, guard: &CycleGuard, actions: &mut Vec<BrisaAction>) {
+    fn update_position(&mut self, guard: &CycleGuard, out: &mut impl BrisaSink) {
         let changed = self.cycle.position_after(self.me, guard);
         if changed && !self.cfg.mode.is_tree() {
-            self.push_depth_update(actions);
+            self.push_depth_update(out);
         }
     }
 
-    fn push_depth_update(&mut self, actions: &mut Vec<BrisaAction>) {
+    fn push_depth_update(&mut self, out: &mut impl BrisaSink) {
         if let Some(depth) = self.cycle.position() {
             for c in self.links.children() {
-                actions.push(BrisaAction::Send {
-                    to: c,
-                    msg: BrisaMsg::DepthUpdate {
+                out.send(
+                    c,
+                    BrisaMsg::DepthUpdate {
                         depth: depth as u32,
                     },
-                });
+                );
             }
         }
     }
 
     /// Adopts `from` as a parent, completing any pending repair and asking
     /// the new parent for messages missed in the meantime.
-    fn adopt(&mut self, now: SimTime, from: NodeId, actions: &mut Vec<BrisaAction>) {
+    fn adopt(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
         self.links.adopt_parent(from);
         self.last_parent_delivery = Some(now);
         self.tel.adopts.inc();
@@ -841,21 +822,21 @@ impl BrisaCore {
             // steady-state gap detector is told about this request so its
             // rate limit covers the adoption burst too.
             self.last_gap_request = Some(now);
-            actions.push(BrisaAction::Send {
-                to: from,
-                msg: BrisaMsg::Retransmit {
+            out.send(
+                from,
+                BrisaMsg::Retransmit {
                     from_seq: self.stats.delivery.low(),
                     to_seq: u64::MAX,
                 },
-            });
+            );
         }
         self.check_construction(now);
     }
 
     /// Sends a deactivation for the inbound link from `peer` and updates the
     /// construction-time bookkeeping.
-    fn deactivate(&mut self, now: SimTime, peer: NodeId, actions: &mut Vec<BrisaAction>) {
-        self.deactivate_flagged(now, peer, false, actions);
+    fn deactivate(&mut self, now: SimTime, peer: NodeId, out: &mut impl BrisaSink) {
+        self.deactivate_flagged(now, peer, false, out);
     }
 
     /// [`Self::deactivate`] with an explicit symmetric flag: `symmetric`
@@ -867,7 +848,7 @@ impl BrisaCore {
         now: SimTime,
         peer: NodeId,
         symmetric: bool,
-        actions: &mut Vec<BrisaAction>,
+        out: &mut impl BrisaSink,
     ) {
         self.links.deactivate_inbound(peer);
         self.tel.deactivations.inc();
@@ -875,10 +856,7 @@ impl BrisaCore {
         if self.stats.first_deactivation.is_none() {
             self.stats.first_deactivation = Some(now);
         }
-        actions.push(BrisaAction::Send {
-            to: peer,
-            msg: BrisaMsg::Deactivate { symmetric },
-        });
+        out.send(peer, BrisaMsg::Deactivate { symmetric });
         self.check_construction(now);
     }
 
@@ -890,7 +868,7 @@ impl BrisaCore {
         now: SimTime,
         from: NodeId,
         guard: &CycleGuard,
-        actions: &mut Vec<BrisaAction>,
+        out: &mut impl BrisaSink,
     ) {
         let target = self.cfg.mode.target_parents();
         // Replacing an existing parent is only considered when the candidate
@@ -921,15 +899,15 @@ impl BrisaCore {
                 .filter(|p| !selected.contains(p))
                 .collect();
             for loser in losers {
-                self.deactivate(now, loser, actions);
+                self.deactivate(now, loser, out);
             }
-            self.adopt(now, from, actions);
+            self.adopt(now, from, out);
             // Our position now follows the new parent; children are updated
             // through the guards of the messages we relay next (tree mode)
             // or an explicit depth update (DAG mode).
-            self.update_position(guard, actions);
+            self.update_position(guard, out);
         } else {
-            self.deactivate_surplus(now, from, actions);
+            self.deactivate_surplus(now, from, out);
         }
     }
 
@@ -938,10 +916,10 @@ impl BrisaCore {
     /// (Section II-E): we cannot be `from`'s parent either, so we stop
     /// relaying to it without waiting for its deactivation — and say so on
     /// the wire, so a stale parenthood on the other side dies with the link.
-    fn deactivate_surplus(&mut self, now: SimTime, from: NodeId, actions: &mut Vec<BrisaAction>) {
+    fn deactivate_surplus(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
         let symmetric =
             self.cfg.strategy == ParentStrategy::FirstComeFirstPicked && self.cfg.mode.is_tree();
-        self.deactivate_flagged(now, from, symmetric, actions);
+        self.deactivate_flagged(now, from, symmetric, out);
         if symmetric {
             self.links.deactivate_outbound(from);
         }
@@ -967,7 +945,7 @@ impl BrisaCore {
         now: SimTime,
         from: NodeId,
         guard: &CycleGuard,
-        actions: &mut Vec<BrisaAction>,
+        out: &mut impl BrisaSink,
     ) {
         let sender_depth = match guard {
             CycleGuard::Path(p) => p.len().saturating_sub(1),
@@ -982,16 +960,16 @@ impl BrisaCore {
         }
         let losers: Vec<NodeId> = self.links.parents().filter(|p| *p != from).collect();
         for loser in losers {
-            self.deactivate(now, loser, actions);
+            self.deactivate(now, loser, out);
         }
-        self.adopt(now, from, actions);
-        self.update_position(guard, actions);
+        self.adopt(now, from, out);
+        self.update_position(guard, out);
     }
 
     /// Starts the repair procedure after losing every parent: soft repair if
     /// any non-child neighbor can take over, hard repair (flood fallback plus
     /// re-activation orders) otherwise.
-    fn start_repair(&mut self, now: SimTime, actions: &mut Vec<BrisaAction>) {
+    fn start_repair(&mut self, now: SimTime, out: &mut impl BrisaSink) {
         let children: Vec<NodeId> = self.links.children().collect();
         let non_children: Vec<NodeId> = self
             .links
@@ -1003,35 +981,26 @@ impl BrisaCore {
             self.pending_repair = Some((now, RepairKind::Soft));
             for n in non_children {
                 self.links.reactivate_inbound(n);
-                actions.push(BrisaAction::Send {
-                    to: n,
-                    msg: BrisaMsg::Activate,
-                });
+                out.send(n, BrisaMsg::Activate);
             }
         } else {
             self.pending_repair = Some((now, RepairKind::Hard));
-            self.hard_repair_actions(actions);
+            self.hard_repair_actions(out);
         }
     }
 
     /// Performs the hard-repair steps of Section II-F: forget the position,
     /// re-activate every inbound link, and propagate a re-activation order to
     /// the children so the sub-tree re-bootstraps over flooding.
-    fn hard_repair_actions(&mut self, actions: &mut Vec<BrisaAction>) {
+    fn hard_repair_actions(&mut self, out: &mut impl BrisaSink) {
         self.cycle.reset();
         self.links.reactivate_all_inbound();
         for n in self.links.neighbors() {
-            actions.push(BrisaAction::Send {
-                to: n,
-                msg: BrisaMsg::Activate,
-            });
+            out.send(n, BrisaMsg::Activate);
         }
         for c in self.links.children() {
             self.stats.reactivation_orders_sent += 1;
-            actions.push(BrisaAction::Send {
-                to: c,
-                msg: BrisaMsg::ReactivationOrder,
-            });
+            out.send(c, BrisaMsg::ReactivationOrder);
         }
     }
 
@@ -1044,7 +1013,7 @@ impl BrisaCore {
     /// are re-attempted every [`HARD_REPAIR_RETRY`] while the node remains
     /// orphaned, e.g. when the overlay itself is still being repaired by the
     /// PSS.
-    pub fn repair_tick(&mut self, now: SimTime, actions: &mut Vec<BrisaAction>) {
+    pub fn repair_tick(&mut self, now: SimTime, out: &mut impl BrisaSink) {
         // Stream-edge advertisement: once the data path has gone quiet
         // (the stream's tail, or an outage), tell the children where the
         // edge is, so a hole *after* their last reception — invisible to
@@ -1059,10 +1028,7 @@ impl BrisaCore {
                 let mut advertised = 0u64;
                 for child in self.links.children() {
                     advertised += 1;
-                    actions.push(BrisaAction::Send {
-                        to: child,
-                        msg: BrisaMsg::Edge { highest },
-                    });
+                    out.send(child, BrisaMsg::Edge { highest });
                 }
                 if advertised > 0 {
                     self.tel.edges_advertised.add(advertised);
@@ -1079,7 +1045,7 @@ impl BrisaCore {
         if self.pending_repair.is_none() && !self.is_source {
             let parent = self.links.parents().next();
             if let Some(parent) = parent.filter(|_| self.known_gap()) {
-                self.request_gap(now, parent, actions);
+                self.request_gap(now, parent, out);
             }
         }
         let Some((started, kind)) = self.pending_repair else {
@@ -1098,13 +1064,13 @@ impl BrisaCore {
                 if now.saturating_since(started) >= SOFT_REPAIR_TIMEOUT {
                     self.pending_repair = Some((started, RepairKind::Hard));
                     self.last_repair_attempt = Some(now);
-                    self.hard_repair_actions(actions);
+                    self.hard_repair_actions(out);
                 }
             }
             RepairKind::Hard => {
                 if since_last >= HARD_REPAIR_RETRY {
                     self.last_repair_attempt = Some(now);
-                    self.hard_repair_actions(actions);
+                    self.hard_repair_actions(out);
                 }
             }
         }
@@ -1121,7 +1087,7 @@ impl BrisaCore {
         seq: u64,
         payload_bytes: usize,
         exclude: Option<NodeId>,
-        actions: &mut Vec<BrisaAction>,
+        out: &mut impl BrisaSink,
     ) {
         let mut shared: Option<Arc<DataMsg>> = None;
         for peer in self.links.outbound_active() {
@@ -1130,10 +1096,7 @@ impl BrisaCore {
             }
             let copy =
                 shared.get_or_insert_with(|| Arc::new(self.data_msg(now, seq, payload_bytes)));
-            actions.push(BrisaAction::Send {
-                to: peer,
-                msg: BrisaMsg::Data(Arc::clone(copy)),
-            });
+            out.send(peer, BrisaMsg::Data(Arc::clone(copy)));
         }
     }
 
@@ -1152,6 +1115,7 @@ mod tests {
     use super::*;
     use crate::config::StructureMode;
     use crate::cycle::CycleGuard;
+    use crate::message::BrisaAction;
     use crate::parent::NoTelemetry;
     use brisa_simnet::delivery::WINDOW;
     use brisa_simnet::SimDuration;
@@ -1213,8 +1177,8 @@ mod tests {
             self.drain();
         }
 
-        fn enqueue(&mut self, from: NodeId, actions: Vec<BrisaAction>) {
-            for a in actions {
+        fn enqueue(&mut self, from: NodeId, effects: Vec<BrisaAction>) {
+            for a in effects {
                 if let BrisaAction::Send { to, msg } = a {
                     self.queue.push_back((from, to, msg));
                 }

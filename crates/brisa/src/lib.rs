@@ -77,7 +77,7 @@ pub use buffer::{BufferedMsg, MessageBuffer};
 pub use config::{BrisaConfig, ParentStrategy, StructureMode};
 pub use cycle::{BloomMembership, CycleGuard, CycleState};
 pub use links::Links;
-pub use message::{BrisaAction, BrisaMsg, DataMsg, BRISA_HEADER_BYTES};
+pub use message::{BrisaAction, BrisaMsg, BrisaSink, DataMsg, BRISA_HEADER_BYTES};
 pub use node::{BrisaNode, StackMsg, TIMER_KEEPALIVE, TIMER_REPAIR, TIMER_SHUFFLE};
 pub use parent::{CandidateSet, NeighborTelemetry, NoTelemetry, ParentCandidate};
 pub use stats::BrisaStats;

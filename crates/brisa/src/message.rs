@@ -126,6 +126,29 @@ pub enum BrisaAction {
     },
 }
 
+/// Where [`crate::BrisaCore`]'s entry points put their effects, in the
+/// order the core produces them: the dissemination layer's side of the
+/// same seam [`brisa_membership::HpvSink`] is for the membership layer.
+/// A `Vec<BrisaAction>` records them; [`crate::BrisaNode`] writes each
+/// send straight into the simulator's command buffer.
+pub trait BrisaSink {
+    /// Send `msg` to `to`.
+    fn send(&mut self, to: NodeId, msg: BrisaMsg);
+    /// The stream message `seq` was delivered to the application for the
+    /// first time.
+    fn deliver(&mut self, seq: u64);
+}
+
+impl BrisaSink for Vec<BrisaAction> {
+    fn send(&mut self, to: NodeId, msg: BrisaMsg) {
+        self.push(BrisaAction::Send { to, msg });
+    }
+
+    fn deliver(&mut self, seq: u64) {
+        self.push(BrisaAction::Deliver { seq });
+    }
+}
+
 /// Convenience filter: the destinations and messages of all `Send` actions.
 pub fn sends(actions: &[BrisaAction]) -> Vec<(NodeId, &BrisaMsg)> {
     actions

@@ -8,7 +8,7 @@
 
 use crate::config::BrisaConfig;
 use crate::core::BrisaCore;
-use crate::message::{BrisaAction, BrisaMsg};
+use crate::message::{BrisaMsg, BrisaSink};
 use brisa_membership::{HpvMsg, HpvSink, HyParView, HyParViewConfig};
 use brisa_simnet::{Command, Context, NodeId, Protocol, SimDuration, SimTime, TimerTag};
 use rand::rngs::SmallRng;
@@ -37,10 +37,6 @@ pub struct BrisaNode {
     hpv: HyParView,
     core: BrisaCore,
     contact: Option<NodeId>,
-    /// What the core asked for during the current call; filled by the core,
-    /// drained into the simulator context, empty between calls. Owned here
-    /// so a message does not allocate a fresh vector.
-    actions: Vec<BrisaAction>,
 }
 
 impl BrisaNode {
@@ -56,7 +52,6 @@ impl BrisaNode {
             hpv: HyParView::new(id, hpv_cfg),
             core: BrisaCore::new(id, brisa_cfg),
             contact,
-            actions: Vec::new(),
         }
     }
 
@@ -79,9 +74,9 @@ impl BrisaNode {
     /// (source only). Call through [`brisa_simnet::Network::invoke`] so the
     /// resulting sends are routed through the simulator.
     pub fn publish(&mut self, ctx: &mut Context<'_, StackMsg>, payload_bytes: usize) {
+        let now = ctx.now();
         self.core
-            .publish(ctx.now(), payload_bytes, &mut self.actions);
-        self.apply_brisa_actions(ctx);
+            .publish(now, payload_bytes, &mut Commands(ctx.rng_and_commands().1));
     }
 
     /// Runs one membership-layer call with its effects wired straight into
@@ -98,29 +93,26 @@ impl BrisaNode {
             now,
             commands,
             core: &mut self.core,
-            actions: &mut self.actions,
         };
         call(&mut self.hpv, rng, &mut sink);
     }
-
-    fn apply_brisa_actions(&mut self, ctx: &mut Context<'_, StackMsg>) {
-        drain_actions(&mut self.actions, ctx.rng_and_commands().1);
-    }
 }
 
-/// Turns what the core asked for into simulator commands.
-fn drain_actions(actions: &mut Vec<BrisaAction>, commands: &mut Vec<Command<StackMsg>>) {
-    for action in actions.drain(..) {
-        match action {
-            BrisaAction::Send { to, msg } => commands.push(Command::Send {
-                to,
-                msg: StackMsg::Brisa(msg),
-            }),
-            BrisaAction::Deliver { .. } => {
-                // Delivery bookkeeping lives in the core's statistics;
-                // nothing to do at the stack level.
-            }
-        }
+/// The stack's side of the core's effect seam, over the simulator's command
+/// buffer: each send becomes a command the moment the core emits it.
+struct Commands<'a>(&'a mut Vec<Command<StackMsg>>);
+
+impl BrisaSink for Commands<'_> {
+    fn send(&mut self, to: NodeId, msg: BrisaMsg) {
+        self.0.push(Command::Send {
+            to,
+            msg: StackMsg::Brisa(msg),
+        });
+    }
+
+    fn deliver(&mut self, _seq: u64) {
+        // Delivery bookkeeping lives in the core's statistics; nothing to
+        // do at the stack level.
     }
 }
 
@@ -134,7 +126,6 @@ struct StackSink<'a> {
     now: SimTime,
     commands: &'a mut Vec<Command<StackMsg>>,
     core: &'a mut BrisaCore,
-    actions: &'a mut Vec<BrisaAction>,
 }
 
 impl HpvSink for StackSink<'_> {
@@ -158,8 +149,8 @@ impl HpvSink for StackSink<'_> {
     }
 
     fn neighbor_down(&mut self, peer: NodeId) {
-        self.core.on_neighbor_down(self.now, peer, self.actions);
-        drain_actions(self.actions, self.commands);
+        self.core
+            .on_neighbor_down(self.now, peer, &mut Commands(self.commands));
     }
 }
 
@@ -198,9 +189,9 @@ impl Protocol for BrisaNode {
                 });
             }
             StackMsg::Brisa(m) => {
-                self.core
-                    .handle(ctx.now(), from, m, &&self.hpv, &mut self.actions);
-                self.apply_brisa_actions(ctx);
+                let now = ctx.now();
+                let mut out = Commands(ctx.rng_and_commands().1);
+                self.core.handle(now, from, m, &&self.hpv, &mut out);
             }
         }
     }
@@ -232,8 +223,9 @@ impl Protocol for BrisaNode {
                 ctx.set_timer(period, TimerTag::of_kind(TIMER_KEEPALIVE));
             }
             TIMER_REPAIR => {
-                self.core.repair_tick(ctx.now(), &mut self.actions);
-                self.apply_brisa_actions(ctx);
+                let now = ctx.now();
+                self.core
+                    .repair_tick(now, &mut Commands(ctx.rng_and_commands().1));
                 ctx.set_timer(
                     self.core.config().repair_tick_period,
                     TimerTag::of_kind(TIMER_REPAIR),
@@ -249,10 +241,14 @@ impl Protocol for BrisaNode {
         });
     }
 
+    /// The node's own inline bytes once, plus what each layer holds on the
+    /// heap (each layer's estimate counts its own inline size, which
+    /// `size_of::<BrisaNode>()` already covers).
     fn approx_state_bytes(&self) -> usize {
-        self.hpv.approx_bytes()
-            + self.core.approx_state_bytes()
-            + self.actions.capacity() * std::mem::size_of::<BrisaAction>()
+        use std::mem::size_of;
+        size_of::<Self>()
+            + (self.hpv.approx_bytes() - size_of::<HyParView>())
+            + (self.core.approx_state_bytes() - size_of::<BrisaCore>())
     }
 }
 
@@ -428,6 +424,38 @@ mod tests {
         let (contact, widest) = (per_sender[0], per_sender.iter().max().unwrap());
         assert!(contact <= 64, "the contact node tracks {contact} clocks");
         assert!(*widest <= 64, "some sender tracks {widest} clocks");
+    }
+
+    #[test]
+    fn the_footprint_counts_every_node_at_least_at_its_slot() {
+        let cfg = || (HyParViewConfig::with_active_size(4), BrisaConfig::default());
+        // A node's estimate is its own inline size, counted once, plus
+        // what each layer holds on the heap.
+        use std::mem::size_of;
+        let (hpv, brisa) = cfg();
+        let fresh = BrisaNode::new(NodeId(1), hpv, brisa, Some(NodeId(0)));
+        let heap = (fresh.hyparview().approx_bytes() - size_of::<HyParView>())
+            + (fresh.brisa().approx_state_bytes() - size_of::<BrisaCore>());
+        assert_eq!(fresh.approx_state_bytes(), size_of::<BrisaNode>() + heap);
+        let mut net: Network<BrisaNode> = Network::new(
+            NetworkConfig::default(),
+            Box::new(ClusterLatency::default()),
+        );
+        for i in 0..8 {
+            let (hpv, brisa) = cfg();
+            net.add_node(|id| BrisaNode::new(id, hpv, brisa, (i > 0).then_some(NodeId(0))));
+        }
+        let at_least = |net: &Network<BrisaNode>| {
+            let f = net.footprint();
+            assert!(
+                f.node_state_bytes >= f.nodes * Network::<BrisaNode>::slot_bytes(),
+                "{f:?}: a slot is {} B",
+                Network::<BrisaNode>::slot_bytes()
+            );
+        };
+        at_least(&net);
+        net.run_until(SimTime::from_secs(5));
+        at_least(&net);
     }
 
     #[test]

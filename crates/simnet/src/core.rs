@@ -2,10 +2,10 @@
 //! once.
 //!
 //! A [`Core`] owns a set of nodes (instances of a type implementing
-//! [`Protocol`]) with their event queue, link state, fault layer and
-//! bandwidth meter, and processes events in `(time, priority)` order. It
-//! is parameterised only by a [`Placement`]: which node ids this core owns
-//! and where an event for a node it does not own goes. The sequential
+//! [`Protocol`]) with their event queue, link state and fault layer, and
+//! processes events in `(time, priority)` order. It is parameterised only
+//! by a [`Placement`]: which node ids this core owns and where an event
+//! for a node it does not own goes. The sequential
 //! [`crate::Network`] is one core that owns everything ([`Whole`]); the
 //! sharded [`crate::ShardedNetwork`] is `k` cores with
 //! [`crate::shard::Strided`] placement plus the epoch loop of
@@ -13,17 +13,19 @@
 //!
 //! The hot path is built on dense, index-addressed state (see
 //! [`crate::sched`] for the timing-wheel event queue and [`crate::links`]
-//! for the adjacency/link-clock vectors); the steady-state event loop does
-//! not allocate per event. Under [`Whole`] every ownership test is a
-//! constant, so the outbox and the relay pushes compile away.
+//! for the adjacency vectors); everything the simulator keeps per node —
+//! RNG, lane counter, byte totals, FIFO clocks — lives in that node's slot,
+//! so a send touches one slot and no side table. The steady-state event
+//! loop does not allocate per event. Under [`Whole`] every ownership test
+//! is a constant, so the outbox and the relay pushes compile away.
 
 use std::sync::Arc;
 
-use crate::bandwidth::{BandwidthMeter, Direction};
+use crate::bandwidth::NodeBandwidth;
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultLayer, Routed};
 use crate::latency::LatencyModel;
-use crate::links::{ensure_len, Adjacency, LinkClocks};
+use crate::links::{ensure_len, Adjacency, FifoClocks};
 use crate::network::{Footprint, NetStats, NetworkConfig};
 use crate::node::NodeId;
 use crate::protocol::{Command, Context, Protocol, WireSize};
@@ -94,7 +96,7 @@ pub(crate) enum Relay<M> {
     },
 }
 
-struct NodeSlot<P> {
+pub(crate) struct NodeSlot<P> {
     proto: P,
     rng: SmallRng,
     alive: bool,
@@ -107,6 +109,21 @@ struct NodeSlot<P> {
     /// sequential one. Every draw for a lane happens on the core that owns
     /// it.
     lane_seq: u32,
+    /// Bytes this node has sent (counted at the send) and received
+    /// (counted at the delivery).
+    bytes: NodeBandwidth,
+    /// FIFO clocks of this node's links with a message in flight.
+    clocks: FifoClocks,
+}
+
+impl<P> NodeSlot<P> {
+    /// The next lane-key priority for an event this node `id` causes.
+    #[inline]
+    fn lane_key(&mut self, id: NodeId) -> u64 {
+        let key = ((id.0 as u64) << 32) | self.lane_seq as u64;
+        self.lane_seq = self.lane_seq.wrapping_add(1);
+        key
+    }
 }
 
 /// One event-processing core (see the module docs).
@@ -125,17 +142,12 @@ pub(crate) struct Core<P: Protocol, Pl> {
     /// simulation can be flipped together — in the boundary drain — so
     /// reads are stable and identical on every core.
     remote_alive: Vec<bool>,
-    pub bandwidth: BandwidthMeter,
     /// Open connections as per-node sorted adjacency vectors (plus a
     /// reverse index) over the global id space, iterated in fixed `NodeId`
     /// order so the simulation is bit-identical no matter which thread
     /// runs it. Out-lists of owned nodes are authoritative; edges with a
     /// remote endpoint are mirrored onto that endpoint's core.
     connections: Adjacency,
-    /// Per directed pair with a message in flight, the time the last one is
-    /// scheduled to arrive (used to enforce FIFO ordering). A sender's
-    /// clocks live only on its owner.
-    pub link_clock: LinkClocks,
     pub stats: NetStats,
     /// Fault-injection layer, consulted between command drain and delivery
     /// scheduling. Inert by default (one branch per send). Draw counters
@@ -166,9 +178,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
             queue: EventQueue::new(),
             nodes: Vec::new(),
             remote_alive: Vec::new(),
-            bandwidth: BandwidthMeter::new(),
             connections: Adjacency::default(),
-            link_clock: LinkClocks::default(),
             stats: NetStats::default(),
             faults: FaultLayer::new(config.seed, config.faults.clone()),
             command_buf: Vec::new(),
@@ -213,6 +223,17 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
         self.nodes.reserve_exact(additional);
     }
 
+    /// Byte totals of the owned node `id`.
+    pub fn bandwidth(&self, id: NodeId) -> NodeBandwidth {
+        self.nodes[self.place.local(id)].bytes
+    }
+
+    /// FIFO clocks of the owned node `id`, as `(dest, clock)` in first-send
+    /// order.
+    pub fn link_clocks(&self, id: NodeId) -> impl Iterator<Item = (NodeId, SimTime)> + '_ {
+        self.nodes[self.place.local(id)].clocks.iter()
+    }
+
     /// Consumes the core into its owned nodes' protocol states in local
     /// order, `None` for a crashed one. Everything else the core held is
     /// freed on return.
@@ -248,8 +269,9 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
             alive: true,
             started: false,
             lane_seq: 0,
+            bytes: NodeBandwidth::default(),
+            clocks: FifoClocks::default(),
         });
-        self.bandwidth.ensure(id);
         let prio = self.lane_key(id);
         self.queue.push(start, prio, EventKind::Start { node: id });
     }
@@ -260,14 +282,9 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
     /// gets counter 0 — such events are ignored at processing time anyway.
     pub fn lane_key(&mut self, lane: NodeId) -> u64 {
         debug_assert!(self.place.owns(lane));
-        let hi = (lane.0 as u64) << 32;
         match self.nodes.get_mut(self.place.local(lane)) {
-            Some(slot) => {
-                let key = hi | slot.lane_seq as u64;
-                slot.lane_seq = slot.lane_seq.wrapping_add(1);
-                key
-            }
-            None => hi,
+            Some(slot) => slot.lane_key(lane),
+            None => (lane.0 as u64) << 32,
         }
     }
 
@@ -332,7 +349,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                     self.stats.messages_dropped += 1;
                     return;
                 }
-                self.bandwidth.record(to, Direction::Download, size);
+                self.nodes[self.place.local(to)].bytes.download_total += size as u64;
                 self.stats.messages_delivered += 1;
                 self.dispatch(to, |proto, ctx| proto.on_message(ctx, from, msg));
             }
@@ -366,7 +383,10 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
             return;
         }
         if self.place.owns(victim) {
-            self.nodes[self.place.local(victim)].alive = false;
+            let slot = &mut self.nodes[self.place.local(victim)];
+            slot.alive = false;
+            // It will never send again.
+            slot.clocks.clear();
             // Peers with an open connection to the crashed node detect the
             // failure after the detection delay. The owner's reverse
             // adjacency index (every remote edge towards the victim was
@@ -391,11 +411,10 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
         } else {
             self.remote_alive[victim.index()] = false;
         }
-        // Drop the crashed node's own connections, FIFO link clocks and
-        // fault-layer draw counters so long churn runs do not accumulate
-        // state for dead nodes.
+        // Drop the crashed node's own connections and fault-layer draw
+        // counters so long churn runs do not accumulate state for dead
+        // nodes.
         self.connections.clear_outgoing(victim);
-        self.link_clock.clear(victim);
         self.faults.prune(victim);
     }
 
@@ -434,10 +453,10 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                 Command::Send { to, msg } => {
                     let size = msg.wire_size();
                     self.stats.messages_sent += 1;
-                    self.bandwidth.record(origin, Direction::Upload, size);
                     let latency = {
-                        let rng = &mut self.nodes[self.place.local(origin)].rng;
-                        self.latency.sample(origin, to, rng)
+                        let slot = &mut self.nodes[self.place.local(origin)];
+                        slot.bytes.upload_total += size as u64;
+                        self.latency.sample(origin, to, &mut slot.rng)
                     };
                     // The fault layer sits between command drain and
                     // delivery scheduling. The sender has already paid the
@@ -464,10 +483,12 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                     // ordering is irrelevant. The failure-detection window,
                     // where senders still relay to a crashed peer, hits
                     // exactly this path.
-                    if self.config.fifo_links && self.is_alive(to) {
-                        deliver_at = self.link_clock.stamp(origin, to, self.now, deliver_at);
+                    let fifo = self.config.fifo_links && self.is_alive(to);
+                    let slot = &mut self.nodes[self.place.local(origin)];
+                    if fifo {
+                        deliver_at = slot.clocks.stamp(to, self.now, deliver_at);
                     }
-                    let prio = self.lane_key(origin);
+                    let prio = slot.lane_key(origin);
                     let deliver = EventKind::Deliver {
                         from: origin,
                         to,
@@ -536,8 +557,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                 + self.remote_alive.capacity(),
             queue_bytes: self.queue.allocated_bytes(),
             adjacency_bytes: self.connections.approx_bytes(),
-            link_clock_bytes: self.link_clock.approx_bytes(),
-            bandwidth_bytes: self.bandwidth.approx_bytes(),
+            link_clock_bytes: self.nodes.iter().map(|n| n.clocks.heap_bytes()).sum(),
         }
     }
 }

@@ -14,10 +14,13 @@
 //!   dense vector (`8 bytes × messages`), the exact data the classic
 //!   figures consume;
 //! * [`DeliveryTracking::Counters`] — no per-sequence times at all; each
-//!   first delivery is folded into a fixed-footprint
-//!   [`LatencyHistogram`] against the
-//!   known publish schedule, so a node costs `messages / 8` bytes of bitmap
-//!   plus one histogram no matter how long the stream runs.
+//!   first delivery is folded into a fixed-footprint [`NodeHistogram`]
+//!   against the known publish schedule, so a node costs `messages / 8`
+//!   bytes of bitmap plus one 280-byte histogram no matter how long the
+//!   stream runs.
+//!
+//! Each mode owns its storage: a `Full` ledger feeds no histogram and a
+//! `Counters` ledger carries no times vector.
 //!
 //! Being sequence-indexed, it yields in ascending sequence order whatever
 //! the order of receptions.
@@ -34,7 +37,7 @@
 //! first number lies, so streams of any length and joiners at any point
 //! keep delivering (DESIGN.md, "Loss recovery in BRISA").
 
-use crate::hist::LatencyHistogram;
+use crate::hist::{LatencyHistogram, NodeHistogram};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -65,10 +68,27 @@ pub enum DeliveryTracking {
 /// vectors' growth slack.
 pub const WINDOW: u64 = 1 << 16;
 
+/// What a ledger keeps of each first delivery besides its bit: the
+/// storage of its tracking mode, and only that. The histogram is inline:
+/// every Streaming node holds one, and a box would add an allocation and
+/// a pointer to each of them.
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)]
+enum Store {
+    /// First-delivery time per sequence number from the ledger's `base`,
+    /// in µs (`u64::MAX` = not delivered).
+    Full { times_us: Vec<u64> },
+    /// The latency distribution against the publish schedule.
+    Counters {
+        stream_start_us: u64,
+        interval_us: u64,
+        hist: NodeHistogram,
+    },
+}
+
 /// Sequence-indexed delivery ledger of one node.
 #[derive(Debug, Clone)]
 pub struct DeliveryLog {
-    tracking: DeliveryTracking,
     /// Sequence number of the first bit of `seen` and the first entry of
     /// `times_us`; a multiple of 64.
     base: u64,
@@ -79,20 +99,15 @@ pub struct DeliveryLog {
     /// One bit per sequence number from `base`: set after the first
     /// reception.
     seen: Vec<u64>,
-    /// First-delivery time per sequence number from `base`, in µs
-    /// (`u64::MAX` = not delivered). Only populated under
-    /// [`DeliveryTracking::Full`].
-    times_us: Vec<u64>,
     delivered: u64,
     duplicates: u64,
     /// Sequence numbers refused for lying outside the window.
     refused: u64,
     first: Option<SimTime>,
     last: Option<SimTime>,
-    /// Latency distribution against the publish schedule. Only fed under
-    /// [`DeliveryTracking::Counters`]. Last, so the fields every record
-    /// touches share cache lines.
-    hist: LatencyHistogram,
+    /// First-delivery times or the latency histogram. Last, so the fields
+    /// every record touches share cache lines.
+    store: Store,
 }
 
 impl Default for DeliveryLog {
@@ -106,13 +121,24 @@ const NOT_DELIVERED: u64 = u64::MAX;
 impl DeliveryLog {
     /// Creates an empty log with the given tracking mode.
     pub fn new(tracking: DeliveryTracking) -> Self {
+        let store = match tracking {
+            DeliveryTracking::Full => Store::Full {
+                times_us: Vec::new(),
+            },
+            DeliveryTracking::Counters {
+                stream_start_us,
+                interval_us,
+            } => Store::Counters {
+                stream_start_us,
+                interval_us,
+                hist: NodeHistogram::default(),
+            },
+        };
         DeliveryLog {
-            tracking,
             base: 0,
             low: 0,
             seen: Vec::new(),
-            times_us: Vec::new(),
-            hist: LatencyHistogram::new(),
+            store,
             delivered: 0,
             duplicates: 0,
             refused: 0,
@@ -148,7 +174,7 @@ impl DeliveryLog {
     #[inline]
     pub fn anchor(&mut self, low: u64) {
         if self.delivered == 0 {
-            debug_assert!(self.seen.is_empty() && self.times_us.is_empty());
+            debug_assert!(self.seen.is_empty() && self.times().is_empty());
             self.low = low;
             self.base = low.saturating_sub(WINDOW) & !63;
         }
@@ -199,21 +225,21 @@ impl DeliveryLog {
         self.delivered += 1;
         self.first = Some(self.first.map_or(now, |f| f.min(now)));
         self.last = Some(self.last.map_or(now, |l| l.max(now)));
-        match self.tracking {
-            DeliveryTracking::Full => {
+        match &mut self.store {
+            Store::Full { times_us } => {
                 let idx = off as usize;
-                if self.times_us.len() <= idx {
-                    self.times_us.resize(idx + 1, NOT_DELIVERED);
+                if times_us.len() <= idx {
+                    times_us.resize(idx + 1, NOT_DELIVERED);
                 }
-                self.times_us[idx] = now.as_micros();
+                times_us[idx] = now.as_micros();
             }
-            DeliveryTracking::Counters {
+            Store::Counters {
                 stream_start_us,
                 interval_us,
+                hist,
             } => {
                 let published_us = stream_start_us.saturating_add(interval_us.saturating_mul(seq));
-                self.hist
-                    .record_us(now.as_micros().saturating_sub(published_us));
+                hist.record_us(now.as_micros().saturating_sub(published_us));
             }
         }
         if seq == self.low {
@@ -253,8 +279,9 @@ impl DeliveryLog {
         let shift = base - self.base;
         self.seen
             .drain(..((shift / 64) as usize).min(self.seen.len()));
-        self.times_us
-            .drain(..(shift as usize).min(self.times_us.len()));
+        if let Store::Full { times_us } = &mut self.store {
+            times_us.drain(..(shift as usize).min(times_us.len()));
+        }
         self.base = base;
     }
 
@@ -299,23 +326,39 @@ impl DeliveryLog {
     /// [`DeliveryTracking::Counters`] — the information is folded into
     /// [`DeliveryLog::latency_hist`] instead.
     pub fn iter_times(&self) -> impl Iterator<Item = (u64, SimTime)> + '_ {
-        self.times_us
+        self.times()
             .iter()
             .enumerate()
             .filter(|(_, &t)| t != NOT_DELIVERED)
             .map(|(off, &t)| (self.base + off as u64, SimTime::from_micros(t)))
     }
 
-    /// The latency histogram against the publish schedule (empty under
-    /// [`DeliveryTracking::Full`]).
-    pub fn latency_hist(&self) -> &LatencyHistogram {
-        &self.hist
+    /// The latency histogram against the publish schedule, widened from
+    /// the node's 32-bit buckets (empty under [`DeliveryTracking::Full`]).
+    pub fn latency_hist(&self) -> LatencyHistogram {
+        match &self.store {
+            Store::Full { .. } => LatencyHistogram::new(),
+            Store::Counters { hist, .. } => hist.widen(),
+        }
+    }
+
+    /// The `Full` first-delivery times from `base` (empty under
+    /// `Counters`).
+    fn times(&self) -> &[u64] {
+        match &self.store {
+            Store::Full { times_us } => times_us,
+            Store::Counters { .. } => &[],
+        }
     }
 
     /// Heap bytes this log owns at its allocated capacity. Its inline bytes
     /// (histogram included) belong to whatever struct embeds it.
     pub fn heap_bytes(&self) -> usize {
-        (self.seen.capacity() + self.times_us.capacity()) * std::mem::size_of::<u64>()
+        let times = match &self.store {
+            Store::Full { times_us } => times_us.capacity(),
+            Store::Counters { .. } => 0,
+        };
+        (self.seen.capacity() + times) * std::mem::size_of::<u64>()
     }
 }
 

@@ -3,13 +3,16 @@
 //! The classic result path materialises every `(sequence, delivery time)`
 //! pair per node and computes latency statistics afterwards — exact, but
 //! O(nodes × messages) memory. Scale-mode runs instead stream every
-//! observed latency into a [`LatencyHistogram`] (the one embedded in each
-//! node's [`crate::DeliveryLog`]): 64 logarithmic buckets of
+//! observed latency into a histogram: 64 logarithmic buckets of
 //! microseconds, a count, a sum and a maximum. Histograms merge by bucket
 //! addition, so per-node histograms fold into one run-wide distribution in
 //! O(64) per node regardless of message count, and two runs of the same
 //! schedule produce bit-identical histograms (bucketing is integer-exact;
 //! no floats are involved until a quantile is read out).
+//!
+//! Each node's [`crate::DeliveryLog`] embeds a [`NodeHistogram`], whose
+//! buckets count in 32 bits (280 bytes instead of 536); a report widens it
+//! into the [`LatencyHistogram`] the run-wide merge and every reader use.
 
 use brisa_telemetry::{bucket_of, HIST_BUCKETS};
 
@@ -116,6 +119,51 @@ impl LatencyHistogram {
     }
 }
 
+/// One node's latency histogram: [`LatencyHistogram`]'s buckets in 32
+/// bits, its count, sum and maximum in 64. A node delivers one observation
+/// per stream message, so a bucket saturates only after 2³² − 1 of them in
+/// one bucket; the count and the sum stay exact past that.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeHistogram {
+    buckets: [u32; LATENCY_BUCKETS],
+    count: u64,
+    sum_us: u64,
+    max_us: u64,
+}
+
+impl Default for NodeHistogram {
+    fn default() -> Self {
+        NodeHistogram {
+            buckets: [0; LATENCY_BUCKETS],
+            count: 0,
+            sum_us: 0,
+            max_us: 0,
+        }
+    }
+}
+
+impl NodeHistogram {
+    /// Records one latency observation of `us` microseconds.
+    #[inline]
+    pub fn record_us(&mut self, us: u64) {
+        let b = &mut self.buckets[bucket_of(us)];
+        *b = b.saturating_add(1);
+        self.count += 1;
+        self.sum_us += us;
+        self.max_us = self.max_us.max(us);
+    }
+
+    /// The same observations as a [`LatencyHistogram`].
+    pub fn widen(&self) -> LatencyHistogram {
+        LatencyHistogram {
+            buckets: self.buckets.map(u64::from),
+            count: self.count,
+            sum_us: self.sum_us,
+            max_us: self.max_us,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,5 +237,31 @@ mod tests {
             h
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn a_node_histogram_widens_to_the_same_histogram() {
+        let mut wide = LatencyHistogram::new();
+        let mut node = NodeHistogram::default();
+        for us in (0..1000).map(|i| i * 9973 % 5_000_000) {
+            wide.record_us(us);
+            node.record_us(us);
+        }
+        assert_eq!(node.widen(), wide);
+        assert_eq!(wide.count(), 1000);
+        assert!(std::mem::size_of::<NodeHistogram>() <= 280);
+    }
+
+    #[test]
+    fn a_node_bucket_saturates_and_the_count_stays_exact() {
+        let mut node = NodeHistogram::default();
+        node.buckets[bucket_of(5)] = u32::MAX - 1;
+        node.count = u64::from(u32::MAX) - 1;
+        for _ in 0..3 {
+            node.record_us(5);
+        }
+        let wide = node.widen();
+        assert_eq!(wide.buckets()[bucket_of(5)], u64::from(u32::MAX));
+        assert_eq!(wide.count(), u64::from(u32::MAX) + 2);
     }
 }

@@ -13,7 +13,7 @@
 //!   which a caller reads at a phase boundary to split a run into phases;
 //! * one per-node delivery ledger for every protocol ([`delivery::DeliveryLog`]:
 //!   counts, the contiguous-prefix cursor, a seen-bitmap bounded by a window
-//!   above it, and dense times or a [`hist::LatencyHistogram`]);
+//!   above it, and dense times or a [`hist::NodeHistogram`]);
 //! * fail-stop crashes and delayed joins, driving churn experiments;
 //! * deterministic fault injection — per-link message loss, latency
 //!   degradation and timed network partitions ([`faults`]);
@@ -71,11 +71,11 @@ mod time;
 pub mod wire;
 
 pub use crate::core::{Placement, Whole};
-pub use bandwidth::{BandwidthMeter, Direction, NodeBandwidth};
+pub use bandwidth::{BandwidthMeter, NodeBandwidth};
 pub use delivery::{DeliveryLog, DeliveryTracking};
 pub use event::TimerTag;
 pub use faults::{FaultConfig, FaultPrf, LinkFaults, PartitionMode, PartitionSpec};
-pub use hist::{LatencyHistogram, LATENCY_BUCKETS};
+pub use hist::{LatencyHistogram, NodeHistogram, LATENCY_BUCKETS};
 pub use latency::LatencyModel;
 pub use network::{Driver, Footprint, NetStats, Network, NetworkConfig};
 pub use node::NodeId;

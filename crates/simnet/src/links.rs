@@ -16,9 +16,10 @@
 //!   degree), in place. The fault layer's per-link draw counters
 //!   (`PerLink<u64>`) are its one user: the n-th draw on a link is a PRF of
 //!   n, so those entries must persist.
-//! * [`LinkClocks`] — the FIFO link clocks, which need not: a clock is
-//!   dropped the moment it can no longer delay a send, so a sender's table
-//!   is its handful of in-flight links.
+//! * [`FifoClocks`] — one sender's FIFO link clocks, which need not: a
+//!   clock is dropped the moment it can no longer delay a send, so a
+//!   sender's table is its handful of in-flight links. Each node's table
+//!   lives in its simulator slot, beside the RNG a send already touches.
 //!
 //! Iteration order over any of these structures is fully deterministic
 //! (sorted by `NodeId`), matching the old `BTreeSet` order — required by the
@@ -229,44 +230,36 @@ impl<T> PerLink<T> {
     }
 }
 
-/// Per-sender FIFO clocks: for each directed link with a message still in
+/// One sender's FIFO clocks: for each of its links with a message still in
 /// flight, the time the last message on it is scheduled to arrive.
 ///
 /// A clock is only ever read as `deliver_at < clock`, every `deliver_at` is
 /// at or after the send instant, and simulated time never goes back — so a
 /// clock at or before `now` can never bump a send again and forgetting it is
-/// unobservable. [`LinkClocks::stamp`] drops such clocks from the sender's
-/// vector as it passes over them, which bounds the vector by the sender's
-/// in-flight links (a view's worth) instead of every destination it ever
-/// messaged.
+/// unobservable. [`FifoClocks::stamp`] drops such clocks as it passes over
+/// them, which bounds the table by the sender's in-flight links (a view's
+/// worth) instead of every destination it ever messaged.
 #[derive(Debug, Default)]
-pub(crate) struct LinkClocks {
-    /// `by_sender[sender]` = `(dest, clock)` in first-send order.
-    by_sender: Vec<Vec<(NodeId, SimTime)>>,
+pub(crate) struct FifoClocks {
+    /// `(dest, clock)` in first-send order.
+    clocks: Vec<(NodeId, SimTime)>,
 }
 
-impl LinkClocks {
-    /// Schedules a message sent by `sender` at `now` that the latency and
+impl FifoClocks {
+    /// Schedules a message this sender sends at `now` that the latency and
     /// fault layers would deliver to `dest` at `deliver_at` (≥ `now`):
     /// returns the FIFO-respecting arrival time — one microsecond after the
     /// link's previous arrival if `deliver_at` would overtake it — and
-    /// records it as the link's clock. Expired clocks of `sender` are
-    /// dropped in the same pass.
-    pub fn stamp(
-        &mut self,
-        sender: NodeId,
-        dest: NodeId,
-        now: SimTime,
-        mut deliver_at: SimTime,
-    ) -> SimTime {
+    /// records it as the link's clock. Expired clocks are dropped in the
+    /// same pass.
+    #[inline]
+    pub fn stamp(&mut self, dest: NodeId, now: SimTime, mut deliver_at: SimTime) -> SimTime {
         debug_assert!(
             deliver_at >= now,
             "a message cannot arrive before it is sent"
         );
-        ensure_len(&mut self.by_sender, sender.index());
-        let clocks = &mut self.by_sender[sender.index()];
         let mut found = false;
-        clocks.retain_mut(|(d, clock)| {
+        self.clocks.retain_mut(|(d, clock)| {
             if *d == dest {
                 if deliver_at < *clock {
                     deliver_at = *clock + SimDuration::from_micros(1);
@@ -279,50 +272,27 @@ impl LinkClocks {
             }
         });
         if !found {
-            clocks.push((dest, deliver_at));
+            self.clocks.push((dest, deliver_at));
         }
         deliver_at
     }
 
-    /// Forgets the clocks of `sender`, in place; called when it crashes (it
+    /// Forgets every clock, in place; called when the sender crashes (it
     /// will never send again). Clocks *towards* a crashed node need no
     /// pruning: they are never consulted again — sends to a dead
     /// destination skip the FIFO stamp — and expire like any other.
-    pub fn clear(&mut self, sender: NodeId) {
-        if let Some(clocks) = self.by_sender.get_mut(sender.index()) {
-            clocks.clear();
-        }
+    pub fn clear(&mut self) {
+        self.clocks.clear();
     }
 
-    /// Number of clocks currently tracked (expired ones included until
-    /// their sender's next send).
-    pub fn tracked_links(&self) -> usize {
-        self.by_sender.iter().map(Vec::len).sum()
+    /// Heap bytes the table occupies (its capacity, not its length).
+    pub fn heap_bytes(&self) -> usize {
+        self.clocks.capacity() * std::mem::size_of::<(NodeId, SimTime)>()
     }
 
-    /// Bytes of memory the clock vectors occupy (capacities, not lengths).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.by_sender.capacity() * std::mem::size_of::<Vec<(NodeId, SimTime)>>()
-            + self
-                .by_sender
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<(NodeId, SimTime)>())
-                .sum::<usize>()
-    }
-
-    /// Every tracked `(sender, dest, clock)`, in `(sender, dest)` order.
-    /// Diagnostic hook for the online invariant checkers and the sharded ≡
-    /// sequential state dump.
-    pub fn entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        let mut all: Vec<(NodeId, NodeId, SimTime)> = self
-            .by_sender
-            .iter()
-            .enumerate()
-            .flat_map(|(s, clocks)| clocks.iter().map(move |&(d, t)| (NodeId(s as u32), d, t)))
-            .collect();
-        all.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        all
+    /// Every tracked `(dest, clock)`, in first-send order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, SimTime)> + '_ {
+        self.clocks.iter().copied()
     }
 }
 
@@ -404,9 +374,43 @@ mod tests {
         assert_eq!(triples, vec![(0, 1, 1), (0, 3, 3), (2, 0, 20)]);
     }
 
+    /// Every sender's [`FifoClocks`], indexed by id, as the simulator's
+    /// slots hold them.
+    #[derive(Default)]
+    struct Senders(Vec<FifoClocks>);
+
+    impl Senders {
+        fn stamp(&mut self, s: NodeId, d: NodeId, now: SimTime, at: SimTime) -> SimTime {
+            ensure_len(&mut self.0, s.index());
+            self.0[s.index()].stamp(d, now, at)
+        }
+
+        fn clear(&mut self, s: NodeId) {
+            if let Some(clocks) = self.0.get_mut(s.index()) {
+                clocks.clear();
+            }
+        }
+
+        fn tracked_links(&self) -> usize {
+            self.0.iter().map(|c| c.iter().count()).sum()
+        }
+
+        /// Every tracked `(sender, dest, clock)`, in `(sender, dest)` order.
+        fn entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
+            let mut all: Vec<_> = self
+                .0
+                .iter()
+                .enumerate()
+                .flat_map(|(s, c)| c.iter().map(move |(d, t)| (NodeId(s as u32), d, t)))
+                .collect();
+            all.sort_unstable_by_key(|&(s, d, _)| (s, d));
+            all
+        }
+    }
+
     /// The FIFO rule as it was before clocks expired: one persistent clock
     /// per directed link ever used, pruned in both directions on a crash.
-    /// Kept as the differential oracle for [`LinkClocks::stamp`].
+    /// Kept as the differential oracle for [`FifoClocks::stamp`].
     #[derive(Default)]
     struct PersistentClocks(PerLink<SimTime>);
 
@@ -425,7 +429,7 @@ mod tests {
     fn stamp_bumps_overtaking_sends_and_forgets_expired_clocks() {
         let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
         let us = SimTime::from_micros;
-        let mut clocks = LinkClocks::default();
+        let mut clocks = Senders::default();
         assert_eq!(clocks.stamp(a, b, us(0), us(100)), us(100));
         // Overtaking the in-flight message: one microsecond behind it, and
         // the chain continues from the bumped arrival.
@@ -462,7 +466,7 @@ mod tests {
 
     /// The expiring table and its oracle, driven in lockstep.
     struct Both {
-        new: LinkClocks,
+        new: Senders,
         old: PersistentClocks,
         alive: [bool; 12],
     }
@@ -470,7 +474,7 @@ mod tests {
     impl Default for Both {
         fn default() -> Self {
             Both {
-                new: LinkClocks::default(),
+                new: Senders::default(),
                 old: PersistentClocks::default(),
                 alive: [true; 12],
             }

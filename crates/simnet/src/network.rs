@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use crate::bandwidth::BandwidthMeter;
-use crate::core::{Core, Placement, Whole};
+use crate::core::{Core, NodeSlot, Placement, Whole};
 use crate::event::EventKind;
 use crate::faults::{FaultConfig, LinkFaults, PartitionSpec};
 use crate::latency::LatencyModel;
@@ -219,16 +219,28 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
         total
     }
 
-    /// A reading of the bandwidth meter: every node's byte totals so far.
-    /// Each node's counters live entirely on the core that owns it (uploads
-    /// are recorded sender-side, downloads destination-side), so the merge
-    /// over cores is a disjoint union.
+    /// A reading of every node's byte totals so far, dead nodes included.
+    /// Each node's totals live in its slot on the core that owns it
+    /// (uploads are counted sender-side, downloads destination-side).
     pub fn bandwidth(&self) -> BandwidthMeter {
-        let mut merged = BandwidthMeter::new();
-        for core in self.cores.iter() {
-            merged.absorb(&core.bandwidth);
-        }
-        merged
+        BandwidthMeter::from_totals(
+            self.ids()
+                .map(|id| self.cores[self.home(id)].bandwidth(id))
+                .collect(),
+        )
+    }
+
+    /// Every id ever added, in ascending order.
+    fn ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.node_count() as u32).map(NodeId)
+    }
+
+    /// Inline bytes of one node's slot: the protocol state `P` plus the
+    /// simulator's own per-node bookkeeping (RNG, flags, lane counter, byte
+    /// totals, the FIFO clock table's header). [`Footprint::node_state_bytes`]
+    /// is at least this per node.
+    pub fn slot_bytes() -> usize {
+        std::mem::size_of::<NodeSlot<P>>()
     }
 
     /// Number of nodes ever added (dead or alive).
@@ -244,9 +256,7 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
     /// Iterator over the identifiers of all live nodes, in ascending order.
     /// Allocation-free; prefer this over [`Self::alive_ids`] in hot loops.
     pub fn alive_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_count() as u32)
-            .map(NodeId)
-            .filter(|&id| self.is_alive(id))
+        self.ids().filter(|&id| self.is_alive(id))
     }
 
     /// Identifiers of all live nodes, collected into a fresh vector.
@@ -270,8 +280,8 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
     }
 
     /// Consumes the finished simulation into the protocol states of its
-    /// live nodes, in ascending id order, under either placement. Queues,
-    /// link tables and meters are freed first; each state is then handed
+    /// live nodes, in ascending id order, under either placement. Queues
+    /// and link tables are freed first; each state is then handed
     /// over in its turn, so a caller that drops one before taking the next
     /// never holds a node it is done with.
     pub fn into_live_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
@@ -436,24 +446,23 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
     /// sender last sent (a sender drops those on its next send). Exposed so
     /// tests can assert the table stays bounded by what is live.
     pub fn tracked_link_clocks(&self) -> usize {
-        self.cores
-            .iter()
-            .map(|c| c.link_clock.tracked_links())
+        self.ids()
+            .map(|id| self.cores[self.home(id)].link_clocks(id).count())
             .sum()
     }
 
     /// Snapshot of every tracked FIFO link clock as `(sender, dest, last
     /// scheduled arrival)`, in `(sender, dest)` order. Diagnostic hook for
     /// the online invariant checkers (per-link clocks must be monotone over
-    /// a run). A sender's clocks live only on the core that owns it.
+    /// a run). A sender's clocks live in its slot, on the core that owns
+    /// it.
     pub fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        let mut all: Vec<_> = self
-            .cores
-            .iter()
-            .flat_map(|c| c.link_clock.entries())
-            .collect();
-        if self.cores.len() > 1 {
-            all.sort_unstable_by_key(|&(sender, dest, _)| (sender, dest));
+        let mut all = Vec::new();
+        for sender in self.ids() {
+            let first = all.len();
+            let clocks = self.cores[self.home(sender)].link_clocks(sender);
+            all.extend(clocks.map(|(dest, clock)| (sender, dest, clock)));
+            all[first..].sort_unstable_by_key(|&(_, dest, _)| dest);
         }
         all
     }
@@ -470,7 +479,6 @@ impl<P: Protocol, Pl: Placement> Driver<P, Pl> {
             total.queue_bytes += f.queue_bytes;
             total.adjacency_bytes += f.adjacency_bytes;
             total.link_clock_bytes += f.link_clock_bytes;
-            total.bandwidth_bytes += f.bandwidth_bytes;
         }
         total
     }
@@ -500,27 +508,22 @@ pub struct Footprint {
     /// Nodes ever added (dead slots included — their storage remains).
     pub nodes: usize,
     /// Sum of the per-node protocol-state estimates plus the slot overhead
-    /// (RNG, flags).
+    /// (RNG, flags, lane counter, byte totals, the FIFO clock table's
+    /// header): at least [`Driver::slot_bytes`] per node.
     pub node_state_bytes: usize,
     /// What the event queue holds from the allocator (its buckets and
     /// lists at capacity, not just the pending entries).
     pub queue_bytes: usize,
     /// Connection table (adjacency vectors + reverse index).
     pub adjacency_bytes: usize,
-    /// FIFO link clocks.
+    /// What the per-node FIFO link clock tables hold on the heap.
     pub link_clock_bytes: usize,
-    /// Bandwidth meter (two byte totals per node).
-    pub bandwidth_bytes: usize,
 }
 
 impl Footprint {
     /// Total accounted bytes.
     pub fn total_bytes(&self) -> usize {
-        self.node_state_bytes
-            + self.queue_bytes
-            + self.adjacency_bytes
-            + self.link_clock_bytes
-            + self.bandwidth_bytes
+        self.node_state_bytes + self.queue_bytes + self.adjacency_bytes + self.link_clock_bytes
     }
 
     /// Accounted bytes per node ever added.

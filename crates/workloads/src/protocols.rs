@@ -91,7 +91,7 @@ impl DisseminationProtocol for BrisaNode {
 
     fn scale_report(&self, publish_times: &[brisa_simnet::SimTime]) -> ScaleNodeReport {
         let log = &self.brisa().stats().delivery;
-        let mut latency = log.latency_hist().clone();
+        let mut latency = log.latency_hist();
         if latency.is_empty() && log.delivered() > 0 {
             // Full tracking: the histogram was never streamed, so derive it
             // from the recorded first-delivery times (exactly what the

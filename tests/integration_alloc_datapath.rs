@@ -3,8 +3,10 @@
 //! The paper's efficiency argument is that once the structure has emerged a
 //! stream message costs a node one reception, one duplicate check and one
 //! relay. This binary installs a counting `#[global_allocator]` and drives a
-//! `BrisaCore` the way `BrisaNode` does — one reused action vector — through
-//! the steady state of an emerged tree, asserting the budget per message:
+//! `BrisaCore` through the steady state of an emerged tree, its effects
+//! recorded into one reused `Vec<BrisaAction>` sink (as `BrisaNode` writes
+//! them into the simulator's reused command buffer), asserting the budget
+//! per message:
 //!
 //! * a first reception from the parent at a **leaf**: 0 allocations;
 //! * at an **interior** node with `k` children: exactly 1 (the relayed

@@ -194,12 +194,12 @@ fn a_streaming_churn_run_passes_the_standard_invariant_suite() {
 /// stream carried. A regression that reintroduces per-message or
 /// per-second per-node state (delivery maps, a bandwidth history) blows
 /// through the pin immediately. The accounted figure counts every
-/// allocation a node owns at its capacity (delivery bitmap, retransmission
-/// record ring, link table, candidate vector, own path, reused action
-/// vector, HyParView views, peer records and probe list) plus the
-/// simulator's per-node tables (two bandwidth totals; the FIFO link clocks
-/// only for links with a message in flight): 4.3–5.2 kB across these
-/// scenarios. The event queue is booked at what it holds
+/// allocation a node owns at its capacity (delivery bitmap and latency
+/// histogram, retransmission record ring, link table, candidate vector,
+/// own path, HyParView views, peer records and probe list) plus its slot
+/// in the simulator (the node's inline state, RNG, two byte totals, and
+/// FIFO link clocks only for links with a message in flight): 2.9–3.4 kB
+/// across these scenarios. The event queue is booked at what it holds
 /// from the allocator and pinned on its own: its cost belongs to the
 /// simulation, not to a node (0.85–1.4 MB here, at most 512 buckets × 64
 /// retained entries × 72 B ≈ 2.4 MB once nothing is in flight).
