@@ -19,7 +19,7 @@
 use brisa::BrisaNode;
 use brisa_bench::{run_matrix, BrisaScenario, BrisaStackConfig, EngineResult, Scale};
 use brisa_simnet::{SimDuration, SimTime};
-use brisa_workloads::{scenarios, IntoRunSpec, InvariantSuite, Runner};
+use brisa_workloads::{scenarios, IntoRunSpec, InvariantSuite, Population, Runner};
 
 /// Delivery floor of every loss cell and of every partition cell whose cut
 /// fits the retransmission buffer. All of them read 1.0 at both scales, so
@@ -47,17 +47,6 @@ fn run_checked_cell(sc: &BrisaScenario) -> EngineResult {
     result
 }
 
-/// Aggregate recovery traffic: `(gap requests issued, retransmissions
-/// served)` over all live nodes.
-fn recovery_traffic(r: &EngineResult) -> (u64, u64) {
-    r.nodes.iter().fold((0, 0), |(req, served), n| {
-        (
-            req + n.report.repairs.gap_requests,
-            served + n.report.repairs.retransmissions_served,
-        )
-    })
-}
-
 fn main() {
     let scale = Scale::from_env();
     println!(
@@ -71,12 +60,14 @@ fn main() {
     println!("loss sweep ({} nodes):", loss_cells[0].1.nodes);
     println!("  loss%   delivery%   lost msgs");
     for ((loss_rate, _), r) in loss_cells.iter().zip(&loss_results) {
-        let (gap_requests, retransmissions) = recovery_traffic(r);
+        let recovery = r.view().recovery(Population::All);
         println!(
-            "  {:>5.1}   {:>8.3}%   {:>9}   ({gap_requests} gap requests, {retransmissions} retransmissions served)",
+            "  {:>5.1}   {:>8.3}%   {:>9}   ({} gap requests, {} retransmissions served)",
             loss_rate * 100.0,
             r.delivery_rate() * 100.0,
             r.net_stats.messages_lost_to_faults,
+            recovery.gap_requests,
+            recovery.retransmissions_served,
         );
         assert!(
             r.delivery_rate() >= DELIVERY_FLOOR,

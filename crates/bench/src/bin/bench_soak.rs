@@ -13,14 +13,15 @@
 //!
 //! Because both worlds run one `FaultLayer` over the same counter-based
 //! split-seed PRF, the stochastic profile means the same thing in both;
-//! the artifact records both outcomes side by side
-//! and `gate::divergence_check` holds the live numbers to a band around
-//! the sim prediction (`DivergenceBand`, see DESIGN.md).
+//! the artifact records both outcomes side by side, each read through the
+//! same `workloads::outcome` projections, and `gate::divergence_check`
+//! holds the survivors' delivered sets equal and their live p50 inside a
+//! band of the sim prediction (`DivergenceBand`, see DESIGN.md).
 //!
 //! Acceptance, asserted by the binary itself: every scenario's invariant
 //! sweeps are clean, survivor delivery is >= 99 %, the adversity its
 //! `FaultSpec` names actually happened (frames lost / cut / held > 0), and
-//! every scenario sits inside the divergence band. Results go to
+//! every scenario passes the divergence gate. Results go to
 //! `BENCH_SOAK.json`, the post-mortem record CI uploads; it is *not* a
 //! committed baseline — the simulator is the baseline.
 //!
@@ -29,7 +30,7 @@
 //! Positional arguments filter scenarios by name.
 
 use brisa::BrisaNode;
-use brisa_bench::gate::{divergence_check, DivergenceBand, SoakRow};
+use brisa_bench::gate::{divergence_check, DivergenceBand, SoakRow, NAMED_PAIRS};
 use brisa_bench::{BrisaStackConfig, EngineResult, IntoRunSpec, Runner, Scale};
 use brisa_metrics::percentile::percentile_of_sorted;
 use brisa_metrics::report::render_table;
@@ -38,7 +39,8 @@ use brisa_simnet::{PartitionMode, SimDuration};
 use brisa_telemetry::Telemetry;
 use brisa_workloads::chaos::ChaosSchedule;
 use brisa_workloads::{
-    FaultSpec, InvariantSuite, PartitionPhase, ScaleEvent, ScaleEventKind, StreamSpec,
+    FaultSpec, InvariantSuite, PartitionPhase, Population, RunView, ScaleEvent, ScaleEventKind,
+    StreamSpec,
 };
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -57,7 +59,6 @@ struct ScenarioResult {
     name: String,
     live: SoakOutcome,
     sim: EngineResult,
-    sim_latency_ms: Vec<f64>,
 }
 
 /// Fraction of the stream's injection window, as a schedule offset.
@@ -131,24 +132,6 @@ fn scenarios(nodes: u32, stream: &StreamSpec) -> Vec<ChaosSchedule> {
     ]
 }
 
-/// Sim latency samples, mirroring `LiveResult::latency_samples_ms`:
-/// injection-to-first-delivery per (non-source node, message), in ms.
-fn sim_latency_samples_ms(r: &EngineResult) -> Vec<f64> {
-    let mut samples = Vec::new();
-    for n in &r.nodes {
-        if n.is_source {
-            continue;
-        }
-        for &(seq, t) in &n.report.first_delivery {
-            if let Some(&published) = r.publish_times.get(seq as usize) {
-                samples.push(t.saturating_since(published).as_millis_f64());
-            }
-        }
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples
-}
-
 /// Runs one schedule through both worlds.
 fn run_scenario(
     shape: &SoakShape,
@@ -186,7 +169,6 @@ fn run_scenario(
         .invariants(&mut suite)
         .run();
     suite.assert_clean();
-    let sim_latency_ms = sim_latency_samples_ms(&sim);
 
     // Then the live soak.
     let cfg = SoakConfig {
@@ -204,37 +186,51 @@ fn run_scenario(
         name: sched.name.clone(),
         live,
         sim,
-        sim_latency_ms,
     }
 }
 
-/// Aggregate live recovery traffic: `(gap requests, retransmissions
-/// served, mean duplicates per message)` over non-source nodes.
-fn live_recovery(outcome: &SoakOutcome) -> (u64, u64, f64) {
-    let mut req = 0;
-    let mut served = 0;
-    let mut dup = 0.0;
-    let mut n = 0u32;
-    for node in &outcome.result.nodes {
-        if node.id == outcome.result.source {
-            continue;
-        }
-        req += node.report.repairs.gap_requests;
-        served += node.report.repairs.retransmissions_served;
-        dup += node.report.duplicates_per_message;
-        n += 1;
-    }
-    (req, served, if n == 0 { 0.0 } else { dup / n as f64 })
+/// One population's latency distribution, for the artifact.
+fn latency_json(view: &RunView<'_>, population: Population) -> String {
+    let samples = view.latencies_ms(population);
+    let p = |q| percentile_of_sorted(&samples, q);
+    format!(
+        "{{\"samples\": {}, \"latency_p50_ms\": {:.3}, \"latency_p90_ms\": {:.3}, \
+         \"latency_p99_ms\": {:.3}}}",
+        samples.len(),
+        p(50.0),
+        p(90.0),
+        p(99.0)
+    )
 }
 
-/// Sim recovery traffic: `(gap requests, retransmissions served)`.
-fn sim_recovery(r: &EngineResult) -> (u64, u64) {
-    r.nodes.iter().fold((0, 0), |(a, b), n| {
-        (
-            a + n.report.repairs.gap_requests,
-            b + n.report.repairs.retransmissions_served,
-        )
-    })
+/// The fields both worlds report, each from the one projection over its
+/// population: delivery over the eligible nodes and over the survivors,
+/// repair traffic and duplicates over every node alive at the end (the
+/// source included), latency split into the survivors and the others.
+fn world_json(view: &RunView<'_>) -> String {
+    let eligible = view.tally(Population::Eligible);
+    let survivors = view.tally(Population::Survivors);
+    let recovery = view.recovery(Population::All);
+    let duplicates: f64 = view
+        .nodes
+        .iter()
+        .map(|(_, r)| r.duplicates_per_message)
+        .sum();
+    format!(
+        "\"delivery_rate\": {:.6}, \"completeness\": {:.6}, \
+         \"survivor_delivery_rate\": {:.6}, \"survivor_completeness\": {:.6}, \
+         \"duplicates_per_message\": {:.4}, \"gap_requests\": {}, \
+         \"retransmissions_served\": {},\n       \"survivors\": {},\n       \"others\": {}",
+        eligible.delivery_rate(),
+        eligible.completeness(),
+        survivors.delivery_rate(),
+        survivors.completeness(),
+        duplicates / view.nodes.len().max(1) as f64,
+        recovery.gap_requests,
+        recovery.retransmissions_served,
+        latency_json(view, Population::Survivors),
+        latency_json(view, Population::Others),
+    )
 }
 
 fn main() {
@@ -339,6 +335,14 @@ fn main() {
     ticker_stop.store(true, std::sync::atomic::Ordering::Relaxed);
     ticker.join().expect("telemetry ticker");
 
+    let gate_rows: Vec<SoakRow> = results
+        .iter()
+        .map(|r| {
+            let live = r.live.result.view();
+            SoakRow::new(&r.name, r.live.violations.len(), &live, &r.sim.view())
+        })
+        .collect();
+
     let headers = [
         "scenario",
         "surv deliv%",
@@ -346,17 +350,17 @@ fn main() {
         "sweeps",
         "violations",
         "lost/cut/held",
-        "live p50 ms",
-        "sim p50 ms",
+        "surv p50 ms",
+        "sim surv p50 ms",
     ];
     let rows: Vec<Vec<String>> = results
         .iter()
-        .map(|r| {
-            let mut live_lat = r.live.result.latency_samples_ms();
-            live_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        .zip(&gate_rows)
+        .map(|(r, row)| {
+            let survivors = r.live.result.view().tally(Population::Survivors);
             vec![
                 r.name.clone(),
-                format!("{:.2}", r.live.result.survivor_delivery_rate() * 100.0),
+                format!("{:.2}", survivors.delivery_rate() * 100.0),
                 format!("{:.2}", r.sim.delivery_rate() * 100.0),
                 r.live.sweeps.to_string(),
                 r.live.violations.len().to_string(),
@@ -364,35 +368,27 @@ fn main() {
                     "{}/{}/{}",
                     r.live.shim.frames_lost, r.live.shim.frames_cut, r.live.shim.frames_delayed
                 ),
-                format!("{:.2}", percentile_of_sorted(&live_lat, 50.0)),
-                format!("{:.2}", percentile_of_sorted(&r.sim_latency_ms, 50.0)),
+                format!("{:.2}", row.live_p50_ms),
+                format!("{:.2}", row.sim_p50_ms),
             ]
         })
         .collect();
     print!("{}", render_table(&headers, &rows));
 
-    // --- BENCH_SOAK.json (schema: brisa-bench-soak/v1, see DESIGN.md),
-    // and next to each cell the row the divergence gate reads.
+    // --- BENCH_SOAK.json (schema: brisa-bench-soak/v2, see DESIGN.md):
+    // both worlds through the same projections, and the gate's reading.
     let mut cells = String::new();
-    let mut gate_rows = Vec::new();
-    for (i, r) in results.iter().enumerate() {
+    for (i, (r, row)) in results.iter().zip(&gate_rows).enumerate() {
         if i > 0 {
             cells.push_str(",\n");
         }
-        let (req, served, dup) = live_recovery(&r.live);
-        let (sim_req, sim_served) = sim_recovery(&r.sim);
         let (frames, bytes) = r.live.result.frames_and_bytes_out();
-        let mut live_lat = r.live.result.latency_samples_ms();
-        live_lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let (lp50, lp90, lp99) = (
-            percentile_of_sorted(&live_lat, 50.0),
-            percentile_of_sorted(&live_lat, 90.0),
-            percentile_of_sorted(&live_lat, 99.0),
-        );
-        let (sp50, sp90) = (
-            percentile_of_sorted(&r.sim_latency_ms, 50.0),
-            percentile_of_sorted(&r.sim_latency_ms, 90.0),
-        );
+        let differences = row.set_differences();
+        let differing: Vec<String> = differences
+            .iter()
+            .take(NAMED_PAIRS)
+            .map(|(node, seq, world)| format!("[{node}, {seq}, \"{world}\"]"))
+            .collect();
         write!(
             cells,
             "    {{\"scenario\": \"{}\", \"nodes\": {}, \"messages\": {}, \
@@ -400,18 +396,11 @@ fn main() {
              \"invariant_violations\": {}, \"restarted\": {}, \"joined\": {},\n     \
              \"shim\": {{\"frames_passed\": {}, \"frames_lost\": {}, \"frames_cut\": {}, \
              \"frames_delayed\": {}, \"linkdowns_synthesized\": {}}},\n     \
-             \"live\": {{\"delivery_rate\": {:.6}, \"completeness\": {:.6}, \
-             \"survivor_delivery_rate\": {:.6}, \"survivor_completeness\": {:.6}, \
-             \"duplicates_per_message\": {:.4}, \"gap_requests\": {}, \
-             \"retransmissions_served\": {}, \"latency_p50_ms\": {:.3}, \
-             \"latency_p90_ms\": {:.3}, \"latency_p99_ms\": {:.3}, \
-             \"frames_out\": {}, \"bytes_out\": {}}},\n     \
-             \"sim\": {{\"delivery_rate\": {:.6}, \"completeness\": {:.6}, \
-             \"latency_p50_ms\": {:.3}, \"latency_p90_ms\": {:.3}, \
-             \"messages_lost_to_faults\": {}, \"messages_cut_by_partition\": {}, \
-             \"gap_requests\": {}, \"retransmissions_served\": {}}},\n     \
-             \"divergence\": {{\"delivery_abs\": {:.6}, \"completeness_abs\": {:.6}, \
-             \"latency_ratio\": {:.3}}}}}",
+             \"live\": {{{}, \"frames_out\": {}, \"bytes_out\": {}}},\n     \
+             \"sim\": {{{}, \"messages_lost_to_faults\": {}, \
+             \"messages_cut_by_partition\": {}}},\n     \
+             \"divergence\": {{\"survivor_sets_equal\": {}, \"differing_pairs\": {}, \
+             \"first_differing_pairs\": [{}], \"latency_ratio\": {:.3}}}}}",
             r.name,
             shape.nodes,
             shape.messages,
@@ -426,44 +415,25 @@ fn main() {
             r.live.shim.frames_cut,
             r.live.shim.frames_delayed,
             r.live.shim.linkdowns_synthesized,
-            r.live.result.delivery_rate(),
-            r.live.result.completeness(),
-            r.live.result.survivor_delivery_rate(),
-            r.live.result.survivor_completeness(),
-            dup,
-            req,
-            served,
-            lp50,
-            lp90,
-            lp99,
+            world_json(&r.live.result.view()),
             frames,
             bytes,
-            r.sim.delivery_rate(),
-            r.sim.completeness(),
-            sp50,
-            sp90,
+            world_json(&r.sim.view()),
             r.sim.net_stats.messages_lost_to_faults,
             r.sim.net_stats.messages_cut_by_partition,
-            sim_req,
-            sim_served,
-            (r.live.result.survivor_delivery_rate() - r.sim.delivery_rate()).abs(),
-            (r.live.result.survivor_completeness() - r.sim.completeness()).abs(),
-            if sp50 > 0.0 { lp50 / sp50 } else { 0.0 },
+            differences.is_empty(),
+            differences.len(),
+            differing.join(", "),
+            if row.sim_p50_ms > 0.0 {
+                row.live_p50_ms / row.sim_p50_ms
+            } else {
+                0.0
+            },
         )
         .unwrap();
-        gate_rows.push(SoakRow {
-            scenario: r.name.clone(),
-            invariant_violations: r.live.violations.len(),
-            live_delivery: r.live.result.survivor_delivery_rate(),
-            sim_delivery: r.sim.delivery_rate(),
-            live_completeness: r.live.result.survivor_completeness(),
-            sim_completeness: r.sim.completeness(),
-            live_p50_ms: lp50,
-            sim_p50_ms: sp50,
-        });
     }
     let json = format!(
-        "{{\n  \"schema\": \"brisa-bench-soak/v1\",\n  \"generated_by\": \"bench_soak\",\n  \
+        "{{\n  \"schema\": \"brisa-bench-soak/v2\",\n  \"generated_by\": \"bench_soak\",\n  \
          \"scale\": \"{:?}\",\n  \"protocol\": \"Brisa\",\n  \
          \"scenarios\": [\n{}\n  ]\n}}\n",
         scale, cells
@@ -484,8 +454,7 @@ fn main() {
     };
 
     // --- Acceptance: clean sweeps, survivors fully served, the named
-    // adversity applied, live inside the divergence band around the sim
-    // prediction.
+    // adversity applied, then the divergence gate.
     for (r, sched) in results.iter().zip(&scheds) {
         if !r.live.violations.is_empty() {
             dump("online invariant violations");
@@ -495,7 +464,12 @@ fn main() {
                 r.live.violations.join("\n  ")
             );
         }
-        let survivors = r.live.result.survivor_delivery_rate();
+        let survivors = r
+            .live
+            .result
+            .view()
+            .tally(Population::Survivors)
+            .delivery_rate();
         if survivors < 0.99 {
             dump("survivor delivery below the bar");
             panic!(

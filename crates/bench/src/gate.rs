@@ -3,32 +3,71 @@
 //! `bench_soak` runs every chaos scenario twice — live, and through the
 //! simulator's prediction of the *same* schedule — and hands one
 //! [`SoakRow`] per scenario to [`divergence_check`], which fails when the
-//! live numbers drift outside the [`DivergenceBand`] around the prediction
-//! or when any online invariant sweep tripped during the soak (methodology
-//! in DESIGN.md).
+//! survivors' delivered sets differ between the worlds, when live latency
+//! stalls past the [`DivergenceBand`] around the prediction, or when any
+//! online invariant sweep tripped during the soak (methodology in
+//! DESIGN.md).
 
+use brisa_metrics::percentile::percentile_of_sorted;
+use brisa_workloads::{Population, RunView};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+/// Each node's delivered sequence numbers.
+pub type DeliveredSets = BTreeMap<u32, Vec<u64>>;
+
+/// Differing pairs a violation message (and the soak artifact) names
+/// before it stops.
+pub const NAMED_PAIRS: usize = 5;
+
 /// What the gate reads of one soak scenario: the live cluster's outcome
-/// next to the simulator's prediction of the same schedule.
+/// next to the simulator's prediction of the same schedule, both over the
+/// survivors (originals never killed, the source excluded).
 #[derive(Debug, Clone)]
 pub struct SoakRow {
     /// Scenario name, for the violation messages.
     pub scenario: String,
     /// Online invariant violations recorded by the live sweeps.
     pub invariant_violations: usize,
-    /// Live delivery rate over surviving nodes.
-    pub live_delivery: f64,
-    /// Simulated delivery rate.
-    pub sim_delivery: f64,
-    /// Live completeness over surviving nodes.
-    pub live_completeness: f64,
-    /// Simulated completeness.
-    pub sim_completeness: f64,
-    /// Live median delivery latency, ms.
+    /// The survivors' delivered sets, live.
+    pub live_sets: DeliveredSets,
+    /// The survivors' delivered sets, simulated.
+    pub sim_sets: DeliveredSets,
+    /// The survivors' median delivery latency live, ms.
     pub live_p50_ms: f64,
-    /// Simulated median delivery latency, ms.
+    /// The survivors' median delivery latency simulated, ms.
     pub sim_p50_ms: f64,
+}
+
+impl SoakRow {
+    /// The row of one scenario, projected from both worlds' runs.
+    pub fn new(scenario: &str, violations: usize, live: &RunView<'_>, sim: &RunView<'_>) -> Self {
+        let p50 =
+            |v: &RunView<'_>| percentile_of_sorted(&v.latencies_ms(Population::Survivors), 50.0);
+        SoakRow {
+            scenario: scenario.to_string(),
+            invariant_violations: violations,
+            live_sets: live.delivered_sets(Population::Survivors),
+            sim_sets: sim.delivered_sets(Population::Survivors),
+            live_p50_ms: p50(live),
+            sim_p50_ms: p50(sim),
+        }
+    }
+
+    /// Every `(node, seq, world)` pair that only `world` (`"live"` or
+    /// `"sim"`) delivered, in node then sequence order.
+    pub fn set_differences(&self) -> Vec<(u32, u64, &'static str)> {
+        let pairs = |sets: &DeliveredSets| -> BTreeSet<(u32, u64)> {
+            let per_node = sets
+                .iter()
+                .map(|(&n, seqs)| seqs.iter().map(move |&s| (n, s)));
+            per_node.flatten().collect()
+        };
+        let (live, sim) = (pairs(&self.live_sets), pairs(&self.sim_sets));
+        let world = |pair| if live.contains(pair) { "live" } else { "sim" };
+        let differences = live.symmetric_difference(&sim);
+        differences.map(|p @ &(n, s)| (n, s, world(p))).collect()
+    }
 }
 
 /// Outcome of gating a soak.
@@ -36,7 +75,7 @@ pub struct SoakRow {
 pub struct GateReport {
     /// Human-readable divergence descriptions; non-empty fails the gate.
     pub violations: Vec<String>,
-    /// Numeric comparisons performed.
+    /// Comparisons performed.
     pub checks: usize,
 }
 
@@ -65,23 +104,15 @@ impl GateReport {
 
 /// Allowed sim-vs-live drift per soak scenario.
 ///
-/// Delivery and completeness are gated **symmetrically**: live falling
-/// below the sim prediction means the runtime is dropping deliveries, and
-/// live sitting far *above* it means the fault layer is not applying the
-/// adversity the simulator modelled — both are divergence. Latency is
-/// gated one-sided as a ratio: the sim's testbed latency model and the
-/// live interconnect are different clocks, so live being much faster than
-/// the model is expected (TCP on `127.0.0.1` has no link delay), but live
-/// p50 exceeding sim p50 by more than the ratio means the runtime is
-/// stalling.
+/// Delivery needs no band: the survivors' delivered sets must be equal,
+/// which fixes their delivery rate and completeness exactly in both
+/// directions. Latency is gated one-sided as a ratio: the sim's testbed
+/// latency model and the live interconnect are different clocks, so live
+/// being much faster than the model is expected (TCP on `127.0.0.1` has
+/// no link delay), but the survivors' live p50 exceeding their sim p50 by
+/// more than the ratio means the runtime is stalling.
 #[derive(Debug, Clone, Copy)]
 pub struct DivergenceBand {
-    /// Max absolute drift of live survivor delivery rate vs sim delivery.
-    pub delivery_abs: f64,
-    /// Max absolute drift of live survivor completeness vs sim
-    /// completeness (wider: one node missing one message zeroes its
-    /// contribution, so the metric is intrinsically coarser).
-    pub completeness_abs: f64,
     /// Max live-p50 / sim-p50 latency ratio (one-sided; faster is fine).
     pub latency_ratio: f64,
 }
@@ -89,16 +120,15 @@ pub struct DivergenceBand {
 impl Default for DivergenceBand {
     fn default() -> Self {
         DivergenceBand {
-            delivery_abs: 0.05,
-            completeness_abs: 0.15,
             latency_ratio: 25.0,
         }
     }
 }
 
-/// Gates a soak: every scenario's online invariant sweeps must be clean
-/// and its live metrics must sit inside `band` around the sim prediction.
-/// A soak with no scenario fails — an empty set must not pass by vacuity.
+/// Gates a soak: every scenario's online invariant sweeps must be clean,
+/// its survivors must have delivered the same pairs in both worlds, and
+/// their live p50 must sit inside `band` of the sim prediction. A soak
+/// with no scenario fails — an empty set must not pass by vacuity.
 pub fn divergence_check(rows: &[SoakRow], band: &DivergenceBand) -> GateReport {
     let mut report = GateReport::default();
     if rows.is_empty() {
@@ -106,33 +136,30 @@ pub fn divergence_check(rows: &[SoakRow], band: &DivergenceBand) -> GateReport {
     }
     for row in rows {
         let name = &row.scenario;
-        report.checks += 4;
+        report.checks += 3;
         if row.invariant_violations != 0 {
             report.violations.push(format!(
                 "{name}: {} online invariant violations during the soak",
                 row.invariant_violations
             ));
         }
-        let (live, sim) = (row.live_delivery, row.sim_delivery);
-        if (live - sim).abs() > band.delivery_abs {
+        let differences = row.set_differences();
+        if !differences.is_empty() {
+            let named: Vec<String> = differences
+                .iter()
+                .take(NAMED_PAIRS)
+                .map(|(node, seq, world)| format!("(node {node}, seq {seq}) {world} only"))
+                .collect();
             report.violations.push(format!(
-                "{name}: live survivor delivery {live:.4} diverges from sim {sim:.4} \
-                 by more than {:.4}",
-                band.delivery_abs
-            ));
-        }
-        let (live, sim) = (row.live_completeness, row.sim_completeness);
-        if (live - sim).abs() > band.completeness_abs {
-            report.violations.push(format!(
-                "{name}: live survivor completeness {live:.4} diverges from sim {sim:.4} \
-                 by more than {:.4}",
-                band.completeness_abs
+                "{name}: the survivors' delivered sets differ in {} (node, seq) pairs: {}",
+                differences.len(),
+                named.join(", ")
             ));
         }
         let (live, sim) = (row.live_p50_ms, row.sim_p50_ms);
         if sim > 0.0 && live > sim * band.latency_ratio {
             report.violations.push(format!(
-                "{name}: live p50 latency {live:.2}ms exceeds {:.0}x the sim \
+                "{name}: survivors' live p50 latency {live:.2}ms exceeds {:.0}x the sim \
                  prediction {sim:.2}ms",
                 band.latency_ratio
             ));
@@ -144,45 +171,104 @@ pub fn divergence_check(rows: &[SoakRow], band: &DivergenceBand) -> GateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use brisa_simnet::{NodeId, SimTime};
+    use brisa_workloads::NodeReport;
 
-    /// A healthy two-scenario soak: live tracks sim closely, no invariant
-    /// violations.
+    const NODES: u32 = 16;
+    const MESSAGES: u64 = 30;
+
+    /// A node that delivered `seqs`, each `delay_ms` after its publish.
+    fn node(id: u32, seqs: impl Iterator<Item = u64>, delay_ms: u64) -> (NodeId, NodeReport) {
+        let first_delivery: Vec<(u64, SimTime)> = seqs
+            .map(|s| (s, SimTime::from_micros((s * 200 + delay_ms) * 1_000)))
+            .collect();
+        let report = NodeReport {
+            delivered: first_delivery.len() as u64,
+            first_delivery,
+            ..Default::default()
+        };
+        (NodeId(id), report)
+    }
+
+    /// Every node of a 16-node run delivered the whole stream, `delay_ms`
+    /// after each 200 ms-spaced publish.
+    fn run(delay_ms: u64) -> Vec<(NodeId, NodeReport)> {
+        (0..NODES)
+            .map(|id| node(id, 0..MESSAGES, delay_ms))
+            .collect()
+    }
+
+    fn view<'a>(
+        nodes: &'a [(NodeId, NodeReport)],
+        ever_killed: &'a [u32],
+        publish_times: &'a [SimTime],
+    ) -> RunView<'a> {
+        RunView {
+            source: NodeId(0),
+            original_nodes: NODES,
+            ever_killed,
+            publish_times,
+            nodes: nodes.iter().map(|(id, r)| (*id, r)).collect(),
+        }
+    }
+
+    fn publish_times() -> Vec<SimTime> {
+        (0..MESSAGES)
+            .map(|s| SimTime::from_micros(s * 200_000))
+            .collect()
+    }
+
+    /// One scenario's row: live at 4 ms per delivery, the sim at 60 ms.
+    fn row(
+        scenario: &str,
+        live: &[(NodeId, NodeReport)],
+        ever_killed: &[u32],
+        sim: &[(NodeId, NodeReport)],
+    ) -> SoakRow {
+        let at = publish_times();
+        SoakRow::new(
+            scenario,
+            0,
+            &view(live, ever_killed, &at),
+            &view(sim, &[], &at),
+        )
+    }
+
+    /// A healthy two-scenario soak: both worlds deliver everything.
     fn soak() -> Vec<SoakRow> {
-        let row =
-            |scenario: &str, live_delivery, live_completeness, live_p50_ms, sim_p50_ms| SoakRow {
-                scenario: scenario.to_string(),
-                invariant_violations: 0,
-                live_delivery,
-                sim_delivery: 1.0,
-                live_completeness,
-                sim_completeness: 1.0,
-                live_p50_ms,
-                sim_p50_ms,
-            };
         vec![
-            row("steady_loss_1pct", 0.998, 0.95, 4.0, 60.0),
-            row("kill_restart", 1.0, 1.0, 3.5, 55.0),
+            row("steady_loss_1pct", &run(4), &[], &run(60)),
+            row("partition_heal", &run(3), &[], &run(55)),
         ]
     }
 
     #[test]
     fn healthy_soak_passes_the_divergence_gate() {
-        let r = divergence_check(&soak(), &DivergenceBand::default());
+        let rows = soak();
+        assert_eq!((rows[0].live_p50_ms, rows[0].sim_p50_ms), (4.0, 60.0));
+        assert_eq!(
+            rows[0].live_sets.len(),
+            NODES as usize - 1,
+            "the source is no survivor"
+        );
+        let r = divergence_check(&rows, &DivergenceBand::default());
         assert!(r.passed(), "{}", r.render());
-        // 2 scenarios x (invariants + delivery + completeness + latency).
-        assert_eq!(r.checks, 8);
+        // 2 scenarios x (invariants + delivered sets + latency).
+        assert_eq!(r.checks, 6);
     }
 
     #[test]
     fn dropped_delivery_trace_fails_the_gate() {
-        // Live survivor delivery collapsed while sim predicts full delivery
-        // — the exact signature of the runtime dropping messages.
-        let mut broken = soak();
-        broken[0].live_delivery = 0.80;
-        let r = divergence_check(&broken, &DivergenceBand::default());
+        // One live survivor misses one pair of the 15 x 30 = 450 the sim
+        // delivers: a 1-in-450 miss, which a ±0.05 delivery band passes.
+        let mut live = run(4);
+        live[5] = node(5, (0..MESSAGES).filter(|&s| s != 17), 4);
+        let rows = [row("steady_loss_1pct", &live, &[], &run(60))];
+        let r = divergence_check(&rows, &DivergenceBand::default());
         assert!(!r.passed());
+        assert_eq!(r.violations.len(), 1, "{}", r.render());
         assert!(
-            r.violations[0].contains("diverges from sim"),
+            r.violations[0].contains("differ in 1 (node, seq) pairs: (node 5, seq 17) sim only"),
             "{}",
             r.render()
         );
@@ -190,11 +276,10 @@ mod tests {
 
     #[test]
     fn deliberately_broken_band_fails_even_a_healthy_trace() {
-        // Zero-width delivery band: the healthy soak's 0.002 drift must now
-        // trip the gate — proof the band is actually load-bearing.
+        // A latency ratio below live/sim: the healthy soak must now trip
+        // the gate — proof the band is actually load-bearing.
         let band = DivergenceBand {
-            delivery_abs: 0.0,
-            ..DivergenceBand::default()
+            latency_ratio: 0.01,
         };
         let r = divergence_check(&soak(), &band);
         assert!(!r.passed(), "{}", r.render());
@@ -202,14 +287,38 @@ mod tests {
 
     #[test]
     fn live_exceeding_sim_prediction_is_also_divergence() {
-        // Sim predicts partition damage; live sailed through untouched —
-        // the fault layer is not applying the modelled adversity.
-        let mut inert_shim = soak();
-        for row in &mut inert_shim {
-            row.sim_delivery = 0.85;
-        }
-        let r = divergence_check(&inert_shim, &DivergenceBand::default());
+        // The sim predicts partition damage (node 2 misses 10..20); live
+        // sailed through untouched — the fault layer is not applying the
+        // modelled adversity.
+        let mut sim = run(60);
+        sim[2] = node(2, (0..MESSAGES).filter(|s| !(10..20).contains(s)), 60);
+        let rows = [row("partition_heal", &run(4), &[], &sim)];
+        let r = divergence_check(&rows, &DivergenceBand::default());
         assert!(!r.passed(), "{}", r.render());
+        assert!(
+            r.violations[0].contains("differ in 10 (node, seq) pairs: (node 2, seq 10) live only"),
+            "{}",
+            r.render()
+        );
+    }
+
+    #[test]
+    fn a_difference_only_on_a_reborn_node_or_joiner_passes() {
+        // Live restarts node 8 under its own identifier and it catches up
+        // from seq 18; the sim's restart is a fresh joiner 16 that
+        // delivered from seq 20; live's flash-crowd joiner 17 got less.
+        let mut live = run(4);
+        live[8] = node(8, 18..MESSAGES, 2_900);
+        live.push(node(17, 25..MESSAGES, 4));
+        let mut sim = run(60);
+        sim.remove(8);
+        sim.push(node(16, 20..MESSAGES, 60));
+        let rows = [row("kill_restart", &live, &[8], &sim)];
+        assert!(!rows[0].live_sets.contains_key(&8));
+        let r = divergence_check(&rows, &DivergenceBand::default());
+        assert!(r.passed(), "{}", r.render());
+        // The reborn node's slow catch-up is not the survivors' latency.
+        assert_eq!(rows[0].live_p50_ms, 4.0);
     }
 
     #[test]

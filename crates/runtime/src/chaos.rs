@@ -25,7 +25,7 @@ use brisa_telemetry::{EventKind as TelEventKind, Telemetry};
 use brisa_workloads::chaos::ChaosSchedule;
 use brisa_workloads::invariants::check_delivery_report;
 use brisa_workloads::{
-    add_marks, timed_plan, DisseminationProtocol, ScaleEventKind, Step, StreamSpec,
+    add_marks, timed_plan, DisseminationProtocol, NodeClass, ScaleEventKind, Step, StreamSpec,
     FIRST_PUBLISH_DELAY,
 };
 use std::collections::HashMap;
@@ -238,8 +238,7 @@ where
     }
 
     // Drain: let repairs catch the survivors up, sweeping as we wait, and
-    // stop early once every never-killed original node has the full
-    // stream.
+    // stop early once every survivor has the full stream.
     let drain_end = std::time::Instant::now() + cfg.drain;
     loop {
         std::thread::sleep(cfg.sweep_interval.min(Duration::from_millis(500)));
@@ -247,9 +246,7 @@ where
         let reports = sweep(cfg, &cluster, sweeps, &mut floor, &mut violations);
         let killed = cluster.ever_killed();
         let done = reports.iter().all(|(id, r)| {
-            id.0 == 0
-                || id.0 >= cfg.nodes
-                || killed.contains(&id.0)
+            NodeClass::of(*id, cluster.source(), cfg.nodes, &killed) != NodeClass::Survivor
                 || r.delivered >= cfg.stream.messages
         });
         if done || std::time::Instant::now() >= drain_end {
@@ -312,12 +309,14 @@ where
         violations.len() as u64,
     );
     if let Some(label) = &cfg.progress {
-        // Delivered floor across eligible original survivors — the number
-        // the final completeness gate will be judged on.
+        // Delivered floor across the survivors — the nodes the final
+        // delivered-set comparison will be judged on.
         let killed = cluster.ever_killed();
         let delivered_min = reports
             .iter()
-            .filter(|(id, _)| id.0 != 0 && id.0 < cfg.nodes && !killed.contains(&id.0))
+            .filter(|(id, _)| {
+                NodeClass::of(*id, cluster.source(), cfg.nodes, &killed) == NodeClass::Survivor
+            })
             .map(|(_, r)| r.delivered)
             .min()
             .unwrap_or(0);

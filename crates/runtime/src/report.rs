@@ -1,18 +1,17 @@
 //! The collected outcome of a live cluster run.
 //!
 //! [`LiveResult`] mirrors the sim engine's `EngineResult` where the two
-//! execution modes overlap: per-node [`NodeReport`]s, the publish schedule,
-//! and the `delivery_rate()`/`completeness()` summaries (same formulas, so
-//! the acceptance bars of the fault sweeps translate verbatim). Wall-clock
-//! runs are not bit-reproducible, so instead of the engine's full
-//! fingerprint it exposes [`LiveResult::delivery_fingerprint`] — the
+//! execution modes overlap: per-node [`NodeReport`]s and the publish
+//! schedule, read through the same [`RunView`] (one population rule, one
+//! tally, so the acceptance bars of the fault sweeps translate verbatim).
+//! Wall-clock runs are not bit-reproducible, so instead of the engine's
+//! full fingerprint it exposes [`LiveResult::delivery_fingerprint`] — the
 //! timing-free projection (who delivered which sequence numbers) that a
 //! simulated run of the same scenario must agree with.
 
 use brisa_simnet::{NodeId, SimTime};
 use brisa_workloads::invariants::check_delivery_report;
-use brisa_workloads::{completeness_of, delivery_rate_of, NodeReport};
-use std::collections::BTreeMap;
+use brisa_workloads::{NodeReport, Population, RunView};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -69,91 +68,33 @@ pub struct LiveResult {
     /// Wall time from launch to collection.
     pub wall_elapsed: Duration,
     /// Nodes killed at least once during the run (sorted). A restarted
-    /// node is alive at collection but lost its state mid-stream, so the
-    /// survivor metrics exclude it — the live mirror of the sim engine
-    /// excluding crashed nodes and counting their replacements as
-    /// ineligible joiners.
+    /// node is alive at collection but lost its state mid-stream: the
+    /// population rule classes it `Reborn`, not `Survivor`.
     pub ever_killed: Vec<u32>,
 }
 
 impl LiveResult {
-    /// Fraction of (eligible node × message) pairs delivered — literally
-    /// the sim engine's formula ([`delivery_rate_of`]) over live reports.
-    pub fn delivery_rate(&self) -> f64 {
-        delivery_rate_of(self.eligible_delivered_counts(), self.messages_published)
-    }
-
-    /// Fraction of live non-source nodes that delivered every message
-    /// (the engine's [`completeness_of`]).
-    pub fn completeness(&self) -> f64 {
-        completeness_of(self.eligible_delivered_counts(), self.messages_published)
-    }
-
-    /// Delivered counts of the eligible nodes: alive, non-source, launched
-    /// with the cluster.
-    fn eligible_delivered_counts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.nodes
-            .iter()
-            .filter(|n| n.id != self.source && n.id.0 < self.original_nodes)
-            .map(|n| n.report.delivered)
-    }
-
-    /// Delivered counts of the *survivors*: eligible nodes that were never
-    /// killed. A restarted node's empty-state rebirth would otherwise drag
-    /// the averages for messages published before it existed.
-    fn survivor_delivered_counts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.nodes
-            .iter()
-            .filter(|n| {
-                n.id != self.source
-                    && n.id.0 < self.original_nodes
-                    && self.ever_killed.binary_search(&n.id.0).is_err()
-            })
-            .map(|n| n.report.delivered)
-    }
-
-    /// [`LiveResult::delivery_rate`] over the survivors only — the metric
-    /// the sim-vs-live divergence gate compares, since the sim's
-    /// eligibility filter excludes crashed nodes the same way.
-    pub fn survivor_delivery_rate(&self) -> f64 {
-        delivery_rate_of(self.survivor_delivered_counts(), self.messages_published)
-    }
-
-    /// [`LiveResult::completeness`] over the survivors only.
-    pub fn survivor_completeness(&self) -> f64 {
-        completeness_of(self.survivor_delivered_counts(), self.messages_published)
-    }
-
-    /// Injection-to-delivery latency of every (node, message) pair, in
-    /// milliseconds. The raw samples behind the latency CDFs.
-    pub fn latency_samples_ms(&self) -> Vec<f64> {
-        let mut samples = Vec::new();
-        for n in &self.nodes {
-            if n.id == self.source {
-                continue;
-            }
-            for &(seq, at) in &n.report.first_delivery {
-                if let Some(&published) = self.publish_times.get(seq as usize) {
-                    samples.push(at.saturating_since(published).as_millis_f64());
-                }
-            }
+    /// The run as the population rule and its projections read it: the
+    /// reborn nodes are `ever_killed`.
+    pub fn view(&self) -> RunView<'_> {
+        RunView {
+            source: self.source,
+            original_nodes: self.original_nodes,
+            ever_killed: &self.ever_killed,
+            publish_times: &self.publish_times,
+            nodes: self.nodes.iter().map(|n| (n.id, &n.report)).collect(),
         }
-        samples
     }
 
-    /// Per-node sets of delivered sequence numbers. The projection of the
-    /// run that is deterministic for a correct protocol — a simulated run
-    /// of the same scenario must produce the same map.
-    pub fn delivered_sets(&self) -> BTreeMap<u32, Vec<u64>> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                (
-                    n.id.0,
-                    n.report.first_delivery.iter().map(|&(s, _)| s).collect(),
-                )
-            })
-            .collect()
+    /// Fraction of (eligible node × message) pairs delivered — the sim
+    /// engine's tally over live reports.
+    pub fn delivery_rate(&self) -> f64 {
+        self.view().tally(Population::Eligible).delivery_rate()
+    }
+
+    /// Fraction of eligible nodes that delivered every message.
+    pub fn completeness(&self) -> f64 {
+        self.view().tally(Population::Eligible).completeness()
     }
 
     /// A compact, timing-free fingerprint of the delivery outcome:
@@ -167,7 +108,7 @@ impl LiveResult {
             self.protocol, self.source.0, self.messages_published
         )
         .unwrap();
-        for (id, seqs) in self.delivered_sets() {
+        for (id, seqs) in self.view().delivered_sets(Population::All) {
             write!(out, "n{id}:d{:?};", seqs).unwrap();
         }
         out

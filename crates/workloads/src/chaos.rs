@@ -16,7 +16,7 @@
 //! fault layer over the same counter-based split-seed PRF
 //! ([`brisa_simnet::FaultPrf`]), the stochastic profile means the same
 //! thing in both, and the divergence gate in `brisa-bench` can hold the
-//! live run to a band around the sim prediction.
+//! live run to the sim prediction.
 //!
 //! ## The restart model
 //!
@@ -25,12 +25,13 @@
 //! engine's one [`ScaleEventKind::Restart`] arm (`engine.rs`, shared with
 //! churn joins) adds a single fresh join — a new node with an identifier
 //! `≥` the original population, exactly as `FlashCrowd { joiners: 1 }`.
-//! Both models agree on what the metrics see: sim eligibility already
-//! excludes the dead original and the fresh joiner, and the live side's
-//! survivor metrics exclude ever-killed nodes, so delivery/completeness
-//! compare the same undisturbed population. The restarted node's own
-//! catch-up (buffer anchoring) is asserted separately by the lifecycle
-//! tests.
+//! Both models agree on what the comparison sees, because one rule
+//! ([`crate::outcome::NodeClass::of`]) classes every node in both worlds:
+//! the live restart is `Reborn`, the sim's is a `Joiner`, and the dead
+//! original is gone from both, so the *survivors* — originals never
+//! killed — are the same identifiers on both sides and the soak gate
+//! compares their delivered sets. The restarted node's own catch-up
+//! (buffer anchoring) is asserted separately by the lifecycle tests.
 
 use brisa_simnet::SimDuration;
 

@@ -34,6 +34,7 @@
 //! ```
 
 use crate::invariants::{InvariantCtx, InvariantSuite};
+use crate::outcome::{latencies_ms, NodeClass, Population, RunView, Tally};
 use crate::plan::{add_marks, timed_plan, Step};
 use crate::result::{split_bandwidth, ChurnReport, PhaseBandwidth};
 use crate::spec::{
@@ -330,45 +331,6 @@ pub struct NodeOutcome {
     pub bandwidth: PhaseBandwidth,
 }
 
-/// Fraction of (node × message) pairs delivered, over the per-node
-/// delivered counts of the *eligible* nodes (live, non-source, present
-/// before the stream started — the caller filters). The single
-/// implementation behind [`EngineResult::delivery_rate`] and the live
-/// runtime's `LiveResult::delivery_rate`, so a simulated and a live run of
-/// one scenario are scored by the same formula.
-pub fn delivery_rate_of(delivered: impl IntoIterator<Item = u64>, published: u64) -> f64 {
-    let mut got = 0u64;
-    let mut expected = 0u64;
-    for d in delivered {
-        got += d.min(published);
-        expected += published;
-    }
-    if expected == 0 {
-        1.0
-    } else {
-        got as f64 / expected as f64
-    }
-}
-
-/// Fraction of eligible nodes that delivered every message; the
-/// counterpart of [`delivery_rate_of`] for [`EngineResult::completeness`]
-/// and the live runtime.
-pub fn completeness_of(delivered: impl IntoIterator<Item = u64>, published: u64) -> f64 {
-    let mut complete = 0usize;
-    let mut eligible = 0usize;
-    for d in delivered {
-        eligible += 1;
-        if d >= published {
-            complete += 1;
-        }
-    }
-    if eligible == 0 {
-        1.0
-    } else {
-        complete as f64 / eligible as f64
-    }
-}
-
 /// The scale-mode run summary: everything the streaming result path
 /// retains instead of per-node outcomes. All counters are exact; only the
 /// latency distribution is bucketed (within a factor of two).
@@ -395,6 +357,18 @@ pub struct StreamingSummary {
     /// Accounting-based memory footprint sampled at collect time (the
     /// bytes-per-node proxy of the scale benches).
     pub footprint: Footprint,
+}
+
+impl StreamingSummary {
+    /// The eligible nodes' delivery tally.
+    pub fn tally(&self) -> Tally {
+        Tally {
+            eligible: self.eligible,
+            complete: self.complete,
+            got: self.got,
+            expected: self.expected,
+        }
+    }
 }
 
 /// The protocol-agnostic outcome of one run.
@@ -437,23 +411,28 @@ impl EngineResult {
     /// zeroes its completeness contribution); the headline metric of the
     /// fault sweeps.
     pub fn delivery_rate(&self) -> f64 {
-        if let Some(s) = &self.streaming {
-            return if s.expected == 0 {
-                1.0
-            } else {
-                s.got as f64 / s.expected as f64
-            };
-        }
-        delivery_rate_of(self.eligible_delivered_counts(), self.messages_published)
+        self.tally().delivery_rate()
     }
 
-    /// Delivered counts of the eligible nodes: live, non-source, present
-    /// before the stream started.
-    fn eligible_delivered_counts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.nodes
-            .iter()
-            .filter(|n| !n.is_source && n.id.0 < self.original_nodes)
-            .map(|n| n.report.delivered)
+    /// The eligible nodes' delivery tally, in either result mode.
+    fn tally(&self) -> Tally {
+        match &self.streaming {
+            Some(s) => s.tally(),
+            None => self.view().tally(Population::Eligible),
+        }
+    }
+
+    /// The run as the population rule and its projections read it. A
+    /// simulated node never comes back under its own identifier, so no
+    /// node is reborn.
+    pub fn view(&self) -> RunView<'_> {
+        RunView {
+            source: self.source,
+            original_nodes: self.original_nodes,
+            ever_killed: &[],
+            publish_times: &self.publish_times,
+            nodes: self.nodes.iter().map(|n| (n.id, &n.report)).collect(),
+        }
     }
 
     /// A compact, fully ordered fingerprint of everything
@@ -538,14 +517,7 @@ impl EngineResult {
     /// Fraction of live, non-source nodes present before the stream started
     /// that delivered every message.
     pub fn completeness(&self) -> f64 {
-        if let Some(s) = &self.streaming {
-            return if s.eligible == 0 {
-                1.0
-            } else {
-                s.complete as f64 / s.eligible as f64
-            };
-        }
-        completeness_of(self.eligible_delivered_counts(), self.messages_published)
+        self.tally().completeness()
     }
 
     /// The live nodes other than the source: the population every per-node
@@ -860,11 +832,9 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                     drop(node);
                     let is_source = id == source;
                     let (mut delay_sum_ms, mut delays) = (0.0, 0u64);
-                    for (seq, t) in &report.first_delivery {
-                        if let Some(&pub_t) = publish_times.get(*seq as usize) {
-                            delay_sum_ms += t.saturating_since(pub_t).as_millis_f64();
-                            delays += 1;
-                        }
+                    for ms in latencies_ms(&report, &publish_times) {
+                        delay_sum_ms += ms;
+                        delays += 1;
                     }
                     let routing_delay_ms =
                         (delays > 0 && !is_source).then(|| delay_sum_ms / delays as f64);
@@ -887,6 +857,7 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             }
             ResultMode::Streaming => {
                 let mut summary = StreamingSummary::default();
+                let mut tally = Tally::default();
                 for id in sim.alive_iter() {
                     let sr = sim
                         .node(id)
@@ -895,19 +866,16 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                     summary.delivered_total += sr.delivered;
                     summary.duplicates_total += sr.duplicates;
                     summary.latency.merge(&sr.latency);
-                    if id != source && id.0 < spec.nodes {
-                        summary.eligible += 1;
-                        summary.got += sr.delivered.min(total_messages);
-                        summary.expected += total_messages;
-                        if sr.delivered >= total_messages {
-                            summary.complete += 1;
-                        }
+                    if Population::Eligible.contains(NodeClass::of(id, source, spec.nodes, &[])) {
+                        tally.add(sr.delivered, total_messages);
                     }
                 }
                 let meter = sim.bandwidth();
                 summary.uploaded_bytes = meter.total_uploaded();
                 summary.downloaded_bytes = meter.total_downloaded();
                 summary.footprint = sim.footprint();
+                (summary.eligible, summary.complete) = (tally.eligible, tally.complete);
+                (summary.got, summary.expected) = (tally.got, tally.expected);
                 (Vec::new(), Some(summary))
             }
         };

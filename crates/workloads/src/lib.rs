@@ -20,6 +20,9 @@
 //!   (the Splay churn script of Listing 1), HyParView/BRISA parameters;
 //! * [`chaos`] — named chaos scripts (faults + timed kills/restarts/flash
 //!   joins) shared by the simulator and the live soak harness;
+//! * [`outcome`] — the one population rule (source, survivor, reborn,
+//!   joiner) and the projections both worlds' results are read through:
+//!   delivery tally, latency samples, delivered sets, recovery totals;
 //! * [`plan`] — the one timed plan both worlds execute: a run's publishes,
 //!   churn, fault transitions and scripted events in their one order;
 //! * [`scenarios`] — one canonical parameter set per figure/table, at the
@@ -34,6 +37,7 @@ pub mod chaos;
 pub mod engine;
 pub mod invariants;
 pub mod matrix;
+pub mod outcome;
 pub mod plan;
 pub mod protocols;
 pub mod result;
@@ -43,14 +47,15 @@ pub mod spec;
 pub use brisa_simnet::PartitionMode;
 pub use chaos::ChaosSchedule;
 pub use engine::{
-    completeness_of, delivery_rate_of, BuildCtx, DisseminationProtocol, EngineResult, IntoRunSpec,
-    NodeOutcome, NodeReport, RepairTelemetry, RunSpec, Runner, ScaleNodeReport, StreamingSummary,
+    BuildCtx, DisseminationProtocol, EngineResult, IntoRunSpec, NodeOutcome, NodeReport,
+    RepairTelemetry, RunSpec, Runner, ScaleNodeReport, StreamingSummary,
 };
 pub use invariants::{
     check_delivery_report, DeliveryInvariant, Invariant, InvariantCtx, InvariantSuite,
     InvariantViolation, LinkClockInvariant, NetQuery, TreeValidityInvariant,
 };
 pub use matrix::{derive_seed, matrix_threads, run_matrix, run_matrix_sequential};
+pub use outcome::{NodeClass, Population, Recovery, RunView, Tally};
 pub use plan::{add_marks, timed_plan, Step};
 pub use protocols::{
     run_brisa, run_flood, run_simple_gossip, run_simple_tree, run_tag, BrisaStackConfig,

@@ -254,6 +254,7 @@ pub fn run_tag(sc: &BaselineScenario) -> EngineResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::Population;
     use crate::spec::{ChurnSpec, StreamSpec, Testbed};
     use brisa::{ParentStrategy, StructureMode};
     use brisa_simnet::SimDuration;
@@ -333,15 +334,11 @@ mod tests {
                 || (churn.soft_repairs + churn.hard_repairs) == 0
         );
         // The stream kept flowing: live non-source nodes received most messages.
-        for n in r.non_source().filter(|n| n.id.0 < r.original_nodes) {
-            if n.report.delivered < r.messages_published {
+        for (id, report) in r.view().members(Population::Eligible) {
+            if report.delivered < r.messages_published {
                 eprintln!(
                     "incomplete node {:?}: delivered {}/{} parents={:?} depth={:?}",
-                    n.id,
-                    n.report.delivered,
-                    r.messages_published,
-                    n.report.parents,
-                    n.report.depth
+                    id, report.delivered, r.messages_published, report.parents, report.depth
                 );
             }
         }

@@ -14,7 +14,7 @@ use brisa::BrisaNode;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
     BrisaScenario, BrisaStackConfig, FaultSpec, IntoRunSpec, InvariantSuite, PartitionPhase,
-    Runner, StreamSpec,
+    Population, Runner, StreamSpec,
 };
 
 fn run(label: &str, sc: &BrisaScenario) {
@@ -28,36 +28,24 @@ fn run(label: &str, sc: &BrisaScenario) {
         .run();
     invariants.assert_clean();
 
-    let eligible: Vec<_> = result
-        .nodes
-        .iter()
-        .filter(|n| !n.is_source && n.id.0 < result.original_nodes)
-        .collect();
-    let delivered: u64 = eligible
-        .iter()
-        .map(|n| n.report.delivered.min(result.messages_published))
-        .sum();
-    let expected = eligible.len() as u64 * result.messages_published;
-    let gap_requests: u64 = result
-        .nodes
-        .iter()
-        .map(|n| n.report.repairs.gap_requests)
-        .sum();
-    let served: u64 = result
-        .nodes
-        .iter()
-        .map(|n| n.report.repairs.retransmissions_served)
-        .sum();
+    let view = result.view();
+    let tally = view.tally(Population::Eligible);
+    let recovery = view.recovery(Population::All);
     println!("{label}:");
     println!(
-        "  delivery rate        {:.3}% ({delivered}/{expected} node x message pairs)",
-        delivered as f64 * 100.0 / expected as f64
+        "  delivery rate        {:.3}% ({}/{} node x message pairs)",
+        tally.delivery_rate() * 100.0,
+        tally.got,
+        tally.expected
     );
     println!(
         "  lost to faults       {} messages (plus {} cut by the partition)",
         result.net_stats.messages_lost_to_faults, result.net_stats.messages_cut_by_partition
     );
-    println!("  gap requests         {gap_requests} (served with {served} retransmissions)");
+    println!(
+        "  gap requests         {} (served with {} retransmissions)",
+        recovery.gap_requests, recovery.retransmissions_served
+    );
     println!(
         "  invariants           clean after {} online checks\n",
         invariants.checks_run()

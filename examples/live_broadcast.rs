@@ -14,7 +14,7 @@ use brisa_membership::HyParViewConfig;
 use brisa_metrics::percentile::percentile_of_sorted;
 use brisa_metrics::PercentileSummary;
 use brisa_runtime::{Cluster, ClusterConfig};
-use brisa_workloads::BrisaStackConfig;
+use brisa_workloads::{BrisaStackConfig, Population};
 use std::time::Duration;
 
 const NODES: u32 = 32;
@@ -62,8 +62,7 @@ fn main() {
         bytes as f64 / 1.0e6
     );
 
-    let mut samples = result.latency_samples_ms();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let samples = result.view().latencies_ms(Population::Survivors);
     let summary = PercentileSummary::from_samples(samples.iter().copied());
     println!(
         "\ndelivery latency over {} (node, message) pairs:",

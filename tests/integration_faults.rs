@@ -8,7 +8,7 @@ use brisa::BrisaNode;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
     scenarios, BrisaScenario, BrisaStackConfig, EngineResult, FaultSpec, IntoRunSpec,
-    InvariantSuite, Runner, StreamSpec,
+    InvariantSuite, Population, Runner, StreamSpec,
 };
 
 fn stack_config(sc: &BrisaScenario) -> BrisaStackConfig {
@@ -143,16 +143,14 @@ fn partition_then_heal_reconnects_the_tree() {
         "slowest island reconnect took {worst_reconnect}"
     );
     // Main-side nodes were never cut: full delivery there.
-    for n in r
-        .nodes
-        .iter()
-        .filter(|n| !n.is_source && n.id.0 < r.original_nodes && !island.contains(&n.id))
-    {
-        assert_eq!(
-            n.report.delivered, r.messages_published,
-            "main-side node {} must not miss anything",
-            n.id
-        );
+    let view = r.view();
+    for (id, report) in view.members(Population::Eligible) {
+        if !island.contains(&id) {
+            assert_eq!(
+                report.delivered, r.messages_published,
+                "main-side node {id} must not miss anything",
+            );
+        }
     }
 }
 

@@ -17,10 +17,10 @@ use brisa_simnet::{
 };
 use brisa_telemetry::Telemetry;
 use brisa_workloads::{
-    BrisaScenario, BrisaStackConfig, BuildCtx, DisseminationProtocol, IntoRunSpec, Runner,
-    StreamSpec,
+    BrisaScenario, BrisaStackConfig, BuildCtx, DisseminationProtocol, IntoRunSpec, Population,
+    Runner, StreamSpec,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -700,7 +700,7 @@ fn tcp_256_nodes_deliver_exactly_once() {
         .check_delivery_invariants()
         .expect("clean delivery records");
     let expected: BTreeSet<u64> = (0..MESSAGES).collect();
-    for (id, seqs) in result.delivered_sets() {
+    for (id, seqs) in result.view().delivered_sets(Population::All) {
         assert_eq!(seqs.len() as u64, MESSAGES, "node {id} delivered set size");
         assert_eq!(
             seqs.iter().copied().collect::<BTreeSet<u64>>(),
@@ -736,16 +736,7 @@ fn tcp_1000_nodes_match_the_sim_delivered_sets() {
         ..Default::default()
     };
     let sim = Runner::<BrisaNode>::new(&stack, &scenario.run_spec()).run();
-    let sim_sets: BTreeMap<u32, Vec<u64>> = sim
-        .nodes
-        .iter()
-        .map(|n| {
-            (
-                n.id.0,
-                n.report.first_delivery.iter().map(|&(s, _)| s).collect(),
-            )
-        })
-        .collect();
+    let sim_sets = sim.view().delivered_sets(Population::All);
 
     // Mirror the sim's bootstrap schedule: joins staggered over the first
     // half of the bootstrap window, then the overlay settles through the
@@ -777,7 +768,7 @@ fn tcp_1000_nodes_match_the_sim_delivered_sets() {
         .expect("live trace passes the delivery invariants");
     assert_eq!(
         sim_sets,
-        result.delivered_sets(),
+        result.view().delivered_sets(Population::All),
         "live delivered sets diverge from the sim prediction (live fp {})",
         result.delivery_fingerprint()
     );

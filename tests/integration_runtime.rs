@@ -12,9 +12,9 @@ use brisa_runtime::tcp::TcpMesh;
 use brisa_runtime::{Cluster, ClusterConfig, ReactorPool, RuntimeConfig, WallClock};
 use brisa_simnet::{Context, NodeId, Protocol, SimDuration, TimerTag};
 use brisa_workloads::{
-    BrisaScenario, BrisaStackConfig, EngineResult, IntoRunSpec, Runner, StreamSpec,
+    BrisaScenario, BrisaStackConfig, IntoRunSpec, Population, Runner, StreamSpec,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -87,19 +87,6 @@ fn tcp_cluster_delivers_everything() {
     );
 }
 
-/// Extracts the per-node delivered-sequence sets of a simulated run.
-fn sim_delivered_sets(r: &EngineResult) -> BTreeMap<u32, Vec<u64>> {
-    r.nodes
-        .iter()
-        .map(|n| {
-            (
-                n.id.0,
-                n.report.first_delivery.iter().map(|&(s, _)| s).collect(),
-            )
-        })
-        .collect()
-}
-
 /// The same broadcast scenario on the sim engine and on the live runtime
 /// produces the same delivery outcome: identical delivery sets and
 /// zero duplicate deliveries on both sides.
@@ -138,7 +125,10 @@ fn sim_and_live_agree_on_the_delivery_outcome() {
     );
 
     // Same delivery sets, node by node.
-    assert_eq!(sim_delivered_sets(&sim), live.delivered_sets());
+    assert_eq!(
+        sim.view().delivered_sets(Population::All),
+        live.view().delivered_sets(Population::All)
+    );
     // Zero duplicate deliveries on both sides: each node's first-delivery
     // records are exactly its delivered count, one per sequence number.
     for n in &sim.nodes {

@@ -12,7 +12,9 @@ use brisa_membership::HyParViewConfig;
 use brisa_runtime::{run_chaos, Cluster, ClusterConfig, SoakConfig};
 use brisa_simnet::{NodeId, SimDuration};
 use brisa_workloads::chaos::ChaosSchedule;
-use brisa_workloads::{BrisaStackConfig, FaultSpec, ScaleEvent, ScaleEventKind, StreamSpec};
+use brisa_workloads::{
+    BrisaStackConfig, FaultSpec, Population, ScaleEvent, ScaleEventKind, StreamSpec,
+};
 use std::time::Duration;
 
 fn stack_config(active_size: usize) -> BrisaStackConfig {
@@ -156,12 +158,13 @@ fn restart_rejoins_and_catches_up_contiguously() {
 
     let result = cluster.stop_and_collect();
     assert_eq!(result.ever_killed, vec![victim.0]);
+    let survivors = result.view().tally(Population::Survivors);
     assert_eq!(
-        result.survivor_delivery_rate(),
+        survivors.delivery_rate(),
         1.0,
         "never-killed nodes deliver everything"
     );
-    assert_eq!(result.survivor_completeness(), 1.0);
+    assert_eq!(survivors.completeness(), 1.0);
     result
         .check_delivery_invariants()
         .expect("clean live trace");
@@ -224,7 +227,8 @@ fn tcp_restart_rebinds_the_listener_and_recovers() {
 
     let result = cluster.stop_and_collect();
     assert_eq!(result.messages_published, published);
-    assert_eq!(result.survivor_delivery_rate(), 1.0);
+    let survivors = result.view().tally(Population::Survivors);
+    assert_eq!(survivors.delivery_rate(), 1.0);
     assert_eq!(
         result
             .nodes
@@ -304,7 +308,8 @@ fn run_chaos_replays_a_schedule_cleanly() {
     assert!(outcome.sweeps > 0, "no sweep ever ran");
     assert_eq!(outcome.restarted, vec![7]);
     assert_eq!(outcome.result.ever_killed, vec![7]);
-    let survivors = outcome.result.survivor_delivery_rate();
+    let survivors = outcome.result.view().tally(Population::Survivors);
+    let survivors = survivors.delivery_rate();
     assert!(
         survivors >= 0.99,
         "survivor delivery {survivors} under scripted chaos"
