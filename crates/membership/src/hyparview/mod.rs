@@ -94,14 +94,15 @@ pub struct HyParView {
     next_nonce: u64,
     last_shuffle_sample: Vec<NodeId>,
     stats: HpvStats,
-    /// Observability handles (no-ops unless a registry is attached).
-    tel: HpvTel,
+    /// Observability handles, `None` unless an enabled registry is
+    /// attached: 8 B in every node's slot instead of four handles.
+    tel: Option<Box<HpvTel>>,
 }
 
-/// Pre-resolved observability handles for the membership layer. All
-/// no-ops (the [`Default`]) until [`HyParView::set_telemetry`] attaches
-/// an enabled registry; strictly out-of-band either way.
-#[derive(Debug, Default)]
+/// Pre-resolved observability handles for the membership layer. Boxed,
+/// and only built when [`HyParView::set_telemetry`] attaches an enabled
+/// registry; strictly out-of-band either way.
+#[derive(Debug)]
 struct HpvTel {
     tel: brisa_telemetry::Telemetry,
     shuffles: brisa_telemetry::Counter,
@@ -125,7 +126,7 @@ impl HyParView {
             next_nonce: 0,
             last_shuffle_sample: Vec::new(),
             stats: HpvStats::default(),
-            tel: HpvTel::default(),
+            tel: None,
         }
     }
 
@@ -133,24 +134,27 @@ impl HyParView {
     /// shuffle path records into. Strictly out-of-band: telemetry never
     /// influences view management.
     pub fn set_telemetry(&mut self, tel: &brisa_telemetry::Telemetry) {
-        self.tel = HpvTel {
-            shuffles: tel.counter("hpv.shuffles"),
-            active_view: tel.histogram("hpv.active_view_size"),
-            passive_view: tel.histogram("hpv.passive_view_size"),
-            tel: tel.clone(),
-        };
+        self.tel = tel.is_enabled().then(|| {
+            Box::new(HpvTel {
+                shuffles: tel.counter("hpv.shuffles"),
+                active_view: tel.histogram("hpv.active_view_size"),
+                passive_view: tel.histogram("hpv.passive_view_size"),
+                tel: tel.clone(),
+            })
+        });
     }
 
     /// Records one shuffle-cadence observation (counter, view-size
     /// histograms and a flight-recorder event). The embedding stack calls
     /// this from its shuffle timer, where the current time is known.
     pub fn note_shuffle(&mut self, now: SimTime) {
+        let Some(tel) = &self.tel else { return };
         let active = self.active.len() as u64;
         let passive = self.passive.len() as u64;
-        self.tel.shuffles.inc();
-        self.tel.active_view.record(active);
-        self.tel.passive_view.record(passive);
-        self.tel.tel.event(
+        tel.shuffles.inc();
+        tel.active_view.record(active);
+        tel.passive_view.record(passive);
+        tel.tel.event(
             now.as_micros(),
             self.me.0,
             brisa_telemetry::EventKind::ShuffleTick,

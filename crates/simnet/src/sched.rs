@@ -264,6 +264,17 @@ impl<T> TimingWheel<T> {
         self.far.iter().map(|e| e.time).min()
     }
 
+    /// The entry `k` pops ahead (`upcoming(0)` is what [`Self::pop`] would
+    /// return), if it is already staged: `None` past the staged entries,
+    /// whose successors sit unsorted in later buckets. Like
+    /// [`Self::peek_time`], it never advances the cursor. A later push may
+    /// put another entry first; the answer is a forecast for a prefetch,
+    /// not a promise.
+    pub fn upcoming(&self, k: usize) -> Option<&T> {
+        let staged = self.ready.len();
+        staged.checked_sub(k + 1).map(|i| &self.ready[i].item)
+    }
+
     /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.len
@@ -504,6 +515,28 @@ mod tests {
         fn len(&self) -> usize {
             self.heap.len()
         }
+
+        /// The items of the next `n` entries in pop order; the entries go
+        /// back with their sequence numbers, so nothing changes.
+        fn next_items(&mut self, n: usize) -> Vec<T>
+        where
+            T: Clone,
+        {
+            let popped: Vec<_> = std::iter::from_fn(|| self.heap.pop()).take(n).collect();
+            let items = popped.iter().map(|e| e.0.item.clone()).collect();
+            self.heap.extend(popped);
+            items
+        }
+    }
+
+    /// Checks the wheel's look-ahead against the oracle: every staged entry
+    /// is the oracle's next pop, in order, and nothing past them is shown.
+    fn check_upcoming(wheel: &TimingWheel<u64>, heap: &mut HeapScheduler<u64>) {
+        let staged = wheel.ready.len();
+        for (k, want) in heap.next_items(staged).iter().enumerate() {
+            assert_eq!(wheel.upcoming(k), Some(want), "staged entry {k}");
+        }
+        assert_eq!(wheel.upcoming(staged), None, "past the staged entries");
     }
 
     fn drain_order(wheel: &mut TimingWheel<u32>) -> Vec<(u64, u32)> {
@@ -682,8 +715,56 @@ mod tests {
             }
             assert_eq!(wheel.len(), heap.len());
             assert_eq!(wheel.peek_time(), heap.peek_time());
+            check_upcoming(&wheel, &mut heap);
         }
         drain_in_lockstep(&mut wheel, &mut heap);
+    }
+
+    #[test]
+    fn upcoming_never_moves_what_pops() {
+        // Two wheels get the same pushes and pops; one is asked for its
+        // look-ahead before every operation. Half the pushes land at the
+        // instant just popped, inside the staged list: a look-ahead that
+        // moved the cursor would send them there out of order.
+        let mut peeked: TimingWheel<u64> = TimingWheel::new();
+        let mut plain: TimingWheel<u64> = TimingWheel::new();
+        let mut x = 0x5EED_F00Du64;
+        let mut step = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut now = SimTime::ZERO;
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..4000u64 {
+            for k in 0..3 {
+                let _ = peeked.upcoming(k);
+            }
+            match step() % 4 {
+                0 => {
+                    let (p, q) = (peeked.pop(), plain.pop());
+                    if let Some(e) = &p {
+                        now = e.time;
+                    }
+                    a.extend(p.map(|e| (e.time, e.prio, e.seq, e.item)));
+                    b.extend(q.map(|e| (e.time, e.prio, e.seq, e.item)));
+                }
+                1 | 2 => {
+                    let prio = step() % 5;
+                    peeked.push(now, prio, i);
+                    plain.push(now, prio, i);
+                }
+                _ => {
+                    let t = now + crate::time::SimDuration::from_micros(step() % 5_000);
+                    peeked.push(t, 0, i);
+                    plain.push(t, 0, i);
+                }
+            }
+        }
+        a.extend(std::iter::from_fn(|| peeked.pop()).map(|e| (e.time, e.prio, e.seq, e.item)));
+        b.extend(std::iter::from_fn(|| plain.pop()).map(|e| (e.time, e.prio, e.seq, e.item)));
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -779,19 +860,30 @@ mod tests {
         /// The timing wheel pops entries in exactly the same order as the
         /// `BinaryHeap` oracle for any interleaving of pushes and pops, with
         /// times spanning bucket-local, in-horizon and far-future
-        /// (overflow) ranges.
+        /// (overflow) ranges, and its look-ahead agrees with the oracle at
+        /// every step.
         #[test]
         fn timing_wheel_matches_binary_heap(
-            ops in proptest::collection::vec((0u64..3_000_000, 0u8..5), 1..300),
+            ops in proptest::collection::vec((0u64..3_000_000, 0u8..6), 1..300),
         ) {
             let mut wheel: TimingWheel<u64> = TimingWheel::new();
             let mut heap: HeapScheduler<u64> = HeapScheduler::new();
+            let mut now = SimTime::ZERO;
             for (i, &(t, kind)) in ops.iter().enumerate() {
                 if kind == 0 {
-                    // One pop op per three pushes on average.
+                    // One pop op per five pushes on average.
                     let w = wheel.pop().map(|e| (e.time, e.seq, e.item));
                     let h = heap.pop().map(|e| (e.time, e.seq, e.item));
                     prop_assert_eq!(w, h, "pop divergence at op {}", i);
+                    if let Some((time, ..)) = w {
+                        now = time;
+                    }
+                } else if kind == 5 {
+                    // At the instant just popped, after a look-ahead: the
+                    // staged-list insert a moved cursor would misplace.
+                    let prio = t % 4;
+                    wheel.push(now, prio, i as u64);
+                    heap.push(now, prio, i as u64);
                 } else {
                     // Stretch some times past the levels' horizons (512 ×
                     // 64 µs ≈ 32.8 ms, then 512 × 32.8 ms ≈ 16.8 s) and
@@ -809,6 +901,7 @@ mod tests {
                 }
                 prop_assert_eq!(wheel.len(), heap.len());
                 prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                check_upcoming(&wheel, &mut heap);
             }
             drain_in_lockstep(&mut wheel, &mut heap);
         }

@@ -66,8 +66,8 @@ use crate::time::{SimDuration, SimTime};
 /// `id % shards == shard`, densely at `id / shards`.
 #[derive(Debug, Clone, Copy)]
 pub struct Strided {
-    shard: usize,
-    shards: usize,
+    pub(crate) shard: usize,
+    pub(crate) shards: usize,
 }
 
 impl Placement for Strided {

@@ -79,6 +79,24 @@ fn a_brisa_node_is_its_two_layers_and_its_contact() {
 }
 
 #[test]
+fn telemetry_handles_cost_one_pointer_per_layer_when_telemetry_is_off() {
+    // Boxed and absent unless a registry is attached: BRISA's fourteen
+    // handles (112 B inline before) and HyParView's four (32 B) are one
+    // 8-byte `Option<Box<_>>` each, so every node's slot is 128 B (two
+    // cache lines) shorter. The event loop prefetches the whole slot.
+    let core = size_of::<BrisaCore>();
+    let hpv = size_of::<HyParView>();
+    assert!(
+        core <= 912,
+        "BrisaCore is {core} B inline (1 016 with inline handles)"
+    );
+    assert!(
+        hpv <= 296,
+        "HyParView is {hpv} B inline (320 with inline handles)"
+    );
+}
+
+#[test]
 fn sim_scale_bytes_per_node_are_900_below_the_old_reading() {
     let f = scale_run();
     let per_node = f.bytes_per_node();

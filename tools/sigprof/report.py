@@ -2,6 +2,7 @@
 """Symbolise a sigprof dump: per-function and per-source-line shares.
 
     report.py run.prof [--top N] [--lines] [--fail-above PCT PATTERN ...]
+    report.py A.prof --against B.prof [--top N] [--lines]
 
 Each sample is an instruction pointer; the dump carries /proc/self/maps, so
 every sample maps to (object file, link-time address) and `addr2line -f -C
@@ -15,6 +16,11 @@ optimised Rust binary would otherwise hide everything under.
 `--fail-above PCT PATTERN...` exits 1 if any function whose name contains
 one of the patterns holds more than PCT percent of the samples — the form
 CI and an acceptance criterion use ("no `hashbrown` frame above 1 %").
+
+`--against B.prof` compares two profiles instead: for every function (self
+and incl. inlined) and, with `--lines`, every source line, it prints the
+share in A, the share in B and A minus B, largest change first. Shares,
+not counts, so runs of different lengths compare.
 """
 import collections
 import subprocess
@@ -99,23 +105,8 @@ def short(location):
     return location
 
 
-def main(argv):
-    if len(argv) < 2:
-        sys.exit(__doc__)
-    path, top, want_lines, limit, patterns = argv[1], 25, False, None, []
-    args = argv[2:]
-    while args:
-        arg = args.pop(0)
-        if arg == "--top":
-            top = int(args.pop(0))
-        elif arg == "--lines":
-            want_lines = True
-        elif arg == "--fail-above":
-            limit = float(args.pop(0))
-            patterns, args = args, []
-        else:
-            sys.exit(f"unknown argument {arg}\n{__doc__}")
-
+def tally(path):
+    """Sample counts per self function, outer function and source line."""
     header, samples, maps = parse(path)
     if not samples:
         sys.exit(f"{path}: no samples ({header or 'no header'})")
@@ -133,8 +124,54 @@ def main(argv):
             self_fn[stack[0][0]] += n
             outer_fn[stack[-1][0]] += n
             by_line[(stack[0][0], short(stack[0][1]))] += n
+    return header, len(samples), self_fn, outer_fn, by_line
 
-    total = len(samples)
+
+def compare(path, other, top, want_lines):
+    """Prints A's share, B's share and their difference, largest first."""
+    a, b = tally(path), tally(other)
+    print(f"A {path}: {a[1]} samples ({a[0]})")
+    print(f"B {other}: {b[1]} samples ({b[0]})")
+    tables = [("function (self)", 2), ("function (incl. inlined)", 3)]
+    if want_lines:
+        tables.append(("source line", 4))
+    for title, i in tables:
+        share_a = {k: 100 * n / a[1] for k, n in a[i].items()}
+        share_b = {k: 100 * n / b[1] for k, n in b[i].items()}
+        keys = set(share_a) | set(share_b)
+        delta = {k: share_a.get(k, 0.0) - share_b.get(k, 0.0) for k in keys}
+        rows = sorted(keys, key=lambda k: (-abs(delta[k]), -share_a.get(k, 0.0), str(k)))
+        print(f"\n     A %     B %   A - B   {title}")
+        for k in rows[:top]:
+            name = f"{k[1]}  {k[0]}" if i == 4 else k
+            print(f"  {share_a.get(k, 0.0):6.2f}  {share_b.get(k, 0.0):6.2f}  {delta[k]:+6.2f}   {name}")
+
+
+def main(argv):
+    if len(argv) < 2:
+        sys.exit(__doc__)
+    path, top, want_lines, limit, patterns, other = argv[1], 25, False, None, [], None
+    args = argv[2:]
+    while args:
+        arg = args.pop(0)
+        if arg == "--top":
+            top = int(args.pop(0))
+        elif arg == "--lines":
+            want_lines = True
+        elif arg == "--against":
+            other = args.pop(0)
+        elif arg == "--fail-above":
+            limit = float(args.pop(0))
+            patterns, args = args, []
+        else:
+            sys.exit(f"unknown argument {arg}\n{__doc__}")
+    if other is not None:
+        if limit is not None:
+            sys.exit("--against and --fail-above do not combine")
+        compare(path, other, top, want_lines)
+        return
+
+    header, total, self_fn, outer_fn, by_line = tally(path)
     print(f"{path}: {total} samples ({header})")
     print(f"\n  self %   function (innermost frame, inlined callees resolved)")
     for name, n in self_fn.most_common(top):
