@@ -38,6 +38,18 @@ impl WallClock {
     }
 }
 
+/// Where the reactor's nodes read the time, in the simulator's time base:
+/// a [`WallClock`] in production, a hand-advanced clock in tests.
+pub(crate) trait Clock {
+    fn now(&self) -> SimTime;
+}
+
+impl Clock for WallClock {
+    fn now(&self) -> SimTime {
+        WallClock::now(self)
+    }
+}
+
 impl Default for WallClock {
     fn default() -> Self {
         Self::new()

@@ -194,7 +194,7 @@ where
     /// The shared wall clock itself, for converting schedule times into
     /// real deadlines.
     pub fn clock(&self) -> &WallClock {
-        self.pool.clock()
+        self.pool.shim().clock()
     }
 
     /// Messages published so far.

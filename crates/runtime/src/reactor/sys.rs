@@ -2,8 +2,7 @@
 //! (`epoll` on Linux), the socket pair that wakes it, and the one socket
 //! call `std` cannot make without blocking, a connect that returns while
 //! it is still in flight. The readiness set is also the connection table's
-//! [`Sockets`] in production. Outside its tests, no other reactor file uses
-//! `unsafe`.
+//! [`Sockets`] in production. No other reactor file uses `unsafe`.
 
 use super::io::{Ready, Sockets};
 use std::io::{Read, Write};
@@ -384,5 +383,171 @@ impl Sockets for Readiness {
     }
     fn write_interest(&mut self, stream: &TcpStream, token: u64, on: bool) -> std::io::Result<()> {
         self.set_interest(stream, token, true, on)
+    }
+}
+
+#[cfg(test)]
+#[cfg(target_os = "linux")]
+mod tests {
+    use super::Readiness;
+    use std::collections::BTreeSet;
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::TcpListener;
+    use std::os::raw::{c_int, c_ulong};
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    const SOON: Duration = Duration::from_millis(20);
+    const LONG: Duration = Duration::from_secs(10);
+
+    fn pair() -> (UnixStream, UnixStream) {
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        a.set_nonblocking(true).expect("nonblocking");
+        b.set_nonblocking(true).expect("nonblocking");
+        (a, b)
+    }
+
+    #[test]
+    fn a_registered_socket_that_becomes_readable_reports_its_token() {
+        let mut ready = Readiness::new().expect("epoll");
+        let (mut tx, rx) = pair();
+        let (_quiet_tx, quiet_rx) = pair();
+        ready.register(&rx, 7).expect("register");
+        ready.register(&quiet_rx, 8).expect("register");
+        assert_eq!(ready.wait(SOON), 0, "nothing written yet");
+        tx.write_all(b"x").expect("write");
+        assert_eq!(ready.wait(LONG), 1);
+        let ev = ready.event(0);
+        assert_eq!(ev.token, 7);
+        assert!(ev.readable && !ev.writable);
+        // Level-triggered: still reported until the byte is read.
+        assert_eq!(ready.wait(LONG), 1);
+        (&rx).read_exact(&mut [0u8; 1]).expect("read");
+        assert_eq!(ready.wait(SOON), 0);
+    }
+
+    #[test]
+    fn closing_a_registered_descriptor_is_silent() {
+        let mut ready = Readiness::new().expect("epoll");
+        let (mut tx, rx) = pair();
+        ready.register(&rx, 1).expect("register");
+        tx.write_all(b"x").expect("write");
+        assert_eq!(ready.wait(LONG), 1);
+        // Dropped while readable: the registration goes with it.
+        drop(rx);
+        assert_eq!(ready.wait(SOON), 0);
+        // The set still works.
+        let (mut tx2, rx2) = pair();
+        ready.register(&rx2, 2).expect("register after a close");
+        tx2.write_all(b"y").expect("write");
+        assert_eq!(ready.wait(LONG), 1);
+        assert_eq!(ready.event(0).token, 2);
+    }
+
+    #[test]
+    fn write_interest_reports_writable_only_while_on() {
+        let mut ready = Readiness::new().expect("epoll");
+        let (a, _b) = pair();
+        ready.register(&a, 3).expect("register");
+        assert_eq!(ready.wait(SOON), 0, "an idle writable socket is silent");
+        ready.set_interest(&a, 3, true, true).expect("arm");
+        assert_eq!(ready.wait(LONG), 1);
+        let ev = ready.event(0);
+        assert_eq!(ev.token, 3);
+        assert!(ev.writable && !ev.readable);
+        ready.set_interest(&a, 3, true, false).expect("disarm");
+        assert_eq!(ready.wait(SOON), 0);
+    }
+
+    #[test]
+    fn a_connect_in_flight_is_decided_when_its_socket_turns_writable() {
+        let mut ready = Readiness::new().expect("epoll");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let open = listener.local_addr().expect("addr");
+        let closed = {
+            let gone = TcpListener::bind("127.0.0.1:0").expect("bind");
+            gone.local_addr().expect("addr")
+        };
+        // Both return while the handshake is still in flight.
+        let accepted = ready.connect(open, 1).expect("connect started");
+        let refused = ready.connect(closed, 2).expect("a refusal arrives later");
+        let mut decided = BTreeSet::new();
+        while decided.len() < 2 {
+            let n = ready.wait(LONG);
+            assert!(n > 0, "undecided connects: {decided:?} of 1, 2");
+            for i in 0..n {
+                let ev = ready.event(i);
+                assert!(ev.writable, "a decided connect reads as writable");
+                decided.insert(ev.token);
+            }
+        }
+        assert!(accepted.take_error().expect("SO_ERROR").is_none());
+        let refusal = refused.take_error().expect("SO_ERROR").map(|e| e.kind());
+        assert_eq!(refusal, Some(ErrorKind::ConnectionRefused));
+    }
+
+    #[test]
+    fn a_ready_set_larger_than_the_event_buffer_is_served_over_successive_waits() {
+        const SOCKETS: usize = 300; // the buffer holds 256
+        let mut ready = Readiness::new().expect("epoll");
+        let pairs: Vec<_> = (0..SOCKETS).map(|_| pair()).collect();
+        for (token, (tx, rx)) in pairs.iter().enumerate() {
+            ready.register(rx, token as u64).expect("register");
+            (&*tx).write_all(b"x").expect("write");
+        }
+        let mut served = vec![0u32; SOCKETS];
+        let mut waits = 0;
+        while served.contains(&0) {
+            let n = ready.wait(LONG);
+            assert!(n > 0, "descriptors left unserved: {served:?}");
+            waits += 1;
+            for i in 0..n {
+                let token = ready.event(i).token as usize;
+                (&pairs[token].1)
+                    .read_exact(&mut [0u8; 1])
+                    .expect("reported readable");
+                served[token] += 1;
+            }
+        }
+        assert!(waits >= 2, "300 ready descriptors cannot fit one batch");
+        assert!(served.iter().all(|&n| n == 1), "served once each");
+        assert_eq!(ready.wait(SOON), 0);
+    }
+
+    extern "C" {
+        fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
+        fn pthread_self() -> c_ulong;
+        fn pthread_kill(thread: c_ulong, sig: c_int) -> c_int;
+    }
+    const SIGUSR1: c_int = 10;
+    extern "C" fn ignore(_sig: c_int) {}
+
+    #[test]
+    fn an_interrupted_wait_reads_as_zero_ready() {
+        // SAFETY: installs an async-signal-safe (empty) handler for a
+        // signal nothing else in this test binary uses.
+        unsafe { signal(SIGUSR1, ignore) };
+        let (tid_tx, tid_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let mut ready = Readiness::new().expect("epoll");
+            // SAFETY: no arguments; names the calling thread.
+            tid_tx.send(unsafe { pthread_self() }).expect("main alive");
+            let start = Instant::now();
+            let n = ready.wait(LONG);
+            done_tx.send(()).expect("main alive");
+            (n, start.elapsed())
+        });
+        let tid = tid_rx.recv().expect("waiter alive");
+        // Keep interrupting until the waiter is out of its wait: a signal
+        // that lands before `epoll_wait` is entered interrupts nothing.
+        while done_rx.recv_timeout(Duration::from_millis(1)).is_err() {
+            // SAFETY: `tid` names a thread that is not joined yet.
+            unsafe { pthread_kill(tid, SIGUSR1) };
+        }
+        let (n, waited) = waiter.join().expect("waiter");
+        assert_eq!(n, 0);
+        assert!(waited < LONG, "returned on the signal, not the timeout");
     }
 }

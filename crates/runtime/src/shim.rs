@@ -42,12 +42,11 @@ use brisa_simnet::faults::{FaultConfig, FaultLayer, Routed};
 use brisa_simnet::{LinkFaults, NetworkConfig, NodeId, PartitionSpec, SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// How long a connection attempt across an active cut takes to surface as
 /// a link-down: the simulator's failure-detection delay itself.
-pub(crate) fn detection_delay() -> Duration {
-    Duration::from_micros(NetworkConfig::default().failure_detection_delay.as_micros())
+pub(crate) fn detection_delay() -> SimDuration {
+    NetworkConfig::default().failure_detection_delay
 }
 
 /// Counters of everything the fault layer did to live traffic,
@@ -225,7 +224,7 @@ mod tests {
     use brisa::StackMsg;
     use brisa_membership::HpvMsg;
     use brisa_simnet::{Context, FaultPrf, PartitionMode, Protocol, TimerTag};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     /// What one node heard: keep-alive nonces and link-downs, with the
     /// instant each reached the protocol.
@@ -445,7 +444,7 @@ mod tests {
         let (peer, at) = rig.downs(0)[0];
         assert_eq!(peer, NodeId(1));
         assert!(
-            at.duration_since(asked) >= detection_delay(),
+            at.duration_since(asked) >= Duration::from_micros(detection_delay().as_micros()),
             "failure surfaces only after the detection delay"
         );
         assert_eq!(ctl.stats().linkdowns_synthesized, 1);
