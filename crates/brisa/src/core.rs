@@ -2081,6 +2081,179 @@ mod tests {
         assert!(core.links().is_outbound_active(NodeId(2)));
     }
 
+    /// Data message `seq` from a sender whose guard is `guard`.
+    fn data_with(seq: u64, guard: CycleGuard) -> BrisaMsg {
+        BrisaMsg::data(DataMsg {
+            seq,
+            payload_bytes: 10,
+            guard,
+            sender_uptime_secs: 0,
+            sender_load: 0,
+        })
+    }
+
+    /// One line per action, in emission order: `deliver 1`, `3 data 1`,
+    /// `2 Activate`.
+    fn show(actions: &[BrisaAction]) -> Vec<String> {
+        actions
+            .iter()
+            .map(|a| match a {
+                BrisaAction::Deliver { seq } => format!("deliver {seq}"),
+                BrisaAction::Send {
+                    to,
+                    msg: BrisaMsg::Data(d),
+                } => format!("{} data {}", to.0, d.seq),
+                BrisaAction::Send { to, msg } => format!("{} {msg:?}", to.0),
+            })
+            .collect()
+    }
+
+    /// Node 9 in a tree, neighbours 1, 2 and 3, after seq 0: parent 1,
+    /// child 3, and 2 a non-child neighbour (it asked 9 to stop relaying).
+    /// With `alternative` false, 2 is not a neighbour at all.
+    fn tree_child_of_1(alternative: bool) -> BrisaCore {
+        let mut core = BrisaCore::new(NodeId(9), BrisaConfig::default());
+        core.note_started(SimTime::ZERO);
+        let peers: &[u32] = if alternative { &[1, 2, 3] } else { &[1, 3] };
+        for &p in peers {
+            core.on_neighbor_up(NodeId(p));
+        }
+        let seq0 = data_with(0, CycleGuard::Path(vec![NodeId(0), NodeId(1)].into()));
+        let _ = acts(|a| core.handle(SimTime::from_millis(1), NodeId(1), seq0, &NoTelemetry, a));
+        if alternative {
+            let stop = BrisaMsg::Deactivate { symmetric: false };
+            let _ =
+                acts(|a| core.handle(SimTime::from_millis(2), NodeId(2), stop, &NoTelemetry, a));
+        }
+        assert_eq!(core.parents(), vec![NodeId(1)]);
+        assert_eq!(core.children(), vec![NodeId(3)]);
+        core
+    }
+
+    /// The repair bookkeeping a parent-loss entry leaves behind.
+    fn repair_record(core: &BrisaCore) -> (usize, usize, Option<(SimTime, RepairKind)>) {
+        (
+            core.stats().parents_lost.len(),
+            core.stats().orphaned.len(),
+            core.pending_repair,
+        )
+    }
+
+    const T: SimTime = SimTime::from_millis(10);
+
+    #[test]
+    fn link_down_of_the_only_parent_starts_a_soft_repair() {
+        let mut core = tree_child_of_1(true);
+        let a = acts(|a| core.on_neighbor_down(T, NodeId(1), a));
+        assert_eq!(show(&a), ["2 Activate"]);
+        assert_eq!(repair_record(&core), (1, 1, Some((T, RepairKind::Soft))));
+    }
+
+    #[test]
+    fn symmetric_deactivate_from_the_parent_is_a_parent_loss() {
+        let mut core = tree_child_of_1(true);
+        let stop = BrisaMsg::Deactivate { symmetric: true };
+        let a = acts(|a| core.handle(T, NodeId(1), stop, &NoTelemetry, a));
+        // The parent stopped relaying, so it is no child either: it is
+        // activated along with 2.
+        assert_eq!(show(&a), ["1 Activate", "2 Activate"]);
+        assert_eq!(repair_record(&core), (1, 1, Some((T, RepairKind::Soft))));
+    }
+
+    #[test]
+    fn a_cycle_through_the_parent_orphans_without_counting_a_loss() {
+        let mut core = tree_child_of_1(true);
+        let looped = data_with(
+            1,
+            CycleGuard::Path(vec![NodeId(0), NodeId(9), NodeId(1)].into()),
+        );
+        let a = acts(|a| core.handle(T, NodeId(1), looped, &NoTelemetry, a));
+        assert_eq!(
+            show(&a),
+            [
+                "deliver 1",
+                "1 Deactivate { symmetric: false }",
+                "2 Activate",
+                "3 data 1",
+            ]
+        );
+        assert_eq!(repair_record(&core), (0, 1, Some((T, RepairKind::Soft))));
+    }
+
+    #[test]
+    fn a_reactivation_order_with_an_alternative_activates_it() {
+        let mut core = tree_child_of_1(true);
+        let order = BrisaMsg::ReactivationOrder;
+        let a = acts(|a| core.handle(T, NodeId(1), order, &NoTelemetry, a));
+        assert_eq!(show(&a), ["2 Activate"]);
+        assert_eq!(repair_record(&core), (0, 0, Some((T, RepairKind::Soft))));
+        assert!(core.parents().is_empty());
+        assert_eq!(core.depth(), Some(2), "a soft repair keeps the position");
+    }
+
+    #[test]
+    fn a_reactivation_order_without_an_alternative_cascades() {
+        let mut core = tree_child_of_1(false);
+        let order = BrisaMsg::ReactivationOrder;
+        let a = acts(|a| core.handle(T, NodeId(1), order, &NoTelemetry, a));
+        // Every neighbour is activated, the order goes on to the child it
+        // had before, never back to the sender.
+        assert_eq!(
+            show(&a),
+            ["1 Activate", "3 Activate", "3 ReactivationOrder"]
+        );
+        assert_eq!(repair_record(&core), (0, 0, Some((T, RepairKind::Hard))));
+        assert_eq!(core.stats().reactivation_orders_sent, 1);
+        assert_eq!(core.depth(), None, "a hard repair forgets the position");
+
+        // A second order finds the repair pending: it keeps its kind and
+        // its start.
+        let later = T + SimDuration::from_millis(5);
+        let _ = acts(|a| core.on_neighbor_down(later, NodeId(3), a));
+        let _ = acts(|a| {
+            core.handle(
+                later,
+                NodeId(1),
+                BrisaMsg::ReactivationOrder,
+                &NoTelemetry,
+                a,
+            )
+        });
+        assert_eq!(repair_record(&core), (0, 0, Some((T, RepairKind::Hard))));
+    }
+
+    #[test]
+    fn a_reactivation_order_to_a_dag_node_keeping_a_parent_starts_no_repair() {
+        let mut core = BrisaCore::new(
+            NodeId(9),
+            BrisaConfig::dag(2, ParentStrategy::FirstComeFirstPicked),
+        );
+        core.note_started(SimTime::ZERO);
+        for p in [1, 2, 3] {
+            core.on_neighbor_up(NodeId(p));
+        }
+        for (at, from) in [(1, 1), (2, 2)] {
+            let seq0 = data_with(0, CycleGuard::Depth(1));
+            let _ = acts(|a| {
+                core.handle(
+                    SimTime::from_millis(at),
+                    NodeId(from),
+                    seq0,
+                    &NoTelemetry,
+                    a,
+                )
+            });
+        }
+        assert_eq!(core.parents(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(core.children(), vec![NodeId(3)]);
+        let order = BrisaMsg::ReactivationOrder;
+        let a = acts(|a| core.handle(T, NodeId(1), order, &NoTelemetry, a));
+        // The remaining parent is a non-child neighbour: it is activated.
+        assert_eq!(show(&a), ["2 Activate"]);
+        assert_eq!(repair_record(&core), (0, 0, None));
+        assert_eq!(core.parents(), vec![NodeId(2)]);
+    }
+
     #[test]
     fn target_parents_reflected_in_mode() {
         let t = BrisaCore::new(NodeId(0), BrisaConfig::default());
