@@ -3,9 +3,10 @@
 //! [`BrisaCore`] implements the protocol of Section II: the bootstrap flood
 //! of the first stream message, the emergence of a tree or DAG through link
 //! deactivation, cycle prevention, the parent selection strategies, and the
-//! soft/hard repair mechanisms used under churn. It is a sans-IO state
-//! machine; the `node` module composes it with HyParView into a runnable
-//! simulator protocol, and the unit tests below drive it directly.
+//! soft/hard repair mechanisms used under churn (those in `repair.rs`, one
+//! function per rule). It is a sans-IO state machine; the `node` module
+//! composes it with HyParView into a runnable simulator protocol, and the
+//! unit tests below drive it directly.
 
 use crate::buffer::MessageBuffer;
 use crate::config::{BrisaConfig, ParentStrategy};
@@ -18,12 +19,10 @@ use brisa_simnet::{NodeId, SimDuration, SimTime};
 use brisa_telemetry::{Counter, EventKind as TelEventKind, Histo, Telemetry};
 use std::sync::Arc;
 
-/// How long a node waits for a soft repair to produce a parent before
-/// escalating to the hard (flooding) repair.
-pub const SOFT_REPAIR_TIMEOUT: SimDuration = SimDuration::from_secs(2);
-/// Minimum interval between successive hard-repair re-attempts while a node
-/// remains orphaned.
-pub const HARD_REPAIR_RETRY: SimDuration = SimDuration::from_secs(2);
+#[path = "repair.rs"]
+mod repair;
+use repair::Loss;
+pub use repair::{RepairKind, HARD_REPAIR_RETRY, SOFT_REPAIR_TIMEOUT};
 /// Base interval between successive retransmission requests for the same
 /// delivery gap (steady-state loss recovery, Section II-F's buffer-based
 /// compensation applied outside the repair path). Short enough that a node
@@ -73,18 +72,6 @@ struct CoreTel {
     seq_refused: Counter,
     orphan_us: Histo,
     parent_count: Histo,
-}
-
-/// Classification of an ongoing parent-recovery procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RepairKind {
-    /// A replacement parent candidate existed in the active view; only its
-    /// inbound link had to be re-activated.
-    Soft,
-    /// No replacement existed: the node re-bootstrapped by flooding,
-    /// forgetting its position and propagating a re-activation order down
-    /// its sub-tree.
-    Hard,
 }
 
 /// The BRISA protocol state for one node.
@@ -190,14 +177,6 @@ impl BrisaCore {
         self.with_tel(|t| t.tel.event(now.as_micros(), self.me.0, kind, a, b));
     }
 
-    /// Marks this node orphaned in the observability layer (counter plus
-    /// flight-recorder event). Called wherever the protocol bookkeeping
-    /// pushes onto `stats.orphaned`.
-    fn tel_orphaned(&self, now: SimTime, lost_parent: NodeId) {
-        self.with_tel(|t| t.orphans.inc());
-        self.tel_event(now, TelEventKind::Orphan, lost_parent.0 as u64, 0);
-    }
-
     /// This node's identifier.
     pub fn id(&self) -> NodeId {
         self.me
@@ -296,14 +275,8 @@ impl BrisaCore {
     /// `Vec<BrisaAction>` records them.
     pub fn on_neighbor_down(&mut self, now: SimTime, peer: NodeId, out: &mut impl BrisaSink) {
         self.candidates.remove(peer);
-        let was_parent = self.links.neighbor_down(peer);
-        if was_parent && !self.is_source {
-            self.stats.parents_lost.push(now);
-            if self.links.parent_count() == 0 {
-                self.stats.orphaned.push(now);
-                self.tel_orphaned(now, peer);
-                self.start_repair(now, out);
-            }
+        if self.links.neighbor_down(peer) {
+            self.lose_parent(now, peer, Loss::LinkDown, out);
         }
     }
 
@@ -319,7 +292,7 @@ impl BrisaCore {
         self.next_seq += 1;
         self.with_tel(|t| t.delivered.inc());
         self.stats.delivery.record(seq, now);
-        self.highest_seq_seen = Some(self.highest_seq_seen.map_or(seq, |h| h.max(seq)));
+        self.see(seq);
         self.last_data_at = Some(now);
         self.buffer.insert(seq, payload_bytes);
         out.deliver(seq);
@@ -350,14 +323,8 @@ impl BrisaCore {
                 // parenthood is dead — clinging to it would starve this
                 // node silently (no data, no link-down, no gap evidence),
                 // so treat it as a parent loss and repair.
-                if symmetric && !self.is_source && self.links.is_parent(from) {
-                    self.links.drop_parent(from);
-                    self.stats.parents_lost.push(now);
-                    if self.links.parent_count() == 0 {
-                        self.stats.orphaned.push(now);
-                        self.tel_orphaned(now, from);
-                        self.start_repair(now, out);
-                    }
+                if symmetric && self.links.is_parent(from) {
+                    self.lose_parent(now, from, Loss::Deactivated, out);
                 }
             }
             BrisaMsg::Activate => {
@@ -399,7 +366,7 @@ impl BrisaCore {
                     );
                 }
             }
-            BrisaMsg::ReactivationOrder => self.handle_reactivation_order(now, from, out),
+            BrisaMsg::ReactivationOrder => self.lose_parent(now, from, Loss::Order, out),
             BrisaMsg::DepthUpdate { depth } => self.handle_depth_update(from, depth, out),
             BrisaMsg::Retransmit { from_seq, to_seq } => {
                 self.handle_retransmit(now, from, from_seq, to_seq, out)
@@ -423,7 +390,7 @@ impl BrisaCore {
         self.stats
             .delivery
             .anchor(highest.saturating_sub(self.cfg.buffer_size as u64));
-        self.highest_seq_seen = Some(self.highest_seq_seen.map_or(highest, |h| h.max(highest)));
+        self.see(highest);
         if self.known_gap() && self.pending_repair.is_none() {
             self.request_gap(now, from, out);
         }
@@ -462,7 +429,7 @@ impl BrisaCore {
         };
         self.candidates
             .observe(from, now, rtt, data.sender_uptime_secs, data.sender_load);
-        self.highest_seq_seen = Some(self.highest_seq_seen.map_or(data.seq, |h| h.max(data.seq)));
+        self.see(data.seq);
         self.last_data_at = Some(now);
         let low = self.stats.delivery.low();
         let first = self.stats.delivery.record(data.seq, now);
@@ -508,11 +475,7 @@ impl BrisaCore {
                 self.update_position(&data.guard, out);
             } else {
                 self.deactivate(now, from, out);
-                if self.links.parent_count() == 0 {
-                    self.stats.orphaned.push(now);
-                    self.tel_orphaned(now, from);
-                    self.start_repair(now, out);
-                }
+                self.lose_parent(now, from, Loss::Cycle, out);
             }
         } else if adoptable && self.links.parent_count() < self.cfg.mode.target_parents() {
             // A free parent slot: adopt this sender.
@@ -544,11 +507,11 @@ impl BrisaCore {
             // outbound link within a second of the crash and the stream
             // died at the crash sequence number overlay-wide). Instead:
             // re-parent onto the sender when it sits strictly closer to
-            // the source (the same upward guard as `consider_replacement`,
-            // so concurrent switches cannot stitch a cycle); otherwise
-            // leave the link active and let a genuine duplicate prune it
-            // later.
-            self.adopt_fresh_feeder(now, from, &data.guard, out);
+            // the source (`reparent`'s upward guard, so concurrent
+            // switches cannot stitch a cycle); otherwise leave the link
+            // active: it keeps feeding us while the stale chain recovers,
+            // and a genuine duplicate prunes it later.
+            self.reparent(now, from, &data.guard, &[], out);
         } else if !first {
             // Steady-state duplicate: keep the incumbent parents and silence
             // the surplus sender. Deactivation is *duplicate-triggered*
@@ -566,55 +529,6 @@ impl BrisaCore {
         // the sender, carrying our own position metadata.
         if first && !self.cycle.is_unset() {
             self.relay(now, data.seq, data.payload_bytes, Some(from), out);
-        }
-    }
-
-    fn handle_reactivation_order(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
-        if self.is_source {
-            return;
-        }
-        let children: Vec<NodeId> = self.links.children().collect();
-        let alternatives: Vec<NodeId> = self
-            .links
-            .neighbors()
-            .filter(|&n| n != from && !children.contains(&n))
-            .collect();
-        if !alternatives.is_empty() {
-            // We can replace the ordering parent locally: re-activate the
-            // inbound links of the alternatives and let the normal selection
-            // adopt whichever relays next. The previous parent may become a
-            // child (role exchange, Section II-F).
-            if self.links.is_parent(from) {
-                self.links.drop_parent(from);
-            }
-            if self.links.parent_count() == 0 {
-                self.pending_repair.get_or_insert((now, RepairKind::Soft));
-            }
-            for n in alternatives {
-                self.links.reactivate_inbound(n);
-                out.send(n, BrisaMsg::Activate);
-            }
-        } else {
-            // Cascade: behave exactly like the orphan that sent the order.
-            // The re-activation order is forwarded only to the children we
-            // had *before* dropping the ordering parent, so two nodes never
-            // bounce orders back and forth.
-            if self.links.is_parent(from) {
-                self.links.drop_parent(from);
-            }
-            if self.links.parent_count() == 0 {
-                self.pending_repair.get_or_insert((now, RepairKind::Hard));
-                self.last_repair_attempt = Some(now);
-            }
-            self.cycle.reset();
-            self.links.reactivate_all_inbound();
-            for n in self.links.neighbors() {
-                out.send(n, BrisaMsg::Activate);
-            }
-            for c in children {
-                self.stats.reactivation_orders_sent += 1;
-                out.send(c, BrisaMsg::ReactivationOrder);
-            }
         }
     }
 
@@ -733,6 +647,11 @@ impl BrisaCore {
         inside
     }
 
+    /// Raises the highest sequence number seen to `seq`.
+    fn see(&mut self, seq: u64) {
+        self.highest_seq_seen = self.highest_seq_seen.max(Some(seq));
+    }
+
     /// True if messages between the ledger's cursor and the highest
     /// sequence number seen are known to be missing.
     fn known_gap(&self) -> bool {
@@ -795,8 +714,8 @@ impl BrisaCore {
         }
     }
 
-    /// Adopts `from` as a parent, completing any pending repair and asking
-    /// the new parent for messages missed in the meantime.
+    /// Adopts `from` as a parent, completing any pending repair
+    /// ([`Self::finish_repair`]).
     fn adopt(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
         self.links.adopt_parent(from);
         self.last_parent_delivery = Some(now);
@@ -810,39 +729,7 @@ impl BrisaCore {
             from.0 as u64,
             self.links.parent_count() as u64,
         );
-        if let Some((started, kind)) = self.pending_repair.take() {
-            let delay = now.saturating_since(started).as_micros();
-            self.with_tel(|t| {
-                t.orphan_heals.inc();
-                t.orphan_us.record(delay);
-            });
-            self.tel_event(now, TelEventKind::OrphanHealed, from.0 as u64, delay);
-            match kind {
-                RepairKind::Soft => {
-                    self.stats.soft_repairs += 1;
-                    self.with_tel(|t| t.soft_repairs.inc());
-                    self.stats.soft_repair_delays_us.push(delay);
-                }
-                RepairKind::Hard => {
-                    self.stats.hard_repairs += 1;
-                    self.with_tel(|t| t.hard_repairs.inc());
-                    self.stats.hard_repair_delays_us.push(delay);
-                }
-            }
-            // Recover anything we missed while orphaned, starting from the
-            // first hole in the delivered sequence (the adoption itself may
-            // already have been triggered by a newer message). The
-            // steady-state gap detector is told about this request so its
-            // rate limit covers the adoption burst too.
-            self.last_gap_request = Some(now);
-            out.send(
-                from,
-                BrisaMsg::Retransmit {
-                    from_seq: self.stats.delivery.low(),
-                    to_seq: u64::MAX,
-                },
-            );
-        }
+        self.finish_repair(now, from, out);
         self.check_construction(now);
     }
 
@@ -883,43 +770,15 @@ impl BrisaCore {
         guard: &CycleGuard,
         out: &mut impl BrisaSink,
     ) {
-        let target = self.cfg.mode.target_parents();
-        // Replacing an existing parent is only considered when the candidate
-        // sits strictly closer to the source than we do. Without this guard
-        // two neighbors that mutually prefer each other (low RTT, high
-        // uptime, ...) could re-parent onto one another concurrently — each
-        // decision individually passes the cycle check against the other's
-        // pre-switch metadata — and stitch a cycle that starves both
-        // sub-trees.
-        let sender_depth = match &guard {
-            CycleGuard::Path(p) => p.len().saturating_sub(1),
-            CycleGuard::Depth(d) => *d as usize,
-        };
-        let upward = match self.cycle.position() {
-            None => true,
-            Some(pos) => sender_depth < pos,
-        };
         let mut pool: Vec<NodeId> = self.links.parents().collect();
         if !pool.contains(&from) {
             pool.push(from);
         }
+        let target = self.cfg.mode.target_parents();
         let selected = self.candidates.select(self.cfg.strategy, &pool, target);
-        if upward && selected.contains(&from) {
-            // `from` displaces the worst current parent(s).
-            let losers: Vec<NodeId> = self
-                .links
-                .parents()
-                .filter(|p| !selected.contains(p))
-                .collect();
-            for loser in losers {
-                self.deactivate(now, loser, out);
-            }
-            self.adopt(now, from, out);
-            // Our position now follows the new parent; children are updated
-            // through the guards of the messages we relay next (tree mode)
-            // or an explicit depth update (DAG mode).
-            self.update_position(guard, out);
-        } else {
+        // `from` displaces the worst current parent(s), if it sits closer to
+        // the source than we do.
+        if !(selected.contains(&from) && self.reparent(now, from, guard, &selected, out)) {
             self.deactivate_surplus(now, from, out);
         }
     }
@@ -945,87 +804,9 @@ impl BrisaCore {
             .is_none_or(|t| now.saturating_since(t) >= PARENT_STALE_AFTER)
     }
 
-    /// Re-parents onto `from` — a sender that just delivered a *first*
-    /// reception while every incumbent parent was silent past the staleness
-    /// window — when it sits strictly closer to the source than our own
-    /// position (the anti-cycle upward guard of
-    /// [`Self::consider_replacement`]). When the sender is not upward the
-    /// link is simply left active: it keeps feeding us while the stale
-    /// chain recovers, and an eventual true duplicate prunes it through
-    /// the normal path.
-    fn adopt_fresh_feeder(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        guard: &CycleGuard,
-        out: &mut impl BrisaSink,
-    ) {
-        let sender_depth = match guard {
-            CycleGuard::Path(p) => p.len().saturating_sub(1),
-            CycleGuard::Depth(d) => *d as usize,
-        };
-        let upward = match self.cycle.position() {
-            None => true,
-            Some(pos) => sender_depth < pos,
-        };
-        if !upward {
-            return;
-        }
-        let losers: Vec<NodeId> = self.links.parents().filter(|p| *p != from).collect();
-        for loser in losers {
-            self.deactivate(now, loser, out);
-        }
-        self.adopt(now, from, out);
-        self.update_position(guard, out);
-    }
-
-    /// Starts the repair procedure after losing every parent: soft repair if
-    /// any non-child neighbor can take over, hard repair (flood fallback plus
-    /// re-activation orders) otherwise.
-    fn start_repair(&mut self, now: SimTime, out: &mut impl BrisaSink) {
-        let children: Vec<NodeId> = self.links.children().collect();
-        let non_children: Vec<NodeId> = self
-            .links
-            .neighbors()
-            .filter(|n| !children.contains(n))
-            .collect();
-        self.last_repair_attempt = Some(now);
-        if !non_children.is_empty() {
-            self.pending_repair = Some((now, RepairKind::Soft));
-            for n in non_children {
-                self.links.reactivate_inbound(n);
-                out.send(n, BrisaMsg::Activate);
-            }
-        } else {
-            self.pending_repair = Some((now, RepairKind::Hard));
-            self.hard_repair_actions(out);
-        }
-    }
-
-    /// Performs the hard-repair steps of Section II-F: forget the position,
-    /// re-activate every inbound link, and propagate a re-activation order to
-    /// the children so the sub-tree re-bootstraps over flooding.
-    fn hard_repair_actions(&mut self, out: &mut impl BrisaSink) {
-        self.cycle.reset();
-        self.links.reactivate_all_inbound();
-        for n in self.links.neighbors() {
-            out.send(n, BrisaMsg::Activate);
-        }
-        for c in self.links.children() {
-            self.stats.reactivation_orders_sent += 1;
-            out.send(c, BrisaMsg::ReactivationOrder);
-        }
-    }
-
-    /// Periodic repair supervision, driven by the embedding stack's timer.
-    ///
-    /// Soft repairs that have not produced a parent within
-    /// [`SOFT_REPAIR_TIMEOUT`] escalate to a hard repair (this covers the
-    /// case where all the re-activated neighbors turn out to be descendants
-    /// of the orphan, so no upstream traffic can ever reach it). Hard repairs
-    /// are re-attempted every [`HARD_REPAIR_RETRY`] while the node remains
-    /// orphaned, e.g. when the overlay itself is still being repaired by the
-    /// PSS.
+    /// The periodic tick, driven by the embedding stack's timer: the stream
+    /// edge's advertisement, the tail-end gap request, and the repair's
+    /// supervision (`supervise_repair`).
     pub fn repair_tick(&mut self, now: SimTime, out: &mut impl BrisaSink) {
         // Stream-edge advertisement: once the data path has gone quiet
         // (the stream's tail, or an outage), tell the children where the
@@ -1061,32 +842,7 @@ impl BrisaCore {
                 self.request_gap(now, parent, out);
             }
         }
-        let Some((started, kind)) = self.pending_repair else {
-            return;
-        };
-        if self.links.parent_count() > 0 || self.is_source {
-            self.pending_repair = None;
-            return;
-        }
-        let since_last = self
-            .last_repair_attempt
-            .map(|t| now.saturating_since(t))
-            .unwrap_or(SimDuration::ZERO);
-        match kind {
-            RepairKind::Soft => {
-                if now.saturating_since(started) >= SOFT_REPAIR_TIMEOUT {
-                    self.pending_repair = Some((started, RepairKind::Hard));
-                    self.last_repair_attempt = Some(now);
-                    self.hard_repair_actions(out);
-                }
-            }
-            RepairKind::Hard => {
-                if since_last >= HARD_REPAIR_RETRY {
-                    self.last_repair_attempt = Some(now);
-                    self.hard_repair_actions(out);
-                }
-            }
-        }
+        self.supervise_repair(now, out);
     }
 
     /// Sends stream message `seq` to every outbound-active neighbor except

@@ -50,11 +50,13 @@ impl CycleGuard {
         self.encode_into(&mut ByteCount(0)).0
     }
 
-    /// Number of hops from the source implied by this guard (path length or
-    /// depth value).
-    pub fn hops(&self) -> usize {
+    /// The sender's depth (hops from the source, which is at 0): a path
+    /// runs from the source to the sender, so `k` identifiers put the
+    /// sender at `k - 1`; a depth label is the sender's depth as it is.
+    /// Comparable with [`CycleState::position`], the receiver's own depth.
+    pub fn sender_depth(&self) -> usize {
         match self {
-            CycleGuard::Path(p) => p.len(),
+            CycleGuard::Path(p) => p.len().saturating_sub(1),
             CycleGuard::Depth(d) => *d as usize,
         }
     }
@@ -400,10 +402,13 @@ mod tests {
     fn guards_report_sizes_and_hops() {
         let p = CycleGuard::Path(vec![NodeId(0), NodeId(1), NodeId(2)].into());
         assert_eq!(p.wire_size(), 1 + 2 + 3 * NodeId::WIRE_SIZE);
-        assert_eq!(p.hops(), 3);
+        assert_eq!(p.sender_depth(), 2, "three ids: source, one relay, sender");
         let d = CycleGuard::Depth(9);
         assert_eq!(d.wire_size(), 5);
-        assert_eq!(d.hops(), 9);
+        assert_eq!(d.sender_depth(), 9);
+        let mut me = CycleState::tree();
+        me.position_after(NodeId(3), &p);
+        assert_eq!(me.position(), Some(p.sender_depth() + 1));
     }
 
     #[test]

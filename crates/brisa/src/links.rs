@@ -202,6 +202,12 @@ impl Links {
         self.peers_without(OUTBOUND_INACTIVE | PARENT)
     }
 
+    /// True if `peer` is one of [`Self::children`].
+    pub fn is_child(&self, peer: NodeId) -> bool {
+        self.link(peer)
+            .is_some_and(|l| !l.has(OUTBOUND_INACTIVE | PARENT))
+    }
+
     /// Number of children (the node's out-degree in the structure).
     pub fn degree(&self) -> usize {
         self.children().count()
