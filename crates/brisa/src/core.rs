@@ -35,8 +35,9 @@ pub use repair::{RepairKind, HARD_REPAIR_RETRY, SOFT_REPAIR_TIMEOUT};
 pub const GAP_RETRY: SimDuration = SimDuration::from_millis(500);
 /// Cap on the exponential gap-retry backoff (`GAP_RETRY << GAP_BACKOFF_MAX`).
 pub const GAP_BACKOFF_MAX: u32 = 5;
-/// A parenthood is considered *stale* when no stream data has arrived from
-/// any parent for this long (ten intervals at the paper's 5 msg/s rate).
+/// A parenthood is considered *stale* when neither stream data nor an
+/// `Edge` has arrived from any parent for this long (ten intervals at the
+/// paper's 5 msg/s rate).
 /// A first reception from a non-parent while the parents are stale is
 /// recovery evidence, not a surplus link — see the fresh-feeder path in
 /// `handle_data`.
@@ -95,8 +96,9 @@ pub struct BrisaCore {
     /// contiguous delivered prefix) last advanced; drives the exponential
     /// retry backoff.
     gap_attempts: u32,
-    /// Last time stream data arrived from a current parent (or a parent was
-    /// adopted). Drives the staleness test of the fresh-feeder path.
+    /// Last time stream data or an `Edge` arrived from a current parent (or
+    /// a parent was adopted). Drives the staleness test of the fresh-feeder
+    /// path and the silent-parent rule.
     last_parent_delivery: Option<SimTime>,
     /// Last time any stream data moved through this node (reception or
     /// publish). Gates the stream-edge advertisement: quiet for
@@ -383,6 +385,9 @@ impl BrisaCore {
     fn handle_edge(&mut self, now: SimTime, from: NodeId, highest: u64, out: &mut impl BrisaSink) {
         if self.is_source || !self.admits(highest) {
             return;
+        }
+        if self.links.is_parent(from) {
+            self.last_parent_delivery = Some(now);
         }
         // A node that has never delivered anchors exactly like the data
         // path: only what an upstream buffer could still serve is treated
@@ -806,7 +811,7 @@ impl BrisaCore {
 
     /// The periodic tick, driven by the embedding stack's timer: the stream
     /// edge's advertisement, the tail-end gap request, and the repair's
-    /// supervision (`supervise_repair`).
+    /// supervision (`drop_silent_parents`, `supervise_repair`).
     pub fn repair_tick(&mut self, now: SimTime, out: &mut impl BrisaSink) {
         // Stream-edge advertisement: once the data path has gone quiet
         // (the stream's tail, or an outage), tell the children where the
@@ -842,6 +847,7 @@ impl BrisaCore {
                 self.request_gap(now, parent, out);
             }
         }
+        self.drop_silent_parents(now, out);
         self.supervise_repair(now, out);
     }
 
@@ -966,6 +972,30 @@ mod tests {
                 let node = self.nodes.get_mut(&to).unwrap();
                 let actions = acts(|a| node.handle(self.now, from, msg, &NoTelemetry, a));
                 self.enqueue(to, actions);
+            }
+        }
+
+        /// Delivers `msg` from `from` to `to`, then whatever it causes.
+        fn send(&mut self, from: NodeId, to: NodeId, msg: BrisaMsg) {
+            self.queue.push_back((from, to, msg));
+            self.drain();
+        }
+
+        /// Runs every node's repair tick once per tick period for `span`,
+        /// in identifier order, delivering what each round causes.
+        fn tick_for(&mut self, span: SimDuration) {
+            let period = self.node(0).config().repair_tick_period;
+            let mut ids: Vec<NodeId> = self.nodes.keys().copied().collect();
+            ids.sort();
+            let end = self.now + span;
+            while self.now < end {
+                self.now += period;
+                for &id in &ids {
+                    let node = self.nodes.get_mut(&id).unwrap();
+                    let actions = acts(|a| node.repair_tick(self.now, a));
+                    self.enqueue(id, actions);
+                }
+                self.drain();
             }
         }
 
@@ -2008,6 +2038,63 @@ mod tests {
         assert_eq!(show(&a), ["2 Activate"]);
         assert_eq!(repair_record(&core), (0, 0, None));
         assert_eq!(core.parents(), vec![NodeId(2)]);
+    }
+
+    /// The deaf tail: after its last message, node 3's parent stops
+    /// counting it as a child, so neither the stream's tail nor its edge
+    /// reaches it again, while node 2 holds the tail. Node 3 takes the
+    /// silence for a lost parent, repairs through 2 and recovers the tail.
+    #[test]
+    fn a_node_its_parent_forgot_recovers_the_tail_from_a_neighbour() {
+        let cfg = BrisaConfig::default();
+        let mut mesh = Mesh::new(&cfg, &[(0, 1), (0, 2), (1, 3), (2, 3)], 4);
+        for _ in 0..3 {
+            mesh.publish(10);
+        }
+        let parent = mesh.node(3).parents()[0];
+        mesh.send(NodeId(3), parent, BrisaMsg::Deactivate { symmetric: false });
+        for _ in 0..3 {
+            mesh.publish(10);
+        }
+        assert_eq!(mesh.node(3).stats().delivery.delivered(), 3, "deaf");
+        mesh.tick_for(SimDuration::from_secs(10));
+        let deaf = mesh.node(3).stats();
+        assert_eq!(deaf.delivery.delivered(), 6, "the tail is recovered");
+        assert_eq!((deaf.parents_lost.len(), deaf.soft_repairs), (1, 1));
+        mesh.assert_rooted();
+    }
+
+    /// The silence limit's derivation: a parent whose data stopped at `t`
+    /// and whose first two `Edge`s are lost is still a parent when the
+    /// third arrives at its latest, `t + EDGE_QUIET_AFTER + 3 ticks`; once
+    /// it falls silent for the whole limit after that, it is lost.
+    #[test]
+    fn a_parent_that_loses_two_edges_in_a_row_is_kept() {
+        let mut core = tree_child_of_1(true);
+        let tick = core.config().repair_tick_period;
+        let mut now = SimTime::from_millis(1);
+        let third_edge = now + EDGE_QUIET_AFTER + tick * 3;
+        let mut run_until = |core: &mut BrisaCore, until: SimTime| {
+            while now + tick <= until {
+                now += tick;
+                let _ = acts(|a| core.repair_tick(now, a));
+            }
+        };
+        run_until(&mut core, third_edge);
+        let edge = BrisaMsg::Edge { highest: 0 };
+        let _ = acts(|a| core.handle(third_edge, NodeId(1), edge, &NoTelemetry, a));
+        let limit = EDGE_QUIET_AFTER + tick * repair::PARENT_SILENT_TICKS;
+        run_until(&mut core, third_edge + (limit - tick));
+        assert_eq!(core.parents(), vec![NodeId(1)]);
+        assert!(core.stats().parents_lost.is_empty());
+
+        let a = acts(|a| core.repair_tick(third_edge + limit, a));
+        // The tick still tells its child the edge, then repairs.
+        assert_eq!(show(&a), ["3 Edge { highest: 0 }", "2 Activate"]);
+        assert_eq!(
+            repair_record(&core),
+            (1, 1, Some((third_edge + limit, RepairKind::Soft)))
+        );
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! BRISA's repair (Section II-F), one function per rule, in the paper's
-//! order: a parent is lost ([`BrisaCore::lose_parent`], whatever ended it);
+//! order: a parent is lost ([`BrisaCore::lose_parent`], whatever ended it,
+//! silence included: [`BrisaCore::drop_silent_parents`]);
 //! an orphan repairs, softly through a non-child neighbour or hard by
 //! flooding ([`BrisaCore::repair`], [`BrisaCore::hard_repair`]); the tick
 //! escalates and retries ([`BrisaCore::supervise_repair`]); an adoption
 //! ends the repair ([`BrisaCore::finish_repair`]). [`BrisaCore::reparent`]
 //! is the one switch from the current parents to a closer sender.
 
-use super::BrisaCore;
+use super::{BrisaCore, EDGE_QUIET_AFTER};
 use crate::cycle::CycleGuard;
 use crate::message::{BrisaMsg, BrisaSink};
 use brisa_simnet::{NodeId, SimDuration, SimTime};
@@ -18,6 +19,19 @@ pub const SOFT_REPAIR_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// Minimum interval between successive hard-repair re-attempts while a node
 /// remains orphaned.
 pub const HARD_REPAIR_RETRY: SimDuration = SimDuration::from_secs(2);
+
+/// A parent is silent, and lost, once neither data nor an `Edge` has come
+/// from any parent for `EDGE_QUIET_AFTER + PARENT_SILENT_TICKS ×
+/// repair_tick_period` (3 s at the default 500 ms tick). With
+/// `Q = EDGE_QUIET_AFTER` and `P` the tick period: a healthy parent whose
+/// data went quiet at `t` sends its first `Edge` on its first tick at or
+/// after `t + Q`, so before `t + Q + P`, and another every `P` after that.
+/// If two in a row are lost, the third still leaves before `t + Q + 3P`.
+/// The child's last reception from that parent is its last relayed data,
+/// at `t` or later, so a limit of `Q + 4P` leaves the third `Edge` a whole
+/// tick for the link's latency: a healthy parent that loses two `Edge`s in
+/// a row is never dropped.
+pub const PARENT_SILENT_TICKS: u64 = 4;
 
 /// Classification of an ongoing parent-recovery procedure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +55,9 @@ pub(super) enum Loss {
     /// Data from the parent carried a path through this node; the caller
     /// has already deactivated the link.
     Cycle,
+    /// Neither data nor an `Edge` came from any parent for the silence
+    /// limit ([`PARENT_SILENT_TICKS`]).
+    Silent,
     /// The parent, hard-repairing, sent a re-activation order: behave like
     /// the orphan that sent it (the cascade).
     Order,
@@ -79,13 +96,47 @@ impl BrisaCore {
                 return self.repair(now, Some(parent), spare, out);
             }
             Loss::Cycle => {}
-            Loss::LinkDown | Loss::Deactivated => self.stats.parents_lost.push(now),
+            Loss::LinkDown | Loss::Deactivated | Loss::Silent => self.stats.parents_lost.push(now),
         }
         if self.links.parent_count() == 0 {
             self.stats.orphaned.push(now);
             self.with_tel(|t| t.orphans.inc());
             self.tel_event(now, TelEventKind::Orphan, parent.0 as u64, 0);
             self.repair(now, None, None, out);
+        }
+    }
+
+    /// A silent parent is a lost parent: once neither data nor an `Edge`
+    /// has come from any parent for the silence limit
+    /// ([`PARENT_SILENT_TICKS`]), every parent is dropped as
+    /// [`Loss::Silent`] and the soft repair takes over — a neighbour's
+    /// answer to `Activate`, adoption, then `Retransmit` from the ledger's
+    /// cursor. This is how a node recovers whose parent no longer counts it
+    /// as a child: it hears neither the stream nor its edge again (the
+    /// deaf tail). Only a node the soft repair can serve — one with a
+    /// neighbour it does not relay to — drops its parents; any other would
+    /// hard-repair, flooding and ordering its whole sub-tree, on silence
+    /// alone. A node with a parent has seen the stream and has no repair
+    /// pending. Trees only: depth labels let two DAG nodes be each other's
+    /// parents, neither counts the other as a child, so neither hears the
+    /// other's `Edge`, and silence is no evidence there.
+    pub(super) fn drop_silent_parents(&mut self, now: SimTime, out: &mut impl BrisaSink) {
+        let limit = EDGE_QUIET_AFTER + self.cfg.repair_tick_period * PARENT_SILENT_TICKS;
+        let silent = self.cfg.mode.is_tree()
+            && self.links.parent_count() > 0
+            && self
+                .last_parent_delivery
+                .is_some_and(|t| now.saturating_since(t) >= limit);
+        if silent
+            && self
+                .links
+                .neighbors()
+                .any(|n| !self.links.is_outbound_active(n))
+        {
+            let parents: Vec<NodeId> = self.links.parents().collect();
+            for parent in parents {
+                self.lose_parent(now, parent, Loss::Silent, out);
+            }
         }
     }
 

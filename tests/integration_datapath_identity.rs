@@ -148,11 +148,15 @@ fn control_plane_rows() -> [(&'static str, u64); 4] {
     ]
 }
 
-/// Recorded on a82ec39, the parent of the control-plane rewrite.
+/// Recorded on a82ec39, the parent of the control-plane rewrite. The third
+/// row was re-recorded when a silent tree parent became a lost parent: the
+/// `Delay` partition holds cross-cut traffic, `Edge`s included, longer than
+/// the silence limit, so the nodes whose parents sit across the cut now
+/// drop them and repair on their own side.
 const CONTROL_PLANE_PINNED: [u64; 4] = [
     0x4cfc736859c564ee, // flood over HyParView, churn
     0x5ddd496a25448b70, // SimpleGossip over Cyclon, churn
-    0x56c715ee2eca79af, // BRISA tree, 1 % loss + Delay partition
+    0x2f2ceb05459a2437, // BRISA tree, 1 % loss + Delay partition
     0xe70dccd5c4d17f0c, // BRISA tree, churn + loss, shards(2)
 ];
 
