@@ -35,8 +35,8 @@ pub use repair::{RepairKind, HARD_REPAIR_RETRY, SOFT_REPAIR_TIMEOUT};
 pub const GAP_RETRY: SimDuration = SimDuration::from_millis(500);
 /// Cap on the exponential gap-retry backoff (`GAP_RETRY << GAP_BACKOFF_MAX`).
 pub const GAP_BACKOFF_MAX: u32 = 5;
-/// A parenthood is considered *stale* when neither stream data nor an
-/// `Edge` has arrived from any parent for this long (ten intervals at the
+/// A parenthood is considered *stale* when neither stream data from a
+/// parent nor any `Edge` has arrived for this long (ten intervals at the
 /// paper's 5 msg/s rate).
 /// A first reception from a non-parent while the parents are stale is
 /// recovery evidence, not a surplus link — see the fresh-feeder path in
@@ -96,9 +96,9 @@ pub struct BrisaCore {
     /// contiguous delivered prefix) last advanced; drives the exponential
     /// retry backoff.
     gap_attempts: u32,
-    /// Last time stream data or an `Edge` arrived from a current parent (or
-    /// a parent was adopted). Drives the staleness test of the fresh-feeder
-    /// path and the silent-parent rule.
+    /// Last time stream data arrived from a current parent, an `Edge`
+    /// arrived, or a parent was adopted. Drives the staleness test of the
+    /// fresh-feeder path and the silent-parent rule.
     last_parent_delivery: Option<SimTime>,
     /// Last time any stream data moved through this node (reception or
     /// publish). Gates the stream-edge advertisement: quiet for
@@ -386,9 +386,11 @@ impl BrisaCore {
         if self.is_source || !self.admits(highest) {
             return;
         }
-        if self.links.is_parent(from) {
-            self.last_parent_delivery = Some(now);
-        }
+        // Only a node that relays to this one advertises its edge to it, so
+        // any edge says this node is still on the stream's path. Asking
+        // whether the sender is a parent would cost a link-table look-up,
+        // a cache miss, on every edge.
+        self.last_parent_delivery = Some(now);
         // A node that has never delivered anchors exactly like the data
         // path: only what an upstream buffer could still serve is treated
         // as a recoverable gap.
@@ -811,7 +813,7 @@ impl BrisaCore {
 
     /// The periodic tick, driven by the embedding stack's timer: the stream
     /// edge's advertisement, the tail-end gap request, and the repair's
-    /// supervision (`drop_silent_parents`, `supervise_repair`).
+    /// supervision (`drop_silent_parent`, `supervise_repair`).
     pub fn repair_tick(&mut self, now: SimTime, out: &mut impl BrisaSink) {
         // Stream-edge advertisement: once the data path has gone quiet
         // (the stream's tail, or an outage), tell the children where the
@@ -847,7 +849,7 @@ impl BrisaCore {
                 self.request_gap(now, parent, out);
             }
         }
-        self.drop_silent_parents(now, out);
+        self.drop_silent_parent(now, out);
         self.supervise_repair(now, out);
     }
 

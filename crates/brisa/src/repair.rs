@@ -1,6 +1,6 @@
 //! BRISA's repair (Section II-F), one function per rule, in the paper's
 //! order: a parent is lost ([`BrisaCore::lose_parent`], whatever ended it,
-//! silence included: [`BrisaCore::drop_silent_parents`]);
+//! silence included: [`BrisaCore::drop_silent_parent`]);
 //! an orphan repairs, softly through a non-child neighbour or hard by
 //! flooding ([`BrisaCore::repair`], [`BrisaCore::hard_repair`]); the tick
 //! escalates and retries ([`BrisaCore::supervise_repair`]); an adoption
@@ -20,8 +20,8 @@ pub const SOFT_REPAIR_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// remains orphaned.
 pub const HARD_REPAIR_RETRY: SimDuration = SimDuration::from_secs(2);
 
-/// A parent is silent, and lost, once neither data nor an `Edge` has come
-/// from any parent for `EDGE_QUIET_AFTER + PARENT_SILENT_TICKS ×
+/// A parent is silent, and lost, once neither data from it nor any `Edge`
+/// has come for `EDGE_QUIET_AFTER + PARENT_SILENT_TICKS ×
 /// repair_tick_period` (3 s at the default 500 ms tick). With
 /// `Q = EDGE_QUIET_AFTER` and `P` the tick period: a healthy parent whose
 /// data went quiet at `t` sends its first `Edge` on its first tick at or
@@ -55,8 +55,8 @@ pub(super) enum Loss {
     /// Data from the parent carried a path through this node; the caller
     /// has already deactivated the link.
     Cycle,
-    /// Neither data nor an `Edge` came from any parent for the silence
-    /// limit ([`PARENT_SILENT_TICKS`]).
+    /// Neither data from the (tree) parent nor any `Edge` came for the
+    /// silence limit ([`PARENT_SILENT_TICKS`]).
     Silent,
     /// The parent, hard-repairing, sent a re-activation order: behave like
     /// the orphan that sent it (the cascade).
@@ -106,37 +106,35 @@ impl BrisaCore {
         }
     }
 
-    /// A silent parent is a lost parent: once neither data nor an `Edge`
-    /// has come from any parent for the silence limit
-    /// ([`PARENT_SILENT_TICKS`]), every parent is dropped as
-    /// [`Loss::Silent`] and the soft repair takes over — a neighbour's
-    /// answer to `Activate`, adoption, then `Retransmit` from the ledger's
-    /// cursor. This is how a node recovers whose parent no longer counts it
-    /// as a child: it hears neither the stream nor its edge again (the
-    /// deaf tail). Only a node the soft repair can serve — one with a
-    /// neighbour it does not relay to — drops its parents; any other would
-    /// hard-repair, flooding and ordering its whole sub-tree, on silence
-    /// alone. A node with a parent has seen the stream and has no repair
-    /// pending. Trees only: depth labels let two DAG nodes be each other's
-    /// parents, neither counts the other as a child, so neither hears the
-    /// other's `Edge`, and silence is no evidence there.
-    pub(super) fn drop_silent_parents(&mut self, now: SimTime, out: &mut impl BrisaSink) {
+    /// A silent parent is a lost parent: once neither data from the parent
+    /// nor any `Edge` (only a node that relays to this one sends it) has
+    /// come for the silence limit ([`PARENT_SILENT_TICKS`]), it is dropped as [`Loss::Silent`] and the
+    /// soft repair takes over — a neighbour's answer to `Activate`,
+    /// adoption, then `Retransmit` from the ledger's cursor. This is how a
+    /// node recovers whose parent no longer counts it as a child: it hears
+    /// neither the stream nor its edge again (the deaf tail). Only a node
+    /// the soft repair can serve — one with a neighbour it does not relay
+    /// to — drops its parent; any other would hard-repair, flooding and
+    /// ordering its whole sub-tree, on silence alone. A node with a parent
+    /// has seen the stream and has no repair pending. Trees only: depth
+    /// labels let two DAG nodes be each other's parents, neither counts the
+    /// other as a child, so neither hears the other's `Edge`, and silence is
+    /// no evidence there.
+    pub(super) fn drop_silent_parent(&mut self, now: SimTime, out: &mut impl BrisaSink) {
+        let Some(parent) = self.links.parents().next() else {
+            return;
+        };
         let limit = EDGE_QUIET_AFTER + self.cfg.repair_tick_period * PARENT_SILENT_TICKS;
-        let silent = self.cfg.mode.is_tree()
-            && self.links.parent_count() > 0
-            && self
-                .last_parent_delivery
-                .is_some_and(|t| now.saturating_since(t) >= limit);
-        if silent
-            && self
-                .links
+        let silent = self
+            .last_parent_delivery
+            .is_some_and(|t| now.saturating_since(t) >= limit);
+        let soft = || {
+            self.links
                 .neighbors()
                 .any(|n| !self.links.is_outbound_active(n))
-        {
-            let parents: Vec<NodeId> = self.links.parents().collect();
-            for parent in parents {
-                self.lose_parent(now, parent, Loss::Silent, out);
-            }
+        };
+        if self.cfg.mode.is_tree() && silent && soft() {
+            self.lose_parent(now, parent, Loss::Silent, out);
         }
     }
 
