@@ -108,18 +108,18 @@ impl BrisaCore {
 
     /// A silent parent is a lost parent: once neither data from the parent
     /// nor any `Edge` (only a node that relays to this one sends it) has
-    /// come for the silence limit ([`PARENT_SILENT_TICKS`]), it is dropped as [`Loss::Silent`] and the
-    /// soft repair takes over — a neighbour's answer to `Activate`,
-    /// adoption, then `Retransmit` from the ledger's cursor. This is how a
-    /// node recovers whose parent no longer counts it as a child: it hears
-    /// neither the stream nor its edge again (the deaf tail). Only a node
-    /// the soft repair can serve — one with a neighbour it does not relay
-    /// to — drops its parent; any other would hard-repair, flooding and
-    /// ordering its whole sub-tree, on silence alone. A node with a parent
-    /// has seen the stream and has no repair pending. Trees only: depth
-    /// labels let two DAG nodes be each other's parents, neither counts the
-    /// other as a child, so neither hears the other's `Edge`, and silence is
-    /// no evidence there.
+    /// come for the silence limit ([`PARENT_SILENT_TICKS`]), the parent is
+    /// dropped as [`Loss::Silent`] and the soft repair takes over — a
+    /// neighbour's answer to `Activate`, adoption, then `Retransmit` from
+    /// the ledger's cursor. This is how a node recovers whose parent no
+    /// longer counts it as a child: it hears neither the stream nor its
+    /// edge again (the deaf tail). Only a node the soft repair can serve —
+    /// one with a neighbour it does not relay to — drops its parent; any
+    /// other would hard-repair, flooding and ordering its whole sub-tree,
+    /// on silence alone. A node with a parent has seen the stream and has
+    /// no repair pending. Trees only: depth labels let two DAG nodes be
+    /// each other's parents, neither counts the other as a child, so
+    /// neither hears the other's `Edge`, and silence is no evidence there.
     pub(super) fn drop_silent_parent(&mut self, now: SimTime, out: &mut impl BrisaSink) {
         let Some(parent) = self.links.parents().next() else {
             return;
