@@ -144,12 +144,16 @@ fn prefetch<T>(slot: &T) {
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         const LINE: usize = 64;
+        // Lines from the aligned start that cover the slot at any skew: a
+        // constant per `T`, so the loop unrolls and keeps no counter.
+        let lines = (std::mem::size_of::<T>() + LINE - 1).div_ceil(LINE);
         let start = (slot as *const T).cast::<i8>();
-        let skew = start as usize % LINE;
-        let first = start.wrapping_sub(skew);
-        for line in 0..(skew + std::mem::size_of::<T>()).div_ceil(LINE) {
+        let first = start.wrapping_sub(start as usize % LINE);
+        for line in 0..lines {
             // SAFETY: a prefetch never faults and reads nothing the program
-            // can observe; every line lies inside `slot` anyway.
+            // can observe, so the last line may be one past the slot's (at
+            // a small skew), even past its allocation; `wrapping_add` forms
+            // that address without UB.
             unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(line * LINE)) };
         }
     }
@@ -531,14 +535,13 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                             }
                         }
                     }
-                    // FIFO clocks are only kept towards live destinations:
-                    // a delivery to a dead node is dropped on arrival, so its
-                    // ordering is irrelevant. The failure-detection window,
-                    // where senders still relay to a crashed peer, hits
-                    // exactly this path.
-                    let fifo = self.config.fifo_links && self.is_alive(to);
+                    // The FIFO clock is stamped whatever the destination's
+                    // liveness, so a send reads no slot but its own. A
+                    // delivery to a dead node is dropped on arrival, and ids
+                    // are never reused, so a clock towards one orders
+                    // nothing; it expires like any other.
                     let slot = &mut self.nodes[self.place.local(origin)];
-                    if fifo {
+                    if self.config.fifo_links {
                         deliver_at = slot.clocks.stamp(to, self.now, deliver_at);
                     }
                     let prio = slot.lane_key(origin);

@@ -279,8 +279,9 @@ impl FifoClocks {
 
     /// Forgets every clock, in place; called when the sender crashes (it
     /// will never send again). Clocks *towards* a crashed node need no
-    /// pruning: they are never consulted again — sends to a dead
-    /// destination skip the FIFO stamp — and expire like any other.
+    /// pruning: they only order deliveries that are dropped on arrival, and
+    /// they expire like any other, on the sender's next send after the
+    /// last of those deliveries.
     pub fn clear(&mut self) {
         self.clocks.clear();
     }

@@ -770,13 +770,18 @@ mod tests {
         // The crashed sender's clocks are gone; a -> c and c -> a remain.
         assert_eq!(links(&net), vec![(a, c), (c, a)]);
         // Senders that have not yet detected the failure keep relaying to
-        // the dead peer; those sends skip the FIFO stamp altogether.
+        // the dead peer. Such a send stamps a clock like any other (its
+        // delivery is dropped on arrival) and sweeps a's expired a -> c.
         net.invoke(a, |_p, ctx| ctx.send(b, Ping(9)));
+        assert_eq!(links(&net), vec![(a, b), (c, a)]);
+        // The clock towards the dead peer is gone after a's next send past
+        // that delivery.
         net.run_until(SimTime::from_secs(3));
+        net.invoke(a, |_p, ctx| ctx.send(c, Ping(9)));
         assert_eq!(
             links(&net),
             vec![(a, c), (c, a)],
-            "sends to a dead peer leave no clock behind"
+            "a clock towards a dead peer outlives its last delivery by one send at most"
         );
         net.crash(a);
         net.crash(c);
