@@ -853,6 +853,46 @@ impl BrisaCore {
         self.supervise_repair(now, out);
     }
 
+    /// True once [`Self::repair_tick`] has something it could act on; while
+    /// it is false the tick does nothing at all. One clause per thing the
+    /// tick reads:
+    /// - the stream's edge, for the edge advertisement and the tail-end gap
+    ///   request (data, an `Edge` or `publish` sets it);
+    /// - a parent, for `drop_silent_parent` (implied by the edge: only data
+    ///   adopts);
+    /// - a pending repair, for `supervise_repair` (a `ReactivationOrder`
+    ///   starts one on a node that has seen nothing).
+    ///
+    /// Monotone: the edge is never forgotten, and a pending repair ends only
+    /// in an adoption (the source never has one). So the embedding stack
+    /// arms the tick once, when this turns true, and never has to ask
+    /// whether it is armed.
+    pub fn wants_repair_tick(&self) -> bool {
+        self.highest_seq_seen.is_some()
+            || self.pending_repair.is_some()
+            || self.links.parent_count() > 0
+    }
+
+    /// How long after `now` a tick that starts now first runs: on the grid
+    /// a tick armed at start would run on, `started_at + k ×
+    /// repair_tick_period` with k ≥ 1, at its first instant after `now` —
+    /// or at `now` itself, if it is on the grid and `ticks_after` says the
+    /// callback being run is ordered before this node's tick at one
+    /// instant.
+    pub fn first_repair_tick(&self, now: SimTime, ticks_after: bool) -> SimDuration {
+        let period = self.cfg.repair_tick_period.as_micros().max(1);
+        let since = now
+            .saturating_since(self.started_at.unwrap_or(SimTime::ZERO))
+            .as_micros();
+        let k = since / period;
+        let next = if k >= 1 && since.is_multiple_of(period) && ticks_after {
+            k
+        } else {
+            k + 1
+        };
+        SimDuration::from_micros(next * period - since)
+    }
+
     /// Sends stream message `seq` to every outbound-active neighbor except
     /// `exclude`, carrying this node's own position metadata. The copy is
     /// built once, on the first recipient, and shared by all of them — so

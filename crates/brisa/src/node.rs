@@ -20,7 +20,8 @@ pub const TIMER_SHUFFLE: u16 = 1;
 pub const TIMER_KEEPALIVE: u16 = 2;
 /// Timer family used for repair supervision (soft-repair timeout escalation
 /// and hard-repair retries). The period comes from
-/// [`BrisaConfig::repair_tick_period`].
+/// [`BrisaConfig::repair_tick_period`]; the tick is armed when the core first
+/// has something for it ([`BrisaCore::wants_repair_tick`]), not at start.
 pub const TIMER_REPAIR: u16 = 3;
 
 /// Wire messages of the combined HyParView + BRISA stack.
@@ -75,8 +76,13 @@ impl BrisaNode {
     /// resulting sends are routed through the simulator.
     pub fn publish(&mut self, ctx: &mut Context<'_, StackMsg>, payload_bytes: usize) {
         let now = ctx.now();
-        self.core
-            .publish(now, payload_bytes, &mut Commands(ctx.rng_and_commands().1));
+        with_core(
+            &mut self.core,
+            now,
+            None,
+            ctx.rng_and_commands().1,
+            |core, out| core.publish(now, payload_bytes, out),
+        );
     }
 
     /// Runs one membership-layer call with its effects wired straight into
@@ -95,6 +101,37 @@ impl BrisaNode {
             core: &mut self.core,
         };
         call(&mut self.hpv, rng, &mut sink);
+    }
+}
+
+/// Runs one core callback with its effects written into `commands`, and
+/// arms the repair tick if the callback woke it: the core had nothing for
+/// the tick before ([`BrisaCore::wants_repair_tick`]) and has now. The tick
+/// goes on the grid a tick armed at start would have run on, so every tick
+/// that can act runs when, and in the order, it always did.
+///
+/// `from` is the sender of the message being handled. The simulator orders
+/// one instant's events by the id of the node that caused them, so a
+/// delivery from a lower id runs before this node's own tick at that
+/// instant, and one from a higher id after it. There is no sender for a
+/// `publish` (an `invoke` follows its instant's events) nor for a view
+/// change, which never wakes the tick: only a parent's loss reaches the
+/// repair from there, and a parent already keeps it awake.
+fn with_core(
+    core: &mut BrisaCore,
+    now: SimTime,
+    from: Option<NodeId>,
+    commands: &mut Vec<Command<StackMsg>>,
+    call: impl FnOnce(&mut BrisaCore, &mut Commands<'_>),
+) {
+    let asleep = !core.wants_repair_tick();
+    call(core, &mut Commands(&mut *commands));
+    if asleep && core.wants_repair_tick() {
+        let ticks_after = from.is_some_and(|s| s.0 < core.id().0);
+        commands.push(Command::SetTimer {
+            delay: core.first_repair_tick(now, ticks_after),
+            tag: TimerTag::of_kind(TIMER_REPAIR),
+        });
     }
 }
 
@@ -149,8 +186,10 @@ impl HpvSink for StackSink<'_> {
     }
 
     fn neighbor_down(&mut self, peer: NodeId) {
-        self.core
-            .on_neighbor_down(self.now, peer, &mut Commands(self.commands));
+        let now = self.now;
+        with_core(self.core, now, None, self.commands, |core, out| {
+            core.on_neighbor_down(now, peer, out)
+        });
     }
 }
 
@@ -175,10 +214,6 @@ impl Protocol for BrisaNode {
             SimDuration::from_micros(ctx.rng().gen_range(0..keepalive_period.as_micros().max(1)));
         ctx.set_timer(shuffle_offset, TimerTag::of_kind(TIMER_SHUFFLE));
         ctx.set_timer(keepalive_offset, TimerTag::of_kind(TIMER_KEEPALIVE));
-        ctx.set_timer(
-            self.core.config().repair_tick_period,
-            TimerTag::of_kind(TIMER_REPAIR),
-        );
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, StackMsg>, from: NodeId, msg: StackMsg) {
@@ -190,8 +225,14 @@ impl Protocol for BrisaNode {
             }
             StackMsg::Brisa(m) => {
                 let now = ctx.now();
-                let mut out = Commands(ctx.rng_and_commands().1);
-                self.core.handle(now, from, m, &&self.hpv, &mut out);
+                let hpv = &self.hpv;
+                with_core(
+                    &mut self.core,
+                    now,
+                    Some(from),
+                    ctx.rng_and_commands().1,
+                    |core, out| core.handle(now, from, m, &hpv, out),
+                );
             }
         }
     }
@@ -226,10 +267,8 @@ impl Protocol for BrisaNode {
                 let now = ctx.now();
                 self.core
                     .repair_tick(now, &mut Commands(ctx.rng_and_commands().1));
-                ctx.set_timer(
-                    self.core.config().repair_tick_period,
-                    TimerTag::of_kind(TIMER_REPAIR),
-                );
+                let period = self.core.config().repair_tick_period;
+                ctx.set_timer(period, TimerTag::of_kind(TIMER_REPAIR));
             }
             _ => {}
         }
@@ -256,7 +295,7 @@ impl Protocol for BrisaNode {
 mod tests {
     use super::*;
     use crate::config::{ParentStrategy, StructureMode};
-    use brisa_simnet::latency::ClusterLatency;
+    use brisa_simnet::latency::{ClusterLatency, FixedLatency};
     use brisa_simnet::{Network, NetworkConfig, SimTime, WireSize};
 
     /// Builds a network of `n` BrisaNodes, bootstraps the overlay (node 0 is
@@ -456,6 +495,298 @@ mod tests {
         at_least(&net);
         net.run_until(SimTime::from_secs(5));
         at_least(&net);
+    }
+
+    /// A `BrisaNode` that records when it started, when it first received
+    /// stream data, and every repair-tick callback with the `Activate`s it
+    /// sent (a hard repair floods them).
+    struct Ticks {
+        node: BrisaNode,
+        started: SimTime,
+        first_data: Option<SimTime>,
+        ticks: Vec<(SimTime, usize)>,
+    }
+
+    impl Protocol for Ticks {
+        type Message = StackMsg;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, StackMsg>) {
+            self.started = ctx.now();
+            self.node.on_start(ctx);
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, StackMsg>, from: NodeId, msg: StackMsg) {
+            if matches!(msg, StackMsg::Brisa(BrisaMsg::Data(_))) {
+                self.first_data.get_or_insert(ctx.now());
+            }
+            self.node.on_message(ctx, from, msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, StackMsg>, tag: TimerTag) {
+            let before = ctx.rng_and_commands().1.len();
+            self.node.on_timer(ctx, tag);
+            if tag.kind == TIMER_REPAIR {
+                let activates = ctx.rng_and_commands().1[before..]
+                    .iter()
+                    .filter(|c| {
+                        matches!(
+                            c,
+                            Command::Send {
+                                msg: StackMsg::Brisa(BrisaMsg::Activate),
+                                ..
+                            }
+                        )
+                    })
+                    .count();
+                self.ticks.push((ctx.now(), activates));
+            }
+        }
+
+        fn on_link_down(&mut self, ctx: &mut Context<'_, StackMsg>, peer: NodeId) {
+            self.node.on_link_down(ctx, peer);
+        }
+    }
+
+    /// A network of [`Ticks`] nodes over `latency`, `source` among them;
+    /// each entry of `starts` is a node's start time and its contact
+    /// (`None` for the first).
+    fn tick_net(
+        latency: Box<dyn brisa_simnet::LatencyModel>,
+        starts: &[(SimTime, Option<NodeId>)],
+        source: Option<NodeId>,
+    ) -> Network<Ticks> {
+        let mut net = Network::new(
+            NetworkConfig {
+                seed: 7,
+                ..Default::default()
+            },
+            latency,
+        );
+        for &(at, contact) in starts {
+            net.add_node_at(at, move |id| {
+                let hpv = HyParViewConfig::with_active_size(4);
+                let mut node = BrisaNode::new(id, hpv, BrisaConfig::default(), contact);
+                if source == Some(id) {
+                    node.mark_source();
+                }
+                Ticks {
+                    node,
+                    started: SimTime::ZERO,
+                    first_data: None,
+                    ticks: Vec::new(),
+                }
+            });
+        }
+        net
+    }
+
+    /// `n` nodes joining through node 0 every 10 ms, over cluster latencies.
+    fn tick_overlay(n: u32) -> Network<Ticks> {
+        let starts: Vec<_> = (0..n)
+            .map(|i| {
+                let at = SimTime::from_millis(10 * i as u64);
+                (at, (i > 0).then_some(NodeId(0)))
+            })
+            .collect();
+        tick_net(
+            Box::new(ClusterLatency::default()),
+            &starts,
+            Some(NodeId(0)),
+        )
+    }
+
+    fn fixed(ms: u64) -> Box<dyn brisa_simnet::LatencyModel> {
+        Box::new(FixedLatency::new(SimDuration::from_millis(ms)))
+    }
+
+    fn tick_instants(net: &Network<Ticks>, id: NodeId) -> Vec<SimTime> {
+        net.node(id)
+            .unwrap()
+            .ticks
+            .iter()
+            .map(|&(t, _)| t)
+            .collect()
+    }
+
+    /// The instants of `id`'s repair grid from `first` (included) up to
+    /// `until` (excluded).
+    fn grid(first: SimTime, until: SimTime) -> Vec<SimTime> {
+        let period = BrisaConfig::default().repair_tick_period;
+        std::iter::successors(Some(first), |&t| Some(t + period))
+            .take_while(|&t| t < until)
+            .collect()
+    }
+
+    #[test]
+    fn an_overlay_without_a_stream_runs_no_repair_tick() {
+        let mut net = tick_overlay(300);
+        net.run_until(SimTime::from_secs(20));
+        let ticks: usize = (0..300)
+            .map(|i| net.node(NodeId(i)).unwrap().ticks.len())
+            .sum();
+        assert_eq!(ticks, 0, "repair ticks ran on an overlay with no stream");
+    }
+
+    #[test]
+    fn a_node_that_never_sees_the_stream_fires_no_repair_tick() {
+        // Two overlays in one network: 0..8 join through 0, which streams;
+        // 8..16 join through 8 and never hear of it.
+        let starts: Vec<_> = (0..16u32)
+            .map(|i| {
+                let contact = NodeId(if i < 8 { 0 } else { 8 });
+                (
+                    SimTime::from_millis(10 * i as u64),
+                    (i % 8 > 0).then_some(contact),
+                )
+            })
+            .collect();
+        let mut net = tick_net(
+            Box::new(ClusterLatency::default()),
+            &starts,
+            Some(NodeId(0)),
+        );
+        net.run_until(SimTime::from_secs(5));
+        net.invoke(NodeId(0), |n, ctx| n.node.publish(ctx, 256));
+        net.run_until(SimTime::from_secs(10));
+        for i in 0..16 {
+            let ticks = net.node(NodeId(i)).unwrap().ticks.len();
+            if i < 8 {
+                assert!(ticks > 0, "node {i} is on the stream and never ticked");
+            } else {
+                assert_eq!(ticks, 0, "node {i} never saw the stream yet ticked");
+            }
+        }
+    }
+
+    #[test]
+    fn after_its_first_reception_a_node_ticks_on_its_eager_grid() {
+        let mut net = tick_overlay(32);
+        net.run_until(SimTime::from_secs(5));
+        for _ in 0..5 {
+            net.run_for(SimDuration::from_millis(200));
+            net.invoke(NodeId(0), |n, ctx| n.node.publish(ctx, 256));
+        }
+        let end = SimTime::from_secs(12);
+        net.run_until(end);
+        let period = BrisaConfig::default().repair_tick_period;
+        for i in 1..32 {
+            let node = net.node(NodeId(i)).unwrap();
+            let woke = node.first_data.expect("every node receives the stream");
+            // A tick armed at start runs at `started + k × period`; the
+            // first one that can act is the first at or after the
+            // reception (a reception exactly on the grid would need equal
+            // latencies, which cluster latencies do not draw).
+            let k = (woke.saturating_since(node.started).as_micros() / period.as_micros()) + 1;
+            let first = node.started + period * k;
+            assert_eq!(
+                tick_instants(&net, NodeId(i)),
+                grid(first, end + SimDuration::from_micros(1)),
+                "node {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_reactivation_order_to_a_node_that_has_seen_nothing_supervises_its_repair() {
+        // Nodes 0, 1, 2 start at 0, 10 and 20 ms; nobody streams. Node 0's
+        // order reaches node 2 at 2 020 ms, on node 2's grid, from a lower
+        // id: the tick a start would have armed runs after that delivery.
+        let starts = [
+            (SimTime::ZERO, None),
+            (SimTime::from_millis(10), Some(NodeId(0))),
+            (SimTime::from_millis(20), Some(NodeId(0))),
+        ];
+        let mut net = tick_net(fixed(5), &starts, None);
+        net.run_until(SimTime::from_secs(1));
+        let neighbors: Vec<NodeId> = net
+            .node(NodeId(2))
+            .unwrap()
+            .node
+            .brisa()
+            .links()
+            .neighbors()
+            .collect();
+        assert_eq!(neighbors, [NodeId(0), NodeId(1)]);
+        // Neither neighbour is node 2's child, so the order makes it neither
+        // hand the order on (a fresh overlay, where every link relays both
+        // ways, would hand orders back and forth for ever) nor repair hard
+        // at once: node 1 is an alternative, and the repair starts soft.
+        for i in 0..2 {
+            net.invoke(NodeId(i), |_, ctx| {
+                let deactivate = BrisaMsg::Deactivate { symmetric: false };
+                ctx.send(NodeId(2), StackMsg::Brisa(deactivate))
+            });
+        }
+        net.run_until(SimTime::from_millis(2_015));
+        net.invoke(NodeId(0), |_, ctx| {
+            ctx.send(NodeId(2), StackMsg::Brisa(BrisaMsg::ReactivationOrder))
+        });
+        let end = SimTime::from_secs(9);
+        net.run_until(end);
+        let order = SimTime::from_millis(2_020);
+        assert!(net.node(NodeId(2)).unwrap().node.brisa().repair_pending());
+        assert_eq!(
+            tick_instants(&net, NodeId(2)),
+            grid(order, end + SimDuration::from_micros(1))
+        );
+        // Nothing answers, so the soft repair escalates on the tick
+        // SOFT_REPAIR_TIMEOUT after its start and retries every
+        // HARD_REPAIR_RETRY, each time flooding `Activate`.
+        let hard: Vec<SimTime> = net
+            .node(NodeId(2))
+            .unwrap()
+            .ticks
+            .iter()
+            .filter(|&&(_, a)| a > 0)
+            .map(|&(t, _)| t)
+            .collect();
+        assert_eq!(hard, [4_020, 6_020, 8_020].map(SimTime::from_millis));
+        for i in 0..2 {
+            assert_eq!(
+                net.node(NodeId(i)).unwrap().ticks,
+                [],
+                "node {i} saw nothing"
+            );
+        }
+    }
+
+    /// One stream message from `source` reaches `node` at 2 010 ms, an
+    /// instant on `node`'s grid; returns `node`'s tick instants to 4 s.
+    fn first_reception_on_the_grid(source: NodeId, node: NodeId) -> Vec<SimTime> {
+        let starts = [
+            (SimTime::from_millis(10), None),
+            (SimTime::from_millis(10), Some(NodeId(0))),
+        ];
+        let mut net = tick_net(fixed(5), &starts, Some(source));
+        net.run_until(SimTime::from_millis(2_005));
+        net.invoke(source, |n, ctx| n.node.publish(ctx, 256));
+        net.run_until(SimTime::from_secs(4));
+        assert_eq!(
+            net.node(node).unwrap().first_data,
+            Some(SimTime::from_millis(2_010))
+        );
+        tick_instants(&net, node)
+    }
+
+    #[test]
+    fn a_first_reception_on_the_grid_ticks_as_the_eager_chain_does() {
+        let at = |ms: &[u64]| {
+            ms.iter()
+                .map(|&m| SimTime::from_millis(m))
+                .collect::<Vec<_>>()
+        };
+        // From a lower id, the delivery runs before the node's own tick at
+        // that instant, so that tick already sees the stream.
+        assert_eq!(
+            first_reception_on_the_grid(NodeId(0), NodeId(1)),
+            at(&[2_010, 2_510, 3_010, 3_510])
+        );
+        // From a higher id, the tick at that instant ran first and found
+        // nothing; the first that can act is the next.
+        assert_eq!(
+            first_reception_on_the_grid(NodeId(1), NodeId(0)),
+            at(&[2_510, 3_010, 3_510])
+        );
     }
 
     #[test]

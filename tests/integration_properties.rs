@@ -37,12 +37,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// the fingerprint recorded on 2bcadee — where the timing wheel and the
 /// binary-heap scheduler it replaced were compared on exactly these runs
 /// and agreed. The wheel may change wall-clock time and nothing else.
+/// Re-recorded when the repair tick began to start with the stream: the
+/// fingerprint texts are byte-identical but for the event count (`ev=`).
 #[test]
 fn engine_runs_identical_on_both_schedulers() {
     const PINNED: [(u64, u64); 3] = [
-        (1, 0xc1480a4c68a8f61b),
-        (0xB215A, 0x88dac0ecab4572c1),
-        (77, 0xd0ad75946be67959),
+        (1, 0x32be1b2aa44b21de),
+        (0xB215A, 0xacdfcaf75ce5649c),
+        (77, 0xa049da328d2bb748),
     ];
     for (seed, pinned) in PINNED {
         let (cfg, sc) = sched_check_cell(seed);
