@@ -879,7 +879,7 @@ impl BrisaCore {
     /// or at `now` itself, if it is on the grid and `ticks_after` says the
     /// callback being run is ordered before this node's tick at one
     /// instant.
-    pub fn first_repair_tick(&self, now: SimTime, ticks_after: bool) -> SimDuration {
+    pub(crate) fn first_repair_tick(&self, now: SimTime, ticks_after: bool) -> SimDuration {
         let period = self.cfg.repair_tick_period.as_micros().max(1);
         let since = now
             .saturating_since(self.started_at.unwrap_or(SimTime::ZERO))

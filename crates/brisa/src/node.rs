@@ -608,12 +608,11 @@ mod tests {
             .collect()
     }
 
-    /// The instants of `id`'s repair grid from `first` (included) up to
-    /// `until` (excluded).
+    /// Repair-tick instants, one period apart, from `first` to `until`.
     fn grid(first: SimTime, until: SimTime) -> Vec<SimTime> {
         let period = BrisaConfig::default().repair_tick_period;
         std::iter::successors(Some(first), |&t| Some(t + period))
-            .take_while(|&t| t < until)
+            .take_while(|&t| t <= until)
             .collect()
     }
 
@@ -659,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn after_its_first_reception_a_node_ticks_on_its_eager_grid() {
+    fn after_its_first_reception_a_node_ticks_on_its_grid() {
         let mut net = tick_overlay(32);
         net.run_until(SimTime::from_secs(5));
         for _ in 0..5 {
@@ -678,11 +677,7 @@ mod tests {
             // latencies, which cluster latencies do not draw).
             let k = (woke.saturating_since(node.started).as_micros() / period.as_micros()) + 1;
             let first = node.started + period * k;
-            assert_eq!(
-                tick_instants(&net, NodeId(i)),
-                grid(first, end + SimDuration::from_micros(1)),
-                "node {i}"
-            );
+            assert_eq!(tick_instants(&net, NodeId(i)), grid(first, end), "node {i}");
         }
     }
 
@@ -725,10 +720,7 @@ mod tests {
         net.run_until(end);
         let order = SimTime::from_millis(2_020);
         assert!(net.node(NodeId(2)).unwrap().node.brisa().repair_pending());
-        assert_eq!(
-            tick_instants(&net, NodeId(2)),
-            grid(order, end + SimDuration::from_micros(1))
-        );
+        assert_eq!(tick_instants(&net, NodeId(2)), grid(order, end));
         // Nothing answers, so the soft repair escalates on the tick
         // SOFT_REPAIR_TIMEOUT after its start and retries every
         // HARD_REPAIR_RETRY, each time flooding `Activate`.
@@ -769,23 +761,19 @@ mod tests {
     }
 
     #[test]
-    fn a_first_reception_on_the_grid_ticks_as_the_eager_chain_does() {
-        let at = |ms: &[u64]| {
-            ms.iter()
-                .map(|&m| SimTime::from_millis(m))
-                .collect::<Vec<_>>()
-        };
+    fn a_first_reception_on_the_grid_ticks_as_a_tick_armed_at_start_would() {
+        let end = SimTime::from_secs(4);
         // From a lower id, the delivery runs before the node's own tick at
         // that instant, so that tick already sees the stream.
         assert_eq!(
             first_reception_on_the_grid(NodeId(0), NodeId(1)),
-            at(&[2_010, 2_510, 3_010, 3_510])
+            grid(SimTime::from_millis(2_010), end)
         );
         // From a higher id, the tick at that instant ran first and found
         // nothing; the first that can act is the next.
         assert_eq!(
             first_reception_on_the_grid(NodeId(1), NodeId(0)),
-            at(&[2_510, 3_010, 3_510])
+            grid(SimTime::from_millis(2_510), end)
         );
     }
 
