@@ -214,8 +214,9 @@ impl BrisaCore {
     /// Rough memory footprint of the dissemination state in bytes (inline
     /// struct plus owned heap at its allocated capacity: the delivery
     /// ledger, repair timelines, the retransmission buffer's record ring,
-    /// the link table, the candidate set and this node's own path). Summed
-    /// across nodes by the scale-mode bytes-per-node accounting.
+    /// the link table once it outgrows its inline storage, the candidate
+    /// set and this node's own path). Summed across nodes by the
+    /// scale-mode bytes-per-node accounting.
     pub fn approx_state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.stats.delivery.heap_bytes()

@@ -13,7 +13,7 @@
 //! Children are the neighbors with an active outbound link that are not
 //! parents; they determine the node's degree in the emerged structure.
 
-use brisa_simnet::NodeId;
+use brisa_simnet::{InlineVec, NodeId};
 
 /// This neighbor is one of our parents.
 const PARENT: u8 = 1 << 0;
@@ -37,8 +37,9 @@ impl Link {
 /// Dissemination link state towards every current overlay neighbor.
 ///
 /// One flat table sorted by [`NodeId`] — at most the active-view size, a
-/// handful of entries — so every per-message question (is the sender a
-/// neighbor, a parent; who are the children) is answered from one cache line,
+/// handful of entries, stored inline in the node's slot — so every
+/// per-message question (is the sender a neighbor, a parent; who are the
+/// children) is answered from one cache line the look-ahead prefetched,
 /// and every accessor iterates in ascending identifier order, which keeps
 /// relay fan-out order, and with it the simulation, deterministic.
 ///
@@ -47,7 +48,7 @@ impl Link {
 /// neighbors only, and a neighbor that comes back starts fully active).
 #[derive(Debug, Clone, Default)]
 pub struct Links {
-    table: Vec<Link>,
+    table: InlineVec<Link>,
 }
 
 impl Links {
@@ -155,7 +156,7 @@ impl Links {
 
     /// Re-activates every inbound link (soft/hard repair fallback).
     pub fn reactivate_all_inbound(&mut self) {
-        for l in &mut self.table {
+        for l in self.table.iter_mut() {
             l.flags &= !INBOUND_DEACTIVATED;
         }
     }
@@ -213,9 +214,10 @@ impl Links {
         self.children().count()
     }
 
-    /// Heap bytes the table occupies at its allocated capacity.
+    /// Heap bytes the table occupies at its allocated capacity: 0 until it
+    /// outgrows its inline storage.
     pub fn approx_heap_bytes(&self) -> usize {
-        self.table.capacity() * std::mem::size_of::<Link>()
+        self.table.heap_bytes()
     }
 }
 
@@ -290,6 +292,20 @@ mod tests {
 
     fn collect(it: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
         it.collect()
+    }
+
+    #[test]
+    fn a_table_past_its_inline_storage_books_its_heap() {
+        let mut links = Links::new();
+        for p in (0..8).rev() {
+            links.neighbor_up(NodeId(p));
+        }
+        assert_eq!(links.approx_heap_bytes(), 0, "inline: size_of counts it");
+        for p in (8..12).rev() {
+            links.neighbor_up(NodeId(p));
+        }
+        assert_eq!(links.approx_heap_bytes(), 16 * std::mem::size_of::<Link>());
+        assert!(links.neighbors().eq((0..12).map(NodeId)), "still sorted");
     }
 
     #[test]

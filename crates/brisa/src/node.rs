@@ -742,6 +742,49 @@ mod tests {
         }
     }
 
+    /// ROADMAP item 26's reproducer: the order test above without its two
+    /// `Deactivate`s. Before a region carries the stream every link relays
+    /// both ways, so each neighbour counts as a child, and an obeyed order
+    /// hard-repairs and orders every other neighbour in turn. Stepped
+    /// 100 µs at a time against two caps, so it fails within a few thousand
+    /// events instead of filling memory.
+    #[test]
+    #[ignore = "ROADMAP 26"]
+    fn a_reactivation_order_into_an_overlay_without_a_stream_quiesces() {
+        let starts = [
+            (SimTime::ZERO, None),
+            (SimTime::from_millis(10), Some(NodeId(0))),
+            (SimTime::from_millis(20), Some(NodeId(0))),
+        ];
+        let mut net = tick_net(fixed(5), &starts, None);
+        net.run_until(SimTime::from_millis(2_015));
+        net.invoke(NodeId(0), |_, ctx| {
+            ctx.send(NodeId(2), StackMsg::Brisa(BrisaMsg::ReactivationOrder))
+        });
+        let orders = |net: &Network<Ticks>| -> u64 {
+            (0..3)
+                .map(|i| {
+                    let node = &net.node(NodeId(i)).unwrap().node;
+                    node.brisa().stats().reactivation_orders_sent
+                })
+                .sum()
+        };
+        // One order per neighbour per repair episode, an episode per
+        // HARD_REPAIR_RETRY: 3 nodes × 2 neighbours × 4 episodes in the
+        // 7 s stepped, plus the injected order's.
+        let bound = 3 * 2 * 4 + 2;
+        let end = SimTime::from_secs(9);
+        while net.now() < end {
+            net.run_for(SimDuration::from_micros(100));
+            let (pending, sent) = (net.pending_events(), orders(&net));
+            assert!(
+                pending <= 10_000 && sent <= bound,
+                "at {}: {pending} events pending, {sent} orders sent (bound {bound})",
+                net.now()
+            );
+        }
+    }
+
     /// One stream message from `source` reaches `node` at 2 010 ms, an
     /// instant on `node`'s grid; returns `node`'s tick instants to 4 s.
     fn first_reception_on_the_grid(source: NodeId, node: NodeId) -> Vec<SimTime> {

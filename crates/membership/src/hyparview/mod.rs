@@ -22,8 +22,11 @@
 //! touch is a small vector searched linearly and nothing on their path
 //! allocates or hashes: the per-peer records (`rtt`, `neighbor_since`), the
 //! outstanding probes and the pending neighbor requests are each bounded by
-//! the active view (or three periods of probes). Only a shuffle allocates,
-//! for the samples it puts on the wire.
+//! the active view (or three periods of probes). Both views, the records
+//! and the probes are stored inline (an [`InlineVec`]) at their default
+//! sizes, in the node's simulator slot, so the event loop's prefetch of
+//! that slot covers them. Only a shuffle allocates, for the samples it
+//! puts on the wire.
 
 mod config;
 mod messages;
@@ -34,7 +37,7 @@ pub use config::HyParViewConfig;
 pub use messages::{HpvMsg, HpvOut, HpvSink, HPV_HEADER_BYTES};
 
 use crate::view::BoundedView;
-use brisa_simnet::{NodeId, SimDuration, SimTime};
+use brisa_simnet::{InlineVec, NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 
 /// Counters describing membership activity, used by the evaluation harness.
@@ -60,13 +63,30 @@ pub struct HpvStats {
 /// exactly; `rtt` is written by any acknowledged probe — including one whose
 /// peer left the view while the probe was in flight — and dropped with the
 /// record when the peer next leaves the active view.
+///
+/// Both fields are raw microseconds with [`UNSET`] for "none", which keeps
+/// a record at 24 B in a table that lives in the node's slot.
 #[derive(Debug, Clone, Copy)]
 struct PeerRecord {
-    peer: NodeId,
     /// When the peer entered the active view, while it is in it.
-    since: Option<SimTime>,
+    since_us: u64,
     /// Last measured round-trip time.
-    rtt: Option<SimDuration>,
+    rtt_us: u64,
+    peer: NodeId,
+}
+
+/// A [`PeerRecord`] field that holds nothing: no peer joins the view at the
+/// last representable microsecond, nor does a probe take that long.
+const UNSET: u64 = u64::MAX;
+
+impl PeerRecord {
+    fn since(&self) -> Option<SimTime> {
+        (self.since_us != UNSET).then(|| SimTime::from_micros(self.since_us))
+    }
+
+    fn rtt(&self) -> Option<SimDuration> {
+        (self.rtt_us != UNSET).then(|| SimDuration::from_micros(self.rtt_us))
+    }
 }
 
 /// An outstanding keep-alive probe.
@@ -77,18 +97,24 @@ struct Probe {
     sent_at: SimTime,
 }
 
+/// Entries of the passive view stored inline: the default `passive_size`,
+/// so a default node's passive view, which joins and shuffles read, is in
+/// its slot (the active view's is [`brisa_simnet::INLINE_TABLE`]). A
+/// larger passive view is one heap allocation of its capacity.
+const PASSIVE_INLINE: usize = 30;
+
 /// The HyParView membership state machine for one node.
 #[derive(Debug)]
 pub struct HyParView {
     me: NodeId,
     cfg: HyParViewConfig,
     active: BoundedView,
-    passive: BoundedView,
+    passive: BoundedView<PASSIVE_INLINE>,
     /// Per-peer measurements, a view's worth of records.
-    peers: Vec<PeerRecord>,
+    peers: InlineVec<PeerRecord>,
     /// Outstanding keep-alive probes: a view's worth, three periods' worth
-    /// at most when acknowledgements are being lost.
-    pending_probes: Vec<Probe>,
+    /// at most when acknowledgements are being lost (then on the heap).
+    pending_probes: InlineVec<Probe>,
     /// Passive nodes we have asked to become neighbors and are waiting on.
     pending_neighbor: Vec<NodeId>,
     next_nonce: u64,
@@ -114,14 +140,14 @@ impl HyParView {
     /// Creates the state machine for node `me`.
     pub fn new(me: NodeId, cfg: HyParViewConfig) -> Self {
         let active = BoundedView::new(cfg.max_active());
-        let passive = BoundedView::new(cfg.passive_size);
+        let passive = BoundedView::with_inline(cfg.passive_size);
         HyParView {
             me,
             cfg,
             active,
             passive,
-            peers: Vec::new(),
-            pending_probes: Vec::new(),
+            peers: InlineVec::new(),
+            pending_probes: InlineVec::new(),
             pending_neighbor: Vec::new(),
             next_nonce: 0,
             last_shuffle_sample: Vec::new(),
@@ -199,8 +225,8 @@ impl HyParView {
             None => {
                 self.peers.push(PeerRecord {
                     peer,
-                    since: None,
-                    rtt: None,
+                    since_us: UNSET,
+                    rtt_us: UNSET,
                 });
                 self.peers.len() - 1
             }
@@ -211,27 +237,27 @@ impl HyParView {
     /// Last measured round-trip time to `peer`, if a keep-alive probe has
     /// completed.
     pub fn rtt_to(&self, peer: NodeId) -> Option<SimDuration> {
-        self.record(peer).and_then(|r| r.rtt)
+        self.record(peer).and_then(PeerRecord::rtt)
     }
 
     /// Time at which `peer` became a neighbor, if it currently is one.
     pub fn neighbor_since(&self, peer: NodeId) -> Option<SimTime> {
-        self.record(peer).and_then(|r| r.since)
+        self.record(peer).and_then(PeerRecord::since)
     }
 
     /// Memory footprint of this membership state machine in bytes: the
-    /// inline struct plus every owned vector at its capacity. The HyParView
-    /// term of the scale-mode bytes-per-node accounting.
+    /// inline struct (inline tables included) plus what it holds on the
+    /// heap, at capacity. The HyParView term of the scale-mode
+    /// bytes-per-node accounting.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
-            + (self.active.allocated()
-                + self.passive.allocated()
-                + self.last_shuffle_sample.capacity()
-                + self.pending_neighbor.capacity())
+            + self.active.heap_bytes()
+            + self.passive.heap_bytes()
+            + (self.last_shuffle_sample.capacity() + self.pending_neighbor.capacity())
                 * size_of::<NodeId>()
-            + self.peers.capacity() * size_of::<PeerRecord>()
-            + self.pending_probes.capacity() * size_of::<Probe>()
+            + self.peers.heap_bytes()
+            + self.pending_probes.heap_bytes()
     }
 
     /// Membership activity counters.
@@ -299,7 +325,8 @@ impl HyParView {
                 if let Some(pos) = self.pending_probes.iter().position(|p| p.nonce == nonce) {
                     let probe = self.pending_probes.swap_remove(pos);
                     if probe.peer == from {
-                        self.record_mut(from).rtt = Some(now.saturating_since(probe.sent_at));
+                        self.record_mut(from).rtt_us =
+                            now.saturating_since(probe.sent_at).as_micros();
                     }
                 }
             }
@@ -537,7 +564,7 @@ impl HyParView {
         }
         self.passive.remove(peer);
         self.active.push_unbounded(peer);
-        self.record_mut(peer).since = Some(now);
+        self.record_mut(peer).since_us = now.as_micros();
         out.open_connection(peer);
         out.neighbor_up(peer);
         true
@@ -1141,6 +1168,37 @@ mod tests {
             !node.passive_view().contains(&NodeId(1)),
             "neighbors never enter passive"
         );
+    }
+
+    #[test]
+    fn the_footprint_books_inline_tables_once_and_spilled_ones_at_capacity() {
+        use brisa_simnet::INLINE_TABLE;
+        use std::mem::size_of;
+        let id = size_of::<NodeId>();
+        // The default views fit inline: nothing on the heap.
+        let cfg = HyParViewConfig::default();
+        assert_eq!(
+            (cfg.max_active(), cfg.passive_size),
+            (INLINE_TABLE, PASSIVE_INLINE)
+        );
+        let small = HyParView::new(NodeId(0), cfg);
+        assert_eq!(small.approx_bytes(), size_of::<HyParView>());
+        // An active view of 16 starts on the heap; twelve neighbours spill
+        // the peer records, which grow from twice the inline capacity.
+        let mut wide = HyParView::new(NodeId(0), HyParViewConfig::with_active_size(8));
+        let mut rng = SmallRng::seed_from_u64(1);
+        for p in 1..=12 {
+            let msg = HpvMsg::Neighbor {
+                high_priority: true,
+            };
+            wide.handle(SimTime::ZERO, NodeId(p), msg, &mut rng, &mut Vec::new());
+        }
+        assert_eq!(wide.active_view().len(), 12);
+        assert_eq!(
+            wide.approx_bytes(),
+            size_of::<HyParView>() + 16 * id + 16 * size_of::<PeerRecord>()
+        );
+        assert_eq!(size_of::<PeerRecord>(), 24, "two raw microsecond fields");
     }
 
     /// One scripted input to a single HyParView instance.

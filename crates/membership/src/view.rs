@@ -2,27 +2,38 @@
 //!
 //! Both HyParView views (active and passive) and the Cyclon cache are small,
 //! bounded sets of node identifiers with random sampling operations. This
-//! module provides the shared container.
+//! module provides the shared container. A view of at most `N` entries is
+//! stored inline, in the node's simulator slot; a larger one is one heap
+//! allocation of its capacity, as before.
 
-use brisa_simnet::NodeId;
+use brisa_simnet::{InlineVec, NodeId, INLINE_TABLE};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
 /// A bounded, duplicate-free set of node identifiers with uniform random
-/// sampling helpers.
+/// sampling helpers, inline up to `N` entries.
 #[derive(Debug, Clone)]
-pub struct BoundedView {
+pub struct BoundedView<const N: usize = INLINE_TABLE> {
     capacity: usize,
-    nodes: Vec<NodeId>,
+    nodes: InlineVec<NodeId, N>,
 }
 
 impl BoundedView {
-    /// Creates an empty view with the given capacity.
+    /// Creates an empty view with the given capacity, inline up to
+    /// [`INLINE_TABLE`] entries.
     pub fn new(capacity: usize) -> Self {
+        Self::with_inline(capacity)
+    }
+}
+
+impl<const N: usize> BoundedView<N> {
+    /// Creates an empty view with the given capacity, inline up to `N`
+    /// entries.
+    pub fn with_inline(capacity: usize) -> Self {
         BoundedView {
             capacity,
-            nodes: Vec::with_capacity(capacity),
+            nodes: InlineVec::with_capacity(capacity),
         }
     }
 
@@ -31,10 +42,10 @@ impl BoundedView {
         self.capacity
     }
 
-    /// Entries the view has storage allocated for (at least `capacity`;
-    /// the footprint accounting books this, not `len`).
-    pub fn allocated(&self) -> usize {
-        self.nodes.capacity()
+    /// Bytes the view holds on the heap (its allocated capacity, not its
+    /// length; 0 while the entries are inline, which `size_of` counts).
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.heap_bytes()
     }
 
     /// Current number of entries.
@@ -127,7 +138,7 @@ impl BoundedView {
 
     /// A uniformly random sample of up to `n` distinct entries.
     pub fn sample(&self, rng: &mut SmallRng, n: usize) -> Vec<NodeId> {
-        let mut shuffled = self.nodes.clone();
+        let mut shuffled = self.nodes.to_vec();
         shuffled.shuffle(rng);
         shuffled.truncate(n);
         shuffled

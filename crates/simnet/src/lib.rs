@@ -59,6 +59,7 @@ pub mod delivery;
 mod event;
 pub mod faults;
 pub mod hist;
+mod inline;
 pub mod latency;
 mod links;
 mod network;
@@ -76,6 +77,7 @@ pub use delivery::{DeliveryLog, DeliveryTracking};
 pub use event::TimerTag;
 pub use faults::{FaultConfig, FaultPrf, LinkFaults, PartitionMode, PartitionSpec};
 pub use hist::{LatencyHistogram, NodeHistogram, LATENCY_BUCKETS};
+pub use inline::{InlineVec, INLINE_TABLE};
 pub use latency::LatencyModel;
 pub use network::{Driver, Footprint, NetStats, Network, NetworkConfig};
 pub use node::NodeId;

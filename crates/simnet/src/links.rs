@@ -19,12 +19,15 @@
 //! * [`FifoClocks`] — one sender's FIFO link clocks, which need not: a
 //!   clock is dropped the moment it can no longer delay a send, so a
 //!   sender's table is its handful of in-flight links. Each node's table
-//!   lives in its simulator slot, beside the RNG a send already touches.
+//!   lives inline in its simulator slot (an [`InlineVec`]), beside the RNG a
+//!   send already touches, so the look-ahead prefetch brings it in with
+//!   the slot.
 //!
 //! Iteration order over any of these structures is fully deterministic
 //! (sorted by `NodeId`), matching the old `BTreeSet` order — required by the
 //! determinism contract (`run_matrix` parallel ≡ sequential).
 
+use crate::inline::InlineVec;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
 
@@ -242,7 +245,7 @@ impl<T> PerLink<T> {
 #[derive(Debug, Default)]
 pub(crate) struct FifoClocks {
     /// `(dest, clock)` in first-send order.
-    clocks: Vec<(NodeId, SimTime)>,
+    clocks: InlineVec<(NodeId, SimTime)>,
 }
 
 impl FifoClocks {
@@ -286,9 +289,10 @@ impl FifoClocks {
         self.clocks.clear();
     }
 
-    /// Heap bytes the table occupies (its capacity, not its length).
+    /// Heap bytes the table occupies: its capacity once spilled past the
+    /// inline storage, 0 before (the slot's size already counts that).
     pub fn heap_bytes(&self) -> usize {
-        self.clocks.capacity() * std::mem::size_of::<(NodeId, SimTime)>()
+        self.clocks.heap_bytes()
     }
 
     /// Every tracked `(dest, clock)`, in first-send order.
@@ -450,6 +454,27 @@ mod tests {
         assert_eq!(clocks.tracked_links(), 1);
     }
 
+    #[test]
+    fn a_sender_past_the_inline_table_spills_and_stamps_the_same() {
+        let us = SimTime::from_micros;
+        let wide = crate::INLINE_TABLE as u32 + 3;
+        let mut clocks = FifoClocks::default();
+        let mut oracle = PersistentClocks::default();
+        for round in 0..3u64 {
+            for d in 1..=wide {
+                let (now, at) = (us(round), us(500 + round * 7 - d as u64));
+                let want = oracle.stamp(NodeId(0), NodeId(d), at);
+                assert_eq!(clocks.stamp(NodeId(d), now, at), want);
+            }
+        }
+        assert!(clocks.clocks.spilled(), "{wide} links in flight");
+        assert_eq!(clocks.iter().count(), wide as usize);
+        assert!(clocks.heap_bytes() > 0, "the spilled table is on the heap");
+        // All expire together: the next send sweeps the table to one.
+        assert_eq!(clocks.stamp(NodeId(1), us(600), us(610)), us(610));
+        assert_eq!(clocks.iter().count(), 1);
+    }
+
     /// One scripted step against the FIFO clocks.
     #[derive(Debug, Clone, Copy)]
     enum ClockOp {
@@ -460,6 +485,9 @@ mod tests {
         /// latencies: every send after the first overtakes, walking the
         /// `+1 µs` chain.
         Burst(u32, u32, u8),
+        /// One sender messages every other node at one instant with a long
+        /// latency: more links in flight than the table holds inline.
+        Fan(u32),
         /// Simulated time advances by this many microseconds.
         Advance(u64),
         Crash(u32),
@@ -505,6 +533,7 @@ mod tests {
             6 => (0u32..12, 0u32..12, prop_oneof![Just(0u64), 0u64..400])
                 .prop_map(|(s, d, l)| ClockOp::Send(s, d, l)),
             1 => (0u32..12, 0u32..12, 2u8..12).prop_map(|(s, d, n)| ClockOp::Burst(s, d, n)),
+            1 => (0u32..12).prop_map(ClockOp::Fan),
             3 => prop_oneof![Just(0u64), Just(1u64), 0u64..300].prop_map(ClockOp::Advance),
             1 => (0u32..12).prop_map(ClockOp::Crash),
         ]
@@ -514,8 +543,8 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
         /// Expiry is unobservable: over arbitrary send histories with
-        /// non-decreasing time, zero latencies, same-instant bursts and
-        /// interleaved crashes, `stamp` returns exactly the arrival time
+        /// non-decreasing time, zero latencies, same-instant bursts, fans
+        /// wider than the inline table and interleaved crashes, `stamp` returns exactly the arrival time
         /// the persistent table did, for every send — while never tracking
         /// a clock that has been expired for a whole send of its sender.
         #[test]
@@ -530,6 +559,11 @@ mod tests {
                     ClockOp::Burst(s, d, n) => {
                         for k in (0..n as u64).rev() {
                             both.send(now, s, d, k * 7);
+                        }
+                    }
+                    ClockOp::Fan(s) => {
+                        for d in (0..12).filter(|&d| d != s) {
+                            both.send(now, s, d, 1_000 + d as u64);
                         }
                     }
                     ClockOp::Advance(us) => now += SimDuration::from_micros(us),
