@@ -70,6 +70,7 @@ struct CoreTel {
     gap_requests: Counter,
     retransmits_served: Counter,
     edges_advertised: Counter,
+    depth_updates: Counter,
     seq_refused: Counter,
     orphan_us: Histo,
     parent_count: Histo,
@@ -105,7 +106,7 @@ pub struct BrisaCore {
     /// [`EDGE_QUIET_AFTER`] means the tail may be hiding a hole.
     last_data_at: Option<SimTime>,
     /// Observability handles, `None` unless an enabled registry is
-    /// attached: 8 B in every node's slot instead of fourteen handles.
+    /// attached: 8 B in every node's slot instead of fifteen handles.
     tel: Option<Box<CoreTel>>,
 }
 
@@ -157,6 +158,7 @@ impl BrisaCore {
                 gap_requests: tel.counter("brisa.gap_requests"),
                 retransmits_served: tel.counter("brisa.retransmissions_served"),
                 edges_advertised: tel.counter("brisa.edges_advertised"),
+                depth_updates: tel.counter("brisa.depth_updates_sent"),
                 seq_refused: tel.counter("brisa.seq_refused"),
                 orphan_us: tel.histogram("brisa.orphan_us"),
                 parent_count: tel.histogram("brisa.parent_count"),
@@ -711,7 +713,9 @@ impl BrisaCore {
 
     fn push_depth_update(&mut self, out: &mut impl BrisaSink) {
         if let Some(depth) = self.cycle.position() {
+            let mut sent = 0;
             for c in self.links.children() {
+                sent += 1;
                 out.send(
                     c,
                     BrisaMsg::DepthUpdate {
@@ -719,6 +723,7 @@ impl BrisaCore {
                     },
                 );
             }
+            self.with_tel(|t| t.depth_updates.add(sent));
         }
     }
 
@@ -2081,6 +2086,134 @@ mod tests {
         assert_eq!(show(&a), ["2 Activate"]);
         assert_eq!(repair_record(&core), (0, 0, None));
         assert_eq!(core.parents(), vec![NodeId(2)]);
+    }
+
+    /// Node 9 in a DAG of two parents, neighbours 1, 2 and 12, after seq 0
+    /// from 1 at depth 1: parent 1, depth 2, children 2 and 12.
+    fn dag_child_of_1() -> BrisaCore {
+        let cfg = BrisaConfig::dag(2, ParentStrategy::FirstComeFirstPicked);
+        let mut core = BrisaCore::new(NodeId(9), cfg);
+        core.note_started(SimTime::ZERO);
+        for p in [1, 2, 12] {
+            core.on_neighbor_up(NodeId(p));
+        }
+        let seq0 = data_with(0, CycleGuard::Depth(1));
+        let _ = acts(|a| core.handle(SimTime::from_millis(1), NodeId(1), seq0, &NoTelemetry, a));
+        assert_eq!((core.parents(), core.depth()), (vec![NodeId(1)], Some(2)));
+        core
+    }
+
+    /// What node 9 of [`dag_child_of_1`] does with seq 1 from `from` at
+    /// `depth`, and its parents and depth after.
+    fn dag_admission(
+        mut core: BrisaCore,
+        from: u32,
+        depth: u32,
+    ) -> (Vec<String>, Vec<NodeId>, Option<usize>) {
+        let seq1 = data_with(1, CycleGuard::Depth(depth));
+        let a = acts(|a| core.handle(T, NodeId(from), seq1, &NoTelemetry, a));
+        (show(&a), core.parents(), core.depth())
+    }
+
+    /// Section II-G's admission as it runs: a shallower sender is adopted,
+    /// a deeper one never, and one at the node's own depth only from a
+    /// lower identifier or by an orphan. Adopting at equal depth moves the
+    /// node one level down, and its remaining children hear it.
+    #[test]
+    fn a_dag_node_admits_an_equal_depth_sender_from_a_lower_id_or_as_an_orphan() {
+        let p = |ids: &[u32]| ids.iter().copied().map(NodeId).collect::<Vec<_>>();
+        // Shallower: adopted, the depth unchanged.
+        assert_eq!(
+            dag_admission(dag_child_of_1(), 12, 0),
+            (
+                vec!["deliver 1".into(), "1 data 1".into(), "2 data 1".into()],
+                p(&[1, 12]),
+                Some(2)
+            )
+        );
+        // Equal depth from a lower identifier: adopted, one level down.
+        assert_eq!(
+            dag_admission(dag_child_of_1(), 2, 2),
+            (
+                vec![
+                    "deliver 1".into(),
+                    "12 DepthUpdate { depth: 3 }".into(),
+                    "1 data 1".into(),
+                    "12 data 1".into(),
+                ],
+                p(&[1, 2]),
+                Some(3)
+            )
+        );
+        // Equal depth from a higher identifier while a parent is held:
+        // refused.
+        assert_eq!(
+            dag_admission(dag_child_of_1(), 12, 2),
+            (
+                vec![
+                    "deliver 1".into(),
+                    "12 Deactivate { symmetric: false }".into(),
+                    "1 data 1".into(),
+                    "2 data 1".into(),
+                ],
+                p(&[1]),
+                Some(2)
+            )
+        );
+        // Deeper, even from a lower identifier: refused.
+        assert_eq!(
+            dag_admission(dag_child_of_1(), 2, 3),
+            (
+                vec![
+                    "deliver 1".into(),
+                    "2 Deactivate { symmetric: false }".into(),
+                    "1 data 1".into(),
+                    "12 data 1".into(),
+                ],
+                p(&[1]),
+                Some(2)
+            )
+        );
+        // An orphan that kept its depth (a soft repair through 12, which
+        // had asked 9 to stop relaying) adopts 12 at its own depth.
+        let mut orphan = dag_child_of_1();
+        let stop = BrisaMsg::Deactivate { symmetric: false };
+        let _ = acts(|a| orphan.handle(T, NodeId(12), stop, &NoTelemetry, a));
+        let a = acts(|a| orphan.on_neighbor_down(T, NodeId(1), a));
+        assert_eq!(show(&a), ["12 Activate"]);
+        assert_eq!(
+            dag_admission(orphan, 12, 2),
+            (
+                vec![
+                    "deliver 1".into(),
+                    "12 Retransmit { from_seq: 2, to_seq: 18446744073709551615 }".into(),
+                    "2 DepthUpdate { depth: 3 }".into(),
+                    "2 data 1".into(),
+                ],
+                p(&[12]),
+                Some(3)
+            )
+        );
+    }
+
+    /// Data from a current parent: a path through this node is a cycle
+    /// (see `a_cycle_through_the_parent_orphans_without_counting_a_loss`);
+    /// a depth label deeper than this node's is none, and moves the node
+    /// below it.
+    #[test]
+    fn a_dag_parent_that_moved_deeper_pushes_its_child_down() {
+        let (actions, parents, depth) = dag_admission(dag_child_of_1(), 1, 6);
+        assert_eq!(
+            actions,
+            [
+                "deliver 1",
+                "2 DepthUpdate { depth: 7 }",
+                "12 DepthUpdate { depth: 7 }",
+                "2 data 1",
+                "12 data 1",
+            ]
+        );
+        assert_eq!((parents, depth), (vec![NodeId(1)], Some(7)));
     }
 
     /// The deaf tail: after its last message, node 3's parent stops

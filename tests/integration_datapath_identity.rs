@@ -18,11 +18,18 @@
 //! fault layer's `Routed::Deliver(at)` heal floor (1 % loss + a `Delay`
 //! partition), and the sharded driver — recorded on the commit *before*
 //! the expire-on-touch link clocks and the hash-free HyParView.
+//!
+//! A third pair of tests reads what the structure cost to build, per cell
+//! (ROADMAP item 25's probe): mutual-parent pairs, the deepest depth label,
+//! `DepthUpdate`s sent and simulator events. A tree holds none of either;
+//! DAG mode counts to infinity today, so its half is ignored until item 25
+//! lands.
 
 use brisa::{BrisaNode, ParentStrategy, StructureMode};
 use brisa_baselines::{FloodNode, GossipConfig, SimpleGossipNode};
 use brisa_membership::HyParViewConfig;
 use brisa_simnet::SimDuration;
+use brisa_telemetry::Telemetry;
 use brisa_workloads::{
     BaselineScenario, BrisaScenario, BrisaStackConfig, ChurnSpec, DisseminationProtocol, FaultSpec,
     IntoRunSpec, PartitionPhase, RunSpec, Runner, StreamSpec,
@@ -222,4 +229,86 @@ fn the_matrix_cells_are_distinct_runs() {
     all.sort_unstable();
     all.dedup();
     assert_eq!(all.len(), 16, "two matrix cells pinned the same run");
+}
+
+/// What one cell's structure cost: item 25's probe.
+#[derive(Debug)]
+struct Probe {
+    /// Pairs of live nodes that are each other's parents at the end.
+    mutual_pairs: usize,
+    /// The deepest depth label (a path's length in tree mode).
+    max_depth: usize,
+    depth_updates: u64,
+    events: u64,
+}
+
+fn probe(sc: &BrisaScenario) -> Probe {
+    let cfg = BrisaStackConfig {
+        hpv: sc.hyparview_config(),
+        brisa: sc.brisa_config(),
+    };
+    let tel = Telemetry::enabled();
+    let spec = sc.run_spec();
+    let result = Runner::<BrisaNode>::new(&cfg, &spec).telemetry(&tel).run();
+    let structure = result.structure();
+    let parents = |n: u32| structure.parents.get(&n).map_or(&[][..], Vec::as_slice);
+    let mutual_pairs = structure
+        .parents
+        .iter()
+        .flat_map(|(&n, ps)| ps.iter().map(move |&p| (n, p)))
+        .filter(|&(n, p)| n < p && parents(p).contains(&n))
+        .count();
+    let depths = result.nodes.iter().filter_map(|n| n.report.depth);
+    Probe {
+        mutual_pairs,
+        max_depth: depths.max().unwrap_or(0),
+        depth_updates: tel.counter("brisa.depth_updates_sent").get(),
+        events: result.net_stats.events_processed,
+    }
+}
+
+/// The probe of every cell of `mode`, `[strategy][faulty]`, printed as a
+/// table.
+fn probe_mode(mode: StructureMode) -> Vec<[Probe; 2]> {
+    println!("| {mode:?} | faulty | mutual pairs | max depth | DepthUpdates | events |");
+    STRATEGIES
+        .iter()
+        .map(|&strategy| {
+            [false, true].map(|faulty| {
+                let p = probe(&scenario(mode, strategy, faulty));
+                println!(
+                    "| {strategy:?} | {faulty} | {} | {} | {} | {} |",
+                    p.mutual_pairs, p.max_depth, p.depth_updates, p.events
+                );
+                p
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn tree_cells_hold_no_mutual_parents_and_send_no_depth_updates() {
+    for cells in probe_mode(StructureMode::Tree) {
+        for p in cells {
+            assert_eq!((p.mutual_pairs, p.depth_updates), (0, 0), "{p:?}");
+        }
+    }
+}
+
+/// ROADMAP item 25's acceptance: no DAG cell holds two nodes that are each
+/// other's parents, and the DelayAware cell costs at most 1.2 × the
+/// FirstComeFirstPicked cell's events (910 233 against 98 749 when this
+/// probe was committed).
+#[test]
+#[ignore = "ROADMAP 25"]
+fn dag_cells_hold_no_mutual_parents() {
+    let cells = probe_mode(MODES[1]);
+    for p in cells.iter().flatten() {
+        assert_eq!(p.mutual_pairs, 0, "{p:?}");
+    }
+    let (first_come, delay_aware) = (cells[0][0].events, cells[1][0].events);
+    assert!(
+        delay_aware * 5 <= first_come * 6,
+        "DelayAware {delay_aware} events against FirstComeFirstPicked {first_come}"
+    );
 }
