@@ -1,55 +1,34 @@
 //! The BRISA dissemination state machine.
 //!
-//! [`BrisaCore`] implements the protocol of Section II: the bootstrap flood
-//! of the first stream message, the emergence of a tree or DAG through link
-//! deactivation, cycle prevention, the parent selection strategies, and the
-//! soft/hard repair mechanisms used under churn (those in `repair.rs`, one
-//! function per rule). It is a sans-IO state machine; the `node` module
+//! [`BrisaCore`] implements the protocol of Section II. This file holds a
+//! node's state and its entry points; the rules live in child modules, in
+//! the paper's order: the structure's emergence (`emergence.rs`), parent
+//! selection and position over [`crate::cycle`]'s rules (`position.rs`),
+//! the repair under churn (`repair.rs`), and gap and edge recovery
+//! (`recovery.rs`). It is a sans-IO state machine; the `node` module
 //! composes it with HyParView into a runnable simulator protocol, and the
 //! unit tests below drive it directly.
 
 use crate::buffer::MessageBuffer;
-use crate::config::{BrisaConfig, ParentStrategy};
-use crate::cycle::{CycleGuard, CycleState};
+use crate::config::BrisaConfig;
+use crate::cycle::CycleState;
 use crate::links::Links;
-use crate::message::{BrisaMsg, BrisaSink, DataMsg};
+use crate::message::{BrisaMsg, BrisaSink};
 use crate::parent::{CandidateSet, NeighborTelemetry};
 use crate::stats::BrisaStats;
 use brisa_simnet::{NodeId, SimDuration, SimTime};
 use brisa_telemetry::{Counter, EventKind as TelEventKind, Histo, Telemetry};
-use std::sync::Arc;
 
+#[path = "emergence.rs"]
+mod emergence;
+#[path = "position.rs"]
+mod position;
+#[path = "recovery.rs"]
+mod recovery;
 #[path = "repair.rs"]
 mod repair;
 use repair::Loss;
 pub use repair::{RepairKind, HARD_REPAIR_RETRY, SOFT_REPAIR_TIMEOUT};
-/// Base interval between successive retransmission requests for the same
-/// delivery gap (steady-state loss recovery, Section II-F's buffer-based
-/// compensation applied outside the repair path). Short enough that a node
-/// behind a healed partition catches up within a few stream intervals,
-/// long enough that a single loss costs one request, not a burst. Requests
-/// that make no progress back off exponentially (doubling per fruitless
-/// attempt, capped at 32× this base), so a hole nobody can fill anymore —
-/// evicted from every upstream buffer — decays to background noise instead
-/// of soliciting the same retransmissions forever.
-pub const GAP_RETRY: SimDuration = SimDuration::from_millis(500);
-/// Cap on the exponential gap-retry backoff (`GAP_RETRY << GAP_BACKOFF_MAX`).
-pub const GAP_BACKOFF_MAX: u32 = 5;
-/// A parenthood is considered *stale* when neither stream data from a
-/// parent nor any `Edge` has arrived for this long (ten intervals at the
-/// paper's 5 msg/s rate).
-/// A first reception from a non-parent while the parents are stale is
-/// recovery evidence, not a surplus link — see the fresh-feeder path in
-/// `handle_data`.
-pub const PARENT_STALE_AFTER: SimDuration = SimDuration::from_secs(2);
-/// How long the data path must be quiet (no reception or publish) before a
-/// node starts advertising its stream edge to children on the repair tick.
-/// While data flows, later messages reveal holes on their own; the
-/// advertisement exists for the tail of the stream, where a lost final
-/// message is followed by nothing and would otherwise stay invisible
-/// forever. Gating on quiescence keeps the advertisement free in steady
-/// state (one stream interval at 5 msg/s is 200 ms, well under this).
-pub const EDGE_QUIET_AFTER: SimDuration = SimDuration::from_secs(1);
 
 /// Pre-resolved observability handles for the tree-health counters the
 /// hot paths bump. Boxed, and only built when
@@ -103,7 +82,7 @@ pub struct BrisaCore {
     last_parent_delivery: Option<SimTime>,
     /// Last time any stream data moved through this node (reception or
     /// publish). Gates the stream-edge advertisement: quiet for
-    /// [`EDGE_QUIET_AFTER`] means the tail may be hiding a hole.
+    /// `EDGE_QUIET_AFTER` means the tail may be hiding a hole.
     last_data_at: Option<SimTime>,
     /// Observability handles, `None` unless an enabled registry is
     /// attached: 8 B in every node's slot instead of fifteen handles.
@@ -113,21 +92,14 @@ pub struct BrisaCore {
 impl BrisaCore {
     /// Creates the state machine for node `me`.
     pub fn new(me: NodeId, cfg: BrisaConfig) -> Self {
-        let cycle = if cfg.mode.is_tree() {
-            CycleState::tree()
-        } else {
-            CycleState::dag()
-        };
-        let buffer = MessageBuffer::new(cfg.buffer_size);
-        let stats = BrisaStats::with_tracking(cfg.tracking);
         BrisaCore {
             me,
-            cfg,
-            cycle,
+            cycle: CycleState::for_mode(cfg.mode),
             links: Links::new(),
             candidates: CandidateSet::new(),
-            buffer,
-            stats,
+            buffer: MessageBuffer::new(cfg.buffer_size),
+            stats: BrisaStats::with_tracking(cfg.tracking),
+            cfg,
             is_source: false,
             next_seq: 0,
             highest_seq_seen: None,
@@ -259,10 +231,6 @@ impl BrisaCore {
         self.pending_repair.is_some()
     }
 
-    // ------------------------------------------------------------------
-    // Membership events
-    // ------------------------------------------------------------------
-
     /// A new overlay neighbor appeared (HyParView `NeighborUp`). Links to
     /// new nodes start active in both directions.
     pub fn on_neighbor_up(&mut self, peer: NodeId) {
@@ -285,10 +253,6 @@ impl BrisaCore {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Stream injection (source only)
-    // ------------------------------------------------------------------
-
     /// Publishes the next stream message (source only). The first call
     /// doubles as the bootstrap flood that seeds the structure.
     pub fn publish(&mut self, now: SimTime, payload_bytes: usize, out: &mut impl BrisaSink) {
@@ -304,10 +268,6 @@ impl BrisaCore {
         self.relay(now, seq, payload_bytes, None, out);
     }
 
-    // ------------------------------------------------------------------
-    // Message handling
-    // ------------------------------------------------------------------
-
     /// Handles a BRISA message from `from`, handing what it causes to
     /// `out`. `telemetry` provides link measurements (RTT from the PSS
     /// keep-alives) for the delay-aware strategy.
@@ -321,56 +281,8 @@ impl BrisaCore {
     ) {
         match msg {
             BrisaMsg::Data(data) => self.handle_data(now, from, data, telemetry, out),
-            BrisaMsg::Deactivate { symmetric } => {
-                self.links.deactivate_outbound(from);
-                // A symmetric deactivation means the sender also stopped
-                // relaying to us. If we considered it a parent, that
-                // parenthood is dead — clinging to it would starve this
-                // node silently (no data, no link-down, no gap evidence),
-                // so treat it as a parent loss and repair.
-                if symmetric && self.links.is_parent(from) {
-                    self.lose_parent(now, from, Loss::Deactivated, out);
-                }
-            }
-            BrisaMsg::Activate => {
-                self.links.reactivate_outbound(from);
-                // Answer with the most recent buffered message so a
-                // recovering orphan can adopt a parent (and then request the
-                // rest of the gap) without waiting for the next injection.
-                //
-                // Only nodes with an upstream of their own may answer: a
-                // node that is itself orphaned (or mid-repair) answering
-                // with stale buffered data advertises itself as a parent
-                // while disconnected. Two simultaneous orphans Activating
-                // each other would then *mutually adopt* — a parent cycle
-                // with no path to the source that no fresh data ever
-                // enters, so the path-embedding cycle detection never
-                // fires and the whole subtree below wedges silently
-                // (reproduced at every mass-crash scale; ~12 % of
-                // survivors at 10 000 nodes before this guard). The link
-                // reactivation above still happens, so whichever orphan
-                // recovers first relays fresh data to the other and
-                // adoption proceeds through the normal first-reception
-                // path.
-                // The answer is also gated on still *knowing* the
-                // requester: if our membership layer already evicted it,
-                // the `reactivate_outbound` above was a no-op, so we would
-                // hand it adoption bait and then never relay a single
-                // message to it — the child wedges on a parent that is
-                // healthy but link-less towards it (the dominant residual
-                // wedge class after mass crashes: stale asymmetric views).
-                let has_upstream = self.is_source
-                    || (self.links.parent_count() > 0 && self.pending_repair.is_none());
-                let latest = (has_upstream && self.links.is_neighbor(from))
-                    .then(|| self.buffer.highest_seq().and_then(|s| self.buffer.get(s)))
-                    .flatten();
-                if let Some(m) = latest {
-                    out.send(
-                        from,
-                        BrisaMsg::data(self.data_msg(now, m.seq, m.payload_bytes)),
-                    );
-                }
-            }
+            BrisaMsg::Deactivate { symmetric } => self.handle_deactivate(now, from, symmetric, out),
+            BrisaMsg::Activate => self.answer_activate(now, from, out),
             BrisaMsg::ReactivationOrder => self.lose_parent(now, from, Loss::Order, out),
             BrisaMsg::DepthUpdate { depth } => self.handle_depth_update(from, depth, out),
             BrisaMsg::Retransmit { from_seq, to_seq } => {
@@ -380,481 +292,12 @@ impl BrisaCore {
         }
     }
 
-    /// A stream-edge advertisement from an upstream node: anything between
-    /// our contiguous prefix and the advertised edge is now a *known* gap,
-    /// so the regular rate-limited retransmission path can close it — this
-    /// is how a message lost at the stream's tail (which no later data ever
-    /// reveals) gets repaired.
-    fn handle_edge(&mut self, now: SimTime, from: NodeId, highest: u64, out: &mut impl BrisaSink) {
-        if self.is_source || !self.admits(highest) {
-            return;
-        }
-        // Only a node that relays to this one advertises its edge to it, so
-        // any edge says this node is still on the stream's path. Asking
-        // whether the sender is a parent would cost a link-table look-up,
-        // a cache miss, on every edge.
-        self.last_parent_delivery = Some(now);
-        // A node that has never delivered anchors exactly like the data
-        // path: only what an upstream buffer could still serve is treated
-        // as a recoverable gap.
-        self.stats
-            .delivery
-            .anchor(highest.saturating_sub(self.cfg.buffer_size as u64));
-        self.see(highest);
-        if self.known_gap() && self.pending_repair.is_none() {
-            self.request_gap(now, from, out);
-        }
-    }
-
-    fn handle_data(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        data: Arc<DataMsg>,
-        telemetry: &dyn NeighborTelemetry,
-        out: &mut impl BrisaSink,
-    ) {
-        // A node that has never delivered anything anchors its contiguous
-        // prefix one buffer window below the first message it sees: a
-        // joiner arriving mid-stream must not treat history that is long
-        // evicted from every buffer as a recoverable gap, but everything a
-        // peer could still serve — including seq 0 when an original node's
-        // first reception arrives ahead of a lost bootstrap copy — remains
-        // requestable. Only then is the number held to the window, so a
-        // joiner is admitted however far into the stream it arrives.
-        if !self.is_source {
-            self.stats
-                .delivery
-                .anchor(data.seq.saturating_sub(self.cfg.buffer_size as u64));
-        }
-        if !self.admits(data.seq) {
-            return;
-        }
-        // The sender is (re)observed as a parent candidate. Only the
-        // delay-aware strategy ever ranks by RTT, so only it pays for the
-        // membership layer's lookup.
-        let rtt = match self.cfg.strategy {
-            ParentStrategy::DelayAware => telemetry.rtt(from),
-            _ => None,
-        };
-        self.candidates
-            .observe(from, now, rtt, data.sender_uptime_secs, data.sender_load);
-        self.see(data.seq);
-        self.last_data_at = Some(now);
-        let low = self.stats.delivery.low();
-        let first = self.stats.delivery.record(data.seq, now);
-        if first {
-            self.with_tel(|t| t.delivered.inc());
-            out.deliver(data.seq);
-            self.buffer.insert(data.seq, data.payload_bytes);
-            if self.stats.delivery.low() != low {
-                self.gap_attempts = 0;
-            }
-        }
-
-        if self.is_source {
-            // The source never needs inbound stream traffic.
-            self.deactivate(now, from, out);
-            return;
-        }
-
-        // Steady-state loss recovery: a sequence number ahead of the
-        // contiguous delivered prefix reveals a hole (a message lost on the
-        // wire, or everything missed behind a healed partition). Ask the
-        // sender — it relayed the newer message, so its buffer covers the
-        // gap or soon will — rate-limited so one hole costs one request.
-        // While a repair is pending, the adoption path issues the request
-        // instead.
-        if self.stats.delivery.low() < data.seq && self.pending_repair.is_none() {
-            self.request_gap(now, from, out);
-        }
-
-        // Parent machinery.
-        let adoptable = self.can_adopt(from, &data.guard);
-        if self.links.is_parent(from) {
-            self.last_parent_delivery = Some(now);
-            // A message from a current parent whose path contains us reveals
-            // a cycle (Section II-D) and forces a re-selection. With depth
-            // labels a parent that moved deeper is not a cycle: the paper's
-            // rule is that the child simply moves one level further down.
-            let cycle_detected = matches!(
-                (&self.cycle, &data.guard),
-                (CycleState::Path(_), CycleGuard::Path(p)) if p.contains(&self.me)
-            );
-            if !cycle_detected {
-                self.update_position(&data.guard, out);
-            } else {
-                self.deactivate(now, from, out);
-                self.lose_parent(now, from, Loss::Cycle, out);
-            }
-        } else if adoptable && self.links.parent_count() < self.cfg.mode.target_parents() {
-            // A free parent slot: adopt this sender.
-            self.adopt(now, from, out);
-            self.update_position(&data.guard, out);
-        } else if !adoptable {
-            // The sender cannot be a parent; stop it from relaying to us.
-            self.deactivate(now, from, out);
-        } else if data.seq == 0 || self.pending_repair.is_some() {
-            // Duplicate of the bootstrap flood (or a reception while a repair
-            // is in progress): run the parent selection strategy over the
-            // current parents plus this candidate (Figure 3). Strategy-driven
-            // switches are confined to structure-formation time; switching an
-            // established tree on in-flight (possibly stale) path metadata
-            // can stitch a cycle out of two concurrent switches.
-            self.consider_replacement(now, from, &data.guard, out);
-        } else if first && self.parents_stale(now) {
-            // A *first* reception from a surplus sender while no parent has
-            // delivered anything for PARENT_STALE_AFTER: the incumbent
-            // parenthood is dead weight (its upstream chain is broken in a
-            // way no local signal reports — alive parent, silent link) and
-            // this sender is provably connected to fresh data. Deactivating
-            // it here is how a mass-crash recovery deadlocks globally:
-            // after a 50 % correlated failure the healed nodes around the
-            // source relay new sequence numbers into the wedged region,
-            // and every wedged node used to answer with `Deactivate` in
-            // favour of its stale parent — silencing the only live feeder
-            // (reproduced at 20k/100k nodes: the source lost every
-            // outbound link within a second of the crash and the stream
-            // died at the crash sequence number overlay-wide). Instead:
-            // re-parent onto the sender when it sits strictly closer to
-            // the source (`reparent`'s upward guard, so concurrent
-            // switches cannot stitch a cycle); otherwise leave the link
-            // active: it keeps feeding us while the stale chain recovers,
-            // and a genuine duplicate prunes it later.
-            self.reparent(now, from, &data.guard, &[], out);
-        } else if !first {
-            // Steady-state duplicate: keep the incumbent parents and silence
-            // the surplus sender. Deactivation is *duplicate-triggered*
-            // (Section II-C): a first reception from a surplus sender is a
-            // latency race, not redundancy — the sender is ahead of our
-            // parents for this message. Deactivating on firsts silences
-            // live feeders one message at a time, which is how the
-            // mass-crash recovery deadlock above started; leaving the link
-            // active costs at most a few extra duplicates until the
-            // sender's copy loses a race and the link prunes normally.
-            self.deactivate_surplus(now, from, out);
-        }
-
-        // Relay the payload once, to every outbound-active neighbor except
-        // the sender, carrying our own position metadata.
-        if first && !self.cycle.is_unset() {
-            self.relay(now, data.seq, data.payload_bytes, Some(from), out);
-        }
-    }
-
-    fn handle_depth_update(&mut self, from: NodeId, depth: u32, out: &mut impl BrisaSink) {
-        if self.cfg.mode.is_tree() || !self.links.is_parent(from) {
-            return;
-        }
-        if self
-            .cycle
-            .position_after(self.me, &CycleGuard::Depth(depth))
-        {
-            self.push_depth_update(out);
-        }
-    }
-
-    fn handle_retransmit(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        from_seq: u64,
-        to_seq: u64,
-        out: &mut impl BrisaSink,
-    ) {
-        let missing = self.buffer.range(from_seq, to_seq);
-        for m in &missing {
-            self.stats.retransmissions_served += 1;
-            self.with_tel(|t| t.retransmits_served.inc());
-            out.send(
-                from,
-                BrisaMsg::data(self.data_msg(now, m.seq, m.payload_bytes)),
-            );
-        }
-        if !missing.is_empty() {
-            self.tel_event(
-                now,
-                TelEventKind::RetransmitServed,
-                from.0 as u64,
-                missing.len() as u64,
-            );
-        }
-    }
-
-    /// The message this node sends for stream message `seq`: the payload
-    /// as received, the metadata this node's own — its position, uptime
-    /// and load. The guard shares the node's path, so building the message
-    /// copies no path.
-    fn data_msg(&self, now: SimTime, seq: u64, payload_bytes: usize) -> DataMsg {
-        DataMsg {
-            seq,
-            payload_bytes,
-            guard: self.cycle.outgoing_guard(self.me),
-            sender_uptime_secs: self.uptime_secs(now),
-            sender_load: self.links.degree().min(u16::MAX as usize) as u16,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Internal helpers
-    // ------------------------------------------------------------------
-
-    /// Whether `from` may be adopted as a new parent right now.
-    ///
-    /// The sender must be a *current overlay neighbor*: the dissemination
-    /// structure is embedded in the overlay, and a sender we no longer hold
-    /// a membership link to will never put us back among its outbound-active
-    /// children — adopting it (e.g. from the data burst answering a repair
-    /// `Activate` that crossed paths with our eviction from the sender's
-    /// view) would leave this node with a parent that never relays again, a
-    /// silent permanent starvation. The simulator's seeded schedules do not
-    /// produce that interleaving; the live runtime's wall-clock ones do.
-    ///
-    /// Beyond that — tree mode: exactly the path-embedding check. DAG mode:
-    /// the sender's depth must be strictly smaller, or equal with a
-    /// deterministic identifier tie-break. The tie-break prevents two
-    /// equal-depth nodes from adopting each other based on in-flight
-    /// (stale) depth labels, which would create a two-node cycle the
-    /// approximate scheme could not detect.
-    fn can_adopt(&self, from: NodeId, guard: &CycleGuard) -> bool {
-        if !self.links.is_neighbor(from) {
-            return false;
-        }
-        match (&self.cycle, guard) {
-            (CycleState::Depth(my_depth), CycleGuard::Depth(sender_depth)) => match my_depth {
-                None => true,
-                Some(d) => {
-                    // Equal-depth senders are adoptable with a deterministic
-                    // identifier tie-break, or unconditionally when the node
-                    // is orphaned: adopting then moves this node one level
-                    // deeper, so the new parent cannot simultaneously adopt
-                    // it back.
-                    sender_depth < d
-                        || (sender_depth == d
-                            && (from.0 < self.me.0 || self.links.parent_count() == 0))
-                }
-            },
-            _ => self.cycle.permits(self.me, guard),
-        }
-    }
-
-    fn uptime_secs(&self, now: SimTime) -> u32 {
-        self.started_at
-            .map(|s| now.saturating_since(s).as_secs_f64() as u32)
-            .unwrap_or(0)
-    }
-
-    /// True if `seq`, read off the wire, lies inside the ledger's window. A
-    /// number outside it is counted and its message dropped before it
-    /// touches any state: it could only come from a faulty or hostile peer,
-    /// and letting it reach `highest_seq_seen` would make it a gap to
-    /// request and an edge to advertise.
-    fn admits(&mut self, seq: u64) -> bool {
-        let inside = self.stats.delivery.admit(seq);
-        if !inside {
-            self.with_tel(|t| t.seq_refused.inc());
-        }
-        inside
-    }
-
-    /// Raises the highest sequence number seen to `seq`.
-    fn see(&mut self, seq: u64) {
-        self.highest_seq_seen = self.highest_seq_seen.max(Some(seq));
-    }
-
-    /// True if messages between the ledger's cursor and the highest
-    /// sequence number seen are known to be missing.
-    fn known_gap(&self) -> bool {
-        self.highest_seq_seen
-            .is_some_and(|h| self.stats.delivery.low() <= h)
-    }
-
-    /// Requests retransmission of the known delivery gap from the ledger's
-    /// cursor to `highest_seq_seen` from `target`, rate-limited with
-    /// exponential backoff while no progress is made (see [`GAP_RETRY`]).
-    fn request_gap(&mut self, now: SimTime, target: NodeId, out: &mut impl BrisaSink) {
-        let backoff = GAP_RETRY * (1u64 << self.gap_attempts.min(GAP_BACKOFF_MAX));
-        let due = self
-            .last_gap_request
-            .is_none_or(|t| now.saturating_since(t) >= backoff);
-        if !due {
-            return;
-        }
-        let Some(highest) = self.highest_seq_seen else {
-            return;
-        };
-        let low = self.stats.delivery.low();
-        if low > highest {
-            return;
-        }
-        self.last_gap_request = Some(now);
-        self.gap_attempts += 1;
-        self.stats.gap_retransmit_requests += 1;
-        self.with_tel(|t| t.gap_requests.inc());
-        self.tel_event(now, TelEventKind::GapDetected, low, highest - low + 1);
-        self.tel_event(now, TelEventKind::RetransmitSent, target.0 as u64, low);
-        out.send(
-            target,
-            BrisaMsg::Retransmit {
-                from_seq: low,
-                to_seq: highest,
-            },
-        );
-    }
-
-    /// Updates our own position after delivering from (or switching to) an
-    /// accepted parent and propagates depth changes to children in DAG mode.
-    fn update_position(&mut self, guard: &CycleGuard, out: &mut impl BrisaSink) {
-        let changed = self.cycle.position_after(self.me, guard);
-        if changed && !self.cfg.mode.is_tree() {
-            self.push_depth_update(out);
-        }
-    }
-
-    fn push_depth_update(&mut self, out: &mut impl BrisaSink) {
-        if let Some(depth) = self.cycle.position() {
-            let mut sent = 0;
-            for c in self.links.children() {
-                sent += 1;
-                out.send(
-                    c,
-                    BrisaMsg::DepthUpdate {
-                        depth: depth as u32,
-                    },
-                );
-            }
-            self.with_tel(|t| t.depth_updates.add(sent));
-        }
-    }
-
-    /// Adopts `from` as a parent, completing any pending repair
-    /// ([`Self::finish_repair`]).
-    fn adopt(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
-        self.links.adopt_parent(from);
-        self.last_parent_delivery = Some(now);
-        self.with_tel(|t| {
-            t.adopts.inc();
-            t.parent_count.record(self.links.parent_count() as u64);
-        });
-        self.tel_event(
-            now,
-            TelEventKind::Adopt,
-            from.0 as u64,
-            self.links.parent_count() as u64,
-        );
-        self.finish_repair(now, from, out);
-        self.check_construction(now);
-    }
-
-    /// Sends a deactivation for the inbound link from `peer` and updates the
-    /// construction-time bookkeeping.
-    fn deactivate(&mut self, now: SimTime, peer: NodeId, out: &mut impl BrisaSink) {
-        self.deactivate_flagged(now, peer, false, out);
-    }
-
-    /// [`Self::deactivate`] with an explicit symmetric flag: `symmetric`
-    /// is set by the caller that *also* deactivates its own outbound link
-    /// towards `peer` (Section II-E), telling the peer both directions are
-    /// dead.
-    fn deactivate_flagged(
-        &mut self,
-        now: SimTime,
-        peer: NodeId,
-        symmetric: bool,
-        out: &mut impl BrisaSink,
-    ) {
-        self.links.deactivate_inbound(peer);
-        self.with_tel(|t| t.deactivations.inc());
-        self.tel_event(now, TelEventKind::Deactivate, peer.0 as u64, 0);
-        if self.stats.first_deactivation.is_none() {
-            self.stats.first_deactivation = Some(now);
-        }
-        out.send(peer, BrisaMsg::Deactivate { symmetric });
-        self.check_construction(now);
-    }
-
-    /// Runs the parent selection strategy over the current parents plus the
-    /// duplicate sender `from`, deactivating whichever link loses
-    /// (Figure 3).
-    fn consider_replacement(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        guard: &CycleGuard,
-        out: &mut impl BrisaSink,
-    ) {
-        let mut pool: Vec<NodeId> = self.links.parents().collect();
-        if !pool.contains(&from) {
-            pool.push(from);
-        }
-        let target = self.cfg.mode.target_parents();
-        let selected = self.candidates.select(self.cfg.strategy, &pool, target);
-        // `from` displaces the worst current parent(s), if it sits closer to
-        // the source than we do.
-        if !(selected.contains(&from) && self.reparent(now, from, guard, &selected, out)) {
-            self.deactivate_surplus(now, from, out);
-        }
-    }
-
-    /// Deactivates the inbound link from `from`, a surplus sender. In a
-    /// first-come first-picked tree this is a symmetric deactivation
-    /// (Section II-E): we cannot be `from`'s parent either, so we stop
-    /// relaying to it without waiting for its deactivation — and say so on
-    /// the wire, so a stale parenthood on the other side dies with the link.
-    fn deactivate_surplus(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
-        let symmetric =
-            self.cfg.strategy == ParentStrategy::FirstComeFirstPicked && self.cfg.mode.is_tree();
-        self.deactivate_flagged(now, from, symmetric, out);
-        if symmetric {
-            self.links.deactivate_outbound(from);
-        }
-    }
-
-    /// True if no current parent has delivered stream data (nor been
-    /// adopted) within [`PARENT_STALE_AFTER`].
-    fn parents_stale(&self, now: SimTime) -> bool {
-        self.last_parent_delivery
-            .is_none_or(|t| now.saturating_since(t) >= PARENT_STALE_AFTER)
-    }
-
-    /// The periodic tick, driven by the embedding stack's timer: the stream
-    /// edge's advertisement, the tail-end gap request, and the repair's
-    /// supervision (`drop_silent_parent`, `supervise_repair`).
+    /// The periodic tick, driven by the embedding stack's timer: the tail
+    /// of loss recovery (`recover_tail`: the stream edge's advertisement
+    /// and the tail-end gap request), then the repair's supervision
+    /// (`drop_silent_parent`, `supervise_repair`).
     pub fn repair_tick(&mut self, now: SimTime, out: &mut impl BrisaSink) {
-        // Stream-edge advertisement: once the data path has gone quiet
-        // (the stream's tail, or an outage), tell the children where the
-        // edge is, so a hole *after* their last reception — invisible to
-        // the data-driven detector — becomes a known, requestable gap.
-        // While data flows this stays silent: later messages reveal holes
-        // on their own.
-        if let Some(highest) = self.highest_seq_seen {
-            let quiet = self
-                .last_data_at
-                .is_none_or(|t| now.saturating_since(t) >= EDGE_QUIET_AFTER);
-            if quiet {
-                let mut advertised = 0u64;
-                for child in self.links.children() {
-                    advertised += 1;
-                    out.send(child, BrisaMsg::Edge { highest });
-                }
-                if advertised > 0 {
-                    self.with_tel(|t| t.edges_advertised.add(advertised));
-                    self.tel_event(now, TelEventKind::EdgeAdvertised, highest, advertised);
-                }
-            }
-        }
-        // Tail-end loss recovery: when a known delivery gap persists (the
-        // retransmission itself was lost, or an upstream node is still
-        // catching up after a partition healed), keep re-requesting it from
-        // a parent until it closes. Data receptions drive the detector in
-        // steady state; this tick covers the case where nothing arrives at
-        // all anymore.
-        if self.pending_repair.is_none() && !self.is_source {
-            let parent = self.links.parents().next();
-            if let Some(parent) = parent.filter(|_| self.known_gap()) {
-                self.request_gap(now, parent, out);
-            }
-        }
+        self.recover_tail(now, out);
         self.drop_silent_parent(now, out);
         self.supervise_repair(now, out);
     }
@@ -898,47 +341,15 @@ impl BrisaCore {
         };
         SimDuration::from_micros(next * period - since)
     }
-
-    /// Sends stream message `seq` to every outbound-active neighbor except
-    /// `exclude`, carrying this node's own position metadata. The copy is
-    /// built once, on the first recipient, and shared by all of them — so
-    /// an interior node allocates exactly one message and a leaf, which has
-    /// nobody to relay to, none.
-    fn relay(
-        &self,
-        now: SimTime,
-        seq: u64,
-        payload_bytes: usize,
-        exclude: Option<NodeId>,
-        out: &mut impl BrisaSink,
-    ) {
-        let mut shared: Option<Arc<DataMsg>> = None;
-        for peer in self.links.outbound_active() {
-            if Some(peer) == exclude {
-                continue;
-            }
-            let copy =
-                shared.get_or_insert_with(|| Arc::new(self.data_msg(now, seq, payload_bytes)));
-            out.send(peer, BrisaMsg::Data(Arc::clone(copy)));
-        }
-    }
-
-    fn check_construction(&mut self, now: SimTime) {
-        if self.stats.first_deactivation.is_some()
-            && self.stats.construction_done.is_none()
-            && self.links.inbound_active_count() <= self.cfg.mode.target_parents()
-        {
-            self.stats.construction_done = Some(now);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::recovery::{EDGE_QUIET_AFTER, GAP_RETRY};
     use super::*;
-    use crate::config::StructureMode;
+    use crate::config::{ParentStrategy, StructureMode};
     use crate::cycle::CycleGuard;
-    use crate::message::BrisaAction;
+    use crate::message::{BrisaAction, DataMsg};
     use crate::parent::NoTelemetry;
     use brisa_simnet::delivery::WINDOW;
     use brisa_simnet::SimDuration;

@@ -15,11 +15,15 @@
 //!   smaller depth; hearing from a node at its own depth pushes it one
 //!   level deeper. Approximate (false negatives possible) but constant-size.
 //!
+//! Every rule that reads a path or a depth label is [`CycleState`]'s:
+//! admission, cycle detection and the push of a moved depth.
+//!
 //! A [`BloomMembership`] implementation is also provided, purely for the
 //! cycle-prevention ablation (`repro ablation_cycle_prevention`): the paper
 //! argues path embedding beats Bloom filters on metadata size and
 //! exactness, and the ablation's claims check that comparison.
 
+use crate::config::StructureMode;
 use brisa_simnet::seed::split_mix64;
 use brisa_simnet::wire::ByteCount;
 use brisa_simnet::NodeId;
@@ -75,14 +79,19 @@ pub enum CycleState {
 }
 
 impl CycleState {
-    /// Fresh state for tree mode.
-    pub fn tree() -> Self {
-        CycleState::Path(None)
+    /// Fresh state for `mode`: a path in a tree, a depth label in a DAG,
+    /// unknown until the first message is received.
+    pub fn for_mode(mode: StructureMode) -> Self {
+        match mode {
+            StructureMode::Tree => CycleState::Path(None),
+            StructureMode::Dag { .. } => CycleState::Depth(None),
+        }
     }
 
-    /// Fresh state for DAG mode.
-    pub fn dag() -> Self {
-        CycleState::Depth(None)
+    /// True for path embedding, which is exact: no two nodes are ever each
+    /// other's parents. Depth labels are not.
+    pub fn is_exact(&self) -> bool {
+        matches!(self, CycleState::Path(_))
     }
 
     /// True if the node has not yet positioned itself in the structure.
@@ -109,31 +118,49 @@ impl CycleState {
         }
     }
 
-    /// Whether a message carrying `guard` (sent by `sender`) is acceptable
-    /// for `me`, i.e. taking `sender` as a parent cannot create a cycle.
+    /// Whether `from`, whose data carries `guard`, may become a parent of
+    /// `me` (`orphaned`: `me` has none) without creating a cycle.
     ///
     /// * Path mode: `me` must not appear in the sender's path.
-    /// * Depth mode: the sender's depth must not be greater than this node's
-    ///   depth (Section II-G: "N can select parents from nodes at any depth
-    ///   not greater than i"; accepting an equal-depth parent immediately
-    ///   pushes this node one level deeper, see
-    ///   [`CycleState::position_after`]). An unknown depth accepts anything.
-    pub fn permits(&self, me: NodeId, guard: &CycleGuard) -> bool {
+    /// * Depth mode: an unknown depth accepts anything; a known one accepts
+    ///   a strictly shallower sender (Section II-G), and one at its own
+    ///   depth from a lower identifier or when `orphaned`, which moves `me`
+    ///   one level deeper. That clause is not the paper's, and it lets two
+    ///   DAG nodes become each other's parents (ROADMAP item 25).
+    pub fn permits(&self, me: NodeId, from: NodeId, guard: &CycleGuard, orphaned: bool) -> bool {
         match (self, guard) {
             (CycleState::Path(_), CycleGuard::Path(path)) => !path.contains(&me),
-            (CycleState::Depth(my_depth), CycleGuard::Depth(sender_depth)) => match my_depth {
-                None => true,
-                Some(d) => sender_depth <= d,
-            },
+            (CycleState::Depth(None), CycleGuard::Depth(_)) => true,
+            (CycleState::Depth(Some(d)), CycleGuard::Depth(sender)) => {
+                sender < d || (sender == d && (from < me || orphaned))
+            }
             // Mixed modes never occur in a well-configured system; be
             // conservative and reject.
             _ => false,
         }
     }
 
+    /// Whether data from a current parent, carrying `guard`, reveals a
+    /// cycle (Section II-D): its path runs through `me`. A depth label
+    /// reveals none: a parent that moved deeper moves `me` below it.
+    pub fn reveals_cycle(&self, me: NodeId, guard: &CycleGuard) -> bool {
+        matches!((self, guard), (CycleState::Path(_), CycleGuard::Path(p)) if p.contains(&me))
+    }
+
+    /// Follows an accepted parent's `guard` ([`Self::position_after`]),
+    /// returning the depth the children must now hear if a depth label
+    /// moved: a moved path needs no push, the next data carries it.
+    pub fn follow(&mut self, me: NodeId, guard: &CycleGuard) -> Option<u32> {
+        let moved = self.position_after(me, guard);
+        match self {
+            CycleState::Depth(d) if moved => *d,
+            _ => None,
+        }
+    }
+
     /// Updates the node's position after *delivering* a message carrying
     /// `guard` from an accepted parent. Returns `true` if the position
-    /// changed (DAG nodes must then push a depth update to their children).
+    /// changed.
     pub fn position_after(&mut self, me: NodeId, guard: &CycleGuard) -> bool {
         match (self, guard) {
             (CycleState::Path(my_path), CycleGuard::Path(path)) => {
@@ -275,21 +302,21 @@ mod tests {
 
     #[test]
     fn path_guard_rejects_nodes_on_the_path() {
-        let st = CycleState::tree();
+        let st = CycleState::Path(None);
         let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3), NodeId(7)].into());
         assert!(
-            !st.permits(NodeId(3), &guard),
+            !st.permits(NodeId(3), NodeId(7), &guard, false),
             "node on the path is rejected"
         );
         assert!(
-            st.permits(NodeId(5), &guard),
+            st.permits(NodeId(5), NodeId(7), &guard, false),
             "node off the path is accepted"
         );
     }
 
     #[test]
     fn path_position_appends_self() {
-        let mut st = CycleState::tree();
+        let mut st = CycleState::Path(None);
         assert!(st.is_unset());
         let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3)].into());
         let changed = st.position_after(NodeId(9), &guard);
@@ -310,7 +337,7 @@ mod tests {
             CycleGuard::Path(p) => p,
             CycleGuard::Depth(_) => unreachable!("tree state emits path guards"),
         };
-        let mut st = CycleState::tree();
+        let mut st = CycleState::Path(None);
         let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3)].into());
         st.position_after(me, &guard);
         let before = path_of(&st);
@@ -328,33 +355,86 @@ mod tests {
         assert_eq!(&*path_of(&st), [NodeId(1), me]);
     }
 
+    /// The one DAG admission rule: shallower senders are accepted, deeper
+    /// ones never, and one at the node's own depth only from a lower
+    /// identifier or when the node has no parent.
     #[test]
     fn depth_guard_rejects_deeper_senders() {
-        let mut st = CycleState::dag();
+        let (me, lower, higher) = (NodeId(5), NodeId(1), NodeId(9));
+        let mut st = CycleState::Depth(None);
         assert!(
-            st.permits(NodeId(1), &CycleGuard::Depth(5)),
+            st.permits(me, higher, &CycleGuard::Depth(5), false),
             "unset depth accepts anything"
         );
-        st.position_after(NodeId(1), &CycleGuard::Depth(2)); // we are now at depth 3
-        assert!(st.permits(NodeId(1), &CycleGuard::Depth(2)));
-        assert!(st.permits(NodeId(1), &CycleGuard::Depth(0)));
+        st.position_after(me, &CycleGuard::Depth(2)); // we are now at depth 3
+        for from in [lower, higher] {
+            for orphaned in [false, true] {
+                assert!(st.permits(me, from, &CycleGuard::Depth(2), orphaned));
+                assert!(st.permits(me, from, &CycleGuard::Depth(0), orphaned));
+                for deeper in [4, 9] {
+                    assert!(
+                        !st.permits(me, from, &CycleGuard::Depth(deeper), orphaned),
+                        "deeper node rejected"
+                    );
+                }
+            }
+        }
+        let same = CycleGuard::Depth(3);
         assert!(
-            st.permits(NodeId(1), &CycleGuard::Depth(3)),
-            "same depth accepted (the node then moves one level deeper)"
+            st.permits(me, lower, &same, false),
+            "same depth from a lower identifier accepted (the node then moves one level deeper)"
         );
         assert!(
-            !st.permits(NodeId(1), &CycleGuard::Depth(4)),
-            "deeper node rejected"
+            !st.permits(me, higher, &same, false),
+            "same depth from a higher identifier rejected while a parent is held"
         );
         assert!(
-            !st.permits(NodeId(1), &CycleGuard::Depth(9)),
-            "deeper node rejected"
+            st.permits(me, higher, &same, true),
+            "same depth accepted by a node without a parent"
         );
     }
 
     #[test]
+    fn a_parent_reveals_a_cycle_only_through_a_path() {
+        let me = NodeId(4);
+        let tree = CycleState::Path(None);
+        let through = CycleGuard::Path(vec![NodeId(0), me, NodeId(2)].into());
+        assert!(tree.reveals_cycle(me, &through));
+        assert!(!tree.reveals_cycle(me, &CycleGuard::Path(vec![NodeId(0)].into())));
+        // A parent's depth label, however deep, is no cycle.
+        let mut dag = CycleState::Depth(None);
+        dag.position_after(me, &CycleGuard::Depth(1));
+        assert!(!dag.reveals_cycle(me, &CycleGuard::Depth(9)));
+        assert!(
+            !dag.reveals_cycle(me, &through),
+            "mixed modes reveal nothing"
+        );
+    }
+
+    #[test]
+    fn only_a_moved_depth_label_is_pushed_to_the_children() {
+        let me = NodeId(4);
+        let mut tree = CycleState::Path(None);
+        let path = CycleGuard::Path(vec![NodeId(0)].into());
+        assert_eq!(tree.follow(me, &path), None, "a moved path is not pushed");
+        assert_eq!(tree.position(), Some(1));
+        let mut dag = CycleState::Depth(None);
+        assert_eq!(dag.follow(me, &CycleGuard::Depth(1)), Some(2));
+        assert_eq!(dag.follow(me, &CycleGuard::Depth(0)), None, "unmoved");
+        assert_eq!(dag.follow(me, &CycleGuard::Depth(2)), Some(3));
+    }
+
+    #[test]
+    fn a_tree_has_an_exact_path_and_a_dag_a_depth_label() {
+        let tree = CycleState::for_mode(StructureMode::Tree);
+        let dag = CycleState::for_mode(StructureMode::Dag { parents: 2 });
+        assert_eq!((tree.is_exact(), tree), (true, CycleState::Path(None)));
+        assert_eq!((dag.is_exact(), dag), (false, CycleState::Depth(None)));
+    }
+
+    #[test]
     fn depth_moves_down_when_hearing_from_same_depth() {
-        let mut st = CycleState::dag();
+        let mut st = CycleState::Depth(None);
         st.position_after(NodeId(1), &CycleGuard::Depth(1)); // depth 2
         assert_eq!(st.position(), Some(2));
         // A message from a node at depth 2 (our own depth) pushes us to 3.
@@ -370,7 +450,7 @@ mod tests {
     fn hostile_max_depth_saturates() {
         // A fresh node hearing `Depth(u32::MAX)` (a data guard or a
         // `DepthUpdate` from a DAG parent) stays as deep as it can go.
-        let mut st = CycleState::dag();
+        let mut st = CycleState::Depth(None);
         assert!(st.position_after(NodeId(1), &CycleGuard::Depth(u32::MAX)));
         assert_eq!(st.position(), Some(u32::MAX as usize));
         assert!(!st.position_after(NodeId(1), &CycleGuard::Depth(u32::MAX)));
@@ -379,7 +459,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_position() {
-        let mut st = CycleState::tree();
+        let mut st = CycleState::Path(None);
         st.position_after(NodeId(4), &CycleGuard::Path(vec![NodeId(0)].into()));
         assert!(!st.is_unset());
         st.reset();
@@ -388,14 +468,16 @@ mod tests {
         // After a reset any candidate is acceptable again (hard repair).
         assert!(!st.permits(
             NodeId(4),
-            &CycleGuard::Path(vec![NodeId(0), NodeId(4)].into())
+            NodeId(0),
+            &CycleGuard::Path(vec![NodeId(0), NodeId(4)].into()),
+            true
         ));
         // Path mode stays exact even after reset: the check is on the
         // incoming path, which still contains us.
-        let mut dag = CycleState::dag();
+        let mut dag = CycleState::Depth(None);
         dag.position_after(NodeId(4), &CycleGuard::Depth(0));
         dag.reset();
-        assert!(dag.permits(NodeId(4), &CycleGuard::Depth(10)));
+        assert!(dag.permits(NodeId(4), NodeId(9), &CycleGuard::Depth(10), false));
     }
 
     #[test]
@@ -406,19 +488,19 @@ mod tests {
         let d = CycleGuard::Depth(9);
         assert_eq!(d.wire_size(), 5);
         assert_eq!(d.sender_depth(), 9);
-        let mut me = CycleState::tree();
+        let mut me = CycleState::Path(None);
         me.position_after(NodeId(3), &p);
         assert_eq!(me.position(), Some(p.sender_depth() + 1));
     }
 
     #[test]
     fn unset_outgoing_guards() {
-        let t = CycleState::tree();
+        let t = CycleState::Path(None);
         assert_eq!(
             t.outgoing_guard(NodeId(5)),
             CycleGuard::Path(vec![NodeId(5)].into())
         );
-        let d = CycleState::dag();
+        let d = CycleState::Depth(None);
         assert_eq!(d.outgoing_guard(NodeId(5)), CycleGuard::Depth(0));
     }
 
@@ -481,11 +563,11 @@ mod tests {
 
     #[test]
     fn mixed_modes_are_rejected() {
-        let t = CycleState::tree();
-        assert!(!t.permits(NodeId(0), &CycleGuard::Depth(1)));
-        let mut t2 = CycleState::tree();
+        let t = CycleState::Path(None);
+        assert!(!t.permits(NodeId(0), NodeId(1), &CycleGuard::Depth(1), true));
+        let mut t2 = CycleState::Path(None);
         assert!(!t2.position_after(NodeId(0), &CycleGuard::Depth(1)));
-        let d = CycleState::dag();
-        assert!(!d.permits(NodeId(0), &CycleGuard::Path(Arc::from([]))));
+        let d = CycleState::Depth(None);
+        assert!(!d.permits(NodeId(0), NodeId(1), &CycleGuard::Path(Arc::from([])), true));
     }
 }

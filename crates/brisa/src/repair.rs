@@ -3,11 +3,14 @@
 //! silence included: [`BrisaCore::drop_silent_parent`]);
 //! an orphan repairs, softly through a non-child neighbour or hard by
 //! flooding ([`BrisaCore::repair`], [`BrisaCore::hard_repair`]); the tick
-//! escalates and retries ([`BrisaCore::supervise_repair`]); an adoption
-//! ends the repair ([`BrisaCore::finish_repair`]). [`BrisaCore::reparent`]
-//! is the one switch from the current parents to a closer sender.
+//! escalates and retries ([`BrisaCore::supervise_repair`]); a neighbour
+//! with an upstream answers the orphan's `Activate`
+//! ([`BrisaCore::answer_activate`]); an adoption ends the repair
+//! ([`BrisaCore::finish_repair`]). [`BrisaCore::reparent`] is the one
+//! switch from the current parents to a closer sender.
 
-use super::{BrisaCore, EDGE_QUIET_AFTER};
+use super::recovery::EDGE_QUIET_AFTER;
+use super::BrisaCore;
 use crate::cycle::CycleGuard;
 use crate::message::{BrisaMsg, BrisaSink};
 use brisa_simnet::{NodeId, SimDuration, SimTime};
@@ -133,7 +136,7 @@ impl BrisaCore {
                 .neighbors()
                 .any(|n| !self.links.is_outbound_active(n))
         };
-        if self.cfg.mode.is_tree() && silent && soft() {
+        if self.cycle.is_exact() && silent && soft() {
             self.lose_parent(now, parent, Loss::Silent, out);
         }
     }
@@ -214,6 +217,27 @@ impl BrisaCore {
         }
     }
 
+    /// `from`, repairing, asked this node to relay to it (`Activate`): the
+    /// outbound link is re-activated, and the answer is the most recent
+    /// buffered message, so the orphan can adopt without waiting for the
+    /// next injection. Two guards, each from a mass-crash wedge:
+    /// - only a node with an upstream answers: two orphans answering each
+    ///   other would mutually adopt, a cycle no fresh data ever enters;
+    /// - only a requester still in the membership view is answered: an
+    ///   evicted one would adopt a parent that never relays to it.
+    pub(super) fn answer_activate(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
+        self.links.reactivate_outbound(from);
+        let has_upstream =
+            self.is_source || (self.links.parent_count() > 0 && self.pending_repair.is_none());
+        let latest = (has_upstream && self.links.is_neighbor(from))
+            .then(|| self.buffer.highest_seq().and_then(|s| self.buffer.get(s)))
+            .flatten();
+        if let Some(m) = latest {
+            let answer = self.data_msg(now, m.seq, m.payload_bytes);
+            out.send(from, BrisaMsg::data(answer));
+        }
+    }
+
     /// Repair done: the orphan just adopted `parent`. The repair is counted
     /// by kind with its delay, and the new parent is asked for everything
     /// from the ledger's cursor on; the gap detector's rate limit counts
@@ -240,14 +264,7 @@ impl BrisaCore {
                 self.stats.hard_repair_delays_us.push(delay);
             }
         }
-        self.last_gap_request = Some(now);
-        out.send(
-            parent,
-            BrisaMsg::Retransmit {
-                from_seq: self.stats.delivery.low(),
-                to_seq: u64::MAX,
-            },
-        );
+        self.request_all(now, parent, out);
     }
 
     /// Re-parent onto `from`, which sent `guard`: deactivate every current
@@ -274,7 +291,7 @@ impl BrisaCore {
         }
         let losers: Vec<NodeId> = self.links.parents().filter(|p| !keep.contains(p)).collect();
         for loser in losers {
-            self.deactivate(now, loser, out);
+            self.deactivate(now, loser, false, out);
         }
         self.adopt(now, from, out);
         self.update_position(guard, out);

@@ -84,21 +84,23 @@ proptest! {
     /// and always accepts one whose path does not.
     #[test]
     fn path_guard_is_exact(path in proptest::collection::vec(0u32..500, 1..20), me in 0u32..500) {
-        let state = CycleState::tree();
+        let state = CycleState::for_mode(StructureMode::Tree);
         let guard = CycleGuard::Path(path.iter().copied().map(NodeId).collect());
         let expected = !path.contains(&me);
-        prop_assert_eq!(state.permits(NodeId(me), &guard), expected);
+        prop_assert_eq!(state.permits(NodeId(me), NodeId(500), &guard, false), expected);
     }
 
     /// Depth labels only ever accept senders that are not deeper than the
-    /// node, and positioning after a delivery is monotone non-decreasing.
+    /// node (the sender's identifier is the lower, so its own depth is
+    /// accepted), and positioning after a delivery is monotone
+    /// non-decreasing.
     #[test]
     fn depth_guard_is_monotone(depths in proptest::collection::vec(0u32..60, 1..30)) {
-        let mut state = CycleState::dag();
+        let mut state = CycleState::for_mode(StructureMode::Dag { parents: 2 });
         let mut previous = None::<usize>;
         for d in depths {
             let guard = CycleGuard::Depth(d);
-            if state.permits(NodeId(1), &guard) {
+            if state.permits(NodeId(1), NodeId(0), &guard, false) {
                 state.position_after(NodeId(1), &guard);
             }
             let pos = state.position();
@@ -107,7 +109,8 @@ proptest! {
             }
             previous = pos.or(previous);
             if let Some(p) = state.position() {
-                prop_assert!(!state.permits(NodeId(1), &CycleGuard::Depth(p as u32 + 1)));
+                let deeper = CycleGuard::Depth(p as u32 + 1);
+                prop_assert!(!state.permits(NodeId(1), NodeId(0), &deeper, true));
             }
         }
     }
@@ -117,8 +120,8 @@ proptest! {
     #[test]
     fn outgoing_guard_reflects_position(hops in proptest::collection::vec(0u32..100, 1..12)) {
         let me = NodeId(42);
-        let mut tree = CycleState::tree();
-        let mut dag = CycleState::dag();
+        let mut tree = CycleState::for_mode(StructureMode::Tree);
+        let mut dag = CycleState::for_mode(StructureMode::Dag { parents: 2 });
         for h in &hops {
             let path: Vec<NodeId> = (100..=100 + *h % 5).map(NodeId).collect();
             tree.position_after(me, &CycleGuard::Path(path.into()));
