@@ -220,7 +220,8 @@ impl BrisaCore {
     /// `from`, repairing, asked this node to relay to it (`Activate`): the
     /// outbound link is re-activated, and the answer is the most recent
     /// buffered message, so the orphan can adopt without waiting for the
-    /// next injection. Two guards, each from a mass-crash wedge:
+    /// next injection. Two guards, each from a mass-crash wedge (DESIGN.md,
+    /// "Scale mode", bugs 1 and 2):
     /// - only a node with an upstream answers: two orphans answering each
     ///   other would mutually adopt, a cycle no fresh data ever enters;
     /// - only a requester still in the membership view is answered: an
