@@ -49,7 +49,6 @@ struct CoreTel {
     gap_requests: Counter,
     retransmits_served: Counter,
     edges_advertised: Counter,
-    depth_updates: Counter,
     seq_refused: Counter,
     orphan_us: Histo,
     parent_count: Histo,
@@ -130,7 +129,6 @@ impl BrisaCore {
                 gap_requests: tel.counter("brisa.gap_requests"),
                 retransmits_served: tel.counter("brisa.retransmissions_served"),
                 edges_advertised: tel.counter("brisa.edges_advertised"),
-                depth_updates: tel.counter("brisa.depth_updates_sent"),
                 seq_refused: tel.counter("brisa.seq_refused"),
                 orphan_us: tel.histogram("brisa.orphan_us"),
                 parent_count: tel.histogram("brisa.parent_count"),
@@ -284,7 +282,6 @@ impl BrisaCore {
             BrisaMsg::Deactivate { symmetric } => self.handle_deactivate(now, from, symmetric, out),
             BrisaMsg::Activate => self.answer_activate(now, from, out),
             BrisaMsg::ReactivationOrder => self.lose_parent(now, from, Loss::Order, out),
-            BrisaMsg::DepthUpdate { depth } => self.handle_depth_update(from, depth, out),
             BrisaMsg::Retransmit { from_seq, to_seq } => {
                 self.handle_retransmit(now, from, from_seq, to_seq, out)
             }
@@ -576,35 +573,42 @@ mod tests {
         }
     }
 
+    /// A layered overlay: source 0; nodes 1, 2 and 3 its neighbours, one
+    /// hop down; and nodes 4–9 each the neighbour of two of them, two
+    /// hops down. Every node hears the source's flood first from the
+    /// layer above, so a DAG node on the second layer has two strictly
+    /// shallower senders, and one on the first layer only the source.
+    fn layered() -> Vec<(u32, u32)> {
+        let mut t = vec![(0, 1), (0, 2), (0, 3)];
+        for (node, (a, b)) in (4..).zip([(1, 2), (2, 3), (1, 3), (1, 2), (2, 3), (1, 3)]) {
+            t.extend([(a, node), (b, node)]);
+        }
+        t
+    }
+
     #[test]
     fn dag_mode_collects_multiple_parents() {
         let cfg = BrisaConfig::dag(2, ParentStrategy::FirstComeFirstPicked);
-        let mut mesh = Mesh::new(&cfg, &clique(8), 8);
+        let mut mesh = Mesh::new(&cfg, &layered(), 10);
         for _ in 0..3 {
             mesh.publish(50);
         }
-        let multi = (1..8)
-            .filter(|&i| mesh.node(i).parents().len() == 2)
-            .count();
-        assert!(
-            multi >= 5,
-            "most nodes should find two parents, got {multi}"
-        );
-        for i in 1..8 {
-            let p = mesh.node(i).parents().len();
-            assert!((1..=2).contains(&p), "parent count within bounds, got {p}");
-            assert!(mesh.node(i).depth().is_some());
+        for i in 1..10 {
+            let (depth, parents) = if i <= 3 { (1, 1) } else { (2, 2) };
+            assert_eq!(mesh.node(i).depth(), Some(depth), "node {i}");
+            assert_eq!(mesh.node(i).parents().len(), parents, "node {i}");
         }
+        mesh.assert_rooted();
         // Once the DAG has stabilised, duplicates per message are bounded by
         // the extra parent: at most one duplicate per message per node.
-        let before: Vec<u64> = (1..8)
+        let before: Vec<u64> = (1..10)
             .map(|i| mesh.node(i).stats().delivery.duplicates())
             .collect();
         let extra_msgs = 10u64;
         for _ in 0..extra_msgs {
             mesh.publish(50);
         }
-        for (idx, i) in (1..8).enumerate() {
+        for (idx, i) in (1..10).enumerate() {
             let added = mesh.node(i).stats().delivery.duplicates() - before[idx];
             assert!(
                 added <= extra_msgs,
@@ -1262,42 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_depth_update_propagates_to_children() {
-        let cfg = BrisaConfig::dag(2, ParentStrategy::FirstComeFirstPicked);
-        let mut core = BrisaCore::new(NodeId(5), cfg);
-        core.note_started(SimTime::ZERO);
-        core.on_neighbor_up(NodeId(1));
-        core.on_neighbor_up(NodeId(7)); // will remain a child
-        let d = BrisaMsg::data(DataMsg {
-            seq: 0,
-            payload_bytes: 10,
-            guard: CycleGuard::Depth(1),
-            sender_uptime_secs: 0,
-            sender_load: 0,
-        });
-        let _ = acts(|a| core.handle(SimTime::from_millis(1), NodeId(1), d, &NoTelemetry, a));
-        assert_eq!(core.depth(), Some(2));
-        // The parent moves deeper and tells us.
-        let actions = acts(|a| {
-            core.handle(
-                SimTime::from_millis(3),
-                NodeId(1),
-                BrisaMsg::DepthUpdate { depth: 4 },
-                &NoTelemetry,
-                a,
-            )
-        });
-        assert_eq!(core.depth(), Some(5));
-        assert!(actions.iter().any(|a| matches!(
-            a,
-            BrisaAction::Send {
-                to: NodeId(7),
-                msg: BrisaMsg::DepthUpdate { depth: 5 }
-            }
-        )));
-    }
-
-    #[test]
     fn activate_reenables_outbound_relay() {
         let cfg = BrisaConfig::default();
         let mut core = BrisaCore::new(NodeId(5), cfg);
@@ -1526,14 +1494,30 @@ mod tests {
         (show(&a), core.parents(), core.depth())
     }
 
-    /// Section II-G's admission as it runs: a shallower sender is adopted,
-    /// a deeper one never, and one at the node's own depth only from a
-    /// lower identifier or by an orphan. Adopting at equal depth moves the
-    /// node one level down, and its remaining children hear it.
+    /// Node 9 of [`dag_child_of_1`] after 12 asked it to stop relaying, so
+    /// 12 is a neighbour but no child: the soft repair's alternative.
+    fn dag_child_of_1_beside_12() -> BrisaCore {
+        let mut core = dag_child_of_1();
+        let stop = BrisaMsg::Deactivate { symmetric: false };
+        let _ = acts(|a| core.handle(T, NodeId(12), stop, &NoTelemetry, a));
+        core
+    }
+
+    /// Section II-G's admission: a strictly shallower sender is adopted,
+    /// and the depth stays; one at the node's own depth is refused, from
+    /// a lower identifier or a higher one, and by an orphan too; a deeper
+    /// one is refused.
     #[test]
-    fn a_dag_node_admits_an_equal_depth_sender_from_a_lower_id_or_as_an_orphan() {
+    fn a_dag_node_admits_only_a_strictly_shallower_sender() {
         let p = |ids: &[u32]| ids.iter().copied().map(NodeId).collect::<Vec<_>>();
-        // Shallower: adopted, the depth unchanged.
+        let refused = |sender: u32, relayed_to: [&str; 2]| {
+            vec![
+                "deliver 1".to_string(),
+                format!("{sender} Deactivate {{ symmetric: false }}"),
+                format!("{} data 1", relayed_to[0]),
+                format!("{} data 1", relayed_to[1]),
+            ]
+        };
         assert_eq!(
             dag_admission(dag_child_of_1(), 12, 0),
             (
@@ -1542,89 +1526,56 @@ mod tests {
                 Some(2)
             )
         );
-        // Equal depth from a lower identifier: adopted, one level down.
         assert_eq!(
             dag_admission(dag_child_of_1(), 2, 2),
-            (
-                vec![
-                    "deliver 1".into(),
-                    "12 DepthUpdate { depth: 3 }".into(),
-                    "1 data 1".into(),
-                    "12 data 1".into(),
-                ],
-                p(&[1, 2]),
-                Some(3)
-            )
+            (refused(2, ["1", "12"]), p(&[1]), Some(2))
         );
-        // Equal depth from a higher identifier while a parent is held:
-        // refused.
         assert_eq!(
             dag_admission(dag_child_of_1(), 12, 2),
-            (
-                vec![
-                    "deliver 1".into(),
-                    "12 Deactivate { symmetric: false }".into(),
-                    "1 data 1".into(),
-                    "2 data 1".into(),
-                ],
-                p(&[1]),
-                Some(2)
-            )
+            (refused(12, ["1", "2"]), p(&[1]), Some(2))
         );
-        // Deeper, even from a lower identifier: refused.
         assert_eq!(
             dag_admission(dag_child_of_1(), 2, 3),
-            (
-                vec![
-                    "deliver 1".into(),
-                    "2 Deactivate { symmetric: false }".into(),
-                    "1 data 1".into(),
-                    "12 data 1".into(),
-                ],
-                p(&[1]),
-                Some(2)
-            )
+            (refused(2, ["1", "12"]), p(&[1]), Some(2))
         );
-        // An orphan that kept its depth (a soft repair through 12, which
-        // had asked 9 to stop relaying) adopts 12 at its own depth.
-        let mut orphan = dag_child_of_1();
-        let stop = BrisaMsg::Deactivate { symmetric: false };
-        let _ = acts(|a| orphan.handle(T, NodeId(12), stop, &NoTelemetry, a));
+        // An orphan that kept its depth (a soft repair through 12) refuses
+        // 12 at its own depth; the repair stays pending, and escalates.
+        let mut orphan = dag_child_of_1_beside_12();
         let a = acts(|a| orphan.on_neighbor_down(T, NodeId(1), a));
         assert_eq!(show(&a), ["12 Activate"]);
-        assert_eq!(
-            dag_admission(orphan, 12, 2),
-            (
-                vec![
-                    "deliver 1".into(),
-                    "12 Retransmit { from_seq: 2, to_seq: 18446744073709551615 }".into(),
-                    "2 DepthUpdate { depth: 3 }".into(),
-                    "2 data 1".into(),
-                ],
-                p(&[12]),
-                Some(3)
-            )
-        );
-    }
-
-    /// Data from a current parent: a path through this node is a cycle
-    /// (see `a_cycle_through_the_parent_orphans_without_counting_a_loss`);
-    /// a depth label deeper than this node's is none, and moves the node
-    /// below it.
-    #[test]
-    fn a_dag_parent_that_moved_deeper_pushes_its_child_down() {
-        let (actions, parents, depth) = dag_admission(dag_child_of_1(), 1, 6);
+        let (actions, parents, depth) = dag_admission(orphan, 12, 2);
         assert_eq!(
             actions,
             [
                 "deliver 1",
-                "2 DepthUpdate { depth: 7 }",
-                "12 DepthUpdate { depth: 7 }",
-                "2 data 1",
-                "12 data 1",
+                "12 Deactivate { symmetric: false }",
+                "2 data 1"
             ]
         );
-        assert_eq!((parents, depth), (vec![NodeId(1)], Some(7)));
+        assert_eq!((parents, depth), (vec![], Some(2)));
+    }
+
+    /// The rule that admits a parent keeps it: a DAG parent whose label is
+    /// no longer shallower than this node's is dropped as a cycle, as a
+    /// tree parent whose path runs through the node is
+    /// (`a_cycle_through_the_parent_orphans_without_counting_a_loss`). The
+    /// node keeps its depth and repairs.
+    #[test]
+    fn a_dag_parent_that_moved_deeper_is_lost_as_a_cycle() {
+        let mut core = dag_child_of_1_beside_12();
+        let seq1 = data_with(1, CycleGuard::Depth(6));
+        let a = acts(|a| core.handle(T, NodeId(1), seq1, &NoTelemetry, a));
+        assert_eq!(
+            show(&a),
+            [
+                "deliver 1",
+                "1 Deactivate { symmetric: false }",
+                "12 Activate",
+                "2 data 1",
+            ]
+        );
+        assert_eq!(repair_record(&core), (0, 1, Some((T, RepairKind::Soft))));
+        assert_eq!((core.parents(), core.depth()), (vec![], Some(2)));
     }
 
     /// The deaf tail: after its last message, node 3's parent stops

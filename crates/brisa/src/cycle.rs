@@ -12,11 +12,15 @@
 //! * **Depth labels** (DAGs, Section II-G): every message carries only the
 //!   sender's depth. A node first hearing from a sender at depth `i-1`
 //!   places itself at depth `i` and only accepts parents with a strictly
-//!   smaller depth; hearing from a node at its own depth pushes it one
-//!   level deeper. Approximate (false negatives possible) but constant-size.
+//!   smaller depth. Approximate (false negatives possible) but
+//!   constant-size.
 //!
-//! Every rule that reads a path or a depth label is [`CycleState`]'s:
-//! admission, cycle detection and the push of a moved depth.
+//! Every rule that reads a path or a depth label is [`CycleState`]'s, and
+//! one rule, [`CycleState::permits`], decides both whom a node adopts and
+//! whom it keeps: a current parent whose data fails it is dropped, as a
+//! tree parent whose path runs through the node is. A depth label is taken
+//! once, from the data the node first adopts on, and kept until a hard
+//! repair forgets it ([`CycleState::reset`]); nothing pushes it.
 //!
 //! A [`BloomMembership`] implementation is also provided, purely for the
 //! cycle-prevention ablation (`repro ablation_cycle_prevention`): the paper
@@ -88,12 +92,6 @@ impl CycleState {
         }
     }
 
-    /// True for path embedding, which is exact: no two nodes are ever each
-    /// other's parents. Depth labels are not.
-    pub fn is_exact(&self) -> bool {
-        matches!(self, CycleState::Path(_))
-    }
-
     /// True if the node has not yet positioned itself in the structure.
     pub fn is_unset(&self) -> bool {
         matches!(self, CycleState::Path(None) | CycleState::Depth(None))
@@ -118,49 +116,27 @@ impl CycleState {
         }
     }
 
-    /// Whether `from`, whose data carries `guard`, may become a parent of
-    /// `me` (`orphaned`: `me` has none) without creating a cycle.
+    /// Whether a sender whose data carries `guard` may be a parent of `me`,
+    /// adopted or kept, without creating a cycle.
     ///
     /// * Path mode: `me` must not appear in the sender's path.
     /// * Depth mode: an unknown depth accepts anything; a known one accepts
-    ///   a strictly shallower sender (Section II-G), and one at its own
-    ///   depth from a lower identifier or when `orphaned`, which moves `me`
-    ///   one level deeper. That clause is not the paper's, and it lets two
-    ///   DAG nodes become each other's parents (ROADMAP item 25).
-    pub fn permits(&self, me: NodeId, from: NodeId, guard: &CycleGuard, orphaned: bool) -> bool {
+    ///   only a strictly shallower sender (Section II-G).
+    pub fn permits(&self, me: NodeId, guard: &CycleGuard) -> bool {
         match (self, guard) {
             (CycleState::Path(_), CycleGuard::Path(path)) => !path.contains(&me),
             (CycleState::Depth(None), CycleGuard::Depth(_)) => true,
-            (CycleState::Depth(Some(d)), CycleGuard::Depth(sender)) => {
-                sender < d || (sender == d && (from < me || orphaned))
-            }
+            (CycleState::Depth(Some(d)), CycleGuard::Depth(sender)) => sender < d,
             // Mixed modes never occur in a well-configured system; be
             // conservative and reject.
             _ => false,
         }
     }
 
-    /// Whether data from a current parent, carrying `guard`, reveals a
-    /// cycle (Section II-D): its path runs through `me`. A depth label
-    /// reveals none: a parent that moved deeper moves `me` below it.
-    pub fn reveals_cycle(&self, me: NodeId, guard: &CycleGuard) -> bool {
-        matches!((self, guard), (CycleState::Path(_), CycleGuard::Path(p)) if p.contains(&me))
-    }
-
-    /// Follows an accepted parent's `guard` ([`Self::position_after`]),
-    /// returning the depth the children must now hear if a depth label
-    /// moved: a moved path needs no push, the next data carries it.
-    pub fn follow(&mut self, me: NodeId, guard: &CycleGuard) -> Option<u32> {
-        let moved = self.position_after(me, guard);
-        match self {
-            CycleState::Depth(d) if moved => *d,
-            _ => None,
-        }
-    }
-
     /// Updates the node's position after *delivering* a message carrying
-    /// `guard` from an accepted parent. Returns `true` if the position
-    /// changed.
+    /// `guard` from an accepted parent: a path follows the parent's, a
+    /// depth label is taken only by a node that has none. Returns `true` if
+    /// the position changed.
     pub fn position_after(&mut self, me: NodeId, guard: &CycleGuard) -> bool {
         match (self, guard) {
             (CycleState::Path(my_path), CycleGuard::Path(path)) => {
@@ -176,23 +152,11 @@ impl CycleState {
                 }
                 !unchanged
             }
-            (CycleState::Depth(my_depth), CycleGuard::Depth(sender_depth)) => {
+            (CycleState::Depth(my_depth @ None), CycleGuard::Depth(sender_depth)) => {
                 // The depth comes off the wire: a hostile `u32::MAX` pins
                 // the node at the bottom instead of wrapping it to the root.
-                let new_depth = sender_depth.saturating_add(1);
-                match my_depth {
-                    None => {
-                        *my_depth = Some(new_depth);
-                        true
-                    }
-                    Some(d) if new_depth > *d => {
-                        // Receiving from a node at our own depth (or deeper)
-                        // pushes us further down, per Section II-G.
-                        *my_depth = Some(new_depth);
-                        true
-                    }
-                    Some(_) => false,
-                }
+                *my_depth = Some(sender_depth.saturating_add(1));
+                true
             }
             _ => false,
         }
@@ -305,11 +269,11 @@ mod tests {
         let st = CycleState::Path(None);
         let guard = CycleGuard::Path(vec![NodeId(0), NodeId(3), NodeId(7)].into());
         assert!(
-            !st.permits(NodeId(3), NodeId(7), &guard, false),
+            !st.permits(NodeId(3), &guard),
             "node on the path is rejected"
         );
         assert!(
-            st.permits(NodeId(5), NodeId(7), &guard, false),
+            st.permits(NodeId(5), &guard),
             "node off the path is accepted"
         );
     }
@@ -355,101 +319,78 @@ mod tests {
         assert_eq!(&*path_of(&st), [NodeId(1), me]);
     }
 
-    /// The one DAG admission rule: shallower senders are accepted, deeper
-    /// ones never, and one at the node's own depth only from a lower
-    /// identifier or when the node has no parent.
+    /// The one DAG rule: an unpositioned node accepts any sender; a
+    /// positioned one only a strictly shallower sender, never one at its
+    /// own depth or deeper, whether it holds a parent or not.
     #[test]
     fn depth_guard_rejects_deeper_senders() {
-        let (me, lower, higher) = (NodeId(5), NodeId(1), NodeId(9));
+        let me = NodeId(5);
         let mut st = CycleState::Depth(None);
         assert!(
-            st.permits(me, higher, &CycleGuard::Depth(5), false),
+            st.permits(me, &CycleGuard::Depth(5)),
             "unset depth accepts anything"
         );
         st.position_after(me, &CycleGuard::Depth(2)); // we are now at depth 3
-        for from in [lower, higher] {
-            for orphaned in [false, true] {
-                assert!(st.permits(me, from, &CycleGuard::Depth(2), orphaned));
-                assert!(st.permits(me, from, &CycleGuard::Depth(0), orphaned));
-                for deeper in [4, 9] {
-                    assert!(
-                        !st.permits(me, from, &CycleGuard::Depth(deeper), orphaned),
-                        "deeper node rejected"
-                    );
-                }
-            }
+        for shallower in [0, 2] {
+            assert!(st.permits(me, &CycleGuard::Depth(shallower)));
         }
-        let same = CycleGuard::Depth(3);
-        assert!(
-            st.permits(me, lower, &same, false),
-            "same depth from a lower identifier accepted (the node then moves one level deeper)"
-        );
-        assert!(
-            !st.permits(me, higher, &same, false),
-            "same depth from a higher identifier rejected while a parent is held"
-        );
-        assert!(
-            st.permits(me, higher, &same, true),
-            "same depth accepted by a node without a parent"
-        );
+        for not_shallower in [3, 4, 9] {
+            assert!(
+                !st.permits(me, &CycleGuard::Depth(not_shallower)),
+                "depth {not_shallower} rejected at depth 3"
+            );
+        }
     }
 
+    /// The rule that admits a parent also keeps it: data from a current
+    /// parent that the rule refuses (a path through this node, a depth
+    /// label no longer shallower than this node's) ends the parenthood.
     #[test]
-    fn a_parent_reveals_a_cycle_only_through_a_path() {
-        let me = NodeId(4);
-        let tree = CycleState::Path(None);
-        let through = CycleGuard::Path(vec![NodeId(0), me, NodeId(2)].into());
-        assert!(tree.reveals_cycle(me, &through));
-        assert!(!tree.reveals_cycle(me, &CycleGuard::Path(vec![NodeId(0)].into())));
-        // A parent's depth label, however deep, is no cycle.
-        let mut dag = CycleState::Depth(None);
-        dag.position_after(me, &CycleGuard::Depth(1));
-        assert!(!dag.reveals_cycle(me, &CycleGuard::Depth(9)));
-        assert!(
-            !dag.reveals_cycle(me, &through),
-            "mixed modes reveal nothing"
-        );
-    }
-
-    #[test]
-    fn only_a_moved_depth_label_is_pushed_to_the_children() {
+    fn a_current_parent_is_kept_only_while_the_rule_permits_it() {
         let me = NodeId(4);
         let mut tree = CycleState::Path(None);
-        let path = CycleGuard::Path(vec![NodeId(0)].into());
-        assert_eq!(tree.follow(me, &path), None, "a moved path is not pushed");
-        assert_eq!(tree.position(), Some(1));
+        tree.position_after(me, &CycleGuard::Path(vec![NodeId(0)].into()));
+        assert!(tree.permits(me, &CycleGuard::Path(vec![NodeId(0)].into())));
+        let through = CycleGuard::Path(vec![NodeId(0), me, NodeId(2)].into());
+        assert!(!tree.permits(me, &through));
         let mut dag = CycleState::Depth(None);
-        assert_eq!(dag.follow(me, &CycleGuard::Depth(1)), Some(2));
-        assert_eq!(dag.follow(me, &CycleGuard::Depth(0)), None, "unmoved");
-        assert_eq!(dag.follow(me, &CycleGuard::Depth(2)), Some(3));
+        dag.position_after(me, &CycleGuard::Depth(1)); // depth 2
+        assert!(dag.permits(me, &CycleGuard::Depth(1)));
+        for moved in [2, 9] {
+            assert!(!dag.permits(me, &CycleGuard::Depth(moved)));
+        }
+        assert!(!dag.permits(me, &through), "mixed modes are refused");
     }
 
     #[test]
     fn a_tree_has_an_exact_path_and_a_dag_a_depth_label() {
         let tree = CycleState::for_mode(StructureMode::Tree);
         let dag = CycleState::for_mode(StructureMode::Dag { parents: 2 });
-        assert_eq!((tree.is_exact(), tree), (true, CycleState::Path(None)));
-        assert_eq!((dag.is_exact(), dag), (false, CycleState::Depth(None)));
+        assert_eq!(tree, CycleState::Path(None));
+        assert_eq!(dag, CycleState::Depth(None));
     }
 
+    /// A depth label is taken once, from the first accepted data, and
+    /// nothing moves it, deeper or shallower, until a reset.
     #[test]
-    fn depth_moves_down_when_hearing_from_same_depth() {
+    fn a_depth_label_is_fixed_until_reset() {
+        let me = NodeId(1);
         let mut st = CycleState::Depth(None);
-        st.position_after(NodeId(1), &CycleGuard::Depth(1)); // depth 2
+        assert!(st.position_after(me, &CycleGuard::Depth(1)));
         assert_eq!(st.position(), Some(2));
-        // A message from a node at depth 2 (our own depth) pushes us to 3.
-        let changed = st.position_after(NodeId(1), &CycleGuard::Depth(2));
-        assert!(changed);
-        assert_eq!(st.position(), Some(3));
-        // A message from a shallower node does not pull us back up.
-        assert!(!st.position_after(NodeId(1), &CycleGuard::Depth(0)));
-        assert_eq!(st.position(), Some(3));
+        for other in [0, 2, 7] {
+            assert!(!st.position_after(me, &CycleGuard::Depth(other)));
+            assert_eq!(st.position(), Some(2));
+        }
+        st.reset();
+        assert!(st.position_after(me, &CycleGuard::Depth(7)));
+        assert_eq!(st.position(), Some(8));
     }
 
     #[test]
     fn hostile_max_depth_saturates() {
-        // A fresh node hearing `Depth(u32::MAX)` (a data guard or a
-        // `DepthUpdate` from a DAG parent) stays as deep as it can go.
+        // A fresh node hearing `Depth(u32::MAX)` in a data guard stays as
+        // deep as it can go.
         let mut st = CycleState::Depth(None);
         assert!(st.position_after(NodeId(1), &CycleGuard::Depth(u32::MAX)));
         assert_eq!(st.position(), Some(u32::MAX as usize));
@@ -465,19 +406,17 @@ mod tests {
         st.reset();
         assert!(st.is_unset());
         assert_eq!(st.position(), None);
-        // After a reset any candidate is acceptable again (hard repair).
-        assert!(!st.permits(
-            NodeId(4),
-            NodeId(0),
-            &CycleGuard::Path(vec![NodeId(0), NodeId(4)].into()),
-            true
-        ));
         // Path mode stays exact even after reset: the check is on the
         // incoming path, which still contains us.
+        assert!(!st.permits(
+            NodeId(4),
+            &CycleGuard::Path(vec![NodeId(0), NodeId(4)].into())
+        ));
+        // After a reset any depth is acceptable again (hard repair).
         let mut dag = CycleState::Depth(None);
         dag.position_after(NodeId(4), &CycleGuard::Depth(0));
         dag.reset();
-        assert!(dag.permits(NodeId(4), NodeId(9), &CycleGuard::Depth(10), false));
+        assert!(dag.permits(NodeId(4), &CycleGuard::Depth(10)));
     }
 
     #[test]
@@ -564,10 +503,10 @@ mod tests {
     #[test]
     fn mixed_modes_are_rejected() {
         let t = CycleState::Path(None);
-        assert!(!t.permits(NodeId(0), NodeId(1), &CycleGuard::Depth(1), true));
+        assert!(!t.permits(NodeId(0), &CycleGuard::Depth(1)));
         let mut t2 = CycleState::Path(None);
         assert!(!t2.position_after(NodeId(0), &CycleGuard::Depth(1)));
         let d = CycleState::Depth(None);
-        assert!(!d.permits(NodeId(0), NodeId(1), &CycleGuard::Path(Arc::from([])), true));
+        assert!(!d.permits(NodeId(0), &CycleGuard::Path(Arc::from([]))));
     }
 }

@@ -50,18 +50,19 @@ impl BrisaCore {
         let adoptable = self.can_adopt(from, &data.guard);
         if self.links.is_parent(from) {
             self.last_parent_delivery = Some(now);
-            // A message from a current parent that reveals a cycle (Section
-            // II-D) forces a re-selection.
-            if !self.cycle.reveals_cycle(self.me, &data.guard) {
-                self.update_position(&data.guard, out);
+            // The rule that admits a parent also keeps it: data from a
+            // current parent that it refuses (a path through this node,
+            // Section II-D, or a depth label no longer shallower than this
+            // node's) forces a re-selection.
+            if self.cycle.permits(self.me, &data.guard) {
+                self.update_position(&data.guard);
             } else {
                 self.deactivate(now, from, false, out);
                 self.lose_parent(now, from, Loss::Cycle, out);
             }
         } else if adoptable && self.links.parent_count() < self.cfg.mode.target_parents() {
             // A free parent slot: adopt this sender.
-            self.adopt(now, from, out);
-            self.update_position(&data.guard, out);
+            self.adopt(now, from, &data.guard, out);
         } else if !adoptable {
             // The sender cannot be a parent; stop it from relaying to us.
             self.deactivate(now, from, false, out);

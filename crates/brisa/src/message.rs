@@ -64,12 +64,6 @@ pub enum BrisaMsg {
     /// re-activate its own inbound links, and to propagate further down if
     /// it cannot find a replacement parent in its active view.
     ReactivationOrder,
-    /// The sender's depth changed (DAG mode); children update their own
-    /// depth accordingly.
-    DepthUpdate {
-        /// The sender's new depth.
-        depth: u32,
-    },
     /// Request retransmission of buffered messages with sequence numbers in
     /// `[from_seq, to_seq]` (inclusive), sent to a newly adopted parent
     /// after a repair.

@@ -5,7 +5,7 @@
 
 use super::BrisaCore;
 use crate::cycle::CycleGuard;
-use crate::message::{BrisaMsg, BrisaSink};
+use crate::message::BrisaSink;
 use brisa_simnet::{NodeId, SimTime};
 use brisa_telemetry::EventKind as TelEventKind;
 
@@ -19,14 +19,21 @@ impl BrisaCore {
     ///
     /// [`CycleState::permits`]: crate::cycle::CycleState::permits
     pub(super) fn can_adopt(&self, from: NodeId, guard: &CycleGuard) -> bool {
-        let orphaned = self.links.parent_count() == 0;
-        self.links.is_neighbor(from) && self.cycle.permits(self.me, from, guard, orphaned)
+        self.links.is_neighbor(from) && self.cycle.permits(self.me, guard)
     }
 
-    /// Adopts `from` as a parent, completing any pending repair
+    /// Adopts `from`, whose data carried `guard`, as a parent and takes
+    /// the position below it, completing any pending repair
     /// ([`Self::finish_repair`]).
-    pub(super) fn adopt(&mut self, now: SimTime, from: NodeId, out: &mut impl BrisaSink) {
+    pub(super) fn adopt(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        guard: &CycleGuard,
+        out: &mut impl BrisaSink,
+    ) {
         self.links.adopt_parent(from);
+        self.update_position(guard);
         self.last_parent_delivery = Some(now);
         let parents = self.links.parent_count() as u64;
         self.with_tel(|t| {
@@ -61,31 +68,12 @@ impl BrisaCore {
         }
     }
 
-    /// Updates our own position after delivering from (or switching to) an
-    /// accepted parent that sent `guard`, and tells the children a depth
-    /// label that moved.
-    pub(super) fn update_position(&mut self, guard: &CycleGuard, out: &mut impl BrisaSink) {
-        let Some(depth) = self.cycle.follow(self.me, guard) else {
-            return;
-        };
-        let mut sent = 0;
-        for c in self.links.children() {
-            sent += 1;
-            out.send(c, BrisaMsg::DepthUpdate { depth });
-        }
-        self.with_tel(|t| t.depth_updates.add(sent));
-    }
-
-    /// A parent moved to `depth` and says so; anyone else's word is
-    /// ignored.
-    pub(super) fn handle_depth_update(
-        &mut self,
-        from: NodeId,
-        depth: u32,
-        out: &mut impl BrisaSink,
-    ) {
-        if self.links.is_parent(from) {
-            self.update_position(&CycleGuard::Depth(depth), out);
-        }
+    /// Updates our own position after delivering from (or adopting) an
+    /// accepted parent that sent `guard`: a path follows the parent's, a
+    /// depth label is taken once ([`CycleState::position_after`]).
+    ///
+    /// [`CycleState::position_after`]: crate::cycle::CycleState::position_after
+    pub(super) fn update_position(&mut self, guard: &CycleGuard) {
+        self.cycle.position_after(self.me, guard);
     }
 }

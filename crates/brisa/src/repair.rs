@@ -55,10 +55,11 @@ pub(super) enum Loss {
     LinkDown,
     /// The parent sent a symmetric `Deactivate`: it stopped relaying to us.
     Deactivated,
-    /// Data from the parent carried a path through this node; the caller
-    /// has already deactivated the link.
+    /// Data from the parent failed the cycle rule (a path through this
+    /// node, or a depth label no longer shallower than its own); the
+    /// caller has already deactivated the link.
     Cycle,
-    /// Neither data from the (tree) parent nor any `Edge` came for the
+    /// Neither data from the parent nor any `Edge` came for the
     /// silence limit ([`PARENT_SILENT_TICKS`]).
     Silent,
     /// The parent, hard-repairing, sent a re-activation order: behave like
@@ -120,9 +121,7 @@ impl BrisaCore {
     /// one with a neighbour it does not relay to — drops its parent; any
     /// other would hard-repair, flooding and ordering its whole sub-tree,
     /// on silence alone. A node with a parent has seen the stream and has
-    /// no repair pending. Trees only: depth labels let two DAG nodes be
-    /// each other's parents, neither counts the other as a child, so
-    /// neither hears the other's `Edge`, and silence is no evidence there.
+    /// no repair pending.
     pub(super) fn drop_silent_parent(&mut self, now: SimTime, out: &mut impl BrisaSink) {
         let Some(parent) = self.links.parents().next() else {
             return;
@@ -136,7 +135,7 @@ impl BrisaCore {
                 .neighbors()
                 .any(|n| !self.links.is_outbound_active(n))
         };
-        if self.cycle.is_exact() && silent && soft() {
+        if silent && soft() {
             self.lose_parent(now, parent, Loss::Silent, out);
         }
     }
@@ -294,8 +293,7 @@ impl BrisaCore {
         for loser in losers {
             self.deactivate(now, loser, false, out);
         }
-        self.adopt(now, from, out);
-        self.update_position(guard, out);
+        self.adopt(now, from, guard, out);
         true
     }
 }

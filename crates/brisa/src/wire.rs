@@ -19,13 +19,14 @@ use brisa_simnet::wire::{Reader, Sink, WireCodec, WireError};
 /// Frame protocol byte of BRISA messages.
 const PROTO: u8 = 1;
 
-/// Kind tags of the BRISA variants.
+/// Kind tags of the BRISA variants. Tag 4 is unassigned: it carried a
+/// retired message, and a frame of that kind is rejected like any other
+/// unknown one.
 mod kind {
     pub const DATA: u8 = 0;
     pub const DEACTIVATE: u8 = 1;
     pub const ACTIVATE: u8 = 2;
     pub const REACTIVATION_ORDER: u8 = 3;
-    pub const DEPTH_UPDATE: u8 = 4;
     pub const RETRANSMIT: u8 = 5;
     pub const EDGE: u8 = 6;
 }
@@ -77,7 +78,6 @@ impl WireCodec for BrisaMsg {
             BrisaMsg::Deactivate { symmetric } => head(out, kind::DEACTIVATE).u8(*symmetric as u8),
             BrisaMsg::Activate => head(out, kind::ACTIVATE),
             BrisaMsg::ReactivationOrder => head(out, kind::REACTIVATION_ORDER),
-            BrisaMsg::DepthUpdate { depth } => head(out, kind::DEPTH_UPDATE).u32(*depth),
             BrisaMsg::Retransmit { from_seq, to_seq } => {
                 head(out, kind::RETRANSMIT).u64(*from_seq).u64(*to_seq)
             }
@@ -111,7 +111,6 @@ impl WireCodec for BrisaMsg {
             },
             kind::ACTIVATE => BrisaMsg::Activate,
             kind::REACTIVATION_ORDER => BrisaMsg::ReactivationOrder,
-            kind::DEPTH_UPDATE => BrisaMsg::DepthUpdate { depth: r.u32()? },
             kind::RETRANSMIT => BrisaMsg::Retransmit {
                 from_seq: r.u64()?,
                 to_seq: r.u64()?,
@@ -221,7 +220,6 @@ mod tests {
             ),
             (StackMsg::Brisa(BrisaMsg::Activate), 16),
             (StackMsg::Brisa(BrisaMsg::ReactivationOrder), 16),
-            (StackMsg::Brisa(BrisaMsg::DepthUpdate { depth: 4 }), 20),
             (
                 StackMsg::Brisa(BrisaMsg::Retransmit {
                     from_seq: 10,
@@ -310,6 +308,31 @@ mod tests {
         let mut bad = frame.clone();
         bad.push(0);
         assert!(StackMsg::decode(&bad).is_err());
+    }
+
+    /// Kind tag 4 is unassigned: outside input carrying it is refused, and
+    /// every assigned tag keeps its byte.
+    #[test]
+    fn the_unassigned_kind_is_rejected() {
+        let mut frame = StackMsg::Brisa(BrisaMsg::Activate).encode();
+        assert_eq!((frame[5], frame[6]), (PROTO, kind::ACTIVATE));
+        frame[6] = 4;
+        assert_eq!(
+            StackMsg::decode(&frame),
+            Err(WireError::BadKind {
+                proto: PROTO,
+                kind: 4
+            })
+        );
+        let tags = [
+            kind::DATA,
+            kind::DEACTIVATE,
+            kind::ACTIVATE,
+            kind::REACTIVATION_ORDER,
+            kind::RETRANSMIT,
+            kind::EDGE,
+        ];
+        assert_eq!(tags, [0, 1, 2, 3, 5, 6]);
     }
 
     #[test]

@@ -58,7 +58,6 @@ fn brisa() -> Union<StackMsg> {
         any::<bool>().prop_map(|symmetric| StackMsg::Brisa(BrisaMsg::Deactivate { symmetric })),
         Just(StackMsg::Brisa(BrisaMsg::Activate)),
         Just(StackMsg::Brisa(BrisaMsg::ReactivationOrder)),
-        (0u32..10_000).prop_map(|depth| StackMsg::Brisa(BrisaMsg::DepthUpdate { depth })),
         (any::<u64>(), any::<u64>()).prop_map(|(from_seq, to_seq)| StackMsg::Brisa(
             BrisaMsg::Retransmit { from_seq, to_seq }
         )),
