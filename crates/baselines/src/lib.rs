@@ -23,6 +23,6 @@ pub mod simple_tree;
 pub mod tag;
 
 pub use flood::{FloodMsg, FloodNode};
-pub use simple_gossip::{GossipConfig, GossipMsg, SimpleGossipNode};
+pub use simple_gossip::{GossipMsg, SimpleGossipNode};
 pub use simple_tree::{SimpleTreeNode, TreeMsg};
-pub use tag::{TagConfig, TagMsg, TagNode, TagStats};
+pub use tag::{TagMsg, TagNode, TagStats};

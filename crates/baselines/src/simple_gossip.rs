@@ -6,7 +6,7 @@
 //! rate) repairs any omissions. Cyclon provides the random peer samples and
 //! performs no explicit failure detection.
 
-use brisa_membership::{Cyclon, CyclonConfig, CyclonMsg, CyclonOut};
+use brisa_membership::{Cyclon, CyclonMsg, CyclonOut};
 use brisa_simnet::{Context, DeliveryLog, NodeId, Protocol, SimDuration, TimerTag, WireSize};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -16,38 +16,11 @@ const TIMER_SHUFFLE: u16 = 1;
 /// Timer for the periodic anti-entropy exchange.
 const TIMER_ANTI_ENTROPY: u16 = 2;
 
-/// Configuration of the SimpleGossip baseline.
-#[derive(Debug, Clone)]
-pub struct GossipConfig {
-    /// Rumor-mongering fanout (the paper uses `ln(N)`).
-    pub fanout: usize,
-    /// Cyclon configuration.
-    pub cyclon: CyclonConfig,
-    /// Cyclon shuffle period.
-    pub shuffle_period: SimDuration,
-    /// Anti-entropy period (the paper uses half the message inter-arrival
-    /// time, i.e. twice the creation rate).
-    pub anti_entropy_period: SimDuration,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            fanout: 6,
-            cyclon: CyclonConfig::default(),
-            shuffle_period: SimDuration::from_secs(5),
-            anti_entropy_period: SimDuration::from_millis(100),
-        }
-    }
-}
-
-impl GossipConfig {
-    /// Sets the fanout to `ln(n)` rounded up, as in the paper.
-    pub fn for_system_size(mut self, n: usize) -> Self {
-        self.fanout = (n as f64).ln().ceil().max(1.0) as usize;
-        self
-    }
-}
+/// Period of the Cyclon shuffle.
+const SHUFFLE_PERIOD: SimDuration = SimDuration::from_secs(5);
+/// Anti-entropy period: half the evaluation's message inter-arrival time,
+/// i.e. twice the creation rate, as in the paper.
+const ANTI_ENTROPY_PERIOD: SimDuration = SimDuration::from_millis(100);
 
 /// Messages of the SimpleGossip stack.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +62,8 @@ impl WireSize for GossipMsg {
 
 /// A node running Cyclon + rumor mongering + anti-entropy.
 pub struct SimpleGossipNode {
-    cfg: GossipConfig,
+    /// Rumor-mongering fanout: `ln(N)` rounded up, as in the paper.
+    fanout: usize,
     cyclon: Cyclon,
     seeds: Vec<NodeId>,
     /// Store of received messages (`seq -> payload size`), used both for
@@ -100,11 +74,12 @@ pub struct SimpleGossipNode {
 }
 
 impl SimpleGossipNode {
-    /// Creates a node bootstrapped with the given Cyclon seeds.
-    pub fn new(id: NodeId, cfg: GossipConfig, seeds: Vec<NodeId>) -> Self {
+    /// Creates a node of a `population`-node system, bootstrapped with the
+    /// given Cyclon seeds.
+    pub fn new(id: NodeId, population: u32, seeds: Vec<NodeId>) -> Self {
         SimpleGossipNode {
-            cyclon: Cyclon::new(id, cfg.cyclon.clone()),
-            cfg,
+            fanout: (population as f64).ln().ceil().max(1.0) as usize,
+            cyclon: Cyclon::new(id),
             seeds,
             store: BTreeMap::new(),
             delivery: DeliveryLog::default(),
@@ -138,13 +113,13 @@ impl SimpleGossipNode {
         payload_bytes: usize,
         exclude: Option<NodeId>,
     ) {
-        let targets = self.cyclon.sample(ctx.rng(), self.cfg.fanout + 1);
+        let targets = self.cyclon.sample(ctx.rng(), self.fanout + 1);
         let mut sent = 0;
         for t in targets {
             if Some(t) == exclude || t == ctx.id() {
                 continue;
             }
-            if sent == self.cfg.fanout {
+            if sent == self.fanout {
                 break;
             }
             ctx.send(t, GossipMsg::Rumor { seq, payload_bytes });
@@ -165,14 +140,9 @@ impl Protocol for SimpleGossipNode {
     fn on_start(&mut self, ctx: &mut Context<'_, GossipMsg>) {
         let seeds = self.seeds.clone();
         self.cyclon.bootstrap(&seeds);
-        let off1 = SimDuration::from_micros(
-            ctx.rng()
-                .gen_range(0..self.cfg.shuffle_period.as_micros().max(1)),
-        );
-        let off2 = SimDuration::from_micros(
-            ctx.rng()
-                .gen_range(0..self.cfg.anti_entropy_period.as_micros().max(1)),
-        );
+        let off1 = SimDuration::from_micros(ctx.rng().gen_range(0..SHUFFLE_PERIOD.as_micros()));
+        let off2 =
+            SimDuration::from_micros(ctx.rng().gen_range(0..ANTI_ENTROPY_PERIOD.as_micros()));
         ctx.set_timer(off1, TimerTag::of_kind(TIMER_SHUFFLE));
         ctx.set_timer(off2, TimerTag::of_kind(TIMER_ANTI_ENTROPY));
     }
@@ -216,17 +186,14 @@ impl Protocol for SimpleGossipNode {
             TIMER_SHUFFLE => {
                 let outs = self.cyclon.shuffle_tick(ctx.rng());
                 self.apply_cyclon(ctx, outs);
-                ctx.set_timer(self.cfg.shuffle_period, TimerTag::of_kind(TIMER_SHUFFLE));
+                ctx.set_timer(SHUFFLE_PERIOD, TimerTag::of_kind(TIMER_SHUFFLE));
             }
             TIMER_ANTI_ENTROPY => {
                 if let Some(peer) = self.cyclon.sample(ctx.rng(), 1).first().copied() {
                     let known: Vec<u64> = self.store.keys().copied().collect();
                     ctx.send(peer, GossipMsg::Digest { known });
                 }
-                ctx.set_timer(
-                    self.cfg.anti_entropy_period,
-                    TimerTag::of_kind(TIMER_ANTI_ENTROPY),
-                );
+                ctx.set_timer(ANTI_ENTROPY_PERIOD, TimerTag::of_kind(TIMER_ANTI_ENTROPY));
             }
             _ => {}
         }
@@ -246,13 +213,11 @@ mod tests {
             NetworkConfig::default(),
             Box::new(ClusterLatency::default()),
         );
-        let cfg = GossipConfig::default().for_system_size(n as usize);
         let mut ids = Vec::new();
         for i in 0..n {
-            let cfg = cfg.clone();
             // Ring-ish bootstrap seeds.
             let seeds: Vec<NodeId> = (1..=4).map(|k| NodeId((i + k) % n)).collect();
-            ids.push(net.add_node(move |id| SimpleGossipNode::new(id, cfg, seeds)));
+            ids.push(net.add_node(move |id| SimpleGossipNode::new(id, n, seeds)));
         }
         net.run_until(SimTime::from_secs(10));
         let source = ids[0];

@@ -25,32 +25,16 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Timer for the periodic pull.
 const TIMER_PULL: u16 = 1;
 
-/// Configuration of the TAG baseline.
-#[derive(Debug, Clone)]
-pub struct TagConfig {
-    /// Maximum children a node accepts before the traversal moves on.
-    pub max_children: usize,
-    /// Maximum number of hops a join/repair traversal walks backwards.
-    pub traverse_hops: usize,
-    /// Number of gossip partners picked during the traversal.
-    pub gossip_peers: usize,
-    /// Pull period (parent and gossip partners are polled at this rate).
-    pub pull_period: SimDuration,
-    /// Maximum messages returned by one pull reply.
-    pub pull_batch: usize,
-}
-
-impl Default for TagConfig {
-    fn default() -> Self {
-        TagConfig {
-            max_children: 4,
-            traverse_hops: 6,
-            gossip_peers: 2,
-            pull_period: SimDuration::from_millis(400),
-            pull_batch: 64,
-        }
-    }
-}
+/// Maximum children a node accepts before the traversal moves on.
+const MAX_CHILDREN: usize = 4;
+/// Maximum number of hops a join/repair traversal walks backwards.
+const TRAVERSE_HOPS: usize = 6;
+/// Number of gossip partners picked during the traversal.
+const GOSSIP_PEERS: usize = 2;
+/// Pull period (parent and gossip partners are polled at this rate).
+const PULL_PERIOD: SimDuration = SimDuration::from_millis(400);
+/// Maximum messages returned by one pull reply.
+const PULL_BATCH: usize = 64;
 
 /// Messages of the TAG protocol.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,7 +138,6 @@ enum TraversalGoal {
 
 /// A node running the TAG protocol.
 pub struct TagNode {
-    cfg: TagConfig,
     /// The node to contact when joining (the most recently joined node);
     /// `None` for the first node, which is also the stream source.
     contact: Option<NodeId>,
@@ -176,9 +159,8 @@ pub struct TagNode {
 impl TagNode {
     /// Creates a node. `contact` must be the previously joined node so the
     /// list stays sorted by join time (`None` for the first node).
-    pub fn new(cfg: TagConfig, contact: Option<NodeId>) -> Self {
+    pub fn new(contact: Option<NodeId>) -> Self {
         TagNode {
-            cfg,
             contact,
             prev1: None,
             prev2: None,
@@ -231,7 +213,7 @@ impl TagNode {
         from: NodeId,
         goal: TraversalGoal,
     ) {
-        self.traversal = Some((self.cfg.traverse_hops, Vec::new(), goal));
+        self.traversal = Some((TRAVERSE_HOPS, Vec::new(), goal));
         self.stats.probes_sent += 1;
         ctx.send(from, TagMsg::Probe);
     }
@@ -247,8 +229,7 @@ impl Protocol for TagNode {
     type Message = TagMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, TagMsg>) {
-        let period = self.cfg.pull_period;
-        let off = SimDuration::from_micros(ctx.rng().gen_range(0..period.as_micros().max(1)));
+        let off = SimDuration::from_micros(ctx.rng().gen_range(0..PULL_PERIOD.as_micros()));
         ctx.set_timer(off, TimerTag::of_kind(TIMER_PULL));
         match self.contact {
             None => {
@@ -303,7 +284,7 @@ impl Protocol for TagNode {
                     return;
                 };
                 met.push(from);
-                let suitable = children < self.cfg.max_children;
+                let suitable = children < MAX_CHILDREN;
                 let next_hop = prev
                     .filter(|&p| p != ctx.id())
                     .filter(|_| !suitable && hops_left > 0);
@@ -320,7 +301,7 @@ impl Protocol for TagNode {
                     // Pick gossip partners among the nodes met.
                     let mut pool: Vec<NodeId> = met.into_iter().filter(|&n| n != parent).collect();
                     pool.shuffle(ctx.rng());
-                    for p in pool.into_iter().take(self.cfg.gossip_peers) {
+                    for p in pool.into_iter().take(GOSSIP_PEERS) {
                         self.gossip.insert(p);
                         ctx.open_connection(p);
                         ctx.send(p, TagMsg::PeerLink);
@@ -373,7 +354,7 @@ impl Protocol for TagNode {
                 let messages: Vec<(u64, usize)> = self
                     .store
                     .range(start..)
-                    .take(self.cfg.pull_batch)
+                    .take(PULL_BATCH)
                     .map(|(&s, &p)| (s, p))
                     .collect();
                 if !messages.is_empty() {
@@ -405,7 +386,7 @@ impl Protocol for TagNode {
         if let Some(&peer) = partners.as_slice().choose(ctx.rng()) {
             ctx.send(peer, TagMsg::Pull { have_max: have });
         }
-        ctx.set_timer(self.cfg.pull_period, TimerTag::of_kind(TIMER_PULL));
+        ctx.set_timer(PULL_PERIOD, TimerTag::of_kind(TIMER_PULL));
     }
 
     fn on_link_down(&mut self, ctx: &mut Context<'_, TagMsg>, peer: NodeId) {
@@ -464,7 +445,7 @@ mod tests {
         for i in 0..n {
             let contact = ids.last().copied();
             let at = SimTime::from_millis(20 * i as u64);
-            ids.push(net.add_node_at(at, move |_| TagNode::new(TagConfig::default(), contact)));
+            ids.push(net.add_node_at(at, move |_| TagNode::new(contact)));
         }
         net.run_until(SimTime::from_secs(20));
         (net, ids)

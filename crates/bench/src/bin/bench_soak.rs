@@ -16,7 +16,7 @@
 //! the artifact records both outcomes side by side, each read through the
 //! same `workloads::outcome` projections, and `gate::divergence_check`
 //! holds the survivors' delivered sets equal and their live p50 inside a
-//! band of the sim prediction (`DivergenceBand`, see DESIGN.md).
+//! band of the sim prediction (`gate::LATENCY_RATIO`, see DESIGN.md).
 //!
 //! Acceptance, asserted by the binary itself: every scenario's invariant
 //! sweeps are clean, survivor delivery is >= 99 %, the adversity its
@@ -30,7 +30,7 @@
 //! Positional arguments filter scenarios by name.
 
 use brisa::BrisaNode;
-use brisa_bench::gate::{divergence_check, DivergenceBand, SoakRow, NAMED_PAIRS};
+use brisa_bench::gate::{divergence_check, SoakRow, NAMED_PAIRS};
 use brisa_bench::{BrisaStackConfig, EngineResult, IntoRunSpec, Runner, Scale};
 use brisa_metrics::percentile::percentile_of_sorted;
 use brisa_metrics::report::render_table;
@@ -502,7 +502,7 @@ fn main() {
             );
         }
     }
-    let gate = divergence_check(&gate_rows, &DivergenceBand::default());
+    let gate = divergence_check(&gate_rows);
     print!("{}", gate.render());
     let forced = std::env::var("BRISA_SOAK_FORCE_DIVERGENCE").is_ok_and(|v| v == "1");
     if forced || !gate.passed() {

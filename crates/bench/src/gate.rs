@@ -4,7 +4,7 @@
 //! simulator's prediction of the *same* schedule — and hands one
 //! [`SoakRow`] per scenario to [`divergence_check`], which fails when the
 //! survivors' delivered sets differ between the worlds, when live latency
-//! stalls past the [`DivergenceBand`] around the prediction, or when any
+//! stalls past [`LATENCY_RATIO`] times the prediction, or when any
 //! online invariant sweep tripped during the soak (methodology in
 //! DESIGN.md).
 
@@ -102,7 +102,8 @@ impl GateReport {
     }
 }
 
-/// Allowed sim-vs-live drift per soak scenario.
+/// Allowed sim-vs-live drift per soak scenario: the largest live-p50 /
+/// sim-p50 latency ratio (one-sided; faster is fine).
 ///
 /// Delivery needs no band: the survivors' delivered sets must be equal,
 /// which fixes their delivery rate and completeness exactly in both
@@ -111,25 +112,14 @@ impl GateReport {
 /// being much faster than the model is expected (TCP on `127.0.0.1` has
 /// no link delay), but the survivors' live p50 exceeding their sim p50 by
 /// more than the ratio means the runtime is stalling.
-#[derive(Debug, Clone, Copy)]
-pub struct DivergenceBand {
-    /// Max live-p50 / sim-p50 latency ratio (one-sided; faster is fine).
-    pub latency_ratio: f64,
-}
-
-impl Default for DivergenceBand {
-    fn default() -> Self {
-        DivergenceBand {
-            latency_ratio: 25.0,
-        }
-    }
-}
+pub const LATENCY_RATIO: f64 = 25.0;
 
 /// Gates a soak: every scenario's online invariant sweeps must be clean,
 /// its survivors must have delivered the same pairs in both worlds, and
-/// their live p50 must sit inside `band` of the sim prediction. A soak
-/// with no scenario fails — an empty set must not pass by vacuity.
-pub fn divergence_check(rows: &[SoakRow], band: &DivergenceBand) -> GateReport {
+/// their live p50 must be at most [`LATENCY_RATIO`] times the sim
+/// prediction. A soak with no scenario fails — an empty set must not pass
+/// by vacuity.
+pub fn divergence_check(rows: &[SoakRow]) -> GateReport {
     let mut report = GateReport::default();
     if rows.is_empty() {
         report.violations.push("no scenarios to gate".to_string());
@@ -157,11 +147,10 @@ pub fn divergence_check(rows: &[SoakRow], band: &DivergenceBand) -> GateReport {
             ));
         }
         let (live, sim) = (row.live_p50_ms, row.sim_p50_ms);
-        if sim > 0.0 && live > sim * band.latency_ratio {
+        if sim > 0.0 && live > sim * LATENCY_RATIO {
             report.violations.push(format!(
-                "{name}: survivors' live p50 latency {live:.2}ms exceeds {:.0}x the sim \
-                 prediction {sim:.2}ms",
-                band.latency_ratio
+                "{name}: survivors' live p50 latency {live:.2}ms exceeds {LATENCY_RATIO:.0}x \
+                 the sim prediction {sim:.2}ms"
             ));
         }
     }
@@ -251,7 +240,7 @@ mod tests {
             NODES as usize - 1,
             "the source is no survivor"
         );
-        let r = divergence_check(&rows, &DivergenceBand::default());
+        let r = divergence_check(&rows);
         assert!(r.passed(), "{}", r.render());
         // 2 scenarios x (invariants + delivered sets + latency).
         assert_eq!(r.checks, 6);
@@ -264,7 +253,7 @@ mod tests {
         let mut live = run(4);
         live[5] = node(5, (0..MESSAGES).filter(|&s| s != 17), 4);
         let rows = [row("steady_loss_1pct", &live, &[], &run(60))];
-        let r = divergence_check(&rows, &DivergenceBand::default());
+        let r = divergence_check(&rows);
         assert!(!r.passed());
         assert_eq!(r.violations.len(), 1, "{}", r.render());
         assert!(
@@ -275,14 +264,18 @@ mod tests {
     }
 
     #[test]
-    fn deliberately_broken_band_fails_even_a_healthy_trace() {
-        // A latency ratio below live/sim: the healthy soak must now trip
-        // the gate — proof the band is actually load-bearing.
-        let band = DivergenceBand {
-            latency_ratio: 0.01,
-        };
-        let r = divergence_check(&soak(), &band);
+    fn live_latency_just_past_the_band_fails_a_healthy_trace() {
+        // The healthy soak with its first scenario's live p50 moved to the
+        // band's edge passes, and one step past it fails: the band is
+        // load-bearing at exactly its ratio.
+        let mut edge = soak();
+        edge[0].live_p50_ms = edge[0].sim_p50_ms * LATENCY_RATIO;
+        let r = divergence_check(&edge);
+        assert!(r.passed(), "{}", r.render());
+        edge[0].live_p50_ms += 0.01;
+        let r = divergence_check(&edge);
         assert!(!r.passed(), "{}", r.render());
+        assert!(r.violations[0].contains("25x"), "{}", r.render());
     }
 
     #[test]
@@ -293,7 +286,7 @@ mod tests {
         let mut sim = run(60);
         sim[2] = node(2, (0..MESSAGES).filter(|s| !(10..20).contains(s)), 60);
         let rows = [row("partition_heal", &run(4), &[], &sim)];
-        let r = divergence_check(&rows, &DivergenceBand::default());
+        let r = divergence_check(&rows);
         assert!(!r.passed(), "{}", r.render());
         assert!(
             r.violations[0].contains("differ in 10 (node, seq) pairs: (node 2, seq 10) live only"),
@@ -315,7 +308,7 @@ mod tests {
         sim.push(node(16, 20..MESSAGES, 60));
         let rows = [row("kill_restart", &live, &[8], &sim)];
         assert!(!rows[0].live_sets.contains_key(&8));
-        let r = divergence_check(&rows, &DivergenceBand::default());
+        let r = divergence_check(&rows);
         assert!(r.passed(), "{}", r.render());
         // The reborn node's slow catch-up is not the survivors' latency.
         assert_eq!(rows[0].live_p50_ms, 4.0);
@@ -325,7 +318,7 @@ mod tests {
     fn invariant_violations_fail_the_gate() {
         let mut broken = soak();
         broken[0].invariant_violations = 3;
-        let r = divergence_check(&broken, &DivergenceBand::default());
+        let r = divergence_check(&broken);
         assert!(!r.passed());
         assert!(r.violations[0].contains("invariant"), "{}", r.render());
     }
@@ -334,14 +327,14 @@ mod tests {
     fn stalled_live_latency_fails_the_gate() {
         let mut stalled = soak();
         stalled[0].live_p50_ms = 2000.0;
-        let r = divergence_check(&stalled, &DivergenceBand::default());
+        let r = divergence_check(&stalled);
         assert!(!r.passed());
         assert!(r.violations[0].contains("latency"), "{}", r.render());
     }
 
     #[test]
     fn empty_soak_fails_the_gate() {
-        let r = divergence_check(&[], &DivergenceBand::default());
+        let r = divergence_check(&[]);
         assert!(!r.passed());
         assert!(r.violations[0].contains("no scenarios"), "{}", r.render());
     }

@@ -785,6 +785,50 @@ mod tests {
         }
     }
 
+    /// ROADMAP item 26's second reproducer, the bounce. Node 0 streams to
+    /// nodes 1 and 2, then crashes. Each orphan's soft repair activates the
+    /// other, so the two relay to each other; when the repairs escalate,
+    /// each orders its child, which hard-repairs and hands the order
+    /// straight back. Stepped and capped as the reproducer above.
+    #[test]
+    #[ignore = "ROADMAP 26"]
+    fn two_orphans_that_relay_to_each_other_quiesce() {
+        let starts = [
+            (SimTime::ZERO, None),
+            (SimTime::from_millis(10), Some(NodeId(0))),
+            (SimTime::from_millis(20), Some(NodeId(0))),
+        ];
+        let mut net = tick_net(fixed(5), &starts, Some(NodeId(0)));
+        net.run_until(SimTime::from_secs(2));
+        for _ in 0..3 {
+            net.invoke(NodeId(0), |n, ctx| n.node.publish(ctx, 256));
+            net.run_for(SimDuration::from_millis(200));
+        }
+        net.crash(NodeId(0));
+        let orders = |net: &Network<Ticks>| -> u64 {
+            (1..3)
+                .map(|i| {
+                    let node = &net.node(NodeId(i)).unwrap().node;
+                    node.brisa().stats().reactivation_orders_sent
+                })
+                .sum()
+        };
+        // One order per neighbour per repair episode: 2 orphans × 1
+        // neighbour × 4 hard episodes (from the soft repair's escalation
+        // near 5 s, then every HARD_REPAIR_RETRY) in the stepped window.
+        let bound = 2 * 4;
+        let end = SimTime::from_secs(12);
+        while net.now() < end {
+            net.run_for(SimDuration::from_micros(100));
+            let (pending, sent) = (net.pending_events(), orders(&net));
+            assert!(
+                pending <= 10_000 && sent <= bound,
+                "at {}: {pending} events pending, {sent} orders sent (bound {bound})",
+                net.now()
+            );
+        }
+    }
+
     /// One stream message from `source` reaches `node` at 2 010 ms, an
     /// instant on `node`'s grid; returns `node`'s tick instants to 4 s.
     fn first_reception_on_the_grid(source: NodeId, node: NodeId) -> Vec<SimTime> {

@@ -15,6 +15,8 @@ use crate::message::{BrisaMsg, DataMsg};
 use crate::node::StackMsg;
 use brisa_membership::HpvMsg;
 use brisa_simnet::wire::{Reader, Sink, WireCodec, WireError};
+use brisa_simnet::NodeId;
+use std::sync::Arc;
 
 /// Frame protocol byte of BRISA messages.
 const PROTO: u8 = 1;
@@ -54,9 +56,17 @@ impl CycleGuard {
         }
     }
 
+    /// Reads a guard. A path is never empty (it ends at its sender), and
+    /// an empty one would place its receiver at the root.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            guard_kind::PATH => Ok(CycleGuard::Path(r.nodes()?)),
+            guard_kind::PATH => {
+                let path: Arc<[NodeId]> = r.nodes()?;
+                if path.is_empty() {
+                    return Err(WireError::Corrupt("empty cycle-guard path"));
+                }
+                Ok(CycleGuard::Path(path))
+            }
             guard_kind::DEPTH => Ok(CycleGuard::Depth(r.u32()?)),
             _ => Err(WireError::Corrupt("unknown cycle-guard kind")),
         }
@@ -149,8 +159,7 @@ impl WireCodec for StackMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brisa_simnet::{NodeId, WireSize};
-    use std::sync::Arc;
+    use brisa_simnet::WireSize;
 
     /// One representative value per variant of every message type the stack
     /// carries, each with the byte count its frame must have. The counts are
@@ -238,7 +247,6 @@ mod tests {
                 17,
             ),
             (StackMsg::Hpv(HpvMsg::ShuffleReply { nodes: vec![] }), 10),
-            (data(1, 3, CycleGuard::Path(Arc::from([])), 1, 1), 40),
         ]
     }
 
@@ -333,6 +341,24 @@ mod tests {
             kind::EDGE,
         ];
         assert_eq!(tags, [0, 1, 2, 3, 5, 6]);
+    }
+
+    /// No sender builds an empty path, and one that decoded would place
+    /// its receiver at the root: the frame is refused.
+    #[test]
+    fn an_empty_path_is_rejected() {
+        let frame = StackMsg::Brisa(BrisaMsg::data(DataMsg {
+            seq: 1,
+            payload_bytes: 3,
+            guard: CycleGuard::Path(Arc::from([])),
+            sender_uptime_secs: 1,
+            sender_load: 1,
+        }))
+        .encode();
+        assert_eq!(
+            StackMsg::decode(&frame),
+            Err(WireError::Corrupt("empty cycle-guard path"))
+        );
     }
 
     #[test]

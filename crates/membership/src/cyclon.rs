@@ -13,32 +13,15 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
+/// Cache (partial view) size.
+const VIEW_SIZE: usize = 20;
+/// Descriptors exchanged per shuffle.
+const SHUFFLE_LENGTH: usize = 8;
+
 /// Fixed per-message overhead charged for every Cyclon message.
 pub const CYCLON_HEADER_BYTES: usize = 8;
 /// Bytes per descriptor: a node identifier plus a 2-byte age.
 pub const DESCRIPTOR_BYTES: usize = brisa_simnet::NodeId::WIRE_SIZE + 2;
-
-/// Configuration of the Cyclon protocol.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CyclonConfig {
-    /// Cache (partial view) size.
-    pub view_size: usize,
-    /// Number of descriptors exchanged per shuffle.
-    pub shuffle_length: usize,
-    /// Period between shuffles, in simulated seconds (informational; the
-    /// embedding stack owns the actual timer).
-    pub shuffle_period_secs: u64,
-}
-
-impl Default for CyclonConfig {
-    fn default() -> Self {
-        CyclonConfig {
-            view_size: 20,
-            shuffle_length: 8,
-            shuffle_period_secs: 5,
-        }
-    }
-}
 
 /// A `(peer, age)` descriptor stored in the Cyclon cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,11 +73,11 @@ pub enum CyclonOut {
     },
 }
 
-/// The Cyclon state machine for one node.
+/// The Cyclon state machine for one node. Its cache holds 20 descriptors
+/// and a shuffle exchanges 8; the embedding stack owns the shuffle timer.
 #[derive(Debug)]
 pub struct Cyclon {
     me: NodeId,
-    cfg: CyclonConfig,
     cache: Vec<Descriptor>,
     /// Descriptors sent in the last shuffle request, preferred for
     /// replacement when integrating the response.
@@ -103,10 +86,9 @@ pub struct Cyclon {
 
 impl Cyclon {
     /// Creates the state machine for node `me`.
-    pub fn new(me: NodeId, cfg: CyclonConfig) -> Self {
+    pub fn new(me: NodeId) -> Self {
         Cyclon {
             me,
-            cfg,
             cache: Vec::new(),
             last_sent: Vec::new(),
         }
@@ -135,7 +117,7 @@ impl Cyclon {
     /// Seeds the cache with an initial set of peers (bootstrap).
     pub fn bootstrap(&mut self, seeds: &[NodeId]) {
         for &s in seeds {
-            if s != self.me && !self.contains(s) && self.cache.len() < self.cfg.view_size {
+            if s != self.me && !self.contains(s) && self.cache.len() < VIEW_SIZE {
                 self.cache.push(Descriptor { node: s, age: 0 });
             }
         }
@@ -181,7 +163,7 @@ impl Cyclon {
         // Sample l-1 other descriptors plus a fresh descriptor of ourselves.
         let mut others: Vec<Descriptor> = self.cache.clone();
         others.shuffle(rng);
-        others.truncate(self.cfg.shuffle_length.saturating_sub(1));
+        others.truncate(SHUFFLE_LENGTH - 1);
         let mut sent = others;
         sent.push(Descriptor {
             node: self.me,
@@ -201,7 +183,7 @@ impl Cyclon {
                 // Reply with a random sample of our own cache.
                 let mut reply: Vec<Descriptor> = self.cache.clone();
                 reply.shuffle(rng);
-                reply.truncate(self.cfg.shuffle_length);
+                reply.truncate(SHUFFLE_LENGTH);
                 let sent = reply.clone();
                 self.integrate(&descriptors, &sent);
                 vec![CyclonOut::Send {
@@ -225,7 +207,7 @@ impl Cyclon {
             if d.node == self.me || self.contains(d.node) {
                 continue;
             }
-            if self.cache.len() < self.cfg.view_size {
+            if self.cache.len() < VIEW_SIZE {
                 self.cache.push(d);
                 continue;
             }
@@ -266,7 +248,7 @@ mod tests {
 
     #[test]
     fn bootstrap_ignores_self_and_duplicates() {
-        let mut c = Cyclon::new(NodeId(0), CyclonConfig::default());
+        let mut c = Cyclon::new(NodeId(0));
         c.bootstrap(&[NodeId(0), NodeId(1), NodeId(1), NodeId(2)]);
         assert_eq!(c.len(), 2);
         assert!(!c.neighbors().contains(&NodeId(0)));
@@ -274,7 +256,7 @@ mod tests {
 
     #[test]
     fn shuffle_targets_oldest_and_includes_self() {
-        let mut c = Cyclon::new(NodeId(0), CyclonConfig::default());
+        let mut c = Cyclon::new(NodeId(0));
         c.bootstrap(&[NodeId(1), NodeId(2), NodeId(3)]);
         // Age node 2 artificially by two rounds of shuffling with empty integration.
         let mut r = rng();
@@ -297,8 +279,8 @@ mod tests {
 
     #[test]
     fn request_response_exchanges_descriptors() {
-        let mut a = Cyclon::new(NodeId(0), CyclonConfig::default());
-        let mut b = Cyclon::new(NodeId(1), CyclonConfig::default());
+        let mut a = Cyclon::new(NodeId(0));
+        let mut b = Cyclon::new(NodeId(1));
         a.bootstrap(&[NodeId(1)]);
         b.bootstrap(&[NodeId(3), NodeId(4)]);
         let mut r = rng();
@@ -324,14 +306,11 @@ mod tests {
 
     #[test]
     fn cache_never_exceeds_view_size_nor_contains_self() {
-        let cfg = CyclonConfig {
-            view_size: 5,
-            shuffle_length: 3,
-            shuffle_period_secs: 1,
-        };
-        let n = 20u32;
+        // Four times the cache's worth of nodes, so caches fill and the
+        // bound is what stops them.
+        let n = 4 * VIEW_SIZE as u32;
         let mut nodes: HashMap<NodeId, Cyclon> = (0..n)
-            .map(|i| (NodeId(i), Cyclon::new(NodeId(i), cfg.clone())))
+            .map(|i| (NodeId(i), Cyclon::new(NodeId(i))))
             .collect();
         // Ring bootstrap.
         for i in 0..n {
@@ -350,8 +329,12 @@ mod tests {
                 }
             }
         }
+        assert!(
+            nodes.values().any(|c| c.len() == VIEW_SIZE),
+            "no cache reached the bound"
+        );
         for (id, c) in &nodes {
-            assert!(c.len() <= cfg.view_size);
+            assert!(c.len() <= VIEW_SIZE);
             assert!(!c.neighbors().contains(id));
             let mut ns = c.neighbors();
             ns.sort();
@@ -375,7 +358,7 @@ mod tests {
 
     #[test]
     fn sample_returns_distinct_neighbors() {
-        let mut c = Cyclon::new(NodeId(0), CyclonConfig::default());
+        let mut c = Cyclon::new(NodeId(0));
         c.bootstrap(&(1..=10).map(NodeId).collect::<Vec<_>>());
         let mut r = rng();
         let s = c.sample(&mut r, 4);

@@ -6,8 +6,10 @@ use serde::{Deserialize, Serialize};
 /// Configuration parameters of the HyParView membership protocol.
 ///
 /// Defaults follow the values used throughout the BRISA evaluation: a small
-/// active view (the paper sweeps 4–10), a larger passive view, an expansion
-/// factor of 2, and the random-walk lengths of the original HyParView paper.
+/// active view (the paper sweeps 4–10), a larger passive view and an
+/// expansion factor of 2. The random-walk lengths and shuffle sizes, which
+/// the evaluation never varies, are the original HyParView paper's and are
+/// constants beside the code that reads them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HyParViewConfig {
     /// Target size of the active view (the node's neighbors).
@@ -20,20 +22,8 @@ pub struct HyParViewConfig {
     /// BRISA paper). The evaluation uses a factor of 2 except for the sample
     /// trees of Figure 8 which use 1.
     pub expansion_factor: usize,
-    /// Active Random Walk Length for `ForwardJoin` propagation.
-    pub arwl: u8,
-    /// Passive Random Walk Length: when the remaining TTL of a
-    /// `ForwardJoin` equals this value the new node is also inserted into
-    /// the passive view.
-    pub prwl: u8,
     /// Period of the proactive passive-view shuffle.
     pub shuffle_period: SimDuration,
-    /// Number of active-view entries included in a shuffle message.
-    pub shuffle_active: usize,
-    /// Number of passive-view entries included in a shuffle message.
-    pub shuffle_passive: usize,
-    /// TTL of shuffle random walks.
-    pub shuffle_ttl: u8,
     /// Period of keep-alive probes towards active-view members. Keep-alives
     /// double as RTT measurements for BRISA's delay-aware parent selection.
     pub keepalive_period: SimDuration,
@@ -45,12 +35,7 @@ impl Default for HyParViewConfig {
             active_size: 4,
             passive_size: 30,
             expansion_factor: 2,
-            arwl: 6,
-            prwl: 3,
             shuffle_period: SimDuration::from_secs(10),
-            shuffle_active: 3,
-            shuffle_passive: 4,
-            shuffle_ttl: 4,
             keepalive_period: SimDuration::from_secs(2),
         }
     }

@@ -97,6 +97,19 @@ struct Probe {
     sent_at: SimTime,
 }
 
+/// Active Random Walk Length: the TTL a `ForwardJoin` starts with (the
+/// HyParView paper's ARWL).
+const ARWL: u8 = 6;
+/// Passive Random Walk Length: a `ForwardJoin` arriving with this TTL also
+/// puts the joiner in the passive view (the HyParView paper's PRWL).
+const PRWL: u8 = 3;
+/// Active-view entries a shuffle carries (the HyParView paper's `ka`).
+const SHUFFLE_ACTIVE: usize = 3;
+/// Passive-view entries a shuffle carries (the HyParView paper's `kp`).
+const SHUFFLE_PASSIVE: usize = 4;
+/// TTL of a shuffle's random walk.
+const SHUFFLE_TTL: u8 = 4;
+
 /// Entries of the passive view stored inline: the default `passive_size`,
 /// so a default node's passive view, which joins and shuffles read, is in
 /// its slot (the active view's is [`brisa_simnet::INLINE_TABLE`]). A
@@ -382,10 +395,8 @@ impl HyParView {
         // (both samples are shuffled in its tail).
         let mut sample = Vec::with_capacity(1 + self.active.len() + self.passive.len());
         sample.push(self.me);
-        self.active
-            .sample_into(rng, self.cfg.shuffle_active, &mut sample);
-        self.passive
-            .sample_into(rng, self.cfg.shuffle_passive, &mut sample);
+        self.active.sample_into(rng, SHUFFLE_ACTIVE, &mut sample);
+        self.passive.sample_into(rng, SHUFFLE_PASSIVE, &mut sample);
         sample.dedup();
         self.last_shuffle_sample.clear();
         self.last_shuffle_sample.extend_from_slice(&sample);
@@ -395,7 +406,7 @@ impl HyParView {
             HpvMsg::Shuffle {
                 origin: self.me,
                 nodes: sample,
-                ttl: self.cfg.shuffle_ttl,
+                ttl: SHUFFLE_TTL,
             },
         );
     }
@@ -413,7 +424,7 @@ impl HyParView {
                     n,
                     HpvMsg::ForwardJoin {
                         new_node,
-                        ttl: self.cfg.arwl,
+                        ttl: ARWL,
                     },
                 );
             }
@@ -437,7 +448,7 @@ impl HyParView {
             self.adopt_joiner(now, new_node, out);
             return;
         }
-        if ttl == self.cfg.prwl {
+        if ttl == PRWL {
             self.add_passive(new_node, rng);
         }
         let exclude = [sender, new_node, self.me];
@@ -1101,7 +1112,7 @@ mod tests {
 
     #[test]
     fn forward_join_with_ttl_forwards_and_fills_passive() {
-        let cfg = HyParViewConfig::default(); // prwl = 3
+        let cfg = HyParViewConfig::default();
         let mut node = HyParView::new(NodeId(5), cfg);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut out = Vec::new();
@@ -1114,14 +1125,14 @@ mod tests {
             NodeId(1),
             HpvMsg::ForwardJoin {
                 new_node: NodeId(9),
-                ttl: 3,
+                ttl: PRWL,
             },
             &mut rng,
             &mut outs,
         );
         assert!(
             node.passive_view().contains(&NodeId(9)),
-            "ttl == prwl adds to passive"
+            "ttl == PRWL adds to passive"
         );
         assert!(!node.is_neighbor(NodeId(9)));
         let forwarded = outs.iter().any(|o| {

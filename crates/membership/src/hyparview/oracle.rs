@@ -6,7 +6,10 @@
 //! verbatim. `super::tests` drives it in lockstep with [`super::HyParView`]
 //! over random message sequences.
 
-use super::{HpvMsg, HpvOut, HpvStats, HyParViewConfig};
+use super::{
+    HpvMsg, HpvOut, HpvStats, HyParViewConfig, ARWL, PRWL, SHUFFLE_ACTIVE, SHUFFLE_PASSIVE,
+    SHUFFLE_TTL,
+};
 use crate::view::BoundedView;
 use brisa_simnet::{NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -204,8 +207,8 @@ impl HashHyParView {
             return out;
         };
         let mut sample = vec![self.me];
-        sample.extend(self.active.sample(rng, self.cfg.shuffle_active));
-        sample.extend(self.passive.sample(rng, self.cfg.shuffle_passive));
+        sample.extend(self.active.sample(rng, SHUFFLE_ACTIVE));
+        sample.extend(self.passive.sample(rng, SHUFFLE_PASSIVE));
         sample.dedup();
         self.last_shuffle_sample = sample.clone();
         self.stats.shuffles_started += 1;
@@ -214,7 +217,7 @@ impl HashHyParView {
             msg: HpvMsg::Shuffle {
                 origin: self.me,
                 nodes: sample,
-                ttl: self.cfg.shuffle_ttl,
+                ttl: SHUFFLE_TTL,
             },
         });
         out
@@ -233,7 +236,7 @@ impl HashHyParView {
                 to: n,
                 msg: HpvMsg::ForwardJoin {
                     new_node,
-                    ttl: self.cfg.arwl,
+                    ttl: ARWL,
                 },
             });
         }
@@ -264,7 +267,7 @@ impl HashHyParView {
             }
             return;
         }
-        if ttl == self.cfg.prwl {
+        if ttl == PRWL {
             self.add_passive(new_node, rng);
         }
         let exclude = [sender, new_node, self.me];

@@ -20,7 +20,7 @@ pub mod cyclon;
 pub mod hyparview;
 pub mod view;
 
-pub use cyclon::{Cyclon, CyclonConfig, CyclonMsg, CyclonOut, Descriptor};
+pub use cyclon::{Cyclon, CyclonMsg, CyclonOut, Descriptor};
 pub use hyparview::{
     HpvMsg, HpvOut, HpvSink, HpvStats, HyParView, HyParViewConfig, HPV_HEADER_BYTES,
 };

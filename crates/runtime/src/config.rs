@@ -4,8 +4,8 @@
 //! reads them: the connect timeout, the idle-link cut-off and the dial and
 //! re-dial budgets in the reactor's connection table, and the delay after
 //! which a connection attempt across a partition surfaces as a link-down,
-//! which *is* the simulator's `NetworkConfig::failure_detection_delay` (see
-//! [`shim`](crate::shim)) rather than a copy of it.
+//! which *is* the simulator's [`brisa_simnet::FAILURE_DETECTION_DELAY`]
+//! (see [`shim`](crate::shim)) rather than a copy of it.
 
 /// Sizing parameters of the live runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -20,10 +20,12 @@
 use super::io::{IoCmd, LinkTable, Sockets, Upcall};
 use crate::clock::Clock;
 use crate::report::RuntimeStats;
-use crate::shim::{detection_delay, Fate, ShimControl};
+use crate::shim::{Fate, ShimControl};
 use crate::wire::WireCodec;
 use brisa_simnet::seed::split_mix64;
-use brisa_simnet::{Command, Context, NodeId, Protocol, SimTime, TimerTag};
+use brisa_simnet::{
+    Command, Context, NodeId, Protocol, SimTime, TimerTag, FAILURE_DETECTION_DELAY,
+};
 use brisa_telemetry::{Counter, EventKind as TelEventKind, Histo, Telemetry};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -265,7 +267,7 @@ impl<P: WireProtocol, C: Clock> ProtoCore<P, C> {
                 // it fails locally after the detection delay, like the
                 // simulator's connect to an unreachable peer.
                 Command::OpenConnection { peer } if self.shim.cuts_open(slot.id, peer, now) => {
-                    let at = now + detection_delay();
+                    let at = now + FAILURE_DETECTION_DELAY;
                     self.timers.push(at, TimerKind::CutOpen { node: id, peer })
                 }
                 Command::OpenConnection { peer } => self.io_cmds.push_back(IoCmd::Open {
@@ -699,7 +701,7 @@ mod tests {
         rig.cut(1, ms(0), ms(30_000), PartitionMode::Drop);
         rig.at(ms(5));
         rig.on(0, |ctx| ctx.open_connection(NodeId(1)));
-        let down = ms(5) + detection_delay();
+        let down = ms(5) + FAILURE_DETECTION_DELAY;
         rig.at(before(down));
         assert!(rig.heard().is_empty());
         rig.at(down);

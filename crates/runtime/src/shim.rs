@@ -23,7 +23,8 @@
 //!   not tear down connections (same as the sim), but an *attempt* across
 //!   an active cut never reaches the connection table — a SYN lost inside
 //!   the partition — and surfaces as `on_link_down` after the simulator's
-//!   `NetworkConfig::failure_detection_delay` (the *cut open* timer kind).
+//!   [`FAILURE_DETECTION_DELAY`](brisa_simnet::FAILURE_DETECTION_DELAY)
+//!   (the *cut open* timer kind).
 //!
 //! Both kinds sit on the same `(deadline, seq)` heap as protocol timers, so
 //! no thread, queue or lock exists for them; they die with the node that
@@ -39,15 +40,9 @@
 
 use crate::clock::WallClock;
 use brisa_simnet::faults::{FaultConfig, FaultLayer, Routed};
-use brisa_simnet::{LinkFaults, NetworkConfig, NodeId, PartitionSpec, SimDuration, SimTime};
+use brisa_simnet::{LinkFaults, NodeId, PartitionSpec, SimDuration, SimTime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// How long a connection attempt across an active cut takes to surface as
-/// a link-down: the simulator's failure-detection delay itself.
-pub(crate) fn detection_delay() -> SimDuration {
-    NetworkConfig::default().failure_detection_delay
-}
 
 /// Counters of everything the fault layer did to live traffic,
 /// cluster-wide.
@@ -223,7 +218,9 @@ mod tests {
     use crate::tcp::TcpMesh;
     use brisa::StackMsg;
     use brisa_membership::HpvMsg;
-    use brisa_simnet::{Context, FaultPrf, PartitionMode, Protocol, TimerTag};
+    use brisa_simnet::{
+        Context, FaultPrf, PartitionMode, Protocol, TimerTag, FAILURE_DETECTION_DELAY,
+    };
     use std::time::{Duration, Instant};
 
     /// What one node heard: keep-alive nonces and link-downs, with the
@@ -444,7 +441,7 @@ mod tests {
         let (peer, at) = rig.downs(0)[0];
         assert_eq!(peer, NodeId(1));
         assert!(
-            at.duration_since(asked) >= Duration::from_micros(detection_delay().as_micros()),
+            at.duration_since(asked) >= Duration::from_micros(FAILURE_DETECTION_DELAY.as_micros()),
             "failure surfaces only after the detection delay"
         );
         assert_eq!(ctl.stats().linkdowns_synthesized, 1);

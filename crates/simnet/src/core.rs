@@ -26,7 +26,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultLayer, Routed};
 use crate::latency::LatencyModel;
 use crate::links::{ensure_len, Adjacency, FifoClocks};
-use crate::network::{Footprint, NetStats, NetworkConfig};
+use crate::network::{Footprint, NetStats, NetworkConfig, FAILURE_DETECTION_DELAY};
 use crate::node::NodeId;
 use crate::protocol::{Command, Context, Protocol, WireSize};
 use crate::time::SimTime;
@@ -449,7 +449,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
             // adjacency index (every remote edge towards the victim was
             // mirrored here) yields them directly in O(degree); the buffer
             // is reused across crashes.
-            let detect_at = self.now + self.config.failure_detection_delay;
+            let detect_at = self.now + FAILURE_DETECTION_DELAY;
             let mut notified = std::mem::take(&mut self.crash_buf);
             notified.clear();
             notified.extend_from_slice(self.connections.incoming_of(victim));
@@ -541,9 +541,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                     // are never reused, so a clock towards one orders
                     // nothing; it expires like any other.
                     let slot = &mut self.nodes[self.place.local(origin)];
-                    if self.config.fifo_links {
-                        deliver_at = slot.clocks.stamp(to, self.now, deliver_at);
-                    }
+                    deliver_at = slot.clocks.stamp(to, self.now, deliver_at);
                     let prio = slot.lane_key(origin);
                     let deliver = EventKind::Deliver {
                         from: origin,
@@ -579,7 +577,7 @@ impl<P: Protocol, Pl: Placement> Core<P, Pl> {
                     {
                         let prio = self.lane_key(origin);
                         self.queue.push(
-                            self.now + self.config.failure_detection_delay,
+                            self.now + FAILURE_DETECTION_DELAY,
                             prio,
                             EventKind::LinkDown { node: origin, peer },
                         );

@@ -79,7 +79,7 @@ pub use faults::{FaultConfig, FaultPrf, LinkFaults, PartitionMode, PartitionSpec
 pub use hist::{LatencyHistogram, NodeHistogram, LATENCY_BUCKETS};
 pub use inline::{InlineVec, INLINE_TABLE};
 pub use latency::LatencyModel;
-pub use network::{Driver, Footprint, NetStats, Network, NetworkConfig};
+pub use network::{Driver, Footprint, NetStats, Network, NetworkConfig, FAILURE_DETECTION_DELAY};
 pub use node::NodeId;
 pub use protocol::{Command, Context, Protocol, WireSize};
 pub use sched::SchedulerKind;

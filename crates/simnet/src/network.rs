@@ -18,18 +18,19 @@ use brisa_telemetry::{EventKind as TelEventKind, Telemetry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Static configuration of a simulation run.
+/// Delay between a peer crashing, or a connection attempt failing, and
+/// the connected node's `on_link_down`: the keep-alive / TCP-level failure
+/// detection period of the prototype. The live runtime surfaces a connect
+/// across a partition cut after this same delay.
+pub const FAILURE_DETECTION_DELAY: SimDuration = SimDuration::from_millis(200);
+
+/// Static configuration of a simulation run. Every directed link is FIFO
+/// (messages between the same pair never overtake each other), as TCP
+/// connections are.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Master seed; every per-node RNG is derived from it.
     pub seed: u64,
-    /// Delay between a peer crashing and connected nodes receiving the
-    /// corresponding `on_link_down` callback. Models the keep-alive /
-    /// TCP-level failure detection period of the prototype.
-    pub failure_detection_delay: SimDuration,
-    /// Enforce FIFO ordering on each directed link (messages between the
-    /// same pair never overtake each other), as TCP connections do.
-    pub fifo_links: bool,
     /// Deterministic fault injection (per-link loss, latency degradation,
     /// timed partitions). Inert by default, in which case the fault layer
     /// costs a single branch per message and the run is bit-identical to
@@ -47,8 +48,6 @@ impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
             seed: 0xB215A,
-            failure_detection_delay: SimDuration::from_millis(200),
-            fifo_links: true,
             faults: FaultConfig::default(),
             telemetry: Telemetry::disabled(),
         }

@@ -178,11 +178,6 @@ pub trait DisseminationProtocol: Protocol {
 /// Protocol-agnostic parameters of one run. Scenario types convert into
 /// this through [`IntoRunSpec`]; the engine never looks at
 /// protocol-specific knobs.
-///
-/// Specs are assembled by the [`IntoRunSpec`] conversions, which also cache
-/// derived values ([`RunSpec::stream_start`]) once. The driver-level knob
-/// (`shards`) stays freely settable afterwards; mutating `bootstrap` after conversion is not supported (the cached
-/// stream start would desync — convert a fresh scenario instead).
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// Number of nodes bootstrapped before the stream starts.
@@ -212,49 +207,13 @@ pub struct RunSpec {
     /// sequential driver). Sharded runs are bit-identical to sequential
     /// ones; see [`brisa_simnet::ShardedNetwork`].
     pub shards: usize,
-    /// Cached injection time of the first stream message, derived from
-    /// `bootstrap` at conversion time.
-    stream_start: SimTime,
 }
 
 impl RunSpec {
-    /// Assembles a spec from scenario-level fields, caching derived values
-    /// once. The driver knob (`shards`) starts at its default.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble(
-        nodes: u32,
-        seed: u64,
-        testbed: Testbed,
-        stream: StreamSpec,
-        churn: Option<ChurnSpec>,
-        faults: FaultSpec,
-        bootstrap: SimDuration,
-        drain: SimDuration,
-        events: Vec<ScaleEvent>,
-        results: ResultMode,
-    ) -> Self {
-        RunSpec {
-            nodes,
-            seed,
-            testbed,
-            stream,
-            churn,
-            faults,
-            bootstrap,
-            drain,
-            events,
-            results,
-            shards: 1,
-            stream_start: SimTime::ZERO + bootstrap + FIRST_PUBLISH_DELAY,
-        }
-    }
-
     /// Injection time of the first stream message (the bootstrap phase runs
-    /// to exactly `bootstrap` before the stream is scheduled). Cached at
-    /// conversion time, so the scale-mode paths that anchor per-message
-    /// deadlines to it read a field instead of re-deriving it.
+    /// to exactly `bootstrap` before the stream is scheduled).
     pub fn stream_start(&self) -> SimTime {
-        self.stream_start
+        SimTime::ZERO + self.bootstrap + FIRST_PUBLISH_DELAY
     }
 }
 
@@ -272,35 +231,37 @@ pub trait IntoRunSpec {
 
 impl IntoRunSpec for BrisaScenario {
     fn run_spec(&self) -> RunSpec {
-        RunSpec::assemble(
-            self.nodes,
-            self.seed,
-            self.testbed,
-            self.stream,
-            self.churn,
-            self.faults.clone(),
-            self.bootstrap,
-            self.drain,
-            self.events.clone(),
-            self.results,
-        )
+        RunSpec {
+            nodes: self.nodes,
+            seed: self.seed,
+            testbed: self.testbed,
+            stream: self.stream,
+            churn: self.churn,
+            faults: self.faults.clone(),
+            bootstrap: self.bootstrap,
+            drain: self.drain,
+            events: self.events.clone(),
+            results: self.results,
+            shards: 1,
+        }
     }
 }
 
 impl IntoRunSpec for BaselineScenario {
     fn run_spec(&self) -> RunSpec {
-        RunSpec::assemble(
-            self.nodes,
-            self.seed,
-            self.testbed,
-            self.stream,
-            self.churn,
-            self.faults.clone(),
-            self.bootstrap,
-            self.drain,
-            Vec::new(),
-            ResultMode::Classic,
-        )
+        RunSpec {
+            nodes: self.nodes,
+            seed: self.seed,
+            testbed: self.testbed,
+            stream: self.stream,
+            churn: self.churn,
+            faults: self.faults.clone(),
+            bootstrap: self.bootstrap,
+            drain: self.drain,
+            events: Vec::new(),
+            results: ResultMode::Classic,
+            shards: 1,
+        }
     }
 }
 
@@ -650,11 +611,6 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         P::Message: Send,
     {
         let spec = self.spec;
-        debug_assert_eq!(
-            spec.stream_start(),
-            SimTime::ZERO + spec.bootstrap + FIRST_PUBLISH_DELAY,
-            "cached stream_start desynced — bootstrap mutated after conversion"
-        );
         let net_config = NetworkConfig {
             seed: spec.seed,
             telemetry: self.telemetry.clone(),

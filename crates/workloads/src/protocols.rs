@@ -14,9 +14,7 @@ use crate::engine::{
 };
 use crate::spec::{BaselineScenario, BrisaScenario};
 use brisa::{BrisaConfig, BrisaNode};
-use brisa_baselines::{
-    FloodNode, GossipConfig, SimpleGossipNode, SimpleTreeNode, TagConfig, TagNode,
-};
+use brisa_baselines::{FloodNode, SimpleGossipNode, SimpleTreeNode, TagNode};
 use brisa_membership::HyParViewConfig;
 use brisa_simnet::{Context, DeliveryLog, NodeId};
 
@@ -160,20 +158,20 @@ impl DisseminationProtocol for SimpleTreeNode {
 }
 
 impl DisseminationProtocol for SimpleGossipNode {
-    type Config = GossipConfig;
+    type Config = ();
 
     fn protocol_name() -> &'static str {
         "SimpleGossip"
     }
 
-    fn build(cfg: &Self::Config, id: NodeId, bctx: &BuildCtx) -> Self {
+    fn build(_cfg: &Self::Config, id: NodeId, bctx: &BuildCtx) -> Self {
         // Ring-ish bootstrap seeds over the initial population; late joiners
         // seed from random early nodes.
         let n = bctx.population.max(1);
         let seeds: Vec<NodeId> = (1..=4u32)
             .map(|k| NodeId(bctx.index.wrapping_add(k * 7) % n))
             .collect();
-        SimpleGossipNode::new(id, cfg.clone(), seeds)
+        SimpleGossipNode::new(id, bctx.population, seeds)
     }
 
     fn publish_message(&mut self, ctx: &mut Context<'_, Self::Message>, payload_bytes: usize) {
@@ -186,16 +184,16 @@ impl DisseminationProtocol for SimpleGossipNode {
 }
 
 impl DisseminationProtocol for TagNode {
-    type Config = TagConfig;
+    type Config = ();
 
     fn protocol_name() -> &'static str {
         "TAG"
     }
 
-    fn build(cfg: &Self::Config, _id: NodeId, bctx: &BuildCtx) -> Self {
+    fn build(_cfg: &Self::Config, _id: NodeId, bctx: &BuildCtx) -> Self {
         // The join-time-sorted linked list chains through the most recently
         // joined node.
-        TagNode::new(cfg.clone(), bctx.prev)
+        TagNode::new(bctx.prev)
     }
 
     fn publish_message(&mut self, ctx: &mut Context<'_, Self::Message>, payload_bytes: usize) {
@@ -242,13 +240,12 @@ pub fn run_simple_tree(sc: &BaselineScenario) -> EngineResult {
 
 /// Runs the SimpleGossip baseline (Cyclon + rumor mongering + anti-entropy).
 pub fn run_simple_gossip(sc: &BaselineScenario) -> EngineResult {
-    let cfg = GossipConfig::default().for_system_size(sc.nodes as usize);
-    Runner::<SimpleGossipNode>::new(&cfg, &sc.run_spec()).run()
+    Runner::<SimpleGossipNode>::new(&(), &sc.run_spec()).run()
 }
 
 /// Runs the TAG baseline (linked list + tree + gossip, pull dissemination).
 pub fn run_tag(sc: &BaselineScenario) -> EngineResult {
-    Runner::<TagNode>::new(&TagConfig::default(), &sc.run_spec()).run()
+    Runner::<TagNode>::new(&(), &sc.run_spec()).run()
 }
 
 #[cfg(test)]

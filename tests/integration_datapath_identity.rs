@@ -27,7 +27,7 @@
 //! another's.
 
 use brisa::{BrisaNode, ParentStrategy, StructureMode};
-use brisa_baselines::{FloodNode, GossipConfig, SimpleGossipNode};
+use brisa_baselines::{FloodNode, SimpleGossipNode};
 use brisa_membership::HyParViewConfig;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
@@ -123,7 +123,6 @@ fn control_plane_rows() -> [(&'static str, u64); 4] {
         ..BaselineScenario::small_test(200)
     };
     let flood_cfg = HyParViewConfig::with_active_size(baseline.view_size);
-    let gossip_cfg = GossipConfig::default().for_system_size(baseline.nodes as usize);
     let tree = ParentStrategy::FirstComeFirstPicked;
     // Cross-cut traffic is held until the heal: every held message's
     // arrival is the fault layer's floor, not `now + latency`, and the
@@ -152,7 +151,7 @@ fn control_plane_rows() -> [(&'static str, u64); 4] {
         ),
         (
             "SimpleGossip over Cyclon, churn",
-            run_spec::<SimpleGossipNode>(&gossip_cfg, baseline.run_spec()),
+            run_spec::<SimpleGossipNode>(&(), baseline.run_spec()),
         ),
         ("BRISA tree, 1 % loss + Delay partition", run(&held)),
         ("BRISA tree, churn + loss, shards(2)", {

@@ -189,8 +189,7 @@ fn engine_schedule_is_protocol_independent() {
         brisa: brisa_sc.brisa_config(),
     };
     let a = Runner::<BrisaNode>::new(&cfg, &brisa_sc.run_spec()).run();
-    let b =
-        Runner::<TagNode>::new(&brisa_baselines::TagConfig::default(), &base_sc.run_spec()).run();
+    let b = Runner::<TagNode>::new(&(), &base_sc.run_spec()).run();
     assert_eq!(a.messages_published, b.messages_published);
     assert_eq!(
         a.publish_times, b.publish_times,

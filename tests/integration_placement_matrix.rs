@@ -11,9 +11,7 @@
 //! experiment it broke.
 
 use brisa::BrisaNode;
-use brisa_baselines::{
-    FloodNode, GossipConfig, SimpleGossipNode, SimpleTreeNode, TagConfig, TagNode,
-};
+use brisa_baselines::{FloodNode, SimpleGossipNode, SimpleTreeNode, TagNode};
 use brisa_membership::HyParViewConfig;
 use brisa_simnet::SimDuration;
 use brisa_workloads::{
@@ -135,13 +133,9 @@ fn fig12_table2_comparison_baselines() {
         ..small_baseline(24, 4)
     };
     let spec = sc.run_spec();
-    assert_placement_equivalence::<TagNode>("table2/tag", &TagConfig::default(), &spec);
+    assert_placement_equivalence::<TagNode>("table2/tag", &(), &spec);
     assert_placement_equivalence::<SimpleTreeNode>("table2/simple_tree", &(), &spec);
-    assert_placement_equivalence::<SimpleGossipNode>(
-        "table2/simple_gossip",
-        &GossipConfig::default(),
-        &spec,
-    );
+    assert_placement_equivalence::<SimpleGossipNode>("table2/simple_gossip", &(), &spec);
 }
 
 #[test]
@@ -151,7 +145,7 @@ fn fig13_construction_time_tag_planetlab() {
         testbed,
         ..small_baseline(24, 4)
     };
-    assert_placement_equivalence::<TagNode>("fig13", &TagConfig::default(), &sc.run_spec());
+    assert_placement_equivalence::<TagNode>("fig13", &(), &sc.run_spec());
 }
 
 #[test]
